@@ -58,7 +58,9 @@ fn main() {
         "packet log and drop ledger disagree"
     );
 
-    let narrative = explain::narrative(&tr);
+    // One join feeds the narrative, the attribution counts and the JSONL.
+    let events = explain::join(&tr);
+    let narrative = explain::narrative_from(&tr, &events);
     let cost = explain::cost_of_simulation(&tr.profile);
     let text = format!("{narrative}{cost}");
     print!("{text}");
@@ -91,7 +93,6 @@ fn main() {
                 .with("count", Json::Num(n as f64)),
         );
     }
-    let events = explain::join(&tr);
     let (attributed, unattributed) = explain::loss_spans_attributed(&events);
     let data = Json::obj()
         .with("drops_total", Json::Num(tr.ledger.total() as f64))
@@ -119,7 +120,7 @@ fn main() {
     let dir = artifacts::dir();
     for (file, contents) in [
         ("explain.txt", text),
-        ("explain_causal.jsonl", explain::to_jsonl(&tr)),
+        ("explain_causal.jsonl", explain::to_jsonl_from(&events)),
         ("explain_spans.jsonl", tr.spans.to_jsonl()),
         ("explain_drops.jsonl", tr.ledger.to_jsonl()),
     ] {

@@ -19,7 +19,8 @@
 use crate::runner::TracedRun;
 use netsim::{DropReason, PacketEvent, PacketRecord};
 use simcore::SimTime;
-use tcpsim::{SpanKind, SpanRecord};
+use std::collections::BTreeMap;
+use tcpsim::{SpanKind, SpanLog, SpanRecord};
 
 /// One causal narrative event: a sender transition, joined with the drops
 /// (if any) charged to the same flow since its previous transition.
@@ -45,23 +46,39 @@ impl CausalEvent {
 /// (e.g. during the final, still-open recovery) are not represented — the
 /// ledger still counts them.
 pub fn join(run: &TracedRun) -> Vec<CausalEvent> {
-    // Drops per flow, already time-ordered because the log is.
-    let mut events = Vec::new();
-    let mut cursor: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-    for span in run.spans.iter() {
-        let mut drops = Vec::new();
-        let start = cursor.entry(span.flow.0).or_insert(0);
-        let mut i = *start;
-        let flow_drops: Vec<&PacketRecord> = run
-            .records
-            .iter()
-            .filter(|r| r.flow == span.flow && r.event.is_drop())
-            .collect();
-        while i < flow_drops.len() && flow_drops[i].time <= span.time {
-            drops.push(*flow_drops[i]);
-            i += 1;
-        }
-        *start = i;
+    join_streams(&run.records, &run.spans)
+}
+
+/// One flow's drop records in log (= time) order, and how many of them
+/// earlier spans of the flow have already consumed.
+#[derive(Default)]
+struct FlowDrops {
+    drops: Vec<PacketRecord>,
+    next: usize,
+}
+
+/// [`join`] over the two raw streams: one pass over `records` indexes the
+/// drops by flow, one pass over `spans` (merged-log order) hands each span
+/// the drops of its flow in `(previous span of the flow, this span]`.
+/// O(records + spans) time; the index holds drop records only, never the
+/// whole log.
+pub fn join_streams(records: &[PacketRecord], spans: &SpanLog) -> Vec<CausalEvent> {
+    let mut by_flow: BTreeMap<u32, FlowDrops> = BTreeMap::new();
+    for r in records.iter().filter(|r| r.event.is_drop()) {
+        by_flow.entry(r.flow.0).or_default().drops.push(*r);
+    }
+    let mut events = Vec::with_capacity(spans.len());
+    for span in spans.iter() {
+        let drops = match by_flow.get_mut(&span.flow.0) {
+            Some(f) => {
+                let start = f.next;
+                while f.next < f.drops.len() && f.drops[f.next].time <= span.time {
+                    f.next += 1;
+                }
+                f.drops[start..f.next].to_vec()
+            }
+            None => Vec::new(),
+        };
         events.push(CausalEvent { span: *span, drops });
     }
     events
@@ -90,6 +107,12 @@ fn drop_cause(r: &PacketRecord, buffer_pkts: usize) -> String {
 /// forensics summary header. Deterministic: fixed-precision floats, stable
 /// iteration order, no wall-clock anywhere.
 pub fn narrative(run: &TracedRun) -> String {
+    narrative_from(run, &join(run))
+}
+
+/// [`narrative`] over an already computed [`join`] of the same run, for
+/// callers that also want the events or the JSONL export.
+pub fn narrative_from(run: &TracedRun, events: &[CausalEvent]) -> String {
     let mut out = String::new();
     let buffer = run.result.buffer_pkts;
 
@@ -115,7 +138,7 @@ pub fn narrative(run: &TracedRun) -> String {
     }
 
     out.push_str("== causal narrative ==\n");
-    for ev in join(run) {
+    for ev in events {
         let s = &ev.span;
         let consequence = format!(
             "{} at {}: cwnd {:.1} -> {:.1} (ssthresh {:.1})",
@@ -152,8 +175,13 @@ pub fn narrative(run: &TracedRun) -> String {
 ///  "drops":3,"first_drop_t":1.240,"reason":"tail-overflow","depth":19}
 /// ```
 pub fn to_jsonl(run: &TracedRun) -> String {
+    to_jsonl_from(&join(run))
+}
+
+/// [`to_jsonl`] over an already computed [`join`].
+pub fn to_jsonl_from(events: &[CausalEvent]) -> String {
     let mut out = String::new();
-    for ev in join(run) {
+    for ev in events {
         let s = &ev.span;
         out.push_str(&format!(
             "{{\"t\":{:.9},\"flow\":{},\"kind\":\"{}\",\"cwnd_before\":{:.3},\
@@ -220,7 +248,115 @@ pub fn loss_spans_attributed(events: &[CausalEvent]) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::runner::LongFlowScenario;
+    use netsim::{FlowId, LinkId};
     use simcore::SimDuration;
+
+    /// The join as first written: one filtered copy of the whole packet
+    /// log per span. O(spans × records), kept as the oracle the indexed
+    /// join must agree with.
+    fn join_reference(records: &[PacketRecord], spans: &SpanLog) -> Vec<CausalEvent> {
+        let mut events = Vec::new();
+        let mut cursor: BTreeMap<u32, usize> = BTreeMap::new();
+        for span in spans.iter() {
+            let mut drops = Vec::new();
+            let start = cursor.entry(span.flow.0).or_insert(0);
+            let mut i = *start;
+            let flow_drops: Vec<&PacketRecord> = records
+                .iter()
+                .filter(|r| r.flow == span.flow && r.event.is_drop())
+                .collect();
+            while i < flow_drops.len() && flow_drops[i].time <= span.time {
+                drops.push(*flow_drops[i]);
+                i += 1;
+            }
+            *start = i;
+            events.push(CausalEvent { span: *span, drops });
+        }
+        events
+    }
+
+    fn drop_uids(events: &[CausalEvent]) -> Vec<Vec<u64>> {
+        events
+            .iter()
+            .map(|e| e.drops.iter().map(|d| d.uid).collect())
+            .collect()
+    }
+
+    fn record(t_ms: u64, uid: u64, flow: u32, event: PacketEvent) -> PacketRecord {
+        PacketRecord {
+            time: SimTime::from_millis(t_ms),
+            uid,
+            flow: FlowId(flow),
+            link: Some(LinkId(0)),
+            event,
+        }
+    }
+
+    fn dropped(t_ms: u64, uid: u64, flow: u32) -> PacketRecord {
+        let event = PacketEvent::Dropped {
+            reason: DropReason::TailOverflow,
+            depth: 7,
+        };
+        record(t_ms, uid, flow, event)
+    }
+
+    fn span_log(spans: &[(u64, u32)]) -> SpanLog {
+        let mut log = SpanLog::new(64);
+        for &(t_ms, flow) in spans {
+            log.push(SpanRecord {
+                time: SimTime::from_millis(t_ms),
+                flow: FlowId(flow),
+                kind: SpanKind::FastRetransmit,
+                cwnd_before: 10.0,
+                cwnd_after: 5.0,
+                ssthresh_after: 5.0,
+                snd_una: 0,
+            });
+        }
+        log
+    }
+
+    #[test]
+    fn join_streams_window_edges() {
+        let marked = PacketEvent::Marked {
+            reason: netsim::MarkReason::Step,
+            depth: 3,
+        };
+        let records = [
+            dropped(10, 1, 9), // flow 9 never has a span
+            dropped(20, 2, 0),
+            record(25, 3, 0, marked), // marks are never joined
+            record(26, 4, 0, PacketEvent::Queued),
+            dropped(30, 5, 0), // exactly at the span's instant: inside
+            dropped(31, 6, 0),
+            dropped(40, 7, 1),
+        ];
+        // Flow 2 has a span and no drop at all; flow 1's first span comes
+        // before its drop; flow 0 has two spans at one instant.
+        let spans = span_log(&[(5, 1), (30, 0), (30, 0), (35, 2), (50, 0), (50, 1)]);
+        let events = join_streams(&records, &spans);
+        assert_eq!(
+            drop_uids(&events),
+            vec![vec![], vec![2, 5], vec![], vec![], vec![6], vec![7]]
+        );
+        assert_eq!(drop_uids(&events), drop_uids(&join_reference(&records, &spans)));
+        assert!(join_streams(&[], &spans).iter().all(|e| e.drops.is_empty()));
+        assert!(join_streams(&records, &span_log(&[])).is_empty());
+    }
+
+    #[test]
+    fn indexed_join_equals_quadratic_reference() {
+        let tr = traced();
+        assert!(tr.ledger.total() > 50, "scenario must be drop-heavy");
+        let fast = join(&tr);
+        let slow = join_reference(&tr.records, &tr.spans);
+        assert_eq!(drop_uids(&fast), drop_uids(&slow));
+        assert_eq!(to_jsonl_from(&fast), to_jsonl_from(&slow));
+        assert_eq!(narrative_from(&tr, &fast), narrative_from(&tr, &slow));
+        // The single-join renderers are the run-taking ones.
+        assert_eq!(to_jsonl_from(&fast), to_jsonl(&tr));
+        assert_eq!(narrative_from(&tr, &fast), narrative(&tr));
+    }
 
     fn traced() -> TracedRun {
         let mut sc = LongFlowScenario::quick(3, 5_000_000);

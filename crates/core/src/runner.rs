@@ -410,17 +410,21 @@ impl LongFlowScenario {
         let per_flow: Vec<Vec<f64>> = (0..handles.len()).map(|_| Vec::new()).collect();
         let result = sc.collect_result(&sim, &dumbbell, &handles, &table, Vec::new(), per_flow);
         let spans = Self::merged_spans(&sim, &handles);
-        let log = sim.kernel().packet_log().expect("packet log enabled");
         let profile = result.profile.clone().expect("profiler enabled");
+        let ledger = sim.forensics().expect("forensics enabled").clone();
+        let metrics = sim.metrics();
+        // The simulation is finished: move the records out of the log
+        // rather than copy them.
+        let log = sim.take_packet_log().expect("packet log enabled");
         TracedRun {
             result,
-            records: log.records().to_vec(),
             overflowed: log.overflowed,
             packet_digest: log.digest(),
-            ledger: sim.forensics().expect("forensics enabled").clone(),
+            records: log.into_records(),
+            ledger,
             spans,
             profile,
-            metrics: sim.metrics(),
+            metrics,
             bottleneck: dumbbell.bottleneck,
         }
     }
@@ -923,6 +927,34 @@ mod tests {
         assert_eq!(tr.packet_digest, tr2.packet_digest);
         assert_eq!(tr.ledger.digest(), tr2.ledger.digest());
         assert_eq!(tr.spans.digest(), tr2.spans.digest());
+    }
+
+    #[test]
+    fn traced_run_hands_over_the_log_the_sim_recorded() {
+        let mut sc = LongFlowScenario::quick(3, 5_000_000);
+        sc.warmup = SimDuration::from_secs(1);
+        sc.measure = SimDuration::from_secs(2);
+        sc.buffer_pkts = 20;
+        // The same simulation driven by hand, reading the log in place.
+        let by_hand = |capacity: usize| -> (Vec<u64>, u64, u64) {
+            let (mut sim, _dumbbell, _handles, _table) = sc.build();
+            sim.enable_packet_log(capacity);
+            sim.start();
+            sim.run_until(SimTime::ZERO + sc.warmup + sc.measure);
+            let log = sim.kernel().packet_log().expect("packet log enabled");
+            let uids = log.records().iter().map(|r| r.uid).collect();
+            (uids, log.overflowed, log.digest())
+        };
+        // Roomy, and small enough to overflow.
+        for capacity in [300_000, 1_000] {
+            let (uids, overflowed, digest) = by_hand(capacity);
+            let tr = sc.run_traced(capacity);
+            assert_eq!(tr.records.len(), uids.len());
+            assert!(tr.records.iter().map(|r| r.uid).eq(uids.iter().copied()));
+            assert_eq!(tr.overflowed, overflowed);
+            assert_eq!(tr.packet_digest, digest);
+            assert_eq!(overflowed > 0, capacity == 1_000);
+        }
     }
 
     #[test]

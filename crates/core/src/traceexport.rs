@@ -25,7 +25,7 @@ use crate::runner::TracedRun;
 use netsim::forensics::DropLedger;
 use simcore::traceviz::{ArgValue, TraceBuilder, SIM_PID};
 use simcore::{Profile, TracePoint};
-use tcpsim::SpanLog;
+use tcpsim::{SpanLog, SpanRecord};
 
 /// Adds one counter track per telemetry series, in store order (the
 /// telemetry store already orders series deterministically: links before
@@ -44,12 +44,13 @@ pub fn telemetry_tracks(t: &mut TraceBuilder, series: &[(String, Vec<TracePoint>
 /// ascending id order, one instant per state transition carrying the
 /// window evidence (`cwnd` before/after, `ssthresh`, `snd_una`).
 pub fn span_tracks(t: &mut TraceBuilder, spans: &SpanLog) {
-    let mut flows: Vec<u32> = spans.iter().map(|r| r.flow.0).collect();
-    flows.sort_unstable();
-    flows.dedup();
-    for flow in flows {
-        let track = t.track(SIM_PID, &format!("flow {flow} spans"));
-        for r in spans.for_flow(netsim::FlowId(flow)) {
+    // One stable sort by flow keeps each flow's records in log (= time)
+    // order, instead of one scan of the whole log per flow.
+    let mut by_flow: Vec<&SpanRecord> = spans.iter().collect();
+    by_flow.sort_by_key(|r| r.flow.0);
+    for records in by_flow.chunk_by(|a, b| a.flow == b.flow) {
+        let track = t.track(SIM_PID, &format!("flow {} spans", records[0].flow.0));
+        for r in records {
             t.instant(track, r.time.as_nanos(), r.kind.name(), r.trace_args());
         }
     }

@@ -180,6 +180,13 @@ impl PacketLog {
         &self.records
     }
 
+    /// Consumes the log and returns its stored records without copying
+    /// them. Read [`PacketLog::overflowed`] and [`PacketLog::digest`]
+    /// first.
+    pub fn into_records(self) -> Vec<PacketRecord> {
+        self.records
+    }
+
     /// Iterates over the records for one packet uid, in time order, without
     /// allocating.
     pub fn iter_packet(&self, uid: u64) -> impl Iterator<Item = &PacketRecord> + '_ {

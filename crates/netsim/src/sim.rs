@@ -231,6 +231,9 @@ pub struct Kernel {
     endpoints: Vec<Vec<(NodeId, AgentId)>>,
     rng: Rng,
     trace: TraceSink,
+    /// `queue.<link name>` per link, built when the link is added so the
+    /// queue sampler never formats a series name.
+    queue_series: Vec<String>,
     next_uid: u64,
     /// Authoritative storage for the global counters (DESIGN.md §14);
     /// [`KernelStats`] is reconstructed from it on demand.
@@ -360,12 +363,25 @@ impl Kernel {
         self.forensics.as_ref()
     }
 
-    /// Samples the link-level telemetry series for one tick.
-    fn telemetry_sample_links(&mut self) {
+    /// One telemetry sampling tick: link series, then per-agent gauges,
+    /// then the next tick's event. Out of line so the per-event dispatch
+    /// function stays small.
+    // simlint: hot-path — once per telemetry tick, every sampled series
+    #[inline(never)]
+    fn telemetry_tick(&mut self, agents: &[AgentSlot], period: SimDuration) {
         let now = self.now;
         if let Some(tel) = &mut self.telemetry {
+            tel.begin_tick();
             tel.sample_links(now, &self.links);
+            if tel.config().sample_flows {
+                for slot in agents {
+                    slot.agent
+                        .on_telemetry(&mut |name, v| tel.sample(name, now, v));
+                }
+            }
         }
+        self.events
+            .schedule(now + period, Event::TelemetrySample { period });
     }
 
     /// Sums the packets structurally inside the network right now: waiting
@@ -620,21 +636,24 @@ impl Kernel {
         }
     }
 
-    fn sample_queues(&mut self) {
+    /// One queue-sampling tick: the occupancy of every flagged link into
+    /// the trace sink, then the next tick's event.
+    // simlint: hot-path — once per queue-sampling tick, every flagged link
+    #[inline(never)]
+    fn queue_sample_tick(&mut self, period: SimDuration) {
         let now = self.now;
-        for link in &self.links {
+        for (link, series) in self.links.iter().zip(&self.queue_series) {
             if link.sample_queue {
                 // Include the packet currently being serialized so the trace
                 // matches "buffer occupancy" figures (which include the head
                 // packet) — ns-2's queue monitors do the same.
                 let in_service = usize::from(link.busy);
-                self.trace.record(
-                    &format!("queue.{}", link.name),
-                    now,
-                    (link.queue.len_packets() + in_service) as f64,
-                );
+                self.trace
+                    .record(series, now, (link.queue.len_packets() + in_service) as f64);
             }
         }
+        self.events
+            .schedule(now + period, Event::QueueSample { period });
     }
 }
 
@@ -774,6 +793,7 @@ impl Sim {
                 endpoints: Vec::new(),
                 rng: Rng::new(seed),
                 trace: TraceSink::new(false),
+                queue_series: Vec::new(),
                 next_uid: 0,
                 metrics: registry,
                 mx,
@@ -822,6 +842,13 @@ impl Sim {
         self.kernel.packet_log = Some(PacketLog::new(capacity));
     }
 
+    /// Detaches the packet log from a finished simulation so its records
+    /// can be moved out ([`PacketLog::into_records`]) instead of copied.
+    /// Logging is off afterwards.
+    pub fn take_packet_log(&mut self) -> Option<PacketLog> {
+        self.kernel.packet_log.take()
+    }
+
     /// Enables digest-only packet logging: the same per-event milestones a
     /// full log of this capacity would record are folded incrementally into
     /// the FNV-1a digest and immediately discarded, so
@@ -861,6 +888,9 @@ impl Sim {
         assert!(link.from.idx() < self.kernel.nodes.len(), "bad from node");
         assert!(link.to.idx() < self.kernel.nodes.len(), "bad to node");
         let id = LinkId(self.kernel.links.len() as u32);
+        self.kernel
+            .queue_series
+            .push(format!("queue.{}", link.name));
         self.kernel.links.push(link);
         self.kernel.in_flight.push(None);
         id
@@ -1043,30 +1073,8 @@ impl Sim {
                 self.kernel.pending_injects -= 1;
                 self.kernel.inject::<OBS>(node, packet);
             }
-            Event::QueueSample { period } => {
-                self.kernel.sample_queues();
-                self.kernel
-                    .events
-                    .schedule(self.kernel.now + period, Event::QueueSample { period });
-            }
-            Event::TelemetrySample { period } => {
-                self.kernel.telemetry_sample_links();
-                let now = self.kernel.now;
-                // `kernel` and `agents` are disjoint fields, so the
-                // agent reads can run while the telemetry store is
-                // mutably borrowed.
-                if let Some(tel) = self.kernel.telemetry.as_mut() {
-                    if tel.config().sample_flows {
-                        for slot in &self.agents {
-                            slot.agent
-                                .on_telemetry(&mut |name, v| tel.record(name, now, v));
-                        }
-                    }
-                }
-                self.kernel
-                    .events
-                    .schedule(self.kernel.now + period, Event::TelemetrySample { period });
-            }
+            Event::QueueSample { period } => self.kernel.queue_sample_tick(period),
+            Event::TelemetrySample { period } => self.kernel.telemetry_tick(&self.agents, period),
         }
     }
 

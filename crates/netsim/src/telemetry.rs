@@ -87,35 +87,127 @@ impl TelemetryConfig {
     }
 }
 
-/// Per-link monitor snapshot from the previous sampling tick, for
-/// utilization/drop deltas.
-#[derive(Clone, Copy, Debug, Default)]
-struct LinkSnapshot {
-    busy: SimDuration,
-    drops: u64,
+/// Per-link sampler state: the link's three series names, built the first
+/// time the link is sampled, and the monitor snapshot from the previous
+/// tick for utilization/drop deltas.
+#[derive(Clone, Debug)]
+struct LinkState {
+    queue: String,
+    util: String,
+    drops: String,
+    prev_busy: SimDuration,
+    prev_drops: u64,
+}
+
+impl LinkState {
+    fn new(link_name: &str) -> Self {
+        LinkState {
+            queue: format!("queue.{link_name}"),
+            util: format!("util.{link_name}"),
+            drops: format!("drops.{link_name}"),
+            prev_busy: SimDuration::ZERO,
+            prev_drops: 0,
+        }
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Named bounded series. Rings live in a `Vec` in creation order; a
+/// `BTreeMap` from name to slot gives the deterministic, name-ordered
+/// iteration that JSONL export and the digest rely on.
+///
+/// A sampling tick emits the same series in the same order as the tick
+/// before it, so the store remembers which slot the k-th sample of a tick
+/// went to and, on the next tick, checks that slot's name first
+/// ([`SeriesStore::record_next`]): the steady state is one short string
+/// comparison and a ring push — no name is built, copied or looked up in
+/// the tree. A series is still created only by its first sample.
+#[derive(Clone, Debug)]
+struct SeriesStore {
+    ring_capacity: usize,
+    rings: Vec<(String, Ring)>,
+    by_name: BTreeMap<String, usize>,
+    /// Slot of the k-th sample of the previous tick.
+    tick_slots: Vec<usize>,
+    /// Samples recorded so far in the current tick.
+    tick_pos: usize,
+}
+
+impl SeriesStore {
+    /// The slot of the named series, created empty if it does not exist.
+    fn slot(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.by_name.get(name) {
+            return slot;
+        }
+        let slot = self.rings.len();
+        self.rings
+            .push((name.to_owned(), Ring::new(self.ring_capacity)));
+        self.by_name.insert(name.to_owned(), slot);
+        slot
+    }
+
+    fn record(&mut self, name: &str, point: TracePoint) {
+        let slot = self.slot(name);
+        self.rings[slot].1.push(point);
+    }
+
+    // simlint: hot-path — once per telemetry sample
+    fn record_next(&mut self, name: &str, point: TracePoint) {
+        let pos = self.tick_pos;
+        self.tick_pos += 1;
+        if let Some(&slot) = self.tick_slots.get(pos) {
+            let (slot_name, ring) = &mut self.rings[slot];
+            if slot_name == name {
+                ring.push(point);
+                return;
+            }
+        }
+        // First tick, or the sequence shifted (a flow got its first RTT
+        // sample): resolve by name and remember the slot for next tick.
+        let slot = self.slot(name);
+        self.rings[slot].1.push(point);
+        if pos < self.tick_slots.len() {
+            self.tick_slots[pos] = slot;
+        } else {
+            self.tick_slots.push(slot);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &Ring)> {
+        self.by_name
+            .iter()
+            .map(|(name, &slot)| (name.as_str(), &self.rings[slot].1))
+    }
+}
+
 /// The telemetry store: named bounded series plus per-link delta state.
 ///
-/// Series are keyed by `String` names in a `BTreeMap`, so iteration order —
-/// and with it JSONL export and the digest — is deterministic.
+/// Series iterate in name order, so JSONL export and the digest are
+/// deterministic.
 #[derive(Clone, Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
-    series: BTreeMap<String, Ring>,
-    prev_link: BTreeMap<u32, LinkSnapshot>,
+    store: SeriesStore,
+    /// Indexed by link id; `None` until the link is first sampled.
+    links: Vec<Option<LinkState>>,
 }
 
 impl Telemetry {
     /// Creates an empty store.
     pub fn new(config: TelemetryConfig) -> Self {
+        let store = SeriesStore {
+            ring_capacity: config.ring_capacity,
+            rings: Vec::new(),
+            by_name: BTreeMap::new(),
+            tick_slots: Vec::new(),
+            tick_pos: 0,
+        };
         Telemetry {
             config,
-            series: BTreeMap::new(),
-            prev_link: BTreeMap::new(),
+            store,
+            links: Vec::new(),
         }
     }
 
@@ -124,66 +216,76 @@ impl Telemetry {
         &self.config
     }
 
-    /// Records one sample into the named series.
+    /// Records one sample into the named series, creating it if needed.
     pub fn record(&mut self, name: &str, time: SimTime, value: f64) {
-        let cap = self.config.ring_capacity;
-        self.series
-            .entry(name.to_owned())
-            .or_insert_with(|| Ring::new(cap))
-            .push(TracePoint { time, value });
+        self.store.record(name, TracePoint { time, value });
+    }
+
+    /// Starts a sampling tick: the samples that follow through
+    /// [`Telemetry::sample`] are matched by position against the previous
+    /// tick's.
+    pub fn begin_tick(&mut self) {
+        self.store.tick_pos = 0;
+    }
+
+    /// Records one sample of the current tick. Same outcome as
+    /// [`Telemetry::record`]; fast when each tick emits the same series in
+    /// the same order.
+    pub fn sample(&mut self, name: &str, time: SimTime, value: f64) {
+        self.store.record_next(name, TracePoint { time, value });
     }
 
     /// Samples the link-level series (occupancy, utilization, drops) for
     /// one tick. `links` is the kernel's link table in id order.
+    // simlint: hot-path — once per sampled link per telemetry tick
     pub(crate) fn sample_links(&mut self, now: SimTime, links: &[Link]) {
         let interval_s = self.config.interval.as_secs_f64();
-        for (i, link) in links.iter().enumerate() {
+        if self.links.len() < links.len() {
+            self.links.resize(links.len(), None);
+        }
+        for (link, state) in links.iter().zip(&mut self.links) {
             if self.config.flagged_links_only && !link.sample_queue {
                 continue;
             }
+            let st = state.get_or_insert_with(|| LinkState::new(&link.name));
             let occupancy = (link.queue.len_packets() + usize::from(link.busy)) as f64;
             let totals = link.monitor.totals();
-            let idx = i as u32;
-            let prev = self.prev_link.get(&idx).copied().unwrap_or_default();
-            let busy_delta = totals.busy.saturating_sub(prev.busy);
-            let drop_delta = totals.drops - prev.drops;
-            self.prev_link.insert(
-                idx,
-                LinkSnapshot {
-                    busy: totals.busy,
-                    drops: totals.drops,
-                },
-            );
+            let busy_delta = totals.busy.saturating_sub(st.prev_busy);
+            let drop_delta = totals.drops - st.prev_drops;
+            st.prev_busy = totals.busy;
+            st.prev_drops = totals.drops;
             let util = (busy_delta.as_secs_f64() / interval_s).min(1.0);
-            self.record(&format!("queue.{}", link.name), now, occupancy);
-            self.record(&format!("util.{}", link.name), now, util);
-            self.record(&format!("drops.{}", link.name), now, drop_delta as f64);
+            let at = |value| TracePoint { time: now, value };
+            self.store.record_next(&st.queue, at(occupancy));
+            self.store.record_next(&st.util, at(util));
+            self.store.record_next(&st.drops, at(drop_delta as f64));
         }
     }
 
     /// Returns a series' retained samples, oldest first.
     pub fn series(&self, name: &str) -> Option<&Ring> {
-        self.series.get(name)
+        let slot = *self.store.by_name.get(name)?;
+        Some(&self.store.rings[slot].1)
     }
 
     /// All series names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.series.keys().map(|s| s.as_str()).collect()
+        self.store.by_name.keys().map(|s| s.as_str()).collect()
     }
 
     /// Iterates over `(name, ring)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Ring)> {
-        self.series.iter().map(|(k, v)| (k.as_str(), v))
+        self.store.iter()
     }
 
     /// Retained samples across all series.
     pub fn retained_samples(&self) -> usize {
-        self.series.values().map(|r| r.len()).sum()
+        self.store.rings.iter().map(|(_, r)| r.len()).sum()
     }
 
     /// Samples ever taken across all series (including evicted ones).
     pub fn total_samples(&self) -> u64 {
-        self.series.values().map(|r| r.total_pushed()).sum()
+        self.store.rings.iter().map(|(_, r)| r.total_pushed()).sum()
     }
 
     /// FNV-1a digest over every retained sample of every series, in name
@@ -201,7 +303,7 @@ impl Telemetry {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        for (name, ring) in &self.series {
+        for (name, ring) in self.iter() {
             mix(name.as_bytes());
             mix(&[0xFF]);
             mix(&ring.total_pushed().to_le_bytes());
@@ -224,7 +326,7 @@ impl Telemetry {
     /// fixed seed.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (name, ring) in &self.series {
+        for (name, ring) in self.iter() {
             for p in ring.iter() {
                 out.push_str(&format!(
                     "{{\"series\":\"{}\",\"t_ns\":{},\"v\":{}}}\n",

@@ -46,10 +46,15 @@ impl TraceSink {
         if !self.enabled {
             return;
         }
-        self.series
-            .entry(name.to_owned())
-            .or_default()
-            .push(TracePoint { time, value });
+        let point = TracePoint { time, value };
+        // Look up before allocating: only a series' first sample copies
+        // its name.
+        match self.series.get_mut(name) {
+            Some(points) => points.push(point),
+            None => {
+                self.series.insert(name.to_owned(), vec![point]);
+            }
+        }
     }
 
     /// Returns a series by name, if it has any samples.

@@ -66,7 +66,8 @@ pub enum RuleId {
     /// prints bypass the structured observability layer (telemetry, packet
     /// log, spans, forensics) and their cost is invisible to the profiler.
     PrintMacro,
-    /// D6: no `Box::new`/`Vec::new` inside a per-event dispatch region
+    /// D6: no `Box::new`/`Vec::new`/`format!`/`String::new` inside a
+    /// per-event dispatch region
     /// (a function marked `// simlint: hot-path`) **or inside any function
     /// called from one, one level deep within the crate** (the
     /// interprocedural pass, see [`crate::graph`]). These paths run once
@@ -411,12 +412,23 @@ fn check_print_macro(code: &str) -> Option<String> {
 }
 
 fn check_hot_path_alloc(code: &str) -> Option<String> {
-    // Only the unambiguous allocator entry points: `Box::new(…)` and
-    // `Vec::new(`/`Vec::with_capacity(` spelled as path calls. Growth of an
+    // Only the unambiguous allocator entry points: `Box::new(…)`,
+    // `Vec::new(`/`Vec::with_capacity(` and `String::new(`/`String::from(`
+    // spelled as path calls, plus the `vec!` and `format!` macros (a series
+    // name built per sample is a heap allocation per sample). Growth of an
     // existing buffer (`push` on a reused scratch Vec) is amortized and
     // deliberately out of scope — the rule targets a *fresh* allocation per
     // dispatched event.
-    for banned in ["Box::new", "Vec::new", "Vec::with_capacity", "vec!"] {
+    const BANNED: [&str; 7] = [
+        "Box::new",
+        "Vec::new",
+        "Vec::with_capacity",
+        "vec!",
+        "format!",
+        "String::new",
+        "String::from",
+    ];
+    for banned in BANNED {
         let head = banned.split(|c| c == ':' || c == '!').next().expect("non-empty");
         let mut start = 0;
         while let Some(off) = code[start..].find(banned) {
@@ -838,6 +850,11 @@ mod tests {
         assert!(check_hot_path_alloc("let acts: Vec<TcpAction> = Vec::new();").is_some());
         assert!(check_hot_path_alloc("let mut q = Vec::with_capacity(64);").is_some());
         assert!(check_hot_path_alloc("let v = vec![0u8; len];").is_some());
+        assert!(check_hot_path_alloc("let name = format!(\"cwnd.{}\", flow);").is_some());
+        assert!(check_hot_path_alloc("let mut s = String::new();").is_some());
+        assert!(check_hot_path_alloc("let s = String::from(name);").is_some());
+        assert!(check_hot_path_alloc("let s = String::from_utf8(bytes);").is_none());
+        assert!(check_hot_path_alloc("write!(out, \"{}\", reformat!(x))?;").is_none());
         assert!(check_hot_path_alloc("let mut a = std::mem::take(&mut self.scratch);").is_none());
         assert!(check_hot_path_alloc("self.stage.push(pending);").is_none());
         assert!(check_hot_path_alloc("let b = Box::new_in(p, arena);").is_none());

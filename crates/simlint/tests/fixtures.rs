@@ -23,9 +23,9 @@ fn fixture(name: &str) -> String {
 }
 
 /// Fixture stem → the one rule its seed must trip. `hot_path_alloc` appears
-/// twice: the direct seed and the interprocedural (helper-called-from-hot)
-/// seed are distinct fixtures for the same rule.
-const CASES: [(&str, RuleId); 12] = [
+/// three times: the direct seed, the interprocedural (helper-called-from-hot)
+/// seed and the string-building seed are distinct fixtures for the same rule.
+const CASES: [(&str, RuleId); 13] = [
     ("hash_container", RuleId::HashContainer),
     ("wall_clock", RuleId::WallClock),
     ("lossy_cast", RuleId::LossyCast),
@@ -33,6 +33,7 @@ const CASES: [(&str, RuleId); 12] = [
     ("print_macro", RuleId::PrintMacro),
     ("hot_path_alloc", RuleId::HotPathAlloc),
     ("hot_path_alloc_transitive", RuleId::HotPathAlloc),
+    ("hot_path_alloc_string", RuleId::HotPathAlloc),
     ("unordered_iter", RuleId::UnorderedIter),
     ("float_reduction", RuleId::FloatReduction),
     ("unstable_sort_tiebreak", RuleId::UnstableSortTiebreak),

@@ -16,6 +16,7 @@ use crate::span::{SpanDetector, SpanLog, SpanSnapshot};
 use netsim::{Agent, Ctx, FlowId, NodeId, Packet, PacketKind, TcpFlags, TcpHeader};
 use simcore::{SimDuration, SimTime};
 use std::any::Any;
+use std::cell::OnceCell;
 
 /// Timer token for the deferred flow start.
 const TOKEN_START: u64 = u64::MAX;
@@ -45,6 +46,23 @@ impl FlowRecord {
     }
 }
 
+/// A source's series names (`cwnd.<flow>`, `rtt.<flow>`), built once, the
+/// first time the source is traced or sampled, so that no sample formats a
+/// name. Boxed behind a `OnceCell`: an unobserved source pays one word.
+struct SeriesNames {
+    cwnd: String,
+    rtt: String,
+}
+
+impl SeriesNames {
+    fn boxed(flow: FlowId) -> Box<Self> {
+        Box::new(SeriesNames {
+            cwnd: format!("cwnd.{}", flow.0),
+            rtt: format!("rtt.{}", flow.0),
+        })
+    }
+}
+
 /// Sender-side agent: one per flow.
 pub struct TcpSource {
     flow: FlowId,
@@ -55,6 +73,7 @@ pub struct TcpSource {
     started_at: Option<SimTime>,
     completed_at: Option<SimTime>,
     trace_cwnd: bool,
+    series: OnceCell<Box<SeriesNames>>,
     ack_unwrap: SeqUnwrapper,
     /// Pace transmissions at cwnd/RTT instead of ack-clocked bursts
     /// (extension: paced TCP is the classic fix for very small buffers).
@@ -110,6 +129,7 @@ impl TcpSource {
             started_at: None,
             completed_at: None,
             trace_cwnd: false,
+            series: OnceCell::new(),
             ack_unwrap: SeqUnwrapper::new(),
             pacing: false,
             pace_queue: std::collections::VecDeque::new(),
@@ -256,6 +276,10 @@ impl TcpSource {
         }
     }
 
+    fn series_names(&self) -> &SeriesNames {
+        self.series.get_or_init(|| SeriesNames::boxed(self.flow))
+    }
+
     /// Executes sender actions, draining `actions` (a scratch buffer owned
     /// by the caller, returned empty for reuse).
     // simlint: hot-path — once per ACK/RTO delivered to the sender
@@ -298,8 +322,7 @@ impl TcpSource {
         if self.trace_cwnd {
             let cwnd = self.sender.cwnd();
             let now = ctx.now();
-            let name = format!("cwnd.{}", self.flow.0);
-            ctx.trace().record(&name, now, cwnd);
+            ctx.trace().record(&self.series_names().cwnd, now, cwnd);
         }
     }
 }
@@ -375,9 +398,10 @@ impl Agent for TcpSource {
     /// `rtt.<flow>` (seconds, smoothed) to the telemetry sampler. A pure
     /// read of the sender machine: sampling never perturbs the run.
     fn on_telemetry(&self, emit: &mut dyn FnMut(&str, f64)) {
-        emit(&format!("cwnd.{}", self.flow.0), self.sender.cwnd());
+        let names = self.series_names();
+        emit(&names.cwnd, self.sender.cwnd());
         if let Some(srtt) = self.sender.rtt().srtt() {
-            emit(&format!("rtt.{}", self.flow.0), srtt.as_secs_f64());
+            emit(&names.rtt, srtt.as_secs_f64());
         }
     }
 

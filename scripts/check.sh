@@ -36,6 +36,18 @@ git diff --exit-code -- artifacts/simlint.json artifacts/simlint_baseline.json |
     exit 1
 }
 
+echo "==> explain drift gate (artifacts/explain* current with the tree)"
+# The explain bin rewrites its five artifacts; a diff means the simulator's
+# event stream, profiler rows or causal join changed without the committed
+# copies (and RESULTS.md's Observability section) being regenerated.
+./target/release/explain > /dev/null
+git diff --exit-code -- artifacts/explain.json artifacts/explain.txt \
+    artifacts/explain_causal.jsonl artifacts/explain_spans.jsonl \
+    artifacts/explain_drops.jsonl || {
+    echo "artifacts/explain* drifted from the tree; commit the regenerated files and rerun report" >&2
+    exit 1
+}
+
 echo "==> doc drift gate (DESIGN.md sections referenced from other docs exist)"
 # README/EXPERIMENTS/RESULTS point readers at DESIGN.md sections by number
 # ("see DESIGN.md §13", "DESIGN.md §12.2"). Renumbering or deleting a
@@ -90,5 +102,10 @@ for key in ("scheduler", "classes"):
     )
 print("BENCH_sweep.json event counts match the fresh quick run")
 EOF
+
+echo "==> benchmark crate (own workspace: compiles against crates/*, mirror oracles)"
+# benchmark/ is outside the root workspace, so nothing above notices when a
+# public-API change breaks benchmark/src/mirror.rs. ~50 s cold, 25 s warm.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> all checks passed"

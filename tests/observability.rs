@@ -6,13 +6,16 @@
 //! (`LinkMonitor::on_drop`, the `Auditor`'s conservation counters, and the
 //! queues' own per-reason counters) under RED and DRR.
 
-use buffersizing::runner::LongFlowResult;
+use buffersizing::explain::{self, CausalEvent};
+use buffersizing::runner::{LongFlowResult, TracedRun};
 use netsim::red::RedConfig;
 use netsim::{
     Drr, DropReason, DumbbellBuilder, ForensicsConfig, Red, Sim, TelemetryConfig,
 };
 use simcore::Rng;
 use sizing_router_buffers::prelude::*;
+use std::collections::BTreeMap;
+use traffic::bulk::CcKind;
 use traffic::BulkWorkload;
 
 /// The two scales of the acceptance gate: Figure 3's single long flow and
@@ -241,4 +244,69 @@ fn drop_tail_attributes_everything_to_tail_overflow() {
         .depth_at_drop(bottleneck)
         .expect("drops recorded a depth snapshot");
     assert_eq!(depth as usize, 40, "drop-tail drops at exactly capacity");
+}
+
+/// The causal join as first written — one filtered copy of the whole packet
+/// log per span, O(spans × records) — kept here as the oracle for the
+/// indexed join.
+fn join_reference(run: &TracedRun) -> Vec<CausalEvent> {
+    let mut events = Vec::new();
+    let mut cursor: BTreeMap<u32, usize> = BTreeMap::new();
+    for span in run.spans.iter() {
+        let mut drops = Vec::new();
+        let start = cursor.entry(span.flow.0).or_insert(0);
+        let mut i = *start;
+        let flow_drops: Vec<_> = run
+            .records
+            .iter()
+            .filter(|r| r.flow == span.flow && r.event.is_drop())
+            .collect();
+        while i < flow_drops.len() && flow_drops[i].time <= span.time {
+            drops.push(*flow_drops[i]);
+            i += 1;
+        }
+        *start = i;
+        events.push(CausalEvent { span: *span, drops });
+    }
+    events
+}
+
+/// DCTCP through a step-marking queue at `B = round(BDP/√n)`: marking keeps
+/// the steady state drop-free, but the start-up overshoot overflows the
+/// small buffer, so the log mixes `Marked` and `Dropped` records and spans
+/// with and without a causal drop. The indexed join must reproduce the
+/// quadratic one byte for byte on every seed.
+#[test]
+fn indexed_join_equals_quadratic_reference_on_dctcp_at_sqrt_n_buffer() {
+    for seed in 1..=3 {
+        let mut sc = LongFlowScenario::quick(64, 60_000_000);
+        sc.seed = seed;
+        sc.cc = CcKind::Dctcp;
+        sc.buffer_pkts = (sc.bdp_packets() / (sc.n_flows as f64).sqrt()).round() as usize;
+        sc.ecn_marking = Some(11);
+        sc.warmup = SimDuration::from_secs(2);
+        sc.measure = SimDuration::from_secs(2);
+        let run = sc.run_traced(1_000_000);
+        assert_eq!(run.overflowed, 0, "seed {seed}: packet log overflowed");
+        assert!(run.ledger.total() > 0, "seed {seed}: no start-up drops");
+        assert!(run.ledger.marks() > 0, "seed {seed}: nothing marked");
+
+        let fast = explain::join(&run);
+        let slow = join_reference(&run);
+        let uids = |events: &[CausalEvent]| -> Vec<Vec<u64>> {
+            events
+                .iter()
+                .map(|e| e.drops.iter().map(|d| d.uid).collect())
+                .collect()
+        };
+        assert_eq!(uids(&fast), uids(&slow), "seed {seed}");
+        assert!(fast.iter().any(|e| !e.drops.is_empty()), "seed {seed}");
+        assert_eq!(explain::to_jsonl_from(&fast), explain::to_jsonl_from(&slow));
+        assert_eq!(
+            explain::narrative_from(&run, &fast),
+            explain::narrative_from(&run, &slow)
+        );
+        assert_eq!(explain::to_jsonl(&run), explain::to_jsonl_from(&slow));
+        assert_eq!(explain::narrative(&run), explain::narrative_from(&run, &slow));
+    }
 }

@@ -101,9 +101,9 @@ fn rule_inventory_is_pinned() {
 /// functions marked `// simlint: hot-path`. That makes the marker inventory
 /// part of the contract — if the markers disappeared, the rule would pass
 /// vacuously. Pin the files that must carry markers (the event loop, both
-/// scheduler implementations, link dispatch, the per-ACK sender
-/// machinery, and the metrics registry's increment paths) and a floor on
-/// the total count.
+/// scheduler implementations, link dispatch, the telemetry tick and its
+/// steady-state record path, the per-ACK sender machinery, and the metrics
+/// registry's increment paths) and a floor on the total count.
 #[test]
 fn hot_path_marker_inventory_is_pinned() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -112,6 +112,7 @@ fn hot_path_marker_inventory_is_pinned() {
         "crates/simcore/src/wheel.rs",
         "crates/simcore/src/metrics.rs",
         "crates/netsim/src/sim.rs",
+        "crates/netsim/src/telemetry.rs",
         "crates/tcpsim/src/agent.rs",
         "crates/tcpsim/src/sender.rs",
         "crates/tcpsim/src/sack.rs",
@@ -124,8 +125,8 @@ fn hot_path_marker_inventory_is_pinned() {
         total += n;
     }
     assert!(
-        total >= 20,
-        "hot-path marker inventory shrank to {total} (expected >= 20); \
+        total >= 24,
+        "hot-path marker inventory shrank to {total} (expected >= 24); \
          per-event dispatch coverage must not quietly erode"
     );
 }
@@ -155,6 +156,18 @@ fn hot_path_alloc_rule_catches_seeded_violation() {
         }
     ";
     assert!(simlint::check_source("seeded.rs", waived, &cfg).is_empty());
+
+    // String building is an allocation too: a series name formatted per
+    // sample is what the telemetry tick used to do 575 k times a run.
+    let formatted = "
+        // simlint: hot-path
+        fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+            emit(&format!(\"cwnd.{}\", self.flow), self.cwnd);
+        }
+    ";
+    let v = simlint::check_source("seeded.rs", formatted, &cfg);
+    assert_eq!(v.len(), 1, "{v:?}");
+    assert_eq!(v[0].rule, simlint::RuleId::HotPathAlloc);
 }
 
 fn rust_sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
