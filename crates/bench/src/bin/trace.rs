@@ -14,7 +14,8 @@
 //! metrics-registry rows with a manifest). Both are byte-stable across
 //! repeated runs and `--jobs` levels; `tests/trace_export.rs` pins the
 //! trace digest. Wall-time (per sweep worker) tracks are *not* produced
-//! here — they come from `bench_sweep` and are never committed.
+//! here — they come from the repo benchmark's `minbuf_sweep` traced run
+//! (`benchmark/`) and are never committed.
 
 use buffersizing::figures::single_flow::SingleFlowConfig;
 use buffersizing::traceexport::{check_trace, single_flow_trace};

@@ -19,6 +19,8 @@
 //! | `ext_pacing` | paced TCP at tiny buffers (follow-up literature) |
 //! | `ext_multihop` | two congested hops (parking lot ablation) |
 //! | `ext_ablation` | which ingredients create desynchronization |
+//! | `ext_cca` | minimum buffer per congestion-control algorithm |
+//! | `explain` | causal drop/span join of one fixed scenario (`artifacts/explain*`) |
 //! | `repro` | run everything |
 //! | `report` | regenerate RESULTS.md from `artifacts/*.json` |
 //! | `trace` | Perfetto/Chrome trace export (+ `--check` schema validation) |
@@ -29,11 +31,9 @@
 //! RESULTS.md is stale, which `scripts/check.sh` uses as a drift gate.
 //!
 //! Every binary accepts `--quick` for a seconds-scale smoke run; the
-//! default is the paper-scale parameterisation. The benches in `benches/`
-//! (run with `cargo bench -p bench`) time the engine primitives and one
-//! representative cell per experiment using the in-tree [`harness`] — no
-//! external benchmarking framework, so the workspace builds offline.
-
+//! default is the paper-scale parameterisation. Nothing here measures
+//! speed: every performance number comes from the repo benchmark in
+//! `benchmark/` (declared by `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 pub mod artifacts;
@@ -86,431 +86,6 @@ pub fn preamble(artifact: &str, quick: bool) {
         "== Sizing Router Buffers (SIGCOMM 2004) reproduction — {artifact} ({}) ==\n",
         if quick { "quick smoke scale" } else { "full scale" }
     );
-}
-
-pub mod harness {
-    //! A tiny wall-clock benchmarking harness (criterion replacement).
-    //!
-    //! Deliberately minimal: warm up, time `iters` batches with
-    //! `std::time::Instant`, report min/median/mean per iteration. Wall-clock
-    //! reads are fine *here* — this crate is measurement tooling, not part of
-    //! the simulation; sim crates are forbidden from `Instant::now` by
-    //! `simlint`'s `wall-clock` rule.
-
-    use std::time::Instant;
-
-    /// Timing summary for one benchmark.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Timing {
-        /// Fastest observed batch, nanoseconds per element.
-        pub min_ns: f64,
-        /// Median batch, nanoseconds per element.
-        pub median_ns: f64,
-        /// Mean over all batches, nanoseconds per element.
-        pub mean_ns: f64,
-    }
-
-    /// Times `f` and prints a one-line report.
-    ///
-    /// Runs `batches` batches after one warm-up call; `elements` is the
-    /// number of logical operations one call of `f` performs (used to report
-    /// per-element throughput, like criterion's `Throughput::Elements`).
-    pub fn bench<F: FnMut()>(name: &str, batches: usize, elements: u64, mut f: F) -> Timing {
-        assert!(batches > 0 && elements > 0);
-        f(); // warm-up: page in code and data
-        let mut samples_ns: Vec<f64> = Vec::with_capacity(batches);
-        for _ in 0..batches {
-            let t0 = Instant::now();
-            f();
-            let dt = t0.elapsed();
-            samples_ns.push(dt.as_nanos() as f64 / elements as f64);
-        }
-        samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-        let min_ns = samples_ns[0];
-        let median_ns = samples_ns[samples_ns.len() / 2];
-        let mean_ns = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
-        let t = Timing {
-            min_ns,
-            median_ns,
-            mean_ns,
-        };
-        println!(
-            "{name:<40} {:>12.1} ns/elem (min) {:>12.1} (median) {:>12.1} (mean) [{batches} batches]",
-            t.min_ns, t.median_ns, t.mean_ns
-        );
-        t
-    }
-
-    /// One timed run of a sweep at a given worker count.
-    #[derive(Clone, Copy, Debug)]
-    pub struct SweepSample {
-        /// `--jobs` level the sweep ran at.
-        pub jobs: usize,
-        /// Wall-clock time of the whole sweep, seconds.
-        pub wall_s: f64,
-        /// Completed cells per wall-clock second.
-        pub cells_per_s: f64,
-    }
-
-    /// Timings of one sweep across several `--jobs` levels.
-    #[derive(Clone, Debug)]
-    pub struct SweepSection {
-        /// What was swept (e.g. `"long_flow_cells"`, `"repro_quick"`).
-        pub name: String,
-        /// Number of independent cells the sweep executes.
-        pub cells: usize,
-        /// One sample per `--jobs` level, in measurement order.
-        pub samples: Vec<SweepSample>,
-    }
-
-    impl SweepSection {
-        /// Times `f` (a whole sweep of `cells` independent runs) once at
-        /// each `jobs` level and records wall time and cells/sec.
-        pub fn measure<F: FnMut(usize)>(
-            name: &str,
-            cells: usize,
-            jobs_levels: &[usize],
-            mut f: F,
-        ) -> Self {
-            assert!(cells > 0);
-            let mut samples = Vec::with_capacity(jobs_levels.len());
-            for &jobs in jobs_levels {
-                let t0 = Instant::now();
-                f(jobs);
-                let wall_s = t0.elapsed().as_secs_f64();
-                samples.push(SweepSample {
-                    jobs,
-                    wall_s,
-                    cells_per_s: cells as f64 / wall_s.max(1e-12),
-                });
-                println!(
-                    "{name:<28} jobs={jobs:<3} {wall_s:>9.3} s  {:>10.2} cells/s",
-                    cells as f64 / wall_s.max(1e-12)
-                );
-            }
-            SweepSection {
-                name: name.to_string(),
-                cells,
-                samples,
-            }
-        }
-
-        /// Speedup of the fastest multi-worker sample over the `jobs == 1`
-        /// sample (1.0 when either is missing).
-        pub fn speedup(&self) -> f64 {
-            let base = self
-                .samples
-                .iter()
-                .find(|s| s.jobs == 1)
-                .map(|s| s.wall_s);
-            let best = self
-                .samples
-                .iter()
-                .filter(|s| s.jobs > 1)
-                .map(|s| s.wall_s)
-                .fold(f64::INFINITY, f64::min);
-            match base {
-                Some(b) if best.is_finite() && best > 0.0 => b / best,
-                _ => 1.0,
-            }
-        }
-    }
-
-    /// Event-throughput summary for `BENCH_sweep.json`: how fast the kernel
-    /// dispatches events, broken down by event class, and which scheduler
-    /// produced the numbers. Derived from the self-profiler's per-class
-    /// dispatch counters over a timed sweep.
-    #[derive(Clone, Debug)]
-    pub struct EventRates {
-        /// Scheduler implementation the cells ran on (e.g. `"wheel"`).
-        pub scheduler: String,
-        /// Wall time of the profiled sweep the counts come from, seconds.
-        pub wall_s: f64,
-        /// `(class label, dispatch count)` in dispatch-code order.
-        pub classes: Vec<(String, u64)>,
-    }
-
-    impl EventRates {
-        /// Total dispatches across all classes.
-        pub fn total(&self) -> u64 {
-            self.classes.iter().map(|(_, n)| n).sum()
-        }
-    }
-
-    /// Deterministic state marks and probe-cache counters for
-    /// `BENCH_sweep.json`: how big the run's packet arena and flow table
-    /// got, and how the result cache behaved over a cold/warm probe pair.
-    /// Everything here is a pure function of the benchmark's fixed grid, so
-    /// (unlike wall times) these survive machine changes byte-identically.
-    #[derive(Clone, Copy, Debug)]
-    pub struct StateMarks {
-        /// Packet-arena slots ever allocated (max over the profiled cells).
-        pub arena_high_water: u64,
-        /// Flow-table sender slots allocated (max over the profiled cells).
-        pub flow_table_high_water: u64,
-        /// Probe-cache hits over the cold+warm bisection pair.
-        pub probe_cache_hits: u64,
-        /// Probe-cache misses over the cold+warm bisection pair.
-        pub probe_cache_misses: u64,
-        /// Wall time of the cold (all-miss) bisection, seconds.
-        pub probe_cold_wall_s: f64,
-        /// Wall time of the warm (all-hit) bisection, seconds.
-        pub probe_warm_wall_s: f64,
-    }
-
-    /// Renders the `BENCH_sweep.json` document: machine context plus one
-    /// entry per sweep section. Hand-rolled JSON — no serde in the tree.
-    pub fn sweep_json(cores: usize, sections: &[SweepSection]) -> String {
-        sweep_json_with_events(cores, sections, None)
-    }
-
-    /// [`sweep_json`] plus an optional `events_per_s` block recording the
-    /// kernel's event-dispatch throughput per class and the scheduler that
-    /// produced it.
-    pub fn sweep_json_with_events(
-        cores: usize,
-        sections: &[SweepSection],
-        events: Option<&EventRates>,
-    ) -> String {
-        sweep_json_report(cores, sections, events, None)
-    }
-
-    /// [`sweep_json_with_events`] plus an optional `state` block with the
-    /// arena/flow-table high-water marks and probe-cache counters.
-    pub fn sweep_json_report(
-        cores: usize,
-        sections: &[SweepSection],
-        events: Option<&EventRates>,
-        state: Option<&StateMarks>,
-    ) -> String {
-        sweep_json_full(cores, sections, events, state, None)
-    }
-
-    /// [`sweep_json_report`] plus an optional `workers` block: the
-    /// per-worker accounting from one observed sweep
-    /// ([`buffersizing::exec::Executor::run_cells_observed`]) at the top
-    /// jobs level — cells computed, steals, busy/idle wall time. Honest
-    /// wall-clock numbers: machine- and scheduling-dependent, recorded for
-    /// trajectory, never part of any determinism claim.
-    pub fn sweep_json_full(
-        cores: usize,
-        sections: &[SweepSection],
-        events: Option<&EventRates>,
-        state: Option<&StateMarks>,
-        workers: Option<&buffersizing::exec::ExecReport>,
-    ) -> String {
-        let mut out = sweep_json_sections(cores, sections);
-        if let Some(ev) = events {
-            let wall = ev.wall_s.max(1e-12);
-            out.push_str(",\n  \"events_per_s\": {\n");
-            out.push_str(&format!("    \"scheduler\": \"{}\",\n", ev.scheduler));
-            out.push_str(&format!("    \"wall_s\": {:.4},\n", ev.wall_s));
-            out.push_str(&format!("    \"total\": {},\n", ev.total()));
-            out.push_str(&format!(
-                "    \"total_per_s\": {:.1},\n",
-                ev.total() as f64 / wall
-            ));
-            out.push_str("    \"classes\": [\n");
-            for (i, (label, count)) in ev.classes.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"class\": \"{}\", \"count\": {}, \"per_s\": {:.1}}}{}\n",
-                    label,
-                    count,
-                    *count as f64 / wall,
-                    if i + 1 < ev.classes.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(st) = state {
-            out.push_str(",\n  \"state\": {\n");
-            out.push_str(&format!(
-                "    \"arena_high_water\": {},\n",
-                st.arena_high_water
-            ));
-            out.push_str(&format!(
-                "    \"flow_table_high_water\": {},\n",
-                st.flow_table_high_water
-            ));
-            out.push_str("    \"probe_cache\": {\n");
-            out.push_str(&format!("      \"hits\": {},\n", st.probe_cache_hits));
-            out.push_str(&format!("      \"misses\": {},\n", st.probe_cache_misses));
-            out.push_str(&format!(
-                "      \"cold_wall_s\": {:.4},\n",
-                st.probe_cold_wall_s
-            ));
-            out.push_str(&format!(
-                "      \"warm_wall_s\": {:.4}\n",
-                st.probe_warm_wall_s
-            ));
-            out.push_str("    }\n  }");
-        }
-        if let Some(rep) = workers {
-            out.push_str(",\n  \"workers\": {\n");
-            out.push_str(&format!("    \"jobs\": {},\n", rep.jobs));
-            out.push_str(&format!(
-                "    \"wall_s\": {:.4},\n",
-                rep.wall_ns as f64 / 1e9
-            ));
-            out.push_str("    \"per_worker\": [\n");
-            for (i, w) in rep.workers.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"worker\": {}, \"cells\": {}, \"steals\": {}, \"busy_s\": {:.4}, \"idle_s\": {:.4}}}{}\n",
-                    w.worker,
-                    w.cells,
-                    w.steals,
-                    w.busy_ns as f64 / 1e9,
-                    w.idle_ns as f64 / 1e9,
-                    if i + 1 < rep.workers.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The document body up to (and including) the closing `]` of the
-    /// sections array — no trailing newline or outer brace, so callers can
-    /// append further top-level keys.
-    fn sweep_json_sections(cores: usize, sections: &[SweepSection]) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"benchmark\": \"sweep\",\n");
-        out.push_str(&format!("  \"cores\": {cores},\n"));
-        out.push_str("  \"sections\": [\n");
-        for (i, s) in sections.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", s.name));
-            out.push_str(&format!("      \"cells\": {},\n", s.cells));
-            out.push_str(&format!("      \"speedup\": {:.4},\n", s.speedup()));
-            out.push_str("      \"samples\": [\n");
-            for (j, smp) in s.samples.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"jobs\": {}, \"wall_s\": {:.4}, \"cells_per_s\": {:.4}}}{}\n",
-                    smp.jobs,
-                    smp.wall_s,
-                    smp.cells_per_s,
-                    if j + 1 < s.samples.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("      ]\n");
-            out.push_str(&format!(
-                "    }}{}\n",
-                if i + 1 < sections.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]");
-        out
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn bench_reports_sane_numbers() {
-            let mut acc = 0u64;
-            let t = super::bench("noop", 3, 100, || {
-                for i in 0..100u64 {
-                    acc = acc.wrapping_add(std::hint::black_box(i));
-                }
-            });
-            assert!(t.min_ns >= 0.0 && t.min_ns <= t.mean_ns * 1.0001);
-            assert!(t.median_ns.is_finite());
-        }
-
-        #[test]
-        fn sweep_section_and_json() {
-            let s = super::SweepSection {
-                name: "demo".into(),
-                cells: 8,
-                samples: vec![
-                    super::SweepSample {
-                        jobs: 1,
-                        wall_s: 4.0,
-                        cells_per_s: 2.0,
-                    },
-                    super::SweepSample {
-                        jobs: 4,
-                        wall_s: 1.0,
-                        cells_per_s: 8.0,
-                    },
-                ],
-            };
-            assert!((s.speedup() - 4.0).abs() < 1e-9);
-            let json = super::sweep_json(4, &[s]);
-            assert!(json.contains("\"cores\": 4"));
-            assert!(json.contains("\"cells_per_s\": 8.0000"));
-            assert!(json.contains("\"speedup\": 4.0000"));
-            // Balanced braces/brackets — cheap well-formedness check.
-            assert_eq!(
-                json.matches('{').count(),
-                json.matches('}').count()
-            );
-            assert_eq!(
-                json.matches('[').count(),
-                json.matches(']').count()
-            );
-        }
-
-        #[test]
-        fn state_block_renders_and_stays_balanced() {
-            let s = super::SweepSection {
-                name: "demo".into(),
-                cells: 1,
-                samples: vec![super::SweepSample {
-                    jobs: 1,
-                    wall_s: 1.0,
-                    cells_per_s: 1.0,
-                }],
-            };
-            let st = super::StateMarks {
-                arena_high_water: 321,
-                flow_table_high_water: 8,
-                probe_cache_hits: 9,
-                probe_cache_misses: 9,
-                probe_cold_wall_s: 0.5,
-                probe_warm_wall_s: 0.001,
-            };
-            let json = super::sweep_json_report(1, &[s], None, Some(&st));
-            assert!(json.contains("\"arena_high_water\": 321"));
-            assert!(json.contains("\"flow_table_high_water\": 8"));
-            assert!(json.contains("\"hits\": 9"));
-            assert!(json.contains("\"warm_wall_s\": 0.0010"));
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert_eq!(json.matches('[').count(), json.matches(']').count());
-        }
-
-        #[test]
-        fn workers_block_renders_the_observed_report() {
-            let (r, rep) = buffersizing::exec::Executor::new(2).run_cells_observed(4, |i| i);
-            assert_eq!(r, vec![0, 1, 2, 3]);
-            let s = super::SweepSection {
-                name: "demo".into(),
-                cells: 4,
-                samples: vec![super::SweepSample {
-                    jobs: 2,
-                    wall_s: 1.0,
-                    cells_per_s: 4.0,
-                }],
-            };
-            let json = super::sweep_json_full(2, &[s], None, None, Some(&rep));
-            assert!(json.contains("\"workers\": {"));
-            assert!(json.contains("\"per_worker\": ["));
-            assert!(json.contains("\"steals\":"));
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert_eq!(json.matches('[').count(), json.matches(']').count());
-        }
-
-        #[test]
-        fn sweep_measure_runs_each_level() {
-            let mut seen = Vec::new();
-            let s = super::SweepSection::measure("t", 4, &[1, 2], |jobs| {
-                seen.push(jobs);
-            });
-            assert_eq!(seen, vec![1, 2]);
-            assert_eq!(s.samples.len(), 2);
-            assert!(s.samples.iter().all(|x| x.wall_s >= 0.0));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -159,8 +159,9 @@ impl Executor {
     /// must never leak into results: the returned `Vec<R>` is computed by
     /// exactly the same claim-and-reassemble scheme as `run_cells`, and
     /// nothing from the report feeds back into any cell. The report goes to
-    /// bench artifacts (`BENCH_sweep.json` `workers` block, wall-time trace
-    /// tracks) which are machine-dependent and never committed.
+    /// the repo benchmark (`benchmark/`: `core.exec.*` metrics and the
+    /// `minbuf_sweep` wall-time trace tracks), which is machine-dependent
+    /// and never committed.
     pub fn run_cells_observed<R, F>(&self, n: usize, f: F) -> (Vec<R>, ExecReport)
     where
         R: Send,
@@ -260,8 +261,8 @@ impl Executor {
 
 /// Wall-clock observability for one observed sweep: what each worker did
 /// and when. Produced by [`Executor::run_cells_observed`]; consumed by the
-/// bench harness (`BENCH_sweep.json` `workers` block) and the wall-time
-/// trace exporter. Everything here is machine- and scheduling-dependent —
+/// repo benchmark (`core.exec.*` metrics, per-worker wall-time trace
+/// tracks). Everything here is machine- and scheduling-dependent —
 /// explicitly outside every determinism claim and never committed.
 #[derive(Clone, Debug)]
 pub struct ExecReport {
@@ -315,29 +316,6 @@ impl WorkerStats {
         self.busy_ns += dur;
         self.slices.push((cell, start, dur));
     }
-}
-
-/// Folds the per-cell self-profiler snapshots of a sweep into one fleet
-/// aggregate (counts and histograms add, high-water marks take the max —
-/// see [`simcore::Profile::merge`]).
-///
-/// Profiles are merged **in input-index order**, never in completion order,
-/// so the aggregate is byte-identical at every `--jobs` level — the same
-/// reassembly rule [`Executor::run_cells`] applies to results. Cells
-/// without a profile (`None`) are skipped; returns `None` when no cell
-/// carried one.
-pub fn merge_profiles<'a, I>(profiles: I) -> Option<simcore::Profile>
-where
-    I: IntoIterator<Item = Option<&'a simcore::Profile>>,
-{
-    let mut merged: Option<simcore::Profile> = None;
-    for p in profiles.into_iter().flatten() {
-        match &mut merged {
-            Some(m) => m.merge(p),
-            None => merged = Some(p.clone()),
-        }
-    }
-    merged
 }
 
 impl Default for Executor {
@@ -400,26 +378,6 @@ mod tests {
         assert_eq!(e.split(100).jobs(), 1);
         assert_eq!(e.split(0).jobs(), 8); // clamped to 1 consumer
         assert_eq!(Executor::sequential().split(4).jobs(), 1);
-    }
-
-    #[test]
-    fn merge_profiles_is_order_stable_and_skips_missing() {
-        use simcore::Profile;
-        let mut a = Profile::new(&["e"]);
-        a.on_dispatch(0, 0);
-        a.on_dispatch(0, 10);
-        let mut b = Profile::new(&["e"]);
-        b.on_dispatch(0, 5);
-        b.set_queue_stats(9, 1, 64);
-        let cells = [Some(&a), None, Some(&b)];
-        let merged = merge_profiles(cells).expect("two profiles present");
-        assert_eq!(merged.dispatches(), 3);
-        assert_eq!(merged.depth_high_water(), 9);
-        assert_eq!(merged.runs(), 2);
-        // Same cells, same order => same digest (the jobs-invariance rule).
-        let again = merge_profiles([Some(&a), None, Some(&b)]).unwrap();
-        assert_eq!(merged.digest(), again.digest());
-        assert_eq!(merge_profiles([None, None]), None);
     }
 
     #[test]

@@ -28,12 +28,10 @@
 //! across processes.
 
 use crate::runner::{LongFlowResult, LongFlowScenario};
+use simcore::Fnv1a;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 static CACHE: OnceLock<Mutex<BTreeMap<u64, LongFlowResult>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -46,18 +44,11 @@ fn cache() -> &'static Mutex<BTreeMap<u64, LongFlowResult>> {
 /// FNV-1a digest of a scenario's complete `Debug` rendering, tagged by
 /// scenario type so distinct types can never alias.
 fn scenario_key(tag: &str, debug: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in tag.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h ^= 0xFF;
-    h = h.wrapping_mul(FNV_PRIME);
-    for &b in debug.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.bytes(tag.as_bytes());
+    h.bytes(&[0xFF]);
+    h.bytes(debug.as_bytes());
+    h.finish()
 }
 
 /// Runs `scenario`, consulting the process-global probe cache: an

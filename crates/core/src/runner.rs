@@ -26,6 +26,25 @@ use traffic::{
 /// Default packet size (bytes), matching the paper / ns-2 convention.
 pub const PKT_SIZE: u32 = 1000;
 
+/// One-way access delays for `n` host pairs: each pair's two-way
+/// propagation delay is drawn uniformly from `rtt_range`, in pair order.
+fn access_delays(
+    rng: &mut Rng,
+    n: usize,
+    rtt_range: (SimDuration, SimDuration),
+    bottleneck_delay: SimDuration,
+) -> Vec<SimDuration> {
+    let (lo, hi) = rtt_range;
+    assert!(lo <= hi);
+    (0..n)
+        .map(|_| {
+            let rtt = SimDuration::from_nanos(rng.u64_range(lo.as_nanos(), hi.as_nanos()));
+            // two_way = 2*(access + bottleneck)  =>  access = rtt/2 - bneck
+            (rtt / 2).saturating_sub(bottleneck_delay)
+        })
+        .collect()
+}
+
 /// `n` long-lived TCP flows over a single bottleneck.
 #[derive(Clone, Debug)]
 pub struct LongFlowScenario {
@@ -164,22 +183,6 @@ impl LongFlowScenario {
         )
     }
 
-    /// Per-flow one-way access delays realizing the RTT range.
-    fn access_delays(&self, rng: &mut Rng) -> Vec<SimDuration> {
-        let (lo, hi) = self.rtt_range;
-        assert!(lo <= hi);
-        let bneck = self.bottleneck_delay;
-        (0..self.n_flows)
-            .map(|_| {
-                let rtt = SimDuration::from_nanos(
-                    rng.u64_range(lo.as_nanos(), hi.as_nanos()),
-                );
-                // two_way = 2*(access + bottleneck)  =>  access = rtt/2 - bneck
-                (rtt / 2).saturating_sub(bneck)
-            })
-            .collect()
-    }
-
     fn build(&self) -> (Sim, netsim::Dumbbell, Vec<FlowHandle>, SharedFlowTable) {
         let mut sim = Sim::with_scheduler(self.seed, self.scheduler);
         // Steady state holds roughly one window of events per flow (data +
@@ -191,7 +194,12 @@ impl LongFlowScenario {
             sim.set_send_jitter(j);
         }
         let mut rng = Rng::new(self.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let delays = self.access_delays(&mut rng);
+        let delays = access_delays(
+            &mut rng,
+            self.n_flows,
+            self.rtt_range,
+            self.bottleneck_delay,
+        );
         let mut builder = DumbbellBuilder::new(self.bottleneck_rate, self.bottleneck_delay)
             .buffer(QueueCapacity::Packets(self.buffer_pkts))
             .access_rate(self.bottleneck_rate * self.access_speedup.max(1))
@@ -253,6 +261,19 @@ impl LongFlowScenario {
     /// synchronization metric).
     pub fn run_sampled(&self, sample_period: Option<SimDuration>) -> LongFlowResult {
         let (mut sim, dumbbell, handles, table) = self.build();
+        self.drive(&mut sim, &dumbbell, &handles, &table, sample_period)
+    }
+
+    /// Warm-up → monitor mark → measurement phase (sampling the windows
+    /// every `sample_period` when given) → result, on a freshly built sim.
+    fn drive(
+        &self,
+        sim: &mut Sim,
+        dumbbell: &netsim::Dumbbell,
+        handles: &[FlowHandle],
+        table: &SharedFlowTable,
+        sample_period: Option<SimDuration>,
+    ) -> LongFlowResult {
         sim.start();
         sim.run_until(SimTime::ZERO + self.warmup);
         let mark = sim.now();
@@ -293,7 +314,7 @@ impl LongFlowScenario {
             None => sim.run_until(end),
         }
 
-        self.collect_result(&sim, &dumbbell, &handles, &table, window_sum, per_flow)
+        self.collect_result(sim, dumbbell, handles, table, window_sum, per_flow)
     }
 
     /// Merges every flow's lifecycle span log into one timeline (empty when
@@ -308,8 +329,7 @@ impl LongFlowScenario {
         SpanLog::merge_sorted(&logs, cap.max(1))
     }
 
-    /// Assembles the result struct from a finished sim (shared by
-    /// [`LongFlowScenario::run_sampled`] and [`LongFlowScenario::run_traced`]).
+    /// Assembles the result struct from a finished sim.
     fn collect_result(
         &self,
         sim: &Sim,
@@ -398,17 +418,7 @@ impl LongFlowScenario {
         sc.profiler = true;
         let (mut sim, dumbbell, handles, table) = sc.build();
         sim.enable_packet_log(log_capacity);
-        sim.start();
-        sim.run_until(SimTime::ZERO + sc.warmup);
-        let mark = sim.now();
-        sim.kernel_mut()
-            .link_mut(dumbbell.bottleneck)
-            .monitor
-            .mark(mark);
-        sim.run_until(mark + sc.measure);
-
-        let per_flow: Vec<Vec<f64>> = (0..handles.len()).map(|_| Vec::new()).collect();
-        let result = sc.collect_result(&sim, &dumbbell, &handles, &table, Vec::new(), per_flow);
+        let result = sc.drive(&mut sim, &dumbbell, &handles, &table, None);
         let spans = Self::merged_spans(&sim, &handles);
         let profile = result.profile.clone().expect("profiler enabled");
         let ledger = sim.forensics().expect("forensics enabled").clone();
@@ -573,13 +583,12 @@ impl ShortFlowScenario {
     pub fn run(&self) -> ShortFlowResult {
         let mut sim = Sim::with_scheduler(self.seed, self.scheduler);
         let mut rng = Rng::new(self.seed ^ 0xDEAD_BEEF_0BAD_F00D);
-        let (lo, hi) = self.rtt_range;
-        let delays: Vec<SimDuration> = (0..self.host_pairs)
-            .map(|_| {
-                let rtt = SimDuration::from_nanos(rng.u64_range(lo.as_nanos(), hi.as_nanos()));
-                (rtt / 2).saturating_sub(self.bottleneck_delay)
-            })
-            .collect();
+        let delays = access_delays(
+            &mut rng,
+            self.host_pairs,
+            self.rtt_range,
+            self.bottleneck_delay,
+        );
         let dumbbell = DumbbellBuilder::new(self.bottleneck_rate, self.bottleneck_delay)
             .buffer(QueueCapacity::Packets(self.buffer_pkts))
             .access_rate(self.bottleneck_rate * 10)
@@ -671,12 +680,13 @@ impl MixScenario {
         let mut rng = Rng::new(self.long.seed ^ 0x5555_AAAA_5555_AAAA);
 
         // One dumbbell hosting both long-flow pairs and short-flow pairs.
-        let mut delays = self.long.access_delays(&mut rng);
-        let (lo, hi) = self.long.rtt_range;
-        for _ in 0..self.short_host_pairs {
-            let rtt = SimDuration::from_nanos(rng.u64_range(lo.as_nanos(), hi.as_nanos()));
-            delays.push((rtt / 2).saturating_sub(self.long.bottleneck_delay));
-        }
+        // Long pairs draw first, then short pairs, from the one stream.
+        let delays = access_delays(
+            &mut rng,
+            self.long.n_flows + self.short_host_pairs,
+            self.long.rtt_range,
+            self.long.bottleneck_delay,
+        );
         let dumbbell = DumbbellBuilder::new(self.long.bottleneck_rate, self.long.bottleneck_delay)
             .buffer(QueueCapacity::Packets(self.long.buffer_pkts))
             .access_rate(self.long.bottleneck_rate * self.long.access_speedup.max(1))

@@ -16,8 +16,8 @@
 //! ([`simcore::traceviz::SIM_PID`]): every value is a pure function of seed
 //! and configuration, so rendered traces are byte-stable across repeated
 //! runs and `--jobs` levels and their digests can be pinned. Wall-time
-//! tracks (per sweep worker) are emitted by the bench harness from
-//! [`crate::exec::ExecReport`], never from here.
+//! tracks (per sweep worker) are emitted by the repo benchmark
+//! (`benchmark/`) from [`crate::exec::ExecReport`], never from here.
 
 use crate::figures::single_flow::SingleFlowTrace;
 use crate::json::Json;

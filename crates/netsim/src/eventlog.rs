@@ -9,7 +9,7 @@
 use crate::forensics::{DropReason, MarkReason};
 use crate::packet::FlowId;
 use crate::sim::LinkId;
-use simcore::SimTime;
+use simcore::{Fnv1a, SimTime};
 
 /// What happened to the packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,18 +60,6 @@ pub struct PacketRecord {
     pub event: PacketEvent,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// A bounded in-memory packet log.
 ///
 /// Two modes share one digest definition:
@@ -93,7 +81,7 @@ pub struct PacketLog {
     /// False in digest-only mode: fold, don't store.
     store: bool,
     /// Running FNV-1a over the folded records.
-    hash: u64,
+    hash: Fnv1a,
     /// Records folded so far (== `records.len()` in stored mode).
     folded: u64,
     /// Events that arrived after the log filled.
@@ -107,7 +95,7 @@ impl PacketLog {
             records: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
             store: true,
-            hash: FNV_OFFSET,
+            hash: Fnv1a::new(),
             folded: 0,
             overflowed: 0,
         }
@@ -121,7 +109,7 @@ impl PacketLog {
             records: Vec::new(),
             capacity,
             store: false,
-            hash: FNV_OFFSET,
+            hash: Fnv1a::new(),
             folded: 0,
             overflowed: 0,
         }
@@ -135,28 +123,22 @@ impl PacketLog {
     #[inline]
     fn fold(&mut self, rec: &PacketRecord) {
         let mut h = self.hash;
-        h = fnv_mix(h, rec.time.as_nanos());
-        h = fnv_mix(h, rec.uid);
-        h = fnv_mix(h, u64::from(rec.flow.0));
-        h = fnv_mix(
-            h,
-            match rec.link {
-                Some(l) => u64::from(l.0) + 1,
-                None => 0,
-            },
-        );
-        h = fnv_mix(
-            h,
-            match rec.event {
-                PacketEvent::Queued => 1,
-                PacketEvent::Dropped { .. } => 2,
-                PacketEvent::Transmitted => 3,
-                PacketEvent::Delivered => 4,
-                // Like `Dropped`, the mark metadata is excluded from the
-                // digest; the code 5 only appears in ECN-on runs.
-                PacketEvent::Marked { .. } => 5,
-            },
-        );
+        h.u64(rec.time.as_nanos());
+        h.u64(rec.uid);
+        h.u64(u64::from(rec.flow.0));
+        h.u64(match rec.link {
+            Some(l) => u64::from(l.0) + 1,
+            None => 0,
+        });
+        h.u64(match rec.event {
+            PacketEvent::Queued => 1,
+            PacketEvent::Dropped { .. } => 2,
+            PacketEvent::Transmitted => 3,
+            PacketEvent::Delivered => 4,
+            // Like `Dropped`, the mark metadata is excluded from the
+            // digest; the code 5 only appears in ECN-on runs.
+            PacketEvent::Marked { .. } => 5,
+        });
         self.hash = h;
         self.folded += 1;
     }
@@ -223,7 +205,9 @@ impl PacketLog {
     /// stream is identical to the pre-forensics one and enabling drop
     /// forensics can never change it.
     pub fn digest(&self) -> u64 {
-        fnv_mix(self.hash, self.folded)
+        let mut h = self.hash;
+        h.u64(self.folded);
+        h.finish()
     }
 
     /// Renders the log in an ns-2-like single-line-per-event text format:

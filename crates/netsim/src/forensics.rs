@@ -18,11 +18,8 @@
 
 use crate::packet::FlowId;
 use crate::sim::LinkId;
-use simcore::{SimDuration, SimTime};
+use simcore::{Fnv1a, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The mechanism that rejected a packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -381,54 +378,48 @@ impl DropLedger {
     /// FNV-1a digest over every counter and episode, in a fixed order.
     /// Byte-stable for a fixed seed, invariant across `--jobs` levels.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.total);
+        let mut h = Fnv1a::new();
+        h.u64(self.total);
         for ((link, reason), n) in &self.by_link_reason {
-            mix(u64::from(*link));
-            mix(u64::from(reason.code()));
-            mix(*n);
+            h.u64(u64::from(*link));
+            h.u64(u64::from(reason.code()));
+            h.u64(*n);
         }
         for ((flow, reason), n) in &self.by_flow_reason {
-            mix(u64::from(*flow));
-            mix(u64::from(reason.code()));
-            mix(*n);
+            h.u64(u64::from(*flow));
+            h.u64(u64::from(reason.code()));
+            h.u64(*n);
         }
         for (b, n) in &self.by_interval {
-            mix(*b);
-            mix(*n);
+            h.u64(*b);
+            h.u64(*n);
         }
         for (link, d) in &self.depth_at_drop {
-            mix(u64::from(*link));
-            mix(u64::from(*d));
+            h.u64(u64::from(*link));
+            h.u64(u64::from(*d));
         }
         for ep in &self.episodes {
-            mix(u64::from(ep.link.0));
-            mix(ep.start.as_nanos());
-            mix(ep.end.as_nanos());
-            mix(ep.flows as u64);
-            mix(ep.drops);
+            h.u64(u64::from(ep.link.0));
+            h.u64(ep.start.as_nanos());
+            h.u64(ep.end.as_nanos());
+            h.u64(ep.flows as u64);
+            h.u64(ep.drops);
         }
         // Mark aggregates fold ONLY when marking happened: an ECN-off run
         // must digest byte-identically to a ledger that predates ECN.
         if self.marks_total > 0 {
-            mix(self.marks_total);
+            h.u64(self.marks_total);
             for ((link, reason), n) in &self.marks_by_link_reason {
-                mix(u64::from(*link));
-                mix(u64::from(reason.code()));
-                mix(*n);
+                h.u64(u64::from(*link));
+                h.u64(u64::from(reason.code()));
+                h.u64(*n);
             }
             for (flow, n) in &self.marks_by_flow {
-                mix(u64::from(*flow));
-                mix(*n);
+                h.u64(u64::from(*flow));
+                h.u64(*n);
             }
         }
-        h
+        h.finish()
     }
 
     /// Exports the ledger as JSON Lines, one object per aggregate:

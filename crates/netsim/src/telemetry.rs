@@ -35,7 +35,7 @@
 
 use crate::link::Link;
 use simcore::trace::{Ring, TracePoint};
-use simcore::{SimDuration, SimTime};
+use simcore::{Fnv1a, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Configuration for [`crate::Sim::enable_telemetry`].
@@ -110,9 +110,6 @@ impl LinkState {
         }
     }
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Named bounded series. Rings live in a `Vec` in creation order; a
 /// `BTreeMap` from name to slot gives the deterministic, name-ordered
@@ -296,23 +293,17 @@ impl Telemetry {
     /// single-threaded; parallelism only distributes whole runs). This is
     /// the value run manifests stamp into artifact files.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
         for (name, ring) in self.iter() {
-            mix(name.as_bytes());
-            mix(&[0xFF]);
-            mix(&ring.total_pushed().to_le_bytes());
+            h.bytes(name.as_bytes());
+            h.bytes(&[0xFF]);
+            h.u64(ring.total_pushed());
             for p in ring.iter() {
-                mix(&p.time.as_nanos().to_le_bytes());
-                mix(&p.value.to_bits().to_le_bytes());
+                h.u64(p.time.as_nanos());
+                h.u64(p.value.to_bits());
             }
         }
-        h
+        h.finish()
     }
 
     /// Exports every retained sample as JSON Lines, one object per sample:

@@ -22,6 +22,7 @@
 
 
 #![deny(missing_docs)]
+pub mod digest;
 pub mod dist;
 pub mod event;
 pub mod metrics;
@@ -33,6 +34,7 @@ pub mod trace;
 pub mod traceviz;
 pub mod wheel;
 
+pub use digest::Fnv1a;
 pub use dist::{Exponential, LogNormal, Normal, Pareto, Uniform, Weibull};
 pub use event::EventQueue;
 pub use metrics::Registry;

@@ -16,7 +16,7 @@
 //! * **Jobs-invariant merge.** Registries from independent runs
 //!   [`merge`](Registry::merge) like profiles do: counters and histograms
 //!   add, gauges take the max, and the merge is performed in input-index
-//!   order by the executor layer (the `exec::merge_profiles` pattern).
+//!   order by the caller, never in completion order.
 //! * **Digestible.** [`Registry::digest`] is the same FNV-1a fold the
 //!   packet log, telemetry and profiler use, so a run manifest can pin the
 //!   complete counter state of a run in 16 hex digits.
@@ -27,8 +27,7 @@
 //! histograms (per-link queue peaks) with the same bucket layout as the
 //! profiler's gap histogram.
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use crate::digest::Fnv1a;
 
 /// Number of log2 buckets in a registry histogram: bucket `i` counts
 /// values in `[2^(i-1), 2^i)` (bucket 0 counts zeros). 64 buckets cover
@@ -240,36 +239,30 @@ impl Registry {
     /// the packet log, telemetry and profiler digests use. Deterministic
     /// for a fixed seed/configuration and invariant across `--jobs` levels.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for (name, v) in self.counter_names.iter().zip(&self.counters) {
-            mix(b"c");
-            mix(name.as_bytes());
-            mix(&[0xFF]);
-            mix(&v.to_le_bytes());
+        let mut h = Fnv1a::new();
+        for (name, &v) in self.counter_names.iter().zip(&self.counters) {
+            h.bytes(b"c");
+            h.bytes(name.as_bytes());
+            h.bytes(&[0xFF]);
+            h.u64(v);
         }
         for (name, g) in self.gauge_names.iter().zip(&self.gauges) {
-            mix(b"g");
-            mix(name.as_bytes());
-            mix(&[0xFF]);
-            mix(&g.value.to_le_bytes());
-            mix(&g.high_water.to_le_bytes());
+            h.bytes(b"g");
+            h.bytes(name.as_bytes());
+            h.bytes(&[0xFF]);
+            h.u64(g.value);
+            h.u64(g.high_water);
         }
         for (name, buckets) in self.hist_names.iter().zip(&self.hists) {
-            mix(b"h");
-            mix(name.as_bytes());
-            mix(&[0xFF]);
-            for b in buckets {
-                mix(&b.to_le_bytes());
+            h.bytes(b"h");
+            h.bytes(name.as_bytes());
+            h.bytes(&[0xFF]);
+            for &b in buckets {
+                h.u64(b);
             }
         }
-        mix(&self.runs.to_le_bytes());
-        h
+        h.u64(self.runs);
+        h.finish()
     }
 
     /// The registry as ordered `(key, value)` rows for reports and artifact

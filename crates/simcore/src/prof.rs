@@ -8,16 +8,14 @@
 //! allocator introspection, no thread identity — so profiles can be stamped
 //! into artifacts and compared across `--jobs` levels exactly like the packet
 //! log and telemetry digests (DESIGN.md §9/§10). Wall-clock throughput lives
-//! elsewhere (the bench harness and the executor's sanctioned waiver site),
-//! never here.
+//! elsewhere (the repo benchmark in `benchmark/` and the executor's
+//! sanctioned waiver site), never here.
 //!
 //! Profiles from independent runs [`merge`](Profile::merge) into a fleet
 //! aggregate: counts and histograms add, high-water marks take the max.
 
+use crate::digest::Fnv1a;
 use std::collections::BTreeMap;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Number of log2 buckets in the inter-event gap histogram: bucket `i`
 /// counts gaps in `[2^(i-1), 2^i)` nanoseconds (bucket 0 counts zero-gap
@@ -168,28 +166,22 @@ impl Profile {
     /// FNV-1a digest over every counter, in a fixed order. Deterministic for
     /// a fixed seed/configuration and invariant across `--jobs` levels.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for (label, count) in self.labels.iter().zip(&self.counts) {
-            mix(label.as_bytes());
-            mix(&[0xFF]);
-            mix(&count.to_le_bytes());
+        let mut h = Fnv1a::new();
+        for (label, &count) in self.labels.iter().zip(&self.counts) {
+            h.bytes(label.as_bytes());
+            h.bytes(&[0xFF]);
+            h.u64(count);
         }
-        for b in &self.gap_hist {
-            mix(&b.to_le_bytes());
+        for &b in &self.gap_hist {
+            h.u64(b);
         }
-        mix(&self.depth_high_water.to_le_bytes());
-        mix(&self.reserve_calls.to_le_bytes());
-        mix(&self.reserved_slots.to_le_bytes());
-        mix(&self.arena_high_water.to_le_bytes());
-        mix(&self.flow_high_water.to_le_bytes());
-        mix(&self.runs.to_le_bytes());
-        h
+        h.u64(self.depth_high_water);
+        h.u64(self.reserve_calls);
+        h.u64(self.reserved_slots);
+        h.u64(self.arena_high_water);
+        h.u64(self.flow_high_water);
+        h.u64(self.runs);
+        h.finish()
     }
 
     /// The profile as ordered `(key, value)` rows for reports and artifact

@@ -29,8 +29,7 @@
 //! events in non-decreasing time order — the in-tree schema checker (and
 //! sane viewers) require per-track monotone `ts`.
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use crate::digest::Fnv1a;
 
 /// Process id of the deterministic sim-time timeline family.
 pub const SIM_PID: u64 = 1;
@@ -274,12 +273,9 @@ impl TraceBuilder {
     /// `--jobs` level. Traces containing wall-time tracks are outside the
     /// claim (their contents are scheduling-dependent by design).
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &b in self.render().as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        let mut h = Fnv1a::new();
+        h.bytes(self.render().as_bytes());
+        h.finish()
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::machine::SenderMachine;
 use netsim::FlowId;
 use simcore::trace::Ring;
-use simcore::SimTime;
+use simcore::{Fnv1a, SimTime};
 
 /// A congestion-control lifecycle transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -166,26 +166,18 @@ impl SpanLog {
     /// A 64-bit FNV-1a digest over every retained record. Bit-identical
     /// runs produce identical digests; the determinism tests compare these.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
         for r in self.iter() {
-            mix(r.time.as_nanos());
-            mix(u64::from(r.flow.0));
-            mix(u64::from(r.kind.code()));
-            mix(r.cwnd_before.to_bits());
-            mix(r.cwnd_after.to_bits());
-            mix(r.ssthresh_after.to_bits());
-            mix(r.snd_una);
+            h.u64(r.time.as_nanos());
+            h.u64(u64::from(r.flow.0));
+            h.u64(u64::from(r.kind.code()));
+            h.u64(r.cwnd_before.to_bits());
+            h.u64(r.cwnd_after.to_bits());
+            h.u64(r.ssthresh_after.to_bits());
+            h.u64(r.snd_una);
         }
-        mix(self.total_pushed());
-        h
+        h.u64(self.total_pushed());
+        h.finish()
     }
 
     /// Renders the retained records as JSON Lines, one span per line, in

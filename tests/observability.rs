@@ -8,6 +8,7 @@
 
 use buffersizing::explain::{self, CausalEvent};
 use buffersizing::runner::{LongFlowResult, TracedRun};
+use buffersizing::{Json, RunManifest};
 use netsim::red::RedConfig;
 use netsim::{
     Drr, DropReason, DumbbellBuilder, ForensicsConfig, Red, Sim, TelemetryConfig,
@@ -309,4 +310,51 @@ fn indexed_join_equals_quadratic_reference_on_dctcp_at_sqrt_n_buffer() {
         assert_eq!(explain::to_jsonl(&run), explain::to_jsonl_from(&slow));
         assert_eq!(explain::narrative(&run), explain::narrative_from(&run, &slow));
     }
+}
+
+/// Tier-1 drift gate for the committed `artifacts/explain.json`: rebuild
+/// the scenario from the manifest's own parameters, run it traced, and
+/// require every digest and the dispatch count the file records.
+#[test]
+fn committed_explain_artifact_reproduces_from_its_manifest() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts/explain.json");
+    let doc = Json::parse(&std::fs::read_to_string(&path).expect("reading explain.json"))
+        .expect("explain.json parses");
+    let manifest = RunManifest::from_json(doc.get("manifest").expect("manifest block"))
+        .expect("well-formed manifest");
+    let param = |key: &str| -> f64 {
+        let (_, v) = manifest
+            .params
+            .iter()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("manifest has no param {key}"));
+        v.parse()
+            .unwrap_or_else(|_| panic!("param {key} = {v:?} is not a number"))
+    };
+    let mut sc = LongFlowScenario::quick(param("n_flows") as usize, param("rate_bps") as u64);
+    sc.seed = manifest.seed;
+    sc.buffer_pkts = param("buffer_pkts") as usize;
+    sc.measure = SimDuration::from_secs_f64(param("measure_s"));
+    let run = sc.run_traced(2_000_000);
+    assert_eq!(run.overflowed, 0, "packet log overflowed");
+
+    let stale = "artifacts/explain* are stale — rerun `cargo run --release -p bench --bin explain`";
+    let hex = |key: &str| u64::from_str_radix(doc.str(key).expect(key), 16).expect(key);
+    assert_eq!(
+        Some(run.packet_digest),
+        manifest.packet_log_digest,
+        "{stale}"
+    );
+    assert_eq!(
+        Some(run.profile.digest()),
+        manifest.profile_digest,
+        "{stale}"
+    );
+    assert_eq!(run.ledger.digest(), hex("forensics_digest"), "{stale}");
+    assert_eq!(run.spans.digest(), hex("span_digest"), "{stale}");
+    assert_eq!(
+        run.profile.dispatches() as f64,
+        doc.num("events_dispatched").expect("events_dispatched"),
+        "{stale}"
+    );
 }

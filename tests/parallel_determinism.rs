@@ -11,12 +11,15 @@ use sizing_router_buffers::prelude::*;
 use tcpsim::cc::Reno;
 use tcpsim::{TcpSink, TcpSource};
 
-/// One sweep cell: a quick long-flow run at the given buffer size.
+/// One sweep cell: a quick long-flow run at the given buffer size, with
+/// the self-profiler on so its snapshot (`LongFlowResult::profile`) is one
+/// more field the jobs-invariance equality covers.
 fn sweep_cell(buffer_pkts: usize) -> LongFlowResult {
     let mut sc = LongFlowScenario::quick(8, 20_000_000);
     sc.warmup = SimDuration::from_secs(1);
     sc.measure = SimDuration::from_secs(3);
     sc.buffer_pkts = buffer_pkts;
+    sc.profiler = true;
     sc.run()
 }
 
