@@ -39,25 +39,47 @@
 pub mod artifacts;
 pub mod results;
 
+fn cli_args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
 /// True when `--quick` was passed on the command line.
 pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick" || a == "-q")
+    quick_in(&cli_args())
+}
+
+fn quick_in(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--quick" || a == "-q")
 }
 
 /// Worker count from `--jobs N` on the command line; defaults to the
 /// machine's available parallelism. `--jobs 1` forces the sequential path,
-/// which reproduces the pre-parallelism output exactly.
+/// which reproduces the pre-parallelism output exactly. A value that is not
+/// a non-negative integer is reported on stderr and the process exits 2.
 pub fn jobs_flag() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
+    match jobs_in(&cli_args()) {
+        Ok(jobs) => jobs.unwrap_or_else(buffersizing::exec::default_jobs),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `Ok(None)` when neither `--jobs` nor `-j` is present (or it is the last
+/// argument); `0` is clamped to 1.
+fn jobs_in(args: &[String]) -> Result<Option<usize>, String> {
+    let value = args
+        .iter()
         .position(|a| a == "--jobs" || a == "-j")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse::<usize>()
-                .unwrap_or_else(|_| panic!("--jobs expects a positive integer, got {v:?}"))
-                .max(1)
-        })
-        .unwrap_or_else(buffersizing::exec::default_jobs)
+        .and_then(|i| args.get(i + 1));
+    match value {
+        None => Ok(None),
+        Some(v) => v
+            .parse::<usize>()
+            .map(|n| Some(n.max(1)))
+            .map_err(|_| format!("--jobs expects a positive integer, got {v:?}")),
+    }
 }
 
 /// When `--csv <path>` was passed, returns the path to write CSV to.
@@ -67,7 +89,10 @@ pub fn csv_flag() -> Option<String> {
 
 /// Value of an arbitrary `<flag> <value>` command-line pair, when present.
 pub fn str_flag(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
+    str_in(&cli_args(), flag)
+}
+
+fn str_in(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
@@ -90,9 +115,38 @@ pub fn preamble(artifact: &str, quick: bool) {
 
 #[cfg(test)]
 mod tests {
+    use super::{jobs_in, quick_in, str_in};
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
-    fn quick_flag_false_in_tests() {
-        // The test harness args don't include --quick.
-        assert!(!super::quick_flag() || std::env::args().any(|a| a.contains("quick")));
+    fn quick_flag_long_and_short() {
+        assert!(quick_in(&args(&["--quick"])));
+        assert!(quick_in(&args(&["--jobs", "2", "-q"])));
+        assert!(!quick_in(&args(&["--jobs", "2"])));
+        assert!(!quick_in(&args(&["--quickly"])));
+    }
+
+    #[test]
+    fn jobs_flag_parses_or_reports() {
+        assert_eq!(jobs_in(&args(&["--jobs", "3"])), Ok(Some(3)));
+        assert_eq!(jobs_in(&args(&["--quick", "-j", "3"])), Ok(Some(3)));
+        assert_eq!(jobs_in(&args(&["--jobs", "0"])), Ok(Some(1)));
+        assert_eq!(jobs_in(&args(&["--quick"])), Ok(None));
+        assert_eq!(jobs_in(&args(&["--jobs"])), Ok(None));
+        assert_eq!(
+            jobs_in(&args(&["--jobs", "x"])),
+            Err("--jobs expects a positive integer, got \"x\"".to_string())
+        );
+        assert!(jobs_in(&args(&["-j", "-1"])).is_err());
+    }
+
+    #[test]
+    fn csv_flag_takes_the_following_value() {
+        assert_eq!(str_in(&args(&["--csv", "p"]), "--csv"), Some("p".to_string()));
+        assert_eq!(str_in(&args(&["--quick"]), "--csv"), None);
+        assert_eq!(str_in(&args(&["--csv"]), "--csv"), None);
     }
 }

@@ -18,7 +18,7 @@
 //!   with hotness propagated one call level deep so an allocation in a
 //!   helper *called from* a marked region is still a finding.
 //! * [`rules`] — the thirteen rules (see [`RuleId::ALL`]), each with a
-//!   default severity ([`rules::Severity`]): `deny` rules break determinism
+//!   fixed severity ([`rules::Severity`]): `deny` rules break determinism
 //!   today, `warn` rules break it under planned parallel-DES work. The
 //!   authoritative rule table (rationale, scope, waiver policy) lives in
 //!   `DESIGN.md` §7.
@@ -26,34 +26,30 @@
 //!   waiver application, and the waiver audit: every
 //!   `// simlint: allow(rule): justification` must carry a justification,
 //!   and a waiver that suppresses nothing is reported *stale*.
-//! * [`report`] — the byte-stable `artifacts/simlint.json` report, the
-//!   committed `artifacts/simlint_baseline.json`, and the ratchet
-//!   (violation counts may only go down; new waivers require a deliberate
-//!   baseline regeneration).
 //!
-//! Rules are configured by `simlint.toml` at the workspace root and waived
-//! per line (`// simlint: allow(rule): why`), for the next line (a waiver
-//! comment on a line of its own), or per file
+//! The contract has one legal state, so it is code, not configuration: the
+//! scan scope is [`ROOTS`] / [`KERNEL_ROOTS`], every rule is always on with
+//! its fixed severity and test-scoping ([`RuleId::severity`],
+//! [`RuleId::skip_tests`]), and the gate is *zero findings*. Findings are
+//! waived per line (`// simlint: allow(rule): why`), for the next line (a
+//! waiver comment on a line of its own), or per file
 //! (`// simlint: allow-file(rule): why`).
 //!
-//! The linter runs as a binary (`cargo run -p simlint`, see `main.rs` for
-//! the `--format json` / `--ratchet` / `--write-baseline` flags) and as a
+//! The linter runs as a binary (`cargo run -p simlint`: no arguments, exit
+//! 0 clean / 1 on any finding / 2 on an I/O error or any argument) and as a
 //! library from the tier-1 test `tests/static_analysis.rs`, which asserts
-//! zero violations. Its dynamic counterpart is `netsim::Auditor`, which
-//! checks at run time what a static pass cannot see (packet conservation,
-//! queue bounds, event-time monotonicity).
+//! zero violations and pins the rule, scan-root, hot-path-marker and waiver
+//! inventories. Its dynamic counterpart is `netsim::Auditor`, which checks
+//! at run time what a static pass cannot see (packet conservation, queue
+//! bounds, event-time monotonicity).
 
-pub mod config;
 pub mod graph;
 pub mod lex;
-pub mod report;
 pub mod rules;
 pub mod scan;
 
-pub use config::{Config, RuleSettings};
-pub use report::{parse_baseline, ratchet, render_baseline, render_report, Baseline};
 pub use rules::{RuleId, Severity};
 pub use scan::{
     analyze_source, analyze_workspace, check_source, check_workspace, Analysis, Violation, Waiver,
-    WaiverKind,
+    WaiverKind, KERNEL_ROOTS, ROOTS,
 };

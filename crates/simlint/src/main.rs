@@ -1,205 +1,34 @@
-//! `cargo run -p simlint` — scan the workspace and report violations.
+//! `cargo run -p simlint` — scan the workspace and list violations.
 //!
-//! Flags:
-//!
-//! * `--format json` — print the machine-readable report to stdout instead
-//!   of the human-readable listing.
-//! * `--ratchet <baseline.json>` — ratchet mode: compare against the
-//!   committed baseline and fail only on regressions (a per-rule count
-//!   above baseline, a waiver not in the baseline inventory, or a stale
-//!   waiver).
-//! * `--write-baseline [<path>]` — capture the current state as the new
-//!   baseline (default `artifacts/simlint_baseline.json`) and exit.
-//!
-//! Every run also rewrites `artifacts/simlint.json` (byte-stable, so a
-//! clean tree never shows a diff).
-//!
-//! Exits 0 when the contract (or the ratchet) holds, 1 when violations or
-//! ratchet failures are found, 2 on configuration or I/O errors.
+//! Takes no arguments, reads no configuration and writes no file: the
+//! contract is [`simlint::ROOTS`] × [`simlint::RuleId::ALL`], and the gate
+//! is zero findings. Exits 0 when the contract holds, 1 on any finding, 2
+//! on an I/O error or any argument.
 
-use simlint::{analyze_workspace, parse_baseline, ratchet, render_baseline, render_report};
-use simlint::{Baseline, Config};
-use std::path::PathBuf;
+use simlint::{analyze_workspace, RuleId, ROOTS};
+use std::path::Path;
 use std::process::ExitCode;
 
-/// Finds the workspace root: the nearest ancestor of the current directory
-/// containing `simlint.toml`, falling back to the crate's grandparent
-/// (`crates/simlint/../..`) so the binary also works from a build script or
-/// test harness cwd.
-fn workspace_root() -> Option<PathBuf> {
-    if let Ok(mut dir) = std::env::current_dir() {
-        loop {
-            if dir.join("simlint.toml").is_file() {
-                return Some(dir);
-            }
-            if !dir.pop() {
-                break;
-            }
-        }
-    }
-    let fallback = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    fallback.join("simlint.toml").is_file().then_some(fallback)
-}
-
-/// Parsed command line.
-struct Args {
-    json: bool,
-    ratchet_path: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        json: false,
-        ratchet_path: None,
-        write_baseline: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--format" => {
-                i += 1;
-                match argv.get(i).map(String::as_str) {
-                    Some("json") => args.json = true,
-                    Some("text") => args.json = false,
-                    other => {
-                        return Err(format!("--format expects `json` or `text`, got {other:?}"))
-                    }
-                }
-            }
-            "--ratchet" => {
-                i += 1;
-                let path = argv.get(i).ok_or("--ratchet expects a baseline path")?;
-                args.ratchet_path = Some(PathBuf::from(path));
-            }
-            "--write-baseline" => {
-                // Optional path operand; empty means "use the default".
-                match argv.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        args.write_baseline = Some(PathBuf::from(next));
-                        i += 1;
-                    }
-                    _ => args.write_baseline = Some(PathBuf::new()),
-                }
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument `{other}` (flags: --format json|text, --ratchet <baseline>, --write-baseline [path])"
-                ))
-            }
-        }
-        i += 1;
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("simlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let Some(root) = workspace_root() else {
-        eprintln!("simlint: no simlint.toml found above the current directory");
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("simlint: unexpected argument `{arg}` (simlint takes no arguments)");
         return ExitCode::from(2);
-    };
-    let cfg = match Config::load(&root.join("simlint.toml")) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("simlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let analysis = match analyze_workspace(&root, &cfg) {
+    }
+    // The repository root, fixed at compile time (`crates/simlint/../..`),
+    // so the binary scans the same tree from any working directory.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let analysis = match analyze_workspace(&root) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("simlint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-
-    // Always refresh the machine-readable report (byte-stable).
-    let report = render_report(&analysis);
-    let report_path = root.join("artifacts/simlint.json");
-    if let Err(e) = std::fs::create_dir_all(report_path.parent().expect("artifacts dir"))
-        .and_then(|()| std::fs::write(&report_path, &report))
-    {
-        eprintln!("simlint: writing {}: {e}", report_path.display());
-        return ExitCode::from(2);
-    }
-
-    if let Some(path) = &args.write_baseline {
-        let path = if path.as_os_str().is_empty() {
-            root.join("artifacts/simlint_baseline.json")
-        } else {
-            path.clone()
-        };
-        let baseline = render_baseline(&Baseline::capture(&analysis));
-        if let Err(e) = std::fs::write(&path, baseline) {
-            eprintln!("simlint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "simlint: baseline written to {} ({} violation(s), {} waiver(s))",
-            path.display(),
-            analysis.violations.len(),
-            analysis.waivers.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(baseline_path) = &args.ratchet_path {
-        let baseline = match std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))
-            .and_then(|t| parse_baseline(&t))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("simlint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let failures = ratchet(&analysis, &baseline);
-        if args.json {
-            print!("{report}");
-        }
-        return if failures.is_empty() {
-            println!(
-                "simlint: ratchet holds ({} violation(s) within baseline, {} waiver(s))",
-                analysis.violations.len(),
-                analysis.waivers.len()
-            );
-            ExitCode::SUCCESS
-        } else {
-            for f in &failures {
-                eprintln!("simlint: ratchet: {f}");
-            }
-            eprintln!(
-                "simlint: ratchet failed ({} regression(s)); full report: {}",
-                failures.len(),
-                report_path.display()
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.json {
-        print!("{report}");
-        return if analysis.violations.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
     if analysis.violations.is_empty() {
         println!(
             "simlint: determinism contract holds ({} roots, {} rules, {} waiver(s))",
-            cfg.roots.len(),
-            cfg.rules.values().filter(|s| s.enabled).count(),
+            ROOTS.len(),
+            RuleId::ALL.len(),
             analysis.waivers.len()
         );
         ExitCode::SUCCESS
@@ -207,7 +36,11 @@ fn main() -> ExitCode {
         for v in &analysis.violations {
             println!("{v}");
         }
-        println!("simlint: {} violation(s)", analysis.violations.len());
+        println!(
+            "simlint: {} violation(s), {} waiver(s)",
+            analysis.violations.len(),
+            analysis.waivers.len()
+        );
         ExitCode::FAILURE
     }
 }

@@ -15,13 +15,13 @@
 //! Severities: a `deny` rule breaks determinism *today*; a `warn` rule
 //! breaks it under planned work (parallel-DES float reductions) or is a
 //! robustness hazard (kernel panics). Both count as violations — the
-//! contract is zero unwaived findings — but they are ratcheted separately
-//! in `artifacts/simlint_baseline.json` (see [`crate::report`]).
+//! contract is zero unwaived findings; the severity is a fixed per-rule
+//! label on each finding, not a setting.
 
 use crate::lex::{LexedFile, Spanned, Tok};
 use std::collections::BTreeSet;
 
-/// Violation severity, attached to every finding and to the JSON report.
+/// Violation severity, attached to every finding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Breaks the determinism contract as the code stands.
@@ -32,20 +32,11 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// The severity's name as used in config and the JSON report.
+    /// The severity's name as printed in findings.
     pub fn name(self) -> &'static str {
         match self {
             Severity::Deny => "deny",
             Severity::Warn => "warn",
-        }
-    }
-
-    /// Parses a severity name.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "deny" => Some(Severity::Deny),
-            "warn" => Some(Severity::Warn),
-            _ => None,
         }
     }
 }
@@ -122,7 +113,7 @@ impl RuleId {
         RuleId::StaleWaiver,
     ];
 
-    /// The rule's name as used in `simlint.toml` and waiver comments.
+    /// The rule's name as used in findings and waiver comments.
     pub fn name(self) -> &'static str {
         match self {
             RuleId::HashContainer => "hash-container",
@@ -141,26 +132,26 @@ impl RuleId {
         }
     }
 
-    /// Default severity (overridable per rule in `simlint.toml`).
-    pub fn default_severity(self) -> Severity {
+    /// The rule's severity.
+    pub fn severity(self) -> Severity {
         match self {
             RuleId::FloatReduction | RuleId::PanicInKernel => Severity::Warn,
             _ => Severity::Deny,
         }
     }
 
-    /// Whether `#[cfg(test)]` code is exempt by default. `panic-in-kernel`
-    /// skips tests out of the box (tests *should* unwrap), as does
+    /// Whether `#[cfg(test)]` code is exempt. `panic-in-kernel` skips
+    /// tests (tests *should* unwrap), as does
     /// `float-reduction` (test statistics helpers sum sampled floats to
     /// compare against tolerances — no parallel-DES partition will ever run
     /// them). Every other rule guards test determinism too.
-    pub fn default_skip_tests(self) -> bool {
+    pub fn skip_tests(self) -> bool {
         matches!(self, RuleId::PanicInKernel | RuleId::FloatReduction)
     }
 
-    /// Whether this rule only applies to files under the configured
-    /// `kernel_roots` (the single-threaded simulation crates), as opposed
-    /// to every scanned root.
+    /// Whether this rule only applies to files under
+    /// [`crate::KERNEL_ROOTS`] (the single-threaded simulation crates), as
+    /// opposed to every scanned root.
     pub fn kernel_only(self) -> bool {
         matches!(
             self,
@@ -181,7 +172,7 @@ impl RuleId {
         matches!(self, RuleId::WaiverJustification | RuleId::StaleWaiver)
     }
 
-    /// Parses a rule name (as written in config/waivers).
+    /// Parses a rule name (as written in waivers).
     pub fn parse(s: &str) -> Option<RuleId> {
         RuleId::ALL.into_iter().find(|r| r.name() == s)
     }
@@ -269,7 +260,7 @@ pub fn check_tokens(lf: &LexedFile) -> Vec<TokenFinding> {
     // One finding per (line, rule): several heuristics of the same rule can
     // recognize the same construct (a `for` loop over `m.iter()` matches
     // both the loop and the method matcher); reporting it once keeps the
-    // fix-one-see-next loop sane and the JSON report stable.
+    // fix-one-see-next loop sane and the listing stable.
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out.dedup_by(|a, b| (a.line, a.rule) == (b.line, b.rule));
     out
@@ -798,12 +789,9 @@ mod tests {
     }
 
     #[test]
-    fn severity_defaults_and_parse() {
-        assert_eq!(RuleId::HashContainer.default_severity(), Severity::Deny);
-        assert_eq!(RuleId::PanicInKernel.default_severity(), Severity::Warn);
-        assert_eq!(Severity::parse("warn"), Some(Severity::Warn));
-        assert_eq!(Severity::parse("deny"), Some(Severity::Deny));
-        assert_eq!(Severity::parse("loud"), None);
+    fn severity_per_rule() {
+        assert_eq!(RuleId::HashContainer.severity(), Severity::Deny);
+        assert_eq!(RuleId::PanicInKernel.severity(), Severity::Warn);
     }
 
     #[test]

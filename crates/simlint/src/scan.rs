@@ -19,14 +19,46 @@
 //! of *flagging*, and the (audited) waiver syntax exists for the rare
 //! sanctioned exception.
 
-use crate::config::Config;
 use crate::graph::CrateGraph;
 use crate::lex::{lex, LexedFile};
-use crate::rules::{check_tokens, RuleId, Severity};
+use crate::rules::{check_tokens, RuleId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// The single-threaded simulation kernel: the four simulation crates.
+/// Kernel-only rules (`float-reduction`, `shared-mut-state`,
+/// `panic-in-kernel`) apply just here: the driver layer legitimately uses
+/// threads, locks, and unwraps on I/O paths, but the kernel must stay
+/// panic-free, lock-free, and reduction-order-independent so a future
+/// parallel-DES partition cannot diverge.
+pub const KERNEL_ROOTS: [&str; 4] = [
+    "crates/simcore",
+    "crates/netsim",
+    "crates/tcpsim",
+    "crates/traffic",
+];
+
+/// The directories scanned, relative to the repository root: the
+/// [`KERNEL_ROOTS`] plus `crates/core`, the driver layer (it holds no
+/// per-run simulation state, but it orchestrates runs and computes results).
+pub const ROOTS: [&str; 5] = [
+    KERNEL_ROOTS[0],
+    KERNEL_ROOTS[1],
+    KERNEL_ROOTS[2],
+    KERNEL_ROOTS[3],
+    "crates/core",
+];
+
+/// True iff a reported file label falls under one of the [`KERNEL_ROOTS`].
+fn is_kernel_file(label: &str) -> bool {
+    KERNEL_ROOTS.iter().any(|r| {
+        label
+            .strip_prefix(r)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+    })
+}
 
 /// One determinism-contract violation.
 #[derive(Clone, Debug)]
@@ -38,8 +70,6 @@ pub struct Violation {
     pub line: usize,
     /// The rule that fired.
     pub rule: RuleId,
-    /// Effective severity (config override applied).
-    pub severity: Severity,
     /// What was found.
     pub message: String,
     /// The offending source line, trimmed.
@@ -50,11 +80,11 @@ impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: [{}/{}] {} — {}\n    {}",
+            "{}:{} [{}] {}: {} — {}\n    {}",
             self.file,
             self.line,
+            self.rule.severity().name(),
             self.rule.name(),
-            self.severity.name(),
             self.message,
             self.rule.explain(),
             self.snippet
@@ -72,7 +102,7 @@ pub enum WaiverKind {
 }
 
 impl WaiverKind {
-    /// The kind's name as used in the JSON report and baseline.
+    /// The kind's name (`line` / `file`), as pinned by the waiver inventory.
     pub fn name(self) -> &'static str {
         match self {
             WaiverKind::Line => "line",
@@ -100,21 +130,8 @@ pub struct Waiver {
     pub used: usize,
 }
 
-impl Waiver {
-    /// Stable identity for the baseline inventory: `file:line:kind:rule`.
-    pub fn key(&self) -> String {
-        format!(
-            "{}:{}:{}:{}",
-            self.file,
-            self.line,
-            self.kind.name(),
-            self.rule_name
-        )
-    }
-}
-
 /// Complete output of one analysis run: sorted violations plus the waiver
-/// table (with usage counts) for the report and baseline.
+/// table (with usage counts).
 #[derive(Clone, Debug, Default)]
 pub struct Analysis {
     /// Violations, sorted by (file, line, rule name).
@@ -236,7 +253,7 @@ struct Candidate {
 /// Analyzes one crate: `sources[i]` has display label `labels[i]`. All
 /// files are lexed together so `hot-path` propagation can cross files
 /// within the crate.
-fn analyze_crate(labels: &[&str], sources: &[&str], cfg: &Config) -> Analysis {
+fn analyze_crate(labels: &[&str], sources: &[&str]) -> Analysis {
     let lexed: Vec<LexedFile> = sources.iter().map(|s| lex(s)).collect();
     let lexed_refs: Vec<&LexedFile> = lexed.iter().collect();
     let directives: Vec<FileDirectives> = labels
@@ -256,7 +273,7 @@ fn analyze_crate(labels: &[&str], sources: &[&str], cfg: &Config) -> Analysis {
                 .map(|l| l.trim().to_string())
                 .unwrap_or_default()
         };
-        let is_kernel = cfg.is_kernel_file(label);
+        let is_kernel = is_kernel_file(label);
         let hot_ranges = graph.hot_line_ranges(fi);
         let test_ranges = graph.test_line_ranges(fi);
         let in_test = |line: usize| test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
@@ -286,9 +303,6 @@ fn analyze_crate(labels: &[&str], sources: &[&str], cfg: &Config) -> Analysis {
                 continue;
             }
             for rule in RuleId::ALL {
-                if !cfg.rule(rule).enabled {
-                    continue;
-                }
                 if let Some(message) = rule.check_line(code) {
                     candidates.push(Candidate {
                         line: idx + 1,
@@ -299,20 +313,17 @@ fn analyze_crate(labels: &[&str], sources: &[&str], cfg: &Config) -> Analysis {
             }
         }
         for f in check_tokens(lf) {
-            if cfg.rule(f.rule).enabled {
-                candidates.push(Candidate {
-                    line: f.line,
-                    rule: f.rule,
-                    message: f.message,
-                });
-            }
+            candidates.push(Candidate {
+                line: f.line,
+                rule: f.rule,
+                message: f.message,
+            });
         }
 
         // Scope filtering.
         let mut scoped: Vec<Candidate> = Vec::new();
         for mut c in candidates {
-            let settings = cfg.rule(c.rule);
-            if settings.skip_tests && in_test(c.line) {
+            if c.rule.skip_tests() && in_test(c.line) {
                 continue;
             }
             if c.rule.kernel_only() && !is_kernel {
@@ -364,7 +375,6 @@ fn analyze_crate(labels: &[&str], sources: &[&str], cfg: &Config) -> Analysis {
                 file: label.to_string(),
                 line: c.line,
                 rule: c.rule,
-                severity: cfg.rule(c.rule).severity,
                 message: c.message,
                 snippet: snippet(c.line),
             });
@@ -376,42 +386,36 @@ fn analyze_crate(labels: &[&str], sources: &[&str], cfg: &Config) -> Analysis {
                 file: label.to_string(),
                 line: w.line,
                 rule,
-                severity: cfg.rule(rule).severity,
                 message,
                 snippet: snippet(w.line),
             };
-            if cfg.rule(RuleId::WaiverJustification).enabled {
-                match w.rule {
-                    None => {
-                        analysis.violations.push(audit(
-                            RuleId::WaiverJustification,
-                            format!("waiver names unknown rule `{}`", w.rule_name),
-                        ));
-                        continue;
-                    }
-                    Some(r) if r.is_meta() => {
-                        analysis.violations.push(audit(
-                            RuleId::WaiverJustification,
-                            format!("meta rule `{}` cannot be waived", w.rule_name),
-                        ));
-                        continue;
-                    }
-                    Some(_) if w.justification.is_none() => {
-                        analysis.violations.push(audit(
-                            RuleId::WaiverJustification,
-                            format!(
-                                "waiver for `{}` lacks a justification (`… allow({}): why`)",
-                                w.rule_name, w.rule_name
-                            ),
-                        ));
-                    }
-                    Some(_) => {}
+            match w.rule {
+                None => {
+                    analysis.violations.push(audit(
+                        RuleId::WaiverJustification,
+                        format!("waiver names unknown rule `{}`", w.rule_name),
+                    ));
+                    continue;
                 }
+                Some(r) if r.is_meta() => {
+                    analysis.violations.push(audit(
+                        RuleId::WaiverJustification,
+                        format!("meta rule `{}` cannot be waived", w.rule_name),
+                    ));
+                    continue;
+                }
+                Some(_) if w.justification.is_none() => {
+                    analysis.violations.push(audit(
+                        RuleId::WaiverJustification,
+                        format!(
+                            "waiver for `{}` lacks a justification (`… allow({}): why`)",
+                            w.rule_name, w.rule_name
+                        ),
+                    ));
+                }
+                Some(_) => {}
             }
-            if cfg.rule(RuleId::StaleWaiver).enabled
-                && w.used == 0
-                && w.rule.is_some_and(|r| cfg.rule(r).enabled)
-            {
+            if w.used == 0 {
                 analysis.violations.push(audit(
                     RuleId::StaleWaiver,
                     format!(
@@ -429,34 +433,25 @@ fn analyze_crate(labels: &[&str], sources: &[&str], cfg: &Config) -> Analysis {
 
 impl Analysis {
     /// Sorts violations by (file, line, rule name) and waivers by
-    /// (file, line, rule name) — the deterministic report order.
+    /// (file, line, rule name) — the deterministic listing order.
     fn sort(&mut self) {
         self.violations
             .sort_by(|a, b| (&a.file, a.line, a.rule.name()).cmp(&(&b.file, b.line, b.rule.name())));
         self.waivers
             .sort_by(|a, b| (&a.file, a.line, &a.rule_name).cmp(&(&b.file, b.line, &b.rule_name)));
     }
-
-    /// Violation count per rule, over all 13 rules (zero-filled).
-    pub fn rule_counts(&self) -> BTreeMap<RuleId, usize> {
-        let mut counts: BTreeMap<RuleId, usize> = RuleId::ALL.into_iter().map(|r| (r, 0)).collect();
-        for v in &self.violations {
-            *counts.entry(v.rule).or_default() += 1;
-        }
-        counts
-    }
 }
 
 /// Lints one source file's text (treated as a one-file crate). `label` is
 /// used as the file name in reported violations and decides whether
-/// kernel-only rules apply (see [`Config::is_kernel_file`]).
-pub fn check_source(label: &str, source: &str, cfg: &Config) -> Vec<Violation> {
-    analyze_source(label, source, cfg).violations
+/// kernel-only rules apply (a label under one of the [`KERNEL_ROOTS`]).
+pub fn check_source(label: &str, source: &str) -> Vec<Violation> {
+    analyze_source(label, source).violations
 }
 
 /// Full analysis (violations + waiver table) of one source file.
-pub fn analyze_source(label: &str, source: &str, cfg: &Config) -> Analysis {
-    analyze_crate(&[label], &[source], cfg)
+pub fn analyze_source(label: &str, source: &str) -> Analysis {
+    analyze_crate(&[label], &[source])
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for deterministic
@@ -480,15 +475,14 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Analyzes every `.rs` file under the configured scan roots. Each root is
-/// one crate for call-graph purposes (hot-path propagation does not cross
-/// roots).
+/// Analyzes every `.rs` file under the [`ROOTS`]. Each root is one crate for
+/// call-graph purposes (hot-path propagation does not cross roots).
 ///
-/// `workspace_root` is the directory containing `simlint.toml`; reported
-/// file names are relative to it.
-pub fn analyze_workspace(workspace_root: &Path, cfg: &Config) -> io::Result<Analysis> {
+/// `workspace_root` is the repository root; reported file names are
+/// relative to it.
+pub fn analyze_workspace(workspace_root: &Path) -> io::Result<Analysis> {
     let mut analysis = Analysis::default();
-    for root in &cfg.roots {
+    for root in ROOTS {
         let dir = workspace_root.join(root);
         if !dir.is_dir() {
             return Err(io::Error::new(
@@ -511,7 +505,7 @@ pub fn analyze_workspace(workspace_root: &Path, cfg: &Config) -> io::Result<Anal
         }
         let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
         let source_refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        let crate_analysis = analyze_crate(&label_refs, &source_refs, cfg);
+        let crate_analysis = analyze_crate(&label_refs, &source_refs);
         analysis.violations.extend(crate_analysis.violations);
         analysis.waivers.extend(crate_analysis.waivers);
     }
@@ -519,10 +513,10 @@ pub fn analyze_workspace(workspace_root: &Path, cfg: &Config) -> io::Result<Anal
     Ok(analysis)
 }
 
-/// Lints every `.rs` file under the configured scan roots (violations
-/// only; see [`analyze_workspace`] for the full product).
-pub fn check_workspace(workspace_root: &Path, cfg: &Config) -> io::Result<Vec<Violation>> {
-    Ok(analyze_workspace(workspace_root, cfg)?.violations)
+/// Lints every `.rs` file under the [`ROOTS`] (violations only; see
+/// [`analyze_workspace`] for the full product).
+pub fn check_workspace(workspace_root: &Path) -> io::Result<Vec<Violation>> {
+    Ok(analyze_workspace(workspace_root)?.violations)
 }
 
 #[cfg(test)]
@@ -530,12 +524,12 @@ mod tests {
     use super::*;
 
     fn lint(src: &str) -> Vec<Violation> {
-        check_source("test.rs", src, &Config::default_contract())
+        check_source("test.rs", src)
     }
 
     /// Lint under a kernel-crate label, so kernel-only rules apply.
     fn lint_kernel(src: &str) -> Vec<Violation> {
-        check_source("crates/simcore/src/x.rs", src, &Config::default_contract())
+        check_source("crates/simcore/src/x.rs", src)
     }
 
     #[test]
@@ -619,7 +613,16 @@ mod tests {
     }
 
     #[test]
-    fn skip_tests_setting_exempts_cfg_test_modules() {
+    fn kernel_roots_match_whole_path_components() {
+        assert!(is_kernel_file("crates/simcore/src/lib.rs"));
+        assert!(is_kernel_file("crates/netsim/src/queue.rs"));
+        assert!(!is_kernel_file("crates/core/src/exec.rs"));
+        assert!(!is_kernel_file("crates/simcore2/src/lib.rs"));
+        assert!(!is_kernel_file("test.rs"));
+    }
+
+    #[test]
+    fn wall_clock_applies_inside_cfg_test_modules() {
         let src = "
             fn prod(t: SimTime) { let _ = t; }
             #[cfg(test)]
@@ -629,32 +632,16 @@ mod tests {
             }
             fn late() { let _x = std::time::Instant::now(); }
         ";
-        // Default: test code is linted too (the bare `use` doesn't match —
-        // only the `Instant::now` call sites do).
+        // Test code is linted too (the bare `use` doesn't match — only the
+        // `Instant::now` call sites do).
         assert_eq!(lint(src).len(), 2);
-        // With skip_tests, only the code outside the test module fires.
-        let mut cfg = Config::default_contract();
-        cfg.rules.get_mut(&RuleId::WallClock).unwrap().skip_tests = true;
-        let v = check_source("test.rs", src, &cfg);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 8);
-    }
-
-    #[test]
-    fn disabled_rule_is_silent() {
-        let mut cfg = Config::default_contract();
-        cfg.rules.get_mut(&RuleId::HashContainer).unwrap().enabled = false;
-        let v = check_source("t.rs", "use std::collections::HashMap;", &cfg);
-        assert!(v.is_empty());
     }
 
     #[test]
     fn violation_display_is_informative() {
         let v = &lint("use std::collections::HashSet;")[0];
         let s = v.to_string();
-        assert!(s.contains("test.rs:1"));
-        assert!(s.contains("hash-container"));
-        assert!(s.contains("deny"));
+        assert!(s.starts_with("test.rs:1 [deny] hash-container: "), "{s}");
         assert!(s.contains("HashSet"));
     }
 
@@ -814,7 +801,6 @@ mod tests {
         let v = lint_kernel(src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, RuleId::PanicInKernel);
-        assert_eq!(v[0].severity, Severity::Warn);
     }
 
     #[test]
@@ -853,12 +839,12 @@ mod tests {
             use std::collections::HashMap;
             fn f() -> HashMap<u32, u32> { HashMap::new() }
         ";
-        let a = analyze_source("test.rs", src, &Config::default_contract());
+        let a = analyze_source("test.rs", src);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert_eq!(a.waivers.len(), 1);
         assert!(a.waivers[0].used >= 2, "{:?}", a.waivers);
         assert_eq!(a.waivers[0].kind, WaiverKind::File);
-        assert_eq!(a.waivers[0].key(), "test.rs:2:file:hash-container");
+        assert_eq!(a.waivers[0].line, 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (`waiver-justification`, `stale-waiver`) get dedicated seeds since they
 //! fire on waivers, not code.
 
-use simlint::{analyze_source, Config, RuleId};
+use simlint::{analyze_source, RuleId};
 use std::path::Path;
 
 /// A label under a kernel root so the kernel-only rules (float-reduction,
@@ -43,9 +43,8 @@ const CASES: [(&str, RuleId); 13] = [
 
 #[test]
 fn every_seed_fires_exactly_once() {
-    let cfg = Config::default_contract();
     for (stem, rule) in CASES {
-        let a = analyze_source(LABEL, &fixture(&format!("{stem}_fires.rs")), &cfg);
+        let a = analyze_source(LABEL, &fixture(&format!("{stem}_fires.rs")));
         let hits = a.violations.iter().filter(|v| v.rule == rule).count();
         assert_eq!(
             hits,
@@ -64,8 +63,7 @@ fn every_seed_fires_exactly_once() {
 
 #[test]
 fn transitive_seed_reports_its_call_site() {
-    let cfg = Config::default_contract();
-    let a = analyze_source(LABEL, &fixture("hot_path_alloc_transitive_fires.rs"), &cfg);
+    let a = analyze_source(LABEL, &fixture("hot_path_alloc_transitive_fires.rs"));
     assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
     assert!(
         a.violations[0].message.contains("called from hot path at"),
@@ -76,9 +74,8 @@ fn transitive_seed_reports_its_call_site() {
 
 #[test]
 fn justified_waiver_silences_every_seed() {
-    let cfg = Config::default_contract();
     for (stem, _) in CASES {
-        let a = analyze_source(LABEL, &fixture(&format!("{stem}_waived.rs")), &cfg);
+        let a = analyze_source(LABEL, &fixture(&format!("{stem}_waived.rs")));
         assert!(
             a.violations.is_empty(),
             "{stem}: waived fixture still fires: {:?}",
@@ -93,16 +90,14 @@ fn justified_waiver_silences_every_seed() {
 
 #[test]
 fn unjustified_waiver_is_flagged_but_still_suppresses() {
-    let cfg = Config::default_contract();
-    let a = analyze_source(LABEL, &fixture("waiver_justification_fires.rs"), &cfg);
+    let a = analyze_source(LABEL, &fixture("waiver_justification_fires.rs"));
     assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
     assert_eq!(a.violations[0].rule, RuleId::WaiverJustification);
 }
 
 #[test]
 fn stale_waiver_is_flagged() {
-    let cfg = Config::default_contract();
-    let a = analyze_source(LABEL, &fixture("stale_waiver_fires.rs"), &cfg);
+    let a = analyze_source(LABEL, &fixture("stale_waiver_fires.rs"));
     assert_eq!(a.violations.len(), 1, "{:?}", a.violations);
     assert_eq!(a.violations[0].rule, RuleId::StaleWaiver);
 }
