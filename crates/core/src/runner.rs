@@ -28,7 +28,7 @@ pub const PKT_SIZE: u32 = 1000;
 
 /// One-way access delays for `n` host pairs: each pair's two-way
 /// propagation delay is drawn uniformly from `rtt_range`, in pair order.
-fn access_delays(
+pub fn access_delays(
     rng: &mut Rng,
     n: usize,
     rtt_range: (SimDuration, SimDuration),
@@ -242,9 +242,9 @@ impl LongFlowScenario {
             span_capacity: self.span_capacity,
             ..Default::default()
         };
-        // One shared flow table for every sender: hot per-ACK state lives in
-        // dense arrays (see `tcpsim::table`), and its final length is the
-        // flow high-water mark the profiler reports.
+        // One shared flow table for every flow: hot per-ACK state lives in
+        // dense arrays (see `tcpsim::table`), and its registered-flow count
+        // is the flow high-water mark the profiler reports.
         let table = SharedFlowTable::new();
         table.reserve(self.n_flows);
         let handles = wl.install_in(&mut sim, &dumbbell, 0, &mut rng, &table);

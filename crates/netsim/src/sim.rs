@@ -211,6 +211,44 @@ pub struct FlowNetStats {
     pub delivered: u64,
 }
 
+/// The hosts one flow terminates at and the agent bound at each: the two
+/// ends of a connection at most.
+#[derive(Clone, Copy, Debug)]
+struct Bindings {
+    len: u8,
+    at: [(NodeId, AgentId); 2],
+}
+
+impl Bindings {
+    const NONE: Bindings = Bindings {
+        len: 0,
+        at: [(NodeId(0), AgentId(0)); 2],
+    };
+
+    fn agent_at(&self, node: NodeId) -> Option<AgentId> {
+        self.at[..self.len as usize]
+            .iter()
+            .find(|(n, _)| *n == node)
+            .map(|&(_, a)| a)
+    }
+
+    /// Binds `agent` at `node`, replacing an earlier binding there.
+    fn bind(&mut self, node: NodeId, agent: AgentId) {
+        let len = self.len as usize;
+        match self.at[..len].iter_mut().find(|(n, _)| *n == node) {
+            Some(e) => e.1 = agent,
+            None => {
+                assert!(
+                    len < self.at.len(),
+                    "a flow terminates at no more than two hosts"
+                );
+                self.at[len] = (node, agent);
+                self.len += 1;
+            }
+        }
+    }
+}
+
 /// Everything except the agents (split so agent callbacks can borrow the
 /// kernel mutably while the agent itself is mutably borrowed).
 pub struct Kernel {
@@ -226,9 +264,9 @@ pub struct Kernel {
     in_flight: Vec<Option<(PacketRef, SimDuration)>>,
     /// `(node, flow) -> agent` delivery bindings, dense on flow id: flow
     /// ids are allocated sequentially, and a flow terminates at one or two
-    /// hosts, so a short per-flow vector beats a tree lookup on the
-    /// per-arrival hot path.
-    endpoints: Vec<Vec<(NodeId, AgentId)>>,
+    /// hosts, so the bindings sit inline in one vector — no tree lookup
+    /// and no per-flow heap block on the per-arrival hot path.
+    endpoints: Vec<Bindings>,
     rng: Rng,
     trace: TraceSink,
     /// `queue.<link name>` per link, built when the link is added so the
@@ -912,13 +950,22 @@ impl Sim {
     pub fn bind_flow(&mut self, flow: FlowId, node: NodeId, agent: AgentId) {
         let eps = &mut self.kernel.endpoints;
         if flow.index() >= eps.len() {
-            eps.resize_with(flow.index() + 1, Vec::new);
+            eps.resize(flow.index() + 1, Bindings::NONE);
         }
-        let slot = &mut eps[flow.index()];
-        match slot.iter_mut().find(|(n, _)| *n == node) {
-            Some(e) => e.1 = agent,
-            None => slot.push((node, agent)),
-        }
+        eps[flow.index()].bind(node, agent);
+    }
+
+    /// Reserves room for `flows` more flows of one source and one sink
+    /// agent each — agent slots, delivery bindings, per-flow counters —
+    /// exactly, so a workload that knows its flow count pays for no
+    /// doubling slack and nothing grows with the flow count while the
+    /// simulation runs. A pure capacity hint.
+    pub fn reserve_flows(&mut self, flows: usize) {
+        self.agents.reserve_exact(2 * flows);
+        let k = &mut self.kernel;
+        k.endpoints.reserve_exact(flows);
+        let counters = (k.endpoints.len() + flows).saturating_sub(k.flow_stats.len());
+        k.flow_stats.reserve_exact(counters);
     }
 
     /// Starts the simulation: every agent's `on_start` runs in id order.
@@ -1038,8 +1085,7 @@ impl Sim {
                             .kernel
                             .endpoints
                             .get(flow.index())
-                            .and_then(|v| v.iter().find(|(n, _)| *n == node))
-                            .map(|&(_, a)| a);
+                            .and_then(|b| b.agent_at(node));
                         match bound {
                             Some(aid) => {
                                 self.kernel.metrics.inc(self.kernel.mx.delivered); // simlint: hot-path

@@ -77,6 +77,12 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 4;
 /// Words in a per-level occupancy bitmap (`SLOTS / 64`).
 const BITMAP_WORDS: usize = SLOTS / 64;
+/// A cascaded slot gives its buffer back when its capacity exceeds this
+/// many times what the slot held on its previous rotation…
+const RELEASE_FACTOR: usize = 4;
+/// …counting a previous rotation as at least this many entries, so the
+/// small buffers of ordinary slots are never churned.
+const RELEASE_FLOOR: usize = 16;
 
 /// A pending event: absolute nanosecond tick, global sequence, payload.
 struct Pending<E> {
@@ -117,6 +123,10 @@ impl<E> Ord for Pending<E> {
 pub struct TimerWheel<E> {
     /// `slots[level * SLOTS + slot]`; entries in insertion order.
     slots: Box<[Vec<Pending<E>>]>,
+    /// How many entries each slot held the last time a cascade drained it
+    /// (same indexing as `slots`): the reference for giving back a buffer
+    /// that one burst of far timers blew up.
+    held: Box<[u32]>,
     /// Per-level slot-occupancy bitmaps.
     occupied: [[u64; BITMAP_WORDS]; LEVELS],
     /// Events inside the cursor's window, sorted ascending by `(tick, seq)`.
@@ -147,6 +157,7 @@ impl<E> TimerWheel<E> {
             .into_boxed_slice();
         TimerWheel {
             slots,
+            held: vec![0; LEVELS * SLOTS].into_boxed_slice(),
             occupied: [[0; BITMAP_WORDS]; LEVELS],
             stage: Vec::new(),
             due: BinaryHeap::new(),
@@ -163,8 +174,10 @@ impl<E> TimerWheel<E> {
 
     /// Creates an empty wheel; `cap` is accepted for interface parity with
     /// [`EventQueue::with_capacity`](crate::EventQueue::with_capacity) but
-    /// only pre-sizes the stage — wheel slots grow on demand and are
-    /// recycled (cleared, never freed) for the queue's lifetime.
+    /// only pre-sizes the stage — wheel slots grow on demand and keep their
+    /// buffers from one rotation to the next, except that a cascaded slot
+    /// left with far more capacity than it held a rotation earlier gives
+    /// the excess back (see `cascade`).
     pub fn with_capacity(cap: usize) -> Self {
         let mut w = Self::new();
         w.stage.reserve(cap.min(SLOTS));
@@ -173,8 +186,9 @@ impl<E> TimerWheel<E> {
 
     /// Counts a capacity hint (interface parity with
     /// [`EventQueue::reserve`](crate::EventQueue::reserve); the wheel's
-    /// slot vectors grow organically and are recycled, so there is nothing
-    /// useful to pre-size). Has no effect on scheduling order.
+    /// slot vectors grow organically and are reused across rotations, so
+    /// there is nothing useful to pre-size). Has no effect on scheduling
+    /// order.
     pub fn reserve(&mut self, additional: usize) {
         self.reserve_calls += 1;
         self.reserved_slots += additional as u64;
@@ -261,12 +275,22 @@ impl<E> TimerWheel<E> {
         // clear everything below: the start of the slot's window.
         self.cursor = (self.cursor >> window << window) | ((slot as u64) << shift);
         self.occupied[level][slot >> 6] &= !(1u64 << (slot & 63));
-        let mut entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+        let at = level * SLOTS + slot;
+        let mut entries = std::mem::take(&mut self.slots[at]);
+        let held_now = entries.len();
         for p in entries.drain(..) {
             self.place(p);
         }
-        // Hand the (empty, capacity-retaining) vector back for reuse.
-        self.slots[level * SLOTS + slot] = entries;
+        // Hand the empty vector back for reuse. A slot that refills to about
+        // the same size every rotation keeps its buffer; one that a burst of
+        // parked far timers (a workload's pre-scheduled flow starts) blew up
+        // far beyond what it held a rotation ago shrinks back to that, or
+        // the burst's memory would stay with the wheel for its lifetime.
+        let held_before = std::mem::replace(&mut self.held[at], held_now as u32) as usize;
+        if entries.capacity() > RELEASE_FACTOR * held_before.max(RELEASE_FLOOR) {
+            entries.shrink_to(held_before);
+        }
+        self.slots[at] = entries;
     }
 
     /// Ensures the earliest pending events (if any exist) are in `due` or
@@ -574,6 +598,39 @@ mod tests {
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.total_scheduled(), 4);
+    }
+
+    /// A slot that one burst of far timers blew up gives the buffer back
+    /// when a cascade drains it; a slot that refills to the same size every
+    /// rotation keeps it.
+    #[test]
+    fn burst_slot_releases_its_buffer_and_steady_slot_keeps_it() {
+        let second = |n: u64| SimTime::from_nanos(n << 30); // level-2 slot n
+        let level2 = |w: &TimerWheel<u64>, n: usize| w.slots[2 * SLOTS + n].capacity();
+        let mut w = TimerWheel::new();
+        for i in 0..5_000 {
+            w.schedule(second(3) + SimDuration::from_micros(i), i);
+        }
+        assert!(level2(&w, 3) >= 5_000);
+        for i in 0..5_000 {
+            assert_eq!(w.pop().map(|(_, e)| e), Some(i));
+        }
+        assert_eq!(level2(&w, 3), 0, "the burst's memory went back");
+
+        // Level-1 slot 7 refills to 300 entries on every rotation.
+        let mut w = TimerWheel::new();
+        let at = |rotation: u64| SimTime::from_nanos((rotation << 30) | (7 << 22));
+        let mut held = Vec::new();
+        for rotation in 0..4u64 {
+            for i in 0..300 {
+                w.schedule(at(rotation) + SimDuration::from_nanos(i), i);
+            }
+            while w.pop().is_some() {}
+            held.push(w.slots[SLOTS + 7].capacity());
+        }
+        assert_eq!(held[0], 0, "first rotation: nothing to compare with yet");
+        assert!(held[1] >= 300, "{held:?}");
+        assert!(held[1] == held[2] && held[2] == held[3], "{held:?}");
     }
 
     /// The core differential property at unit scale: a random adversarial

@@ -8,11 +8,12 @@
 use crate::cc::CongestionControl;
 use crate::config::TcpConfig;
 use crate::machine::{AckInfo, SenderMachine};
-use crate::receiver::{SackRanges, TcpReceiver};
+use crate::receiver::{AckToSend, RxLive, SackRanges, TcpReceiver};
 use crate::sack::SackSender;
 use crate::sender::{TcpAction, TcpSender};
 use crate::seq::{to_wire, unwrap_relative, SeqUnwrapper};
 use crate::span::{SpanDetector, SpanLog, SpanSnapshot};
+use crate::table::SharedFlowTable;
 use netsim::{Agent, Ctx, FlowId, NodeId, Packet, PacketKind, TcpFlags, TcpHeader};
 use simcore::{SimDuration, SimTime};
 use std::any::Any;
@@ -63,25 +64,39 @@ impl SeriesNames {
     }
 }
 
-/// Sender-side agent: one per flow.
+/// What a source needs only while its flow is live, pooled in the
+/// simulation's flow table from the start timer to the completing ACK.
+#[derive(Debug, Default)]
+pub(crate) struct SourceLive {
+    ack_unwrap: SeqUnwrapper,
+    /// Segments waiting for the pacing clock: `(seq, retransmit, fin)`.
+    pace_queue: std::collections::VecDeque<(u64, bool, bool)>,
+    pace_armed: bool,
+}
+
+/// Sender-side agent: one per flow. Inline it keeps only what outlives the
+/// flow or is needed before it starts — identity, schedule, result, the
+/// RTO deadline a stale timer still walks through; the rest is a
+/// `SourceLive` slot in the flow table.
 pub struct TcpSource {
     flow: FlowId,
     dst: NodeId,
-    cfg: TcpConfig,
     sender: Box<dyn SenderMachine>,
+    /// The sender machine's table, where this source pools its own live
+    /// state and borrows the simulation's action buffer.
+    table: SharedFlowTable,
+    /// This source's [`SourceLive`] slot, while the flow is live.
+    live: Option<u32>,
     start_delay: SimDuration,
     started_at: Option<SimTime>,
     completed_at: Option<SimTime>,
     trace_cwnd: bool,
     series: OnceCell<Box<SeriesNames>>,
-    ack_unwrap: SeqUnwrapper,
     /// Pace transmissions at cwnd/RTT instead of ack-clocked bursts
     /// (extension: paced TCP is the classic fix for very small buffers).
     pacing: bool,
-    pace_queue: std::collections::VecDeque<(u64, bool, bool)>,
-    pace_armed: bool,
     /// Lifecycle span tracing (see [`crate::span`]); off by default.
-    spans: Option<SpanDetector>,
+    spans: Option<Box<SpanDetector>>,
     /// Latest RTO generation announced by the sender machine.
     rto_gen: u64,
     /// Absolute deadline of the latest armed RTO.
@@ -95,9 +110,6 @@ pub struct TcpSource {
     /// re-arms itself for the remainder — one kernel timer per RTO *window*
     /// instead of one per ACK, with identical firing semantics.
     rto_timer_at: Option<SimTime>,
-    /// Reusable action buffer passed to the sender machine on every event,
-    /// so the per-ACK hot path allocates nothing (see [`SenderMachine`]).
-    scratch: Vec<TcpAction>,
 }
 
 impl TcpSource {
@@ -109,36 +121,29 @@ impl TcpSource {
         cc: Box<dyn CongestionControl>,
         flow_size: Option<u64>,
     ) -> Self {
-        Self::with_machine(flow, dst, cfg, Box::new(TcpSender::new(cfg, cc, flow_size)))
+        Self::with_machine(flow, dst, Box::new(TcpSender::new(cfg, cc, flow_size)))
     }
 
     /// Creates a source around an explicit sender machine (e.g.
-    /// [`SackSender`]).
-    pub fn with_machine(
-        flow: FlowId,
-        dst: NodeId,
-        cfg: TcpConfig,
-        machine: Box<dyn SenderMachine>,
-    ) -> Self {
+    /// [`SackSender`]). The source takes its configuration from the
+    /// machine and pools its live state in the machine's table.
+    pub fn with_machine(flow: FlowId, dst: NodeId, machine: Box<dyn SenderMachine>) -> Self {
         TcpSource {
             flow,
             dst,
+            table: machine.table().clone(),
             sender: machine,
-            cfg,
+            live: None,
             start_delay: SimDuration::ZERO,
             started_at: None,
             completed_at: None,
             trace_cwnd: false,
             series: OnceCell::new(),
-            ack_unwrap: SeqUnwrapper::new(),
             pacing: false,
-            pace_queue: std::collections::VecDeque::new(),
-            pace_armed: false,
             spans: None,
             rto_gen: 0,
             rto_deadline: SimTime::ZERO,
             rto_timer_at: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -169,7 +174,7 @@ impl TcpSource {
     /// [`crate::span`]). A pure observer — it reads sender state around
     /// each input and never perturbs the run.
     pub fn with_span_log(mut self, capacity: usize) -> Self {
-        self.spans = Some(SpanDetector::new(self.flow, capacity));
+        self.spans = Some(Box::new(SpanDetector::new(self.flow, capacity)));
         self
     }
 
@@ -194,7 +199,7 @@ impl TcpSource {
 
     /// Creates a SACK source (RFC 2018/3517-style recovery).
     pub fn new_sack(flow: FlowId, dst: NodeId, cfg: TcpConfig, flow_size: Option<u64>) -> Self {
-        Self::with_machine(flow, dst, cfg, Box::new(SackSender::new(cfg, flow_size)))
+        Self::with_machine(flow, dst, Box::new(SackSender::new(cfg, flow_size)))
     }
 
     /// The underlying sender machine (cwnd, ssthresh, stats…).
@@ -219,11 +224,15 @@ impl TcpSource {
 
     // simlint: hot-path — every outgoing data segment
     fn transmit(&mut self, seq: u64, retransmit: bool, fin: bool, ctx: &mut Ctx<'_>) {
+        let (ecn, data_size) = {
+            let cfg = self.sender.cfg();
+            (cfg.ecn, cfg.data_size)
+        };
         // CWR rides on the first data segment after an ECE-triggered
         // reduction (RFC 3168 §6.1.2); take_cwr is a no-op default for
         // machines without an ECN path, and cfg.ecn gates the call so
         // non-ECN runs never touch the flow-table flag.
-        let cwr = self.cfg.ecn && self.sender.take_cwr();
+        let cwr = ecn && self.sender.take_cwr();
         let hdr = TcpHeader {
             seq: to_wire(seq),
             ack: 0,
@@ -236,13 +245,8 @@ impl TcpSource {
             ts: ctx.now(),
             sack: netsim::SackBlocks::EMPTY,
         };
-        let mut pkt = ctx.make_packet(
-            self.flow,
-            self.dst,
-            self.cfg.data_size,
-            PacketKind::TcpData(hdr),
-        );
-        if self.cfg.ecn {
+        let mut pkt = ctx.make_packet(self.flow, self.dst, data_size, PacketKind::TcpData(hdr));
+        if ecn {
             // ECN-capable transport: routers mark instead of dropping.
             pkt.ecn = netsim::Ecn::Ect;
         }
@@ -260,28 +264,51 @@ impl TcpSource {
         SimDuration::from_nanos((rtt.as_nanos() as f64 / cwnd) as u64)
     }
 
+    /// Sends the head of the pace queue and re-arms the pacing clock while
+    /// segments remain. The queue lives in the source's live slot, which is
+    /// held until the queue has drained, so a pacing timer never finds the
+    /// slot gone.
     fn pace_pop(&mut self, ctx: &mut Ctx<'_>) {
-        match self.pace_queue.pop_front() {
-            Some((seq, retransmit, fin)) => {
-                self.transmit(seq, retransmit, fin, ctx);
-                if self.pace_queue.is_empty() {
-                    self.pace_armed = false;
-                } else {
-                    let interval = self.pace_interval();
-                    ctx.set_timer(interval, TOKEN_PACE);
-                    self.pace_armed = true;
-                }
+        let Some(slot) = self.live else {
+            return;
+        };
+        let (head, more) = {
+            let mut tb = self.table.table_mut();
+            let queue = &mut tb.sources.get_mut(slot).pace_queue;
+            (queue.pop_front(), !queue.is_empty())
+        };
+        if let Some((seq, retransmit, fin)) = head {
+            self.transmit(seq, retransmit, fin, ctx);
+            if more {
+                let interval = self.pace_interval();
+                ctx.set_timer(interval, TOKEN_PACE);
             }
-            None => self.pace_armed = false,
         }
+        self.table.table_mut().sources.get_mut(slot).pace_armed = head.is_some() && more;
     }
 
     fn series_names(&self) -> &SeriesNames {
         self.series.get_or_init(|| SeriesNames::boxed(self.flow))
     }
 
-    /// Executes sender actions, draining `actions` (a scratch buffer owned
-    /// by the caller, returned empty for reuse).
+    /// Hands one input to the sender machine and executes what it asks
+    /// for, with the simulation's shared action buffer.
+    // simlint: hot-path — once per start/ACK/RTO delivered to the sender
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        input: impl FnOnce(&mut dyn SenderMachine, &mut Vec<TcpAction>),
+    ) {
+        let before = self.span_snap();
+        let mut actions = self.table.take_scratch();
+        input(self.sender.as_mut(), &mut actions);
+        self.span_diff(ctx.now(), before);
+        self.apply(&mut actions, ctx);
+        self.table.put_scratch(actions);
+    }
+
+    /// Executes sender actions, draining `actions` (the shared scratch
+    /// buffer, returned empty for reuse).
     // simlint: hot-path — once per ACK/RTO delivered to the sender
     fn apply(&mut self, actions: &mut Vec<TcpAction>, ctx: &mut Ctx<'_>) {
         for a in actions.drain(..) {
@@ -290,13 +317,16 @@ impl TcpSource {
                     seq,
                     retransmit,
                     fin,
-                } => {
-                    if self.pacing {
-                        self.pace_queue.push_back((seq, retransmit, fin));
-                    } else {
-                        self.transmit(seq, retransmit, fin, ctx);
-                    }
-                }
+                } => match self.live {
+                    Some(slot) if self.pacing => self
+                        .table
+                        .table_mut()
+                        .sources
+                        .get_mut(slot)
+                        .pace_queue
+                        .push_back((seq, retransmit, fin)),
+                    _ => self.transmit(seq, retransmit, fin, ctx),
+                },
                 TcpAction::ArmRto { delay, gen } => {
                     let deadline = ctx.now() + delay;
                     self.rto_gen = gen;
@@ -315,14 +345,37 @@ impl TcpSource {
                 TcpAction::Completed => self.completed_at = Some(ctx.now()),
             }
         }
-        if self.pacing && !self.pace_armed && !self.pace_queue.is_empty() {
-            // First segment of an idle pacing clock goes out immediately.
-            self.pace_pop(ctx);
+        if self.pacing {
+            if let Some(slot) = self.live {
+                let idle = {
+                    let mut tb = self.table.table_mut();
+                    let live = tb.sources.get_mut(slot);
+                    !live.pace_armed && !live.pace_queue.is_empty()
+                };
+                if idle {
+                    // First segment of an idle pacing clock goes out
+                    // immediately.
+                    self.pace_pop(ctx);
+                }
+            }
         }
+        self.release_if_done();
         if self.trace_cwnd {
             let cwnd = self.sender.cwnd();
             let now = ctx.now();
             ctx.trace().record(&self.series_names().cwnd, now, cwnd);
+        }
+    }
+
+    /// Gives the live slot back once the flow has completed and nothing is
+    /// left to pace.
+    fn release_if_done(&mut self) {
+        if let (Some(slot), Some(_)) = (self.live, self.completed_at) {
+            let mut tb = self.table.table_mut();
+            if tb.sources.get_mut(slot).pace_queue.is_empty() {
+                tb.sources.release(slot);
+                self.live = None;
+            }
         }
     }
 }
@@ -335,7 +388,15 @@ impl Agent for TcpSource {
     // simlint: hot-path — once per ACK delivered to the source
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if let PacketKind::TcpAck(hdr) = pkt.kind {
-            let ack = self.ack_unwrap.unwrap(hdr.ack);
+            // A source without a live slot has finished (or not started):
+            // its sender ignores the ACK whatever its number.
+            let ack = match self.live {
+                Some(slot) => {
+                    let mut tb = self.table.table_mut();
+                    tb.sources.get_mut(slot).ack_unwrap.unwrap(hdr.ack)
+                }
+                None => 0,
+            };
             let mut sack = SackRanges::default();
             for (a, b) in hdr.sack.iter() {
                 let lo = unwrap_relative(ack, a);
@@ -351,30 +412,25 @@ impl Agent for TcpSource {
                 sack,
                 ece: hdr.flags.ece,
             };
-            let before = self.span_snap();
-            let mut actions = std::mem::take(&mut self.scratch);
-            self.sender.on_ack(ctx.now(), &info, &mut actions);
-            self.span_diff(ctx.now(), before);
-            self.apply(&mut actions, ctx);
-            self.scratch = actions;
+            let now = ctx.now();
+            self.drive(ctx, |sender, out| sender.on_ack(now, &info, out));
         }
     }
 
     // simlint: hot-path — pace/RTO timer deliveries
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
         if token == TOKEN_START {
             if self.started_at.is_none() {
-                self.started_at = Some(ctx.now());
-                let mut actions = std::mem::take(&mut self.scratch);
-                self.sender.start(ctx.now(), &mut actions);
-                self.apply(&mut actions, ctx);
-                self.scratch = actions;
+                self.started_at = Some(now);
+                self.live = Some(self.table.table_mut().sources.acquire());
+                self.drive(ctx, |sender, out| sender.start(now, out));
             }
         } else if token == TOKEN_PACE {
             self.pace_pop(ctx);
+            self.release_if_done();
         } else if token == TOKEN_RTO {
             self.rto_timer_at = None;
-            let now = ctx.now();
             if now < self.rto_deadline {
                 // The deadline moved since this timer was armed (ACKs came
                 // in): sleep for the remainder instead of delivering.
@@ -383,13 +439,10 @@ impl Agent for TcpSource {
                 self.rto_timer_at = Some(self.rto_deadline);
             } else {
                 // Due: deliver with the latest generation. The sender
-                // ignores it if it disarmed (advanced the gen) meanwhile.
-                let before = self.span_snap();
-                let mut actions = std::mem::take(&mut self.scratch);
-                self.sender.on_rto(now, self.rto_gen, &mut actions);
-                self.span_diff(now, before);
-                self.apply(&mut actions, ctx);
-                self.scratch = actions;
+                // ignores it if it disarmed (advanced the gen) meanwhile,
+                // or has finished.
+                let gen = self.rto_gen;
+                self.drive(ctx, |sender, out| sender.on_rto(now, gen, out));
             }
         }
     }
@@ -413,26 +466,47 @@ impl Agent for TcpSource {
     }
 }
 
-/// Receiver-side agent: one per flow.
+/// What a sink needs only while its flow is in progress, pooled in the
+/// simulation's flow table from the first data segment to the one that
+/// completes the flow.
+#[derive(Debug, Default)]
+pub(crate) struct SinkLive {
+    rx: RxLive,
+    seq_unwrap: SeqUnwrapper,
+    /// Generation of the latest armed delayed-ACK timer (its token).
+    delack_gen: u64,
+    /// Where to send the delayed ACK.
+    delack_to: Option<NodeId>,
+}
+
+/// Receiver-side agent: one per flow. Inline it keeps the receiver's
+/// cumulative-ACK point, counters and completion record; the rest is a
+/// `SinkLive` slot in the flow table.
 pub struct TcpSink {
     flow: FlowId,
     receiver: TcpReceiver,
     delack_timeout: SimDuration,
-    seq_unwrap: SeqUnwrapper,
-    delack_gen: u64,
-    delack_to: Option<NodeId>,
+    table: SharedFlowTable,
+    /// This sink's [`SinkLive`] slot, while the flow is in progress.
+    live: Option<u32>,
 }
 
 impl TcpSink {
-    /// Creates a sink for `flow` with the given configuration.
+    /// Creates a sink for `flow` with the given configuration and a
+    /// private flow table; multi-flow workloads should share one table via
+    /// [`TcpSink::in_table`].
     pub fn new(flow: FlowId, cfg: &TcpConfig) -> Self {
+        Self::in_table(&SharedFlowTable::new(), flow, cfg)
+    }
+
+    /// Creates a sink whose live state is pooled in `table`.
+    pub fn in_table(table: &SharedFlowTable, flow: FlowId, cfg: &TcpConfig) -> Self {
         TcpSink {
             flow,
             receiver: TcpReceiver::new(cfg.delayed_ack),
             delack_timeout: cfg.delack_timeout,
-            seq_unwrap: SeqUnwrapper::new(),
-            delack_gen: 0,
-            delack_to: None,
+            table: table.clone(),
+            live: None,
         }
     }
 
@@ -459,28 +533,20 @@ impl TcpSink {
     }
 
     // simlint: hot-path — every outgoing ACK
-    fn send_ack(
-        &self,
-        ack: u64,
-        ts_echo: SimTime,
-        sack: SackRanges,
-        ece: bool,
-        to: NodeId,
-        ctx: &mut Ctx<'_>,
-    ) {
+    fn send_ack(&self, ack: AckToSend, to: NodeId, ctx: &mut Ctx<'_>) {
         let mut wire_sack = netsim::SackBlocks::EMPTY;
-        for (lo, hi) in sack.iter() {
+        for (lo, hi) in ack.sack.iter() {
             wire_sack.blocks[wire_sack.len as usize] = (to_wire(lo), to_wire(hi));
             wire_sack.len += 1;
         }
         let hdr = TcpHeader {
             seq: 0,
-            ack: to_wire(ack),
+            ack: to_wire(ack.ack),
             flags: TcpFlags {
-                ece,
+                ece: ack.ece,
                 ..TcpFlags::default()
             },
-            ts: ts_echo,
+            ts: ack.ts_echo,
             sack: wire_sack,
         };
         let pkt = ctx.make_packet(self.flow, to, Packet::ACK_SIZE, PacketKind::TcpAck(hdr));
@@ -492,35 +558,76 @@ impl Agent for TcpSink {
     // simlint: hot-path — once per data segment at the sink
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if let PacketKind::TcpData(hdr) = pkt.kind {
-            let seq = self.seq_unwrap.unwrap(hdr.seq);
             // ECN first: a CE mark on this segment must be reflected in the
             // very ACK it triggers (no-op for non-ECN traffic: NotEct
             // packets are never marked and senders never set CWR).
             self.receiver
                 .on_ecn(pkt.ecn == netsim::Ecn::Ce, hdr.flags.cwr);
-            let res = self
-                .receiver
-                .on_data(ctx.now(), seq, hdr.flags.fin, hdr.ts, pkt.created);
+            let mut delack = None;
+            let res = if self.receiver.completed_at().is_some() {
+                // The flow is over and its slot given back; what still
+                // arrives is a duplicate.
+                self.receiver.on_data_after_completion(hdr.ts, pkt.created)
+            } else {
+                let mut tb = self.table.table_mut();
+                let slot = match self.live {
+                    Some(slot) => slot,
+                    None => {
+                        let slot = tb.sinks.acquire();
+                        self.live = Some(slot);
+                        slot
+                    }
+                };
+                let live = tb.sinks.get_mut(slot);
+                let seq = live.seq_unwrap.unwrap(hdr.seq);
+                let res = self.receiver.on_data_in(
+                    &mut live.rx,
+                    ctx.now(),
+                    seq,
+                    hdr.flags.fin,
+                    hdr.ts,
+                    pkt.created,
+                );
+                if res.arm_delack {
+                    live.delack_gen += 1;
+                    live.delack_to = Some(pkt.src);
+                    delack = Some(live.delack_gen);
+                }
+                if res.completed {
+                    tb.sinks.release(slot);
+                    self.live = None;
+                }
+                res
+            };
             if let Some(ack) = res.ack {
-                self.send_ack(ack.ack, ack.ts_echo, ack.sack, ack.ece, pkt.src, ctx);
+                self.send_ack(ack, pkt.src, ctx);
             }
-            if res.arm_delack {
-                self.delack_gen += 1;
-                // Remember where to send the delayed ACK.
-                self.delack_to = Some(pkt.src);
-                ctx.set_timer(self.delack_timeout, self.delack_gen);
+            if let Some(gen) = delack {
+                ctx.set_timer(self.delack_timeout, gen);
             }
         }
     }
 
     // simlint: hot-path — delayed-ACK timer deliveries
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        if token == self.delack_gen {
-            if let Some(ack) = self.receiver.on_delack_timer() {
-                if let Some(to) = self.delack_to {
-                    self.send_ack(ack.ack, ack.ts_echo, ack.sack, ack.ece, to, ctx);
-                }
+        // A timer that finds no slot was armed before the flow completed;
+        // completion flushed the ACK it was for.
+        let Some(slot) = self.live else {
+            return;
+        };
+        let due = {
+            let mut tb = self.table.table_mut();
+            let live = tb.sinks.get_mut(slot);
+            if token == live.delack_gen {
+                self.receiver
+                    .on_delack_timer_in(&mut live.rx)
+                    .zip(live.delack_to)
+            } else {
+                None
             }
+        };
+        if let Some((ack, to)) = due {
+            self.send_ack(ack, to, ctx);
         }
     }
 
@@ -656,7 +763,7 @@ mod tests {
             .as_any()
             .downcast_ref::<crate::sender::TcpSender>()
             .expect("reno machine");
-        for &(seq, retx) in &reno.send_log {
+        for &(seq, retx) in reno.send_log() {
             if !retx { *newcount.entry(seq).or_insert(0u32) += 1; }
         }
         let dups: Vec<_> = newcount.iter().filter(|(_, &c)| c > 1).collect();

@@ -3,9 +3,11 @@
 //! ([`SackSender`](crate::sack::SackSender)), so agents and workloads can
 //! hold either.
 
+use crate::config::TcpConfig;
 use crate::receiver::SackRanges;
 use crate::rtt::RttEstimator;
 use crate::sender::{SenderStats, TcpAction, TcpSender};
+use crate::table::SharedFlowTable;
 use simcore::SimTime;
 
 /// Everything an incoming acknowledgement tells the sender.
@@ -38,7 +40,7 @@ impl AckInfo {
 /// [`TcpAction`]s.
 ///
 /// Deliberately not `Send`: sender state lives in a
-/// [`SharedFlowTable`](crate::table::SharedFlowTable) (`Rc<RefCell<…>>`)
+/// [`SharedFlowTable`] (`Rc<RefCell<…>>`)
 /// shared by every flow of one single-threaded simulation. Parallel sweeps
 /// build each simulation inside its own worker thread, so machines never
 /// cross threads.
@@ -83,6 +85,12 @@ pub trait SenderMachine {
     fn rtt(&self) -> RttEstimator;
     /// Human-readable algorithm name.
     fn name(&self) -> &'static str;
+    /// The flow's configuration (the agent reads the segment size and ECN
+    /// capability from here instead of keeping a copy).
+    fn cfg(&self) -> &TcpConfig;
+    /// The table this machine's live state is pooled in; the agent pools
+    /// its own live state in the same one.
+    fn table(&self) -> &SharedFlowTable;
     /// Consumes the pending CWR flag: true exactly once after an
     /// ECE-triggered window reduction, telling the agent to stamp CWR on
     /// the next outgoing data segment. Default: never (machines without an
@@ -136,6 +144,12 @@ impl SenderMachine for TcpSender {
     fn name(&self) -> &'static str {
         self.cc_name()
     }
+    fn cfg(&self) -> &TcpConfig {
+        TcpSender::cfg(self)
+    }
+    fn table(&self) -> &SharedFlowTable {
+        TcpSender::table(self)
+    }
     fn take_cwr(&mut self) -> bool {
         TcpSender::take_cwr(self)
     }
@@ -145,7 +159,6 @@ impl SenderMachine for TcpSender {
 mod tests {
     use super::*;
     use crate::cc::Reno;
-    use crate::TcpConfig;
 
     #[test]
     fn trait_object_drives_reno_sender() {

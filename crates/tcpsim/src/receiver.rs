@@ -64,18 +64,27 @@ pub struct OnData {
     pub completed: bool,
 }
 
-/// The TCP receiver.
-#[derive(Debug)]
-pub struct TcpReceiver {
-    /// Next expected segment.
-    rcv_nxt: u64,
+/// What a receiver needs only while its flow is in progress: reassembly
+/// and delayed-ACK state. A [`TcpSink`](crate::agent::TcpSink) keeps it in
+/// the simulation's flow table from the first segment to the completing
+/// one; a standalone [`TcpReceiver`] owns one.
+#[derive(Debug, Default)]
+pub(crate) struct RxLive {
     /// Out-of-order segments above `rcv_nxt`.
     ooo: BTreeSet<u64>,
     /// Sequence number of the FIN segment, once seen.
     fin_seq: Option<u64>,
-    delayed_ack: bool,
     /// A withheld ACK waiting for a second segment or the delack timer.
     pending: Option<AckToSend>,
+}
+
+/// What outlives the flow: the cumulative-ACK point, counters, completion
+/// record and ECN latch. The state machine runs on this plus an [`RxLive`].
+#[derive(Debug)]
+struct RxCore {
+    /// Next expected segment.
+    rcv_nxt: u64,
+    delayed_ack: bool,
     /// Counters.
     segments_received: u64,
     duplicates: u64,
@@ -93,64 +102,76 @@ pub struct TcpReceiver {
     cwr_seen: u64,
 }
 
+/// The TCP receiver: the cumulative-ACK point, counters and completion
+/// record — what outlives the flow — inline; reassembly state in an
+/// `RxLive`, its own when used standalone.
+#[derive(Debug)]
+pub struct TcpReceiver {
+    core: RxCore,
+    /// A standalone receiver's own reassembly state, made on first use of
+    /// [`TcpReceiver::on_data`]; stays `None` when the caller supplies the
+    /// state through `on_data_in`.
+    own: Option<Box<RxLive>>,
+}
+
 impl TcpReceiver {
     /// Creates a receiver. `delayed_ack` mirrors
     /// [`TcpConfig::delayed_ack`](crate::TcpConfig).
     pub fn new(delayed_ack: bool) -> Self {
         TcpReceiver {
-            rcv_nxt: 0,
-            ooo: BTreeSet::new(),
-            fin_seq: None,
-            delayed_ack,
-            pending: None,
-            segments_received: 0,
-            duplicates: 0,
-            out_of_order: 0,
-            completed_at: None,
-            first_created: None,
-            ce_pending: false,
-            cwr_seen: 0,
+            core: RxCore {
+                rcv_nxt: 0,
+                delayed_ack,
+                segments_received: 0,
+                duplicates: 0,
+                out_of_order: 0,
+                completed_at: None,
+                first_created: None,
+                ce_pending: false,
+                cwr_seen: 0,
+            },
+            own: None,
         }
     }
 
     /// Next expected segment number (the cumulative ACK value).
     pub fn rcv_nxt(&self) -> u64 {
-        self.rcv_nxt
+        self.core.rcv_nxt
     }
 
     /// Unique in-order segments delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.rcv_nxt
+        self.core.rcv_nxt
     }
 
     /// Total segments received (including duplicates and out-of-order).
     pub fn segments_received(&self) -> u64 {
-        self.segments_received
+        self.core.segments_received
     }
 
     /// Duplicate segments received.
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.core.duplicates
     }
 
     /// Out-of-order segments received.
     pub fn out_of_order(&self) -> u64 {
-        self.out_of_order
+        self.core.out_of_order
     }
 
     /// When the flow completed (FIN + everything before it), if it has.
     pub fn completed_at(&self) -> Option<SimTime> {
-        self.completed_at
+        self.core.completed_at
     }
 
     /// Earliest source timestamp seen (≈ when the first packet was sent).
     pub fn first_created(&self) -> Option<SimTime> {
-        self.first_created
+        self.core.first_created
     }
 
     /// CWR-flagged data segments seen so far.
     pub fn cwr_seen(&self) -> u64 {
-        self.cwr_seen
+        self.core.cwr_seen
     }
 
     /// Records the ECN bits of an arriving data segment; the agent calls
@@ -160,13 +181,72 @@ impl TcpReceiver {
     // simlint: hot-path — once per data segment on ECN-enabled flows
     pub fn on_ecn(&mut self, ce: bool, cwr: bool) {
         if ce {
-            self.ce_pending = true;
+            self.core.ce_pending = true;
         }
         if cwr {
-            self.cwr_seen += 1;
+            self.core.cwr_seen += 1;
         }
     }
 
+    /// Processes a data segment on a standalone receiver.
+    ///
+    /// * `seq` — unwrapped segment number;
+    /// * `fin` — segment carries FIN;
+    /// * `ts` — the sender's transmission timestamp (echoed back for RTT);
+    /// * `created` — packet creation time (for flow-start bookkeeping);
+    /// * `now` — arrival time.
+    pub fn on_data(
+        &mut self,
+        now: SimTime,
+        seq: u64,
+        fin: bool,
+        ts: SimTime,
+        created: SimTime,
+    ) -> OnData {
+        let live = self.own.get_or_insert_with(Box::default);
+        self.core.on_data(live, now, seq, fin, ts, created)
+    }
+
+    /// [`TcpReceiver::on_data`] with the reassembly state supplied by the
+    /// caller. Once it returns `completed`, `live` is idle (nothing
+    /// buffered, nothing withheld) and the caller may give it up, sending
+    /// later segments to [`TcpReceiver::on_data_after_completion`].
+    pub(crate) fn on_data_in(
+        &mut self,
+        live: &mut RxLive,
+        now: SimTime,
+        seq: u64,
+        fin: bool,
+        ts: SimTime,
+        created: SimTime,
+    ) -> OnData {
+        self.core.on_data(live, now, seq, fin, ts, created)
+    }
+
+    /// A segment for a flow that has already completed, answered without
+    /// reassembly state: everything up to the FIN is delivered and the
+    /// sender has nothing beyond it, so the segment is a duplicate — what
+    /// [`TcpReceiver::on_data`] does with a segment below `rcv_nxt` when
+    /// nothing is buffered or withheld.
+    pub(crate) fn on_data_after_completion(&mut self, ts: SimTime, created: SimTime) -> OnData {
+        self.core.on_data_after_completion(ts, created)
+    }
+
+    /// Delayed-ACK timer expiry on a standalone receiver: release any
+    /// withheld ACK.
+    pub fn on_delack_timer(&mut self) -> Option<AckToSend> {
+        let live = self.own.get_or_insert_with(Box::default);
+        self.core.on_delack_timer(live)
+    }
+
+    /// [`TcpReceiver::on_delack_timer`] with the reassembly state supplied
+    /// by the caller.
+    pub(crate) fn on_delack_timer_in(&mut self, live: &mut RxLive) -> Option<AckToSend> {
+        self.core.on_delack_timer(live)
+    }
+}
+
+impl RxCore {
     /// Consumes the CE latch into an outgoing ACK's `ece` bit.
     // simlint: hot-path — once per emitted ACK
     #[inline]
@@ -174,32 +254,52 @@ impl TcpReceiver {
         std::mem::take(&mut self.ce_pending)
     }
 
-    /// Processes a data segment.
-    ///
-    /// * `seq` — unwrapped segment number;
-    /// * `fin` — segment carries FIN;
-    /// * `ts` — the sender's transmission timestamp (echoed back for RTT);
-    /// * `created` — packet creation time (for flow-start bookkeeping);
-    /// * `now` — arrival time.
-    pub fn on_data(&mut self, now: SimTime, seq: u64, fin: bool, ts: SimTime, created: SimTime) -> OnData {
+    fn note_arrival(&mut self, created: SimTime) {
         self.segments_received += 1;
         if self.first_created.map(|t| created < t).unwrap_or(true) {
             self.first_created = Some(created);
         }
+    }
+
+    fn on_data_after_completion(&mut self, ts: SimTime, created: SimTime) -> OnData {
+        debug_assert!(self.completed_at.is_some());
+        self.note_arrival(created);
+        self.duplicates += 1;
+        OnData {
+            ack: Some(AckToSend {
+                ack: self.rcv_nxt,
+                ts_echo: ts,
+                sack: SackRanges::default(),
+                ece: self.take_ece(),
+            }),
+            ..OnData::default()
+        }
+    }
+
+    fn on_data(
+        &mut self,
+        live: &mut RxLive,
+        now: SimTime,
+        seq: u64,
+        fin: bool,
+        ts: SimTime,
+        created: SimTime,
+    ) -> OnData {
+        self.note_arrival(created);
         if fin {
-            self.fin_seq = Some(seq);
+            live.fin_seq = Some(seq);
         }
 
         let mut result = OnData::default();
 
-        if seq < self.rcv_nxt || self.ooo.contains(&seq) {
+        if seq < self.rcv_nxt || live.ooo.contains(&seq) {
             // Duplicate: ACK immediately (flushes any pending delack too).
             self.duplicates += 1;
-            self.pending = None;
+            live.pending = None;
             result.ack = Some(AckToSend {
                 ack: self.rcv_nxt,
                 ts_echo: ts,
-                sack: self.sack_ranges(seq),
+                sack: sack_ranges(&live.ooo, seq),
                 ece: self.take_ece(),
             });
             return result;
@@ -208,27 +308,24 @@ impl TcpReceiver {
         if seq == self.rcv_nxt {
             // In order: advance, absorbing any contiguous out-of-order run.
             self.rcv_nxt += 1;
-            while self.ooo.remove(&self.rcv_nxt) {
+            while live.ooo.remove(&self.rcv_nxt) {
                 self.rcv_nxt += 1;
             }
-            let filled_gap = !self.ooo.is_empty();
-            let complete = self
-                .fin_seq
-                .map(|f| self.rcv_nxt > f)
-                .unwrap_or(false);
+            let filled_gap = !live.ooo.is_empty();
+            let complete = live.fin_seq.map(|f| self.rcv_nxt > f).unwrap_or(false);
             if complete && self.completed_at.is_none() {
                 self.completed_at = Some(now);
                 result.completed = true;
             }
 
             if self.delayed_ack && !filled_gap && !complete {
-                match self.pending.take() {
+                match live.pending.take() {
                     Some(_) => {
                         // Second in-order segment: release the ACK now.
                         result.ack = Some(AckToSend {
                             ack: self.rcv_nxt,
                             ts_echo: ts,
-                            sack: self.sack_ranges(seq),
+                            sack: sack_ranges(&live.ooo, seq),
                             ece: self.take_ece(),
                         });
                     }
@@ -236,7 +333,7 @@ impl TcpReceiver {
                         // Withhold; the agent arms the delack timer. The CE
                         // latch is NOT consumed here — `ece` is stamped when
                         // the ACK is actually emitted.
-                        self.pending = Some(AckToSend {
+                        live.pending = Some(AckToSend {
                             ack: self.rcv_nxt,
                             ts_echo: ts,
                             sack: SackRanges::default(),
@@ -246,81 +343,81 @@ impl TcpReceiver {
                     }
                 }
             } else {
-                self.pending = None;
+                live.pending = None;
                 result.ack = Some(AckToSend {
                     ack: self.rcv_nxt,
                     ts_echo: ts,
-                    sack: self.sack_ranges(seq),
+                    sack: sack_ranges(&live.ooo, seq),
                     ece: self.take_ece(),
                 });
             }
         } else {
             // Above rcv_nxt: hole. Buffer it and send an immediate dup ACK.
             self.out_of_order += 1;
-            self.ooo.insert(seq);
-            self.pending = None;
+            live.ooo.insert(seq);
+            live.pending = None;
             result.ack = Some(AckToSend {
                 ack: self.rcv_nxt,
                 ts_echo: ts,
-                sack: self.sack_ranges(seq),
+                sack: sack_ranges(&live.ooo, seq),
                 ece: self.take_ece(),
             });
         }
         result
     }
 
-    /// Delayed-ACK timer expiry: release any withheld ACK.
-    pub fn on_delack_timer(&mut self) -> Option<AckToSend> {
-        let mut ack = self.pending.take()?;
+    fn on_delack_timer(&mut self, live: &mut RxLive) -> Option<AckToSend> {
+        let mut ack = live.pending.take()?;
         ack.ece = self.take_ece();
         Some(ack)
     }
+}
 
-    /// Builds the SACK option for an outgoing ACK. The first block is the
-    /// run containing `trigger` (the most recently received segment, per
-    /// RFC 2018); the remaining slots report the lowest other runs.
-    // simlint: hot-path — built for every dup/partial ACK while holes exist
-    fn sack_ranges(&self, trigger: u64) -> SackRanges {
-        let mut out = SackRanges::default();
-        if self.ooo.is_empty() {
-            return out;
-        }
-        // Single ascending pass over the out-of-order set: contiguous runs
-        // are discovered in order, the run containing `trigger` is held
-        // aside for the first slot, and the lowest other runs fill the
-        // remaining two. No per-ACK allocation.
-        let mut trigger_run: Option<(u64, u64)> = None;
-        let mut low = [(0u64, 0u64); 3];
-        let mut n_low = 0usize;
-        let mut emit = |run: (u64, u64)| {
-            if trigger >= run.0 && trigger < run.1 {
-                trigger_run = Some(run);
-            } else if n_low < low.len() {
-                low[n_low] = run;
-                n_low += 1;
-            }
-        };
-        let mut iter = self.ooo.iter().copied();
-        // simlint: allow(panic-in-kernel): guarded by the is_empty early return just above
-        let first = iter.next().expect("non-empty");
-        let mut cur = (first, first + 1);
-        for s in iter {
-            if s == cur.1 {
-                cur.1 = s + 1;
-            } else {
-                emit(cur);
-                cur = (s, s + 1);
-            }
-        }
-        emit(cur);
-        if let Some(tr) = trigger_run {
-            out.push(tr);
-        }
-        for &r in &low[..n_low] {
-            out.push(r);
-        }
-        out
+/// Builds the SACK option for an outgoing ACK from the out-of-order set.
+/// The first block is the run containing `trigger` (the most recently
+/// received segment, per RFC 2018); the remaining slots report the lowest
+/// other runs.
+// simlint: hot-path — built for every dup/partial ACK while holes exist
+fn sack_ranges(ooo: &BTreeSet<u64>, trigger: u64) -> SackRanges {
+    let mut out = SackRanges::default();
+    if ooo.is_empty() {
+        return out;
     }
+    // Single ascending pass over the out-of-order set: contiguous runs
+    // are discovered in order, the run containing `trigger` is held
+    // aside for the first slot, and the lowest other runs fill the
+    // remaining two. No per-ACK allocation.
+    let mut trigger_run: Option<(u64, u64)> = None;
+    let mut low = [(0u64, 0u64); 3];
+    let mut n_low = 0usize;
+    let mut emit = |run: (u64, u64)| {
+        if trigger >= run.0 && trigger < run.1 {
+            trigger_run = Some(run);
+        } else if n_low < low.len() {
+            low[n_low] = run;
+            n_low += 1;
+        }
+    };
+    let mut iter = ooo.iter().copied();
+    // simlint: allow(panic-in-kernel): guarded by the is_empty early return just above
+    let first = iter.next().expect("non-empty");
+    let mut cur = (first, first + 1);
+    for s in iter {
+        if s == cur.1 {
+            cur.1 = s + 1;
+        } else {
+            emit(cur);
+            cur = (s, s + 1);
+        }
+    }
+    emit(cur);
+    if let Some(tr) = trigger_run {
+        out.push(tr);
+    }
+    for &r in &low[..n_low] {
+        out.push(r);
+    }
+    out
 }
 
 #[cfg(test)]

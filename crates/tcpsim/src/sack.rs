@@ -13,163 +13,241 @@
 //! blocks), no rescue retransmission rule, and the scoreboard is cleared
 //! on RTO (as ns-2's `Sack1` does).
 //!
-//! Like [`TcpSender`](crate::sender::TcpSender), the sender is a thin view
-//! over a [`FlowTable`] slot: hot fields live in
-//! the table's parallel arrays, the scoreboard sets in its cold side table.
+//! Like [`TcpSender`](crate::sender::TcpSender), the sender leases a
+//! [`FlowTable`] slot while its flow is live: hot fields sit in the table's
+//! parallel arrays, the scoreboard sets in its cold side table.
 
 use crate::config::TcpConfig;
 use crate::machine::{AckInfo, SenderMachine};
 use crate::rtt::RttEstimator;
 use crate::sender::{SenderStats, TcpAction};
-use crate::table::{FlowSlot, FlowTable, SharedFlowTable};
+use crate::table::{FlowLease, FlowTable, SharedFlowTable};
 use simcore::SimTime;
 
 /// Number of SACKed segments above a hole before it is declared lost
 /// (RFC 3517's `DupThresh`).
 const DUP_THRESH: usize = 3;
 
-/// The SACK sender: configuration plus a [`FlowTable`] slot holding all
-/// mutable per-flow state (the scoreboard sits in the cold side table).
+/// What makes one SACK flow what it is — configuration and length — and
+/// the state machine over a [`FlowTable`] slot. Split from the lease so an
+/// event can hold the table borrow and run the machine at once.
 #[derive(Debug)]
-pub struct SackSender {
+struct Machine {
     cfg: TcpConfig,
     flow_size: Option<u64>,
-    table: SharedFlowTable,
-    slot: FlowSlot,
+}
+
+/// The SACK sender: a `Machine` plus its lease on a [`FlowTable`] slot,
+/// which holds all mutable per-flow state while the flow is live (the
+/// scoreboard sits in the cold side table).
+#[derive(Debug)]
+pub struct SackSender {
+    machine: Machine,
+    lease: FlowLease,
 }
 
 impl SackSender {
     /// Creates a SACK sender for a flow of `flow_size` segments (`None` =
-    /// infinite) with a private one-slot [`FlowTable`]; multi-flow
-    /// workloads should share one table via [`SackSender::in_table`].
+    /// infinite) with a private [`FlowTable`]; multi-flow workloads should
+    /// share one table via [`SackSender::in_table`].
     pub fn new(cfg: TcpConfig, flow_size: Option<u64>) -> Self {
         Self::in_table(&SharedFlowTable::new(), cfg, flow_size)
     }
 
-    /// Creates a SACK sender whose state lives in `table` (one slot is
-    /// allocated).
+    /// Creates a SACK sender whose live state is pooled in `table`: the
+    /// flow is registered now, takes a slot when it starts and gives it
+    /// back when it completes.
     pub fn in_table(table: &SharedFlowTable, cfg: TcpConfig, flow_size: Option<u64>) -> Self {
         if let Some(n) = flow_size {
             assert!(n > 0, "flow must have at least one segment");
         }
-        let slot = table.alloc(&cfg);
         SackSender {
-            cfg,
-            flow_size,
-            table: table.clone(),
-            slot,
+            lease: FlowLease::new(table, &cfg),
+            machine: Machine { cfg, flow_size },
         }
     }
 
     /// True while in SACK loss recovery.
     pub fn in_recovery(&self) -> bool {
-        self.table.table().recovery[self.slot.index()]
+        self.lease.in_recovery()
     }
 
-    /// Number of segments currently marked SACKed.
+    /// Number of segments currently marked SACKed (0 for a flow that holds
+    /// no slot).
     pub fn sacked_count(&self) -> usize {
-        self.table.table().cold[self.slot.index()]
-            .scoreboard
-            .sacked
-            .len()
+        self.lease
+            .live_or(0, |t, i| t.cold[i].scoreboard.sacked.len())
     }
 
     /// The congestion window (segments, fractional).
     pub fn cwnd(&self) -> f64 {
-        self.table.table().ccs[self.slot.index()].cwnd
+        self.lease.ccs().cwnd
     }
 
     /// The slow-start threshold (segments).
     pub fn ssthresh(&self) -> f64 {
-        self.table.table().ccs[self.slot.index()].ssthresh
+        self.lease.ccs().ssthresh
     }
 
     /// Outstanding (sent, unacked) segments.
     pub fn flight(&self) -> u64 {
-        let t = self.table.table();
-        t.next_seq[self.slot.index()] - t.snd_una[self.slot.index()]
+        self.lease.next_seq() - self.lease.snd_una()
     }
 
     /// Oldest unacknowledged segment.
     pub fn snd_una(&self) -> u64 {
-        self.table.table().snd_una[self.slot.index()]
+        self.lease.snd_una()
     }
 
     /// Next never-before-sent segment.
     pub fn next_seq(&self) -> u64 {
-        self.table.table().next_seq[self.slot.index()]
+        self.lease.next_seq()
     }
 
     /// True once every segment of a finite flow is acknowledged.
     pub fn is_completed(&self) -> bool {
-        self.table.table().cold[self.slot.index()].completed
+        self.lease.completed
     }
 
     /// Sender counters.
     pub fn stats(&self) -> SenderStats {
-        self.table.table().cold[self.slot.index()].stats
+        self.lease.stats()
     }
 
-    /// The current RTO timer generation (tests).
+    /// The live flow's current RTO timer generation (tests; 0 for a flow
+    /// that has not started or has finished).
     pub fn rto_gen(&self) -> u64 {
-        self.table.table().rto_gen[self.slot.index()]
+        self.lease.live_or(0, |t, i| t.rto_gen[i])
     }
 
     /// A snapshot of the RTT estimator (for diagnostics).
     pub fn rtt(&self) -> RttEstimator {
-        self.table.table().rtt[self.slot.index()].clone()
+        self.lease.rtt()
     }
 
     /// RFC 3517 pipe: an estimate of segments still in the network
     /// (diagnostics/tests; the hot path uses the internal `pipe_in`).
     pub fn pipe(&self) -> u64 {
-        Self::pipe_in(&self.table.table(), self.slot.index())
+        self.lease.live_or(0, pipe_in)
     }
 
+    /// Begins transmission: takes the flow's slot and appends the initial
+    /// actions to `out` (the agent reuses one scratch buffer across events;
+    /// the hot path performs no allocation).
+    pub fn start_into(&mut self, _now: SimTime, out: &mut Vec<TcpAction>) {
+        let i = self.lease.start(&self.machine.cfg).index();
+        let t = &mut *self.lease.table.table_mut();
+        self.machine.send_allowed(t, i, out);
+        arm_rto(t, i, out);
+    }
+
+    /// Processes an acknowledgement, appending actions to `out`. A flow
+    /// that has not started or has already completed holds no slot and
+    /// ignores it; the ACK that completes the flow gives the slot back
+    /// before this returns.
+    // simlint: hot-path — once per ACK
+    pub fn on_ack_into(&mut self, now: SimTime, info: &AckInfo, out: &mut Vec<TcpAction>) {
+        let Some(slot) = self.lease.slot else {
+            return;
+        };
+        let completed = {
+            let t = &mut *self.lease.table.table_mut();
+            self.machine.on_ack(t, slot.index(), now, info, out)
+        };
+        if completed {
+            self.lease.retire(slot);
+        }
+    }
+
+    /// Processes an RTO expiry, appending actions to `out`. Stale timer
+    /// generations are ignored, as is any expiry for a flow that holds no
+    /// slot.
+    // simlint: hot-path — once per retransmission timeout
+    pub fn on_rto_into(&mut self, _now: SimTime, gen: u64, out: &mut Vec<TcpAction>) {
+        let Some(slot) = self.lease.slot else {
+            return;
+        };
+        let t = &mut *self.lease.table.table_mut();
+        self.machine.on_rto(t, slot.index(), gen, out);
+    }
+
+    /// Vec-returning wrappers over the `*_into` methods (tests/diagnostics).
+    pub fn start(&mut self, now: SimTime) -> Vec<TcpAction> {
+        // simlint: allow(hot-path-alloc): Vec-returning test/diagnostic wrapper sharing a name with the hot trait method; dispatch uses start_into with reused scratch
+        let mut out = Vec::new();
+        self.start_into(now, &mut out);
+        out
+    }
+
+    /// See [`SackSender::on_ack_into`].
+    pub fn on_ack(&mut self, now: SimTime, info: &AckInfo) -> Vec<TcpAction> {
+        // simlint: allow(hot-path-alloc): Vec-returning test/diagnostic wrapper sharing a name with the hot trait method; dispatch uses on_ack_into with reused scratch
+        let mut out = Vec::new();
+        self.on_ack_into(now, info, &mut out);
+        out
+    }
+
+    /// See [`SackSender::on_rto_into`].
+    pub fn on_rto(&mut self, now: SimTime, gen: u64) -> Vec<TcpAction> {
+        // simlint: allow(hot-path-alloc): Vec-returning test/diagnostic wrapper sharing a name with the hot trait method; dispatch uses on_rto_into with reused scratch
+        let mut out = Vec::new();
+        self.on_rto_into(now, gen, &mut out);
+        out
+    }
+}
+
+/// RFC 3517 IsLost: at least `DUP_THRESH` SACKed segments above `seq`.
+fn is_lost_in(t: &FlowTable, i: usize, seq: u64) -> bool {
+    t.cold[i].scoreboard.sacked.range(seq + 1..).count() >= DUP_THRESH
+}
+
+/// RFC 3517 pipe: an estimate of segments still in the network.
+fn pipe_in(t: &FlowTable, i: usize) -> u64 {
+    let sb = &t.cold[i].scoreboard;
+    let mut p = 0u64;
+    for seq in t.snd_una[i]..t.next_seq[i] {
+        if sb.sacked.contains(&seq) {
+            continue;
+        }
+        if is_lost_in(t, i, seq) {
+            if sb.retx.contains(&seq) {
+                p += 1;
+            }
+        } else {
+            p += 1;
+        }
+    }
+    p
+}
+
+fn arm_rto(t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
+    t.rto_gen[i] += 1;
+    if t.snd_una[i] == t.next_seq[i] {
+        return;
+    }
+    out.push(TcpAction::ArmRto {
+        delay: t.rtt[i].rto(),
+        gen: t.rto_gen[i],
+    });
+}
+
+impl Machine {
     fn is_fin(&self, seq: u64) -> bool {
         self.flow_size.map(|n| seq + 1 == n).unwrap_or(false)
     }
 
-    fn window_in(&self, t: &FlowTable) -> u64 {
-        (t.ccs[self.slot.index()].cwnd.min(self.cfg.max_window as f64))
+    fn window_in(&self, t: &FlowTable, i: usize) -> u64 {
+        (t.ccs[i].cwnd.min(self.cfg.max_window as f64))
             .floor()
             .max(1.0) as u64
     }
 
-    /// RFC 3517 IsLost: at least `DUP_THRESH` SACKed segments above `seq`.
-    fn is_lost_in(t: &FlowTable, i: usize, seq: u64) -> bool {
-        t.cold[i].scoreboard.sacked.range(seq + 1..).count() >= DUP_THRESH
-    }
-
-    /// RFC 3517 pipe: an estimate of segments still in the network.
-    fn pipe_in(t: &FlowTable, i: usize) -> u64 {
-        let sb = &t.cold[i].scoreboard;
-        let mut p = 0u64;
-        for seq in t.snd_una[i]..t.next_seq[i] {
-            if sb.sacked.contains(&seq) {
-                continue;
-            }
-            if Self::is_lost_in(t, i, seq) {
-                if sb.retx.contains(&seq) {
-                    p += 1;
-                }
-            } else {
-                p += 1;
-            }
-        }
-        p
-    }
-
     /// RFC 3517 NextSeg: the next segment worth transmitting.
-    fn next_seg_in(&self, t: &FlowTable) -> Option<(u64, bool)> {
-        let i = self.slot.index();
+    fn next_seg_in(&self, t: &FlowTable, i: usize) -> Option<(u64, bool)> {
         if t.recovery[i] {
             let sb = &t.cold[i].scoreboard;
             for seq in t.snd_una[i]..t.next_seq[i] {
-                if !sb.sacked.contains(&seq)
-                    && !sb.retx.contains(&seq)
-                    && Self::is_lost_in(t, i, seq)
-                {
+                if !sb.sacked.contains(&seq) && !sb.retx.contains(&seq) && is_lost_in(t, i, seq) {
                     return Some((seq, true));
                 }
             }
@@ -181,12 +259,11 @@ impl SackSender {
         None
     }
 
-    fn send_allowed(&mut self, t: &mut FlowTable, out: &mut Vec<TcpAction>) {
-        let i = self.slot.index();
-        let mut pipe = Self::pipe_in(t, i);
-        let wnd = self.window_in(t);
+    fn send_allowed(&self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
+        let mut pipe = pipe_in(t, i);
+        let wnd = self.window_in(t, i);
         while pipe < wnd {
-            let Some((seq, is_retx)) = self.next_seg_in(t) else {
+            let Some((seq, is_retx)) = self.next_seg_in(t, i) else {
                 break;
             };
             let retransmit = seq < t.max_sent[i];
@@ -209,21 +286,7 @@ impl SackSender {
         }
     }
 
-    fn arm_rto(&mut self, t: &mut FlowTable, out: &mut Vec<TcpAction>) {
-        let i = self.slot.index();
-        if t.snd_una[i] == t.next_seq[i] || t.cold[i].completed {
-            t.rto_gen[i] += 1;
-            return;
-        }
-        t.rto_gen[i] += 1;
-        out.push(TcpAction::ArmRto {
-            delay: t.rtt[i].rto(),
-            gen: t.rto_gen[i],
-        });
-    }
-
-    fn enter_recovery(&mut self, t: &mut FlowTable, out: &mut Vec<TcpAction>) {
-        let i = self.slot.index();
+    fn enter_recovery(&self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
         t.cold[i].stats.fast_retransmits += 1;
         let flight = (t.next_seq[i] - t.snd_una[i]) as f64;
         t.ccs[i].ssthresh = (flight / 2.0).max(2.0);
@@ -234,7 +297,7 @@ impl SackSender {
         // RFC 3517 §5 step 4.2 / ns-2 Sack1: retransmit the first hole
         // immediately, regardless of pipe (pipe usually still reflects the
         // pre-loss flight at this instant).
-        if let Some((seq, true)) = self.next_seg_in(t) {
+        if let Some((seq, true)) = self.next_seg_in(t, i) {
             out.push(TcpAction::Send {
                 seq,
                 retransmit: true,
@@ -246,31 +309,19 @@ impl SackSender {
         }
     }
 
-    /// Begins transmission, appending actions to `out` (the agent reuses one
-    /// scratch buffer across events; the hot path performs no allocation).
-    pub fn start_into(&mut self, _now: SimTime, out: &mut Vec<TcpAction>) {
-        let table = self.table.clone();
-        let mut tb = table.table_mut();
-        let t = &mut *tb;
-        let i = self.slot.index();
-        assert!(!t.cold[i].started, "start() called twice");
-        t.cold[i].started = true;
-        self.send_allowed(t, out);
-        self.arm_rto(t, out);
-    }
-
-    /// Processes an acknowledgement, appending actions to `out`.
+    /// The ACK path over slot `i`. Returns true when this ACK completed
+    /// the flow (the caller retires the slot).
     // simlint: hot-path — once per ACK
-    pub fn on_ack_into(&mut self, now: SimTime, info: &AckInfo, out: &mut Vec<TcpAction>) {
-        let table = self.table.clone();
-        let mut tb = table.table_mut();
-        let t = &mut *tb;
-        let i = self.slot.index();
-        if t.cold[i].completed || !t.cold[i].started {
-            return;
-        }
+    fn on_ack(
+        &self,
+        t: &mut FlowTable,
+        i: usize,
+        now: SimTime,
+        info: &AckInfo,
+        out: &mut Vec<TcpAction>,
+    ) -> bool {
         if info.ack > t.max_sent[i] {
-            return; // bogus (stale flow-id reuse)
+            return false; // bogus (stale flow-id reuse)
         }
         t.cold[i].stats.acks += 1;
         if info.ts_echo <= now {
@@ -318,10 +369,8 @@ impl SackSender {
 
             if let Some(n) = self.flow_size {
                 if t.snd_una[i] >= n {
-                    t.cold[i].completed = true;
-                    t.rto_gen[i] += 1;
                     out.push(TcpAction::Completed);
-                    return;
+                    return true;
                 }
             }
         } else if info.ack == t.snd_una[i] && t.next_seq[i] > t.snd_una[i] {
@@ -333,35 +382,26 @@ impl SackSender {
         if !t.recovery[i]
             && t.next_seq[i] > t.snd_una[i]
             && !t.cold[i].scoreboard.sacked.contains(&t.snd_una[i])
-            && (Self::is_lost_in(t, i, t.snd_una[i])
-                || t.dupacks[i] >= self.cfg.dupack_threshold)
+            && (is_lost_in(t, i, t.snd_una[i]) || t.dupacks[i] >= self.cfg.dupack_threshold)
         {
-            self.enter_recovery(t, out);
+            self.enter_recovery(t, i, out);
         }
 
-        self.send_allowed(t, out);
+        self.send_allowed(t, i, out);
         // RFC 6298: restart the retransmission timer only when new data is
         // acknowledged. Re-arming on duplicate ACKs would let a lost
         // retransmission postpone its own RTO indefinitely while other
         // segments keep the ACK clock ticking.
         if advanced {
-            self.arm_rto(t, out);
+            arm_rto(t, i, out);
         }
+        false
     }
 
-    /// Processes an RTO expiry, appending actions to `out`. Stale timer
-    /// generations are ignored.
+    /// The RTO path over slot `i`.
     // simlint: hot-path — once per retransmission timeout
-    pub fn on_rto_into(&mut self, _now: SimTime, gen: u64, out: &mut Vec<TcpAction>) {
-        let table = self.table.clone();
-        let mut tb = table.table_mut();
-        let t = &mut *tb;
-        let i = self.slot.index();
-        if gen != t.rto_gen[i]
-            || t.cold[i].completed
-            || !t.cold[i].started
-            || t.snd_una[i] == t.next_seq[i]
-        {
+    fn on_rto(&self, t: &mut FlowTable, i: usize, gen: u64, out: &mut Vec<TcpAction>) {
+        if gen != t.rto_gen[i] || t.snd_una[i] == t.next_seq[i] {
             return;
         }
         t.cold[i].stats.timeouts += 1;
@@ -377,32 +417,8 @@ impl SackSender {
         t.cold[i].scoreboard.retx.clear();
         t.high_water[i] = t.high_water[i].max(t.next_seq[i]);
         t.next_seq[i] = t.snd_una[i];
-        self.send_allowed(t, out);
-        self.arm_rto(t, out);
-    }
-
-    /// Vec-returning wrappers over the `*_into` methods (tests/diagnostics).
-    pub fn start(&mut self, now: SimTime) -> Vec<TcpAction> {
-        // simlint: allow(hot-path-alloc): Vec-returning test/diagnostic wrapper sharing a name with the hot trait method; dispatch uses start_into with reused scratch
-        let mut out = Vec::new();
-        self.start_into(now, &mut out);
-        out
-    }
-
-    /// See [`SackSender::on_ack_into`].
-    pub fn on_ack(&mut self, now: SimTime, info: &AckInfo) -> Vec<TcpAction> {
-        // simlint: allow(hot-path-alloc): Vec-returning test/diagnostic wrapper sharing a name with the hot trait method; dispatch uses on_ack_into with reused scratch
-        let mut out = Vec::new();
-        self.on_ack_into(now, info, &mut out);
-        out
-    }
-
-    /// See [`SackSender::on_rto_into`].
-    pub fn on_rto(&mut self, now: SimTime, gen: u64) -> Vec<TcpAction> {
-        // simlint: allow(hot-path-alloc): Vec-returning test/diagnostic wrapper sharing a name with the hot trait method; dispatch uses on_rto_into with reused scratch
-        let mut out = Vec::new();
-        self.on_rto_into(now, gen, &mut out);
-        out
+        self.send_allowed(t, i, out);
+        arm_rto(t, i, out);
     }
 }
 
@@ -454,6 +470,12 @@ impl SenderMachine for SackSender {
     fn name(&self) -> &'static str {
         "sack"
     }
+    fn cfg(&self) -> &TcpConfig {
+        &self.machine.cfg
+    }
+    fn table(&self) -> &SharedFlowTable {
+        &self.lease.table
+    }
 }
 
 #[cfg(test)]
@@ -490,10 +512,8 @@ mod tests {
     }
 
     fn retx_contains(s: &SackSender, seq: u64) -> bool {
-        s.table.table().cold[s.slot.index()]
-            .scoreboard
-            .retx
-            .contains(&seq)
+        s.lease
+            .live_or(false, |t, i| t.cold[i].scoreboard.retx.contains(&seq))
     }
 
     /// Sender with 10 segments in flight (0..10), acked through 4, cwnd 6.
@@ -654,5 +674,56 @@ mod tests {
         assert_eq!(sack.cwnd(), 4.0);
         assert_eq!(reno.cwnd(), 2.0, "neighbour flow untouched");
         assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn finished_sack_flow_leaves_a_clean_slot_and_cannot_touch_it_again() {
+        use crate::cc::Reno;
+        use crate::sender::TcpSender;
+        let table = SharedFlowTable::new();
+        let cfg = TcpConfig::default();
+        let mut a = SackSender::in_table(&table, cfg, Some(10));
+        let mut b = SackSender::in_table(&table, cfg, None);
+        let mut c = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
+
+        // A loses segment 4, recovers it through the scoreboard, completes.
+        a.start(t(0));
+        a.on_ack(t(10), &AckInfo::plain(2, t(0)));
+        a.on_ack(t(20), &AckInfo::plain(4, t(10)));
+        a.on_ack(t(30), &ack_with_sack(4, &[(5, 6)]));
+        a.on_ack(t(31), &ack_with_sack(4, &[(5, 7)]));
+        a.on_ack(t(32), &ack_with_sack(4, &[(5, 8)]));
+        assert!(a.in_recovery() && a.sacked_count() == 3);
+        let a_gen = a.rto_gen();
+        let done = a.on_ack(t(50), &AckInfo::plain(10, t(32)));
+        assert!(done.contains(&TcpAction::Completed));
+        assert_eq!(table.table().live(), 0);
+        let a_final = (a.stats(), a.snd_una(), a.next_seq(), a.cwnd(), a.ssthresh());
+        assert_eq!((a_final.1, a_final.0.fast_retransmits), (10, 1));
+
+        // B takes over A's slot: no scoreboard, no recovery, nothing of A.
+        b.start(t(60));
+        assert_eq!((table.slots(), table.table().live()), (1, 1));
+        assert_eq!((b.sacked_count(), b.in_recovery(), b.pipe()), (0, false, 2));
+        assert_eq!(b.stats().fast_retransmits, 0);
+        c.start(t(61));
+        assert_eq!(table.slots(), 2, "a third live flow grows the slab");
+        let b_before = (b.cwnd(), b.snd_una(), b.next_seq(), b.rto_gen(), b.stats());
+
+        // A's stale timer and late SACK-carrying duplicates change nothing.
+        for gen in [a_gen, b.rto_gen()] {
+            assert!(a.on_rto(t(2000), gen).is_empty());
+        }
+        assert!(a.on_ack(t(2001), &ack_with_sack(4, &[(5, 9)])).is_empty());
+        assert_eq!(
+            (b.cwnd(), b.snd_una(), b.next_seq(), b.rto_gen(), b.stats()),
+            b_before
+        );
+        assert_eq!(b.sacked_count(), 0);
+        assert!(a.is_completed() && !a.in_recovery());
+        assert_eq!(
+            (a.stats(), a.snd_una(), a.next_seq(), a.cwnd(), a.ssthresh()),
+            a_final
+        );
     }
 }

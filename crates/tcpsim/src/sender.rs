@@ -20,15 +20,16 @@
 //!   [`CongestionControl::on_ecn_mark`] at most once per window of data,
 //!   setting CWR on the next outgoing segment.
 //!
-//! Per-flow state lives in a [`FlowTable`]: the
-//! sender itself is a thin view (configuration + a table slot), so
-//! multi-flow workloads sharing one table keep every hot field in dense
-//! parallel arrays (see [`crate::table`]).
+//! A live flow's state sits in a [`FlowTable`] slot that the sender leases
+//! from the moment it starts until the ACK that completes it; before and
+//! after, the sender answers its accessors from a small snapshot. Flows
+//! sharing one table keep the hot fields of whichever of them are live in
+//! dense parallel arrays (see [`crate::table`]).
 
 use crate::cc::{CcState, CongestionControl, RecoveryStyle};
 use crate::config::TcpConfig;
 use crate::rtt::RttEstimator;
-use crate::table::{FlowSlot, FlowTable, SharedFlowTable};
+use crate::table::{FlowLease, FlowTable, SharedFlowTable};
 use simcore::{SimDuration, SimTime};
 
 /// What the sender wants done, in order.
@@ -81,33 +82,43 @@ pub struct SenderStats {
     pub dupacks: u64,
 }
 
-/// The TCP sender: configuration plus a [`FlowTable`] slot holding all
-/// mutable per-flow state.
+/// What makes one Reno-family flow what it is — configuration, window
+/// algorithm, length — and the state machine over a [`FlowTable`] slot.
+/// Split from the lease so an event can hold the table borrow and run the
+/// machine at once.
 #[derive(Debug)]
-pub struct TcpSender {
+struct Machine {
     cfg: TcpConfig,
     cc: Box<dyn CongestionControl>,
     /// Total flow length in segments; `None` = infinite (long-lived) flow.
     flow_size: Option<u64>,
-    table: SharedFlowTable,
-    slot: FlowSlot,
     /// Test-only log of (seq, retransmit) for every Send action.
     #[cfg(any(test, feature = "send-log"))]
-    pub send_log: Vec<(u64, bool)>,
+    send_log: Vec<(u64, bool)>,
+}
+
+/// The TCP sender: a `Machine` plus its lease on a [`FlowTable`] slot,
+/// which holds all mutable per-flow state while the flow is live (see
+/// [`crate::table`]).
+#[derive(Debug)]
+pub struct TcpSender {
+    machine: Machine,
+    lease: FlowLease,
 }
 
 impl TcpSender {
     /// Creates a sender for a flow of `flow_size` segments (`None` =
     /// infinite) using the given congestion control. The sender gets a
-    /// private one-slot [`FlowTable`]; multi-flow workloads should share
-    /// one table via [`TcpSender::in_table`].
+    /// private [`FlowTable`]; multi-flow workloads should share one table
+    /// via [`TcpSender::in_table`].
     pub fn new(cfg: TcpConfig, cc: Box<dyn CongestionControl>, flow_size: Option<u64>) -> Self {
         Self::in_table(&SharedFlowTable::new(), cfg, cc, flow_size)
     }
 
-    /// Creates a sender whose state lives in `table` (one slot is
-    /// allocated). Every sender of a simulation should share one table so
-    /// the hot per-flow fields are contiguous.
+    /// Creates a sender whose live state is pooled in `table`: the flow is
+    /// registered now, takes a slot when it starts and gives it back when
+    /// it completes. Every sender of a simulation should share one table so
+    /// the hot per-flow fields of the live flows are contiguous.
     pub fn in_table(
         table: &SharedFlowTable,
         cfg: TcpConfig,
@@ -117,80 +128,65 @@ impl TcpSender {
         if let Some(n) = flow_size {
             assert!(n > 0, "flow must have at least one segment");
         }
-        let slot = table.alloc(&cfg);
         TcpSender {
-            cfg,
-            cc,
-            flow_size,
-            table: table.clone(),
-            slot,
-            #[cfg(any(test, feature = "send-log"))]
-            send_log: Vec::new(),
+            lease: FlowLease::new(table, &cfg),
+            machine: Machine {
+                cfg,
+                cc,
+                flow_size,
+                #[cfg(any(test, feature = "send-log"))]
+                send_log: Vec::new(),
+            },
         }
     }
 
-    /// Begins transmission: emits the initial window and arms the RTO.
-    /// Actions are appended to `out` (the agent reuses one scratch buffer
-    /// across events, so the per-event hot path performs no allocation).
+    /// Begins transmission: takes the flow's slot, emits the initial window
+    /// and arms the RTO. Actions are appended to `out` (the agent reuses
+    /// one scratch buffer across events, so the per-event hot path performs
+    /// no allocation).
     pub fn start_into(&mut self, _now: SimTime, out: &mut Vec<TcpAction>) {
-        let table = self.table.clone();
-        let mut tb = table.table_mut();
-        let t = &mut *tb;
-        let i = self.slot.index();
-        assert!(!t.cold[i].started, "start() called twice");
-        t.cold[i].started = true;
-        self.fill_window(t, out);
-        self.arm_rto(t, out);
+        let i = self.lease.start(&self.machine.cfg).index();
+        let t = &mut *self.lease.table.table_mut();
+        self.machine.fill_window(t, i, out);
+        self.machine.arm_rto(t, i, out);
     }
 
     /// Convenience wrapper over [`TcpSender::start_into`] returning a fresh
     /// vector (tests and diagnostics).
     pub fn start(&mut self, now: SimTime) -> Vec<TcpAction> {
-        let mut out = Vec::new();
-        self.start_into(now, &mut out);
-        out
-    }
-
-    fn window_in(&self, t: &FlowTable) -> u64 {
-        let i = self.slot.index();
-        let w = (t.ccs[i].cwnd + t.inflation[i]).min(self.cfg.max_window as f64);
-        w.floor().max(1.0) as u64
-    }
-
-    fn flight_in(&self, t: &FlowTable) -> u64 {
-        let i = self.slot.index();
-        t.next_seq[i] - t.snd_una[i]
+        collect_actions(|out| self.start_into(now, out))
     }
 
     /// Effective send window in whole segments: `min(cwnd + inflation,
     /// max_window)`.
     pub fn window(&self) -> u64 {
-        self.window_in(&self.table.table())
+        let inflation = self.lease.live_or(0.0, |t, i| t.inflation[i]);
+        self.machine.window_of(self.cwnd(), inflation)
     }
 
     /// Outstanding (sent, unacked) segments.
     pub fn flight(&self) -> u64 {
-        self.flight_in(&self.table.table())
+        self.lease.next_seq() - self.lease.snd_una()
     }
 
     /// The congestion window (segments, fractional).
     pub fn cwnd(&self) -> f64 {
-        self.table.table().ccs[self.slot.index()].cwnd
+        self.lease.ccs().cwnd
     }
 
     /// The slow-start threshold (segments).
     pub fn ssthresh(&self) -> f64 {
-        self.table.table().ccs[self.slot.index()].ssthresh
+        self.lease.ccs().ssthresh
     }
 
     /// The congestion-control state pair (diagnostics/tests).
     pub fn ccs(&self) -> CcState {
-        self.table.table().ccs[self.slot.index()]
+        self.lease.ccs()
     }
 
     /// Current coarse state.
     pub fn state(&self) -> SenderState {
-        if self.table.table().recovery[self.slot.index()] {
+        if self.lease.in_recovery() {
             SenderState::FastRecovery
         } else {
             SenderState::Open
@@ -199,79 +195,54 @@ impl TcpSender {
 
     /// True once every segment of a finite flow is acknowledged.
     pub fn is_completed(&self) -> bool {
-        self.table.table().cold[self.slot.index()].completed
+        self.lease.completed
     }
 
     /// Sender counters.
     pub fn stats(&self) -> SenderStats {
-        self.table.table().cold[self.slot.index()].stats
+        self.lease.stats()
     }
 
     /// Oldest unacknowledged segment.
     pub fn snd_una(&self) -> u64 {
-        self.table.table().snd_una[self.slot.index()]
+        self.lease.snd_una()
     }
 
     /// Next new segment to be sent.
     pub fn next_seq(&self) -> u64 {
-        self.table.table().next_seq[self.slot.index()]
+        self.lease.next_seq()
     }
 
-    /// The current RTO timer generation (tests).
+    /// The live flow's current RTO timer generation (tests; 0 for a flow
+    /// that has not started or has finished).
     pub fn rto_gen(&self) -> u64 {
-        self.table.table().rto_gen[self.slot.index()]
+        self.lease.live_or(0, |t, i| t.rto_gen[i])
     }
 
     /// A snapshot of the RTT estimator (for diagnostics).
     pub fn rtt(&self) -> RttEstimator {
-        self.table.table().rtt[self.slot.index()].clone()
+        self.lease.rtt()
     }
 
     /// The congestion-control algorithm name.
     pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
+        self.machine.cc.name()
     }
 
-    fn is_fin(&self, seq: u64) -> bool {
-        self.flow_size.map(|n| seq + 1 == n).unwrap_or(false)
+    /// The flow's configuration.
+    pub fn cfg(&self) -> &TcpConfig {
+        &self.machine.cfg
     }
 
-    /// Sends as much new data as the window permits.
-    fn fill_window(&mut self, t: &mut FlowTable, out: &mut Vec<TcpAction>) {
-        let i = self.slot.index();
-        let limit = self.flow_size.unwrap_or(u64::MAX);
-        while self.flight_in(t) < self.window_in(t) && t.next_seq[i] < limit {
-            let seq = t.next_seq[i];
-            // A segment below high_water was transmitted before the loss
-            // event that set high_water (go-back-N after timeout).
-            let retransmit = seq < t.high_water[i];
-            out.push(TcpAction::Send {
-                seq,
-                retransmit,
-                fin: self.is_fin(seq),
-            });
-            #[cfg(any(test, feature = "send-log"))]
-            self.send_log.push((seq, retransmit));
-            t.cold[i].stats.segments_sent += 1;
-            if retransmit {
-                t.cold[i].stats.retransmits += 1;
-            }
-            t.next_seq[i] += 1;
-        }
+    /// The table this sender's live state is pooled in.
+    pub fn table(&self) -> &SharedFlowTable {
+        &self.lease.table
     }
 
-    fn arm_rto(&mut self, t: &mut FlowTable, out: &mut Vec<TcpAction>) {
-        let i = self.slot.index();
-        if self.flight_in(t) == 0 || t.cold[i].completed {
-            // Nothing outstanding: let any pending timer go stale.
-            t.rto_gen[i] += 1;
-            return;
-        }
-        t.rto_gen[i] += 1;
-        out.push(TcpAction::ArmRto {
-            delay: t.rtt[i].rto(),
-            gen: t.rto_gen[i],
-        });
+    /// (seq, retransmit) of every Send action so far (tests/diagnostics).
+    #[cfg(any(test, feature = "send-log"))]
+    pub fn send_log(&self) -> &[(u64, bool)] {
+        &self.machine.send_log
     }
 
     /// Processes a cumulative ACK. `ts_echo` is the send timestamp echoed by
@@ -294,6 +265,10 @@ impl TcpSender {
     /// [`CongestionControl::on_ecn_mark`] response; with ECN off the `ece`
     /// flag is ignored entirely and behaviour is bit-identical to
     /// [`TcpSender::on_ack_into`].
+    ///
+    /// A flow that has not started or has already completed holds no slot
+    /// and ignores the ACK. The ACK that completes the flow gives the slot
+    /// back before this returns.
     // simlint: hot-path — once per ACK
     pub fn on_ack_ecn_into(
         &mut self,
@@ -303,20 +278,133 @@ impl TcpSender {
         ece: bool,
         out: &mut Vec<TcpAction>,
     ) {
-        let table = self.table.clone();
-        let mut tb = table.table_mut();
-        let t = &mut *tb;
-        let i = self.slot.index();
-        if t.cold[i].completed || !t.cold[i].started {
+        let Some(slot) = self.lease.slot else {
+            return;
+        };
+        let completed = {
+            let t = &mut *self.lease.table.table_mut();
+            self.machine
+                .on_ack(t, slot.index(), now, ack, ts_echo, ece, out)
+        };
+        if completed {
+            self.lease.retire(slot);
+        }
+    }
+
+    /// Convenience wrapper over [`TcpSender::on_ack_into`] returning a fresh
+    /// vector (tests and diagnostics).
+    pub fn on_ack(&mut self, now: SimTime, ack: u64, ts_echo: SimTime) -> Vec<TcpAction> {
+        collect_actions(|out| self.on_ack_into(now, ack, ts_echo, out))
+    }
+
+    /// Consumes the pending CWR flag: true exactly once after each
+    /// ECE-triggered window reduction. The agent stamps the next outgoing
+    /// data segment with CWR so the receiver can stop echoing.
+    pub fn take_cwr(&mut self) -> bool {
+        match self.lease.slot {
+            Some(slot) => {
+                std::mem::take(&mut self.lease.table.table_mut().cwr_pending[slot.index()])
+            }
+            None => false,
+        }
+    }
+
+    /// The DCTCP mark-fraction estimate α of the live flow
+    /// (diagnostics/tests; 1.0 until the first observation window
+    /// completes, and for a flow that has not started or has finished).
+    pub fn ecn_alpha(&self) -> f64 {
+        self.lease.live_or(1.0, |t, i| t.ecn_alpha[i])
+    }
+
+    /// Processes a retransmission-timeout expiry for timer generation `gen`.
+    /// Stale generations are ignored, as is any expiry for a flow that
+    /// holds no slot. Actions are appended to `out`.
+    // simlint: hot-path — once per retransmission timeout
+    pub fn on_rto_into(&mut self, _now: SimTime, gen: u64, out: &mut Vec<TcpAction>) {
+        let Some(slot) = self.lease.slot else {
+            return;
+        };
+        let t = &mut *self.lease.table.table_mut();
+        self.machine.on_rto(t, slot.index(), gen, out);
+    }
+
+    /// Convenience wrapper over [`TcpSender::on_rto_into`] returning a fresh
+    /// vector (tests and diagnostics).
+    pub fn on_rto(&mut self, now: SimTime, gen: u64) -> Vec<TcpAction> {
+        collect_actions(|out| self.on_rto_into(now, gen, out))
+    }
+}
+
+impl Machine {
+    fn window_of(&self, cwnd: f64, inflation: f64) -> u64 {
+        let w = (cwnd + inflation).min(self.cfg.max_window as f64);
+        w.floor().max(1.0) as u64
+    }
+
+    fn window_in(&self, t: &FlowTable, i: usize) -> u64 {
+        self.window_of(t.ccs[i].cwnd, t.inflation[i])
+    }
+
+    fn is_fin(&self, seq: u64) -> bool {
+        self.flow_size.map(|n| seq + 1 == n).unwrap_or(false)
+    }
+
+    /// Sends as much new data as the window permits.
+    fn fill_window(&mut self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
+        let limit = self.flow_size.unwrap_or(u64::MAX);
+        while flight_in(t, i) < self.window_in(t, i) && t.next_seq[i] < limit {
+            let seq = t.next_seq[i];
+            // A segment below high_water was transmitted before the loss
+            // event that set high_water (go-back-N after timeout).
+            let retransmit = seq < t.high_water[i];
+            out.push(TcpAction::Send {
+                seq,
+                retransmit,
+                fin: self.is_fin(seq),
+            });
+            #[cfg(any(test, feature = "send-log"))]
+            self.send_log.push((seq, retransmit));
+            t.cold[i].stats.segments_sent += 1;
+            if retransmit {
+                t.cold[i].stats.retransmits += 1;
+            }
+            t.next_seq[i] += 1;
+        }
+    }
+
+    fn arm_rto(&mut self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
+        t.rto_gen[i] += 1;
+        if flight_in(t, i) == 0 {
+            // Nothing outstanding: let any pending timer go stale.
             return;
         }
+        out.push(TcpAction::ArmRto {
+            delay: t.rtt[i].rto(),
+            gen: t.rto_gen[i],
+        });
+    }
+
+    /// The ACK path over slot `i`. Returns true when this ACK completed
+    /// the flow (the caller retires the slot).
+    // simlint: hot-path — once per ACK
+    #[allow(clippy::too_many_arguments)]
+    fn on_ack(
+        &mut self,
+        t: &mut FlowTable,
+        i: usize,
+        now: SimTime,
+        ack: u64,
+        ts_echo: SimTime,
+        ece: bool,
+        out: &mut Vec<TcpAction>,
+    ) -> bool {
         // An ACK for data we never sent is bogus (e.g. a stale ACK from a
         // previous connection on a reused flow id): drop it, as real TCP
         // drops segments outside the window. After a timeout rewind,
         // next_seq sits below data that is still legitimately in flight, so
         // the bound is the highest sequence ever sent.
         if ack > t.next_seq[i].max(t.high_water[i]) {
-            return;
+            return false;
         }
         t.cold[i].stats.acks += 1;
 
@@ -351,7 +439,7 @@ impl TcpSender {
             // in recovery — the loss reduction covers this window — and
             // until everything outstanding at the last reduction is acked.
             if ece && !t.recovery[i] && ack >= t.ecn_cwr_end[i] {
-                let flight = self.flight_in(t) as f64;
+                let flight = flight_in(t, i) as f64;
                 let alpha = t.ecn_alpha[i];
                 self.cc.on_ecn_mark(&mut t.ccs[i], flight, alpha);
                 t.ecn_cwr_end[i] = t.next_seq[i];
@@ -408,16 +496,14 @@ impl TcpSender {
             // Completion check before sending more.
             if let Some(n) = self.flow_size {
                 if t.snd_una[i] >= n {
-                    t.cold[i].completed = true;
-                    t.rto_gen[i] += 1; // kill pending timer
                     out.push(TcpAction::Completed);
-                    return;
+                    return true;
                 }
             }
 
-            self.fill_window(t, out);
-            self.arm_rto(t, out);
-        } else if ack == t.snd_una[i] && self.flight_in(t) > 0 {
+            self.fill_window(t, i, out);
+            self.arm_rto(t, i, out);
+        } else if ack == t.snd_una[i] && flight_in(t, i) > 0 {
             // Duplicate ACK.
             t.cold[i].stats.dupacks += 1;
             if !t.recovery[i] {
@@ -431,7 +517,7 @@ impl TcpSender {
                     // the highest sequence ever sent).
                     t.cold[i].stats.fast_retransmits += 1;
                     t.high_water[i] = t.high_water[i].max(t.next_seq[i]);
-                    let flight = self.flight_in(t) as f64;
+                    let flight = flight_in(t, i) as f64;
                     self.cc.on_fast_retransmit(&mut t.ccs[i], flight);
                     t.inflation[i] = self.cfg.dupack_threshold as f64;
                     t.recovery[i] = true;
@@ -442,56 +528,27 @@ impl TcpSender {
                     });
                     t.cold[i].stats.segments_sent += 1;
                     t.cold[i].stats.retransmits += 1;
-                    self.arm_rto(t, out);
+                    self.arm_rto(t, i, out);
                 }
             } else {
                 // Window inflation lets new data trickle out.
                 t.inflation[i] += 1.0;
-                self.fill_window(t, out);
+                self.fill_window(t, i, out);
             }
         }
         // Old ACK (< snd_una): ignore.
+        false
     }
 
-    /// Convenience wrapper over [`TcpSender::on_ack_into`] returning a fresh
-    /// vector (tests and diagnostics).
-    pub fn on_ack(&mut self, now: SimTime, ack: u64, ts_echo: SimTime) -> Vec<TcpAction> {
-        let mut out = Vec::new();
-        self.on_ack_into(now, ack, ts_echo, &mut out);
-        out
-    }
-
-    /// Consumes the pending CWR flag: true exactly once after each
-    /// ECE-triggered window reduction. The agent stamps the next outgoing
-    /// data segment with CWR so the receiver can stop echoing.
-    pub fn take_cwr(&mut self) -> bool {
-        std::mem::take(&mut self.table.table_mut().cwr_pending[self.slot.index()])
-    }
-
-    /// The DCTCP mark-fraction estimate α (diagnostics/tests; 1.0 until
-    /// the first observation window completes).
-    pub fn ecn_alpha(&self) -> f64 {
-        self.table.table().ecn_alpha[self.slot.index()]
-    }
-
-    /// Processes a retransmission-timeout expiry for timer generation `gen`.
-    /// Stale generations are ignored. Actions are appended to `out`.
+    /// The RTO path over slot `i`.
     // simlint: hot-path — once per retransmission timeout
-    pub fn on_rto_into(&mut self, _now: SimTime, gen: u64, out: &mut Vec<TcpAction>) {
-        let table = self.table.clone();
-        let mut tb = table.table_mut();
-        let t = &mut *tb;
-        let i = self.slot.index();
-        if gen != t.rto_gen[i]
-            || t.cold[i].completed
-            || !t.cold[i].started
-            || self.flight_in(t) == 0
-        {
+    fn on_rto(&mut self, t: &mut FlowTable, i: usize, gen: u64, out: &mut Vec<TcpAction>) {
+        if gen != t.rto_gen[i] || flight_in(t, i) == 0 {
             return;
         }
         t.cold[i].stats.timeouts += 1;
         t.rtt[i].backoff();
-        let flight = self.flight_in(t) as f64;
+        let flight = flight_in(t, i) as f64;
         self.cc.on_timeout(&mut t.ccs[i], flight);
         t.recovery[i] = false;
         t.dupacks[i] = 0;
@@ -500,17 +557,23 @@ impl TcpSender {
         // everything beyond it will be resent as the window re-opens.
         t.high_water[i] = t.high_water[i].max(t.next_seq[i]);
         t.next_seq[i] = t.snd_una[i];
-        self.fill_window(t, out);
-        self.arm_rto(t, out);
+        self.fill_window(t, i, out);
+        self.arm_rto(t, i, out);
     }
+}
 
-    /// Convenience wrapper over [`TcpSender::on_rto_into`] returning a fresh
-    /// vector (tests and diagnostics).
-    pub fn on_rto(&mut self, now: SimTime, gen: u64) -> Vec<TcpAction> {
-        let mut out = Vec::new();
-        self.on_rto_into(now, gen, &mut out);
-        out
-    }
+/// Runs one `*_into` call with a fresh action vector and returns it: the
+/// body of the Vec-returning convenience wrappers (tests and diagnostics;
+/// event dispatch hands the `*_into` methods a reused buffer instead).
+fn collect_actions(f: impl FnOnce(&mut Vec<TcpAction>)) -> Vec<TcpAction> {
+    let mut out = Vec::new();
+    f(&mut out);
+    out
+}
+
+/// Outstanding (sent, unacked) segments of slot `i`.
+fn flight_in(t: &FlowTable, i: usize) -> u64 {
+    t.next_seq[i] - t.snd_una[i]
 }
 
 #[cfg(test)]
@@ -838,6 +901,53 @@ mod tests {
         assert_eq!(a.snd_una(), solo.snd_una());
         assert_eq!(a.stats(), solo.stats());
         assert_eq!(table.len(), 2);
+    }
+    #[test]
+    fn finished_flow_cannot_touch_the_slot_it_gave_back() {
+        let table = SharedFlowTable::new();
+        let cfg = TcpConfig::default();
+        let mut a = TcpSender::in_table(&table, cfg, Box::new(Reno), Some(3));
+        let mut b = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
+        assert_eq!((table.len(), table.slots()), (2, 0), "registered, no slot yet");
+
+        // A runs to completion and gives its slot back.
+        a.start(t(0));
+        let a_gen = a.rto_gen();
+        a.on_ack(t(10), 2, t(0));
+        let done = a.on_ack(t(20), 3, t(10));
+        assert!(done.contains(&TcpAction::Completed));
+        assert_eq!((table.slots(), table.table().live()), (1, 0));
+        let a_final = (a.stats(), a.snd_una(), a.next_seq(), a.ccs(), a.rtt().srtt());
+        assert_eq!(a_final.1, 3);
+        assert_eq!(a_final.4, Some(SimDuration::from_millis(10)));
+
+        // B starts and is handed that very slot.
+        b.start(t(30));
+        b.on_ack(t(40), 2, t(30));
+        assert_eq!((table.slots(), table.table().live()), (1, 1), "B reuses A's slot");
+        let b_state = |b: &TcpSender| {
+            (b.ccs(), b.snd_una(), b.next_seq(), b.rto_gen(), b.stats(), b.rtt().srtt())
+        };
+        let b_before = b_state(&b);
+
+        // A's stale RTO timers — its own generations and any that happen to
+        // equal B's current one — and late duplicate ACKs are delivered.
+        for gen in [a_gen, a_gen + 1, b.rto_gen(), b.rto_gen() + 1] {
+            assert!(a.on_rto(t(1000), gen).is_empty());
+        }
+        assert!(a.on_ack(t(1001), 3, t(20)).is_empty());
+        assert!(a.on_ack(t(1002), 2, t(20)).is_empty());
+        assert!(!a.take_cwr());
+
+        // B is bit for bit where it was; A still answers with its final state.
+        assert_eq!(b_state(&b), b_before);
+        assert!(a.is_completed());
+        assert_eq!(
+            (a.stats(), a.snd_una(), a.next_seq(), a.ccs(), a.rtt().srtt()),
+            a_final
+        );
+        assert_eq!(a.flight(), 0);
+        assert_eq!(a.state(), SenderState::Open);
     }
 }
 

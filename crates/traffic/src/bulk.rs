@@ -49,13 +49,13 @@ impl CcKind {
         }
     }
 
-    /// Builds a complete sender machine of this kind with a private
-    /// one-slot flow table.
+    /// Builds a complete sender machine of this kind with a private flow
+    /// table.
     pub fn make_machine(self, cfg: TcpConfig, flow_size: Option<u64>) -> Box<dyn SenderMachine> {
         self.make_machine_in(&SharedFlowTable::new(), cfg, flow_size)
     }
 
-    /// Builds a complete sender machine whose per-flow state lives in
+    /// Builds a complete sender machine whose live state is pooled in
     /// `table`, so all flows of one simulation share dense arrays (see
     /// [`tcpsim::table`]).
     pub fn make_machine_in(
@@ -117,10 +117,9 @@ impl BulkWorkload {
         self.install_in(sim, dumbbell, first_flow, rng, &SharedFlowTable::new())
     }
 
-    /// Like [`BulkWorkload::install`], but per-flow sender state is
-    /// allocated in the caller's `table` (one slot per flow), so the
-    /// caller can share one table across workloads and read its
-    /// high-water mark afterwards.
+    /// Like [`BulkWorkload::install`], but the flows pool their live state
+    /// in the caller's `table`, so the caller can share one table across
+    /// workloads and read its flow count afterwards.
     pub fn install_in<'a>(
         &self,
         sim: &mut Sim,
@@ -139,8 +138,8 @@ impl BulkWorkload {
                 rng.u64_below(self.start_window.as_nanos().max(1)),
             );
             let machine = self.cc.make_machine_in(table, self.cfg, None);
-            let mut source = TcpSource::with_machine(flow, sink_node, self.cfg, machine)
-                .with_start_delay(start);
+            let mut source =
+                TcpSource::with_machine(flow, sink_node, machine).with_start_delay(start);
             if self.trace_cwnd {
                 source = source.with_cwnd_trace();
             }
@@ -151,7 +150,8 @@ impl BulkWorkload {
                 source = source.with_span_log(cap);
             }
             let source_id = sim.add_agent(src_node, Box::new(source));
-            let sink_id = sim.add_agent(sink_node, Box::new(TcpSink::new(flow, &self.cfg)));
+            let sink = TcpSink::in_table(table, flow, &self.cfg);
+            let sink_id = sim.add_agent(sink_node, Box::new(sink));
             sim.bind_flow(flow, sink_node, sink_id);
             sim.bind_flow(flow, src_node, source_id);
             handles.push(FlowHandle {

@@ -5,6 +5,14 @@
 //! experiment horizon, one `TcpSource`/`TcpSink` pair per flow, assigned
 //! round-robin to the dumbbell's host pairs (so per-flow RTTs inherit the
 //! pair diversity without needing a host pair per flow).
+//!
+//! What an installed flow costs until it starts, and again once it has
+//! finished, is a thin agent pair — identity, start time, result — sized
+//! exactly from the sampled arrival list; everything a flow needs only
+//! while it is alive is leased from the simulation's shared
+//! [`tcpsim::table`] and returned on completion, so the working set
+//! follows the number of flows in progress (hundreds), not the number of
+//! arrivals (a hundred thousand and more at Figure 8 scale).
 
 use crate::workload::FlowHandle;
 use netsim::{DumbbellView, FlowId, Sim};
@@ -111,10 +119,9 @@ impl ShortFlowWorkload {
         self.install_in(sim, dumbbell, first_flow, rng, &SharedFlowTable::new())
     }
 
-    /// Like [`ShortFlowWorkload::install`], but per-flow sender state is
-    /// allocated in the caller's `table` (one slot per flow), so the
-    /// caller can share one table across workloads and read its
-    /// high-water mark afterwards.
+    /// Like [`ShortFlowWorkload::install`], but the flows pool their live
+    /// state in the caller's `table`, so the caller can share one table
+    /// across workloads and read its flow count and slab size afterwards.
     pub fn install_in<'a>(
         &self,
         sim: &mut Sim,
@@ -125,26 +132,33 @@ impl ShortFlowWorkload {
     ) -> Vec<FlowHandle> {
         let dumbbell = dumbbell.into();
         assert!(self.arrival_rate > 0.0);
+        // Sample the whole arrival list first (gap, length, gap, length, …:
+        // the draw order is part of every digest), so everything that is
+        // kept per flow can be sized exactly before the first flow is built.
         let gap = Exponential::new(self.arrival_rate);
-        let mut handles = Vec::new();
-        let mut t = 0.0;
         let horizon = self.horizon.as_secs_f64();
-        let mut i = 0u32;
+        let mut arrivals = Vec::new();
+        let mut t = 0.0;
         loop {
             t += gap.sample(rng);
             if t >= horizon {
                 break;
             }
-            let len = self.lengths.sample(rng);
-            let pair = (i as usize) % dumbbell.n_flows();
-            let flow = FlowId(first_flow + i);
+            arrivals.push((t, self.lengths.sample(rng)));
+        }
+        sim.reserve_flows(arrivals.len());
+        let mut handles = Vec::with_capacity(arrivals.len());
+        for (i, &(t, len)) in arrivals.iter().enumerate() {
+            let pair = i % dumbbell.n_flows();
+            let flow = FlowId(first_flow + i as u32);
             let src_node = dumbbell.sources[pair];
             let sink_node = dumbbell.sinks[pair];
             let sender = TcpSender::in_table(table, self.cfg, Box::new(Reno), Some(len));
-            let source = TcpSource::with_machine(flow, sink_node, self.cfg, Box::new(sender))
+            let source = TcpSource::with_machine(flow, sink_node, Box::new(sender))
                 .with_start_delay(SimDuration::from_secs_f64(t));
             let source_id = sim.add_agent(src_node, Box::new(source));
-            let sink_id = sim.add_agent(sink_node, Box::new(TcpSink::new(flow, &self.cfg)));
+            let sink = TcpSink::in_table(table, flow, &self.cfg);
+            let sink_id = sim.add_agent(sink_node, Box::new(sink));
             sim.bind_flow(flow, sink_node, sink_id);
             sim.bind_flow(flow, src_node, source_id);
             handles.push(FlowHandle {
@@ -154,7 +168,6 @@ impl ShortFlowWorkload {
                 source_node: src_node,
                 sink_node,
             });
-            i += 1;
         }
         handles
     }

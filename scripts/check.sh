@@ -20,6 +20,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 echo "==> parallel determinism (--jobs 1 vs --jobs 4 sweeps)"
 cargo test -q --release --test parallel_determinism
 
+echo "==> flow-state byte budget on the optimized build (counting allocator)"
+cargo test -q --release --test flow_memory
+
 echo "==> RESULTS.md drift gate (report --check)"
 cargo run -q --release -p bench --bin report -- --check
 

@@ -121,3 +121,86 @@ fn schedulers_and_jobs_levels_compose() {
     let wheel_par = sweep(SchedulerKind::Wheel, 4);
     assert_eq!(heap_seq, wheel_par, "scheduler × jobs matrix diverged");
 }
+
+/// A parked-timer-heavy schedule, the shape of a short-flow workload's
+/// pre-scheduled flow starts: 60 k timers spread over 100 simulated seconds
+/// (plus a second wave past the third level's 275 s rotation) sit in the
+/// wheel's upper levels while near events — each fired "start" spawns a
+/// short chain of packet-scale hops and one RTO-scale timer — churn the
+/// lower ones. Every cascade that drains such a slot may hand its buffer
+/// back to the allocator; the pop stream must stay exactly the heap's, at
+/// every level boundary and across rotations.
+#[test]
+fn parked_timer_heavy_schedule_identical_across_schedulers() {
+    use simcore::{Rng, Scheduler};
+
+    /// The full pop stream, the depth high-water mark, the events scheduled.
+    fn drive(kind: SchedulerKind) -> (Vec<(u64, u64)>, usize, u64) {
+        let mut rng = Rng::new(0x9A12_CED7);
+        let mut s: Scheduler<u64> = Scheduler::with_capacity(kind, 1024);
+        let mut next_id = 0u64;
+        let mut park = |s: &mut Scheduler<u64>, t: u64| {
+            s.schedule(SimTime::from_nanos(t), next_id);
+            next_id += 1;
+        };
+        // Starts: uniform over [0, 100 s), some sharing an instant, some
+        // exactly on a slot boundary of each wheel level (2^14, 2^22, 2^30
+        // ns); then a second wave over [300 s, 400 s).
+        for i in 0..60_000u64 {
+            let mut t = rng.u64_below(100_000_000_000);
+            match i % 16 {
+                0 => t &= !((1 << 14) - 1),
+                1 => t &= !((1 << 22) - 1),
+                2 => t &= !((1 << 30) - 1),
+                _ => {}
+            }
+            park(&mut s, t);
+            if i % 64 == 0 {
+                park(&mut s, t); // same instant: FIFO tie-break
+            }
+        }
+        for _ in 0..6_000 {
+            park(&mut s, 300_000_000_000 + rng.u64_below(100_000_000_000));
+        }
+        let starts = next_id;
+
+        // Ids below `starts` are flow starts; a start spawns a chain of
+        // `hops` near events encoded in the id, and one far (RTO-like) timer.
+        let mut stream = Vec::new();
+        let mut batch = Vec::new();
+        while let Some(t) = s.drain_next_batch(SimTime::MAX, &mut batch) {
+            let now = t.as_nanos();
+            for id in batch.drain(..) {
+                stream.push((now, id));
+                if id < starts {
+                    let hops = 2 + rng.u64_below(6);
+                    s.schedule(
+                        SimTime::from_nanos(now + 40_000 + rng.u64_below(400_000)),
+                        starts + hops,
+                    );
+                    s.schedule(
+                        SimTime::from_nanos(now + 200_000_000 + rng.u64_below(1_000_000_000)),
+                        starts, // a timer that spawns nothing
+                    );
+                } else if id > starts {
+                    // One hop done: the next is a propagation delay away.
+                    s.schedule(
+                        SimTime::from_nanos(now + 5_000_000 + rng.u64_below(30_000_000)),
+                        id - 1,
+                    );
+                }
+            }
+        }
+        (stream, s.depth_high_water(), s.total_scheduled())
+    }
+
+    let (wheel, wheel_depth, wheel_total) = drive(SchedulerKind::Wheel);
+    let (heap, heap_depth, heap_total) = drive(SchedulerKind::Heap);
+    assert!(wheel.len() > 300_000, "only {} events", wheel.len());
+    assert_eq!(wheel.len(), heap.len());
+    if let Some(i) = (0..wheel.len()).find(|&i| wheel[i] != heap[i]) {
+        panic!("pop {i}: wheel {:?}, heap {:?}", wheel[i], heap[i]);
+    }
+    assert_eq!((wheel_depth, wheel_total), (heap_depth, heap_total));
+    assert!(wheel_depth > 60_000, "the starts were parked at once");
+}
