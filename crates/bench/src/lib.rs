@@ -52,34 +52,37 @@ fn quick_in(args: &[String]) -> bool {
     args.iter().any(|a| a == "--quick" || a == "-q")
 }
 
-/// Worker count from `--jobs N` on the command line; defaults to the
-/// machine's available parallelism. `--jobs 1` forces the sequential path,
-/// which reproduces the pre-parallelism output exactly. A value that is not
-/// a non-negative integer is reported on stderr and the process exits 2.
-pub fn jobs_flag() -> usize {
-    match jobs_in(&cli_args()) {
-        Ok(jobs) => jobs.unwrap_or_else(buffersizing::exec::default_jobs),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+/// Unwraps a parsed flag, or reports the error on stderr and exits 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
-/// `Ok(None)` when neither `--jobs` nor `-j` is present (or it is the last
-/// argument); `0` is clamped to 1.
+/// Worker count from `--jobs N` on the command line; defaults to the
+/// machine's available parallelism. `--jobs 1` forces the sequential path,
+/// which reproduces the pre-parallelism output exactly. A missing value or
+/// one that is not a non-negative integer is reported on stderr and the
+/// process exits 2.
+pub fn jobs_flag() -> usize {
+    or_exit(jobs_in(&cli_args())).unwrap_or_else(buffersizing::exec::default_jobs)
+}
+
+/// `Ok(None)` when neither `--jobs` nor `-j` is present; `0` is clamped
+/// to 1.
 fn jobs_in(args: &[String]) -> Result<Option<usize>, String> {
-    let value = args
-        .iter()
-        .position(|a| a == "--jobs" || a == "-j")
-        .and_then(|i| args.get(i + 1));
-    match value {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<usize>()
-            .map(|n| Some(n.max(1)))
-            .map_err(|_| format!("--jobs expects a positive integer, got {v:?}")),
-    }
+    let value = match str_in(args, "--jobs")? {
+        Some(v) => Some(v),
+        None => str_in(args, "-j")?,
+    };
+    value
+        .map(|v| {
+            v.parse::<usize>()
+                .map(|n| n.max(1))
+                .map_err(|_| format!("--jobs expects a positive integer, got {v:?}"))
+        })
+        .transpose()
 }
 
 /// When `--csv <path>` was passed, returns the path to write CSV to.
@@ -88,15 +91,20 @@ pub fn csv_flag() -> Option<String> {
 }
 
 /// Value of an arbitrary `<flag> <value>` command-line pair, when present.
+/// A flag given as the last argument, with no value to take, is reported
+/// on stderr and the process exits 2.
 pub fn str_flag(flag: &str) -> Option<String> {
-    str_in(&cli_args(), flag)
+    or_exit(str_in(&cli_args(), flag))
 }
 
-fn str_in(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn str_in(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v.clone())),
+            None => Err(format!("{flag} expects a value")),
+        },
+    }
 }
 
 /// Writes `csv` to `path` and reports it on stdout.
@@ -105,8 +113,14 @@ pub fn write_csv(path: &str, csv: &str) {
     println!("(CSV written to {path})");
 }
 
-/// Standard preamble printed by every regeneration binary.
+/// Standard preamble printed by every regeneration binary. Also where a
+/// value flag left without its value is caught — before the simulation
+/// runs, not when its output is about to be written.
 pub fn preamble(artifact: &str, quick: bool) {
+    let args = cli_args();
+    for flag in ["--jobs", "-j", "--csv", "--trace", "--out"] {
+        or_exit(str_in(&args, flag));
+    }
     println!(
         "== Sizing Router Buffers (SIGCOMM 2004) reproduction — {artifact} ({}) ==\n",
         if quick { "quick smoke scale" } else { "full scale" }
@@ -135,7 +149,14 @@ mod tests {
         assert_eq!(jobs_in(&args(&["--quick", "-j", "3"])), Ok(Some(3)));
         assert_eq!(jobs_in(&args(&["--jobs", "0"])), Ok(Some(1)));
         assert_eq!(jobs_in(&args(&["--quick"])), Ok(None));
-        assert_eq!(jobs_in(&args(&["--jobs"])), Ok(None));
+        assert_eq!(
+            jobs_in(&args(&["--quick", "--jobs"])),
+            Err("--jobs expects a value".to_string())
+        );
+        assert_eq!(
+            jobs_in(&args(&["-j"])),
+            Err("-j expects a value".to_string())
+        );
         assert_eq!(
             jobs_in(&args(&["--jobs", "x"])),
             Err("--jobs expects a positive integer, got \"x\"".to_string())
@@ -144,9 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn csv_flag_takes_the_following_value() {
-        assert_eq!(str_in(&args(&["--csv", "p"]), "--csv"), Some("p".to_string()));
-        assert_eq!(str_in(&args(&["--quick"]), "--csv"), None);
-        assert_eq!(str_in(&args(&["--csv"]), "--csv"), None);
+    fn value_flag_takes_the_following_value_or_reports() {
+        assert_eq!(
+            str_in(&args(&["--csv", "p"]), "--csv"),
+            Ok(Some("p".to_string()))
+        );
+        assert_eq!(str_in(&args(&["--quick"]), "--csv"), Ok(None));
+        assert_eq!(
+            str_in(&args(&["--quick", "--csv"]), "--csv"),
+            Err("--csv expects a value".to_string())
+        );
     }
 }

@@ -21,9 +21,10 @@
 //! synchronized overflow, and utilization dips non-monotonically.
 
 use crate::exec::Executor;
+use crate::figures::min_buffer::{sweep, SweepCell};
+use crate::probe_cache::run_cached;
 use crate::report::Table;
 use crate::runner::LongFlowScenario;
-use crate::search::min_buffer_for_par;
 use traffic::bulk::CcKind;
 
 /// One congestion-control variant of the sweep.
@@ -114,67 +115,64 @@ impl CcaSweepConfig {
         }
     }
 
-    /// The scenario for one `(variant, n, buffer)` probe. Factored out so
-    /// the final re-probe at the found minimum reuses the exact scenario
-    /// (and therefore hits the probe cache instead of re-simulating).
-    fn probe_scenario(&self, v: &CcaVariant, n: usize, buffer: usize) -> LongFlowScenario {
-        let mut s = self.base.clone();
-        s.n_flows = n;
-        s.cc = v.cc;
-        s.pacing = v.pacing;
-        s.buffer_pkts = buffer;
-        if v.ecn {
-            // RFC 8257 §4.2: provision K at roughly (C × RTT̄)/7 packets.
-            s.ecn_marking = Some(((s.bdp_packets() / 7.0).round() as usize).max(1));
-        }
-        s
-    }
-
     /// Runs the sweep sequentially.
     pub fn run(&self) -> Vec<CcaSweepPoint> {
         self.run_with(&Executor::sequential())
     }
 
-    /// Runs the sweep on `exec`: `(variant, n)` cells fan out across
-    /// workers and each cell's bisection speculates on the leftover width
-    /// (see [`min_buffer_for_par`]). Results are identical to
-    /// [`CcaSweepConfig::run`] in content and order for any executor.
+    /// Runs the sweep on `exec`: Figure 7's loop ([`sweep`]) over
+    /// `(variant, n)` cells, probing through the probe cache. Results are
+    /// identical to [`CcaSweepConfig::run`] in content and order for any
+    /// executor.
     pub fn run_with(&self, exec: &Executor) -> Vec<CcaSweepPoint> {
-        let mut cells: Vec<(CcaVariant, usize)> = Vec::new();
+        let mut labels = Vec::new();
+        let mut cells = Vec::new();
         for v in &self.variants {
             for &n in &self.flow_counts {
-                cells.push((*v, n));
+                let mut scenario = self.base.clone();
+                scenario.n_flows = n;
+                scenario.cc = v.cc;
+                scenario.pacing = v.pacing;
+                let bdp = scenario.bdp_packets();
+                if v.ecn {
+                    // RFC 8257 §4.2: provision K at roughly (C × RTT̄)/7
+                    // packets, whatever the probed buffer.
+                    scenario.ecn_marking = Some(((bdp / 7.0).round() as usize).max(1));
+                }
+                // Figure 7 caps the search at one BDP — always enough for
+                // Reno. Non-Reno variants can need more at small n (paced
+                // slow-start ramps recover more slowly from timeouts), so
+                // the zoo searches up to two BDPs before declaring a target
+                // unsatisfiable.
+                let hi = (2.0 * bdp).ceil() as usize + 1;
+                labels.push(v.label);
+                cells.push(SweepCell {
+                    scenario,
+                    hi,
+                    target: self.target,
+                });
             }
         }
-        let inner = exec.split(cells.len());
-        exec.map(&cells, |&(v, n)| {
-            let bdp = self.probe_scenario(&v, n, 1).bdp_packets();
-            // Figure 7 caps the search at one BDP — always enough for
-            // Reno. Non-Reno variants can need more at small n (paced
-            // slow-start ramps recover more slowly from timeouts), so the
-            // zoo searches up to two BDPs before declaring a target
-            // unsatisfiable.
-            let hi = (2.0 * bdp).ceil() as usize + 1;
-            let search = min_buffer_for_par(
-                hi,
-                &inner,
-                |b| crate::probe_cache::run_cached(&self.probe_scenario(&v, n, b)).utilization,
-                |u| u >= self.target,
-            );
-            // Re-probe the winning buffer — a guaranteed cache hit — to
-            // pull the utilization and mark count at the minimum.
-            let at_min =
-                crate::probe_cache::run_cached(&self.probe_scenario(&v, n, search.buffer_pkts));
-            CcaSweepPoint {
-                label: v.label,
-                n,
-                target: self.target,
-                measured_pkts: search.buffer_pkts,
-                sqrt_n_rule_pkts: bdp / (n as f64).sqrt(),
-                utilization: at_min.utilization,
-                marks: at_min.marks,
-            }
-        })
+        let found = sweep(exec, &cells, run_cached);
+        (labels.iter().zip(&cells).zip(&found))
+            .map(|((&label, cell), search)| {
+                // Re-probe the winning buffer — a guaranteed cache hit — to
+                // pull the utilization and mark count at the minimum.
+                let mut at_min = cell.scenario.clone();
+                at_min.buffer_pkts = search.buffer_pkts;
+                let at_min = run_cached(&at_min);
+                let (n, bdp) = (cell.scenario.n_flows, cell.scenario.bdp_packets());
+                CcaSweepPoint {
+                    label,
+                    n,
+                    target: self.target,
+                    measured_pkts: search.buffer_pkts,
+                    sqrt_n_rule_pkts: bdp / (n as f64).sqrt(),
+                    utilization: at_min.utilization,
+                    marks: at_min.marks,
+                }
+            })
+            .collect()
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::exec::Executor;
 use crate::report::Table;
 use crate::runner::LongFlowScenario;
-use simcore::{Rng, SimDuration};
+use simcore::SimDuration;
 use theory::GaussianWindowModel;
 
 /// One row of the table.
@@ -118,50 +118,16 @@ impl GsrTableConfig {
 }
 
 /// Runs a long-flow scenario with per-flow heterogeneous access rates —
-/// the "testbed" non-ideality.
+/// the "testbed" non-ideality — on its own random stream (delays first,
+/// then the rates) and returns the bottleneck utilization.
 fn run_heterogeneous(scenario: &LongFlowScenario) -> f64 {
-    use netsim::{DumbbellBuilder, QueueCapacity, Sim};
-    use traffic::BulkWorkload;
-
-    let mut sim = Sim::new(scenario.seed);
-    if let Some(j) = scenario.jitter {
-        sim.set_send_jitter(j);
-    }
-    let mut rng = Rng::new(scenario.seed ^ 0x1234_5678);
-    let (lo, hi) = scenario.rtt_range;
-    let delays: Vec<SimDuration> = (0..scenario.n_flows)
-        .map(|_| {
-            let rtt = SimDuration::from_nanos(rng.u64_range(lo.as_nanos(), hi.as_nanos()));
-            (rtt / 2).saturating_sub(scenario.bottleneck_delay)
-        })
-        .collect();
-    let rates: Vec<u64> = (0..scenario.n_flows)
-        .map(|_| scenario.bottleneck_rate / 4 * rng.u64_range(10, 80))
-        .collect();
-    let dumbbell = DumbbellBuilder::new(scenario.bottleneck_rate, scenario.bottleneck_delay)
-        .buffer(QueueCapacity::Packets(scenario.buffer_pkts))
-        .flow_delays(delays)
-        .access_rates(rates)
-        .build(&mut sim);
-    let wl = BulkWorkload {
-        cfg: scenario.cfg,
-        cc: scenario.cc,
-        start_window: scenario.start_window,
-        ..Default::default()
-    };
-    let _handles = wl.install(&mut sim, &dumbbell, 0, &mut rng);
-    sim.start();
-    sim.run_until(simcore::SimTime::ZERO + scenario.warmup);
-    let mark = sim.now();
-    sim.kernel_mut()
-        .link_mut(dumbbell.bottleneck)
-        .monitor
-        .mark(mark);
-    sim.run_for(scenario.measure);
-    sim.kernel()
-        .link(dumbbell.bottleneck)
-        .monitor
-        .utilization(sim.now(), scenario.bottleneck_rate)
+    let (mut run, _) = scenario.build_with(0x1234_5678, 0, |rng, builder| {
+        let rate = |_| scenario.bottleneck_rate / 4 * rng.u64_range(10, 80);
+        builder.access_rates((0..scenario.n_flows).map(rate).collect())
+    });
+    run.warm_up(scenario.warmup);
+    run.measure(scenario.measure);
+    run.utilization()
 }
 
 /// Builds the result table (render as text with [`Table::render`] or

@@ -2,10 +2,48 @@
 //! number of long-lived flows, compared with `2T̄pC/√n`.
 
 use crate::exec::Executor;
+use crate::probe_cache::run_cached;
 use crate::report::Table;
-use crate::runner::LongFlowScenario;
-use crate::search::min_buffer_for_par;
+use crate::runner::{LongFlowResult, LongFlowScenario};
+use crate::search::{min_buffer_for_par, SearchResult};
 use theory::GaussianWindowModel;
+
+/// One bisection of a long-flow sweep: the smallest `buffer_pkts` in
+/// `[1, hi]` at which `scenario` reaches `target` utilization.
+#[derive(Clone, Debug)]
+pub struct SweepCell {
+    /// The scenario to probe; `buffer_pkts` is overridden per probe.
+    pub scenario: LongFlowScenario,
+    /// Search upper bound (packets).
+    pub hi: usize,
+    /// Utilization target.
+    pub target: f64,
+}
+
+/// The long-flow sweep loop, Figure 7's and the per-CCA extension's: cells
+/// fan out across `exec`'s workers, each bisection speculating on the
+/// leftover width (see [`min_buffer_for_par`]) with one `probe` per
+/// evaluation. In cell order, and identical for any executor as long as
+/// `probe` is a pure function of its scenario.
+pub fn sweep(
+    exec: &Executor,
+    cells: &[SweepCell],
+    probe: impl Fn(&LongFlowScenario) -> LongFlowResult + Sync,
+) -> Vec<SearchResult> {
+    let inner = exec.split(cells.len());
+    exec.map(cells, |cell| {
+        min_buffer_for_par(
+            cell.hi,
+            &inner,
+            |b| {
+                let mut s = cell.scenario.clone();
+                s.buffer_pkts = b;
+                probe(&s).utilization
+            },
+            |u| u >= cell.target,
+        )
+    })
+}
 
 /// One point of the Figure 7 curve.
 #[derive(Clone, Copy, Debug)]
@@ -66,46 +104,47 @@ impl MinBufferConfig {
         self.run_with(&Executor::sequential())
     }
 
-    /// Runs the sweep on `exec`: the `(n, target)` cells fan out across
-    /// workers and each cell's bisection additionally speculates on the
-    /// leftover width (see [`min_buffer_for_par`]). Results are identical
-    /// to [`MinBufferConfig::run`] in content and order for any executor.
-    pub fn run_with(&self, exec: &Executor) -> Vec<MinBufferPoint> {
-        let mut cells: Vec<(usize, f64)> = Vec::new();
+    /// The `(n, target)` cells of the sweep, each searched up to one BDP.
+    pub fn cells(&self) -> Vec<SweepCell> {
+        let mut cells = Vec::new();
         for &n in &self.flow_counts {
-            for &target in &self.targets {
-                cells.push((n, target));
-            }
-        }
-        let inner = exec.split(cells.len());
-        exec.map(&cells, |&(n, target)| {
             let mut scenario = self.base.clone();
             scenario.n_flows = n;
-            let bdp = scenario.bdp_packets();
-            let hi = bdp.ceil() as usize + 1;
-            // Probes route through the process-global result cache: the
-            // per-target bisections for one n revisit overlapping buffer
-            // sizes, and each repeat would otherwise be a full simulation
-            // (see `crate::probe_cache`).
-            let search = min_buffer_for_par(
-                hi,
-                &inner,
-                |b| {
-                    let mut s = scenario.clone();
-                    s.buffer_pkts = b;
-                    crate::probe_cache::run_cached(&s).utilization
-                },
-                |u| u >= target,
-            );
-            let model = GaussianWindowModel::new(bdp, n);
-            MinBufferPoint {
-                n,
-                target,
-                measured_pkts: search.buffer_pkts,
-                sqrt_n_rule_pkts: bdp / (n as f64).sqrt(),
-                model_pkts: model.buffer_for_utilization(target.min(0.999_9)),
+            let hi = scenario.bdp_packets().ceil() as usize + 1;
+            for &target in &self.targets {
+                cells.push(SweepCell {
+                    scenario: scenario.clone(),
+                    hi,
+                    target,
+                });
             }
-        })
+        }
+        cells
+    }
+
+    /// Runs the sweep on `exec` (see [`sweep`]), probing through the
+    /// process-global result cache: the per-target bisections for one n
+    /// revisit overlapping buffer sizes (see [`crate::probe_cache`]).
+    /// Identical to [`MinBufferConfig::run`] for any executor.
+    pub fn run_with(&self, exec: &Executor) -> Vec<MinBufferPoint> {
+        let cells = self.cells();
+        let found = sweep(exec, &cells, run_cached);
+        cells.iter().zip(&found).map(|(c, s)| c.point(s)).collect()
+    }
+}
+
+impl SweepCell {
+    /// The Figure 7 point this cell's search result stands for.
+    pub fn point(&self, search: &SearchResult) -> MinBufferPoint {
+        let (n, bdp) = (self.scenario.n_flows, self.scenario.bdp_packets());
+        MinBufferPoint {
+            n,
+            target: self.target,
+            measured_pkts: search.buffer_pkts,
+            sqrt_n_rule_pkts: bdp / (n as f64).sqrt(),
+            model_pkts: GaussianWindowModel::new(bdp, n)
+                .buffer_for_utilization(self.target.min(0.999_9)),
+        }
     }
 }
 

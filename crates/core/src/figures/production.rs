@@ -9,8 +9,9 @@
 
 use crate::exec::Executor;
 use crate::report::Table;
-use netsim::{DumbbellBuilder, QueueCapacity, Sim};
-use simcore::{Rng, SimDuration, SimTime};
+use crate::runner::{dumbbell, Run};
+use netsim::Sim;
+use simcore::{Rng, SimDuration};
 use tcpsim::TcpConfig;
 use theory::GaussianWindowModel;
 use traffic::SessionWorkload;
@@ -111,18 +112,17 @@ impl ProductionConfig {
         let mut sim = Sim::new(self.seed);
         sim.set_send_jitter(SimDuration::from_micros(500));
         let mut rng = Rng::new(self.seed ^ 0xFACE_FEED);
-        let (lo, hi) = self.rtt_range;
-        let delays: Vec<SimDuration> = (0..self.host_pairs)
-            .map(|_| {
-                let rtt = SimDuration::from_nanos(rng.u64_range(lo.as_nanos(), hi.as_nanos()));
-                (rtt / 2).saturating_sub(SimDuration::from_millis(5))
-            })
-            .collect();
-        let dumbbell = DumbbellBuilder::new(self.rate_bps, SimDuration::from_millis(5))
-            .buffer(QueueCapacity::Packets(buffer))
-            .access_rate(self.rate_bps * 5)
-            .flow_delays(delays)
-            .build(&mut sim);
+        let dumbbell = dumbbell(
+            &mut rng,
+            self.host_pairs,
+            self.rtt_range,
+            self.rate_bps,
+            SimDuration::from_millis(5),
+            buffer,
+        )
+        .access_rate(self.rate_bps * 5)
+        .build(&mut sim);
+        let mut run = Run::new(sim, dumbbell);
         let wl = SessionWorkload {
             n_sessions: self.n_sessions,
             think_mean: self.think_mean,
@@ -130,19 +130,11 @@ impl ProductionConfig {
             size_shape: self.size_shape,
             cfg: TcpConfig::default().with_max_window(64),
         };
-        let _handles = wl.install(&mut sim, &dumbbell, 0, &mut rng);
-        sim.start();
-        sim.run_until(SimTime::ZERO + self.warmup);
-        let mark = sim.now();
-        sim.kernel_mut()
-            .link_mut(dumbbell.bottleneck)
-            .monitor
-            .mark(mark);
-        sim.run_for(self.measure);
-        let mon = &sim.kernel().link(dumbbell.bottleneck).monitor;
-        let util = mon.utilization(sim.now(), self.rate_bps);
-        let tput = mon.since_mark().tx_bytes as f64 * 8.0 / self.measure.as_secs_f64() / 1e6;
-        (util, tput)
+        run.handles = wl.install(&mut run.sim, &run.dumbbell, 0, &mut rng);
+        run.warm_up(self.warmup);
+        run.measure(self.measure);
+        let sent_bits = run.monitor().since_mark().tx_bytes as f64 * 8.0;
+        (run.utilization(), sent_bits / self.measure.as_secs_f64() / 1e6)
     }
 
     /// Runs all buffer settings sequentially.

@@ -3,8 +3,9 @@
 //! over-buffered routers.
 
 use crate::report::ascii_plot;
+use crate::runner::Run;
 use netsim::{DropLedger, DumbbellBuilder, ForensicsConfig, QueueCapacity, Sim, TelemetryConfig};
-use simcore::{Profile, Registry, SimDuration, SimTime, TracePoint};
+use simcore::{Profile, Registry, SimDuration, TracePoint};
 use stats::TimeSeries;
 use tcpsim::cc::Reno;
 use tcpsim::{SpanLog, TcpConfig, TcpSink, TcpSource};
@@ -101,33 +102,17 @@ impl SingleFlowConfig {
                 .with_ring_capacity(512),
         );
 
-        sim.start();
-        let t0 = SimTime::ZERO + self.warmup;
-        sim.run_until(t0);
-        sim.kernel_mut().link_mut(d.bottleneck).monitor.mark(t0);
-        sim.run_until(t0 + self.duration);
+        let mut run = Run::new(sim, d);
+        run.warm_up(self.warmup);
+        run.measure(self.duration);
+        let (sim, t0) = (&run.sim, run.monitor().mark_time());
 
-        let cwnd = TimeSeries::from_points(
-            sim.kernel().trace().series("cwnd.0").unwrap_or(&[]),
-        )
-        .after(t0);
-        let queue = TimeSeries::from_points(
-            sim.kernel()
-                .trace()
-                .series("queue.bottleneck")
-                .unwrap_or(&[]),
-        )
-        .after(t0);
-        let utilization = sim
-            .kernel()
-            .link(d.bottleneck)
-            .monitor
-            .utilization(sim.now(), self.rate_bps);
-        let sender_stats = sim
-            .agent_as::<TcpSource>(src_id)
-            .expect("source")
-            .sender()
-            .stats();
+        let traced = |series: &str| {
+            TimeSeries::from_points(sim.kernel().trace().series(series).unwrap_or(&[])).after(t0)
+        };
+        let (cwnd, queue) = (traced("cwnd.0"), traced("queue.bottleneck"));
+        let source = sim.agent_as::<TcpSource>(src_id).expect("source");
+        let sender_stats = source.sender().stats();
         let (telemetry, telemetry_digest, telemetry_jsonl) = match sim.telemetry() {
             Some(tel) => {
                 let series = tel
@@ -139,9 +124,7 @@ impl SingleFlowConfig {
             None => (Vec::new(), None, String::new()),
         };
 
-        let spans = sim
-            .agent_as::<TcpSource>(src_id)
-            .expect("source")
+        let spans = source
             .span_log()
             .cloned()
             .unwrap_or_else(|| SpanLog::new(1));
@@ -150,7 +133,7 @@ impl SingleFlowConfig {
         SingleFlowTrace {
             bdp_packets: self.bdp_packets(),
             buffer_pkts: self.buffer_pkts(),
-            utilization,
+            utilization: run.utilization(),
             cwnd,
             queue,
             fast_retransmits: sender_stats.fast_retransmits,

@@ -48,7 +48,8 @@ pub use exec::Executor;
 pub use json::Json;
 pub use manifest::RunManifest;
 pub use runner::{
-    LongFlowResult, LongFlowScenario, MixScenario, ShortFlowResult, ShortFlowScenario, TracedRun,
+    LongFlowResult, LongFlowScenario, MixScenario, Run, ShortFlowResult, ShortFlowScenario,
+    TracedRun,
 };
 pub use search::{min_buffer_for, min_buffer_for_par, SearchResult};
 pub use sync::{pairwise_correlation, SyncReport};

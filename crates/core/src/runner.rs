@@ -1,48 +1,134 @@
-//! Declarative experiment scenarios and their runners.
+//! Declarative experiment scenarios and the one path that runs them.
 //!
-//! Three scenario types cover every experiment in the paper:
+//! A scenario is data: [`LongFlowScenario`] (`n` long-lived TCP flows,
+//! §5.1.1, Figures 3–7, Table 10), [`ShortFlowScenario`] (Poisson short
+//! flows, §5.1.2, Figure 8), [`MixScenario`] (both, §5.1.3, Figure 9).
+//! `build()` turns one into a [`Run`] — simulator, dumbbell, flow handles,
+//! flow table, nothing started — and every `run*()` entry point is the
+//! same stages over it, then the scenario's reduction:
 //!
-//! * [`LongFlowScenario`] — `n` long-lived TCP flows over a dumbbell
-//!   (§5.1.1, Figures 3–7, Table 10);
-//! * [`ShortFlowScenario`] — Poisson short flows (§5.1.2, Figure 8);
-//! * [`MixScenario`] — long + short flows together (§5.1.3, Figure 9).
+//! ```text
+//! build() → warm_up(d) → measure(d) [→ drain(d)] → collect(&run)
+//! ```
 //!
-//! Each `run()` is fully deterministic for a given `seed` and returns a
-//! plain result struct so figures/tables are just data transformations.
+//! Everything is deterministic for a given `seed`, and nothing here reads a
+//! wall clock: a caller that wants `build_s / warmup_s / measure_s /
+//! collect_s` owns the `Run` between the stages and times them itself
+//! (DESIGN.md §15).
 
 use netsim::red::RedConfig;
 use netsim::{
-    DropLedger, DropTail, DumbbellBuilder, EcnMode, ForensicsConfig, LinkId, PacketRecord,
-    QueueCapacity, Red, Sim, TelemetryConfig,
+    DropLedger, DropTail, Dumbbell, DumbbellBuilder, EcnMode, ForensicsConfig, LinkId, LinkMonitor,
+    PacketRecord, QueueCapacity, Red, Sim, TelemetryConfig,
 };
 use simcore::{Profile, Rng, SchedulerKind, SimDuration, SimTime};
 use stats::FctCollector;
 use tcpsim::{SharedFlowTable, SpanLog, TcpConfig, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
-use traffic::{
-    arrival_rate_for_load, BulkWorkload, FlowHandle, FlowLengthDist, ShortFlowWorkload,
-};
+use traffic::{arrival_rate_for_load, BulkWorkload, FlowHandle, FlowLengthDist, ShortFlowWorkload};
 
 /// Default packet size (bytes), matching the paper / ns-2 convention.
 pub const PKT_SIZE: u32 = 1000;
 
-/// One-way access delays for `n` host pairs: each pair's two-way
-/// propagation delay is drawn uniformly from `rtt_range`, in pair order.
-pub fn access_delays(
+/// How long the short-flow and mix paths keep running after the measured
+/// window so that late flows finish.
+const DRAIN: SimDuration = SimDuration::from_secs(30);
+
+/// Starts the dumbbell every pipeline runs on: `pairs` host pairs whose
+/// two-way propagation delays are drawn uniformly from `rtt_range`, in pair
+/// order, from `rng` — the one place access delays are drawn. The caller
+/// adds what differs between pipelines (access rates, a bottleneck queue
+/// other than drop-tail) and builds it.
+pub(crate) fn dumbbell(
     rng: &mut Rng,
-    n: usize,
+    pairs: usize,
     rtt_range: (SimDuration, SimDuration),
-    bottleneck_delay: SimDuration,
-) -> Vec<SimDuration> {
+    rate_bps: u64,
+    delay: SimDuration,
+    buffer_pkts: usize,
+) -> DumbbellBuilder {
     let (lo, hi) = rtt_range;
     assert!(lo <= hi);
-    (0..n)
-        .map(|_| {
-            let rtt = SimDuration::from_nanos(rng.u64_range(lo.as_nanos(), hi.as_nanos()));
-            // two_way = 2*(access + bottleneck)  =>  access = rtt/2 - bneck
-            (rtt / 2).saturating_sub(bottleneck_delay)
-        })
-        .collect()
+    let delays = (0..pairs).map(|_| {
+        let rtt = SimDuration::from_nanos(rng.u64_range(lo.as_nanos(), hi.as_nanos()));
+        // two_way = 2*(access + bottleneck)  =>  access = rtt/2 - bneck
+        (rtt / 2).saturating_sub(delay)
+    });
+    DumbbellBuilder::new(rate_bps, delay)
+        .buffer(QueueCapacity::Packets(buffer_pkts))
+        .flow_delays(delays)
+}
+
+/// A built simulation and the stages every pipeline drives it through.
+/// The fields are the simulation itself, not a summary of it: between and
+/// after the stages a caller reads whatever it needs off them.
+pub struct Run {
+    /// The simulator.
+    pub sim: Sim,
+    /// The topology; `dumbbell.bottleneck` is the link under study.
+    pub dumbbell: Dumbbell,
+    /// One handle per installed flow, in install order (a mix: the long
+    /// flows first).
+    pub handles: Vec<FlowHandle>,
+    /// The flow table every flow of the scenario pools its live state in.
+    pub table: SharedFlowTable,
+    /// The bottleneck monitor as [`Run::drain`] found it, and when.
+    closed: Option<(LinkMonitor, SimTime)>,
+}
+
+impl Run {
+    /// Wraps a simulator and the dumbbell built into it, with no flows yet
+    /// and an empty flow table (the figure-local pipelines' way in).
+    pub fn new(sim: Sim, dumbbell: Dumbbell) -> Run {
+        Run {
+            sim,
+            dumbbell,
+            handles: Vec::new(),
+            table: SharedFlowTable::new(),
+            closed: None,
+        }
+    }
+
+    /// Starts the simulator, runs it for `d` and marks the bottleneck
+    /// monitor: the measured window opens here. Once per run.
+    pub fn warm_up(&mut self, d: SimDuration) {
+        self.sim.start();
+        self.sim.run_until(SimTime::ZERO + d);
+        let mark = self.sim.now();
+        let link = self.sim.kernel_mut().link_mut(self.dumbbell.bottleneck);
+        link.monitor.mark(mark);
+    }
+
+    /// Advances the measured window by `d`. Slices add up: two calls of
+    /// `d/2` leave the simulation where one call of `d` does.
+    pub fn measure(&mut self, d: SimDuration) {
+        self.sim.run_for(d);
+    }
+
+    /// Closes the measured window — [`Run::monitor`] and
+    /// [`Run::utilization`] keep reporting what they read at this instant —
+    /// and runs `d` more so stragglers complete.
+    pub fn drain(&mut self, d: SimDuration) {
+        self.closed = Some((self.monitor().clone(), self.sim.now()));
+        self.sim.run_for(d);
+    }
+
+    /// The bottleneck's monitor over the measured window (marked at
+    /// `monitor().mark_time()`): live until [`Run::drain`], as of the
+    /// drain's start afterwards.
+    pub fn monitor(&self) -> &LinkMonitor {
+        match &self.closed {
+            Some((monitor, _)) => monitor,
+            None => &self.sim.kernel().link(self.dumbbell.bottleneck).monitor,
+        }
+    }
+
+    /// Bottleneck utilization over the measured window, in `[0,1]`.
+    pub fn utilization(&self) -> f64 {
+        let end = self.closed.as_ref().map_or(self.sim.now(), |c| c.1);
+        self.monitor()
+            .utilization(end, self.dumbbell.bottleneck_rate)
+    }
 }
 
 /// `n` long-lived TCP flows over a single bottleneck.
@@ -142,30 +228,17 @@ impl LongFlowScenario {
         }
     }
 
-    /// A fast, small variant for unit tests and smoke benches.
+    /// A fast, small variant for unit tests and smoke benches: `oc3` at
+    /// `rate_bps` with shorter delays, stagger, warm-up and measurement.
     pub fn quick(n_flows: usize, rate_bps: u64) -> Self {
         LongFlowScenario {
-            n_flows,
-            scheduler: SchedulerKind::default(),
             bottleneck_rate: rate_bps,
             bottleneck_delay: SimDuration::from_millis(5),
             rtt_range: (SimDuration::from_millis(30), SimDuration::from_millis(90)),
-            buffer_pkts: 100,
-            red: false,
-            ecn_marking: None,
-            access_speedup: 10,
-            cfg: TcpConfig::default(),
-            cc: CcKind::Reno,
-            pacing: false,
             start_window: SimDuration::from_secs(2),
-            jitter: Some(SimDuration::from_micros(100)),
-            telemetry: None,
-            forensics: None,
-            span_capacity: None,
-            profiler: false,
-            seed: 1,
             warmup: SimDuration::from_secs(5),
             measure: SimDuration::from_secs(15),
+            ..Self::oc3(n_flows)
         }
     }
 
@@ -183,7 +256,18 @@ impl LongFlowScenario {
         )
     }
 
-    fn build(&self) -> (Sim, netsim::Dumbbell, Vec<FlowHandle>, SharedFlowTable) {
+    /// The simulator with this substrate — queue discipline, observers,
+    /// jitter — and the long flows installed on its first `n_flows` host
+    /// pairs. `extra_pairs` more pairs, their delays drawn in the same call
+    /// from the same `seed ^ salt` stream, are left to the caller, which
+    /// gets the stream back to install on them; `access` may replace the
+    /// uniform access rate (drawing from the stream after the delays).
+    pub(crate) fn build_with(
+        &self,
+        salt: u64,
+        extra_pairs: usize,
+        access: impl FnOnce(&mut Rng, DumbbellBuilder) -> DumbbellBuilder,
+    ) -> (Run, Rng) {
         let mut sim = Sim::with_scheduler(self.seed, self.scheduler);
         // Steady state holds roughly one window of events per flow (data +
         // ACK per in-flight segment, timers, deferred injections) plus the
@@ -193,17 +277,17 @@ impl LongFlowScenario {
         if let Some(j) = self.jitter {
             sim.set_send_jitter(j);
         }
-        let mut rng = Rng::new(self.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let delays = access_delays(
+        let mut rng = Rng::new(self.seed ^ salt);
+        let builder = dumbbell(
             &mut rng,
-            self.n_flows,
+            self.n_flows + extra_pairs,
             self.rtt_range,
+            self.bottleneck_rate,
             self.bottleneck_delay,
-        );
-        let mut builder = DumbbellBuilder::new(self.bottleneck_rate, self.bottleneck_delay)
-            .buffer(QueueCapacity::Packets(self.buffer_pkts))
-            .access_rate(self.bottleneck_rate * self.access_speedup.max(1))
-            .flow_delays(delays);
+            self.buffer_pkts,
+        )
+        .access_rate(self.bottleneck_rate * self.access_speedup.max(1));
+        let mut builder = access(&mut rng, builder);
         if self.red {
             let mean_pkt = SimDuration::transmission(PKT_SIZE as u64, self.bottleneck_rate);
             let mut red = Red::new(RedConfig::recommended(self.buffer_pkts, mean_pkt));
@@ -217,16 +301,18 @@ impl LongFlowScenario {
             ));
         }
         let dumbbell = builder.build(&mut sim);
+        let mut run = Run::new(sim, dumbbell);
         if let Some(tel) = &self.telemetry {
             // Only the bottleneck is interesting; flag it for the sampler.
-            sim.kernel_mut().link_mut(dumbbell.bottleneck).sample_queue = true;
-            sim.enable_telemetry(tel.clone());
+            let bottleneck = run.dumbbell.bottleneck;
+            run.sim.kernel_mut().link_mut(bottleneck).sample_queue = true;
+            run.sim.enable_telemetry(tel.clone());
         }
         if let Some(fc) = self.forensics {
-            sim.enable_drop_forensics(fc);
+            run.sim.enable_drop_forensics(fc);
         }
         if self.profiler {
-            sim.enable_profiler();
+            run.sim.enable_profiler();
         }
         // ECN is scenario-level: a marking bottleneck without ECN-capable
         // endpoints (or vice versa) is a silent no-op, so one knob sets both.
@@ -245,10 +331,20 @@ impl LongFlowScenario {
         // One shared flow table for every flow: hot per-ACK state lives in
         // dense arrays (see `tcpsim::table`), and its registered-flow count
         // is the flow high-water mark the profiler reports.
-        let table = SharedFlowTable::new();
-        table.reserve(self.n_flows);
-        let handles = wl.install_in(&mut sim, &dumbbell, 0, &mut rng, &table);
-        (sim, dumbbell, handles, table)
+        run.table.reserve(self.n_flows);
+        run.handles = wl.install_in(
+            &mut run.sim,
+            run.dumbbell.slice(0..self.n_flows),
+            0,
+            &mut rng,
+            &run.table,
+        );
+        (run, rng)
+    }
+
+    /// Builds the scenario: nothing has run yet.
+    pub fn build(&self) -> Run {
+        self.build_with(0x9E37_79B9_7F4A_7C15, 0, |_, b| b).0
     }
 
     /// Runs the scenario without window sampling.
@@ -258,174 +354,130 @@ impl LongFlowScenario {
 
     /// Runs the scenario, sampling the per-flow congestion windows every
     /// `period` during the measurement phase (needed for Figure 6 and the
-    /// synchronization metric).
+    /// synchronization metric): the measured window advances in slices of
+    /// `period` with a sample after each, or in one piece without.
     pub fn run_sampled(&self, sample_period: Option<SimDuration>) -> LongFlowResult {
-        let (mut sim, dumbbell, handles, table) = self.build();
-        self.drive(&mut sim, &dumbbell, &handles, &table, sample_period)
-    }
-
-    /// Warm-up → monitor mark → measurement phase (sampling the windows
-    /// every `sample_period` when given) → result, on a freshly built sim.
-    fn drive(
-        &self,
-        sim: &mut Sim,
-        dumbbell: &netsim::Dumbbell,
-        handles: &[FlowHandle],
-        table: &SharedFlowTable,
-        sample_period: Option<SimDuration>,
-    ) -> LongFlowResult {
-        sim.start();
-        sim.run_until(SimTime::ZERO + self.warmup);
-        let mark = sim.now();
-        sim.kernel_mut()
-            .link_mut(dumbbell.bottleneck)
-            .monitor
-            .mark(mark);
-
-        let end = mark + self.measure;
+        assert!(sample_period.is_none_or(|p| !p.is_zero()));
+        let mut run = self.build();
+        run.warm_up(self.warmup);
+        let slice = sample_period.unwrap_or(self.measure);
         // Sample counts are known up front from measure/period: reserve the
         // exact capacity so the sampling loop never reallocates.
-        let n_samples = sample_period.map_or(0, |p| {
-            (self.measure.as_nanos() / p.as_nanos().max(1)) as usize + 1
-        });
+        let n_samples =
+            sample_period.map_or(0, |p| (self.measure.as_nanos() / p.as_nanos()) as usize + 1);
         let mut window_sum = Vec::with_capacity(n_samples);
-        let mut per_flow: Vec<Vec<f64>> = (0..handles.len())
+        let mut per_flow: Vec<Vec<f64>> = (0..run.handles.len())
             .map(|_| Vec::with_capacity(n_samples))
             .collect();
-        match sample_period {
-            Some(period) => {
-                assert!(!period.is_zero());
-                let mut t = mark;
-                while t < end {
-                    t = (t + period).min(end);
-                    sim.run_until(t);
-                    let mut sum = 0.0;
-                    for (i, h) in handles.iter().enumerate() {
-                        let src = sim
-                            .agent_as::<TcpSource>(h.source)
-                            .expect("bulk source");
-                        let w = src.sender().cwnd();
-                        sum += w;
-                        per_flow[i].push(w);
-                    }
-                    window_sum.push(sum);
+        let mut left = self.measure;
+        while !left.is_zero() {
+            let d = slice.min(left);
+            run.measure(d);
+            left -= d;
+            if sample_period.is_some() {
+                let mut sum = 0.0;
+                for (samples, h) in per_flow.iter_mut().zip(&run.handles) {
+                    let w = bulk_source(&run.sim, h).sender().cwnd();
+                    sum += w;
+                    samples.push(w);
                 }
+                window_sum.push(sum);
             }
-            None => sim.run_until(end),
         }
-
-        self.collect_result(sim, dumbbell, handles, table, window_sum, per_flow)
+        let mut result = self.collect(&run);
+        result.window_sum_samples = window_sum;
+        result.per_flow_window_samples = per_flow;
+        result
     }
 
-    /// Merges every flow's lifecycle span log into one timeline (empty when
-    /// span tracing was off).
-    fn merged_spans(sim: &Sim, handles: &[FlowHandle]) -> SpanLog {
-        let sources: Vec<&TcpSource> = handles
-            .iter()
-            .map(|h| sim.agent_as::<TcpSource>(h.source).expect("bulk source"))
-            .collect();
-        let logs: Vec<&SpanLog> = sources.iter().filter_map(|s| s.span_log()).collect();
-        let cap: usize = logs.iter().map(|l| l.len()).sum();
-        SpanLog::merge_sorted(&logs, cap.max(1))
-    }
-
-    /// Assembles the result struct from a finished sim.
-    fn collect_result(
-        &self,
-        sim: &Sim,
-        dumbbell: &netsim::Dumbbell,
-        handles: &[FlowHandle],
-        table: &SharedFlowTable,
-        window_sum: Vec<f64>,
-        per_flow: Vec<Vec<f64>>,
-    ) -> LongFlowResult {
-        let mon = &sim.kernel().link(dumbbell.bottleneck).monitor;
-        let utilization = mon.utilization(sim.now(), self.bottleneck_rate);
-        let drop_rate = mon.drop_rate();
-        let mean_queue = mon.mean_queue_at_arrival();
-        let max_queue = mon.max_queue();
-
+    /// Reduces a measured run to the result struct (window samples empty:
+    /// they are the caller's slices, see [`LongFlowScenario::run_sampled`]).
+    pub fn collect(&self, run: &Run) -> LongFlowResult {
+        let mon = run.monitor();
         let mut segments_sent = 0u64;
         let mut retransmits = 0u64;
         let mut timeouts = 0u64;
         let mut fast_retransmits = 0u64;
         let mut data_drops = 0u64;
-        for h in handles {
-            let st = sim
-                .agent_as::<TcpSource>(h.source)
-                .expect("bulk source")
-                .sender()
-                .stats();
+        for h in &run.handles {
+            let st = bulk_source(&run.sim, h).sender().stats();
             segments_sent += st.segments_sent;
             retransmits += st.retransmits;
             timeouts += st.timeouts;
             fast_retransmits += st.fast_retransmits;
-            data_drops += sim.kernel().flow_stats(h.flow).data_drops;
+            data_drops += run.sim.kernel().flow_stats(h.flow).data_drops;
         }
 
         LongFlowResult {
             n_flows: self.n_flows,
             buffer_pkts: self.buffer_pkts,
             bdp_packets: self.bdp_packets(),
-            utilization,
-            drop_rate,
+            utilization: run.utilization(),
+            drop_rate: mon.drop_rate(),
             loss_rate: if segments_sent == 0 {
                 0.0
             } else {
                 data_drops as f64 / segments_sent as f64
             },
-            mean_queue,
-            max_queue,
+            mean_queue: mon.mean_queue_at_arrival(),
+            max_queue: mon.max_queue(),
             segments_sent,
             retransmits,
             timeouts,
             fast_retransmits,
-            marks: sim.kernel().stats().marks,
-            window_sum_samples: window_sum,
-            per_flow_window_samples: per_flow,
-            telemetry_digest: sim.telemetry().map(|t| t.digest()),
-            forensics_digest: sim.forensics().map(|l| l.digest()),
-            span_digest: self
-                .span_capacity
-                .map(|_| Self::merged_spans(sim, handles).digest()),
-            profile: sim.profile().map(|mut p| {
+            marks: run.sim.kernel().stats().marks,
+            window_sum_samples: Vec::new(),
+            per_flow_window_samples: vec![Vec::new(); run.handles.len()],
+            telemetry_digest: run.sim.telemetry().map(|t| t.digest()),
+            forensics_digest: run.sim.forensics().map(|l| l.digest()),
+            span_digest: self.span_capacity.map(|_| merged_spans(run).digest()),
+            profile: run.sim.profile().map(|mut p| {
                 // The kernel already stamped the arena mark; add the
                 // flow-table mark only the runner knows.
-                p.set_state_high_water(0, table.len() as u64);
+                p.set_state_high_water(0, run.table.len() as u64);
                 p
             }),
         }
     }
 
-    /// Runs the scenario with the full observability stack — packet log,
-    /// drop forensics, lifecycle spans, and the self-profiler — and returns
-    /// the raw evidence alongside the usual result so callers (the
-    /// `explain` tool, tests) can reconstruct causal drop narratives.
-    ///
-    /// Fields already configured on the scenario are respected; anything
-    /// still off is enabled with defaults (forensics windowed at one mean
-    /// RTT, 4096-record span logs). The stack is a pure observer, so the
+    /// This scenario with the full observability stack on — what
+    /// [`LongFlowScenario::run_traced`] runs. Fields already configured are
+    /// respected; anything still off gets its default (forensics windowed
+    /// at one mean RTT, 4096-record span logs, the self-profiler).
+    pub fn traced(&self) -> LongFlowScenario {
+        let mut sc = self.clone();
+        sc.forensics
+            .get_or_insert(ForensicsConfig::new(self.mean_rtt()));
+        sc.span_capacity.get_or_insert(4096);
+        sc.profiler = true;
+        sc
+    }
+
+    /// Runs [`LongFlowScenario::traced`] with a packet log of
+    /// `log_capacity` records and returns the raw evidence alongside the
+    /// usual result so callers (the `explain` tool, tests) can reconstruct
+    /// causal drop narratives. The stack is a pure observer, so the
     /// embedded [`LongFlowResult`] matches a plain [`LongFlowScenario::run`]
     /// except for the observability digest fields.
     pub fn run_traced(&self, log_capacity: usize) -> TracedRun {
-        let mut sc = self.clone();
-        if sc.forensics.is_none() {
-            sc.forensics = Some(ForensicsConfig::new(sc.mean_rtt()));
-        }
-        if sc.span_capacity.is_none() {
-            sc.span_capacity = Some(4096);
-        }
-        sc.profiler = true;
-        let (mut sim, dumbbell, handles, table) = sc.build();
-        sim.enable_packet_log(log_capacity);
-        let result = sc.drive(&mut sim, &dumbbell, &handles, &table, None);
-        let spans = Self::merged_spans(&sim, &handles);
+        let sc = self.traced();
+        let mut run = sc.build();
+        run.sim.enable_packet_log(log_capacity);
+        run.warm_up(sc.warmup);
+        run.measure(sc.measure);
+        sc.collect_traced(&mut run)
+    }
+
+    /// Reduces a measured run of a [`LongFlowScenario::traced`] scenario
+    /// whose packet log was enabled to a [`TracedRun`]. The simulation is
+    /// finished, so the records are moved out of the log, not copied.
+    pub fn collect_traced(&self, run: &mut Run) -> TracedRun {
+        let result = self.collect(run);
+        let spans = merged_spans(run);
         let profile = result.profile.clone().expect("profiler enabled");
-        let ledger = sim.forensics().expect("forensics enabled").clone();
-        let metrics = sim.metrics();
-        // The simulation is finished: move the records out of the log
-        // rather than copy them.
-        let log = sim.take_packet_log().expect("packet log enabled");
+        let ledger = run.sim.forensics().expect("forensics enabled").clone();
+        let metrics = run.sim.metrics();
+        let log = run.sim.take_packet_log().expect("packet log enabled");
         TracedRun {
             result,
             overflowed: log.overflowed,
@@ -435,9 +487,26 @@ impl LongFlowScenario {
             spans,
             profile,
             metrics,
-            bottleneck: dumbbell.bottleneck,
+            bottleneck: run.dumbbell.bottleneck,
         }
     }
+}
+
+/// The sender behind a bulk flow's handle.
+fn bulk_source<'a>(sim: &'a Sim, h: &FlowHandle) -> &'a TcpSource {
+    sim.agent_as::<TcpSource>(h.source).expect("bulk source")
+}
+
+/// Merges every flow's lifecycle span log into one timeline (empty when
+/// span tracing was off).
+fn merged_spans(run: &Run) -> SpanLog {
+    let logs: Vec<&SpanLog> = run
+        .handles
+        .iter()
+        .filter_map(|h| bulk_source(&run.sim, h).span_log())
+        .collect();
+    let cap: usize = logs.iter().map(|l| l.len()).sum();
+    SpanLog::merge_sorted(&logs, cap.max(1))
 }
 
 /// Everything [`LongFlowScenario::run_traced`] captures: the ordinary
@@ -579,61 +648,76 @@ impl ShortFlowScenario {
         )
     }
 
-    /// Runs the scenario.
-    pub fn run(&self) -> ShortFlowResult {
+    /// Builds the scenario: every arrival over the horizon installed,
+    /// nothing has run yet.
+    pub fn build(&self) -> Run {
         let mut sim = Sim::with_scheduler(self.seed, self.scheduler);
         let mut rng = Rng::new(self.seed ^ 0xDEAD_BEEF_0BAD_F00D);
-        let delays = access_delays(
+        let dumbbell = dumbbell(
             &mut rng,
             self.host_pairs,
             self.rtt_range,
+            self.bottleneck_rate,
             self.bottleneck_delay,
-        );
-        let dumbbell = DumbbellBuilder::new(self.bottleneck_rate, self.bottleneck_delay)
-            .buffer(QueueCapacity::Packets(self.buffer_pkts))
-            .access_rate(self.bottleneck_rate * 10)
-            .flow_delays(delays)
-            .build(&mut sim);
+            self.buffer_pkts,
+        )
+        .access_rate(self.bottleneck_rate * 10)
+        .build(&mut sim);
+        let mut run = Run::new(sim, dumbbell);
         let wl = ShortFlowWorkload {
             arrival_rate: self.arrival_rate(),
             lengths: self.lengths.clone(),
             cfg: self.cfg,
             horizon: self.horizon,
         };
-        let handles = wl.install(&mut sim, &dumbbell, 0, &mut rng);
+        run.handles = wl.install_in(&mut run.sim, &run.dumbbell, 0, &mut rng, &run.table);
+        run
+    }
 
-        sim.start();
-        // Measure utilization over the arrival horizon only.
-        let end = SimTime::ZERO + self.horizon;
-        sim.run_until(end);
-        let utilization = sim
-            .kernel()
-            .link(dumbbell.bottleneck)
-            .monitor
-            .utilization(sim.now(), self.bottleneck_rate);
-        let drop_rate = sim.kernel().link(dumbbell.bottleneck).monitor.drop_rate();
-        let max_queue = sim.kernel().link(dumbbell.bottleneck).monitor.max_queue();
-        // Drain so stragglers complete.
-        sim.run_for(SimDuration::from_secs(30));
+    /// Runs the scenario: no warm-up, the measured window is the arrival
+    /// horizon, then a drain so stragglers complete.
+    pub fn run(&self) -> ShortFlowResult {
+        let mut run = self.build();
+        run.warm_up(SimDuration::ZERO);
+        run.measure(self.horizon);
+        run.drain(DRAIN);
+        self.collect(&run)
+    }
 
-        let mut fct = FctCollector::new();
-        let mut incomplete = 0usize;
-        for h in &handles {
-            match sim.agent_as::<TcpSink>(h.sink).expect("sink").record() {
-                Some(rec) => fct.record(rec.segments, rec.fct()),
-                None => incomplete += 1,
-            }
-        }
+    /// Reduces a drained run: flow completion times from the sinks, the
+    /// bottleneck's readings as of the end of the arrival horizon.
+    pub fn collect(&self, run: &Run) -> ShortFlowResult {
+        let (fct, incomplete) = completions(&run.sim, &run.handles, SimTime::ZERO);
         ShortFlowResult {
-            offered_flows: handles.len(),
+            offered_flows: run.handles.len(),
             incomplete,
             afct: fct.afct(),
             fct,
-            utilization,
-            drop_rate,
-            max_queue,
+            utilization: run.utilization(),
+            drop_rate: run.monitor().drop_rate(),
+            max_queue: run.monitor().max_queue(),
         }
     }
+}
+
+/// The receiver behind a flow's handle.
+fn sink<'a>(sim: &'a Sim, h: &FlowHandle) -> &'a TcpSink {
+    sim.agent_as::<TcpSink>(h.sink).expect("sink")
+}
+
+/// Completion times of the short flows behind `handles` that started at or
+/// after `since`, and how many never completed.
+fn completions(sim: &Sim, handles: &[FlowHandle], since: SimTime) -> (FctCollector, usize) {
+    let mut fct = FctCollector::new();
+    let mut incomplete = 0;
+    for h in handles {
+        match sink(sim, h).record() {
+            Some(rec) if rec.start >= since => fct.record(rec.segments, rec.fct()),
+            Some(_) => {}
+            None => incomplete += 1,
+        }
+    }
+    (fct, incomplete)
 }
 
 /// Result of a [`ShortFlowScenario`] run.
@@ -671,112 +755,61 @@ pub struct MixScenario {
 }
 
 impl MixScenario {
-    /// Runs the mix and reports both sides.
-    pub fn run(&self) -> MixResult {
-        let mut sim = Sim::with_scheduler(self.long.seed, self.long.scheduler);
-        if let Some(j) = self.long.jitter {
-            sim.set_send_jitter(j);
-        }
-        let mut rng = Rng::new(self.long.seed ^ 0x5555_AAAA_5555_AAAA);
-
-        // One dumbbell hosting both long-flow pairs and short-flow pairs.
-        // Long pairs draw first, then short pairs, from the one stream.
-        let delays = access_delays(
-            &mut rng,
-            self.long.n_flows + self.short_host_pairs,
-            self.long.rtt_range,
-            self.long.bottleneck_delay,
-        );
-        let dumbbell = DumbbellBuilder::new(self.long.bottleneck_rate, self.long.bottleneck_delay)
-            .buffer(QueueCapacity::Packets(self.long.buffer_pkts))
-            .access_rate(self.long.bottleneck_rate * self.long.access_speedup.max(1))
-            .flow_delays(delays)
-            .build(&mut sim);
-
-        // Long flows on the first pairs, short flows on the rest — borrowed
-        // slices of the one dumbbell, no per-run clones.
-        let bulk = BulkWorkload {
-            cfg: self.long.cfg,
-            cc: self.long.cc,
-            start_window: self.long.start_window,
-            ..Default::default()
-        };
-        // Long and short senders share one flow table so all hot per-flow
-        // state of the mix stays in one set of dense arrays.
-        let table = SharedFlowTable::new();
-        let long_handles = bulk.install_in(
-            &mut sim,
-            dumbbell.slice(0..self.long.n_flows),
-            0,
-            &mut rng,
-            &table,
-        );
-
-        let horizon = self.long.warmup + self.long.measure;
-        let short_wl = ShortFlowWorkload {
+    /// Builds the mix on `long`'s substrate (its queue discipline, pacing
+    /// and observers apply): one dumbbell hosting the long-flow pairs, then
+    /// the short-flow pairs; one flow table for both; long flows installed
+    /// first.
+    pub fn build(&self) -> Run {
+        let (long, n) = (&self.long, self.long.n_flows);
+        let (mut run, mut rng) =
+            long.build_with(0x5555_AAAA_5555_AAAA, self.short_host_pairs, |_, b| b);
+        let short = ShortFlowWorkload {
             arrival_rate: arrival_rate_for_load(
                 self.short_load,
-                self.long.bottleneck_rate,
+                long.bottleneck_rate,
                 self.short_lengths.mean(),
                 self.short_cfg.data_size,
             ),
             lengths: self.short_lengths.clone(),
             cfg: self.short_cfg,
-            horizon,
+            horizon: long.warmup + long.measure,
         };
-        let short_handles = short_wl.install_in(
-            &mut sim,
-            dumbbell.slice(self.long.n_flows..dumbbell.n_flows()),
-            self.long.n_flows as u32,
+        let short_pairs = run.dumbbell.slice(n..run.dumbbell.n_flows());
+        run.handles.extend(short.install_in(
+            &mut run.sim,
+            short_pairs,
+            n as u32,
             &mut rng,
-            &table,
-        );
+            &run.table,
+        ));
+        run
+    }
 
-        sim.start();
-        sim.run_until(SimTime::ZERO + self.long.warmup);
-        let mark = sim.now();
-        sim.kernel_mut()
-            .link_mut(dumbbell.bottleneck)
-            .monitor
-            .mark(mark);
-        sim.run_until(SimTime::ZERO + horizon);
-        let utilization = sim
-            .kernel()
-            .link(dumbbell.bottleneck)
-            .monitor
-            .utilization(sim.now(), self.long.bottleneck_rate);
-        // Drain.
-        sim.run_for(SimDuration::from_secs(30));
+    /// Runs the mix and reports both sides.
+    pub fn run(&self) -> MixResult {
+        let mut run = self.build();
+        run.warm_up(self.long.warmup);
+        run.measure(self.long.measure);
+        run.drain(DRAIN);
+        self.collect(&run)
+    }
 
-        let mut fct = FctCollector::new();
-        let mut incomplete = 0;
-        for h in &short_handles {
-            // Only count flows that started after warm-up, so AFCT reflects
-            // the steady state.
-            match sim.agent_as::<TcpSink>(h.sink).expect("sink").record() {
-                Some(rec) => {
-                    if rec.start >= mark {
-                        fct.record(rec.segments, rec.fct());
-                    }
-                }
-                None => incomplete += 1,
-            }
-        }
-        let long_goodput: u64 = long_handles
+    /// Reduces a drained run: utilization as of the end of the measured
+    /// window; AFCT over the short flows that started after warm-up, so it
+    /// reflects the steady state; long-flow goodput over the whole run.
+    pub fn collect(&self, run: &Run) -> MixResult {
+        let (long, short) = run.handles.split_at(self.long.n_flows);
+        let (fct, short_incomplete) = completions(&run.sim, short, run.monitor().mark_time());
+        let long_segments_delivered = long
             .iter()
-            .map(|h| {
-                sim.agent_as::<TcpSink>(h.sink)
-                    .expect("sink")
-                    .receiver()
-                    .delivered()
-            })
+            .map(|h| sink(&run.sim, h).receiver().delivered())
             .sum();
         MixResult {
-            utilization,
+            utilization: run.utilization(),
             afct: fct.afct(),
             fct,
-            short_incomplete: incomplete,
-            long_segments_delivered: long_goodput,
+            short_incomplete,
+            long_segments_delivered,
         }
     }
 }
@@ -825,6 +858,23 @@ mod tests {
         assert!((manual - r.window_sum_samples[10]).abs() < 1e-9);
         // Windows are positive.
         assert!(r.window_sum_samples.iter().all(|&w| w > 0.0));
+    }
+
+    #[test]
+    fn slicing_the_measured_window_is_invisible() {
+        let mut sc = LongFlowScenario::quick(4, 10_000_000);
+        sc.warmup = SimDuration::from_secs(2);
+        sc.measure = SimDuration::from_secs(3);
+        sc.buffer_pkts = 30;
+        // 7 ms does not divide the window: the last slice is a short one.
+        let mut sliced = sc.run_sampled(Some(SimDuration::from_millis(7)));
+        assert_eq!(sliced.window_sum_samples.len(), 429);
+        sliced.window_sum_samples.clear();
+        sliced
+            .per_flow_window_samples
+            .iter_mut()
+            .for_each(Vec::clear);
+        assert_eq!(sliced, sc.run());
     }
 
     #[test]
@@ -945,13 +995,13 @@ mod tests {
         sc.warmup = SimDuration::from_secs(1);
         sc.measure = SimDuration::from_secs(2);
         sc.buffer_pkts = 20;
-        // The same simulation driven by hand, reading the log in place.
+        // The same simulation staged by hand, reading the log in place.
         let by_hand = |capacity: usize| -> (Vec<u64>, u64, u64) {
-            let (mut sim, _dumbbell, _handles, _table) = sc.build();
-            sim.enable_packet_log(capacity);
-            sim.start();
-            sim.run_until(SimTime::ZERO + sc.warmup + sc.measure);
-            let log = sim.kernel().packet_log().expect("packet log enabled");
+            let mut run = sc.build();
+            run.sim.enable_packet_log(capacity);
+            run.warm_up(sc.warmup);
+            run.measure(sc.measure);
+            let log = run.sim.kernel().packet_log().expect("packet log enabled");
             let uids = log.records().iter().map(|r| r.uid).collect();
             (uids, log.overflowed, log.digest())
         };

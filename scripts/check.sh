@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: release build, every test, and the determinism
 # contract lint. Run from anywhere inside the repo; fully offline, and
-# bash + cargo + git only (plus grep for the doc gate; no python3).
+# bash + cargo + git only (plus grep / sed for the text gates; no python3).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +40,36 @@ git diff --exit-code -- artifacts/explain.json artifacts/explain.txt \
     echo "artifacts/explain* drifted from the tree; commit the regenerated files and rerun report" >&2
     exit 1
 }
+
+echo "==> artifact drift gate (figure JSONs and telemetry sidecars current with the tree)"
+# Nothing else regenerates the figure artifacts: `report --check` only
+# compares RESULTS.md with whatever JSON is committed. fig08 / fig09 /
+# table10's proxy column / table11 are the only byte-level witnesses of the
+# short-flow, mix, heterogeneous and session pipelines. ~7 s in total.
+for bin in fig03 fig04 fig05 fig06; do ./target/release/$bin > /dev/null; done
+for bin in fig07 fig08 fig09 table10 table11 ext_cca; do ./target/release/$bin --quick > /dev/null; done
+git diff --exit-code -- artifacts/*.json artifacts/*.telemetry.jsonl || {
+    echo "artifacts/ drifted from the tree; a result moved — or commit the regenerated files and rerun report" >&2
+    exit 1
+}
+
+echo "==> one-run-path gate (crates/core/src: one start, one monitor mark, two bisection call sites)"
+# Every pipeline is build -> Run::warm_up -> measure [-> drain] -> collect
+# (DESIGN.md "Run path"); a second hand-rolled one needs its own
+# sim.start() and monitor mark, a third sweep loop its own bisection call.
+# Counted outside comments and each file's trailing #[cfg(test)] module;
+# search.rs defines min_buffer_for_par and is left out.
+core_sites() {
+    for f in $(git ls-files 'crates/core/src/*.rs' | grep -v '/search\.rs$'); do
+        sed -e '/^#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f"
+    done | grep -cF -- "$1" || true
+}
+sites="$(core_sites 'sim.start()') $(core_sites '.monitor.mark(') $(core_sites 'min_buffer_for_par(')"
+[ "$sites" = "1 1 2" ] || {
+    echo "crates/core/src grew a second pipeline: sim.start() / .monitor.mark( / min_buffer_for_par( call sites are $sites, want 1 1 2" >&2
+    exit 1
+}
+echo "one run path: sim.start() / .monitor.mark( / min_buffer_for_par( call sites are $sites"
 
 echo "==> doc drift gate (DESIGN.md sections referenced from other docs exist)"
 # README/EXPERIMENTS/RESULTS point readers at DESIGN.md sections by number

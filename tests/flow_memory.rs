@@ -2,18 +2,15 @@
 //! seen (§4: what short flows need "is independent of line rate, RTT and
 //! flow count" — the simulator that reproduces it should be too).
 //!
-//! A counting allocator wraps the steps of `ShortFlowScenario::run` on a
+//! A counting allocator reads the heap between the stages of
+//! `ShortFlowScenario::run` (`build()`, then the `Run`'s stage calls) on a
 //! 29 k-flow cell and gates live heap bytes per flow, growth while running,
 //! and the transient peak. Byte counts of a deterministic simulation repeat
 //! exactly, so the gate needs no RSS and no tolerance for noise. This file
 //! is its own test binary: its `#[global_allocator]` touches nothing else.
 
-use buffersizing::runner::{access_delays, ShortFlowScenario};
-use sizing_router_buffers::netsim::{DumbbellBuilder, QueueCapacity, Sim};
 use sizing_router_buffers::prelude::*;
-use sizing_router_buffers::simcore::Rng;
-use sizing_router_buffers::tcpsim::{SharedFlowTable, TcpSink, TcpSource};
-use sizing_router_buffers::traffic::ShortFlowWorkload;
+use sizing_router_buffers::tcpsim::{TcpSink, TcpSource};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -61,7 +58,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The steps of `ShortFlowScenario::run`, with the heap read between them.
+/// The stages of `ShortFlowScenario::run`, with the heap read between them.
 #[test]
 fn short_flow_state_is_proportional_to_flows_in_progress() {
     // A Figure 8 cell (ρ = 0.8, 50 host pairs, 14-segment flows):
@@ -75,37 +72,23 @@ fn short_flow_state_is_proportional_to_flows_in_progress() {
     sc.horizon = SimDuration::from_secs(270);
 
     let base = LIVE.load(Relaxed);
-    let mut sim = Sim::with_scheduler(sc.seed, sc.scheduler);
-    let mut rng = Rng::new(sc.seed ^ 0xDEAD_BEEF_0BAD_F00D);
-    let delays = access_delays(&mut rng, sc.host_pairs, sc.rtt_range, sc.bottleneck_delay);
-    let dumbbell = DumbbellBuilder::new(sc.bottleneck_rate, sc.bottleneck_delay)
-        .buffer(QueueCapacity::Packets(sc.buffer_pkts))
-        .access_rate(sc.bottleneck_rate * 10)
-        .flow_delays(delays)
-        .build(&mut sim);
-    let wl = ShortFlowWorkload {
-        arrival_rate: sc.arrival_rate(),
-        lengths: sc.lengths.clone(),
-        cfg: sc.cfg,
-        horizon: sc.horizon,
-    };
-    let table = SharedFlowTable::new();
-    let handles = wl.install_in(&mut sim, &dumbbell, 0, &mut rng, &table);
-    let flows = handles.len();
+    let mut run = sc.build();
+    let flows = run.handles.len();
     assert!((28_000..30_000).contains(&flows), "{flows} flows");
     let after_install = LIVE.load(Relaxed) - base;
 
     PEAK.store(LIVE.load(Relaxed), Relaxed);
-    sim.start();
-    sim.run_until(SimTime::ZERO + sc.horizon);
-    sim.run_for(SimDuration::from_secs(30));
+    run.warm_up(SimDuration::ZERO);
+    run.measure(sc.horizon);
+    run.drain(SimDuration::from_secs(30));
     let after_run = LIVE.load(Relaxed) - base;
     let peak = PEAK.load(Relaxed) - base;
+    let (sim, handles, table) = (&run.sim, &run.handles, &run.table);
 
     // Peak number of flows in progress, from the agents' own records: a
     // sender holds its slot from its start to the ACK that completes it.
     let mut edges: Vec<(SimTime, i32)> = Vec::with_capacity(2 * flows);
-    for h in &handles {
+    for h in handles {
         let src = sim.agent_as::<TcpSource>(h.source).expect("tcp source");
         let sink = sim.agent_as::<TcpSink>(h.sink).expect("tcp sink");
         assert!(sink.record().is_some(), "every flow drains");

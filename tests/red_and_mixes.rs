@@ -95,3 +95,44 @@ fn pareto_mixes_behave_like_fixed_length_mixes() {
         pareto.utilization
     );
 }
+
+#[test]
+fn mix_honours_the_long_substrate() {
+    // The mix is built on `long`'s substrate: its queue discipline and its
+    // senders' ECN capability apply, not a plain drop-tail Reno dumbbell.
+    let mut long = LongFlowScenario::quick(8, 20_000_000);
+    long.warmup = SimDuration::from_secs(2);
+    long.measure = SimDuration::from_secs(4);
+    long.buffer_pkts = 60;
+    let mk = |long: &LongFlowScenario| MixScenario {
+        long: long.clone(),
+        short_load: 0.15,
+        short_lengths: FlowLengthDist::Fixed(14),
+        short_cfg: TcpConfig::default().with_max_window(43),
+        short_host_pairs: 6,
+    };
+    let stage = |mix: &MixScenario| {
+        let mut run = mix.build();
+        run.warm_up(mix.long.warmup);
+        run.measure(mix.long.measure);
+        run
+    };
+    let droptail = stage(&mk(&long));
+    assert_eq!(droptail.sim.kernel().stats().marks, 0);
+
+    let mut dctcp = long.clone();
+    dctcp.cc = traffic::bulk::CcKind::Dctcp;
+    dctcp.ecn_marking = Some(15);
+    let marks = stage(&mk(&dctcp)).sim.kernel().stats().marks;
+    assert!(marks > 0, "step-marking bottleneck produced no CE marks");
+
+    let mut red = long.clone();
+    red.red = true;
+    let red = mk(&red).run();
+    let plain = mk(&long).run();
+    assert!(
+        (red.utilization, red.long_segments_delivered)
+            != (plain.utilization, plain.long_segments_delivered),
+        "a RED mix ran exactly like its drop-tail twin"
+    );
+}
