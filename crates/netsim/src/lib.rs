@@ -39,6 +39,7 @@ pub mod queue;
 pub mod red;
 pub mod sim;
 pub mod telemetry;
+pub mod timer;
 
 pub use auditor::Auditor;
 pub use builder::{Dumbbell, DumbbellBuilder, DumbbellView};
@@ -57,3 +58,4 @@ pub use red::Red;
 pub use sim::{Agent, AgentId, Ctx, LinkId, NodeId, Sim};
 pub use simcore::SchedulerKind;
 pub use telemetry::{Telemetry, TelemetryConfig};
+pub use timer::DeadlineTimer;

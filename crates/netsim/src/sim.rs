@@ -772,7 +772,9 @@ impl<'a> Ctx<'a> {
 
     /// Schedules [`Agent::on_timer`] for this agent after `delay` with the
     /// given token. There is no cancel: agents version their tokens and
-    /// ignore stale ones.
+    /// ignore stale ones, and a deadline that *moves* (an RTO) goes through
+    /// a [`DeadlineTimer`](crate::DeadlineTimer), which keeps it to one
+    /// live entry.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let agent = self.agent;
         self.kernel

@@ -14,7 +14,7 @@ use crate::sender::{TcpAction, TcpSender};
 use crate::seq::{to_wire, unwrap_relative, SeqUnwrapper};
 use crate::span::{SpanDetector, SpanLog, SpanSnapshot};
 use crate::table::SharedFlowTable;
-use netsim::{Agent, Ctx, FlowId, NodeId, Packet, PacketKind, TcpFlags, TcpHeader};
+use netsim::{Agent, Ctx, DeadlineTimer, FlowId, NodeId, Packet, PacketKind, TcpFlags, TcpHeader};
 use simcore::{SimDuration, SimTime};
 use std::any::Any;
 use std::cell::OnceCell;
@@ -23,7 +23,7 @@ use std::cell::OnceCell;
 const TOKEN_START: u64 = u64::MAX;
 /// Timer token for the pacing clock.
 const TOKEN_PACE: u64 = u64::MAX - 1;
-/// Timer token for the (single outstanding, self-re-arming) RTO timer.
+/// Timer token for the RTO [`DeadlineTimer`].
 const TOKEN_RTO: u64 = u64::MAX - 2;
 
 /// Completed-flow record used by experiment harnesses.
@@ -76,8 +76,8 @@ pub(crate) struct SourceLive {
 
 /// Sender-side agent: one per flow. Inline it keeps only what outlives the
 /// flow or is needed before it starts — identity, schedule, result, the
-/// RTO deadline a stale timer still walks through; the rest is a
-/// `SourceLive` slot in the flow table.
+/// RTO timer whose last entry may fire after the flow is over; the rest is
+/// a `SourceLive` slot in the flow table.
 pub struct TcpSource {
     flow: FlowId,
     dst: NodeId,
@@ -99,17 +99,9 @@ pub struct TcpSource {
     spans: Option<Box<SpanDetector>>,
     /// Latest RTO generation announced by the sender machine.
     rto_gen: u64,
-    /// Absolute deadline of the latest armed RTO.
-    rto_deadline: SimTime,
-    /// When the single outstanding RTO kernel timer fires, if one is out.
-    ///
-    /// The sender machine re-arms its RTO on every ACK; scheduling each of
-    /// those through the kernel would put one (almost always stale) long
-    /// timer per ACK into the event queue. Instead at most one RTO timer is
-    /// outstanding: when it fires early (the deadline has since moved), it
-    /// re-arms itself for the remainder — one kernel timer per RTO *window*
-    /// instead of one per ACK, with identical firing semantics.
-    rto_timer_at: Option<SimTime>,
+    /// The RTO, which the sender machine re-arms on every ACK: one scheduler
+    /// entry per RTO *window*, not per ACK, delivered at the deadline.
+    rto: DeadlineTimer,
 }
 
 impl TcpSource {
@@ -142,8 +134,7 @@ impl TcpSource {
             pacing: false,
             spans: None,
             rto_gen: 0,
-            rto_deadline: SimTime::ZERO,
-            rto_timer_at: None,
+            rto: DeadlineTimer::default(),
         }
     }
 
@@ -328,19 +319,8 @@ impl TcpSource {
                     _ => self.transmit(seq, retransmit, fin, ctx),
                 },
                 TcpAction::ArmRto { delay, gen } => {
-                    let deadline = ctx.now() + delay;
                     self.rto_gen = gen;
-                    self.rto_deadline = deadline;
-                    // Only arm when no outstanding timer covers the new
-                    // deadline (fires at or before it); otherwise that
-                    // firing will re-arm for the remainder.
-                    match self.rto_timer_at {
-                        Some(t) if t <= deadline => {}
-                        _ => {
-                            ctx.set_timer(delay, TOKEN_RTO);
-                            self.rto_timer_at = Some(deadline);
-                        }
-                    }
+                    self.rto.set(ctx.now() + delay, TOKEN_RTO, ctx);
                 }
                 TcpAction::Completed => self.completed_at = Some(ctx.now()),
             }
@@ -429,21 +409,11 @@ impl Agent for TcpSource {
         } else if token == TOKEN_PACE {
             self.pace_pop(ctx);
             self.release_if_done();
-        } else if token == TOKEN_RTO {
-            self.rto_timer_at = None;
-            if now < self.rto_deadline {
-                // The deadline moved since this timer was armed (ACKs came
-                // in): sleep for the remainder instead of delivering.
-                let rest = self.rto_deadline.since(now);
-                ctx.set_timer(rest, TOKEN_RTO);
-                self.rto_timer_at = Some(self.rto_deadline);
-            } else {
-                // Due: deliver with the latest generation. The sender
-                // ignores it if it disarmed (advanced the gen) meanwhile,
-                // or has finished.
-                let gen = self.rto_gen;
-                self.drive(ctx, |sender, out| sender.on_rto(now, gen, out));
-            }
+        } else if token == TOKEN_RTO && self.rto.fired(token, ctx) {
+            // Due: deliver with the latest generation. The sender ignores it
+            // if it disarmed (advanced the gen) meanwhile, or has finished.
+            let gen = self.rto_gen;
+            self.drive(ctx, |sender, out| sender.on_rto(now, gen, out));
         }
     }
 
@@ -654,13 +624,23 @@ mod tests {
         buffer_pkts: usize,
         flow_size: Option<u64>,
     ) -> (Sim, netsim::AgentId, netsim::AgentId, netsim::Dumbbell) {
+        one_flow_cfg(TcpConfig::default(), rate_bps, delay, buffer_pkts, flow_size)
+    }
+
+    /// [`one_flow`] with an explicit TCP configuration.
+    fn one_flow_cfg(
+        cfg: TcpConfig,
+        rate_bps: u64,
+        delay: SimDuration,
+        buffer_pkts: usize,
+        flow_size: Option<u64>,
+    ) -> (Sim, netsim::AgentId, netsim::AgentId, netsim::Dumbbell) {
         let mut sim = Sim::new(7);
         let d = DumbbellBuilder::new(rate_bps, delay)
             .buffer_packets(buffer_pkts)
             .flows(1, SimDuration::from_millis(10))
             .build(&mut sim);
         let flow = FlowId(0);
-        let cfg = TcpConfig::default();
         let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), flow_size);
         let src_id = sim.add_agent(d.sources[0], Box::new(src));
         let sink = TcpSink::new(flow, &cfg);
@@ -668,6 +648,36 @@ mod tests {
         sim.bind_flow(flow, d.sinks[0], sink_id);
         sim.bind_flow(flow, d.sources[0], src_id);
         (sim, src_id, sink_id, d)
+    }
+
+    #[test]
+    fn rto_pulled_in_after_a_timeout_leaves_one_timer_chain() {
+        // Slow start overshoots the 10-packet buffer and the burst of
+        // losses ends in a timeout; the window cap (40 < BDP + B = 47)
+        // keeps the flow lossless from then on. The timeout backs the RTO
+        // off, the next RTT sample clears the back-off, and the deadline
+        // moves *earlier* than the entry on the wheel: a second entry, and
+        // the first is superseded.
+        let cfg = TcpConfig::default().with_max_window(40);
+        let (mut sim, src_id, _sink, _d) =
+            one_flow_cfg(cfg, 10_000_000, SimDuration::from_millis(5), 10, None);
+        sim.enable_profiler();
+        sim.start();
+        sim.run_until(SimTime::from_secs(5));
+        let stats = |sim: &Sim| sim.agent_as::<TcpSource>(src_id).unwrap().sender().stats();
+        let timers = |sim: &Sim| sim.profile().unwrap().count("timer");
+        let (before, timers_before) = (stats(&sim), timers(&sim));
+        assert!(before.timeouts >= 1, "{before:?}");
+
+        // Ten RTOs of steady ACK flow: the live entry fires early once per
+        // RTO and re-arms; nothing else of this flow is on the wheel.
+        let rto = sim.agent_as::<TcpSource>(src_id).unwrap().sender().rtt().rto();
+        sim.run_until(SimTime::from_secs(5) + rto * 10);
+        let after = stats(&sim);
+        assert!(after.acks > before.acks + 1000, "{after:?}");
+        assert_eq!((after.timeouts, after.retransmits), (before.timeouts, before.retransmits));
+        let fired = timers(&sim) - timers_before;
+        assert!(fired <= 11, "{fired} timer events in ten RTOs");
     }
 
     #[test]

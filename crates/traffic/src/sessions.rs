@@ -12,12 +12,13 @@
 //! Each session reuses one flow id for its successive transfers (like a
 //! user's successive requests); every transfer runs a **fresh**
 //! [`TcpSender`]/[`TcpReceiver`] pair, so each starts in slow start exactly
-//! like a new connection. Timer tokens are namespaced by transfer index so a
-//! stale RTO from a finished transfer can never fire into the next one.
+//! like a new connection. One RTO [`DeadlineTimer`] serves them all: a deadline
+//! left over from a finished transfer finds no sender, or a moved deadline.
 
 use crate::workload::FlowHandle;
 use netsim::{
-    Agent, Ctx, DumbbellView, FlowId, NodeId, Packet, PacketKind, Sim, TcpFlags, TcpHeader,
+    Agent, Ctx, DeadlineTimer, DumbbellView, FlowId, NodeId, Packet, PacketKind, Sim, TcpFlags,
+    TcpHeader,
 };
 use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
@@ -30,6 +31,8 @@ use std::any::Any;
 
 /// Token for "begin the next transfer".
 const TOKEN_NEXT_TRANSFER: u64 = u64::MAX;
+/// Token for the RTO [`DeadlineTimer`].
+const TOKEN_RTO: u64 = u64::MAX - 1;
 
 /// Sender side of one session: sequential transfers on one flow id.
 pub struct SessionSource {
@@ -40,7 +43,9 @@ pub struct SessionSource {
     sizes: Pareto,
     rng: Rng,
     sender: Option<TcpSender>,
-    transfer_idx: u64,
+    /// Latest RTO generation announced by the live sender.
+    rto_gen: u64,
+    rto: DeadlineTimer,
     transfers_completed: u64,
     segments_acked: u64,
     ack_unwrap: SeqUnwrapper,
@@ -65,7 +70,8 @@ impl SessionSource {
             sizes,
             rng,
             sender: None,
-            transfer_idx: 0,
+            rto_gen: 0,
+            rto: DeadlineTimer::default(),
             transfers_completed: 0,
             segments_acked: 0,
             ack_unwrap: SeqUnwrapper::new(),
@@ -97,10 +103,6 @@ impl SessionSource {
         ctx.set_timer(think, TOKEN_NEXT_TRANSFER);
     }
 
-    fn token_for(&self, gen: u64) -> u64 {
-        (self.transfer_idx << 32) | (gen & 0xffff_ffff)
-    }
-
     fn apply(&mut self, actions: Vec<TcpAction>, ctx: &mut Ctx<'_>) {
         for a in actions {
             match a {
@@ -129,8 +131,8 @@ impl SessionSource {
                     ctx.send(pkt);
                 }
                 TcpAction::ArmRto { delay, gen } => {
-                    let token = self.token_for(gen);
-                    ctx.set_timer(delay, token);
+                    self.rto_gen = gen;
+                    self.rto.set(ctx.now() + delay, TOKEN_RTO, ctx);
                 }
                 TcpAction::Completed => {
                     if let Some(s) = &self.sender {
@@ -162,10 +164,6 @@ impl Agent for SessionSource {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         if token == TOKEN_NEXT_TRANSFER {
-            if self.sender.is_some() {
-                return; // already transferring (shouldn't happen)
-            }
-            self.transfer_idx += 1;
             // Fresh ACK unwrapper: the new transfer's wire sequence space
             // restarts at 0.
             self.ack_unwrap = SeqUnwrapper::new();
@@ -174,14 +172,12 @@ impl Agent for SessionSource {
             let actions = sender.start(ctx.now());
             self.sender = Some(sender);
             self.apply(actions, ctx);
-        } else if (token >> 32) == self.transfer_idx {
-            let gen = token & 0xffff_ffff;
+        } else if token == TOKEN_RTO && self.rto.fired(token, ctx) {
             if let Some(sender) = &mut self.sender {
-                let actions = sender.on_rto(ctx.now(), gen);
+                let actions = sender.on_rto(ctx.now(), self.rto_gen);
                 self.apply(actions, ctx);
             }
         }
-        // Tokens from older transfers fall through and are ignored.
     }
 
     fn as_any(&self) -> &dyn Any {

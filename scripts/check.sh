@@ -23,6 +23,11 @@ cargo test -q --release --test parallel_determinism
 echo "==> flow-state byte budget on the optimized build (counting allocator)"
 cargo test -q --release --test flow_memory
 
+echo "==> timer population on the optimized build (queue depth and timer events at H and 3H)"
+# The 3H run is the one that catches a timer leak that only shows with
+# simulated time.
+cargo test -q --release --test timer_population
+
 echo "==> RESULTS.md drift gate (report --check)"
 cargo run -q --release -p bench --bin report -- --check
 

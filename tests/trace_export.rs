@@ -19,12 +19,12 @@ use std::path::Path;
 /// Regenerate with `cargo run --release -p bench --bin trace` and update
 /// this pin only when the export format or the simulation deliberately
 /// changes.
-const FIG03_TRACE_DIGEST: u64 = 0x46ee_36ea_c2ef_7272;
+const FIG03_TRACE_DIGEST: u64 = 0x6139_f22f_a674_097e;
 
 /// FNV-1a digest of the unified metrics registry over the same run
 /// (pinned in the manifests of `artifacts/fig03.json` and
 /// `artifacts/metrics.json`).
-const FIG03_METRICS_DIGEST: u64 = 0x3c9b_bcfa_dfb5_38ad;
+const FIG03_METRICS_DIGEST: u64 = 0xf5dc_0889_52b5_9e4b;
 
 /// A fresh full-scale Figure 3 export reproduces the committed trace byte
 /// for byte, its digest matches the pin, and the committed bytes satisfy
