@@ -1,5 +1,5 @@
-//! Artifact I/O: the JSON documents the figure binaries write under
-//! `artifacts/` and the `report` binary reads back.
+//! Artifact I/O: the JSON documents the experiments write under
+//! `artifacts/` and RESULTS.md generation reads back.
 //!
 //! Every document has the shape `{ "manifest": {...}, <data keys> }` — the
 //! [`RunManifest`] carries seed, scale, parameters, crate versions and
@@ -7,15 +7,14 @@
 //! DESIGN.md §9). The single-flow figures additionally write a
 //! `<name>.telemetry.jsonl` sidecar with the raw telemetry time series.
 //!
-//! All writers are deterministic for fixed seeds: re-running a generator
+//! All writers are deterministic for fixed seeds: re-running an experiment
 //! reproduces its artifact byte-for-byte, at any `--jobs` level.
 
-use buffersizing::figures::single_flow::{SingleFlowConfig, SingleFlowTrace};
 use buffersizing::{Json, RunManifest};
 use std::path::PathBuf;
 
 /// Repository root, resolved from this crate's location at compile time so
-/// the binaries work from any working directory.
+/// `repro` works from any working directory.
 pub fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
@@ -27,9 +26,9 @@ pub fn dir() -> PathBuf {
     repo_root().join("artifacts")
 }
 
-/// Writes `artifacts/<manifest.artifact>.json` as
-/// `{ "manifest": ..., <data keys> }` and reports the path on stdout.
-pub fn write_artifact(manifest: &RunManifest, data: Json) -> PathBuf {
+/// The artifact document `{ "manifest": ..., <data keys> }`; data that is
+/// not an object lands under `"data"`.
+pub fn document(manifest: &RunManifest, data: Json) -> Json {
     let mut doc = Json::obj().with("manifest", manifest.to_json());
     match data {
         Json::Obj(pairs) => {
@@ -39,13 +38,7 @@ pub fn write_artifact(manifest: &RunManifest, data: Json) -> PathBuf {
         }
         other => doc = doc.with("data", other),
     }
-    let d = dir();
-    std::fs::create_dir_all(&d).unwrap_or_else(|e| panic!("creating {}: {e}", d.display()));
-    let path = d.join(format!("{}.json", manifest.artifact));
-    std::fs::write(&path, doc.render())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    println!("(artifact written to {})", path.display());
-    path
+    doc
 }
 
 /// Loads and parses `artifacts/<name>.json`, `None` when absent or
@@ -76,56 +69,6 @@ pub fn load_series(name: &str) -> Vec<(String, Vec<f64>)> {
         }
     }
     out
-}
-
-/// Writes the full artifact pair for one single-flow figure (3, 4 or 5):
-/// the summary JSON plus the telemetry JSONL sidecar.
-pub fn write_single_flow(name: &str, quick: bool, cfg: &SingleFlowConfig, tr: &SingleFlowTrace) {
-    let manifest = RunManifest::new(name, quick, cfg.seed)
-        .param("buffer_factor", cfg.buffer_factor)
-        .param("rate_bps", cfg.rate_bps)
-        .param("two_way_prop_ms", cfg.two_way_prop.as_millis_f64())
-        .param("duration_s", cfg.duration.as_secs_f64())
-        .param("warmup_s", cfg.warmup.as_secs_f64())
-        .telemetry(tr.telemetry_digest)
-        .metrics(Some(tr.metrics_digest));
-    let data = Json::obj()
-        .with("bdp_packets", Json::Num(tr.bdp_packets))
-        .with("buffer_pkts", Json::Num(tr.buffer_pkts as f64))
-        .with("utilization", Json::Num(tr.utilization))
-        .with("queue_empty_fraction", Json::Num(tr.queue_empty_fraction()))
-        .with("fast_retransmits", Json::Num(tr.fast_retransmits as f64))
-        .with("timeouts", Json::Num(tr.timeouts as f64));
-    write_artifact(&manifest, data);
-    let sidecar = dir().join(format!("{name}.telemetry.jsonl"));
-    std::fs::write(&sidecar, &tr.telemetry_jsonl)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", sidecar.display()));
-    println!("(telemetry written to {})", sidecar.display());
-    write_trace_if_requested(tr);
-}
-
-/// When `--trace <path>` was passed, exports the run's deterministic
-/// sim-time timeline there as Chrome Trace Event Format JSON (open in
-/// Perfetto or `chrome://tracing`). A no-op without the flag, so artifact
-/// regeneration never writes traces unasked.
-pub fn write_trace_if_requested(tr: &SingleFlowTrace) {
-    let Some(path) = crate::str_flag("--trace") else {
-        return;
-    };
-    let trace = buffersizing::traceexport::single_flow_trace(tr);
-    if let Some(parent) = std::path::Path::new(&path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .unwrap_or_else(|e| panic!("creating {}: {e}", parent.display()));
-        }
-    }
-    std::fs::write(&path, trace.render())
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!(
-        "(Perfetto trace written to {path} — {} events, digest {:016x})",
-        trace.len(),
-        trace.digest()
-    );
 }
 
 #[cfg(test)]

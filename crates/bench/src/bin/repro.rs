@@ -1,29 +1,43 @@
-//! Runs every artifact regeneration in sequence (the full reproduction),
-//! then rebuilds RESULTS.md from the fresh artifacts via `report`.
-//! Pass --quick for a smoke pass; --jobs N forwards the worker count to
-//! every parallel-capable binary (default: all cores).
-use std::process::Command;
+//! Regenerates the reproduction: runs the named registry entries
+//! (`bench::EXPERIMENTS`; all of them when none is named) in this process,
+//! then rebuilds RESULTS.md from `artifacts/`.
+//!
+//! ```text
+//! repro [--quick|-q] [--jobs|-j N] [NAME ...]
+//! repro --check     exit 1 when RESULTS.md is stale against artifacts/
+//! ```
+//!
+//! `--jobs N` fans sweep cells out over N workers (default: all cores);
+//! results are identical at any jobs level. RESULTS.md is a pure function
+//! of the artifact files, so `--check` is a drift gate.
+
+use bench::{artifacts, results, Args};
+use buffersizing::Executor;
 
 fn main() {
-    let quick = bench::quick_flag();
-    let jobs = bench::jobs_flag();
-    let bins = [
-        "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "table10", "table11",
-        "ext_sync", "ext_loss", "ext_highrate", "ext_pacing", "ext_multihop",
-        "ext_ablation", "ext_cca", "explain", "report",
-    ];
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("bin dir");
-    for b in bins {
-        let path = dir.join(b);
-        let mut cmd = Command::new(&path);
-        if quick {
-            cmd.arg("--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n\n{}", bench::usage());
+        std::process::exit(2);
+    });
+    let path = artifacts::repo_root().join("RESULTS.md");
+    if args.check {
+        if std::fs::read_to_string(&path).unwrap_or_default() == results::generate() {
+            println!("RESULTS.md is up to date with artifacts/");
+            return;
         }
-        cmd.args(["--jobs", &jobs.to_string()]);
-        let status = cmd.status().unwrap_or_else(|e| panic!("running {b}: {e}"));
-        assert!(status.success(), "{b} failed");
+        eprintln!(
+            "RESULTS.md is out of date with artifacts/ — rerun the experiment that wrote them:\n  \
+             cargo run --release -p bench --bin repro -- NAME"
+        );
+        std::process::exit(1);
+    }
+    let exec = Executor::new(args.jobs.unwrap_or_else(buffersizing::exec::default_jobs));
+    for e in args.experiments {
+        bench::run(e, &exec, args.quick);
         println!();
     }
-    println!("== all artifacts regenerated ==");
+    let fresh = results::generate();
+    std::fs::write(&path, &fresh).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    println!("RESULTS.md regenerated ({} bytes)", fresh.len());
 }

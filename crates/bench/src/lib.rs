@@ -1,12 +1,18 @@
 //! # bench — regeneration harness for every table and figure
 //!
-//! Each binary in `src/bin/` regenerates one artifact of *Sizing Router
-//! Buffers* (SIGCOMM 2004) and prints the same rows/series the paper
-//! reports:
+//! One table, [`EXPERIMENTS`], is the index of record: every figure, table
+//! and extension of *Sizing Router Buffers* (SIGCOMM 2004) that this
+//! repository regenerates is one [`Experiment`] entry, and one binary runs
+//! them:
 //!
-//! | binary | artifact |
+//! ```text
+//! repro [--quick] [--jobs N] [NAME ...]   run the named entries (all when none), rewrite RESULTS.md
+//! repro --check                           exit 1 when RESULTS.md is stale against artifacts/
+//! ```
+//!
+//! | entry | artifact |
 //! |---|---|
-//! | `fig03` / `fig04` / `fig05` | single-flow W(t), Q(t) (exact/under/over-buffered) |
+//! | `fig03` / `fig04` / `fig05` | single-flow W(t), Q(t) (exact/under/over-buffered); `fig03` also writes the Perfetto trace and the metrics-registry dump |
 //! | `fig06` | aggregate-window distribution vs Gaussian |
 //! | `fig07` | minimum buffer vs number of flows |
 //! | `fig08` | short-flow minimum buffer vs M/G/1 model |
@@ -21,159 +27,233 @@
 //! | `ext_ablation` | which ingredients create desynchronization |
 //! | `ext_cca` | minimum buffer per congestion-control algorithm |
 //! | `explain` | causal drop/span join of one fixed scenario (`artifacts/explain*`) |
-//! | `repro` | run everything |
-//! | `report` | regenerate RESULTS.md from `artifacts/*.json` |
-//! | `trace` | Perfetto/Chrome trace export (+ `--check` schema validation) |
 //!
-//! The figure/table binaries additionally write a manifest-stamped JSON
-//! artifact (see [`artifacts`]) that the `report` binary turns into
-//! RESULTS.md (see [`results`]); `report --check` exits non-zero when
-//! RESULTS.md is stale, which `scripts/check.sh` uses as a drift gate.
+//! An entry returns an [`Artifact`] and writes nothing itself; [`run`]
+//! writes `artifacts/<name>.json` from the returned manifest (see
+//! [`artifacts`]), so every experiment is manifest-stamped by construction,
+//! and `repro` finishes by rebuilding RESULTS.md from `artifacts/` (see
+//! [`results`]).
 //!
-//! Every binary accepts `--quick` for a seconds-scale smoke run; the
-//! default is the paper-scale parameterisation. Nothing here measures
-//! speed: every performance number comes from the repo benchmark in
-//! `benchmark/` (declared by `BENCHMARK.json`).
+//! `--quick` selects a seconds-scale smoke run; the default is the
+//! paper-scale parameterisation. Nothing here measures speed: every
+//! performance number comes from the repo benchmark in `benchmark/`
+//! (declared by `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 pub mod artifacts;
+mod experiments;
 pub mod results;
 
-fn cli_args() -> Vec<String> {
-    std::env::args().skip(1).collect()
+pub use experiments::EXPERIMENTS;
+
+use buffersizing::{Executor, Json, RunManifest};
+
+/// One regenerable experiment: a registry entry of [`EXPERIMENTS`].
+#[derive(Debug)]
+pub struct Experiment {
+    /// Registry name, the `repro` argument and the artifact stem
+    /// (`artifacts/<name>.json`).
+    pub name: &'static str,
+    /// What the run's stdout preamble calls it.
+    pub title: &'static str,
+    /// Runs the experiment at quick (`true`) or full scale.
+    pub run: fn(&Executor, bool) -> Artifact,
 }
 
-/// True when `--quick` was passed on the command line.
-pub fn quick_flag() -> bool {
-    quick_in(&cli_args())
+/// Everything one experiment produced; [`run`] writes it.
+pub struct Artifact {
+    /// Provenance; `manifest.artifact` must be the entry's name.
+    pub manifest: RunManifest,
+    /// Data keys of `artifacts/<name>.json`, written after the manifest.
+    pub data: Json,
+    /// Human-readable report printed after the preamble.
+    pub stdout: String,
+    /// Further `(file name, contents)` pairs under `artifacts/`.
+    pub files: Vec<(String, String)>,
 }
 
-fn quick_in(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--quick" || a == "-q")
-}
+impl Artifact {
+    /// An artifact with no extra files.
+    pub(crate) fn new(manifest: RunManifest, data: Json, stdout: String) -> Self {
+        Artifact { manifest, data, stdout, files: Vec::new() }
+    }
 
-/// Unwraps a parsed flag, or reports the error on stderr and exits 2.
-fn or_exit<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Worker count from `--jobs N` on the command line; defaults to the
-/// machine's available parallelism. `--jobs 1` forces the sequential path,
-/// which reproduces the pre-parallelism output exactly. A missing value or
-/// one that is not a non-negative integer is reported on stderr and the
-/// process exits 2.
-pub fn jobs_flag() -> usize {
-    or_exit(jobs_in(&cli_args())).unwrap_or_else(buffersizing::exec::default_jobs)
-}
-
-/// `Ok(None)` when neither `--jobs` nor `-j` is present; `0` is clamped
-/// to 1.
-fn jobs_in(args: &[String]) -> Result<Option<usize>, String> {
-    let value = match str_in(args, "--jobs")? {
-        Some(v) => Some(v),
-        None => str_in(args, "-j")?,
-    };
-    value
-        .map(|v| {
-            v.parse::<usize>()
-                .map(|n| n.max(1))
-                .map_err(|_| format!("--jobs expects a positive integer, got {v:?}"))
-        })
-        .transpose()
-}
-
-/// When `--csv <path>` was passed, returns the path to write CSV to.
-pub fn csv_flag() -> Option<String> {
-    str_flag("--csv")
-}
-
-/// Value of an arbitrary `<flag> <value>` command-line pair, when present.
-/// A flag given as the last argument, with no value to take, is reported
-/// on stderr and the process exits 2.
-pub fn str_flag(flag: &str) -> Option<String> {
-    or_exit(str_in(&cli_args(), flag))
-}
-
-fn str_in(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(format!("{flag} expects a value")),
-        },
+    /// Adds one extra file under `artifacts/` (builder style).
+    pub(crate) fn with_file(mut self, name: &str, contents: String) -> Self {
+        self.files.push((name.to_string(), contents));
+        self
     }
 }
 
-/// Writes `csv` to `path` and reports it on stdout.
-pub fn write_csv(path: &str, csv: &str) {
-    std::fs::write(path, csv).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("(CSV written to {path})");
-}
-
-/// Standard preamble printed by every regeneration binary. Also where a
-/// value flag left without its value is caught — before the simulation
-/// runs, not when its output is about to be written.
-pub fn preamble(artifact: &str, quick: bool) {
-    let args = cli_args();
-    for flag in ["--jobs", "-j", "--csv", "--trace", "--out"] {
-        or_exit(str_in(&args, flag));
-    }
-    println!(
-        "== Sizing Router Buffers (SIGCOMM 2004) reproduction — {artifact} ({}) ==\n",
+/// Stdout preamble of one experiment run.
+fn preamble(title: &str, quick: bool) -> String {
+    format!(
+        "== Sizing Router Buffers (SIGCOMM 2004) reproduction — {title} ({}) ==\n",
         if quick { "quick smoke scale" } else { "full scale" }
-    );
+    )
+}
+
+/// Runs one entry: prints its preamble and report, then writes
+/// `artifacts/<name>.json` (see [`artifacts::document`]) and the extra
+/// files.
+pub fn run(e: &Experiment, exec: &Executor, quick: bool) {
+    println!("{}", preamble(e.title, quick));
+    let a = (e.run)(exec, quick);
+    assert_eq!(a.manifest.artifact, e.name, "an entry stamps its own name");
+    print!("{}", a.stdout);
+    let dir = artifacts::dir();
+    std::fs::create_dir_all(&dir).unwrap_or_else(|err| panic!("creating {}: {err}", dir.display()));
+    let json = (format!("{}.json", e.name), artifacts::document(&a.manifest, a.data).render());
+    for (file, contents) in std::iter::once(json).chain(a.files) {
+        let path = dir.join(file);
+        std::fs::write(&path, contents)
+            .unwrap_or_else(|err| panic!("writing {}: {err}", path.display()));
+        println!("(written to {})", path.display());
+    }
+}
+
+/// The parsed `repro` command line.
+#[derive(Debug)]
+pub struct Args {
+    /// `--quick` / `-q`: smoke scale.
+    pub quick: bool,
+    /// `--jobs` / `-j N` (0 is clamped to 1); `None` = all cores.
+    pub jobs: Option<usize>,
+    /// `--check`: run nothing, compare RESULTS.md with `artifacts/`.
+    pub check: bool,
+    /// The entries to run, in command-line order; every entry when none
+    /// is named (none with `--check`).
+    pub experiments: Vec<&'static Experiment>,
+}
+
+impl Args {
+    /// Parses `repro`'s arguments (program name excluded). An unknown
+    /// argument, a `--jobs` without a non-negative integer after it, or a
+    /// NAME next to `--check` is an error.
+    pub fn parse(args: &[String]) -> Result<Args, String> {
+        let mut out = Args { quick: false, jobs: None, check: false, experiments: Vec::new() };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--quick" | "-q" => out.quick = true,
+                "--check" => out.check = true,
+                "--jobs" | "-j" => {
+                    let v = it.next().ok_or(format!("{a} expects a value"))?;
+                    let n = v
+                        .parse::<usize>()
+                        .map_err(|_| format!("{a} expects a positive integer, got {v:?}"))?;
+                    out.jobs = Some(n.max(1));
+                }
+                name => out.experiments.push(
+                    EXPERIMENTS.iter().find(|e| e.name == name).ok_or(format!(
+                        "unknown experiment {name:?} (one of: {})",
+                        names()
+                    ))?,
+                ),
+            }
+        }
+        if out.check && !out.experiments.is_empty() {
+            return Err("--check runs no experiment; drop the names".to_string());
+        }
+        if !out.check && out.experiments.is_empty() {
+            out.experiments = EXPERIMENTS.iter().collect();
+        }
+        Ok(out)
+    }
+}
+
+fn names() -> String {
+    EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>().join(" ")
+}
+
+/// `repro`'s usage text, listing every registry name.
+pub fn usage() -> String {
+    format!(
+        "usage: repro [--quick|-q] [--jobs|-j N] [NAME ...]\n       \
+         repro --check\n\n\
+         Runs the named experiments (all of them when none is named), writes\n\
+         their artifacts/ files and rewrites RESULTS.md from artifacts/.\n\
+         --check runs nothing and exits 1 when RESULTS.md is stale.\n\n\
+         NAME: {}\n",
+        names()
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{jobs_in, quick_in, str_in};
+    use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|a| a.to_string()).collect()
+    fn parse(list: &[&str]) -> Result<Args, String> {
+        Args::parse(&list.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
-    fn quick_flag_long_and_short() {
-        assert!(quick_in(&args(&["--quick"])));
-        assert!(quick_in(&args(&["--jobs", "2", "-q"])));
-        assert!(!quick_in(&args(&["--jobs", "2"])));
-        assert!(!quick_in(&args(&["--quickly"])));
+    fn registry_names_are_unique() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|d| d.name != e.name),
+                "duplicate registry name {}",
+                e.name
+            );
+        }
     }
 
     #[test]
-    fn jobs_flag_parses_or_reports() {
-        assert_eq!(jobs_in(&args(&["--jobs", "3"])), Ok(Some(3)));
-        assert_eq!(jobs_in(&args(&["--quick", "-j", "3"])), Ok(Some(3)));
-        assert_eq!(jobs_in(&args(&["--jobs", "0"])), Ok(Some(1)));
-        assert_eq!(jobs_in(&args(&["--quick"])), Ok(None));
-        assert_eq!(
-            jobs_in(&args(&["--quick", "--jobs"])),
-            Err("--jobs expects a value".to_string())
-        );
-        assert_eq!(
-            jobs_in(&args(&["-j"])),
-            Err("-j expects a value".to_string())
-        );
-        assert_eq!(
-            jobs_in(&args(&["--jobs", "x"])),
-            Err("--jobs expects a positive integer, got \"x\"".to_string())
-        );
-        assert!(jobs_in(&args(&["-j", "-1"])).is_err());
+    fn flags_and_names_parse() {
+        let a = parse(&["-q", "--jobs", "3", "fig07", "ext_sync"]).unwrap();
+        assert!(a.quick && !a.check);
+        assert_eq!(a.jobs, Some(3));
+        let names: Vec<&str> = a.experiments.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["fig07", "ext_sync"]);
+        assert_eq!(parse(&["-j", "0"]).unwrap().jobs, Some(1));
+        let all = parse(&[]).unwrap();
+        assert!(!all.quick && all.jobs.is_none());
+        assert_eq!(all.experiments.len(), EXPERIMENTS.len());
+        let check = parse(&["--check"]).unwrap();
+        assert!(check.check && check.experiments.is_empty());
     }
 
     #[test]
-    fn value_flag_takes_the_following_value_or_reports() {
+    fn bad_arguments_are_rejected() {
+        assert_eq!(parse(&["fig07", "--jobs"]).unwrap_err(), "--jobs expects a value");
+        assert_eq!(parse(&["-j"]).unwrap_err(), "-j expects a value");
         assert_eq!(
-            str_in(&args(&["--csv", "p"]), "--csv"),
-            Ok(Some("p".to_string()))
+            parse(&["--jobs", "x"]).unwrap_err(),
+            "--jobs expects a positive integer, got \"x\""
         );
-        assert_eq!(str_in(&args(&["--quick"]), "--csv"), Ok(None));
-        assert_eq!(
-            str_in(&args(&["--quick", "--csv"]), "--csv"),
-            Err("--csv expects a value".to_string())
-        );
+        assert!(parse(&["-j", "-1"]).is_err());
+        let unknown = parse(&["fig07", "fig7"]).unwrap_err();
+        assert!(unknown.starts_with("unknown experiment \"fig7\""), "{unknown}");
+        for e in EXPERIMENTS {
+            assert!(unknown.contains(e.name), "the error lists the registry: {unknown}");
+        }
+        // Flags that went with the per-figure binaries are unknown now.
+        for gone in ["--csv", "--trace", "--out"] {
+            assert!(parse(&[gone, "p"]).is_err(), "{gone}");
+        }
+        assert!(parse(&["--check", "fig03"]).is_err());
+    }
+
+    /// `repro <name>` prints what the per-figure binary `<name>` printed:
+    /// the committed full-scale stdout captures (`artifacts/<name>.txt`)
+    /// open with the entry's preamble.
+    #[test]
+    fn titles_keep_the_committed_preambles() {
+        let mut checked = 0;
+        for e in EXPERIMENTS {
+            let capture = artifacts::dir().join(format!("{}.txt", e.name));
+            let Ok(text) = std::fs::read_to_string(capture) else { continue };
+            if !text.starts_with("== Sizing Router Buffers") {
+                continue; // explain.txt is an extra file, not a stdout capture
+            }
+            assert_eq!(
+                text.lines().next(),
+                preamble(e.title, false).lines().next(),
+                "{}",
+                e.name
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 15, "fig03..table11 and the six ext_* have captures");
     }
 }

@@ -176,8 +176,7 @@ impl CcaSweepConfig {
     }
 }
 
-/// Builds the result table (text via [`Table::render`], CSV via
-/// [`Table::to_csv`]).
+/// Builds the result table (text via [`Table::render`]).
 pub fn to_table(points: &[CcaSweepPoint]) -> Table {
     let mut t = Table::new(&[
         "cca",

@@ -130,8 +130,7 @@ fn run_heterogeneous(scenario: &LongFlowScenario) -> f64 {
     run.utilization()
 }
 
-/// Builds the result table (render as text with [`Table::render`] or
-/// export with [`Table::to_csv`]).
+/// Builds the result table (text via [`Table::render`]).
 pub fn to_table(rows: &[GsrRow]) -> Table {
     let mut t = Table::new(&[
         "flows",

@@ -148,8 +148,7 @@ impl SweepCell {
     }
 }
 
-/// Builds the result table (text via [`Table::render`], CSV via
-/// [`Table::to_csv`]).
+/// Builds the result table (text via [`Table::render`]).
 pub fn to_table(points: &[MinBufferPoint]) -> Table {
     let mut t = Table::new(&[
         "n",

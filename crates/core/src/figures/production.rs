@@ -162,8 +162,7 @@ impl ProductionConfig {
     }
 }
 
-/// Builds the result table (text via [`Table::render`], CSV via
-/// [`Table::to_csv`]).
+/// Builds the result table (text via [`Table::render`]).
 pub fn to_table(rows: &[ProductionRow]) -> Table {
     let mut t = Table::new(&[
         "Buffer",

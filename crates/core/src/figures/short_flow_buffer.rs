@@ -125,8 +125,7 @@ impl ShortBufferConfig {
     }
 }
 
-/// Builds the result table (text via [`Table::render`], CSV via
-/// [`Table::to_csv`]).
+/// Builds the result table (text via [`Table::render`]).
 pub fn to_table(points: &[ShortBufferPoint]) -> Table {
     let mut t = Table::new(&[
         "rate",

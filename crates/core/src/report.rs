@@ -32,31 +32,14 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table as CSV (RFC 4180-style quoting for cells that
-    /// need it), for piping into plotting tools.
-    pub fn to_csv(&self) -> String {
-        let quote = |c: &str| -> String {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
+    /// The table as artifact data: `{"columns": [...], "rows": [[...]]}`,
+    /// holding exactly the cells [`Table::render`] prints.
+    pub fn to_json(&self) -> crate::Json {
+        use crate::Json;
+        let cells = |cs: &[String]| Json::Arr(cs.iter().map(|c| Json::Str(c.clone())).collect());
+        Json::obj()
+            .with("columns", cells(&self.headers))
+            .with("rows", Json::Arr(self.rows.iter().map(|r| cells(r)).collect()))
     }
 
     /// Renders the table to a string.
@@ -209,17 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn csv_export() {
-        let mut t = Table::new(&["n", "note"]);
-        t.row(&["1".into(), "plain".into()]);
-        t.row(&["2".into(), "has, comma".into()]);
-        t.row(&["3".into(), "has \"quote\"".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "n,note");
-        assert_eq!(lines[1], "1,plain");
-        assert_eq!(lines[2], "2,\"has, comma\"");
-        assert_eq!(lines[3], "3,\"has \"\"quote\"\"\"");
+    fn json_export_keeps_the_printed_cells() {
+        let mut t = Table::new(&["n", "util"]);
+        t.row(&["1".into(), "96.9%".into()]);
+        let j = t.to_json();
+        let cells = |key: &str| j.get(key).and_then(crate::Json::as_arr).unwrap().to_vec();
+        assert_eq!(cells("columns"), [crate::Json::Str("n".into()), crate::Json::Str("util".into())]);
+        assert_eq!(cells("rows")[0].as_arr().unwrap()[1].as_str(), Some("96.9%"));
     }
 
     #[test]

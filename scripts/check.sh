@@ -28,33 +28,23 @@ echo "==> timer population on the optimized build (queue depth and timer events 
 # simulated time.
 cargo test -q --release --test timer_population
 
-echo "==> RESULTS.md drift gate (report --check)"
-cargo run -q --release -p bench --bin report -- --check
-
 echo "==> simlint (determinism contract: zero findings)"
 cargo run -q --release -p simlint
 
-echo "==> explain drift gate (artifacts/explain* current with the tree)"
-# The explain bin rewrites its five artifacts; a diff means the simulator's
-# event stream, profiler rows or causal join changed without the committed
-# copies (and RESULTS.md's Observability section) being regenerated.
-./target/release/explain > /dev/null
-git diff --exit-code -- artifacts/explain.json artifacts/explain.txt \
-    artifacts/explain_causal.jsonl artifacts/explain_spans.jsonl \
-    artifacts/explain_drops.jsonl || {
-    echo "artifacts/explain* drifted from the tree; commit the regenerated files and rerun report" >&2
-    exit 1
-}
-
-echo "==> artifact drift gate (figure JSONs and telemetry sidecars current with the tree)"
-# Nothing else regenerates the figure artifacts: `report --check` only
-# compares RESULTS.md with whatever JSON is committed. fig08 / fig09 /
-# table10's proxy column / table11 are the only byte-level witnesses of the
-# short-flow, mix, heterogeneous and session pipelines. ~7 s in total.
-for bin in fig03 fig04 fig05 fig06; do ./target/release/$bin > /dev/null; done
-for bin in fig07 fig08 fig09 table10 table11 ext_cca; do ./target/release/$bin --quick > /dev/null; done
-git diff --exit-code -- artifacts/*.json artifacts/*.telemetry.jsonl || {
-    echo "artifacts/ drifted from the tree; a result moved — or commit the regenerated files and rerun report" >&2
+echo "==> regeneration gate (every registry entry reproduces artifacts/ and RESULTS.md)"
+# `repro` runs the named experiments in one process (sharing the
+# process-global probe cache), writes their artifacts and rewrites
+# RESULTS.md from artifacts/. The split is the committed scales
+# (artifacts/README.md); together they cover every entry of
+# bench::EXPERIMENTS. A diff means a result moved — or the committed files
+# were not regenerated. fig08 / fig09 / table10's proxy column / table11 are
+# the only byte-level witnesses of the short-flow, mix, heterogeneous and
+# session pipelines. ~10 s in total.
+./target/release/repro fig03 fig04 fig05 fig06 explain > /dev/null
+./target/release/repro --quick fig07 fig08 fig09 table10 table11 ext_cca \
+    ext_sync ext_loss ext_highrate ext_pacing ext_multihop ext_ablation > /dev/null
+git diff --exit-code -- artifacts/ RESULTS.md || {
+    echo "artifacts/ or RESULTS.md drifted from the tree; a result moved — or commit the regenerated files" >&2
     exit 1
 }
 
@@ -95,16 +85,6 @@ for ref in $(grep -ho 'DESIGN\.md §[0-9]\+\(\.[0-9]\+\)\?' \
 done
 [ "$doc_drift" -eq 0 ] || exit 1
 echo "all DESIGN.md section references resolve"
-
-echo "==> trace validity gate (Perfetto export loads: schema, monotone ts, balanced B/E)"
-# Exports a fresh quick-scale trace to target/ (never touches artifacts/)
-# and runs the in-tree Chrome-trace checker — required keys on every
-# event, per-track monotone timestamps, balanced B/E pairs — on both the
-# fresh export and the committed full-scale artifact. The committed
-# trace's bytes themselves are pinned by tests/trace_export.rs.
-./target/release/trace --quick --out target/fig03.trace.quick.json
-./target/release/trace --check target/fig03.trace.quick.json
-./target/release/trace --check artifacts/fig03.trace.json
 
 echo "==> benchmark crate (own workspace: compiles against crates/*, mirror oracles)"
 # benchmark/ is outside the root workspace, so nothing above notices when a

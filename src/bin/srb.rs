@@ -23,18 +23,27 @@ use buffersizing::prelude::*;
 use traffic::bulk::CcKind;
 use traffic::FlowLengthDist;
 
+/// The number after `name`, `None` when the flag is absent. A flag with
+/// no value or an unparsable one prints usage and exits 2.
 fn parse_flag(args: &[String], name: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    let v = parse_str(args, name)?;
+    Some(v.parse().unwrap_or_else(|_| {
+        eprintln!("{name} expects a number, got {v:?}");
+        usage()
+    }))
 }
 
+/// The value after `name`, `None` when the flag is absent. A flag given
+/// last, with no value, prints usage and exits 2.
 fn parse_str<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v.as_str()),
+        None => {
+            eprintln!("{name} expects a value");
+            usage()
+        }
+    }
 }
 
 fn write_trace(path: &str, trace: simcore::TraceBuilder) {

@@ -338,7 +338,7 @@ fn committed_explain_artifact_reproduces_from_its_manifest() {
     let run = sc.run_traced(2_000_000);
     assert_eq!(run.overflowed, 0, "packet log overflowed");
 
-    let stale = "artifacts/explain* are stale — rerun `cargo run --release -p bench --bin explain`";
+    let stale = "artifacts/explain* are stale — rerun `cargo run --release -p bench --bin repro -- explain`";
     let hex = |key: &str| u64::from_str_radix(doc.str(key).expect(key), 16).expect(key);
     assert_eq!(
         Some(run.packet_digest),

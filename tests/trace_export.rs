@@ -16,7 +16,7 @@ use sizing_router_buffers::prelude::*;
 use std::path::Path;
 
 /// FNV-1a digest of the committed full-scale Figure 3 sim-time trace.
-/// Regenerate with `cargo run --release -p bench --bin trace` and update
+/// Regenerate with `cargo run --release -p bench --bin repro -- fig03` and update
 /// this pin only when the export format or the simulation deliberately
 /// changes.
 const FIG03_TRACE_DIGEST: u64 = 0x6139_f22f_a674_097e;
@@ -40,7 +40,7 @@ fn committed_fig03_trace_is_current_and_digest_pinned() {
     assert_eq!(
         trace.digest(),
         FIG03_TRACE_DIGEST,
-        "sim-time trace digest moved — rerun `cargo run --release -p bench --bin trace` and update the pin"
+        "sim-time trace digest moved — rerun `cargo run --release -p bench --bin repro -- fig03` and update the pin"
     );
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts/fig03.trace.json");
     let committed = std::fs::read_to_string(&path)
@@ -48,7 +48,7 @@ fn committed_fig03_trace_is_current_and_digest_pinned() {
     assert_eq!(
         trace.render(),
         committed,
-        "artifacts/fig03.trace.json is stale — rerun `cargo run --release -p bench --bin trace`"
+        "artifacts/fig03.trace.json is stale — rerun `cargo run --release -p bench --bin repro -- fig03`"
     );
     let ok = check_trace(&committed).expect("committed trace satisfies the schema checker");
     assert_eq!(ok.events, trace.len());
