@@ -30,8 +30,22 @@
 
 // simlint: allow-file(wall-clock) — driver-layer worker pool: threads never run inside a simulation, they only distribute whole runs across cores
 
+use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// The message a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
+/// Re-raises a worker's panic on the joining thread, keeping its message.
+fn worker_panicked(payload: &(dyn Any + Send)) -> ! {
+    panic!("sweep worker panicked: {}", panic_message(payload))
+}
 
 /// Number of worker threads the machine supports (`--jobs` default).
 pub fn default_jobs() -> usize {
@@ -93,7 +107,7 @@ impl Executor {
     /// from scenario parameters + seed), which is what makes parallel
     /// output byte-identical to sequential.
     ///
-    /// Panics if a worker panics (the panic is propagated).
+    /// Panics if a worker panics, with the worker's panic message.
     pub fn run_cells<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -122,7 +136,7 @@ impl Executor {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|e| worker_panicked(&*e)))
                 .collect()
         });
         // Reassemble in input order: slot i gets cell i's result.
@@ -220,7 +234,7 @@ impl Executor {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|e| worker_panicked(&*e)))
                 .collect()
         });
         let wall_ns = epoch.elapsed().as_nanos() as u64;
@@ -387,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep worker panicked")]
+    #[should_panic(expected = "sweep worker panicked: boom")]
     fn worker_panic_propagates() {
         let _ = Executor::new(2).run_cells(8, |i| {
             if i == 5 {

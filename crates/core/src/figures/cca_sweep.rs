@@ -21,7 +21,7 @@
 //! synchronized overflow, and utilization dips non-monotonically.
 
 use crate::exec::Executor;
-use crate::figures::min_buffer::{sweep, SweepCell};
+use crate::figures::min_buffer::{sweep, SweepCurve};
 use crate::probe_cache::run_cached;
 use crate::report::Table;
 use crate::runner::LongFlowScenario;
@@ -75,7 +75,7 @@ pub struct CcaSweepPoint {
 #[derive(Clone, Debug)]
 pub struct CcaSweepConfig {
     /// Base scenario; `n_flows`, `buffer_pkts`, `cc`, `pacing` and
-    /// `ecn_marking` are overridden per cell.
+    /// `ecn_marking` are overridden per curve.
     pub base: LongFlowScenario,
     /// Variants to sweep (defaults to [`zoo`]).
     pub variants: Vec<CcaVariant>,
@@ -87,7 +87,7 @@ pub struct CcaSweepConfig {
 
 impl CcaSweepConfig {
     /// Paper scale: OC3 base with the same trimmed per-evaluation
-    /// durations as Figure 7's sweep (each cell bisects ~11 simulations).
+    /// durations as Figure 7's sweep (each curve bisects ~11 simulations).
     pub fn full() -> Self {
         let mut base = LongFlowScenario::oc3(0);
         base.warmup = simcore::SimDuration::from_secs(10);
@@ -120,13 +120,13 @@ impl CcaSweepConfig {
         self.run_with(&Executor::sequential())
     }
 
-    /// Runs the sweep on `exec`: Figure 7's loop ([`sweep`]) over
-    /// `(variant, n)` cells, probing through the probe cache. Results are
-    /// identical to [`CcaSweepConfig::run`] in content and order for any
-    /// executor.
+    /// Runs the sweep on `exec`: Figure 7's loop ([`sweep`]) over one
+    /// single-target curve per `(variant, n)`, probing through the probe
+    /// cache. Results are identical to [`CcaSweepConfig::run`] in content
+    /// and order for any executor.
     pub fn run_with(&self, exec: &Executor) -> Vec<CcaSweepPoint> {
         let mut labels = Vec::new();
-        let mut cells = Vec::new();
+        let mut curves = Vec::new();
         for v in &self.variants {
             for &n in &self.flow_counts {
                 let mut scenario = self.base.clone();
@@ -146,22 +146,23 @@ impl CcaSweepConfig {
                 // unsatisfiable.
                 let hi = (2.0 * bdp).ceil() as usize + 1;
                 labels.push(v.label);
-                cells.push(SweepCell {
+                curves.push(SweepCurve {
                     scenario,
                     hi,
-                    target: self.target,
+                    targets: vec![self.target],
                 });
             }
         }
-        let found = sweep(exec, &cells, run_cached);
-        (labels.iter().zip(&cells).zip(&found))
-            .map(|((&label, cell), search)| {
+        let found = sweep(exec, &curves, run_cached);
+        (labels.iter().zip(&curves).zip(&found))
+            .map(|((&label, curve), searches)| {
+                let search = &searches[0];
                 // Re-probe the winning buffer — a guaranteed cache hit — to
                 // pull the utilization and mark count at the minimum.
-                let mut at_min = cell.scenario.clone();
+                let mut at_min = curve.scenario.clone();
                 at_min.buffer_pkts = search.buffer_pkts;
                 let at_min = run_cached(&at_min);
-                let (n, bdp) = (cell.scenario.n_flows, cell.scenario.bdp_packets());
+                let (n, bdp) = (curve.scenario.n_flows, curve.scenario.bdp_packets());
                 CcaSweepPoint {
                     label,
                     n,

@@ -1,47 +1,69 @@
 //! Figure 7: minimum buffer required for a target utilization vs the
 //! number of long-lived flows, compared with `2T̄pC/√n`.
+//!
+//! The sweep is a set of utilization-vs-buffer curves, one per n, each
+//! read at every target by its own bisection ([`sweep`]). The targets of a
+//! curve run one after another on one worker, so the buffers they share
+//! are simulated once.
 
-use crate::exec::Executor;
+use crate::exec::{panic_message, Executor};
 use crate::probe_cache::run_cached;
 use crate::report::Table;
 use crate::runner::{LongFlowResult, LongFlowScenario};
 use crate::search::{min_buffer_for_par, SearchResult};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use theory::GaussianWindowModel;
 
-/// One bisection of a long-flow sweep: the smallest `buffer_pkts` in
-/// `[1, hi]` at which `scenario` reaches `target` utilization.
+/// One utilization-vs-buffer curve of a long-flow sweep, searched for each
+/// target by bisecting `buffer_pkts` over `[1, hi]` (the smallest buffer
+/// reaching the target where the curve is monotone, see
+/// [`crate::search`]).
 #[derive(Clone, Debug)]
-pub struct SweepCell {
+pub struct SweepCurve {
     /// The scenario to probe; `buffer_pkts` is overridden per probe.
     pub scenario: LongFlowScenario,
     /// Search upper bound (packets).
     pub hi: usize,
-    /// Utilization target.
-    pub target: f64,
+    /// Utilization targets, searched in this order.
+    pub targets: Vec<f64>,
 }
 
-/// The long-flow sweep loop, Figure 7's and the per-CCA extension's: cells
-/// fan out across `exec`'s workers, each bisection speculating on the
-/// leftover width (see [`min_buffer_for_par`]) with one `probe` per
-/// evaluation. In cell order, and identical for any executor as long as
-/// `probe` is a pure function of its scenario.
+/// The long-flow sweep loop, Figure 7's and the per-CCA extension's: one
+/// task per curve fans out across `exec`'s workers, and each task bisects
+/// its targets one after another (speculating on the leftover width, see
+/// [`min_buffer_for_par`]) with one `probe` per evaluation. Every target of
+/// a curve probes through the same `probe` on the same worker, so through
+/// [`run_cached`] a buffer an earlier target already simulated is a cache
+/// hit. Per curve, one [`SearchResult`] per target, in curve and target
+/// order, and identical for any executor as long as `probe` is a pure
+/// function of its scenario.
+///
+/// A probe that panics is re-raised naming its curve: `n`, the probed
+/// buffer, the targets and the seed.
 pub fn sweep(
     exec: &Executor,
-    cells: &[SweepCell],
+    curves: &[SweepCurve],
     probe: impl Fn(&LongFlowScenario) -> LongFlowResult + Sync,
-) -> Vec<SearchResult> {
-    let inner = exec.split(cells.len());
-    exec.map(cells, |cell| {
-        min_buffer_for_par(
-            cell.hi,
-            &inner,
-            |b| {
-                let mut s = cell.scenario.clone();
-                s.buffer_pkts = b;
-                probe(&s).utilization
-            },
-            |u| u >= cell.target,
-        )
+) -> Vec<Vec<SearchResult>> {
+    let inner = exec.split(curves.len());
+    exec.map(curves, |curve| {
+        let eval = |b: usize| {
+            let mut s = curve.scenario.clone();
+            s.buffer_pkts = b;
+            match catch_unwind(AssertUnwindSafe(|| probe(&s))) {
+                Ok(r) => r.utilization,
+                Err(e) => panic!(
+                    "sweep probe failed: n={} buffer={b} targets={:?} seed={}: {}",
+                    s.n_flows,
+                    curve.targets,
+                    s.seed,
+                    panic_message(&*e)
+                ),
+            }
+        };
+        (curve.targets.iter())
+            .map(|&target| min_buffer_for_par(curve.hi, &inner, eval, |u| u >= target))
+            .collect()
     })
 }
 
@@ -104,46 +126,50 @@ impl MinBufferConfig {
         self.run_with(&Executor::sequential())
     }
 
-    /// The `(n, target)` cells of the sweep, each searched up to one BDP.
-    pub fn cells(&self) -> Vec<SweepCell> {
-        let mut cells = Vec::new();
-        for &n in &self.flow_counts {
-            let mut scenario = self.base.clone();
-            scenario.n_flows = n;
-            let hi = scenario.bdp_packets().ceil() as usize + 1;
-            for &target in &self.targets {
-                cells.push(SweepCell {
-                    scenario: scenario.clone(),
+    /// The curves of the sweep, one per n with every target, each searched
+    /// up to one BDP.
+    pub fn curves(&self) -> Vec<SweepCurve> {
+        (self.flow_counts.iter())
+            .map(|&n| {
+                let mut scenario = self.base.clone();
+                scenario.n_flows = n;
+                let hi = scenario.bdp_packets().ceil() as usize + 1;
+                SweepCurve {
+                    scenario,
                     hi,
-                    target,
-                });
-            }
-        }
-        cells
+                    targets: self.targets.clone(),
+                }
+            })
+            .collect()
     }
 
     /// Runs the sweep on `exec` (see [`sweep`]), probing through the
-    /// process-global result cache: the per-target bisections for one n
-    /// revisit overlapping buffer sizes (see [`crate::probe_cache`]).
-    /// Identical to [`MinBufferConfig::run`] for any executor.
+    /// process-global result cache, so the targets of one n simulate each
+    /// buffer they share once (see [`crate::probe_cache`]). Points in
+    /// `(n, target)` order; identical to [`MinBufferConfig::run`] for any
+    /// executor.
     pub fn run_with(&self, exec: &Executor) -> Vec<MinBufferPoint> {
-        let cells = self.cells();
-        let found = sweep(exec, &cells, run_cached);
-        cells.iter().zip(&found).map(|(c, s)| c.point(s)).collect()
+        let curves = self.curves();
+        let found = sweep(exec, &curves, run_cached);
+        (curves.iter().zip(&found))
+            .flat_map(|(c, searches)| {
+                (c.targets.iter().zip(searches)).map(|(&target, s)| c.point(target, s))
+            })
+            .collect()
     }
 }
 
-impl SweepCell {
-    /// The Figure 7 point this cell's search result stands for.
-    pub fn point(&self, search: &SearchResult) -> MinBufferPoint {
+impl SweepCurve {
+    /// The Figure 7 point this curve's search for `target` stands for.
+    pub fn point(&self, target: f64, search: &SearchResult) -> MinBufferPoint {
         let (n, bdp) = (self.scenario.n_flows, self.scenario.bdp_packets());
         MinBufferPoint {
             n,
-            target: self.target,
+            target,
             measured_pkts: search.buffer_pkts,
             sqrt_n_rule_pkts: bdp / (n as f64).sqrt(),
             model_pkts: GaussianWindowModel::new(bdp, n)
-                .buffer_for_utilization(self.target.min(0.999_9)),
+                .buffer_for_utilization(target.min(0.999_9)),
         }
     }
 }
@@ -207,6 +233,100 @@ mod tests {
                 p.measured_pkts,
                 p.sqrt_n_rule_pkts
             );
+        }
+    }
+
+    /// Every probe of the benchmark sweep's seed-1, n = 25 curve at the
+    /// 98 / 99.5 / 99.9 % targets (40 Mb/s, 4 s + 8 s, `hi` = 301), as
+    /// `(buffer, utilization)`. Not monotone: u(187) meets 99.5 % and
+    /// u(225) does not.
+    const SEED1_N25: [(usize, f64); 19] = [
+        (150, 0.97115),
+        (151, 0.977475),
+        (152, 0.989825),
+        (154, 0.981125),
+        (159, 0.98055),
+        (168, 0.98915),
+        (187, 0.998775),
+        (225, 0.99375),
+        (229, 0.98755),
+        (231, 0.985325),
+        (232, 0.991375),
+        (233, 0.9906),
+        (234, 0.99735),
+        (239, 0.98735),
+        (240, 0.99855),
+        (241, 0.999),
+        (244, 1.0),
+        (263, 1.0),
+        (301, 1.0),
+    ];
+
+    /// The curve as a step function, so speculative probes between the
+    /// table's buffers have a value too.
+    fn table_u(b: usize) -> f64 {
+        (SEED1_N25.iter().rev())
+            .find(|&&(k, _)| k <= b)
+            .map_or(0.0, |&(_, u)| u)
+    }
+
+    fn table_probe(s: &LongFlowScenario) -> LongFlowResult {
+        LongFlowResult {
+            n_flows: s.n_flows,
+            buffer_pkts: s.buffer_pkts,
+            bdp_packets: s.bdp_packets(),
+            utilization: table_u(s.buffer_pkts),
+            drop_rate: 0.0,
+            loss_rate: 0.0,
+            mean_queue: 0.0,
+            max_queue: 0,
+            segments_sent: 0,
+            retransmits: 0,
+            timeouts: 0,
+            fast_retransmits: 0,
+            marks: 0,
+            window_sum_samples: Vec::new(),
+            per_flow_window_samples: Vec::new(),
+            telemetry_digest: None,
+            forensics_digest: None,
+            span_digest: None,
+            profile: None,
+        }
+    }
+
+    /// Searching a curve returns, per target, exactly what that target's
+    /// own sequential bisection returns — on a non-monotone curve too,
+    /// where bisection lands on a crossing (234 for 99.5 %, although 187
+    /// already meets it) — at every executor width.
+    #[test]
+    fn curve_search_equals_one_bisection_per_target() {
+        let scenario = LongFlowScenario::quick(25, 40_000_000);
+        let curves = [
+            SweepCurve {
+                scenario: scenario.clone(),
+                hi: 301,
+                targets: vec![0.98, 0.995, 0.999],
+            },
+            SweepCurve {
+                scenario,
+                hi: 240,
+                targets: vec![0.995, 0.98],
+            },
+        ];
+        for jobs in [1, 2, 4] {
+            let found = sweep(&Executor::new(jobs), &curves, table_probe);
+            assert_eq!(found.len(), curves.len());
+            for (curve, searches) in curves.iter().zip(&found) {
+                assert_eq!(searches.len(), curve.targets.len());
+                for (&target, got) in curve.targets.iter().zip(searches) {
+                    let want = crate::search::min_buffer_for(curve.hi, table_u, |u| u >= target);
+                    let at = format!("jobs={jobs} target={target}");
+                    assert_eq!(got.buffer_pkts, want.buffer_pkts, "{at}");
+                    assert_eq!(got.evaluations, want.evaluations, "{at}");
+                }
+            }
+            let minima: Vec<usize> = found[0].iter().map(|s| s.buffer_pkts).collect();
+            assert_eq!(minima, [152, 234, 241], "jobs={jobs}");
         }
     }
 

@@ -3,21 +3,30 @@
 //! Figures 7 and 8 report "the minimum required buffer" such that a quality
 //! criterion holds (utilization ≥ target, or AFCT within 12.5% of the
 //! infinite-buffer AFCT). [`min_buffer_for`] bisects over integer buffer
-//! sizes, assuming the criterion is monotone in the buffer — which it is up
-//! to simulation noise; the returned `SearchResult` keeps the bracketing
-//! evaluations so callers can inspect the transition.
+//! sizes. That finds the smallest passing buffer only if the criterion is
+//! monotone in the buffer; on a non-monotone curve bisection returns *a*
+//! crossing — a passing buffer whose predecessor fails — not the minimum.
+//! Measured utilization curves are not monotone: in the benchmark sweep's
+//! seed-1, n = 25 curve (40 Mb/s, 4 s + 8 s), u(187) = 0.9988 meets
+//! 99.5 % but u(225) = 0.9938 does not, so the 99.5 % search probes 225
+//! before 187 and returns 234. The returned `SearchResult` keeps every
+//! evaluation so callers can inspect the transition.
 
 /// Result of a minimum-buffer bisection.
 #[derive(Clone, Debug)]
 pub struct SearchResult {
-    /// Smallest buffer (packets) satisfying the criterion.
+    /// The buffer (packets) the bisection settled on: it satisfies the
+    /// criterion and, unless it is 1, `buffer_pkts - 1` was probed and
+    /// does not (`hi` when even `hi` fails).
     pub buffer_pkts: usize,
     /// `(buffer, metric, ok)` for every evaluated point, in evaluation
     /// order.
     pub evaluations: Vec<(usize, f64, bool)>,
 }
 
-/// Finds the smallest buffer in `[1, hi]` for which `criterion` holds.
+/// Bisects `[1, hi]` for a buffer at which `criterion` holds and one
+/// packet less does not: the smallest such buffer when the criterion is
+/// monotone (see the module docs).
 ///
 /// `eval` runs the experiment at a buffer size and returns the metric;
 /// `ok` decides whether the metric satisfies the target. If even `hi`

@@ -240,9 +240,16 @@ impl Div<u64> for SimDuration {
     }
 }
 
+/// `{:?}` rounds to the microsecond; `{:#?}` prints the exact nanoseconds,
+/// so an alternate `Debug` rendering of a struct tells apart any two values
+/// that differ (the probe cache keys on it).
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t={:.6}s", self.as_secs_f64())
+        if f.alternate() {
+            write!(f, "t={}ns", self.0)
+        } else {
+            write!(f, "t={:.6}s", self.as_secs_f64())
+        }
     }
 }
 
@@ -252,9 +259,14 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// As for [`SimTime`]: `{:#?}` is exact nanoseconds.
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        if f.alternate() {
+            write!(f, "{}ns", self.0)
+        } else {
+            write!(f, "{:.6}s", self.as_secs_f64())
+        }
     }
 }
 
@@ -321,6 +333,15 @@ mod tests {
         assert_eq!(d * 3, SimDuration::from_millis(30));
         assert_eq!(d / 2, SimDuration::from_millis(5));
         assert_eq!(d.mul_f64(2.5), SimDuration::from_millis(25));
+    }
+
+    #[test]
+    fn alternate_debug_is_exact() {
+        let d = SimDuration::from_nanos(100_400);
+        assert_eq!(format!("{d:?}"), "0.000100s");
+        assert_eq!(format!("{d:#?}"), "100400ns");
+        assert_eq!(format!("{:?}", SimTime::from_nanos(1)), "t=0.000000s");
+        assert_eq!(format!("{:#?}", SimTime::from_nanos(1)), "t=1ns");
     }
 
     #[test]
