@@ -64,15 +64,15 @@ struct FlowDrops {
 /// whole log.
 pub fn join_streams(records: &[PacketRecord], spans: &SpanLog) -> Vec<CausalEvent> {
     let mut by_flow: BTreeMap<u32, FlowDrops> = BTreeMap::new();
-    for r in records.iter().filter(|r| r.event.is_drop()) {
-        by_flow.entry(r.flow.0).or_default().drops.push(*r);
+    for r in records.iter().filter(|r| r.is_drop()) {
+        by_flow.entry(r.flow().0).or_default().drops.push(*r);
     }
     let mut events = Vec::with_capacity(spans.len());
     for span in spans.iter() {
         let drops = match by_flow.get_mut(&span.flow.0) {
             Some(f) => {
                 let start = f.next;
-                while f.next < f.drops.len() && f.drops[f.next].time <= span.time {
+                while f.next < f.drops.len() && f.drops[f.next].time() <= span.time {
                     f.next += 1;
                 }
                 f.drops[start..f.next].to_vec()
@@ -89,7 +89,7 @@ fn fmt_t(t: SimTime) -> String {
 }
 
 fn drop_cause(r: &PacketRecord, buffer_pkts: usize) -> String {
-    let (reason, depth) = match r.event {
+    let (reason, depth) = match r.event() {
         PacketEvent::Dropped { reason, depth } => (reason, depth),
         _ => unreachable!("join() only collects drop records"),
     };
@@ -98,8 +98,8 @@ fn drop_cause(r: &PacketRecord, buffer_pkts: usize) -> String {
         depth,
         buffer_pkts,
         reason.name(),
-        r.flow.0,
-        r.uid
+        r.flow().0,
+        r.uid()
     )
 }
 
@@ -151,7 +151,7 @@ pub fn narrative_from(run: &TracedRun, events: &[CausalEvent]) -> String {
         match ev.first_drop() {
             Some(first) => {
                 let more = ev.drops.len() - 1;
-                let mut line = format!("{}: {}", fmt_t(first.time), drop_cause(first, buffer));
+                let mut line = format!("{}: {}", fmt_t(first.time()), drop_cause(first, buffer));
                 if more > 0 {
                     line.push_str(&format!(" (+{more} more)"));
                 }
@@ -195,10 +195,10 @@ pub fn to_jsonl_from(events: &[CausalEvent]) -> String {
             ev.drops.len()
         ));
         if let Some(first) = ev.first_drop() {
-            if let PacketEvent::Dropped { reason, depth } = first.event {
+            if let PacketEvent::Dropped { reason, depth } = first.event() {
                 out.push_str(&format!(
                     ",\"first_drop_t\":{:.9},\"reason\":\"{}\",\"depth\":{}",
-                    first.time.as_secs_f64(),
+                    first.time().as_secs_f64(),
                     reason.name(),
                     depth
                 ));
@@ -263,9 +263,9 @@ mod tests {
             let mut i = *start;
             let flow_drops: Vec<&PacketRecord> = records
                 .iter()
-                .filter(|r| r.flow == span.flow && r.event.is_drop())
+                .filter(|r| r.flow() == span.flow && r.is_drop())
                 .collect();
-            while i < flow_drops.len() && flow_drops[i].time <= span.time {
+            while i < flow_drops.len() && flow_drops[i].time() <= span.time {
                 drops.push(*flow_drops[i]);
                 i += 1;
             }
@@ -278,18 +278,18 @@ mod tests {
     fn drop_uids(events: &[CausalEvent]) -> Vec<Vec<u64>> {
         events
             .iter()
-            .map(|e| e.drops.iter().map(|d| d.uid).collect())
+            .map(|e| e.drops.iter().map(|d| d.uid()).collect())
             .collect()
     }
 
     fn record(t_ms: u64, uid: u64, flow: u32, event: PacketEvent) -> PacketRecord {
-        PacketRecord {
-            time: SimTime::from_millis(t_ms),
+        PacketRecord::new(
+            SimTime::from_millis(t_ms),
             uid,
-            flow: FlowId(flow),
-            link: Some(LinkId(0)),
+            FlowId(flow),
+            Some(LinkId(0)),
             event,
-        }
+        )
     }
 
     fn dropped(t_ms: u64, uid: u64, flow: u32) -> PacketRecord {
@@ -384,8 +384,8 @@ mod tests {
         // Drop windows never leak across flows or backwards in time.
         for ev in &events {
             for d in &ev.drops {
-                assert_eq!(d.flow, ev.span.flow);
-                assert!(d.time <= ev.span.time);
+                assert_eq!(d.flow(), ev.span.flow);
+                assert!(d.time() <= ev.span.time);
             }
         }
     }

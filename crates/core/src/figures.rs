@@ -1,7 +1,7 @@
 //! One module per paper artifact. Each exposes a config struct with
 //! `full()` (paper-scale) and `quick()` (seconds-scale smoke) constructors,
 //! a `run()` returning plain data, and a `render()`/printing helper used by
-//! the `bench` crate's regeneration binaries.
+//! the `bench` crate's `repro` entries.
 
 pub mod afct_comparison;
 pub mod cca_sweep;

@@ -2,10 +2,10 @@
 //! recursive-descent parser.
 //!
 //! The workspace builds fully offline (no serde), but the provenance layer
-//! needs machine-readable artifacts: every figure binary writes an
-//! `artifacts/<name>.json` document and the `report` binary reads them back
-//! to regenerate RESULTS.md. [`Json`] is the interchange type for both
-//! directions.
+//! needs machine-readable artifacts: every `repro` entry writes an
+//! `artifacts/<name>.json` document, and `repro` (or `repro --check`) reads
+//! them back to regenerate (or check) RESULTS.md. [`Json`] is the
+//! interchange type for both directions.
 //!
 //! Determinism rules (the artifacts must be byte-stable for fixed seeds):
 //!

@@ -3,9 +3,9 @@
 //! A [`RunManifest`] records everything needed to reproduce and audit one
 //! artifact: the master seed, the full parameter set of the experiment, the
 //! crate versions that produced it, and content digests (packet log and
-//! telemetry) where the run collects them. The `report` binary copies the
-//! manifest into RESULTS.md as a footnote, so every headline number links
-//! back to the exact run that produced it.
+//! telemetry) where the run collects them. `repro` copies the manifest into
+//! RESULTS.md as a footnote, so every headline number links back to the
+//! exact run that produced it.
 //!
 //! ## Schema (DESIGN.md §9)
 //!

@@ -976,7 +976,7 @@ mod tests {
         // Nothing was lost, and the packet log's drop records reconcile
         // exactly with the forensics ledger.
         assert_eq!(tr.overflowed, 0, "packet log overflowed");
-        let drop_records = tr.records.iter().filter(|r| r.event.is_drop()).count() as u64;
+        let drop_records = tr.records.iter().filter(|r| r.is_drop()).count() as u64;
         assert!(drop_records > 0, "scenario produced no drops");
         assert_eq!(drop_records, tr.ledger.total());
         assert_eq!(tr.ledger.link_total(tr.bottleneck), tr.ledger.total());
@@ -1005,7 +1005,7 @@ mod tests {
             run.warm_up(sc.warmup);
             run.measure(sc.measure);
             let log = run.sim.kernel().packet_log().expect("packet log enabled");
-            let uids = log.records().iter().map(|r| r.uid).collect();
+            let uids = log.records().iter().map(|r| r.uid()).collect();
             (uids, log.overflowed, log.digest())
         };
         // Roomy, and small enough to overflow.
@@ -1013,7 +1013,7 @@ mod tests {
             let (uids, overflowed, digest) = by_hand(capacity);
             let tr = sc.run_traced(capacity);
             assert_eq!(tr.records.len(), uids.len());
-            assert!(tr.records.iter().map(|r| r.uid).eq(uids.iter().copied()));
+            assert!(tr.records.iter().map(|r| r.uid()).eq(uids.iter().copied()));
             assert_eq!(tr.overflowed, overflowed);
             assert_eq!(tr.packet_digest, digest);
             assert_eq!(overflowed > 0, capacity == 1_000);

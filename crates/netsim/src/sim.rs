@@ -491,13 +491,7 @@ impl Kernel {
             return;
         }
         if let Some(log) = &mut self.packet_log {
-            log.push(PacketRecord {
-                time: self.now,
-                uid,
-                flow,
-                link,
-                event,
-            });
+            log.push(PacketRecord::new(self.now, uid, flow, link, event));
         }
     }
 
@@ -887,15 +881,6 @@ impl Sim {
     /// Logging is off afterwards.
     pub fn take_packet_log(&mut self) -> Option<PacketLog> {
         self.kernel.packet_log.take()
-    }
-
-    /// Enables digest-only packet logging: the same per-event milestones a
-    /// full log of this capacity would record are folded incrementally into
-    /// the FNV-1a digest and immediately discarded, so
-    /// `packet_log().digest()` is available at constant memory and near-zero
-    /// per-event cost, byte-identical to a stored log's digest.
-    pub fn enable_packet_digest(&mut self, capacity: usize) {
-        self.kernel.packet_log = Some(PacketLog::digest_only(capacity));
     }
 
     /// Enables runtime invariant auditing: packet conservation, queue
@@ -1859,9 +1844,9 @@ mod packet_log_tests {
         let log = sim.kernel().packet_log().expect("enabled");
         // 5 queued, 2 dropped (buffer 2 + 1 in service), 3 transmitted,
         // 3 delivered.
-        let count = |e: PacketEvent| log.records().iter().filter(|r| r.event == e).count();
+        let count = |e: PacketEvent| log.records().iter().filter(|r| r.event() == e).count();
         assert_eq!(count(PacketEvent::Queued), 5);
-        let drops = log.records().iter().filter(|r| r.event.is_drop()).count();
+        let drops = log.records().iter().filter(|r| r.is_drop()).count();
         assert_eq!(drops, 2);
         assert_eq!(count(PacketEvent::Transmitted), 3);
         assert_eq!(count(PacketEvent::Delivered), 3);
@@ -1869,10 +1854,10 @@ mod packet_log_tests {
         // delivered in time order.
         let first = log.for_packet(0);
         assert_eq!(first.len(), 3);
-        assert_eq!(first[0].event, PacketEvent::Queued);
-        assert_eq!(first[1].event, PacketEvent::Transmitted);
-        assert_eq!(first[2].event, PacketEvent::Delivered);
-        assert!(first[0].time <= first[1].time && first[1].time <= first[2].time);
+        assert_eq!(first[0].event(), PacketEvent::Queued);
+        assert_eq!(first[1].event(), PacketEvent::Transmitted);
+        assert_eq!(first[2].event(), PacketEvent::Delivered);
+        assert!(first[0].time() <= first[1].time() && first[1].time() <= first[2].time());
         // Render doesn't panic and contains drop markers.
         assert!(log.render().contains(" d "));
     }
@@ -1928,7 +1913,7 @@ mod packet_log_tests {
         let marked = log
             .records()
             .iter()
-            .filter(|r| matches!(r.event, PacketEvent::Marked { .. }))
+            .filter(|r| matches!(r.event(), PacketEvent::Marked { .. }))
             .count();
         assert_eq!(marked, 3);
         assert!(log.render().contains(" m "));

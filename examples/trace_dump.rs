@@ -38,7 +38,7 @@ fn main() {
     let drops = log
         .records()
         .iter()
-        .filter(|r| r.event.is_drop())
+        .filter(|r| r.is_drop())
         .count();
     let src = sim.agent_as::<TcpSource>(src_id).unwrap();
     let sink = sim.agent_as::<TcpSink>(sink_id).unwrap();

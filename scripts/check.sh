@@ -23,6 +23,9 @@ cargo test -q --release --test parallel_determinism
 echo "==> flow-state byte budget on the optimized build (counting allocator)"
 cargo test -q --release --test flow_memory
 
+echo "==> packet-log bytes per record on the optimized build (counting allocator)"
+cargo test -q --release --test packet_log_memory
+
 echo "==> timer population on the optimized build (queue depth and timer events at H and 3H)"
 # The 3H run is the one that catches a timer leak that only shows with
 # simulated time.

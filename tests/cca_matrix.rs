@@ -92,7 +92,7 @@ fn dctcp_marks_reconcile_with_forensics_ledger() {
     let logged = tr
         .records
         .iter()
-        .filter(|r| matches!(r.event, PacketEvent::Marked { .. }))
+        .filter(|r| matches!(r.event(), PacketEvent::Marked { .. }))
         .count() as u64;
     assert_eq!(logged, tr.result.marks);
     let by_flow: u64 = (0..4).map(|f| tr.ledger.flow_marks(netsim::FlowId(f))).sum();

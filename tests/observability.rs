@@ -260,9 +260,9 @@ fn join_reference(run: &TracedRun) -> Vec<CausalEvent> {
         let flow_drops: Vec<_> = run
             .records
             .iter()
-            .filter(|r| r.flow == span.flow && r.event.is_drop())
+            .filter(|r| r.flow() == span.flow && r.is_drop())
             .collect();
-        while i < flow_drops.len() && flow_drops[i].time <= span.time {
+        while i < flow_drops.len() && flow_drops[i].time() <= span.time {
             drops.push(*flow_drops[i]);
             i += 1;
         }
@@ -297,7 +297,7 @@ fn indexed_join_equals_quadratic_reference_on_dctcp_at_sqrt_n_buffer() {
         let uids = |events: &[CausalEvent]| -> Vec<Vec<u64>> {
             events
                 .iter()
-                .map(|e| e.drops.iter().map(|d| d.uid).collect())
+                .map(|e| e.drops.iter().map(|d| d.uid()).collect())
                 .collect()
         };
         assert_eq!(uids(&fast), uids(&slow), "seed {seed}");

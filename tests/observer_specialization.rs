@@ -1,17 +1,15 @@
-//! Tier-1 contract tests for the observer-specialized event loop, the
-//! digest-only packet log, and the cross-cell probe cache.
+//! Tier-1 contract tests for the observer-specialized event loop and the
+//! cross-cell probe cache.
 //!
 //! The kernel dispatches through a const-generic fast path when no observer
 //! (packet log, auditor, forensics, profiler) is attached; these tests pin
-//! the contract that specialization, digest-only logging, and probe caching
-//! are all invisible in every observable result.
+//! the contract that specialization and probe caching are both invisible
+//! in every observable result.
 
 use buffersizing::figures::min_buffer::MinBufferConfig;
 use buffersizing::prelude::*;
 use buffersizing::{min_buffer_for, probe_cache};
-use netsim::{DumbbellBuilder, ForensicsConfig, Sim, TelemetryConfig};
-use simcore::Rng;
-use traffic::BulkWorkload;
+use netsim::{ForensicsConfig, TelemetryConfig};
 
 fn masked(r: &LongFlowResult) -> LongFlowResult {
     let mut m = r.clone();
@@ -51,56 +49,6 @@ fn fast_path_and_instrumented_results_are_identical() {
 
         assert_eq!(masked(&instrumented), fast, "n = {n}");
     }
-}
-
-fn logged_run(capacity: usize, digest_only: bool) -> (u64, u64, u64) {
-    let mut sim = Sim::new(7);
-    if digest_only {
-        sim.enable_packet_digest(capacity);
-    } else {
-        sim.enable_packet_log(capacity);
-    }
-    let d = DumbbellBuilder::new(20_000_000, SimDuration::from_millis(5))
-        .buffer_packets(50)
-        .flows(4, SimDuration::from_millis(20))
-        .build(&mut sim);
-    let mut rng = Rng::new(1);
-    let wl = BulkWorkload::default();
-    let handles = wl.install(&mut sim, &d, 0, &mut rng);
-    sim.start();
-    sim.run_until(SimTime::from_secs(15));
-    let log = sim.kernel().packet_log().expect("log enabled");
-    assert_eq!(log.is_digest_only(), digest_only);
-    if digest_only {
-        assert!(log.records().is_empty(), "digest-only mode must not store");
-    } else {
-        assert!(!log.records().is_empty());
-    }
-    let delivered: u64 = handles
-        .iter()
-        .map(|h| {
-            sim.agent_as::<tcpsim::TcpSink>(h.sink)
-                .unwrap()
-                .receiver()
-                .delivered()
-        })
-        .sum();
-    (log.digest(), log.overflowed, delivered)
-}
-
-/// The digest-only packet log folds the same FNV-1a digest as the stored
-/// log, both under and over capacity (where both modes stop folding at the
-/// same record and count the same overflow).
-#[test]
-fn digest_only_log_matches_stored_log() {
-    for capacity in [1_000_000usize, 2_000] {
-        let stored = logged_run(capacity, false);
-        let digest_only = logged_run(capacity, true);
-        assert_eq!(stored, digest_only, "capacity = {capacity}");
-    }
-    // The small capacity actually overflowed, so the equality above covered
-    // the truncation path too.
-    assert!(logged_run(2_000, true).1 > 0, "expected overflow at cap 2000");
 }
 
 /// A sweep served from the probe cache replays byte-identical search

@@ -1,0 +1,111 @@
+//! Integration: a traced run's packet log costs 24 heap bytes per record.
+//!
+//! Every observed run (the `explain` entry, the fig03 trace) keeps one
+//! `PacketRecord` per packet milestone, and those records are nearly all of
+//! a traced run's memory. A counting allocator measures the heap the
+//! `TracedRun`'s records hold and the peak of the whole traced pipeline —
+//! build, warm-up, measurement, collection and the causal join — on a short
+//! `LongFlowScenario::quick` run whose log fills. Byte counts of a
+//! deterministic simulation repeat exactly, so the gate needs no RSS and no
+//! tolerance for noise. This file is its own test binary: its
+//! `#[global_allocator]` touches nothing else.
+
+use buffersizing::explain;
+use buffersizing::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// Live and peak heap bytes of the process (statistics only: `Relaxed`).
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are updated beside it and never
+// influence what is returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations are passed through as they are.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's obligations are passed through as they are.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Bytes one stored packet milestone may cost.
+const RECORD_BYTES: usize = 24;
+
+/// Log capacity of the run: small enough that the run fills it, so the
+/// log's vector is exactly this long.
+const LOG_CAPACITY: usize = 100_000;
+
+/// Everything the traced pipeline holds besides the records: the
+/// simulator, the span logs, the ledger, the profile and the join
+/// (≈ 0.5 MB on this run).
+const ALLOWANCE: usize = 1 << 20;
+
+#[test]
+fn traced_run_costs_24_bytes_per_record() {
+    let mut sc = LongFlowScenario::quick(8, 10_000_000);
+    sc.warmup = SimDuration::from_secs(2);
+    sc.measure = SimDuration::from_secs(8);
+
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let mut tr = sc.run_traced(LOG_CAPACITY);
+    let events = explain::join(&tr);
+    let peak = PEAK.load(Relaxed) - base;
+
+    let records = std::mem::take(&mut tr.records);
+    let (len, slack) = (records.len(), records.capacity() - records.len());
+    let before_drop = LIVE.load(Relaxed);
+    drop(records);
+    let held = before_drop - LIVE.load(Relaxed);
+
+    println!(
+        "packet_log_memory: {len} records ({} overflowed), {held} bytes held \
+         ({:.1} B/record), peak {peak} bytes ({:.1} B/record), {} causal events",
+        tr.overflowed,
+        held as f64 / len as f64,
+        peak as f64 / len as f64,
+        events.len()
+    );
+
+    assert_eq!(len, LOG_CAPACITY, "the run must fill its log");
+    assert!(tr.overflowed > 0);
+    assert!(
+        held <= RECORD_BYTES * (len + slack),
+        "{held} bytes held by {len} records (+{slack} spare slots)"
+    );
+    assert!(
+        peak <= 2 * RECORD_BYTES * len + ALLOWANCE,
+        "peak {peak} bytes for {len} records"
+    );
+}
