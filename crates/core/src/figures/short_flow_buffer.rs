@@ -6,10 +6,11 @@
 //! The headline property: the measured minimum buffer is (nearly)
 //! independent of the line rate — only load and burst sizes matter.
 
-use crate::exec::Executor;
+use crate::exec::{panic_message, Executor};
 use crate::report::Table;
 use crate::runner::ShortFlowScenario;
 use crate::search::min_buffer_for_par;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use theory::BurstModel;
 use traffic::FlowLengthDist;
 
@@ -86,6 +87,21 @@ impl ShortBufferConfig {
         s
     }
 
+    /// The AFCT of one simulation of the `(rate, len)` cell. A simulation
+    /// that panics is re-raised naming the rate, the flow length, the
+    /// buffer and the seed.
+    fn afct(&self, rate: u64, len: u64, buffer: usize) -> f64 {
+        let s = self.scenario(rate, len, buffer);
+        match catch_unwind(AssertUnwindSafe(|| s.run())) {
+            Ok(r) => r.afct,
+            Err(e) => panic!(
+                "short-flow probe failed: rate={rate} flow_len={len} buffer={buffer} seed={}: {}",
+                s.seed,
+                panic_message(&*e)
+            ),
+        }
+    }
+
     /// Runs the sweep sequentially.
     pub fn run(&self) -> Vec<ShortBufferPoint> {
         self.run_with(&Executor::sequential())
@@ -94,7 +110,8 @@ impl ShortBufferConfig {
     /// Runs the sweep on `exec`: the `(rate, flow_len)` cells fan out
     /// across workers, each cell's bisection speculating on the leftover
     /// width. Identical results to [`ShortBufferConfig::run`] for any
-    /// executor.
+    /// executor. A simulation that panics, reference run or probe, is
+    /// re-raised naming its rate, flow length, buffer and seed.
     pub fn run_with(&self, exec: &Executor) -> Vec<ShortBufferPoint> {
         let mut cells: Vec<(u64, u64)> = Vec::new();
         for &rate in &self.rates {
@@ -105,12 +122,12 @@ impl ShortBufferConfig {
         let inner = exec.split(cells.len());
         exec.map(&cells, |&(rate, len)| {
             // Reference: effectively infinite buffer.
-            let afct_inf = self.scenario(rate, len, 1_000_000).run().afct;
+            let afct_inf = self.afct(rate, len, 1_000_000);
             let threshold = afct_inf * (1.0 + self.afct_tolerance);
             let search = min_buffer_for_par(
                 self.search_hi,
                 &inner,
-                |b| self.scenario(rate, len, b).run().afct,
+                |b| self.afct(rate, len, b),
                 |afct| afct > 0.0 && afct <= threshold,
             );
             let model = BurstModel::fixed(len, 2, self.base.cfg.max_window as u64);
@@ -187,6 +204,18 @@ mod tests {
                 p.model_pkts
             );
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "short-flow probe failed: rate=40000000 flow_len=14 buffer=1000000 seed=1: \
+                    load must be in (0,1)"
+    )]
+    fn failing_cell_is_named() {
+        let mut cfg = ShortBufferConfig::quick();
+        cfg.rates.truncate(1);
+        cfg.load = 1.5;
+        cfg.run();
     }
 
     #[test]

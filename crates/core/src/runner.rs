@@ -1059,5 +1059,10 @@ mod tests {
         assert!(r.fct.count() > 20);
         assert!(r.afct > 0.0);
         assert!(r.long_segments_delivered > 1000);
+        // The bulk and the short-flow workload each store their
+        // configuration once in the run's table, however many flows use it.
+        let run = mix.build();
+        assert!(run.table.len() > 100, "{} flows", run.table.len());
+        assert_eq!(run.table.configs(), 2);
     }
 }

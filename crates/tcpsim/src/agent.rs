@@ -4,6 +4,17 @@
 //! drives a [`TcpReceiver`] on the destination host and emits ACK packets
 //! back to the source. One `TcpSource`/`TcpSink` pair per flow; both are
 //! bound to the flow id with [`netsim::Sim::bind_flow`].
+//!
+//! An installed flow keeps its boxed agent pair for the whole run, so the
+//! boxes hold only what differs between flows and is needed before the flow
+//! starts or after it ends: its identity, its schedule (the start delay,
+//! then the start time, in one field) and its result (completion times,
+//! the receiver's counters, the sender's final snapshot). What a flow needs
+//! only while it is live is leased from the simulation's
+//! [`FlowTable`](crate::table::FlowTable), and its configuration is the
+//! table's one copy. On 64-bit targets a `TcpSource`, its `TcpSender` and
+//! a `TcpSink` are 120, 152 and 104 B, each filling a 16-byte heap size
+//! class exactly (`tests/flow_memory.rs` pins them).
 
 use crate::cc::CongestionControl;
 use crate::config::TcpConfig;
@@ -87,8 +98,11 @@ pub struct TcpSource {
     table: SharedFlowTable,
     /// This source's [`SourceLive`] slot, while the flow is live.
     live: Option<u32>,
-    start_delay: SimDuration,
-    started_at: Option<SimTime>,
+    /// Until the flow starts, its start delay (counted from time zero);
+    /// from then on, when it started.
+    start: SimTime,
+    /// The start timer has fired: `start` is the start time.
+    started: bool,
     completed_at: Option<SimTime>,
     trace_cwnd: bool,
     series: OnceCell<Box<SeriesNames>>,
@@ -126,8 +140,8 @@ impl TcpSource {
             table: machine.table().clone(),
             sender: machine,
             live: None,
-            start_delay: SimDuration::ZERO,
-            started_at: None,
+            start: SimTime::ZERO,
+            started: false,
             completed_at: None,
             trace_cwnd: false,
             series: OnceCell::new(),
@@ -149,7 +163,7 @@ impl TcpSource {
 
     /// Delays the flow start by `d` after simulation start.
     pub fn with_start_delay(mut self, d: SimDuration) -> Self {
-        self.start_delay = d;
+        self.start = SimTime::ZERO + d;
         self
     }
 
@@ -200,7 +214,7 @@ impl TcpSource {
 
     /// When the flow started sending, if it has.
     pub fn started_at(&self) -> Option<SimTime> {
-        self.started_at
+        self.started.then_some(self.start)
     }
 
     /// When every segment was acknowledged (sender-side completion).
@@ -362,7 +376,7 @@ impl TcpSource {
 
 impl Agent for TcpSource {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.start_delay, TOKEN_START);
+        ctx.set_timer(self.start.since(SimTime::ZERO), TOKEN_START);
     }
 
     // simlint: hot-path — once per ACK delivered to the source
@@ -401,8 +415,9 @@ impl Agent for TcpSource {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         if token == TOKEN_START {
-            if self.started_at.is_none() {
-                self.started_at = Some(now);
+            if !self.started {
+                self.start = now;
+                self.started = true;
                 self.live = Some(self.table.table_mut().sources.acquire());
                 self.drive(ctx, |sender, out| sender.start(now, out));
             }

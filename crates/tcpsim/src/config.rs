@@ -3,7 +3,11 @@
 use simcore::SimDuration;
 
 /// Tunables for one TCP connection (defaults follow ns-2 / the paper).
-#[derive(Clone, Copy, Debug)]
+///
+/// Equal configurations are stored once per flow table (see
+/// [`SharedFlowTable`](crate::table::SharedFlowTable)); a sender keeps a
+/// pointer to its table's copy.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TcpConfig {
     /// Data-segment wire size in bytes (payload + headers); ns-2's
     /// conventional 1000 bytes.

@@ -155,6 +155,55 @@ impl SenderMachine for TcpSender {
     }
 }
 
+/// What a sender's accessors answer (tests of both machines): counters,
+/// window pair, cursors and the RTT estimator's readings.
+#[cfg(test)]
+#[derive(Debug, PartialEq)]
+pub(crate) struct Answers {
+    pub(crate) stats: SenderStats,
+    pub(crate) cwnd: f64,
+    pub(crate) ssthresh: f64,
+    pub(crate) snd_una: u64,
+    pub(crate) next_seq: u64,
+    pub(crate) srtt: Option<simcore::SimDuration>,
+    pub(crate) rttvar: simcore::SimDuration,
+    pub(crate) rto: simcore::SimDuration,
+    pub(crate) backoff: u32,
+}
+
+#[cfg(test)]
+impl Answers {
+    pub(crate) fn of(s: &dyn SenderMachine) -> Self {
+        let rtt = s.rtt();
+        Answers {
+            stats: s.stats(),
+            cwnd: s.cwnd(),
+            ssthresh: s.ssthresh(),
+            snd_una: s.snd_una(),
+            next_seq: s.next_seq(),
+            srtt: rtt.srtt(),
+            rttvar: rtt.rttvar(),
+            rto: rtt.rto(),
+            backoff: rtt.backoff_count(),
+        }
+    }
+
+    /// What a flow that has not started answers.
+    pub(crate) fn unstarted(cfg: &TcpConfig) -> Self {
+        Answers {
+            stats: SenderStats::default(),
+            cwnd: cfg.initial_cwnd,
+            ssthresh: f64::INFINITY,
+            snd_una: 0,
+            next_seq: 0,
+            srtt: None,
+            rttvar: simcore::SimDuration::ZERO,
+            rto: cfg.initial_rto,
+            backoff: 0,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,9 +89,12 @@ struct RxCore {
     segments_received: u64,
     duplicates: u64,
     out_of_order: u64,
-    completed_at: Option<SimTime>,
-    /// Earliest `created` timestamp among received segments (≈ flow start).
-    first_created: Option<SimTime>,
+    /// When the flow completed; meaningful once `completed`.
+    completed_at: SimTime,
+    completed: bool,
+    /// Earliest `created` timestamp among received segments (≈ flow
+    /// start); meaningful once `segments_received > 0`.
+    first_created: SimTime,
     /// A CE-marked segment arrived and no ACK has echoed it yet. Consumed
     /// when an ACK is *emitted* (not when one is withheld), so a delayed
     /// ACK aggregates the marks of its whole window — the per-mark-precise
@@ -125,8 +128,9 @@ impl TcpReceiver {
                 segments_received: 0,
                 duplicates: 0,
                 out_of_order: 0,
-                completed_at: None,
-                first_created: None,
+                completed_at: SimTime::ZERO,
+                completed: false,
+                first_created: SimTime::ZERO,
                 ce_pending: false,
                 cwr_seen: 0,
             },
@@ -161,12 +165,12 @@ impl TcpReceiver {
 
     /// When the flow completed (FIN + everything before it), if it has.
     pub fn completed_at(&self) -> Option<SimTime> {
-        self.core.completed_at
+        self.core.completed.then_some(self.core.completed_at)
     }
 
     /// Earliest source timestamp seen (≈ when the first packet was sent).
     pub fn first_created(&self) -> Option<SimTime> {
-        self.core.first_created
+        (self.core.segments_received > 0).then_some(self.core.first_created)
     }
 
     /// CWR-flagged data segments seen so far.
@@ -255,14 +259,14 @@ impl RxCore {
     }
 
     fn note_arrival(&mut self, created: SimTime) {
-        self.segments_received += 1;
-        if self.first_created.map(|t| created < t).unwrap_or(true) {
-            self.first_created = Some(created);
+        if self.segments_received == 0 || created < self.first_created {
+            self.first_created = created;
         }
+        self.segments_received += 1;
     }
 
     fn on_data_after_completion(&mut self, ts: SimTime, created: SimTime) -> OnData {
-        debug_assert!(self.completed_at.is_some());
+        debug_assert!(self.completed);
         self.note_arrival(created);
         self.duplicates += 1;
         OnData {
@@ -313,8 +317,9 @@ impl RxCore {
             }
             let filled_gap = !live.ooo.is_empty();
             let complete = live.fin_seq.map(|f| self.rcv_nxt > f).unwrap_or(false);
-            if complete && self.completed_at.is_none() {
-                self.completed_at = Some(now);
+            if complete && !self.completed {
+                self.completed_at = now;
+                self.completed = true;
                 result.completed = true;
             }
 

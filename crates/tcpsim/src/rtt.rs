@@ -10,18 +10,34 @@
 //! at the sender by timestamp echo: every data segment carries its own send
 //! time, so samples are always unambiguous and backoff can be cleared on any
 //! new sample.
+//!
+//! An estimator is its changing state (srtt, rttvar, backoff and whether a
+//! sample has arrived: 24 B) plus the RTO bounds, which come from the
+//! flow's [`TcpConfig`] and are the same for every flow of a workload. A
+//! flow that holds no flow-table slot keeps only the state and rebuilds
+//! the estimator from it and its configuration when asked.
 
+use crate::config::TcpConfig;
 use simcore::SimDuration;
+
+/// The part of an [`RttEstimator`] that samples and timeouts change.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct RttState {
+    /// Smoothed RTT; meaningful once `sampled`.
+    srtt: SimDuration,
+    rttvar: SimDuration,
+    backoff: u32,
+    /// At least one sample has arrived.
+    sampled: bool,
+}
 
 /// RTT estimator + RTO state for one connection.
 #[derive(Clone, Debug)]
 pub struct RttEstimator {
-    srtt: Option<SimDuration>,
-    rttvar: SimDuration,
+    state: RttState,
     min_rto: SimDuration,
     max_rto: SimDuration,
     initial_rto: SimDuration,
-    backoff: u32,
 }
 
 impl RttEstimator {
@@ -30,51 +46,65 @@ impl RttEstimator {
     pub fn new(min_rto: SimDuration, max_rto: SimDuration, initial_rto: SimDuration) -> Self {
         assert!(min_rto <= max_rto);
         RttEstimator {
-            srtt: None,
-            rttvar: SimDuration::ZERO,
+            state: RttState::default(),
             min_rto,
             max_rto,
             initial_rto,
-            backoff: 0,
         }
+    }
+
+    /// The estimator with `cfg`'s RTO bounds in `state`.
+    pub(crate) fn with_state(cfg: &TcpConfig, state: RttState) -> Self {
+        RttEstimator {
+            state,
+            ..RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.initial_rto)
+        }
+    }
+
+    /// The changing state, without the bounds.
+    pub(crate) fn state(&self) -> RttState {
+        self.state
     }
 
     /// Feeds one RTT sample.
     pub fn sample(&mut self, rtt: SimDuration) {
-        match self.srtt {
-            None => {
-                // First sample: SRTT = R, RTTVAR = R/2 (RFC 6298).
-                self.srtt = Some(rtt);
-                self.rttvar = rtt / 2;
-            }
-            Some(srtt) => {
-                // RTTVAR ← 3/4·RTTVAR + 1/4·|SRTT − R|
-                let err = if srtt > rtt { srtt - rtt } else { rtt - srtt };
-                self.rttvar = self.rttvar.mul_f64(0.75) + err.mul_f64(0.25);
-                // SRTT ← 7/8·SRTT + 1/8·R
-                self.srtt = Some(srtt.mul_f64(0.875) + rtt.mul_f64(0.125));
-            }
+        let s = &mut self.state;
+        if s.sampled {
+            // RTTVAR ← 3/4·RTTVAR + 1/4·|SRTT − R|
+            let err = if s.srtt > rtt {
+                s.srtt - rtt
+            } else {
+                rtt - s.srtt
+            };
+            s.rttvar = s.rttvar.mul_f64(0.75) + err.mul_f64(0.25);
+            // SRTT ← 7/8·SRTT + 1/8·R
+            s.srtt = s.srtt.mul_f64(0.875) + rtt.mul_f64(0.125);
+        } else {
+            // First sample: SRTT = R, RTTVAR = R/2 (RFC 6298).
+            s.srtt = rtt;
+            s.rttvar = rtt / 2;
+            s.sampled = true;
         }
         // A valid (timestamp-based, unambiguous) sample clears backoff.
-        self.backoff = 0;
+        s.backoff = 0;
     }
 
     /// The smoothed RTT, if at least one sample has arrived.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt
+        self.state.sampled.then_some(self.state.srtt)
     }
 
     /// The RTT variance estimate.
     pub fn rttvar(&self) -> SimDuration {
-        self.rttvar
+        self.state.rttvar
     }
 
     /// The current RTO, including backoff.
     pub fn rto(&self) -> SimDuration {
-        let base = match self.srtt {
+        let base = match self.srtt() {
             None => self.initial_rto,
             Some(srtt) => {
-                let raw = srtt + self.rttvar * 4;
+                let raw = srtt + self.state.rttvar * 4;
                 if raw < self.min_rto {
                     self.min_rto
                 } else {
@@ -82,7 +112,7 @@ impl RttEstimator {
                 }
             }
         };
-        let scaled = base * (1u64 << self.backoff.min(16));
+        let scaled = base * (1u64 << self.state.backoff.min(16));
         if scaled > self.max_rto {
             self.max_rto
         } else {
@@ -92,12 +122,12 @@ impl RttEstimator {
 
     /// Doubles the RTO (called on each retransmission timeout).
     pub fn backoff(&mut self) {
-        self.backoff = (self.backoff + 1).min(16);
+        self.state.backoff = (self.state.backoff + 1).min(16);
     }
 
     /// The current backoff exponent (0 = no backoff).
     pub fn backoff_count(&self) -> u32 {
-        self.backoff
+        self.state.backoff
     }
 }
 
@@ -182,6 +212,23 @@ mod tests {
         assert_eq!(e.backoff_count(), 2);
         e.sample(SimDuration::from_millis(100));
         assert_eq!(e.backoff_count(), 0);
+    }
+
+    #[test]
+    fn state_plus_config_bounds_is_the_estimator() {
+        let cfg = TcpConfig::default();
+        let mut e = RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.initial_rto);
+        let fresh = RttEstimator::with_state(&cfg, e.state());
+        assert_eq!((fresh.srtt(), fresh.rto()), (None, cfg.initial_rto));
+        for ms in [90, 130, 70] {
+            e.sample(SimDuration::from_millis(ms));
+        }
+        e.backoff();
+        let back = RttEstimator::with_state(&cfg, e.state());
+        assert_eq!(
+            (back.srtt(), back.rttvar(), back.rto(), back.backoff_count()),
+            (e.srtt(), e.rttvar(), e.rto(), 1)
+        );
     }
 
     #[test]

@@ -20,9 +20,11 @@
 use crate::config::TcpConfig;
 use crate::machine::{AckInfo, SenderMachine};
 use crate::rtt::RttEstimator;
-use crate::sender::{SenderStats, TcpAction};
+use crate::sender::{flow_len, SenderStats, TcpAction};
 use crate::table::{FlowLease, FlowTable, SharedFlowTable};
 use simcore::SimTime;
+use std::num::NonZeroU64;
+use std::rc::Rc;
 
 /// Number of SACKed segments above a hole before it is declared lost
 /// (RFC 3517's `DupThresh`).
@@ -33,8 +35,10 @@ const DUP_THRESH: usize = 3;
 /// event can hold the table borrow and run the machine at once.
 #[derive(Debug)]
 struct Machine {
-    cfg: TcpConfig,
-    flow_size: Option<u64>,
+    /// The table's copy of the flow's configuration.
+    cfg: Rc<TcpConfig>,
+    /// Total flow length in segments; `None` = infinite.
+    flow_size: Option<NonZeroU64>,
 }
 
 /// The SACK sender: a `Machine` plus its lease on a [`FlowTable`] slot,
@@ -58,9 +62,8 @@ impl SackSender {
     /// flow is registered now, takes a slot when it starts and gives it
     /// back when it completes.
     pub fn in_table(table: &SharedFlowTable, cfg: TcpConfig, flow_size: Option<u64>) -> Self {
-        if let Some(n) = flow_size {
-            assert!(n > 0, "flow must have at least one segment");
-        }
+        let flow_size = flow_len(flow_size);
+        let cfg = table.intern(cfg);
         SackSender {
             lease: FlowLease::new(table, &cfg),
             machine: Machine { cfg, flow_size },
@@ -106,7 +109,7 @@ impl SackSender {
 
     /// True once every segment of a finite flow is acknowledged.
     pub fn is_completed(&self) -> bool {
-        self.lease.completed
+        self.lease.is_completed()
     }
 
     /// Sender counters.
@@ -122,7 +125,7 @@ impl SackSender {
 
     /// A snapshot of the RTT estimator (for diagnostics).
     pub fn rtt(&self) -> RttEstimator {
-        self.lease.rtt()
+        self.lease.rtt(&self.machine.cfg)
     }
 
     /// RFC 3517 pipe: an estimate of segments still in the network
@@ -147,7 +150,7 @@ impl SackSender {
     /// before this returns.
     // simlint: hot-path — once per ACK
     pub fn on_ack_into(&mut self, now: SimTime, info: &AckInfo, out: &mut Vec<TcpAction>) {
-        let Some(slot) = self.lease.slot else {
+        let Some(slot) = self.lease.slot() else {
             return;
         };
         let completed = {
@@ -164,7 +167,7 @@ impl SackSender {
     /// slot.
     // simlint: hot-path — once per retransmission timeout
     pub fn on_rto_into(&mut self, _now: SimTime, gen: u64, out: &mut Vec<TcpAction>) {
-        let Some(slot) = self.lease.slot else {
+        let Some(slot) = self.lease.slot() else {
             return;
         };
         let t = &mut *self.lease.table.table_mut();
@@ -233,7 +236,7 @@ fn arm_rto(t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
 
 impl Machine {
     fn is_fin(&self, seq: u64) -> bool {
-        self.flow_size.map(|n| seq + 1 == n).unwrap_or(false)
+        self.flow_size.is_some_and(|n| seq + 1 == n.get())
     }
 
     fn window_in(&self, t: &FlowTable, i: usize) -> u64 {
@@ -252,7 +255,7 @@ impl Machine {
                 }
             }
         }
-        let limit = self.flow_size.unwrap_or(u64::MAX);
+        let limit = self.flow_size.map_or(u64::MAX, NonZeroU64::get);
         if t.next_seq[i] < limit {
             return Some((t.next_seq[i], false));
         }
@@ -368,7 +371,7 @@ impl Machine {
             }
 
             if let Some(n) = self.flow_size {
-                if t.snd_una[i] >= n {
+                if t.snd_una[i] >= n.get() {
                     out.push(TcpAction::Completed);
                     return true;
                 }
@@ -481,6 +484,7 @@ impl SenderMachine for SackSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Answers;
     use crate::receiver::SackRanges;
 
     fn t(ms: u64) -> SimTime {
@@ -725,5 +729,66 @@ mod tests {
             (a.stats(), a.snd_una(), a.next_seq(), a.cwnd(), a.ssthresh()),
             a_final
         );
+    }
+
+    #[test]
+    fn finished_flow_answers_what_it_answered_on_the_completing_ack() {
+        let table = SharedFlowTable::new();
+        let mut s = SackSender::in_table(&table, TcpConfig::default(), Some(4));
+        s.start(t(0)); // segments 0, 1
+        s.on_ack(t(100), &AckInfo::plain(1, t(0))); // an RTT sample; sends 2, 3
+        let gen = s.rto_gen();
+        s.on_rto(t(1500), gen); // backs the RTO off, resends 1
+
+        // The completing ACK, delivered as `on_ack_into` does but read from
+        // the slot before it is given back. Its echo is from the future, so
+        // it is no RTT sample and the backoff outlives the flow.
+        let slot = s.lease.slot().expect("live flow");
+        let mut out = Vec::new();
+        let ack = AckInfo::plain(4, t(2000));
+        let done = {
+            let tb = &mut *s.lease.table.table_mut();
+            s.machine.on_ack(tb, slot.index(), t(1600), &ack, &mut out)
+        };
+        assert!(done, "not the completing ACK: {out:?}");
+        let on_the_ack = Answers::of(&s);
+        s.lease.retire(slot);
+        assert_eq!((on_the_ack.stats.timeouts, on_the_ack.backoff), (1, 1));
+        assert!(on_the_ack.srtt.is_some());
+        assert!(s.is_completed() && table.table().live() == 0);
+        assert_eq!(Answers::of(&s), on_the_ack);
+
+        // Stale inputs change nothing.
+        s.on_rto(t(5000), gen + 1);
+        s.on_ack(t(5001), &AckInfo::plain(4, t(1600)));
+        assert_eq!(Answers::of(&s), on_the_ack);
+    }
+
+    #[test]
+    fn unstarted_flow_reports_the_configured_initial_rto() {
+        let cfg = TcpConfig {
+            initial_rto: simcore::SimDuration::from_secs(3),
+            ..TcpConfig::default()
+        };
+        let s = SackSender::in_table(&SharedFlowTable::new(), cfg, Some(5));
+        assert_eq!(Answers::of(&s), Answers::unstarted(&cfg));
+        assert_eq!(s.rtt().rto(), simcore::SimDuration::from_secs(3));
+    }
+
+    #[test]
+    fn sack_and_reno_senders_share_their_table_copy_of_a_config() {
+        use crate::cc::Reno;
+        use crate::sender::TcpSender;
+        let table = SharedFlowTable::new();
+        let cfg = TcpConfig::default();
+        let sack = SackSender::in_table(&table, cfg, None);
+        let reno = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
+        let capped = SackSender::in_table(&table, cfg.with_max_window(43), None);
+        assert!(std::ptr::eq(SenderMachine::cfg(&sack), reno.cfg()));
+        assert!(!std::ptr::eq(
+            SenderMachine::cfg(&sack),
+            SenderMachine::cfg(&capped)
+        ));
+        assert_eq!(table.configs(), 2);
     }
 }

@@ -31,6 +31,8 @@ use crate::config::TcpConfig;
 use crate::rtt::RttEstimator;
 use crate::table::{FlowLease, FlowTable, SharedFlowTable};
 use simcore::{SimDuration, SimTime};
+use std::num::NonZeroU64;
+use std::rc::Rc;
 
 /// What the sender wants done, in order.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -88,13 +90,21 @@ pub struct SenderStats {
 /// machine at once.
 #[derive(Debug)]
 struct Machine {
-    cfg: TcpConfig,
+    /// The table's copy of the flow's configuration.
+    cfg: Rc<TcpConfig>,
     cc: Box<dyn CongestionControl>,
     /// Total flow length in segments; `None` = infinite (long-lived) flow.
-    flow_size: Option<u64>,
+    flow_size: Option<NonZeroU64>,
     /// Test-only log of (seq, retransmit) for every Send action.
     #[cfg(any(test, feature = "send-log"))]
     send_log: Vec<(u64, bool)>,
+}
+
+/// A flow length as the senders keep it. Panics on a flow of no segments.
+pub(crate) fn flow_len(flow_size: Option<u64>) -> Option<NonZeroU64> {
+    let len = flow_size.map(NonZeroU64::new);
+    assert!(len != Some(None), "flow must have at least one segment");
+    len.flatten()
 }
 
 /// The TCP sender: a `Machine` plus its lease on a [`FlowTable`] slot,
@@ -125,9 +135,8 @@ impl TcpSender {
         cc: Box<dyn CongestionControl>,
         flow_size: Option<u64>,
     ) -> Self {
-        if let Some(n) = flow_size {
-            assert!(n > 0, "flow must have at least one segment");
-        }
+        let flow_size = flow_len(flow_size);
+        let cfg = table.intern(cfg);
         TcpSender {
             lease: FlowLease::new(table, &cfg),
             machine: Machine {
@@ -195,7 +204,7 @@ impl TcpSender {
 
     /// True once every segment of a finite flow is acknowledged.
     pub fn is_completed(&self) -> bool {
-        self.lease.completed
+        self.lease.is_completed()
     }
 
     /// Sender counters.
@@ -221,7 +230,7 @@ impl TcpSender {
 
     /// A snapshot of the RTT estimator (for diagnostics).
     pub fn rtt(&self) -> RttEstimator {
-        self.lease.rtt()
+        self.lease.rtt(&self.machine.cfg)
     }
 
     /// The congestion-control algorithm name.
@@ -229,7 +238,8 @@ impl TcpSender {
         self.machine.cc.name()
     }
 
-    /// The flow's configuration.
+    /// The flow's configuration: its table's one copy, shared by every
+    /// sender of the table with an equal configuration.
     pub fn cfg(&self) -> &TcpConfig {
         &self.machine.cfg
     }
@@ -278,7 +288,7 @@ impl TcpSender {
         ece: bool,
         out: &mut Vec<TcpAction>,
     ) {
-        let Some(slot) = self.lease.slot else {
+        let Some(slot) = self.lease.slot() else {
             return;
         };
         let completed = {
@@ -301,7 +311,7 @@ impl TcpSender {
     /// ECE-triggered window reduction. The agent stamps the next outgoing
     /// data segment with CWR so the receiver can stop echoing.
     pub fn take_cwr(&mut self) -> bool {
-        match self.lease.slot {
+        match self.lease.slot() {
             Some(slot) => {
                 std::mem::take(&mut self.lease.table.table_mut().cwr_pending[slot.index()])
             }
@@ -321,7 +331,7 @@ impl TcpSender {
     /// holds no slot. Actions are appended to `out`.
     // simlint: hot-path — once per retransmission timeout
     pub fn on_rto_into(&mut self, _now: SimTime, gen: u64, out: &mut Vec<TcpAction>) {
-        let Some(slot) = self.lease.slot else {
+        let Some(slot) = self.lease.slot() else {
             return;
         };
         let t = &mut *self.lease.table.table_mut();
@@ -346,12 +356,12 @@ impl Machine {
     }
 
     fn is_fin(&self, seq: u64) -> bool {
-        self.flow_size.map(|n| seq + 1 == n).unwrap_or(false)
+        self.flow_size.is_some_and(|n| seq + 1 == n.get())
     }
 
     /// Sends as much new data as the window permits.
     fn fill_window(&mut self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
-        let limit = self.flow_size.unwrap_or(u64::MAX);
+        let limit = self.flow_size.map_or(u64::MAX, NonZeroU64::get);
         while flight_in(t, i) < self.window_in(t, i) && t.next_seq[i] < limit {
             let seq = t.next_seq[i];
             // A segment below high_water was transmitted before the loss
@@ -495,7 +505,7 @@ impl Machine {
 
             // Completion check before sending more.
             if let Some(n) = self.flow_size {
-                if t.snd_una[i] >= n {
+                if t.snd_una[i] >= n.get() {
                     out.push(TcpAction::Completed);
                     return true;
                 }
@@ -580,6 +590,7 @@ fn flight_in(t: &FlowTable, i: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::cc::{FixedWindow, NewReno, Reno};
+    use crate::machine::Answers;
 
     fn sender(flow: Option<u64>) -> TcpSender {
         TcpSender::new(TcpConfig::default(), Box::new(Reno), flow)
@@ -948,6 +959,66 @@ mod tests {
         );
         assert_eq!(a.flight(), 0);
         assert_eq!(a.state(), SenderState::Open);
+    }
+
+    #[test]
+    fn finished_flow_answers_what_it_answered_on_the_completing_ack() {
+        let table = SharedFlowTable::new();
+        let mut s = TcpSender::in_table(&table, TcpConfig::default(), Box::new(Reno), Some(4));
+        s.start(t(0)); // segments 0, 1
+        s.on_ack(t(100), 1, t(0)); // an RTT sample; cwnd 3 sends 2, 3
+        let gen = s.rto_gen();
+        s.on_rto(t(1500), gen); // backs the RTO off, resends 1
+
+        // The completing ACK, delivered as `on_ack_ecn_into` does but read
+        // from the slot before it is given back. Its echo is from the
+        // future, so it is no RTT sample and the backoff outlives the flow.
+        let slot = s.lease.slot().expect("live flow");
+        let mut out = Vec::new();
+        let done = {
+            let tb = &mut *s.lease.table.table_mut();
+            let i = slot.index();
+            s.machine
+                .on_ack(tb, i, t(1600), 4, t(2000), false, &mut out)
+        };
+        assert!(done, "not the completing ACK: {out:?}");
+        let on_the_ack = Answers::of(&s);
+        s.lease.retire(slot);
+        assert_eq!((on_the_ack.stats.timeouts, on_the_ack.backoff), (1, 1));
+        assert!(on_the_ack.srtt.is_some());
+        assert!(s.is_completed() && table.table().live() == 0);
+        assert_eq!(Answers::of(&s), on_the_ack);
+
+        // Stale inputs change nothing.
+        s.on_rto(t(5000), gen + 1);
+        s.on_ack(t(5001), 4, t(1600));
+        assert_eq!(Answers::of(&s), on_the_ack);
+    }
+
+    #[test]
+    fn unstarted_flow_reports_the_configured_initial_rto() {
+        let cfg = TcpConfig {
+            initial_rto: SimDuration::from_secs(3),
+            ..TcpConfig::default()
+        };
+        let s = TcpSender::in_table(&SharedFlowTable::new(), cfg, Box::new(Reno), Some(5));
+        assert_eq!(Answers::of(&s), Answers::unstarted(&cfg));
+        assert_eq!(s.rtt().rto(), SimDuration::from_secs(3));
+    }
+
+    #[test]
+    fn equal_configs_share_one_copy_per_table() {
+        let table = SharedFlowTable::new();
+        let cfg = TcpConfig::default().with_max_window(43);
+        let a = TcpSender::in_table(&table, cfg, Box::new(Reno), Some(3));
+        let b = TcpSender::in_table(&table, cfg, Box::new(NewReno), None);
+        let c = TcpSender::in_table(&table, cfg.with_ecn(), Box::new(Reno), None);
+        assert!(std::ptr::eq(a.cfg(), b.cfg()));
+        assert!(!std::ptr::eq(a.cfg(), c.cfg()));
+        assert_eq!((*a.cfg(), *c.cfg()), (cfg, cfg.with_ecn()));
+        assert_eq!(table.configs(), 2);
+        let other = TcpSender::in_table(&SharedFlowTable::new(), cfg, Box::new(Reno), None);
+        assert!(!std::ptr::eq(a.cfg(), other.cfg()), "one copy per table");
     }
 }
 

@@ -24,6 +24,13 @@
 //! no slot at all, so a stale timer or late ACK for it cannot reach state a
 //! newer flow now owns.
 //!
+//! What a sender keeps for the whole run is therefore only what differs
+//! between flows: its identity, its schedule and its result. The table
+//! also holds each distinct [`TcpConfig`] once (a workload passes the same
+//! one for every flow), and a sender points at the table's copy; the
+//! snapshot keeps the RTT estimator's changing state, not its RTO bounds,
+//! which are the configuration's.
+//!
 //! Single-flow users (unit tests, ad-hoc diagnostics) never see the pool:
 //! `TcpSender::new` and `TcpSink::new` lease from a private table of their
 //! own, the same path with one tenant.
@@ -35,7 +42,7 @@
 use crate::agent::{SinkLive, SourceLive};
 use crate::cc::CcState;
 use crate::config::TcpConfig;
-use crate::rtt::RttEstimator;
+use crate::rtt::{RttEstimator, RttState};
 use crate::sender::{SenderStats, TcpAction};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -79,26 +86,26 @@ pub struct ColdFlow {
 #[derive(Clone, Debug)]
 pub(crate) struct FlowSnapshot {
     /// Sender counters.
-    pub(crate) stats: SenderStats,
+    stats: SenderStats,
     /// Oldest unacknowledged segment.
-    pub(crate) snd_una: u64,
+    snd_una: u64,
     /// Next never-before-sent segment.
-    pub(crate) next_seq: u64,
+    next_seq: u64,
     /// Congestion window / slow-start threshold pair.
-    pub(crate) ccs: CcState,
-    /// RTT estimator + RTO backoff state.
-    pub(crate) rtt: RttEstimator,
+    ccs: CcState,
+    /// RTT estimator + RTO backoff state, without the RTO bounds.
+    rtt: RttState,
 }
 
 impl FlowSnapshot {
     /// The state of a flow that has not started: what a fresh slot holds.
-    pub(crate) fn initial(cfg: &TcpConfig) -> Self {
+    fn initial(cfg: &TcpConfig) -> Self {
         FlowSnapshot {
             stats: SenderStats::default(),
             snd_una: 0,
             next_seq: 0,
             ccs: CcState::new(cfg.initial_cwnd),
-            rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.initial_rto),
+            rtt: RttState::default(),
         }
     }
 }
@@ -229,7 +236,7 @@ impl FlowTable {
         self.inflation[i] = 0.0;
         self.recovery[i] = false;
         self.rto_gen[i] = 0;
-        self.rtt[i] = fresh.rtt;
+        self.rtt[i] = RttEstimator::with_state(cfg, fresh.rtt);
         self.ecn_alpha[i] = 1.0;
         self.ecn_acked[i] = 0;
         self.ecn_marked[i] = 0;
@@ -282,7 +289,7 @@ impl FlowTable {
             snd_una: self.snd_una[i],
             next_seq: self.next_seq[i],
             ccs: self.ccs[i],
-            rtt: self.rtt[i].clone(),
+            rtt: self.rtt[i].state(),
         };
         self.release(slot);
         snap
@@ -345,6 +352,8 @@ struct Shared {
     /// sender machine fill it, drains it and puts it back, so no event
     /// allocates and no source keeps a buffer of its own.
     scratch: RefCell<Vec<TcpAction>>,
+    /// Every distinct configuration of the table's senders, each once.
+    configs: RefCell<Vec<Rc<TcpConfig>>>,
 }
 
 /// A [`FlowTable`] shared by every flow of one simulation.
@@ -395,6 +404,25 @@ impl SharedFlowTable {
         self.0.table.borrow_mut().registered += 1;
     }
 
+    /// The table's copy of `cfg`, made on first use. A table holds a
+    /// handful of configurations (one per installed workload), so a scan
+    /// from the most recent finds it at once.
+    pub(crate) fn intern(&self, cfg: TcpConfig) -> Rc<TcpConfig> {
+        let mut configs = self.0.configs.borrow_mut();
+        if let Some(c) = configs.iter().rev().find(|&c| **c == cfg) {
+            return Rc::clone(c);
+        }
+        let c = Rc::new(cfg);
+        configs.push(Rc::clone(&c));
+        c
+    }
+
+    /// Number of distinct configurations the table's senders use
+    /// (diagnostics: one per installed workload).
+    pub fn configs(&self) -> usize {
+        self.0.configs.borrow().len()
+    }
+
     /// Immutable borrow of the table.
     pub fn table(&self) -> std::cell::Ref<'_, FlowTable> {
         self.0.table.borrow()
@@ -433,18 +461,26 @@ impl SharedFlowTable {
     }
 }
 
+/// Where a flow is in its life, as far as its slot is concerned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    /// Registered, not started: no slot.
+    Waiting,
+    /// Started, not complete: the flow's state is in this slot.
+    Live(FlowSlot),
+    /// Every segment of a finite flow acknowledged: no slot again.
+    Done,
+}
+
 /// A sender's lease on a [`FlowTable`] slot: none before the flow starts,
 /// one while it is live, none again once it has completed. Both sender
 /// machines hold one and answer their accessors through it.
 #[derive(Debug)]
 pub(crate) struct FlowLease {
     pub(crate) table: SharedFlowTable,
-    /// The slot, while the flow is live.
-    pub(crate) slot: Option<FlowSlot>,
-    /// Answers while `slot` is `None`.
-    pub(crate) rest: FlowSnapshot,
-    /// Every segment of a finite flow has been acknowledged.
-    pub(crate) completed: bool,
+    stage: Stage,
+    /// Answers while the flow holds no slot.
+    rest: FlowSnapshot,
 }
 
 impl FlowLease {
@@ -453,20 +489,16 @@ impl FlowLease {
         table.register();
         FlowLease {
             table: table.clone(),
-            slot: None,
+            stage: Stage::Waiting,
             rest: FlowSnapshot::initial(cfg),
-            completed: false,
         }
     }
 
     /// Takes the flow's slot. Panics if the flow was started before.
     pub(crate) fn start(&mut self, cfg: &TcpConfig) -> FlowSlot {
-        assert!(
-            self.slot.is_none() && !self.completed,
-            "start() called twice"
-        );
+        assert!(self.stage == Stage::Waiting, "start() called twice");
         let slot = self.table.alloc(cfg);
-        self.slot = Some(slot);
+        self.stage = Stage::Live(slot);
         slot
     }
 
@@ -475,8 +507,20 @@ impl FlowLease {
     /// borrows it once more, once per flow.)
     pub(crate) fn retire(&mut self, slot: FlowSlot) {
         self.rest = self.table.table_mut().retire(slot);
-        self.slot = None;
-        self.completed = true;
+        self.stage = Stage::Done;
+    }
+
+    /// The slot, while the flow is live.
+    pub(crate) fn slot(&self) -> Option<FlowSlot> {
+        match self.stage {
+            Stage::Live(slot) => Some(slot),
+            Stage::Waiting | Stage::Done => None,
+        }
+    }
+
+    /// Every segment of a finite flow has been acknowledged.
+    pub(crate) fn is_completed(&self) -> bool {
+        self.stage == Stage::Done
     }
 
     /// Reads from the live slot, or from the snapshot while there is none.
@@ -485,7 +529,7 @@ impl FlowLease {
         live: impl FnOnce(&FlowTable, usize) -> R,
         rest: impl FnOnce(&FlowSnapshot) -> R,
     ) -> R {
-        match self.slot {
+        match self.slot() {
             Some(slot) => live(&self.table.table(), slot.index()),
             None => rest(&self.rest),
         }
@@ -512,8 +556,13 @@ impl FlowLease {
         self.read(|t, i| t.cold[i].stats, |s| s.stats)
     }
 
-    pub(crate) fn rtt(&self) -> RttEstimator {
-        self.read(|t, i| t.rtt[i].clone(), |s| s.rtt.clone())
+    /// The RTT estimator; a flow without a slot rebuilds it from its
+    /// snapshot and `cfg`'s RTO bounds.
+    pub(crate) fn rtt(&self, cfg: &TcpConfig) -> RttEstimator {
+        self.read(
+            |t, i| t.rtt[i].clone(),
+            |s| RttEstimator::with_state(cfg, s.rtt),
+        )
     }
 
     /// True while in loss recovery. A flow cannot complete inside a
