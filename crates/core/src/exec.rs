@@ -31,15 +31,26 @@
 // simlint: allow-file(wall-clock) — driver-layer worker pool: threads never run inside a simulation, they only distribute whole runs across cores
 
 use std::any::Any;
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// The message a panic was raised with (`panic!` payloads are a `&str` or
 /// a `String`).
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
     (payload.downcast_ref::<&str>().copied())
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("non-string panic payload")
+}
+
+/// Runs one simulation of a sweep cell, re-raising a panic as
+/// `<cell>: <message>` so a failing cell says which cell it was.
+pub(crate) fn run_named<T>(cell: fmt::Arguments<'_>, run: impl FnOnce() -> T) -> T {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(r) => r,
+        Err(e) => panic!("{cell}: {}", panic_message(&*e)),
+    }
 }
 
 /// Re-raises a worker's panic on the joining thread, keeping its message.

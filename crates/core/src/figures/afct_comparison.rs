@@ -4,7 +4,7 @@
 //! The paper's point (§5.1.3): *small* buffers make short flows complete
 //! *faster*, because queueing delay drops while utilization stays high.
 
-use crate::exec::Executor;
+use crate::exec::{run_named, Executor};
 use crate::report::Table;
 use crate::runner::{MixScenario, LongFlowScenario};
 use tcpsim::TcpConfig;
@@ -113,14 +113,19 @@ impl AfctComparisonConfig {
 
     /// Runs both sides on `exec` — the two independent simulations run
     /// concurrently when the executor has spare width. Identical results
-    /// to [`AfctComparisonConfig::run`] for any executor.
+    /// to [`AfctComparisonConfig::run`] for any executor. A side that
+    /// panics is re-raised naming the side and the seed.
     pub fn run_with(&self, exec: &Executor) -> (AfctSide, AfctSide) {
         let mut sides = exec.run_cells(2, |i| {
-            self.run_side(if i == 0 {
+            let rule = if i == 0 {
                 BufferRule::SqrtN
             } else {
                 BufferRule::RuleOfThumb
-            })
+            };
+            run_named(
+                format_args!("fig09 run failed: side={rule:?} seed={}", self.long.seed),
+                || self.run_side(rule),
+            )
         });
         let rot = sides.pop().expect("two sides");
         let sqrt_n = sides.pop().expect("two sides");
@@ -172,6 +177,15 @@ mod tests {
         );
         // …while utilization stays high.
         assert!(sqrt_n.utilization > 0.85, "util = {}", sqrt_n.utilization);
+    }
+
+    #[test]
+    #[should_panic(expected = "fig09 run failed: side=SqrtN seed=1: assertion failed: lo <= hi")]
+    fn failing_side_is_named() {
+        let mut cfg = AfctComparisonConfig::quick();
+        let (lo, hi) = cfg.long.rtt_range;
+        cfg.long.rtt_range = (hi, lo);
+        cfg.run();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! testbed adds) and **SACK senders** — the loss recovery the testbed's
 //! real Linux stacks used. See DESIGN.md's substitution table.
 
-use crate::exec::Executor;
+use crate::exec::{run_named, Executor};
 use crate::report::Table;
 use crate::runner::LongFlowScenario;
 use simcore::SimDuration;
@@ -76,7 +76,9 @@ impl GsrTableConfig {
 
     /// Runs the sweep on `exec`: the `(n, multiple)` cells (each a clean
     /// run plus a testbed-proxy run) fan out across workers. Identical
-    /// results to [`GsrTableConfig::run`] for any executor.
+    /// results to [`GsrTableConfig::run`] for any executor. A run that
+    /// panics is re-raised naming its arm, n, the multiple, the buffer and
+    /// the arm's seed.
     pub fn run_with(&self, exec: &Executor) -> Vec<GsrRow> {
         let mut cells: Vec<(usize, f64)> = Vec::new();
         for &n in &self.flow_counts {
@@ -94,7 +96,13 @@ impl GsrTableConfig {
             clean.buffer_pkts = buffer;
             // Cached probe: the clean arm is an ordinary long-flow run, so
             // it shares results with any sweep that probed the same point.
-            let sim = crate::probe_cache::run_cached(&clean).utilization;
+            let sim = run_named(
+                format_args!(
+                    "table10 clean run failed: n={n} multiple={m} buffer={buffer} seed={}",
+                    clean.seed
+                ),
+                || crate::probe_cache::run_cached(&clean).utilization,
+            );
 
             // Testbed proxy: heterogeneous access rates (2.5x–20x the
             // bottleneck), 1 ms send jitter, SACK hosts, different seed.
@@ -103,7 +111,13 @@ impl GsrTableConfig {
             proxy.jitter = Some(SimDuration::from_millis(1));
             proxy.seed = scenario.seed ^ 0xBEEF;
             proxy.cc = traffic::bulk::CcKind::Sack;
-            let proxy_util = run_heterogeneous(&proxy);
+            let proxy_util = run_named(
+                format_args!(
+                    "table10 proxy run failed: n={n} multiple={m} buffer={buffer} seed={}",
+                    proxy.seed
+                ),
+                || run_heterogeneous(&proxy),
+            );
 
             GsrRow {
                 n,
@@ -180,6 +194,39 @@ mod tests {
         assert!(rows[2].model > 0.99);
         // At 0.5x it should be clearly below the 2x point.
         assert!(rows[0].sim < rows[2].sim);
+    }
+
+    /// `quick()` cut to its first cell, n = 50 at 0.5×.
+    fn one_cell() -> GsrTableConfig {
+        let mut cfg = GsrTableConfig::quick();
+        cfg.multiples.truncate(1);
+        cfg
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "table10 clean run failed: n=50 multiple=0.5 buffer=16 seed=1: \
+                    assertion failed: lo <= hi"
+    )]
+    fn failing_clean_arm_is_named() {
+        let mut cfg = one_cell();
+        let (lo, hi) = cfg.base.rtt_range;
+        cfg.base.rtt_range = (hi, lo);
+        cfg.run();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "table10 proxy run failed: n=50 multiple=0.5 buffer=1 seed=48878: \
+                    link rate must be positive"
+    )]
+    fn failing_proxy_arm_is_named() {
+        // The clean arm runs on a 1 b/s bottleneck; the proxy's access
+        // links, a quarter of it times 10–80, get 0 b/s. The proxy's seed
+        // is the base seed, 1, xor 0xBEEF.
+        let mut cfg = one_cell();
+        cfg.base.bottleneck_rate = 1;
+        cfg.run();
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! curve run one after another on one worker, so the buffers they share
 //! are simulated once.
 
-use crate::exec::{panic_message, Executor};
+use crate::exec::{run_named, Executor};
 use crate::probe_cache::run_cached;
 use crate::report::Table;
 use crate::runner::{LongFlowResult, LongFlowScenario};
 use crate::search::{min_buffer_for_par, SearchResult};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use theory::GaussianWindowModel;
 
 /// One utilization-vs-buffer curve of a long-flow sweep, searched for each
@@ -50,16 +49,14 @@ pub fn sweep(
         let eval = |b: usize| {
             let mut s = curve.scenario.clone();
             s.buffer_pkts = b;
-            match catch_unwind(AssertUnwindSafe(|| probe(&s))) {
-                Ok(r) => r.utilization,
-                Err(e) => panic!(
-                    "sweep probe failed: n={} buffer={b} targets={:?} seed={}: {}",
-                    s.n_flows,
-                    curve.targets,
-                    s.seed,
-                    panic_message(&*e)
+            run_named(
+                format_args!(
+                    "sweep probe failed: n={} buffer={b} targets={:?} seed={}",
+                    s.n_flows, curve.targets, s.seed
                 ),
-            }
+                || probe(&s),
+            )
+            .utilization
         };
         (curve.targets.iter())
             .map(|&target| min_buffer_for_par(curve.hi, &inner, eval, |u| u >= target))

@@ -7,7 +7,7 @@
 //! think times) — the same traffic shape Harpoon itself was calibrated to
 //! produce. See DESIGN.md's substitution table.
 
-use crate::exec::Executor;
+use crate::exec::{run_named, Executor};
 use crate::report::Table;
 use crate::runner::{dumbbell, Run};
 use netsim::Sim;
@@ -144,13 +144,17 @@ impl ProductionConfig {
 
     /// Runs all buffer settings on `exec`, one independent simulation per
     /// buffer. Identical results to [`ProductionConfig::run`] for any
-    /// executor.
+    /// executor. A simulation that panics is re-raised naming its buffer and
+    /// the seed.
     pub fn run_with(&self, exec: &Executor) -> Vec<ProductionRow> {
         let bdp = self.bdp_packets();
         let unit = bdp / (self.n_effective as f64).sqrt();
         let model = GaussianWindowModel::new(bdp, self.n_effective);
         exec.map(&self.buffers, |&b| {
-            let (util, tput) = self.run_one(b);
+            let (util, tput) = run_named(
+                format_args!("table11 run failed: buffer={b} seed={}", self.seed),
+                || self.run_one(b),
+            );
             ProductionRow {
                 buffer_pkts: b,
                 multiple: b as f64 / unit,
@@ -216,6 +220,15 @@ mod tests {
             let implied = r.throughput_mbps / 20.0;
             assert!((implied - r.utilization).abs() < 0.02);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "table11 run failed: buffer=200 seed=7: \
+                               dumbbell needs at least one flow")]
+    fn failing_buffer_is_named() {
+        let mut cfg = ProductionConfig::quick();
+        cfg.host_pairs = 0;
+        cfg.run();
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! The headline property: the measured minimum buffer is (nearly)
 //! independent of the line rate — only load and burst sizes matter.
 
-use crate::exec::{panic_message, Executor};
+use crate::exec::{run_named, Executor};
 use crate::report::Table;
 use crate::runner::ShortFlowScenario;
 use crate::search::min_buffer_for_par;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use theory::BurstModel;
 use traffic::FlowLengthDist;
 
@@ -92,14 +91,14 @@ impl ShortBufferConfig {
     /// buffer and the seed.
     fn afct(&self, rate: u64, len: u64, buffer: usize) -> f64 {
         let s = self.scenario(rate, len, buffer);
-        match catch_unwind(AssertUnwindSafe(|| s.run())) {
-            Ok(r) => r.afct,
-            Err(e) => panic!(
-                "short-flow probe failed: rate={rate} flow_len={len} buffer={buffer} seed={}: {}",
-                s.seed,
-                panic_message(&*e)
+        run_named(
+            format_args!(
+                "short-flow probe failed: rate={rate} flow_len={len} buffer={buffer} seed={}",
+                s.seed
             ),
-        }
+            || s.run(),
+        )
+        .afct
     }
 
     /// Runs the sweep sequentially.

@@ -6,22 +6,26 @@
 //! full, further events are counted but not stored (never silently
 //! truncated — check [`PacketLog::overflowed`]).
 //!
-//! A traced run stores millions of records, so a record is packed into 24
-//! bytes (a compile-time assert pins the size):
+//! A traced run stores millions of records, so a record is packed into five
+//! 32-bit words, 20 bytes (a compile-time assert pins the size):
 //!
 //! | word | bits | holds |
 //! |---|---|---|
-//! | `SimTime` | 64 | when it happened |
-//! | `u64` | 0–39 | packet uid (< 2^40) |
-//! | | 40–63 | queue depth of a drop or mark (< 2^24; 0 otherwise) |
-//! | `FlowId` | 32 | the flow |
-//! | `u32` | 0–23 | link id + 1 (link id < 2^24 − 1); 0 = delivered to an agent |
-//! | | 24–26 | event kind: 1 queued, 2 dropped, 3 transmitted, 4 delivered, 5 marked |
-//! | | 27–31 | drop / mark reason code (0 otherwise) |
+//! | 0 | 0–31 | time (ns), low 32 bits |
+//! | 1 | 0–15 | time, bits 32–47 (time < 2^48 ns, ≈ 78 h) |
+//! | 1 | 16–31 | link id + 1 (link id < 2^16 − 1); 0 = delivered to an agent |
+//! | 2 | 0–31 | packet uid, low 32 bits |
+//! | 3 | 0–7 | uid, bits 32–39 (uid < 2^40) |
+//! | 3 | 8–31 | queue depth of a drop or mark (< 2^24; 0 otherwise) |
+//! | 4 | 0–23 | flow id (< 2^24) |
+//! | 4 | 24–26 | event kind: 1 queued, 2 dropped, 3 transmitted, 4 delivered, 5 marked |
+//! | 4 | 27–31 | drop / mark reason code (0 otherwise) |
 //!
-//! [`PacketRecord::new`] asserts the limits; the accessors decode. The link
-//! and kind fields hold exactly the codes the digest folds, so packing
-//! changes no digest.
+//! [`PacketRecord::new`] asserts the limits; the accessors decode. Every
+//! field decodes to the value the digest folds, so packing changes no
+//! digest. The log packs only what it stores
+//! ([`PacketLog::push_with`]): once full, it counts events without packing
+//! them, so a long run past its log's capacity never trips a limit.
 
 use crate::forensics::{DropReason, MarkReason};
 use crate::packet::FlowId;
@@ -63,16 +67,25 @@ impl PacketEvent {
     }
 }
 
-/// Bits of the uid word that hold the uid; the depth takes the rest.
-const UID_BITS: u32 = 40;
-const UID_MASK: u64 = (1 << UID_BITS) - 1;
+/// Bits of word 1 that hold the time's bits 32–47; the link code takes the
+/// rest.
+const TIME_HI_BITS: u32 = 16;
+/// Times (ns) must stay below this.
+const TIME_LIMIT: u64 = 1 << (32 + TIME_HI_BITS);
+/// Link ids must stay below this, so that link id + 1 fits its 16 bits.
+const LINK_LIMIT: u32 = (1 << (32 - TIME_HI_BITS)) - 1;
+/// Bits of word 3 that hold the uid's bits 32–39; the depth takes the rest.
+const UID_HI_BITS: u32 = 8;
+/// Uids must stay below this.
+const UID_LIMIT: u64 = 1 << (32 + UID_HI_BITS);
 /// Depths must stay below this.
-const DEPTH_LIMIT: u32 = 1 << (64 - UID_BITS);
-/// Bits of the place word that hold the link id + 1.
-const PLACE_BITS: u32 = 24;
-const PLACE_MASK: u32 = (1 << PLACE_BITS) - 1;
+const DEPTH_LIMIT: u32 = 1 << (32 - UID_HI_BITS);
+/// Bits of word 4 that hold the flow id; the kind and reason take the rest.
+const FLOW_BITS: u32 = 24;
+/// Flow ids must stay below this.
+const FLOW_LIMIT: u32 = 1 << FLOW_BITS;
 const KIND_MASK: u32 = 0b111;
-const REASON_SHIFT: u32 = PLACE_BITS + 3;
+const REASON_SHIFT: u32 = FLOW_BITS + 3;
 
 // Event kind codes, as the digest folds them: never renumber.
 const QUEUED: u32 = 1;
@@ -81,30 +94,57 @@ const TRANSMITTED: u32 = 3;
 const DELIVERED: u32 = 4;
 const MARKED: u32 = 5;
 
-/// One logged packet milestone, packed into 24 bytes (layout in the
-/// module docs). Build with [`PacketRecord::new`], read through the
-/// accessors.
-#[derive(Clone, Copy)]
-pub struct PacketRecord {
-    time: SimTime,
-    /// Uid in the low 40 bits, drop / mark queue depth in the high 24.
-    uid_depth: u64,
-    flow: FlowId,
-    /// Link id + 1 in the low 24 bits (0 = agent), then the 3-bit kind
-    /// code, then the 5-bit reason code.
-    place_kind: u32,
+/// Splits `v` into its low 32 bits and the bits above them.
+#[inline]
+fn split(v: u64) -> (u32, u32) {
+    // Masked to 32 bits, and shifted by 32: both halves convert exactly.
+    let lo = u32::try_from(v & u64::from(u32::MAX)).unwrap_or(u32::MAX);
+    let hi = u32::try_from(v >> 32).unwrap_or(u32::MAX);
+    (lo, hi)
 }
 
-const _: () = assert!(std::mem::size_of::<PacketRecord>() == 24);
+/// The inverse of [`split`].
+#[inline]
+fn join(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | (u64::from(hi) << 32)
+}
+
+/// The low `bits` bits of `word`.
+#[inline]
+fn low(word: u32, bits: u32) -> u32 {
+    word & ((1 << bits) - 1)
+}
+
+/// One logged packet milestone, packed into five 32-bit words, 20 bytes
+/// (layout in the module docs). Build with [`PacketRecord::new`], read
+/// through the accessors.
+#[derive(Clone, Copy)]
+pub struct PacketRecord {
+    /// Time (ns), low 32 bits.
+    time_lo: u32,
+    /// Time bits 32–47 in the low 16 bits, link id + 1 (0 = agent) in the
+    /// high 16.
+    time_hi_place: u32,
+    /// Uid, low 32 bits.
+    uid_lo: u32,
+    /// Uid bits 32–39 in the low 8 bits, drop / mark queue depth in the
+    /// high 24.
+    uid_hi_depth: u32,
+    /// Flow id in the low 24 bits, then the 3-bit kind code, then the 5-bit
+    /// reason code.
+    flow_kind: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PacketRecord>() == 20);
 
 impl PacketRecord {
     /// Packs one milestone. `link` is `None` for delivery to an agent.
     ///
     /// # Panics
     ///
-    /// If `uid` ≥ 2^40, a drop or mark depth ≥ 2^24, or a link id
-    /// ≥ 2^24 − 1.
-    // simlint: hot-path — once per logged packet milestone
+    /// If `time` ≥ 2^48 ns (≈ 78 h), `uid` ≥ 2^40, the flow id ≥ 2^24, a
+    /// drop or mark depth ≥ 2^24, or a link id ≥ 2^16 − 1.
+    // simlint: hot-path — once per stored packet milestone
     #[inline]
     pub fn new(
         time: SimTime,
@@ -120,39 +160,53 @@ impl PacketRecord {
             PacketEvent::Delivered => (DELIVERED, 0, 0),
             PacketEvent::Marked { reason, depth } => (MARKED, reason.code(), depth),
         };
-        assert!(uid <= UID_MASK, "packet uid {uid} does not fit in 40 bits");
+        let nanos = time.as_nanos();
+        assert!(
+            nanos < TIME_LIMIT,
+            "time {nanos} ns does not fit in 48 bits"
+        );
+        assert!(uid < UID_LIMIT, "packet uid {uid} does not fit in 40 bits");
+        assert!(
+            flow.0 < FLOW_LIMIT,
+            "flow id {} does not fit in 24 bits",
+            flow.0
+        );
         assert!(
             depth < DEPTH_LIMIT,
             "queue depth {depth} does not fit in 24 bits"
         );
         let place = match link {
             Some(l) => {
-                assert!(l.0 < PLACE_MASK, "link id {} does not fit in 24 bits", l.0);
+                assert!(l.0 < LINK_LIMIT, "link id {} does not fit in 16 bits", l.0);
                 l.0 + 1
             }
             None => 0,
         };
+        let (time_lo, time_hi) = split(nanos);
+        let (uid_lo, uid_hi) = split(uid);
         PacketRecord {
-            time,
-            uid_depth: uid | (u64::from(depth) << UID_BITS),
-            flow,
-            place_kind: place | (kind << PLACE_BITS) | (u32::from(reason) << REASON_SHIFT),
+            time_lo,
+            time_hi_place: time_hi | (place << TIME_HI_BITS),
+            uid_lo,
+            uid_hi_depth: uid_hi | (depth << UID_HI_BITS),
+            flow_kind: flow.0 | (kind << FLOW_BITS) | (u32::from(reason) << REASON_SHIFT),
         }
     }
 
     /// When it happened.
     pub fn time(&self) -> SimTime {
-        self.time
+        let hi = low(self.time_hi_place, TIME_HI_BITS);
+        SimTime::from_nanos(join(self.time_lo, hi))
     }
 
     /// Packet uid.
     pub fn uid(&self) -> u64 {
-        self.uid_depth & UID_MASK
+        join(self.uid_lo, low(self.uid_hi_depth, UID_HI_BITS))
     }
 
     /// Flow the packet belongs to.
     pub fn flow(&self) -> FlowId {
-        self.flow
+        FlowId(low(self.flow_kind, FLOW_BITS))
     }
 
     /// The link involved (`None` for agent delivery).
@@ -171,10 +225,9 @@ impl PacketRecord {
 
     /// The event.
     pub fn event(&self) -> PacketEvent {
-        // The shift leaves 24 bits, so the conversion is exact.
-        let depth = u32::try_from(self.uid_depth >> UID_BITS).unwrap_or(u32::MAX);
+        let depth = self.uid_hi_depth >> UID_HI_BITS;
         // `ALL` lists each reason enum in code order.
-        let reason = (self.place_kind >> REASON_SHIFT) as usize;
+        let reason = (self.flow_kind >> REASON_SHIFT) as usize;
         match self.kind_code() {
             QUEUED => PacketEvent::Queued,
             DROPPED => PacketEvent::Dropped {
@@ -193,12 +246,12 @@ impl PacketRecord {
 
     /// Link id + 1, or 0 for an agent: the link code the digest folds.
     fn place_code(&self) -> u32 {
-        self.place_kind & PLACE_MASK
+        self.time_hi_place >> TIME_HI_BITS
     }
 
     /// The event kind code the digest folds.
     fn kind_code(&self) -> u32 {
-        (self.place_kind >> PLACE_BITS) & KIND_MASK
+        (self.flow_kind >> FLOW_BITS) & KIND_MASK
     }
 }
 
@@ -206,9 +259,9 @@ impl PacketRecord {
 impl fmt::Debug for PacketRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PacketRecord")
-            .field("time", &self.time)
+            .field("time", &self.time())
             .field("uid", &self.uid())
-            .field("flow", &self.flow)
+            .field("flow", &self.flow())
             .field("link", &self.link())
             .field("event", &self.event())
             .finish()
@@ -241,9 +294,9 @@ impl PacketLog {
     #[inline]
     fn fold(&mut self, rec: &PacketRecord) {
         let mut h = self.hash;
-        h.u64(rec.time.as_nanos());
+        h.u64(rec.time().as_nanos());
         h.u64(rec.uid());
-        h.u64(u64::from(rec.flow.0));
+        h.u64(u64::from(rec.flow().0));
         h.u64(u64::from(rec.place_code()));
         // Drop and mark metadata is excluded from the digest; the mark
         // code 5 only appears in ECN-on runs.
@@ -252,10 +305,18 @@ impl PacketLog {
     }
 
     /// Appends a record (counts instead of storing once full).
+    pub fn push(&mut self, rec: PacketRecord) {
+        self.push_with(|| rec);
+    }
+
+    /// Appends the record `pack` builds, or, once the log is full, counts
+    /// the event without calling `pack`: a full log packs nothing, so an
+    /// event it would drop never trips [`PacketRecord::new`]'s limits.
     // simlint: hot-path — once per logged packet milestone
     #[inline]
-    pub fn push(&mut self, rec: PacketRecord) {
+    pub fn push_with(&mut self, pack: impl FnOnce() -> PacketRecord) {
         if self.records.len() < self.capacity {
+            let rec = pack();
             self.fold(&rec);
             self.records.push(rec);
         } else {
@@ -284,7 +345,7 @@ impl PacketLog {
     /// Iterates over the records for one flow, in time order, without
     /// allocating.
     pub fn iter_flow(&self, flow: FlowId) -> impl Iterator<Item = &PacketRecord> + '_ {
-        self.records.iter().filter(move |r| r.flow == flow)
+        self.records.iter().filter(move |r| r.flow() == flow)
     }
 
     /// Records for one packet uid, in order (thin `Vec` wrapper over
@@ -338,10 +399,10 @@ impl PacketLog {
             };
             out.push_str(&format!(
                 "{:.9} {} {} f{} p{}",
-                r.time.as_secs_f64(),
+                r.time().as_secs_f64(),
                 code,
                 place,
-                r.flow.0,
+                r.flow().0,
                 r.uid()
             ));
             if let PacketEvent::Dropped { reason, depth } = event {
@@ -408,27 +469,36 @@ mod tests {
             link: Option<LinkId>,
             event: PacketEvent,
         }
-        let times = [SimTime::ZERO, SimTime::from_nanos(u64::MAX)];
-        let links = [None, Some(LinkId(0)), Some(LinkId(PLACE_MASK - 1))];
+        // Zero, a value with bits in both halves of a split field, and the
+        // largest value that fits.
+        let times = [0, 0xABCD_1234_5678, TIME_LIMIT - 1].map(SimTime::from_nanos);
+        let uids = [0, 0x9A_1234_5678, UID_LIMIT - 1];
+        let flows = [0, 0x12_3456, FLOW_LIMIT - 1].map(FlowId);
+        let links = [None, Some(LinkId(0)), Some(LinkId(LINK_LIMIT - 1))];
+        let check = |time, uid, flow, link, event: PacketEvent| {
+            let r = super::PacketRecord::new(time, uid, flow, link, event);
+            assert_eq!(
+                (r.time(), r.uid(), r.flow(), r.link(), r.event()),
+                (time, uid, flow, link, event)
+            );
+            assert_eq!(r.is_drop(), event.is_drop());
+            let old = PacketRecord {
+                time,
+                uid,
+                flow,
+                link,
+                event,
+            };
+            assert_eq!(format!("{r:?}"), format!("{old:?}"));
+            assert_eq!(format!("{r:#?}"), format!("{old:#?}"));
+        };
         for event in every_event() {
-            for uid in [0, (1 << 40) - 1] {
-                for link in links {
-                    for (time, flow) in times.into_iter().zip([FlowId(0), FlowId(u32::MAX)]) {
-                        let r = super::PacketRecord::new(time, uid, flow, link, event);
-                        assert_eq!(
-                            (r.time(), r.uid(), r.flow(), r.link(), r.event()),
-                            (time, uid, flow, link, event)
-                        );
-                        assert_eq!(r.is_drop(), event.is_drop());
-                        let old = PacketRecord {
-                            time,
-                            uid,
-                            flow,
-                            link,
-                            event,
-                        };
-                        assert_eq!(format!("{r:?}"), format!("{old:?}"));
-                        assert_eq!(format!("{r:#?}"), format!("{old:#?}"));
+            for time in times {
+                for uid in uids {
+                    for flow in flows {
+                        for link in links {
+                            check(time, uid, flow, link, event);
+                        }
                     }
                 }
             }
@@ -436,9 +506,33 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "time 281474976710656 ns does not fit")]
+    fn time_beyond_48_bits_panics() {
+        PacketRecord::new(
+            SimTime::from_nanos(TIME_LIMIT),
+            1,
+            FlowId(0),
+            None,
+            PacketEvent::Queued,
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "packet uid 1099511627776 does not fit")]
     fn uid_beyond_40_bits_panics() {
         rec(1, 1 << 40, PacketEvent::Queued);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow id 16777216 does not fit")]
+    fn flow_beyond_24_bits_panics() {
+        PacketRecord::new(
+            SimTime::ZERO,
+            1,
+            FlowId(FLOW_LIMIT),
+            None,
+            PacketEvent::Queued,
+        );
     }
 
     #[test]
@@ -452,15 +546,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "link id 16777215 does not fit")]
+    #[should_panic(expected = "link id 65535 does not fit")]
     fn link_id_without_a_code_panics() {
         PacketRecord::new(
             SimTime::ZERO,
             1,
             FlowId(0),
-            Some(LinkId(PLACE_MASK)),
+            Some(LinkId(LINK_LIMIT)),
             PacketEvent::Queued,
         );
+    }
+
+    #[test]
+    fn full_log_counts_without_packing() {
+        let mut log = PacketLog::new(1);
+        log.push(rec(1, 1, PacketEvent::Queued));
+        let digest = log.digest();
+        // Every field is beyond its limit: packing this record would panic.
+        log.push_with(|| {
+            PacketRecord::new(
+                SimTime::from_nanos(u64::MAX),
+                u64::MAX,
+                FlowId(u32::MAX),
+                Some(LinkId(u32::MAX)),
+                PacketEvent::Queued,
+            )
+        });
+        assert_eq!(log.overflowed, 1);
+        assert_eq!(log.records().len(), 1);
+        assert_eq!(log.digest(), digest);
     }
 
     #[test]

@@ -491,7 +491,8 @@ impl Kernel {
             return;
         }
         if let Some(log) = &mut self.packet_log {
-            log.push(PacketRecord::new(self.now, uid, flow, link, event));
+            let now = self.now;
+            log.push_with(|| PacketRecord::new(now, uid, flow, link, event));
         }
     }
 

@@ -1,14 +1,17 @@
-//! Integration: a traced run's packet log costs 24 heap bytes per record.
+//! Integration: a traced run's packet log costs 20 heap bytes per record.
 //!
 //! Every observed run (the `explain` entry, the fig03 trace) keeps one
-//! `PacketRecord` per packet milestone, and those records are nearly all of
-//! a traced run's memory. A counting allocator measures the heap the
-//! `TracedRun`'s records hold and the peak of the whole traced pipeline —
-//! build, warm-up, measurement, collection and the causal join — on a short
-//! `LongFlowScenario::quick` run whose log fills. Byte counts of a
-//! deterministic simulation repeat exactly, so the gate needs no RSS and no
-//! tolerance for noise. This file is its own test binary: its
-//! `#[global_allocator]` touches nothing else.
+//! `PacketRecord` per packet milestone, five 32-bit words, and those
+//! records are nearly all of a traced run's memory. A counting allocator
+//! measures the heap the `TracedRun`'s records hold and the peak of the
+//! whole traced pipeline — build, warm-up, measurement, collection and the
+//! causal join — on a short `LongFlowScenario::quick` run whose log fills:
+//! at most 20 B per stored record, and a peak of at most twice the records
+//! plus a fixed allowance. Byte counts of a deterministic simulation repeat
+//! exactly, so the gate needs no RSS and no tolerance for noise. Run it with
+//! `cargo test -q --release --test packet_log_memory -- --nocapture` to see
+//! the counts. This file is its own test binary: its `#[global_allocator]`
+//! touches nothing else.
 
 use buffersizing::explain;
 use buffersizing::prelude::*;
@@ -60,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Bytes one stored packet milestone may cost.
-const RECORD_BYTES: usize = 24;
+const RECORD_BYTES: usize = 20;
 
 /// Log capacity of the run: small enough that the run fills it, so the
 /// log's vector is exactly this long.
@@ -72,7 +75,7 @@ const LOG_CAPACITY: usize = 100_000;
 const ALLOWANCE: usize = 1 << 20;
 
 #[test]
-fn traced_run_costs_24_bytes_per_record() {
+fn traced_run_costs_20_bytes_per_record() {
     let mut sc = LongFlowScenario::quick(8, 10_000_000);
     sc.warmup = SimDuration::from_secs(2);
     sc.measure = SimDuration::from_secs(8);
@@ -90,8 +93,9 @@ fn traced_run_costs_24_bytes_per_record() {
     let held = before_drop - LIVE.load(Relaxed);
 
     println!(
-        "packet_log_memory: {len} records ({} overflowed), {held} bytes held \
+        "packet_log_memory: {len} records of {} B ({} overflowed), {held} bytes held \
          ({:.1} B/record), peak {peak} bytes ({:.1} B/record), {} causal events",
+        std::mem::size_of::<netsim::PacketRecord>(),
         tr.overflowed,
         held as f64 / len as f64,
         peak as f64 / len as f64,
