@@ -591,7 +591,7 @@ fn explain(_: &Executor, quick: bool) -> Artifact {
     assert_eq!(tr.overflowed, 0, "packet log overflowed; raise the capacity");
     // Exact reconciliation before narrating: every logged drop is in the
     // ledger and vice versa.
-    let drop_records = tr.records.iter().filter(|r| r.is_drop()).count() as u64;
+    let drop_records = tr.records.iter().map(|b| b.drops()).sum::<usize>() as u64;
     assert_eq!(drop_records, tr.ledger.total(), "packet log and drop ledger disagree");
 
     // One join feeds the narrative, the attribution counts and the JSONL.

@@ -17,7 +17,7 @@
 //! (DESIGN.md §9/§10).
 
 use crate::runner::TracedRun;
-use netsim::{DropReason, PacketEvent, PacketRecord};
+use netsim::{DropReason, PacketBlock, PacketEvent, PacketRecord};
 use simcore::SimTime;
 use std::collections::BTreeMap;
 use tcpsim::{SpanKind, SpanLog, SpanRecord};
@@ -57,15 +57,21 @@ struct FlowDrops {
     next: usize,
 }
 
-/// [`join`] over the two raw streams: one pass over `records` indexes the
-/// drops by flow, one pass over `spans` (merged-log order) hands each span
-/// the drops of its flow in `(previous span of the flow, this span]`.
-/// O(records + spans) time; the index holds drop records only, never the
-/// whole log.
-pub fn join_streams(records: &[PacketRecord], spans: &SpanLog) -> Vec<CausalEvent> {
+/// [`join`] over the two raw streams: one pass over the packet-log blocks
+/// that hold a drop indexes the drops by flow, one pass over `spans`
+/// (merged-log order) hands each span the drops of its flow in
+/// `(previous span of the flow, this span]`. A block without a drop is
+/// never decoded. O(records of drop-holding blocks + spans) time; the
+/// index holds drop records only, never the whole log.
+pub fn join_streams(blocks: &[PacketBlock], spans: &SpanLog) -> Vec<CausalEvent> {
     let mut by_flow: BTreeMap<u32, FlowDrops> = BTreeMap::new();
-    for r in records.iter().filter(|r| r.is_drop()) {
-        by_flow.entry(r.flow().0).or_default().drops.push(*r);
+    let drops = blocks
+        .iter()
+        .filter(|b| b.drops() > 0)
+        .flat_map(PacketBlock::iter)
+        .filter(PacketRecord::is_drop);
+    for r in drops {
+        by_flow.entry(r.flow().0).or_default().drops.push(r);
     }
     let mut events = Vec::with_capacity(spans.len());
     for span in spans.iter() {
@@ -248,7 +254,8 @@ pub fn loss_spans_attributed(events: &[CausalEvent]) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::runner::LongFlowScenario;
-    use netsim::{FlowId, LinkId};
+    use netsim::eventlog::{decode, BLOCK_RECORDS};
+    use netsim::{FlowId, LinkId, PacketLog};
     use simcore::SimDuration;
 
     /// The join as first written: one filtered copy of the whole packet
@@ -300,6 +307,15 @@ mod tests {
         record(t_ms, uid, flow, event)
     }
 
+    /// `records` as a packet log stores them.
+    fn blocks(records: &[PacketRecord]) -> Vec<PacketBlock> {
+        let mut log = PacketLog::new(records.len());
+        for &r in records {
+            log.push(r);
+        }
+        log.into_records()
+    }
+
     fn span_log(spans: &[(u64, u32)]) -> SpanLog {
         let mut log = SpanLog::new(64);
         for &(t_ms, flow) in spans {
@@ -334,14 +350,42 @@ mod tests {
         // Flow 2 has a span and no drop at all; flow 1's first span comes
         // before its drop; flow 0 has two spans at one instant.
         let spans = span_log(&[(5, 1), (30, 0), (30, 0), (35, 2), (50, 0), (50, 1)]);
-        let events = join_streams(&records, &spans);
+        let events = join_streams(&blocks(&records), &spans);
         assert_eq!(
             drop_uids(&events),
             vec![vec![], vec![2, 5], vec![], vec![], vec![6], vec![7]]
         );
         assert_eq!(drop_uids(&events), drop_uids(&join_reference(&records, &spans)));
         assert!(join_streams(&[], &spans).iter().all(|e| e.drops.is_empty()));
-        assert!(join_streams(&records, &span_log(&[])).is_empty());
+        assert!(join_streams(&blocks(&records), &span_log(&[])).is_empty());
+    }
+
+    #[test]
+    fn join_finds_drops_that_sit_in_one_block_of_several() {
+        // Three full blocks and a partial one; every drop is in the third.
+        let n = 3 * BLOCK_RECORDS + 10;
+        let drops = 2 * BLOCK_RECORDS..2 * BLOCK_RECORDS + 40;
+        let flows = [0, 1, 2, 3].into_iter().cycle();
+        let records: Vec<PacketRecord> = (0..n)
+            .zip(0u64..)
+            .zip(flows)
+            .map(|((i, t), flow)| {
+                if drops.contains(&i) {
+                    dropped(t, t, flow)
+                } else {
+                    record(t, t, flow, PacketEvent::Queued)
+                }
+            })
+            .collect();
+        let blocks = blocks(&records);
+        let per_block: Vec<usize> = blocks.iter().map(PacketBlock::drops).collect();
+        assert_eq!(per_block, [0, 0, 40, 0]);
+        let t = n as u64;
+        let spans = span_log(&[(0, 0), (t, 0), (t, 1), (t, 2), (t, 3), (t, 5)]);
+        let events = join_streams(&blocks, &spans);
+        assert_eq!(events.iter().map(|e| e.drops.len()).sum::<usize>(), 40);
+        let reference = join_reference(&records, &spans);
+        assert_eq!(drop_uids(&events), drop_uids(&reference));
     }
 
     #[test]
@@ -349,7 +393,8 @@ mod tests {
         let tr = traced();
         assert!(tr.ledger.total() > 50, "scenario must be drop-heavy");
         let fast = join(&tr);
-        let slow = join_reference(&tr.records, &tr.spans);
+        let records: Vec<PacketRecord> = decode(&tr.records).collect();
+        let slow = join_reference(&records, &tr.spans);
         assert_eq!(drop_uids(&fast), drop_uids(&slow));
         assert_eq!(to_jsonl_from(&fast), to_jsonl_from(&slow));
         assert_eq!(narrative_from(&tr, &fast), narrative_from(&tr, &slow));

@@ -19,7 +19,7 @@
 use netsim::red::RedConfig;
 use netsim::{
     DropLedger, DropTail, Dumbbell, DumbbellBuilder, EcnMode, ForensicsConfig, LinkId, LinkMonitor,
-    PacketRecord, QueueCapacity, Red, Sim, TelemetryConfig,
+    PacketBlock, QueueCapacity, Red, Sim, TelemetryConfig,
 };
 use simcore::{Profile, Rng, SchedulerKind, SimDuration, SimTime};
 use stats::FctCollector;
@@ -473,7 +473,8 @@ impl LongFlowScenario {
 
     /// Reduces a measured run of a [`LongFlowScenario::traced`] scenario
     /// whose packet log was enabled to a [`TracedRun`]. The simulation is
-    /// finished, so the records are moved out of the log, not copied.
+    /// finished, so the encoded blocks are moved out of the log, not
+    /// copied.
     pub fn collect_traced(&self, run: &mut Run) -> TracedRun {
         let result = self.collect(run);
         let spans = merged_spans(run);
@@ -520,9 +521,11 @@ fn merged_spans(run: &Run) -> SpanLog {
 pub struct TracedRun {
     /// The ordinary scenario result (observability digest fields set).
     pub result: LongFlowResult,
-    /// Stored packet records, in time order (bounded by the requested
-    /// capacity; check [`TracedRun::overflowed`]).
-    pub records: Vec<PacketRecord>,
+    /// Stored packet records, encoded in blocks, in time order (bounded by
+    /// the requested capacity; check [`TracedRun::overflowed`]). Decode
+    /// with [`netsim::eventlog::decode`]; a block counts its drops
+    /// ([`PacketBlock::drops`]) without decoding.
+    pub records: Vec<PacketBlock>,
     /// Packet-log events that arrived after the log filled.
     pub overflowed: u64,
     /// FNV-1a digest of the stored packet log.
@@ -835,6 +838,7 @@ pub struct MixResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::eventlog::decode;
 
     #[test]
     fn quick_long_flow_scenario_runs() {
@@ -976,7 +980,7 @@ mod tests {
         // Nothing was lost, and the packet log's drop records reconcile
         // exactly with the forensics ledger.
         assert_eq!(tr.overflowed, 0, "packet log overflowed");
-        let drop_records = tr.records.iter().filter(|r| r.is_drop()).count() as u64;
+        let drop_records = tr.records.iter().map(PacketBlock::drops).sum::<usize>() as u64;
         assert!(drop_records > 0, "scenario produced no drops");
         assert_eq!(drop_records, tr.ledger.total());
         assert_eq!(tr.ledger.link_total(tr.bottleneck), tr.ledger.total());
@@ -1005,15 +1009,15 @@ mod tests {
             run.warm_up(sc.warmup);
             run.measure(sc.measure);
             let log = run.sim.kernel().packet_log().expect("packet log enabled");
-            let uids = log.records().iter().map(|r| r.uid()).collect();
+            let uids = log.iter().map(|r| r.uid()).collect();
             (uids, log.overflowed, log.digest())
         };
         // Roomy, and small enough to overflow.
         for capacity in [300_000, 1_000] {
             let (uids, overflowed, digest) = by_hand(capacity);
             let tr = sc.run_traced(capacity);
-            assert_eq!(tr.records.len(), uids.len());
-            assert!(tr.records.iter().map(|r| r.uid()).eq(uids.iter().copied()));
+            let logged = decode(&tr.records).map(|r| r.uid());
+            assert!(logged.eq(uids.iter().copied()));
             assert_eq!(tr.overflowed, overflowed);
             assert_eq!(tr.packet_digest, digest);
             assert_eq!(overflowed > 0, capacity == 1_000);

@@ -6,32 +6,30 @@
 //! full, further events are counted but not stored (never silently
 //! truncated — check [`PacketLog::overflowed`]).
 //!
-//! A traced run stores millions of records, so a record is packed into five
-//! 32-bit words, 20 bytes (a compile-time assert pins the size):
+//! A traced run stores millions of records, so the log keeps them encoded,
+//! in [`PacketBlock`]s of up to [`BLOCK_RECORDS`] consecutive records. A
+//! record is a run of LEB128 varints:
 //!
-//! | word | bits | holds |
-//! |---|---|---|
-//! | 0 | 0–31 | time (ns), low 32 bits |
-//! | 1 | 0–15 | time, bits 32–47 (time < 2^48 ns, ≈ 78 h) |
-//! | 1 | 16–31 | link id + 1 (link id < 2^16 − 1); 0 = delivered to an agent |
-//! | 2 | 0–31 | packet uid, low 32 bits |
-//! | 3 | 0–7 | uid, bits 32–39 (uid < 2^40) |
-//! | 3 | 8–31 | queue depth of a drop or mark (< 2^24; 0 otherwise) |
-//! | 4 | 0–23 | flow id (< 2^24) |
-//! | 4 | 24–26 | event kind: 1 queued, 2 dropped, 3 transmitted, 4 delivered, 5 marked |
-//! | 4 | 27–31 | drop / mark reason code (0 otherwise) |
+//! 1. `kind | (link id + 1) << 3`: kind 1 queued, 2 dropped, 3 transmitted,
+//!    4 delivered, 5 marked; a link id + 1 of 0 is delivery to an agent;
+//! 2. time − the previous record's time (ns);
+//! 3. zigzag(uid − the previous record's uid);
+//! 4. the flow id;
+//! 5. drops and marks only: the reason code (one byte), then the queue
+//!    depth.
 //!
-//! [`PacketRecord::new`] asserts the limits; the accessors decode. Every
-//! field decodes to the value the digest folds, so packing changes no
-//! digest. The log packs only what it stores
-//! ([`PacketLog::push_with`]): once full, it counts events without packing
-//! them, so a long run past its log's capacity never trips a limit.
+//! The previous time and uid are 0 at a block's start, so every block
+//! decodes on its own ([`PacketBlock::iter`], [`decode`]). Differences wrap,
+//! so every `u64` round-trips in any order: the codec has no limits. Records
+//! arrive in time order and neighbours differ by little, so a traced run's
+//! record averages about 6 bytes. The digest folds the fields as they
+//! arrive, before they are encoded, so the encoding changes no digest.
 
 use crate::forensics::{DropReason, MarkReason};
 use crate::packet::FlowId;
 use crate::sim::LinkId;
 use simcore::{Fnv1a, SimTime};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// What happened to the packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,84 +65,36 @@ impl PacketEvent {
     }
 }
 
-/// Bits of word 1 that hold the time's bits 32–47; the link code takes the
-/// rest.
-const TIME_HI_BITS: u32 = 16;
-/// Times (ns) must stay below this.
-const TIME_LIMIT: u64 = 1 << (32 + TIME_HI_BITS);
-/// Link ids must stay below this, so that link id + 1 fits its 16 bits.
-const LINK_LIMIT: u32 = (1 << (32 - TIME_HI_BITS)) - 1;
-/// Bits of word 3 that hold the uid's bits 32–39; the depth takes the rest.
-const UID_HI_BITS: u32 = 8;
-/// Uids must stay below this.
-const UID_LIMIT: u64 = 1 << (32 + UID_HI_BITS);
-/// Depths must stay below this.
-const DEPTH_LIMIT: u32 = 1 << (32 - UID_HI_BITS);
-/// Bits of word 4 that hold the flow id; the kind and reason take the rest.
-const FLOW_BITS: u32 = 24;
-/// Flow ids must stay below this.
-const FLOW_LIMIT: u32 = 1 << FLOW_BITS;
-const KIND_MASK: u32 = 0b111;
-const REASON_SHIFT: u32 = FLOW_BITS + 3;
-
 // Event kind codes, as the digest folds them: never renumber.
-const QUEUED: u32 = 1;
-const DROPPED: u32 = 2;
-const TRANSMITTED: u32 = 3;
-const DELIVERED: u32 = 4;
-const MARKED: u32 = 5;
+const QUEUED: u64 = 1;
+const DROPPED: u64 = 2;
+const TRANSMITTED: u64 = 3;
+const DELIVERED: u64 = 4;
+const MARKED: u64 = 5;
+/// Bits of a record's first varint that hold the kind code.
+const KIND_BITS: u32 = 3;
 
-/// Splits `v` into its low 32 bits and the bits above them.
-#[inline]
-fn split(v: u64) -> (u32, u32) {
-    // Masked to 32 bits, and shifted by 32: both halves convert exactly.
-    let lo = u32::try_from(v & u64::from(u32::MAX)).unwrap_or(u32::MAX);
-    let hi = u32::try_from(v >> 32).unwrap_or(u32::MAX);
-    (lo, hi)
-}
+/// Records per [`PacketBlock`]; the last block of a log may hold fewer.
+pub const BLOCK_RECORDS: usize = 4096;
 
-/// The inverse of [`split`].
-#[inline]
-fn join(lo: u32, hi: u32) -> u64 {
-    u64::from(lo) | (u64::from(hi) << 32)
-}
+/// Bytes of the longest record: the kind and link (≤ 5), the time and uid
+/// differences (≤ 10 each), the flow (≤ 5), the reason (1) and the depth
+/// (≤ 5).
+const MAX_RECORD_BYTES: usize = 36;
 
-/// The low `bits` bits of `word`.
-#[inline]
-fn low(word: u32, bits: u32) -> u32 {
-    word & ((1 << bits) - 1)
-}
-
-/// One logged packet milestone, packed into five 32-bit words, 20 bytes
-/// (layout in the module docs). Build with [`PacketRecord::new`], read
-/// through the accessors.
-#[derive(Clone, Copy)]
+/// One logged packet milestone, decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketRecord {
-    /// Time (ns), low 32 bits.
-    time_lo: u32,
-    /// Time bits 32–47 in the low 16 bits, link id + 1 (0 = agent) in the
-    /// high 16.
-    time_hi_place: u32,
-    /// Uid, low 32 bits.
-    uid_lo: u32,
-    /// Uid bits 32–39 in the low 8 bits, drop / mark queue depth in the
-    /// high 24.
-    uid_hi_depth: u32,
-    /// Flow id in the low 24 bits, then the 3-bit kind code, then the 5-bit
-    /// reason code.
-    flow_kind: u32,
+    time: SimTime,
+    uid: u64,
+    flow: FlowId,
+    link: Option<LinkId>,
+    event: PacketEvent,
 }
-
-const _: () = assert!(std::mem::size_of::<PacketRecord>() == 20);
 
 impl PacketRecord {
-    /// Packs one milestone. `link` is `None` for delivery to an agent.
-    ///
-    /// # Panics
-    ///
-    /// If `time` ≥ 2^48 ns (≈ 78 h), `uid` ≥ 2^40, the flow id ≥ 2^24, a
-    /// drop or mark depth ≥ 2^24, or a link id ≥ 2^16 − 1.
-    // simlint: hot-path — once per stored packet milestone
+    /// One milestone. `link` is `None` for delivery to an agent.
+    // simlint: hot-path — once per logged packet milestone
     #[inline]
     pub fn new(
         time: SimTime,
@@ -153,127 +103,275 @@ impl PacketRecord {
         link: Option<LinkId>,
         event: PacketEvent,
     ) -> Self {
-        let (kind, reason, depth) = match event {
-            PacketEvent::Queued => (QUEUED, 0, 0),
-            PacketEvent::Dropped { reason, depth } => (DROPPED, reason.code(), depth),
-            PacketEvent::Transmitted => (TRANSMITTED, 0, 0),
-            PacketEvent::Delivered => (DELIVERED, 0, 0),
-            PacketEvent::Marked { reason, depth } => (MARKED, reason.code(), depth),
-        };
-        let nanos = time.as_nanos();
-        assert!(
-            nanos < TIME_LIMIT,
-            "time {nanos} ns does not fit in 48 bits"
-        );
-        assert!(uid < UID_LIMIT, "packet uid {uid} does not fit in 40 bits");
-        assert!(
-            flow.0 < FLOW_LIMIT,
-            "flow id {} does not fit in 24 bits",
-            flow.0
-        );
-        assert!(
-            depth < DEPTH_LIMIT,
-            "queue depth {depth} does not fit in 24 bits"
-        );
-        let place = match link {
-            Some(l) => {
-                assert!(l.0 < LINK_LIMIT, "link id {} does not fit in 16 bits", l.0);
-                l.0 + 1
-            }
-            None => 0,
-        };
-        let (time_lo, time_hi) = split(nanos);
-        let (uid_lo, uid_hi) = split(uid);
         PacketRecord {
-            time_lo,
-            time_hi_place: time_hi | (place << TIME_HI_BITS),
-            uid_lo,
-            uid_hi_depth: uid_hi | (depth << UID_HI_BITS),
-            flow_kind: flow.0 | (kind << FLOW_BITS) | (u32::from(reason) << REASON_SHIFT),
+            time,
+            uid,
+            flow,
+            link,
+            event,
         }
     }
 
     /// When it happened.
     pub fn time(&self) -> SimTime {
-        let hi = low(self.time_hi_place, TIME_HI_BITS);
-        SimTime::from_nanos(join(self.time_lo, hi))
+        self.time
     }
 
     /// Packet uid.
     pub fn uid(&self) -> u64 {
-        join(self.uid_lo, low(self.uid_hi_depth, UID_HI_BITS))
+        self.uid
     }
 
     /// Flow the packet belongs to.
     pub fn flow(&self) -> FlowId {
-        FlowId(low(self.flow_kind, FLOW_BITS))
+        self.flow
     }
 
     /// The link involved (`None` for agent delivery).
     pub fn link(&self) -> Option<LinkId> {
-        match self.place_code() {
-            0 => None,
-            p => Some(LinkId(p - 1)),
-        }
+        self.link
     }
 
-    /// True for any drop, regardless of reason — read off the kind code,
-    /// without decoding the event.
+    /// True for any drop, regardless of reason.
     pub fn is_drop(&self) -> bool {
-        self.kind_code() == DROPPED
+        self.event.is_drop()
     }
 
     /// The event.
     pub fn event(&self) -> PacketEvent {
-        let depth = self.uid_hi_depth >> UID_HI_BITS;
-        // `ALL` lists each reason enum in code order.
-        let reason = (self.flow_kind >> REASON_SHIFT) as usize;
-        match self.kind_code() {
-            QUEUED => PacketEvent::Queued,
-            DROPPED => PacketEvent::Dropped {
-                reason: DropReason::ALL[reason],
-                depth,
-            },
-            TRANSMITTED => PacketEvent::Transmitted,
-            MARKED => PacketEvent::Marked {
-                reason: MarkReason::ALL[reason],
-                depth,
-            },
-            // `new` writes no code but the five above.
-            _ => PacketEvent::Delivered,
+        self.event
+    }
+
+    /// Appends the record's [`PacketLog::render`] line to `out`.
+    fn render_line(&self, out: &mut String) -> fmt::Result {
+        let code = match self.event {
+            PacketEvent::Queued => '+',
+            PacketEvent::Dropped { .. } => 'd',
+            PacketEvent::Transmitted => '-',
+            PacketEvent::Delivered => 'r',
+            PacketEvent::Marked { .. } => 'm',
+        };
+        write!(out, "{:.9} {code} ", self.time.as_secs_f64())?;
+        match self.link {
+            Some(l) => write!(out, "link{}", l.0)?,
+            None => out.push_str("agent"),
         }
+        write!(out, " f{} p{}", self.flow.0, self.uid)?;
+        match self.event {
+            PacketEvent::Dropped { reason, depth } => write!(out, " {} q={depth}", reason.name())?,
+            PacketEvent::Marked { reason, depth } => write!(out, " {} q={depth}", reason.name())?,
+            _ => {}
+        }
+        out.push('\n');
+        Ok(())
     }
 
     /// Link id + 1, or 0 for an agent: the link code the digest folds.
-    fn place_code(&self) -> u32 {
-        self.time_hi_place >> TIME_HI_BITS
+    #[inline]
+    fn place_code(&self) -> u64 {
+        self.link.map_or(0, |l| u64::from(l.0) + 1)
     }
 
-    /// The event kind code the digest folds.
-    fn kind_code(&self) -> u32 {
-        (self.flow_kind >> FLOW_BITS) & KIND_MASK
-    }
-}
-
-/// Prints the decoded fields, as a `#[derive(Debug)]` over them would.
-impl fmt::Debug for PacketRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PacketRecord")
-            .field("time", &self.time())
-            .field("uid", &self.uid())
-            .field("flow", &self.flow())
-            .field("link", &self.link())
-            .field("event", &self.event())
-            .finish()
+    /// The event kind code the digest folds, and the reason code and depth
+    /// of a drop or mark.
+    #[inline]
+    fn codes(&self) -> (u64, Option<(u8, u32)>) {
+        match self.event {
+            PacketEvent::Queued => (QUEUED, None),
+            PacketEvent::Dropped { reason, depth } => (DROPPED, Some((reason.code(), depth))),
+            PacketEvent::Transmitted => (TRANSMITTED, None),
+            PacketEvent::Delivered => (DELIVERED, None),
+            PacketEvent::Marked { reason, depth } => (MARKED, Some((reason.code(), depth))),
+        }
     }
 }
 
-/// A bounded in-memory packet log: records are kept for queries and
-/// rendering, and folded into a running digest as they arrive.
+/// A small stack buffer one record is encoded into before it is appended
+/// to its block in one copy.
+struct RecordBytes {
+    buf: [u8; MAX_RECORD_BYTES],
+    len: usize,
+}
+
+impl RecordBytes {
+    /// Appends `v` as a LEB128 varint: seven bits per byte, low bits first,
+    /// the high bit set on every byte but the last.
+    #[inline]
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf[self.len] = v.to_le_bytes()[0] | 0x80;
+            self.len += 1;
+            v >>= 7;
+        }
+        self.buf[self.len] = v.to_le_bytes()[0];
+        self.len += 1;
+    }
+
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+/// Maps a signed difference to an unsigned one small in magnitude either
+/// way: 0, −1, 1, −2, … become 0, 1, 2, 3, …
+#[inline]
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ (d.cast_signed() >> 63).cast_unsigned()
+}
+
+/// The inverse of [`zigzag`].
+#[inline]
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Up to [`BLOCK_RECORDS`] consecutive records, encoded (format in the
+/// module docs). Read with [`PacketBlock::iter`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PacketBlock {
+    bytes: Vec<u8>,
+    len: usize,
+    drops: usize,
+}
+
+impl PacketBlock {
+    /// Records in the block.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the block holds no record (a log never stores one).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Drop records in the block, counted without decoding it.
+    pub fn drops(&self) -> usize {
+        self.drops
+    }
+
+    /// Decodes the block's records, in log order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PacketRecord> + '_ {
+        Decoder {
+            bytes: &self.bytes,
+            at: 0,
+            left: self.len,
+            time: 0,
+            uid: 0,
+        }
+    }
+}
+
+/// Decodes the records of `blocks`, in log order.
+pub fn decode(blocks: &[PacketBlock]) -> impl Iterator<Item = PacketRecord> + '_ {
+    blocks.iter().flat_map(PacketBlock::iter)
+}
+
+/// The records of one [`PacketBlock`], decoded as they are read.
+struct Decoder<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    left: usize,
+    /// The previous record's time (ns) and uid.
+    time: u64,
+    uid: u64,
+}
+
+impl Decoder<'_> {
+    #[inline]
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes[self.at];
+        self.at += 1;
+        b
+    }
+
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        let mut v = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    /// A varint the encoder wrote from a `u32`.
+    #[inline]
+    fn varint32(&mut self) -> u32 {
+        u32::try_from(self.varint()).unwrap_or(u32::MAX)
+    }
+}
+
+impl Iterator for Decoder<'_> {
+    type Item = PacketRecord;
+
+    fn next(&mut self) -> Option<PacketRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let head = self.varint();
+        self.time = self.time.wrapping_add(self.varint());
+        self.uid = self.uid.wrapping_add(unzigzag(self.varint()));
+        let flow = FlowId(self.varint32());
+        let link = match head >> KIND_BITS {
+            0 => None,
+            // The encoder wrote a u32 link id + 1.
+            p => Some(LinkId(u32::try_from(p - 1).unwrap_or(u32::MAX))),
+        };
+        let event = match head & ((1 << KIND_BITS) - 1) {
+            QUEUED => PacketEvent::Queued,
+            DROPPED => PacketEvent::Dropped {
+                // `ALL` lists each reason enum in code order.
+                reason: DropReason::ALL[usize::from(self.byte())],
+                depth: self.varint32(),
+            },
+            TRANSMITTED => PacketEvent::Transmitted,
+            MARKED => PacketEvent::Marked {
+                reason: MarkReason::ALL[usize::from(self.byte())],
+                depth: self.varint32(),
+            },
+            // The encoder writes no code but the five above.
+            _ => PacketEvent::Delivered,
+        };
+        Some(PacketRecord {
+            time: SimTime::from_nanos(self.time),
+            uid: self.uid,
+            flow,
+            link,
+            event,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Decoder<'_> {}
+
+/// A bounded in-memory packet log: records are encoded into blocks as they
+/// arrive, and folded into a running digest.
 #[derive(Debug)]
 pub struct PacketLog {
-    records: Vec<PacketRecord>,
+    blocks: Vec<PacketBlock>,
+    /// Records stored.
+    len: usize,
     capacity: usize,
+    /// The last stored record's time (ns) and uid: what the next record of
+    /// the open block is encoded against.
+    prev_time: u64,
+    prev_uid: u64,
     /// Running FNV-1a over the stored records.
     hash: Fnv1a,
     /// Events that arrived after the log filled.
@@ -284,80 +382,95 @@ impl PacketLog {
     /// Creates a log holding at most `capacity` records.
     pub fn new(capacity: usize) -> Self {
         PacketLog {
-            records: Vec::with_capacity(capacity.min(1 << 20)),
+            blocks: Vec::new(),
+            len: 0,
             capacity,
+            prev_time: 0,
+            prev_uid: 0,
             hash: Fnv1a::new(),
             overflowed: 0,
         }
     }
 
-    #[inline]
-    fn fold(&mut self, rec: &PacketRecord) {
-        let mut h = self.hash;
-        h.u64(rec.time().as_nanos());
-        h.u64(rec.uid());
-        h.u64(u64::from(rec.flow().0));
-        h.u64(u64::from(rec.place_code()));
-        // Drop and mark metadata is excluded from the digest; the mark
-        // code 5 only appears in ECN-on runs.
-        h.u64(u64::from(rec.kind_code()));
-        self.hash = h;
-    }
-
-    /// Appends a record (counts instead of storing once full).
-    pub fn push(&mut self, rec: PacketRecord) {
-        self.push_with(|| rec);
-    }
-
-    /// Appends the record `pack` builds, or, once the log is full, counts
-    /// the event without calling `pack`: a full log packs nothing, so an
-    /// event it would drop never trips [`PacketRecord::new`]'s limits.
+    /// Appends a record: folds it into the digest and encodes it into the
+    /// open block, or starts a new block when that one is full. Once the
+    /// log is full it counts the event and encodes nothing.
     // simlint: hot-path — once per logged packet milestone
     #[inline]
-    pub fn push_with(&mut self, pack: impl FnOnce() -> PacketRecord) {
-        if self.records.len() < self.capacity {
-            let rec = pack();
-            self.fold(&rec);
-            self.records.push(rec);
-        } else {
+    pub fn push(&mut self, rec: PacketRecord) {
+        if self.len == self.capacity {
             self.overflowed += 1;
+            return;
+        }
+        let time = rec.time.as_nanos();
+        let place = rec.place_code();
+        let (kind, meta) = rec.codes();
+        let mut h = self.hash;
+        h.u64(time);
+        h.u64(rec.uid);
+        h.u64(u64::from(rec.flow.0));
+        h.u64(place);
+        // Drop and mark metadata is excluded from the digest; the mark
+        // code 5 only appears in ECN-on runs.
+        h.u64(kind);
+        self.hash = h;
+
+        if self.len.is_multiple_of(BLOCK_RECORDS) {
+            self.start_block();
+        }
+        let mut out = RecordBytes {
+            buf: [0; MAX_RECORD_BYTES],
+            len: 0,
+        };
+        out.varint(kind | place << KIND_BITS);
+        out.varint(time.wrapping_sub(self.prev_time));
+        out.varint(zigzag(rec.uid.wrapping_sub(self.prev_uid)));
+        out.varint(u64::from(rec.flow.0));
+        if let Some((reason, depth)) = meta {
+            out.byte(reason);
+            out.varint(u64::from(depth));
+        }
+        self.prev_time = time;
+        self.prev_uid = rec.uid;
+        self.len += 1;
+        if let Some(block) = self.blocks.last_mut() {
+            block.bytes.extend_from_slice(out.as_slice());
+            block.len += 1;
+            block.drops += usize::from(kind == DROPPED);
         }
     }
 
-    /// All stored records, in time order.
-    pub fn records(&self) -> &[PacketRecord] {
-        &self.records
+    /// Shrinks the finished block to fit and opens an empty one, encoded
+    /// against time and uid 0.
+    fn start_block(&mut self) {
+        self.shrink_last();
+        self.blocks.push(PacketBlock::default());
+        self.prev_time = 0;
+        self.prev_uid = 0;
     }
 
-    /// Consumes the log and returns its stored records without copying
-    /// them. Read [`PacketLog::overflowed`] and [`PacketLog::digest`]
-    /// first.
-    pub fn into_records(self) -> Vec<PacketRecord> {
-        self.records
+    fn shrink_last(&mut self) {
+        if let Some(last) = self.blocks.last_mut() {
+            last.bytes.shrink_to_fit();
+        }
     }
 
-    /// Iterates over the records for one packet uid, in time order, without
-    /// allocating.
-    pub fn iter_packet(&self, uid: u64) -> impl Iterator<Item = &PacketRecord> + '_ {
-        self.records.iter().filter(move |r| r.uid() == uid)
+    /// All stored records, encoded, in log (= time) order.
+    pub fn records(&self) -> &[PacketBlock] {
+        &self.blocks
     }
 
-    /// Iterates over the records for one flow, in time order, without
-    /// allocating.
-    pub fn iter_flow(&self, flow: FlowId) -> impl Iterator<Item = &PacketRecord> + '_ {
-        self.records.iter().filter(move |r| r.flow() == flow)
+    /// Consumes the log and returns its blocks without copying them, the
+    /// last one shrunk to fit. Read [`PacketLog::overflowed`] and
+    /// [`PacketLog::digest`] first.
+    pub fn into_records(mut self) -> Vec<PacketBlock> {
+        self.shrink_last();
+        self.blocks
     }
 
-    /// Records for one packet uid, in order (thin `Vec` wrapper over
-    /// [`PacketLog::iter_packet`] for callers that want ownership).
-    pub fn for_packet(&self, uid: u64) -> Vec<PacketRecord> {
-        self.iter_packet(uid).copied().collect()
-    }
-
-    /// Records for one flow, in order (thin `Vec` wrapper over
-    /// [`PacketLog::iter_flow`]).
-    pub fn for_flow(&self, flow: FlowId) -> Vec<PacketRecord> {
-        self.iter_flow(flow).copied().collect()
+    /// Decodes the stored records, in log (= time) order.
+    pub fn iter(&self) -> impl Iterator<Item = PacketRecord> + '_ {
+        decode(&self.blocks)
     }
 
     /// A 64-bit FNV-1a digest over every stored record (time, uid, flow,
@@ -373,7 +486,7 @@ impl PacketLog {
     /// forensics can never change it.
     pub fn digest(&self) -> u64 {
         let mut h = self.hash;
-        h.u64(self.records.len() as u64);
+        h.u64(self.len as u64);
         h.finish()
     }
 
@@ -384,34 +497,9 @@ impl PacketLog {
     /// `<reason> q=<depth>`.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for r in &self.records {
-            let event = r.event();
-            let code = match event {
-                PacketEvent::Queued => '+',
-                PacketEvent::Dropped { .. } => 'd',
-                PacketEvent::Transmitted => '-',
-                PacketEvent::Delivered => 'r',
-                PacketEvent::Marked { .. } => 'm',
-            };
-            let place = match r.link() {
-                Some(l) => format!("link{}", l.0),
-                None => "agent".to_string(),
-            };
-            out.push_str(&format!(
-                "{:.9} {} {} f{} p{}",
-                r.time().as_secs_f64(),
-                code,
-                place,
-                r.flow().0,
-                r.uid()
-            ));
-            if let PacketEvent::Dropped { reason, depth } = event {
-                out.push_str(&format!(" {} q={}", reason.name(), depth));
-            }
-            if let PacketEvent::Marked { reason, depth } = event {
-                out.push_str(&format!(" {} q={}", reason.name(), depth));
-            }
-            out.push('\n');
+        for r in self.iter() {
+            // Writing to a `String` cannot fail.
+            let _ = r.render_line(&mut out);
         }
         out
     }
@@ -438,6 +526,18 @@ mod tests {
         }
     }
 
+    fn log_of(records: &[PacketRecord]) -> PacketLog {
+        let mut log = PacketLog::new(usize::MAX);
+        for &r in records {
+            log.push(r);
+        }
+        log
+    }
+
+    fn decoded(log: &PacketLog) -> Vec<PacketRecord> {
+        log.iter().collect()
+    }
+
     /// Every event, with every reason at both ends of the depth range.
     fn every_event() -> Vec<PacketEvent> {
         let mut events = vec![
@@ -445,7 +545,7 @@ mod tests {
             PacketEvent::Transmitted,
             PacketEvent::Delivered,
         ];
-        for depth in [0, DEPTH_LIMIT - 1] {
+        for depth in [0, u32::MAX] {
             for reason in DropReason::ALL {
                 events.push(PacketEvent::Dropped { reason, depth });
             }
@@ -456,10 +556,116 @@ mod tests {
         events
     }
 
+    /// Every event at every edge value of every field, in an order whose
+    /// times and uids rise and fall by up to the whole `u64` range.
+    fn every_edge() -> Vec<PacketRecord> {
+        let edges = [0, 1, u64::MAX];
+        let links = [
+            None,
+            Some(LinkId(0)),
+            Some(LinkId(u32::MAX - 1)),
+            Some(LinkId(u32::MAX)),
+        ];
+        let mut records = Vec::new();
+        for event in every_event() {
+            for time in edges.map(SimTime::from_nanos) {
+                for uid in edges {
+                    for flow in [0, u32::MAX].map(FlowId) {
+                        for link in links {
+                            records.push(PacketRecord::new(time, uid, flow, link, event));
+                        }
+                    }
+                }
+            }
+        }
+        records
+    }
+
     #[test]
     fn every_field_round_trips_at_its_limits() {
-        /// The record as it was before packing: the same name and fields,
-        /// with the derived `Debug` the packed record must print like.
+        let records = every_edge();
+        // All in one block, each encoded against its predecessor …
+        let log = log_of(&records);
+        assert_eq!(log.records().len(), 1);
+        assert_eq!(decoded(&log), records);
+        // … and each alone, encoded against time and uid 0.
+        for &r in &records {
+            assert_eq!(decoded(&log_of(&[r])), [r]);
+            assert_eq!(r.is_drop(), r.event().is_drop());
+        }
+    }
+
+    #[test]
+    fn decreasing_times_and_uids_round_trip() {
+        let records: Vec<_> = (0..100u64)
+            .rev()
+            .map(|i| rec(i * 7, i * i, PacketEvent::Queued))
+            .collect();
+        assert_eq!(decoded(&log_of(&records)), records);
+    }
+
+    #[test]
+    fn blocks_split_every_4096_records_and_decode_on_their_own() {
+        for n in [4095, 4096, 4097, 8193] {
+            let records: Vec<_> = (0..n)
+                .map(|i| {
+                    let event = if i % 5 == 0 {
+                        dropped()
+                    } else {
+                        PacketEvent::Queued
+                    };
+                    rec(i / 3, i / 2, event)
+                })
+                .collect();
+            let log = log_of(&records);
+            let blocks = log.records();
+            assert_eq!(
+                blocks.len(),
+                usize::try_from(n).unwrap().div_ceil(BLOCK_RECORDS)
+            );
+            for (block, chunk) in blocks.iter().zip(records.chunks(BLOCK_RECORDS)) {
+                assert_eq!(block.len(), chunk.len());
+                assert_eq!(block.drops(), chunk.iter().filter(|r| r.is_drop()).count());
+                assert_eq!(block.iter().len(), chunk.len());
+                assert!(block.iter().eq(chunk.iter().copied()));
+            }
+            assert_eq!(decoded(&log), records);
+            assert!(decode(blocks).eq(records.iter().copied()));
+        }
+    }
+
+    #[test]
+    fn digest_is_a_fold_over_the_decoded_stream() {
+        let records = every_edge();
+        let log = log_of(&records);
+        let mut h = Fnv1a::new();
+        let mut len = 0u64;
+        for r in log.iter() {
+            h.u64(r.time().as_nanos());
+            h.u64(r.uid());
+            h.u64(u64::from(r.flow().0));
+            h.u64(r.place_code());
+            h.u64(r.codes().0);
+            len += 1;
+        }
+        h.u64(len);
+        assert_eq!(log.digest(), h.finish());
+    }
+
+    #[test]
+    fn copied_blocks_decode_like_moved_ones() {
+        let records: Vec<_> = (0..5000).map(|i| rec(i, i, PacketEvent::Queued)).collect();
+        let log = log_of(&records);
+        let copied = log.records().to_vec();
+        let moved = log.into_records();
+        assert!(decode(&copied).eq(decode(&moved)));
+        assert!(decode(&moved).eq(records.iter().copied()));
+    }
+
+    #[test]
+    fn debug_prints_the_fields_as_a_derive_over_them_would() {
+        /// The record as it was before the log encoded it: the same name
+        /// and fields, with a derived `Debug`.
         #[derive(Debug)]
         #[allow(dead_code)] // read by `Debug` only
         struct PacketRecord {
@@ -469,111 +675,28 @@ mod tests {
             link: Option<LinkId>,
             event: PacketEvent,
         }
-        // Zero, a value with bits in both halves of a split field, and the
-        // largest value that fits.
-        let times = [0, 0xABCD_1234_5678, TIME_LIMIT - 1].map(SimTime::from_nanos);
-        let uids = [0, 0x9A_1234_5678, UID_LIMIT - 1];
-        let flows = [0, 0x12_3456, FLOW_LIMIT - 1].map(FlowId);
-        let links = [None, Some(LinkId(0)), Some(LinkId(LINK_LIMIT - 1))];
-        let check = |time, uid, flow, link, event: PacketEvent| {
-            let r = super::PacketRecord::new(time, uid, flow, link, event);
-            assert_eq!(
-                (r.time(), r.uid(), r.flow(), r.link(), r.event()),
-                (time, uid, flow, link, event)
-            );
-            assert_eq!(r.is_drop(), event.is_drop());
+        let log = log_of(&every_edge());
+        for r in log.iter() {
             let old = PacketRecord {
-                time,
-                uid,
-                flow,
-                link,
-                event,
+                time: r.time(),
+                uid: r.uid(),
+                flow: r.flow(),
+                link: r.link(),
+                event: r.event(),
             };
             assert_eq!(format!("{r:?}"), format!("{old:?}"));
             assert_eq!(format!("{r:#?}"), format!("{old:#?}"));
-        };
-        for event in every_event() {
-            for time in times {
-                for uid in uids {
-                    for flow in flows {
-                        for link in links {
-                            check(time, uid, flow, link, event);
-                        }
-                    }
-                }
-            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "time 281474976710656 ns does not fit")]
-    fn time_beyond_48_bits_panics() {
-        PacketRecord::new(
-            SimTime::from_nanos(TIME_LIMIT),
-            1,
-            FlowId(0),
-            None,
-            PacketEvent::Queued,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "packet uid 1099511627776 does not fit")]
-    fn uid_beyond_40_bits_panics() {
-        rec(1, 1 << 40, PacketEvent::Queued);
-    }
-
-    #[test]
-    #[should_panic(expected = "flow id 16777216 does not fit")]
-    fn flow_beyond_24_bits_panics() {
-        PacketRecord::new(
-            SimTime::ZERO,
-            1,
-            FlowId(FLOW_LIMIT),
-            None,
-            PacketEvent::Queued,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth 16777216 does not fit")]
-    fn depth_beyond_24_bits_panics() {
-        let event = PacketEvent::Marked {
-            reason: MarkReason::Step,
-            depth: DEPTH_LIMIT,
-        };
-        rec(1, 1, event);
-    }
-
-    #[test]
-    #[should_panic(expected = "link id 65535 does not fit")]
-    fn link_id_without_a_code_panics() {
-        PacketRecord::new(
-            SimTime::ZERO,
-            1,
-            FlowId(0),
-            Some(LinkId(LINK_LIMIT)),
-            PacketEvent::Queued,
-        );
-    }
-
-    #[test]
-    fn full_log_counts_without_packing() {
+    fn full_log_counts_without_encoding() {
         let mut log = PacketLog::new(1);
         log.push(rec(1, 1, PacketEvent::Queued));
-        let digest = log.digest();
-        // Every field is beyond its limit: packing this record would panic.
-        log.push_with(|| {
-            PacketRecord::new(
-                SimTime::from_nanos(u64::MAX),
-                u64::MAX,
-                FlowId(u32::MAX),
-                Some(LinkId(u32::MAX)),
-                PacketEvent::Queued,
-            )
-        });
+        let (digest, blocks) = (log.digest(), log.records().to_vec());
+        log.push(rec(2, 2, PacketEvent::Queued));
         assert_eq!(log.overflowed, 1);
-        assert_eq!(log.records().len(), 1);
+        assert_eq!(log.records(), blocks);
         assert_eq!(log.digest(), digest);
     }
 
@@ -583,7 +706,7 @@ mod tests {
         log.push(rec(1, 1, PacketEvent::Queued));
         log.push(rec(2, 1, PacketEvent::Transmitted));
         log.push(rec(3, 1, PacketEvent::Delivered));
-        assert_eq!(log.records().len(), 2);
+        assert_eq!(log.iter().count(), 2);
         assert_eq!(log.overflowed, 1);
         // The digest stops folding at the capacity: it is the digest of a
         // roomy log fed the stored records only.
@@ -600,14 +723,15 @@ mod tests {
         log.push(rec(1, 1, PacketEvent::Queued));
         log.push(rec(2, 2, PacketEvent::Queued));
         log.push(rec(3, 1, PacketEvent::Transmitted));
-        assert_eq!(log.for_packet(1).len(), 2);
-        assert_eq!(log.for_packet(2).len(), 1);
-        assert_eq!(log.for_flow(FlowId(0)).len(), 3);
-        // The iterator variants see the same records without allocating.
-        assert_eq!(log.iter_packet(1).count(), 2);
-        assert_eq!(log.iter_flow(FlowId(0)).count(), 3);
-        assert_eq!(log.iter_flow(FlowId(9)).count(), 0);
-        let times: Vec<u64> = log.iter_packet(1).map(|r| r.time().as_nanos()).collect();
+        assert_eq!(log.iter().filter(|r| r.uid() == 1).count(), 2);
+        assert_eq!(log.iter().filter(|r| r.uid() == 2).count(), 1);
+        assert_eq!(log.iter().filter(|r| r.flow() == FlowId(0)).count(), 3);
+        assert_eq!(log.iter().filter(|r| r.flow() == FlowId(9)).count(), 0);
+        let times: Vec<u64> = log
+            .iter()
+            .filter(|r| r.uid() == 1)
+            .map(|r| r.time().as_nanos())
+            .collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 

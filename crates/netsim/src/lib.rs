@@ -44,7 +44,7 @@ pub mod timer;
 pub use auditor::Auditor;
 pub use builder::{Dumbbell, DumbbellBuilder, DumbbellView};
 pub use drr::Drr;
-pub use eventlog::{PacketEvent, PacketLog, PacketRecord};
+pub use eventlog::{PacketBlock, PacketEvent, PacketLog, PacketRecord};
 pub use forensics::{DropLedger, DropReason, ForensicsConfig, MarkReason, SyncEpisode};
 pub use link::Link;
 pub use monitor::LinkMonitor;

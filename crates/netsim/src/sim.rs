@@ -491,8 +491,7 @@ impl Kernel {
             return;
         }
         if let Some(log) = &mut self.packet_log {
-            let now = self.now;
-            log.push_with(|| PacketRecord::new(now, uid, flow, link, event));
+            log.push(PacketRecord::new(self.now, uid, flow, link, event));
         }
     }
 
@@ -877,9 +876,9 @@ impl Sim {
         self.kernel.packet_log = Some(PacketLog::new(capacity));
     }
 
-    /// Detaches the packet log from a finished simulation so its records
-    /// can be moved out ([`PacketLog::into_records`]) instead of copied.
-    /// Logging is off afterwards.
+    /// Detaches the packet log from a finished simulation so its encoded
+    /// blocks can be moved out ([`PacketLog::into_records`]) instead of
+    /// copied. Logging is off afterwards.
     pub fn take_packet_log(&mut self) -> Option<PacketLog> {
         self.kernel.packet_log.take()
     }
@@ -1845,15 +1844,15 @@ mod packet_log_tests {
         let log = sim.kernel().packet_log().expect("enabled");
         // 5 queued, 2 dropped (buffer 2 + 1 in service), 3 transmitted,
         // 3 delivered.
-        let count = |e: PacketEvent| log.records().iter().filter(|r| r.event() == e).count();
+        let count = |e: PacketEvent| log.iter().filter(|r| r.event() == e).count();
         assert_eq!(count(PacketEvent::Queued), 5);
-        let drops = log.records().iter().filter(|r| r.is_drop()).count();
+        let drops = log.iter().filter(|r| r.is_drop()).count();
         assert_eq!(drops, 2);
         assert_eq!(count(PacketEvent::Transmitted), 3);
         assert_eq!(count(PacketEvent::Delivered), 3);
         // A delivered packet's own records follow queued -> transmitted ->
         // delivered in time order.
-        let first = log.for_packet(0);
+        let first: Vec<_> = log.iter().filter(|r| r.uid() == 0).collect();
         assert_eq!(first.len(), 3);
         assert_eq!(first[0].event(), PacketEvent::Queued);
         assert_eq!(first[1].event(), PacketEvent::Transmitted);
@@ -1912,7 +1911,6 @@ mod packet_log_tests {
         assert_eq!(led.flow_marks(FlowId(0)), 3);
         let log = sim.kernel().packet_log().expect("enabled");
         let marked = log
-            .records()
             .iter()
             .filter(|r| matches!(r.event(), PacketEvent::Marked { .. }))
             .count();

@@ -35,11 +35,7 @@ fn main() {
     for line in log.render().lines().take(40) {
         println!("  {line}");
     }
-    let drops = log
-        .records()
-        .iter()
-        .filter(|r| r.is_drop())
-        .count();
+    let drops: usize = log.records().iter().map(|b| b.drops()).sum();
     let src = sim.agent_as::<TcpSource>(src_id).unwrap();
     let sink = sim.agent_as::<TcpSink>(sink_id).unwrap();
     println!(

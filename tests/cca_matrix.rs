@@ -6,6 +6,7 @@
 
 use buffersizing::runner::{LongFlowScenario, TracedRun};
 use buffersizing::Executor;
+use netsim::eventlog::decode;
 use netsim::{MarkReason, PacketEvent};
 use simcore::SimDuration;
 use traffic::bulk::CcKind;
@@ -89,9 +90,7 @@ fn dctcp_marks_reconcile_with_forensics_ledger() {
     assert_eq!(tr.overflowed, 0, "packet log overflowed");
     assert_eq!(tr.ledger.marks(), tr.result.marks);
     assert_eq!(tr.ledger.marks_by_reason(MarkReason::Step), tr.result.marks);
-    let logged = tr
-        .records
-        .iter()
+    let logged = decode(&tr.records)
         .filter(|r| matches!(r.event(), PacketEvent::Marked { .. }))
         .count() as u64;
     assert_eq!(logged, tr.result.marks);

@@ -9,11 +9,12 @@
 use buffersizing::explain::{self, CausalEvent};
 use buffersizing::runner::{LongFlowResult, TracedRun};
 use buffersizing::{Json, RunManifest};
+use netsim::eventlog::decode;
 use netsim::red::RedConfig;
 use netsim::{
-    Drr, DropReason, DumbbellBuilder, ForensicsConfig, Red, Sim, TelemetryConfig,
+    DropReason, Drr, DumbbellBuilder, ForensicsConfig, PacketEvent, Red, Sim, TelemetryConfig,
 };
-use simcore::Rng;
+use simcore::{Fnv1a, Rng};
 use sizing_router_buffers::prelude::*;
 use std::collections::BTreeMap;
 use traffic::bulk::CcKind;
@@ -257,13 +258,11 @@ fn join_reference(run: &TracedRun) -> Vec<CausalEvent> {
         let mut drops = Vec::new();
         let start = cursor.entry(span.flow.0).or_insert(0);
         let mut i = *start;
-        let flow_drops: Vec<_> = run
-            .records
-            .iter()
+        let flow_drops: Vec<_> = decode(&run.records)
             .filter(|r| r.flow() == span.flow && r.is_drop())
             .collect();
         while i < flow_drops.len() && flow_drops[i].time() <= span.time {
-            drops.push(*flow_drops[i]);
+            drops.push(flow_drops[i]);
             i += 1;
         }
         *start = i;
@@ -310,6 +309,51 @@ fn indexed_join_equals_quadratic_reference_on_dctcp_at_sqrt_n_buffer() {
         assert_eq!(explain::to_jsonl(&run), explain::to_jsonl_from(&slow));
         assert_eq!(explain::narrative(&run), explain::narrative_from(&run, &slow));
     }
+}
+
+/// The packet digest is a fold over the stored records, and the blocks'
+/// drop counts are the ledger's: re-folding a traced DCTCP run's decoded
+/// records (time, uid, flow, link id + 1 or 0 for an agent, kind code, then
+/// the count) gives `packet_digest`, and Σ `drops()` equals the ledger's
+/// total.
+#[test]
+fn decoded_records_refold_to_the_packet_digest() {
+    let mut sc = LongFlowScenario::quick(64, 60_000_000);
+    sc.cc = CcKind::Dctcp;
+    sc.buffer_pkts = (sc.bdp_packets() / (sc.n_flows as f64).sqrt()).round() as usize;
+    sc.ecn_marking = Some(11);
+    sc.warmup = SimDuration::from_secs(1);
+    sc.measure = SimDuration::from_secs(1);
+    let run = sc.run_traced(1_000_000);
+    assert_eq!(run.overflowed, 0, "packet log overflowed");
+    assert!(run.records.len() > 1, "the log must span several blocks");
+
+    let mut h = Fnv1a::new();
+    let mut len = 0u64;
+    let mut marks = 0u64;
+    for r in decode(&run.records) {
+        let kind = match r.event() {
+            PacketEvent::Queued => 1,
+            PacketEvent::Dropped { .. } => 2,
+            PacketEvent::Transmitted => 3,
+            PacketEvent::Delivered => 4,
+            PacketEvent::Marked { .. } => 5,
+        };
+        h.u64(r.time().as_nanos());
+        h.u64(r.uid());
+        h.u64(u64::from(r.flow().0));
+        h.u64(r.link().map_or(0, |l| u64::from(l.0) + 1));
+        h.u64(kind);
+        len += 1;
+        marks += u64::from(kind == 5);
+    }
+    h.u64(len);
+    assert_eq!(h.finish(), run.packet_digest);
+    assert!(marks > 0, "nothing marked");
+
+    let drops: usize = run.records.iter().map(|b| b.drops()).sum();
+    assert!(drops > 0, "no start-up drops");
+    assert_eq!(drops as u64, run.ledger.total());
 }
 
 /// Tier-1 drift gate for the committed `artifacts/explain.json`: rebuild

@@ -1,14 +1,16 @@
-//! Integration: a traced run's packet log costs 20 heap bytes per record.
+//! Integration: a traced run's packet log costs at most 8 heap bytes per
+//! record.
 //!
 //! Every observed run (the `explain` entry, the fig03 trace) keeps one
-//! `PacketRecord` per packet milestone, five 32-bit words, and those
-//! records are nearly all of a traced run's memory. A counting allocator
-//! measures the heap the `TracedRun`'s records hold and the peak of the
-//! whole traced pipeline — build, warm-up, measurement, collection and the
-//! causal join — on a short `LongFlowScenario::quick` run whose log fills:
-//! at most 20 B per stored record, and a peak of at most twice the records
-//! plus a fixed allowance. Byte counts of a deterministic simulation repeat
-//! exactly, so the gate needs no RSS and no tolerance for noise. Run it with
+//! record per packet milestone, delta-encoded as varints in blocks of 4096
+//! (`netsim::PacketBlock`), and those blocks are nearly all of a traced
+//! run's memory. A counting allocator measures the heap the `TracedRun`'s
+//! blocks hold and the peak of the whole traced pipeline — build, warm-up,
+//! measurement, collection and the causal join — on a short
+//! `LongFlowScenario::quick` run whose log fills: at most 8 B per stored
+//! record, and a peak of at most twice that plus a fixed allowance. Byte
+//! counts of a deterministic simulation repeat exactly, so the gate needs
+//! no RSS and no tolerance for noise. Run it with
 //! `cargo test -q --release --test packet_log_memory -- --nocapture` to see
 //! the counts. This file is its own test binary: its `#[global_allocator]`
 //! touches nothing else.
@@ -62,11 +64,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Bytes one stored packet milestone may cost.
-const RECORD_BYTES: usize = 20;
+/// Bytes one stored packet milestone may cost (6.1 on this run).
+const RECORD_BYTES: usize = 8;
 
 /// Log capacity of the run: small enough that the run fills it, so the
-/// log's vector is exactly this long.
+/// log holds exactly this many records.
 const LOG_CAPACITY: usize = 100_000;
 
 /// Everything the traced pipeline holds besides the records: the
@@ -75,7 +77,7 @@ const LOG_CAPACITY: usize = 100_000;
 const ALLOWANCE: usize = 1 << 20;
 
 #[test]
-fn traced_run_costs_20_bytes_per_record() {
+fn traced_run_costs_at_most_8_bytes_per_record() {
     let mut sc = LongFlowScenario::quick(8, 10_000_000);
     sc.warmup = SimDuration::from_secs(2);
     sc.measure = SimDuration::from_secs(8);
@@ -86,16 +88,18 @@ fn traced_run_costs_20_bytes_per_record() {
     let events = explain::join(&tr);
     let peak = PEAK.load(Relaxed) - base;
 
-    let records = std::mem::take(&mut tr.records);
-    let (len, slack) = (records.len(), records.capacity() - records.len());
+    let blocks = std::mem::take(&mut tr.records);
+    let len: usize = blocks.iter().map(|b| b.len()).sum();
+    let drops: usize = blocks.iter().map(|b| b.drops()).sum();
+    let n_blocks = blocks.len();
     let before_drop = LIVE.load(Relaxed);
-    drop(records);
+    drop(blocks);
     let held = before_drop - LIVE.load(Relaxed);
 
     println!(
-        "packet_log_memory: {len} records of {} B ({} overflowed), {held} bytes held \
-         ({:.1} B/record), peak {peak} bytes ({:.1} B/record), {} causal events",
-        std::mem::size_of::<netsim::PacketRecord>(),
+        "packet_log_memory: {len} records in {n_blocks} blocks ({drops} drops, {} \
+         overflowed), {held} bytes held ({:.2} B/record), peak {peak} bytes \
+         ({:.1} B/record), {} causal events",
         tr.overflowed,
         held as f64 / len as f64,
         peak as f64 / len as f64,
@@ -105,8 +109,8 @@ fn traced_run_costs_20_bytes_per_record() {
     assert_eq!(len, LOG_CAPACITY, "the run must fill its log");
     assert!(tr.overflowed > 0);
     assert!(
-        held <= RECORD_BYTES * (len + slack),
-        "{held} bytes held by {len} records (+{slack} spare slots)"
+        held <= RECORD_BYTES * len,
+        "{held} bytes held by {len} records in {n_blocks} blocks"
     );
     assert!(
         peak <= 2 * RECORD_BYTES * len + ALLOWANCE,
