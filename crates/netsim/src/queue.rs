@@ -105,7 +105,7 @@ pub trait Queue: Send {
     }
 
     /// Upcast for downcasting to a concrete queue type (diagnostics and
-    /// reconciliation tests; mirrors `tcpsim`'s `SenderMachine::as_any`).
+    /// reconciliation tests).
     fn as_any(&self) -> &dyn std::any::Any;
 }
 

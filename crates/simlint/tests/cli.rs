@@ -21,7 +21,7 @@ fn clean_tree_exits_zero_from_any_working_directory() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "from {}: {stdout}", cwd.display());
         assert!(
-            stdout.contains("13 rules") && stdout.contains("18 waiver(s)"),
+            stdout.contains("13 rules") && stdout.contains("14 waiver(s)"),
             "from {}: {stdout}",
             cwd.display()
         );

@@ -12,16 +12,14 @@
 //! the receiver's counters, the sender's final snapshot). What a flow needs
 //! only while it is live is leased from the simulation's
 //! [`FlowTable`](crate::table::FlowTable), and its configuration is the
-//! table's one copy. On 64-bit targets a `TcpSource`, its `TcpSender` and
-//! a `TcpSink` are 120, 152 and 104 B, each filling a 16-byte heap size
-//! class exactly (`tests/flow_memory.rs` pins them).
+//! table's one copy. On 64-bit targets a `TcpSource`, with its
+//! [`TcpSender`] inline, is 248 B and a `TcpSink` 104 B, each filling a
+//! 16-byte heap size class exactly (`tests/flow_memory.rs` pins them).
 
 use crate::cc::CongestionControl;
 use crate::config::TcpConfig;
-use crate::machine::{AckInfo, SenderMachine};
 use crate::receiver::{AckToSend, RxLive, SackRanges, TcpReceiver};
-use crate::sack::SackSender;
-use crate::sender::{TcpAction, TcpSender};
+use crate::sender::{AckInfo, TcpAction, TcpSender};
 use crate::seq::{to_wire, unwrap_relative, SeqUnwrapper};
 use crate::span::{SpanDetector, SpanLog, SpanSnapshot};
 use crate::table::SharedFlowTable;
@@ -92,10 +90,9 @@ pub(crate) struct SourceLive {
 pub struct TcpSource {
     flow: FlowId,
     dst: NodeId,
-    sender: Box<dyn SenderMachine>,
-    /// The sender machine's table, where this source pools its own live
+    /// The sender; its table is where this source pools its own live
     /// state and borrows the simulation's action buffer.
-    table: SharedFlowTable,
+    sender: TcpSender,
     /// This source's [`SourceLive`] slot, while the flow is live.
     live: Option<u32>,
     /// Until the flow starts, its start delay (counted from time zero);
@@ -111,9 +108,9 @@ pub struct TcpSource {
     pacing: bool,
     /// Lifecycle span tracing (see [`crate::span`]); off by default.
     spans: Option<Box<SpanDetector>>,
-    /// Latest RTO generation announced by the sender machine.
+    /// Latest RTO generation announced by the sender.
     rto_gen: u64,
-    /// The RTO, which the sender machine re-arms on every ACK: one scheduler
+    /// The RTO, which the sender re-arms on every ACK: one scheduler
     /// entry per RTO *window*, not per ACK, delivered at the deadline.
     rto: DeadlineTimer,
 }
@@ -127,18 +124,17 @@ impl TcpSource {
         cc: Box<dyn CongestionControl>,
         flow_size: Option<u64>,
     ) -> Self {
-        Self::with_machine(flow, dst, Box::new(TcpSender::new(cfg, cc, flow_size)))
+        Self::with_sender(flow, dst, TcpSender::new(cfg, cc, flow_size))
     }
 
-    /// Creates a source around an explicit sender machine (e.g.
-    /// [`SackSender`]). The source takes its configuration from the
-    /// machine and pools its live state in the machine's table.
-    pub fn with_machine(flow: FlowId, dst: NodeId, machine: Box<dyn SenderMachine>) -> Self {
+    /// Creates a source around a sender (e.g. one built with
+    /// [`TcpSender::in_table`]). The source takes its configuration from the
+    /// sender and pools its live state in the sender's table.
+    pub fn with_sender(flow: FlowId, dst: NodeId, sender: TcpSender) -> Self {
         TcpSource {
             flow,
             dst,
-            table: machine.table().clone(),
-            sender: machine,
+            sender,
             live: None,
             start: SimTime::ZERO,
             started: false,
@@ -191,25 +187,20 @@ impl TcpSource {
     /// Snapshots sender observables if span tracing is on (pair with
     /// [`TcpSource::span_diff`]).
     fn span_snap(&self) -> Option<SpanSnapshot> {
-        self.spans.as_ref().map(|d| d.before(self.sender.as_ref()))
+        self.spans.as_ref().map(|d| d.before(&self.sender))
     }
 
     /// Diffs the sender against a [`TcpSource::span_snap`] snapshot and
     /// logs any transition.
     fn span_diff(&mut self, now: SimTime, before: Option<SpanSnapshot>) {
         if let (Some(d), Some(b)) = (self.spans.as_mut(), before) {
-            d.after(now, b, self.sender.as_ref());
+            d.after(now, b, &self.sender);
         }
     }
 
-    /// Creates a SACK source (RFC 2018/3517-style recovery).
-    pub fn new_sack(flow: FlowId, dst: NodeId, cfg: TcpConfig, flow_size: Option<u64>) -> Self {
-        Self::with_machine(flow, dst, Box::new(SackSender::new(cfg, flow_size)))
-    }
-
-    /// The underlying sender machine (cwnd, ssthresh, stats…).
-    pub fn sender(&self) -> &dyn SenderMachine {
-        self.sender.as_ref()
+    /// The underlying sender (cwnd, ssthresh, stats…).
+    pub fn sender(&self) -> &TcpSender {
+        &self.sender
     }
 
     /// When the flow started sending, if it has.
@@ -234,9 +225,8 @@ impl TcpSource {
             (cfg.ecn, cfg.data_size)
         };
         // CWR rides on the first data segment after an ECE-triggered
-        // reduction (RFC 3168 §6.1.2); take_cwr is a no-op default for
-        // machines without an ECN path, and cfg.ecn gates the call so
-        // non-ECN runs never touch the flow-table flag.
+        // reduction (RFC 3168 §6.1.2); cfg.ecn gates the call so non-ECN
+        // runs never touch the flow-table flag.
         let cwr = ecn && self.sender.take_cwr();
         let hdr = TcpHeader {
             seq: to_wire(seq),
@@ -278,7 +268,7 @@ impl TcpSource {
             return;
         };
         let (head, more) = {
-            let mut tb = self.table.table_mut();
+            let mut tb = self.sender.table().table_mut();
             let queue = &mut tb.sources.get_mut(slot).pace_queue;
             (queue.pop_front(), !queue.is_empty())
         };
@@ -289,27 +279,27 @@ impl TcpSource {
                 ctx.set_timer(interval, TOKEN_PACE);
             }
         }
-        self.table.table_mut().sources.get_mut(slot).pace_armed = head.is_some() && more;
+        self.sender.table().table_mut().sources.get_mut(slot).pace_armed = head.is_some() && more;
     }
 
     fn series_names(&self) -> &SeriesNames {
         self.series.get_or_init(|| SeriesNames::boxed(self.flow))
     }
 
-    /// Hands one input to the sender machine and executes what it asks
-    /// for, with the simulation's shared action buffer.
+    /// Hands one input to the sender and executes what it asks for, with
+    /// the simulation's shared action buffer.
     // simlint: hot-path — once per start/ACK/RTO delivered to the sender
     fn drive(
         &mut self,
         ctx: &mut Ctx<'_>,
-        input: impl FnOnce(&mut dyn SenderMachine, &mut Vec<TcpAction>),
+        input: impl FnOnce(&mut TcpSender, &mut Vec<TcpAction>),
     ) {
         let before = self.span_snap();
-        let mut actions = self.table.take_scratch();
-        input(self.sender.as_mut(), &mut actions);
+        let mut actions = self.sender.table().take_scratch();
+        input(&mut self.sender, &mut actions);
         self.span_diff(ctx.now(), before);
         self.apply(&mut actions, ctx);
-        self.table.put_scratch(actions);
+        self.sender.table().put_scratch(actions);
     }
 
     /// Executes sender actions, draining `actions` (the shared scratch
@@ -324,7 +314,8 @@ impl TcpSource {
                     fin,
                 } => match self.live {
                     Some(slot) if self.pacing => self
-                        .table
+                        .sender
+                        .table()
                         .table_mut()
                         .sources
                         .get_mut(slot)
@@ -342,7 +333,7 @@ impl TcpSource {
         if self.pacing {
             if let Some(slot) = self.live {
                 let idle = {
-                    let mut tb = self.table.table_mut();
+                    let mut tb = self.sender.table().table_mut();
                     let live = tb.sources.get_mut(slot);
                     !live.pace_armed && !live.pace_queue.is_empty()
                 };
@@ -365,7 +356,7 @@ impl TcpSource {
     /// left to pace.
     fn release_if_done(&mut self) {
         if let (Some(slot), Some(_)) = (self.live, self.completed_at) {
-            let mut tb = self.table.table_mut();
+            let mut tb = self.sender.table().table_mut();
             if tb.sources.get_mut(slot).pace_queue.is_empty() {
                 tb.sources.release(slot);
                 self.live = None;
@@ -386,7 +377,7 @@ impl Agent for TcpSource {
             // its sender ignores the ACK whatever its number.
             let ack = match self.live {
                 Some(slot) => {
-                    let mut tb = self.table.table_mut();
+                    let mut tb = self.sender.table().table_mut();
                     tb.sources.get_mut(slot).ack_unwrap.unwrap(hdr.ack)
                 }
                 None => 0,
@@ -407,7 +398,7 @@ impl Agent for TcpSource {
                 ece: hdr.flags.ece,
             };
             let now = ctx.now();
-            self.drive(ctx, |sender, out| sender.on_ack(now, &info, out));
+            self.drive(ctx, |sender, out| sender.on_ack_into(now, &info, out));
         }
     }
 
@@ -418,8 +409,8 @@ impl Agent for TcpSource {
             if !self.started {
                 self.start = now;
                 self.started = true;
-                self.live = Some(self.table.table_mut().sources.acquire());
-                self.drive(ctx, |sender, out| sender.start(now, out));
+                self.live = Some(self.sender.table().table_mut().sources.acquire());
+                self.drive(ctx, |sender, out| sender.start_into(now, out));
             }
         } else if token == TOKEN_PACE {
             self.pace_pop(ctx);
@@ -428,13 +419,13 @@ impl Agent for TcpSource {
             // Due: deliver with the latest generation. The sender ignores it
             // if it disarmed (advanced the gen) meanwhile, or has finished.
             let gen = self.rto_gen;
-            self.drive(ctx, |sender, out| sender.on_rto(now, gen, out));
+            self.drive(ctx, |sender, out| sender.on_rto_into(now, gen, out));
         }
     }
 
     /// Reports `cwnd.<flow>` (packets) and, once an RTT sample exists,
     /// `rtt.<flow>` (seconds, smoothed) to the telemetry sampler. A pure
-    /// read of the sender machine: sampling never perturbs the run.
+    /// read of the sender: sampling never perturbs the run.
     fn on_telemetry(&self, emit: &mut dyn FnMut(&str, f64)) {
         let names = self.series_names();
         emit(&names.cwnd, self.sender.cwnd());
@@ -778,25 +769,11 @@ mod tests {
         let src = sim.agent_as::<TcpSource>(src_id).unwrap();
         let rec = sink.record().expect("completes");
         assert_eq!(rec.segments, 500);
-        // Sent = unique + retransmits (conservation).
+        // Sent = unique + retransmits (conservation): every unique segment
+        // goes out exactly once as new data.
         let st = src.sender().stats();
         assert!(st.segments_sent >= 500);
-        // Debug: find segments sent more than once with retransmit=false.
-        let mut newcount = std::collections::BTreeMap::new();
-        let reno = src
-            .sender()
-            .as_any()
-            .downcast_ref::<crate::sender::TcpSender>()
-            .expect("reno machine");
-        for &(seq, retx) in reno.send_log() {
-            if !retx { *newcount.entry(seq).or_insert(0u32) += 1; }
-        }
-        let dups: Vec<_> = newcount.iter().filter(|(_, &c)| c > 1).collect();
-        assert_eq!(
-            st.segments_sent - st.retransmits,
-            500,
-            "every unique segment sent exactly once as new data; dups={dups:?}"
-        );
+        assert_eq!(st.segments_sent - st.retransmits, 500, "{st:?}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Congestion-control algorithms: the window-adjustment zoo.
 //!
 //! The window-adjustment rules are factored out of the sender so every
-//! algorithm shares one sender state machine ([`TcpSender`] or
-//! [`SackSender`]): the sender owns sequence-space bookkeeping
-//! (what is outstanding, what was retransmitted) and calls into a
-//! [`CongestionControl`] at each window-relevant event. All windows are in
+//! algorithm shares one sender state machine, [`TcpSender`]: the sender
+//! owns sequence-space bookkeeping (what is outstanding, what was
+//! retransmitted) and runs the loss recovery the algorithm's
+//! [`RecoveryStyle`] names, calling into a [`CongestionControl`] at each
+//! window-relevant event. All windows are in
 //! segments and fractional (`f64`) so congestion avoidance can add
 //! `1/cwnd` per ACK exactly, matching ns-2.
 //!
@@ -13,15 +14,16 @@
 //! Five algorithms are implemented. They differ in three dimensions:
 //! *growth* (how `cwnd` climbs between losses), *decrease* (the
 //! multiplicative back-off applied on congestion), and *signal* (what
-//! counts as congestion — a lost segment, or an ECN mark):
+//! counts as congestion — a lost segment, or an ECN mark) — and in the
+//! loss recovery the sender runs for them:
 //!
-//! | Algorithm       | Growth per RTT (avoidance) | Decrease on loss  | ECN response            | Recovery style |
-//! |-----------------|----------------------------|-------------------|-------------------------|----------------|
-//! | [`Reno`]        | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | Reno           |
-//! | [`NewReno`]     | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | NewReno        |
-//! | [`Cubic`]       | cubic in time since loss   | `0.7·cwnd`        | `cwnd/2` (default hook) | NewReno        |
-//! | [`Dctcp`]       | `+1` (Reno growth)         | `cwnd/2`          | `cwnd·(1 − α/2)`        | NewReno        |
-//! | [`FixedWindow`] | none (constant)            | none              | none (window restored)  | None           |
+//! | Algorithm   | Growth per RTT (avoidance) | Decrease on loss  | ECN response            | Recovery style |
+//! |-------------|----------------------------|-------------------|-------------------------|----------------|
+//! | [`Reno`]    | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | Reno           |
+//! | [`NewReno`] | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | NewReno        |
+//! | [`Cubic`]   | cubic in time since loss   | `0.7·cwnd`        | `cwnd/2` (default hook) | NewReno        |
+//! | [`Dctcp`]   | `+1` (Reno growth)         | `cwnd/2`          | `cwnd·(1 − α/2)`        | NewReno        |
+//! | [`Sack`]    | `+1`                       | `cwnd/2`          | none (ECE ignored)      | SACK           |
 //!
 //! The sawtooth shape is what the buffer-sizing rule of the paper feeds
 //! on: a Reno flow oscillates between `W/2` and `W`, which is why a
@@ -45,7 +47,6 @@
 //! data, mirroring the once-per-RTT loss reaction.
 //!
 //! [`TcpSender`]: crate::sender::TcpSender
-//! [`SackSender`]: crate::sack::SackSender
 
 /// The mutable window state the algorithms operate on.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,16 +73,19 @@ impl CcState {
     }
 }
 
-/// How the sender should handle ACKs during fast recovery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How the sender detects and repairs losses.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryStyle {
     /// Classic Reno: any new ACK terminates fast recovery.
+    #[default]
     Reno,
     /// NewReno (RFC 6582): partial ACKs retransmit the next hole and stay
     /// in recovery until the `recover` point is acknowledged.
     NewReno,
-    /// No window reaction at all (validation only).
-    None,
+    /// SACK (RFC 2018 blocks, RFC 3517-style scoreboard): every hole the
+    /// scoreboard declares lost is repaired while `pipe < cwnd`. ECE is
+    /// ignored (see [`crate::sender`]).
+    Sack,
 }
 
 /// A congestion-control algorithm.
@@ -89,7 +93,7 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     /// Algorithm name for reports.
     fn name(&self) -> &'static str;
 
-    /// How the sender's fast-recovery logic should behave.
+    /// The loss recovery the sender runs for this algorithm.
     fn style(&self) -> RecoveryStyle;
 
     /// Called once per newly acknowledged segment outside recovery.
@@ -211,47 +215,39 @@ impl CongestionControl for NewReno {
     }
 }
 
-/// A constant window: no reaction to loss. Used to validate queueing
-/// behaviour (e.g. a fixed window of BDP+B keeps the buffer exactly full).
+/// TCP with SACK recovery: Reno's window rules, with loss detected and
+/// repaired through the SACK scoreboard ([`RecoveryStyle::Sack`]) — what
+/// the paper's Linux testbed hosts ran. It has no ECN response: the sender
+/// ignores ECE for this style.
 ///
 /// ```
-/// use tcpsim::cc::{CcState, CongestionControl, FixedWindow};
+/// use tcpsim::cc::{CcState, CongestionControl, RecoveryStyle, Sack};
 ///
-/// let mut cc = FixedWindow::new(16.0);
-/// let mut s = CcState::new(16.0);
+/// let mut cc = Sack;
+/// let mut s = CcState::new(2.0);
 /// cc.on_ack_segment(&mut s);
-/// cc.on_timeout(&mut s, 16.0);
-/// assert_eq!(s.cwnd, 16.0); // nothing moves it
+/// assert_eq!(s.cwnd, 3.0); // Reno growth…
+/// assert_eq!(cc.style(), RecoveryStyle::Sack); // …scoreboard recovery
 /// ```
-#[derive(Clone, Copy, Debug)]
-pub struct FixedWindow {
-    /// The constant window, in segments.
-    pub window: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Sack;
 
-impl FixedWindow {
-    /// Creates a fixed-window "congestion control".
-    pub fn new(window: f64) -> Self {
-        assert!(window >= 1.0);
-        FixedWindow { window }
-    }
-}
-
-impl CongestionControl for FixedWindow {
+impl CongestionControl for Sack {
     fn name(&self) -> &'static str {
-        "fixed"
+        "sack"
     }
     fn style(&self) -> RecoveryStyle {
-        RecoveryStyle::None
+        RecoveryStyle::Sack
     }
     fn on_ack_segment(&mut self, s: &mut CcState) {
-        s.cwnd = self.window;
+        reno_ack_segment(s);
     }
-    fn on_fast_retransmit(&mut self, s: &mut CcState, _flight: f64) {
-        s.cwnd = self.window;
+    fn on_fast_retransmit(&mut self, s: &mut CcState, flight: f64) {
+        halve_on_loss(s, flight);
     }
-    fn on_timeout(&mut self, s: &mut CcState, _flight: f64) {
-        s.cwnd = self.window;
+    fn on_timeout(&mut self, s: &mut CcState, flight: f64) {
+        s.ssthresh = (flight / 2.0).max(2.0);
+        s.cwnd = 1.0;
     }
 }
 
@@ -342,13 +338,21 @@ mod tests {
     }
 
     #[test]
-    fn fixed_window_never_moves() {
-        let mut cc = FixedWindow::new(16.0);
-        let mut s = CcState::new(16.0);
-        cc.on_ack_segment(&mut s);
-        cc.on_fast_retransmit(&mut s, 16.0);
-        cc.on_timeout(&mut s, 16.0);
-        assert_eq!(s.cwnd, 16.0);
+    fn sack_has_reno_windows() {
+        let (mut r, mut k) = (Reno, Sack);
+        let mut sr = CcState::new(2.0);
+        let mut sk = CcState::new(2.0);
+        for _ in 0..100 {
+            r.on_ack_segment(&mut sr);
+            k.on_ack_segment(&mut sk);
+        }
+        r.on_fast_retransmit(&mut sr, 37.0);
+        k.on_fast_retransmit(&mut sk, 37.0);
+        assert_eq!(sr, sk);
+        r.on_timeout(&mut sr, 11.0);
+        k.on_timeout(&mut sk, 11.0);
+        assert_eq!(sr, sk);
+        assert_eq!((k.name(), k.style()), ("sack", RecoveryStyle::Sack));
     }
 }
 

@@ -10,12 +10,13 @@
 //!   packet of `data_size` bytes; ACKs are 40 bytes.
 //! * **Congestion control**: slow start, congestion avoidance, fast
 //!   retransmit and fast recovery, with a pluggable algorithm zoo —
-//!   [`cc::Reno`], [`cc::NewReno`], [`cc::Cubic`], [`cc::Dctcp`] and a
-//!   [`cc::FixedWindow`] used for validation (see [`cc`] for the
-//!   comparison table). Timeout recovery with exponential RTO backoff
-//!   (Jacobson/Karn, [`rtt`]), SACK-based recovery ([`sack`]), and an
-//!   opt-in ECN path (`TcpConfig::with_ecn`): ECT-capable data, receiver
-//!   CE→ECE echo, sender CWR, and the DCTCP mark-fraction estimator.
+//!   [`cc::Reno`], [`cc::NewReno`], [`cc::Cubic`], [`cc::Dctcp`] and
+//!   [`cc::Sack`] (see [`cc`] for the comparison table). Each names the
+//!   loss recovery the one sender runs for it: Reno, NewReno or SACK
+//!   scoreboard recovery ([`sender`]). Timeout recovery with exponential
+//!   RTO backoff (Jacobson/Karn, [`rtt`]), and an opt-in ECN path
+//!   (`TcpConfig::with_ecn`): ECT-capable data, receiver CE→ECE echo,
+//!   sender CWR, and the DCTCP mark-fraction estimator.
 //! * **Pure state machines**: [`sender::TcpSender`] and
 //!   [`receiver::TcpReceiver`] know nothing about the network — they consume
 //!   events and return actions, so every corner case is unit-testable
@@ -35,22 +36,18 @@
 pub mod agent;
 pub mod cc;
 pub mod config;
-pub mod machine;
 pub mod receiver;
 pub mod rtt;
-pub mod sack;
 pub mod sender;
 pub mod seq;
 pub mod span;
 pub mod table;
 
 pub use agent::{FlowRecord, TcpSink, TcpSource};
-pub use cc::{CcState, CongestionControl, Cubic, Dctcp, FixedWindow, NewReno, Reno};
+pub use cc::{CcState, CongestionControl, Cubic, Dctcp, NewReno, Reno, Sack};
 pub use config::TcpConfig;
-pub use machine::{AckInfo, SenderMachine};
 pub use receiver::TcpReceiver;
-pub use sack::SackSender;
 pub use rtt::RttEstimator;
-pub use sender::{SenderState, TcpAction, TcpSender};
+pub use sender::{AckInfo, SackSender, SenderState, TcpAction, TcpSender};
 pub use span::{SpanDetector, SpanKind, SpanLog, SpanRecord};
 pub use table::{FlowSlot, FlowTable, SharedFlowTable};

@@ -3,7 +3,7 @@
 //!
 //! The paper's buffer-sizing argument is a story about sender *transitions*
 //! — slow-start overshoot, synchronized cwnd halvings, recovery — so the
-//! observability layer records exactly those: every time a sender machine
+//! observability layer records exactly those: every time a sender
 //! leaves slow start, fires a fast retransmit, deflates out of recovery, or
 //! takes a retransmission timeout, a [`SpanRecord`] lands in a bounded
 //! [`SpanLog`] (backed by `simcore`'s generic ring). Records carry the flow
@@ -11,13 +11,13 @@
 //! the drop-forensics ledger to produce causal narratives ("overflow drop →
 //! triple dupack → cwnd halved").
 //!
-//! Detection is a pure *diff* of the [`SenderMachine`] observables
+//! Detection is a pure *diff* of the [`TcpSender`] observables
 //! (cwnd/ssthresh/loss counters) before and after each input, taken by
-//! [`SpanDetector`]. Nothing is added to the sender state machines
-//! themselves, no randomness is consumed, and the log is bounded — enabling
+//! [`SpanDetector`]. Nothing is added to the sender state machine
+//! itself, no randomness is consumed, and the log is bounded — enabling
 //! span tracing can never change the outcome of a run (DESIGN.md §9, §10).
 
-use crate::machine::SenderMachine;
+use crate::sender::{SenderState, TcpSender};
 use netsim::FlowId;
 use simcore::trace::Ring;
 use simcore::{Fnv1a, SimTime};
@@ -211,13 +211,13 @@ pub struct SpanSnapshot {
     in_recovery: bool,
 }
 
-/// Diffs [`SenderMachine`] observables around each input and emits
+/// Diffs [`TcpSender`] observables around each input and emits
 /// [`SpanRecord`]s for the transitions it detects.
 ///
-/// The detector never mutates the machine: it reads `cwnd`, `ssthresh`,
-/// `snd_una` and the loss counters, so it works uniformly for every
-/// [`SenderMachine`] implementation (Reno family and SACK) without the
-/// machines knowing they are being observed.
+/// The detector never mutates the sender: it reads `cwnd`, `ssthresh`,
+/// `snd_una`, the recovery state and the loss counters, so it works
+/// uniformly for every recovery style (Reno, NewReno, SACK) without the
+/// sender knowing it is being observed.
 #[derive(Clone, Debug)]
 pub struct SpanDetector {
     flow: FlowId,
@@ -233,21 +233,21 @@ impl SpanDetector {
         }
     }
 
-    /// Captures the machine's observables before an input is delivered.
-    pub fn before(&self, m: &dyn SenderMachine) -> SpanSnapshot {
+    /// Captures the sender's observables before an input is delivered.
+    pub fn before(&self, m: &TcpSender) -> SpanSnapshot {
         let st = m.stats();
         SpanSnapshot {
             cwnd: m.cwnd(),
             ssthresh: m.ssthresh(),
             fast_retransmits: st.fast_retransmits,
             timeouts: st.timeouts,
-            in_recovery: m.in_recovery(),
+            in_recovery: m.state() == SenderState::FastRecovery,
         }
     }
 
-    /// Compares the machine's observables against a [`SpanSnapshot`] and
+    /// Compares the sender's observables against a [`SpanSnapshot`] and
     /// logs any transition the input caused.
-    pub fn after(&mut self, now: SimTime, before: SpanSnapshot, m: &dyn SenderMachine) {
+    pub fn after(&mut self, now: SimTime, before: SpanSnapshot, m: &TcpSender) {
         let st = m.stats();
         let cwnd = m.cwnd();
         let ssthresh = m.ssthresh();
@@ -255,7 +255,7 @@ impl SpanDetector {
             Some(SpanKind::Rto)
         } else if st.fast_retransmits > before.fast_retransmits {
             Some(SpanKind::FastRetransmit)
-        } else if before.in_recovery && !m.in_recovery() {
+        } else if before.in_recovery && m.state() == SenderState::Open {
             // Left recovery with no new loss: the repair ACK arrived and
             // the window deflated to ssthresh.
             Some(SpanKind::RecoveryExit)
@@ -288,8 +288,7 @@ impl SpanDetector {
 mod tests {
     use super::*;
     use crate::cc::Reno;
-    use crate::machine::AckInfo;
-    use crate::sender::TcpSender;
+    use crate::sender::AckInfo;
     use crate::TcpConfig;
 
     fn record(kind: SpanKind, t: u64, flow: u32) -> SpanRecord {
@@ -366,7 +365,7 @@ mod tests {
         );
     }
 
-    /// Drives a real Reno machine through loss and checks the detector sees
+    /// Drives a real Reno sender through loss and checks the detector sees
     /// the canonical transitions.
     #[test]
     fn detector_sees_fast_retransmit_and_recovery_exit() {
@@ -378,14 +377,14 @@ mod tests {
         // Grow the window a little.
         for i in 1..=8u64 {
             let b = det.before(&m);
-            SenderMachine::on_ack(&mut m, t(10 * i), &AckInfo::plain(i, t(0)), &mut Vec::new());
+            m.on_ack(t(10 * i), &AckInfo::plain(i, t(0)));
             det.after(t(10 * i), b, &m);
         }
         assert!(det.log().is_empty(), "no transitions during growth");
         // Drop segment 9: three duplicate ACKs for 8.
         for d in 0..3u64 {
             let b = det.before(&m);
-            SenderMachine::on_ack(&mut m, t(100 + d), &AckInfo::plain(8, t(0)), &mut Vec::new());
+            m.on_ack(t(100 + d), &AckInfo::plain(8, t(0)));
             det.after(t(100 + d), b, &m);
         }
         let kinds: Vec<SpanKind> = det.log().iter().map(|r| r.kind).collect();
@@ -395,7 +394,7 @@ mod tests {
         // The repair ACK deflates cwnd to ssthresh: recovery exit.
         let b = det.before(&m);
         let big_ack = m.next_seq();
-        SenderMachine::on_ack(&mut m, t(200), &AckInfo::plain(big_ack, t(0)), &mut Vec::new());
+        m.on_ack(t(200), &AckInfo::plain(big_ack, t(0)));
         det.after(t(200), b, &m);
         let kinds: Vec<SpanKind> = det.log().iter().map(|r| r.kind).collect();
         assert!(
@@ -417,7 +416,7 @@ mod tests {
         });
         let (delay, gen) = wait.expect("start arms an RTO");
         let b = det.before(&m);
-        SenderMachine::on_rto(&mut m, SimTime::ZERO + delay, gen, &mut Vec::new());
+        m.on_rto(SimTime::ZERO + delay, gen);
         det.after(SimTime::ZERO + delay, b, &m);
         let kinds: Vec<SpanKind> = det.log().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, vec![SpanKind::Rto]);

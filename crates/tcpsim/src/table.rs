@@ -12,7 +12,7 @@
 //!   [`TcpSink`](crate::agent::TcpSink) adapters (sequence unwrappers, pace
 //!   queue, reassembly set, withheld ACK);
 //! * one **action buffer** that every source of the simulation passes to
-//!   its sender machine in turn.
+//!   its sender in turn.
 //!
 //! Slots are leased, not owned: a sender takes its slot when the flow
 //! starts and gives it back in the call that completes it, keeping only a
@@ -40,7 +40,7 @@
 //! so simulation results and artifact digests do not depend on it.
 
 use crate::agent::{SinkLive, SourceLive};
-use crate::cc::CcState;
+use crate::cc::{CcState, RecoveryStyle};
 use crate::config::TcpConfig;
 use crate::rtt::{RttEstimator, RttState};
 use crate::sender::{SenderStats, TcpAction};
@@ -60,8 +60,8 @@ impl FlowSlot {
     }
 }
 
-/// SACK scoreboard for one flow (side table: only SACK senders touch it,
-/// and only while holes exist).
+/// SACK scoreboard for one flow (side table: only the SACK recovery style
+/// fills it, and only while holes exist).
 #[derive(Debug, Default)]
 pub struct Scoreboard {
     /// Segments above `snd_una` known received (RFC 3517 scoreboard).
@@ -76,8 +76,12 @@ pub struct Scoreboard {
 pub struct ColdFlow {
     /// Sender counters.
     pub stats: SenderStats,
-    /// SACK scoreboard (empty and untouched for Reno-family senders).
+    /// SACK scoreboard (empty for the Reno and NewReno styles).
     pub scoreboard: Scoreboard,
+    /// The sender's recovery style, read from its algorithm when the flow
+    /// starts, so that the per-ACK path branches on a byte in a line it
+    /// touches anyway instead of calling into the algorithm.
+    pub(crate) style: RecoveryStyle,
 }
 
 /// What a sender's accessors answer while it holds no slot: the initial
@@ -159,7 +163,7 @@ impl<T: Default> Pool<T> {
 /// The pooled live state of one simulation's flows (see the
 /// [module docs](self)).
 ///
-/// Sender fields are `pub(crate)`: the sender state machines index them
+/// Sender fields are `pub(crate)`: the sender state machine indexes them
 /// directly (`table.ccs[i].cwnd`, …) so the per-ACK path is array
 /// arithmetic, not accessor calls.
 #[derive(Debug, Default)]
@@ -173,7 +177,7 @@ pub struct FlowTable {
     pub(crate) snd_una: Vec<u64>,
     /// Recovery point (highest `next_seq` when recovery was entered).
     pub(crate) high_water: Vec<u64>,
-    /// Highest sequence ever sent + 1 (SACK senders; never rewinds).
+    /// Highest sequence ever sent + 1 (SACK style; never rewinds).
     pub(crate) max_sent: Vec<u64>,
     /// Consecutive duplicate-ACK count.
     pub(crate) dupacks: Vec<u32>,
@@ -473,8 +477,8 @@ enum Stage {
 }
 
 /// A sender's lease on a [`FlowTable`] slot: none before the flow starts,
-/// one while it is live, none again once it has completed. Both sender
-/// machines hold one and answer their accessors through it.
+/// one while it is live, none again once it has completed. The sender
+/// holds one and answers its accessors through it.
 #[derive(Debug)]
 pub(crate) struct FlowLease {
     pub(crate) table: SharedFlowTable,

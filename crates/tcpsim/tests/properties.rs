@@ -6,7 +6,7 @@
 use simcore::{Rng, SimTime};
 use tcpsim::cc::Reno;
 use tcpsim::receiver::TcpReceiver;
-use tcpsim::sender::{TcpAction, TcpSender};
+use tcpsim::sender::{AckInfo, TcpAction, TcpSender};
 use tcpsim::seq::{seq_le, seq_lt, SeqUnwrapper};
 use tcpsim::TcpConfig;
 
@@ -44,7 +44,7 @@ fn sender_invariants_under_adversarial_input() {
         for _ in 0..n_inputs {
             now = now + simcore::SimDuration::from_millis(10);
             let actions = match gen_input(&mut gen) {
-                Input::Ack(a) => s.on_ack(now, a, SimTime::ZERO),
+                Input::Ack(a) => s.on_ack(now, &AckInfo::plain(a, SimTime::ZERO)),
                 Input::Rto(g) => s.on_rto(now, g),
             };
             assert!(s.snd_una() >= last_una, "seed {seed}: snd_una went backwards");

@@ -3,10 +3,9 @@
 //! generators (`simcore::Rng`).
 
 use simcore::{Rng, SimTime};
-use tcpsim::machine::AckInfo;
+use tcpsim::cc::Sack;
 use tcpsim::receiver::SackRanges;
-use tcpsim::sack::SackSender;
-use tcpsim::sender::TcpAction;
+use tcpsim::sender::{AckInfo, TcpAction, TcpSender};
 use tcpsim::TcpConfig;
 
 const CASES: u64 = 64;
@@ -41,7 +40,7 @@ fn sack_sender_invariants() {
         let n_inputs = gen.u64_below(250) as usize;
         let flow_size = 1 + gen.u64_below(119);
         let cfg = TcpConfig::default().with_max_window(24);
-        let mut s = SackSender::new(cfg, Some(flow_size));
+        let mut s = TcpSender::new(cfg, Box::new(Sack), Some(flow_size));
         let mut now = SimTime::ZERO;
         let mut actions = s.start(now);
         let mut last_una = 0;

@@ -11,12 +11,9 @@
 
 use netsim::{AgentId, DumbbellBuilder, FlowId, Sim};
 use simcore::{Rng, SimDuration, SimTime};
-use tcpsim::cc::Reno;
+use tcpsim::cc::{CongestionControl, Reno, Sack};
 use tcpsim::sender::SenderStats;
-use tcpsim::{
-    FlowRecord, SackSender, SenderMachine, SharedFlowTable, TcpConfig, TcpSender, TcpSink,
-    TcpSource,
-};
+use tcpsim::{FlowRecord, SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 
 const CASES: u64 = 200;
 
@@ -68,12 +65,13 @@ fn run_mix(seed: u64, shared: Option<&SharedFlowTable>) -> Vec<Outcome> {
         let (src_node, sink_node) = (d.sources[i % pairs], d.sinks[i % pairs]);
         let private = SharedFlowTable::new();
         let table = shared.unwrap_or(&private);
-        let machine: Box<dyn SenderMachine> = if f.sack {
-            Box::new(SackSender::in_table(table, cfg, Some(f.len)))
+        let cc: Box<dyn CongestionControl> = if f.sack {
+            Box::new(Sack)
         } else {
-            Box::new(TcpSender::in_table(table, cfg, Box::new(Reno), Some(f.len)))
+            Box::new(Reno)
         };
-        let source = TcpSource::with_machine(flow, sink_node, machine).with_start_delay(f.start);
+        let sender = TcpSender::in_table(table, cfg, cc, Some(f.len));
+        let source = TcpSource::with_sender(flow, sink_node, sender).with_start_delay(f.start);
         let sink = match shared {
             Some(table) => TcpSink::in_table(table, flow, &cfg),
             None => TcpSink::new(flow, &cfg),

@@ -9,10 +9,8 @@
 use crate::workload::FlowHandle;
 use netsim::{DumbbellView, FlowId, Sim};
 use simcore::{Rng, SimDuration};
-use tcpsim::cc::{CongestionControl, Cubic, Dctcp, NewReno, Reno};
-use tcpsim::{
-    SackSender, SenderMachine, SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource,
-};
+use tcpsim::cc::{CongestionControl, Cubic, Dctcp, NewReno, Reno, Sack};
+use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 
 /// Which congestion control the generated flows use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,45 +26,21 @@ pub enum CcKind {
     /// otherwise it behaves exactly like Reno growth with NewReno
     /// recovery.
     Dctcp,
-    /// SACK scoreboard recovery (RFC 2018/3517) — what the paper's Linux
-    /// testbed hosts ran.
+    /// Reno windows with SACK scoreboard recovery (RFC 2018/3517) — what
+    /// the paper's Linux testbed hosts ran. Ignores ECE.
     Sack,
 }
 
 impl CcKind {
-    /// Builds a fresh congestion-control instance of this kind.
-    ///
-    /// Panics for [`CcKind::Sack`], which is a different sender machine,
-    /// not a window rule — use [`CcKind::make_machine`] instead.
+    /// Builds a fresh congestion-control instance of this kind; it names
+    /// the loss recovery [`TcpSender`] runs for it (see [`tcpsim::cc`]).
     pub fn build(self) -> Box<dyn CongestionControl> {
         match self {
             CcKind::Reno => Box::new(Reno),
             CcKind::NewReno => Box::new(NewReno),
             CcKind::Cubic => Box::new(Cubic::new(0.005)),
             CcKind::Dctcp => Box::new(Dctcp),
-            // simlint: allow(panic-in-kernel): documented constructor-misuse guard at setup time; unreachable from the event path
-            CcKind::Sack => panic!("SACK is a sender machine; use make_machine"),
-        }
-    }
-
-    /// Builds a complete sender machine of this kind with a private flow
-    /// table.
-    pub fn make_machine(self, cfg: TcpConfig, flow_size: Option<u64>) -> Box<dyn SenderMachine> {
-        self.make_machine_in(&SharedFlowTable::new(), cfg, flow_size)
-    }
-
-    /// Builds a complete sender machine whose live state is pooled in
-    /// `table`, so all flows of one simulation share dense arrays (see
-    /// [`tcpsim::table`]).
-    pub fn make_machine_in(
-        self,
-        table: &SharedFlowTable,
-        cfg: TcpConfig,
-        flow_size: Option<u64>,
-    ) -> Box<dyn SenderMachine> {
-        match self {
-            CcKind::Sack => Box::new(SackSender::in_table(table, cfg, flow_size)),
-            other => Box::new(TcpSender::in_table(table, cfg, other.build(), flow_size)),
+            CcKind::Sack => Box::new(Sack),
         }
     }
 }
@@ -137,9 +111,9 @@ impl BulkWorkload {
             let start = SimDuration::from_nanos(
                 rng.u64_below(self.start_window.as_nanos().max(1)),
             );
-            let machine = self.cc.make_machine_in(table, self.cfg, None);
+            let sender = TcpSender::in_table(table, self.cfg, self.cc.build(), None);
             let mut source =
-                TcpSource::with_machine(flow, sink_node, machine).with_start_delay(start);
+                TcpSource::with_sender(flow, sink_node, sender).with_start_delay(start);
             if self.trace_cwnd {
                 source = source.with_cwnd_trace();
             }

@@ -24,7 +24,7 @@ use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
 use tcpsim::cc::Reno;
 use tcpsim::receiver::TcpReceiver;
-use tcpsim::sender::{TcpAction, TcpSender};
+use tcpsim::sender::{AckInfo, TcpAction, TcpSender};
 use tcpsim::seq::{to_wire, SeqUnwrapper};
 use tcpsim::{FlowRecord, TcpConfig};
 use std::any::Any;
@@ -156,7 +156,7 @@ impl Agent for SessionSource {
         if let PacketKind::TcpAck(hdr) = pkt.kind {
             let ack = self.ack_unwrap.unwrap(hdr.ack);
             if let Some(sender) = &mut self.sender {
-                let actions = sender.on_ack(ctx.now(), ack, hdr.ts);
+                let actions = sender.on_ack(ctx.now(), &AckInfo::plain(ack, hdr.ts));
                 self.apply(actions, ctx);
             }
         }

@@ -154,7 +154,7 @@ impl ShortFlowWorkload {
             let src_node = dumbbell.sources[pair];
             let sink_node = dumbbell.sinks[pair];
             let sender = TcpSender::in_table(table, self.cfg, Box::new(Reno), Some(len));
-            let source = TcpSource::with_machine(flow, sink_node, Box::new(sender))
+            let source = TcpSource::with_sender(flow, sink_node, sender)
                 .with_start_delay(SimDuration::from_secs_f64(t));
             let source_id = sim.add_agent(src_node, Box::new(source));
             let sink = TcpSink::in_table(table, flow, &self.cfg);

@@ -3,7 +3,7 @@
 
 use buffersizing::prelude::*;
 use netsim::{FlowId, ParkingLotBuilder, Sim};
-use tcpsim::{Cubic, Reno, TcpConfig, TcpSink, TcpSource};
+use tcpsim::{Cubic, Reno, Sack, TcpConfig, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
 
 #[test]
@@ -208,7 +208,7 @@ fn sack_full_stack_short_flow_completes_under_loss() {
     sim.kernel_mut().link_mut(d.bottleneck).random_loss = 0.03;
     let cfg = TcpConfig::default();
     let flow = FlowId(0);
-    let src = TcpSource::new_sack(flow, d.sinks[0], cfg, Some(2000));
+    let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Sack), Some(2000));
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::new(flow, &cfg)));
     sim.bind_flow(flow, d.sinks[0], sink_id);

@@ -15,7 +15,7 @@ use netsim::{
 };
 use simcore::{Rng, SimDuration, SimTime};
 use tcpsim::sender::SenderStats;
-use tcpsim::{SharedFlowTable, TcpConfig, TcpSink, TcpSource};
+use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
 
 /// Segments in the flow.
@@ -105,8 +105,8 @@ fn run(kind: CcKind, ecn: bool) -> (Pin, u64) {
     let cfg = if ecn { cfg.with_ecn() } else { cfg };
     let table = SharedFlowTable::new();
     let flow = FlowId(0);
-    let machine = kind.make_machine_in(&table, cfg, Some(SEGMENTS));
-    let src = TcpSource::with_machine(flow, d.sinks[0], machine).with_span_log(1024);
+    let sender = TcpSender::in_table(&table, cfg, kind.build(), Some(SEGMENTS));
+    let src = TcpSource::with_sender(flow, d.sinks[0], sender).with_span_log(1024);
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::in_table(&table, flow, &cfg)));
     sim.bind_flow(flow, d.sinks[0], sink_id);

@@ -85,7 +85,6 @@ fn hot_path_marker_inventory_is_pinned() {
         "crates/netsim/src/telemetry.rs",
         "crates/tcpsim/src/agent.rs",
         "crates/tcpsim/src/sender.rs",
-        "crates/tcpsim/src/sack.rs",
     ];
     let mut total = 0;
     for rel in must_mark {
@@ -240,11 +239,7 @@ fn sanctioned_waiver_inventory_is_pinned() {
         ("crates/simcore/src/wheel.rs", "line", "panic-in-kernel"),
         ("crates/simcore/src/wheel.rs", "line", "panic-in-kernel"),
         ("crates/tcpsim/src/receiver.rs", "line", "panic-in-kernel"),
-        ("crates/tcpsim/src/sack.rs", "line", "hot-path-alloc"),
-        ("crates/tcpsim/src/sack.rs", "line", "hot-path-alloc"),
-        ("crates/tcpsim/src/sack.rs", "line", "hot-path-alloc"),
         ("crates/tcpsim/src/seq.rs", "file", "lossy-cast"),
-        ("crates/traffic/src/bulk.rs", "line", "panic-in-kernel"),
         ("crates/traffic/src/shortflow.rs", "line", "float-reduction"),
         ("crates/traffic/src/shortflow.rs", "line", "panic-in-kernel"),
     ]
