@@ -121,6 +121,10 @@ impl Dumbbell {
     }
 }
 
+/// Buffer of every non-bottleneck link of the topology builders:
+/// effectively infinite, so congestion only occurs at the bottlenecks.
+pub(crate) const SIDE_BUFFER: QueueCapacity = QueueCapacity::Packets(1_000_000);
+
 /// Builder for the dumbbell topology.
 pub struct DumbbellBuilder {
     bottleneck_rate: u64,
@@ -130,9 +134,6 @@ pub struct DumbbellBuilder {
     access_rates: Option<Vec<u64>>,
     access_delays: Vec<SimDuration>,
     bottleneck_queue: Option<Box<dyn Queue>>,
-    /// Buffer for all non-bottleneck links (defaults to effectively
-    /// infinite so congestion only occurs at the bottleneck).
-    side_buffer: QueueCapacity,
 }
 
 impl DumbbellBuilder {
@@ -147,7 +148,6 @@ impl DumbbellBuilder {
             access_rates: None,
             access_delays: Vec::new(),
             bottleneck_queue: None,
-            side_buffer: QueueCapacity::Packets(1_000_000),
         }
     }
 
@@ -196,12 +196,6 @@ impl DumbbellBuilder {
         self
     }
 
-    /// Overrides the buffer used on non-bottleneck links.
-    pub fn side_buffer(mut self, buffer: QueueCapacity) -> Self {
-        self.side_buffer = buffer;
-        self
-    }
-
     /// Builds the topology into `sim` and returns the ids.
     ///
     /// Panics if no flows were added or if per-flow access rates were given
@@ -235,7 +229,7 @@ impl DumbbellBuilder {
             r1,
             self.bottleneck_rate,
             self.bottleneck_delay,
-            self.side_buffer,
+            SIDE_BUFFER,
         ));
 
         let mut sources = Vec::with_capacity(n);
@@ -257,7 +251,7 @@ impl DumbbellBuilder {
                 r1,
                 rate,
                 delay,
-                self.side_buffer,
+                SIDE_BUFFER,
             ));
             let src_down = sim.add_link(Link::new(
                 format!("r1-src{i}"),
@@ -265,7 +259,7 @@ impl DumbbellBuilder {
                 src,
                 rate,
                 delay,
-                self.side_buffer,
+                SIDE_BUFFER,
             ));
             let dst_down = sim.add_link(Link::new(
                 format!("r2-dst{i}"),
@@ -273,7 +267,7 @@ impl DumbbellBuilder {
                 dst,
                 rate,
                 SimDuration::ZERO,
-                self.side_buffer,
+                SIDE_BUFFER,
             ));
             let dst_up = sim.add_link(Link::new(
                 format!("dst{i}-r2"),
@@ -281,7 +275,7 @@ impl DumbbellBuilder {
                 r2,
                 rate,
                 SimDuration::ZERO,
-                self.side_buffer,
+                SIDE_BUFFER,
             ));
 
             let k = sim.kernel_mut();

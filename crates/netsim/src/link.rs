@@ -30,7 +30,8 @@ pub struct Link {
     pub busy: bool,
     /// Measurement counters.
     pub monitor: LinkMonitor,
-    /// If true, the periodic queue sampler records this link's occupancy.
+    /// If true, the periodic queue sampler records this link's occupancy
+    /// and telemetry samples its queue, utilization and drop series.
     pub sample_queue: bool,
     /// Fault injection: probability in `[0,1]` that an arriving packet is
     /// dropped before it reaches the queue (models link-level loss; 0 by

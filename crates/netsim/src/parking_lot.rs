@@ -14,6 +14,7 @@
 //! * **left** flows cross only bottleneck 1 (they sink at R2's hosts);
 //! * **right** flows cross only bottleneck 2 (they source at R2's hosts).
 
+use crate::builder::SIDE_BUFFER;
 use crate::link::Link;
 use crate::node::NodeKind;
 use crate::queue::QueueCapacity;
@@ -58,7 +59,6 @@ pub struct ParkingLotBuilder {
     n_left: usize,
     n_right: usize,
     access_delay: SimDuration,
-    side_buffer: QueueCapacity,
 }
 
 impl ParkingLotBuilder {
@@ -75,7 +75,6 @@ impl ParkingLotBuilder {
             n_left: 0,
             n_right: 0,
             access_delay: SimDuration::from_millis(10),
-            side_buffer: QueueCapacity::Packets(1_000_000),
         }
     }
 
@@ -134,7 +133,7 @@ impl ParkingLotBuilder {
             r1,
             self.rate_bps,
             self.hop_delay,
-            self.side_buffer,
+            SIDE_BUFFER,
         ));
         let b2 = sim.add_link(Link::new(
             "bottleneck2",
@@ -150,7 +149,7 @@ impl ParkingLotBuilder {
             r2,
             self.rate_bps,
             self.hop_delay,
-            self.side_buffer,
+            SIDE_BUFFER,
         ));
 
         // Attach a host to a router with a bidirectional access-link pair;
@@ -163,7 +162,7 @@ impl ParkingLotBuilder {
                 router,
                 self.access_rate,
                 self.access_delay,
-                self.side_buffer,
+                SIDE_BUFFER,
             ));
             let down = sim.add_link(Link::new(
                 format!("{name}-down"),
@@ -171,7 +170,7 @@ impl ParkingLotBuilder {
                 host,
                 self.access_rate,
                 self.access_delay,
-                self.side_buffer,
+                SIDE_BUFFER,
             ));
             let k = sim.kernel_mut();
             k.node_mut(host).routes.set_default(up);

@@ -411,11 +411,9 @@ impl Kernel {
         if let Some(tel) = &mut self.telemetry {
             tel.begin_tick();
             tel.sample_links(now, &self.links);
-            if tel.config().sample_flows {
-                for slot in agents {
-                    slot.agent
-                        .on_telemetry(&mut |name, v| tel.sample(name, now, v));
-                }
+            for slot in agents {
+                slot.agent
+                    .on_telemetry(&mut |name, v| tel.sample(name, now, v));
             }
         }
         self.events
@@ -1268,11 +1266,6 @@ impl Sim {
             .agent
             .as_any_mut()
             .downcast_mut::<T>()
-    }
-
-    /// Number of agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
     }
 }
 

@@ -16,6 +16,10 @@
 //! * per-agent gauges reported through [`crate::Agent::on_telemetry`] —
 //!   `cwnd.<flow>` and `rtt.<flow>` for TCP sources.
 //!
+//! Link series cover only the links with [`Link::sample_queue`] set (a
+//! dumbbell with hundreds of flows has thousands of access links; usually
+//! only the bottleneck is interesting); every agent's gauges are sampled.
+//!
 //! Samples land in bounded [`Ring`] buffers ([`simcore::trace::Ring`]), so
 //! arbitrarily long runs record at fixed memory while still counting every
 //! sample ever taken. The whole store can be exported as JSONL
@@ -46,12 +50,6 @@ pub struct TelemetryConfig {
     /// Maximum retained samples per series (older samples are evicted;
     /// every sample still counts toward totals and the digest).
     pub ring_capacity: usize,
-    /// Sample per-agent gauges (cwnd/RTT) via [`crate::Agent::on_telemetry`].
-    pub sample_flows: bool,
-    /// Restrict link series to links with [`Link::sample_queue`] set (a
-    /// dumbbell with hundreds of flows has thousands of access links;
-    /// usually only the bottleneck is interesting).
-    pub flagged_links_only: bool,
 }
 
 impl TelemetryConfig {
@@ -62,8 +60,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             interval,
             ring_capacity: 4096,
-            sample_flows: true,
-            flagged_links_only: true,
         }
     }
 
@@ -71,18 +67,6 @@ impl TelemetryConfig {
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0);
         self.ring_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables per-agent gauges.
-    pub fn with_flow_sampling(mut self, on: bool) -> Self {
-        self.sample_flows = on;
-        self
-    }
-
-    /// Samples every link, not just the flagged ones.
-    pub fn all_links(mut self) -> Self {
-        self.flagged_links_only = false;
         self
     }
 }
@@ -241,7 +225,7 @@ impl Telemetry {
             self.links.resize(links.len(), None);
         }
         for (link, state) in links.iter().zip(&mut self.links) {
-            if self.config.flagged_links_only && !link.sample_queue {
+            if !link.sample_queue {
                 continue;
             }
             let st = state.get_or_insert_with(|| LinkState::new(&link.name));

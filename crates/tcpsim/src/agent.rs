@@ -3,7 +3,10 @@
 //! [`TcpSource`] drives a [`TcpSender`] on the sending host; [`TcpSink`]
 //! drives a [`TcpReceiver`] on the destination host and emits ACK packets
 //! back to the source. One `TcpSource`/`TcpSink` pair per flow; both are
-//! bound to the flow id with [`netsim::Sim::bind_flow`].
+//! bound to the flow id with [`netsim::Sim::bind_flow`]. This is the only
+//! TCP agent pair: a closed-loop session (`traffic::sessions`) runs its
+//! successive transfers on one, re-armed with [`TcpSource::next_transfer`],
+//! with a fresh `TcpSink` for each transfer.
 //!
 //! An installed flow keeps its boxed agent pair for the whole run, so the
 //! boxes hold only what differs between flows and is needed before the flow
@@ -95,8 +98,8 @@ pub struct TcpSource {
     sender: TcpSender,
     /// This source's [`SourceLive`] slot, while the flow is live.
     live: Option<u32>,
-    /// Until the flow starts, its start delay (counted from time zero);
-    /// from then on, when it started.
+    /// Until the flow starts, when it is due to start; from then on, when
+    /// it started.
     start: SimTime,
     /// The start timer has fired: `start` is the start time.
     started: bool,
@@ -216,6 +219,20 @@ impl TcpSource {
     /// The flow id.
     pub fn flow(&self) -> FlowId {
         self.flow
+    }
+
+    /// Arms the next transfer on this flow: `sender` replaces the finished
+    /// one and starts `delay` from now, through the first transfer's start
+    /// timer. The RTO timer stays, so a deadline left over from the
+    /// finished transfer meets the one scheduler entry it met before.
+    /// Panics unless the current transfer has completed and freed its slot.
+    pub fn next_transfer(&mut self, sender: TcpSender, delay: SimDuration, ctx: &mut Ctx<'_>) {
+        assert!(self.completed_at.is_some() && self.live.is_none(), "transfer in progress");
+        self.sender = sender;
+        self.start = ctx.now() + delay;
+        self.started = false;
+        self.completed_at = None;
+        ctx.set_timer(delay, TOKEN_START);
     }
 
     // simlint: hot-path — every outgoing data segment

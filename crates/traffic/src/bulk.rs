@@ -6,7 +6,7 @@
 //! builder, this provides the desynchronization the paper's √n argument
 //! relies on.
 
-use crate::workload::FlowHandle;
+use crate::workload::{install_pair, FlowHandle};
 use netsim::{DumbbellView, FlowId, Sim};
 use simcore::{Rng, SimDuration};
 use tcpsim::cc::{CongestionControl, Cubic, Dctcp, NewReno, Reno, Sack};
@@ -54,8 +54,6 @@ pub struct BulkWorkload {
     pub cc: CcKind,
     /// Flow `i` starts at a uniform random time in `[0, start_window)`.
     pub start_window: SimDuration,
-    /// Record `cwnd.<flow>` traces (enable only for small runs).
-    pub trace_cwnd: bool,
     /// Pace transmissions at cwnd/RTT (extension experiment).
     pub pacing: bool,
     /// Give every source a lifecycle span log of this capacity (see
@@ -69,7 +67,6 @@ impl Default for BulkWorkload {
             cfg: TcpConfig::default(),
             cc: CcKind::Reno,
             start_window: SimDuration::from_secs(5),
-            trace_cwnd: false,
             pacing: false,
             span_capacity: None,
         }
@@ -114,27 +111,14 @@ impl BulkWorkload {
             let sender = TcpSender::in_table(table, self.cfg, self.cc.build(), None);
             let mut source =
                 TcpSource::with_sender(flow, sink_node, sender).with_start_delay(start);
-            if self.trace_cwnd {
-                source = source.with_cwnd_trace();
-            }
             if self.pacing {
                 source = source.with_pacing();
             }
             if let Some(cap) = self.span_capacity {
                 source = source.with_span_log(cap);
             }
-            let source_id = sim.add_agent(src_node, Box::new(source));
-            let sink = TcpSink::in_table(table, flow, &self.cfg);
-            let sink_id = sim.add_agent(sink_node, Box::new(sink));
-            sim.bind_flow(flow, sink_node, sink_id);
-            sim.bind_flow(flow, src_node, source_id);
-            handles.push(FlowHandle {
-                flow,
-                source: source_id,
-                sink: sink_id,
-                source_node: src_node,
-                sink_node,
-            });
+            let sink = Box::new(TcpSink::in_table(table, flow, &self.cfg));
+            handles.push(install_pair(sim, flow, (src_node, Box::new(source)), (sink_node, sink)));
         }
         handles
     }

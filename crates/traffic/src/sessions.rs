@@ -9,72 +9,56 @@
 //! think (exponential) → transfer (Pareto-sized TCP flow) → think → …
 //! ```
 //!
-//! Each session reuses one flow id for its successive transfers (like a
-//! user's successive requests); every transfer runs a **fresh**
-//! [`TcpSender`]/[`TcpReceiver`] pair, so each starts in slow start exactly
-//! like a new connection. One RTO [`DeadlineTimer`] serves them all: a deadline
-//! left over from a finished transfer finds no sender, or a moved deadline.
+//! A session is one flow id (a user's successive requests) on the
+//! [`TcpSource`] / [`TcpSink`] pair every TCP flow runs on; [`SessionSource`]
+//! and [`SessionSink`] draw think times and sizes and keep the results.
+//! Each transfer is a fresh [`TcpSender`], armed with
+//! [`TcpSource::next_transfer`] once the previous one has completed, so it
+//! starts in slow start like a new connection. A sink that has recorded its
+//! transfer is replaced by a fresh one: whatever arrives later belongs to
+//! the next transfer.
 
-use crate::workload::FlowHandle;
-use netsim::{
-    Agent, Ctx, DeadlineTimer, DumbbellView, FlowId, NodeId, Packet, PacketKind, Sim, TcpFlags,
-    TcpHeader,
-};
+use crate::workload::{install_pair, FlowHandle};
+use netsim::{Agent, Ctx, DumbbellView, FlowId, NodeId, Packet, Sim};
 use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
-use tcpsim::cc::Reno;
-use tcpsim::receiver::TcpReceiver;
-use tcpsim::sender::{AckInfo, TcpAction, TcpSender};
-use tcpsim::seq::{to_wire, SeqUnwrapper};
-use tcpsim::{FlowRecord, TcpConfig};
 use std::any::Any;
+use tcpsim::cc::Reno;
+use tcpsim::{FlowRecord, SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 
-/// Token for "begin the next transfer".
-const TOKEN_NEXT_TRANSFER: u64 = u64::MAX;
-/// Token for the RTO [`DeadlineTimer`].
-const TOKEN_RTO: u64 = u64::MAX - 1;
-
-/// Sender side of one session: sequential transfers on one flow id.
+/// Sender side of one session: a [`TcpSource`] running one Reno transfer
+/// after another on one flow id, each after a think time. It reports no
+/// telemetry gauges (`on_telemetry` is not forwarded).
 pub struct SessionSource {
-    flow: FlowId,
-    dst: NodeId,
-    cfg: TcpConfig,
+    source: TcpSource,
     think: Exponential,
     sizes: Pareto,
     rng: Rng,
-    sender: Option<TcpSender>,
-    /// Latest RTO generation announced by the live sender.
-    rto_gen: u64,
-    rto: DeadlineTimer,
     transfers_completed: u64,
-    segments_acked: u64,
-    ack_unwrap: SeqUnwrapper,
 }
 
 impl SessionSource {
-    /// Creates a session source. `think_mean` is the mean think time;
-    /// `sizes` draws transfer sizes in segments.
+    /// Creates a session source whose transfers pool their live state in
+    /// `table`. `think_mean` is the mean think time; `sizes` draws transfer
+    /// sizes in segments. The first think time and size are drawn here.
     pub fn new(
+        table: &SharedFlowTable,
         flow: FlowId,
         dst: NodeId,
         cfg: TcpConfig,
         think_mean: SimDuration,
         sizes: Pareto,
-        rng: Rng,
+        mut rng: Rng,
     ) -> Self {
+        let think = Exponential::with_mean(think_mean.as_secs_f64().max(1e-9));
+        let (delay, size) = draw(&think, &sizes, &mut rng);
+        let sender = TcpSender::in_table(table, cfg, Box::new(Reno), Some(size));
         SessionSource {
-            flow,
-            dst,
-            cfg,
-            think: Exponential::with_mean(think_mean.as_secs_f64().max(1e-9)),
+            source: TcpSource::with_sender(flow, dst, sender).with_start_delay(delay),
+            think,
             sizes,
             rng,
-            sender: None,
-            rto_gen: 0,
-            rto: DeadlineTimer::default(),
             transfers_completed: 0,
-            segments_acked: 0,
-            ack_unwrap: SeqUnwrapper::new(),
         }
     }
 
@@ -82,102 +66,36 @@ impl SessionSource {
     pub fn transfers_completed(&self) -> u64 {
         self.transfers_completed
     }
+}
 
-    /// Total segments acknowledged across transfers.
-    pub fn segments_acked(&self) -> u64 {
-        self.segments_acked
-    }
-
-    /// True while a transfer is in progress.
-    pub fn active(&self) -> bool {
-        self.sender.is_some()
-    }
-
-    /// The live sender's congestion window (0 while thinking).
-    pub fn cwnd(&self) -> f64 {
-        self.sender.as_ref().map(|s| s.cwnd()).unwrap_or(0.0)
-    }
-
-    fn schedule_next(&mut self, ctx: &mut Ctx<'_>) {
-        let think = SimDuration::from_secs_f64(self.think.sample(&mut self.rng));
-        ctx.set_timer(think, TOKEN_NEXT_TRANSFER);
-    }
-
-    fn apply(&mut self, actions: Vec<TcpAction>, ctx: &mut Ctx<'_>) {
-        for a in actions {
-            match a {
-                TcpAction::Send {
-                    seq,
-                    retransmit,
-                    fin,
-                } => {
-                    let hdr = TcpHeader {
-                        seq: to_wire(seq),
-                        ack: 0,
-                        flags: TcpFlags {
-                            syn: seq == 0 && !retransmit,
-                            fin,
-                            ..TcpFlags::default()
-                        },
-                        ts: ctx.now(),
-                        sack: netsim::SackBlocks::EMPTY,
-                    };
-                    let pkt = ctx.make_packet(
-                        self.flow,
-                        self.dst,
-                        self.cfg.data_size,
-                        PacketKind::TcpData(hdr),
-                    );
-                    ctx.send(pkt);
-                }
-                TcpAction::ArmRto { delay, gen } => {
-                    self.rto_gen = gen;
-                    self.rto.set(ctx.now() + delay, TOKEN_RTO, ctx);
-                }
-                TcpAction::Completed => {
-                    if let Some(s) = &self.sender {
-                        self.segments_acked += s.snd_una();
-                    }
-                    self.sender = None;
-                    self.transfers_completed += 1;
-                    self.schedule_next(ctx);
-                }
-            }
-        }
-    }
+/// Draws a think time, then a transfer size in segments (at least one):
+/// the order every session draws in, which is part of every digest.
+fn draw(think: &Exponential, sizes: &Pareto, rng: &mut Rng) -> (SimDuration, u64) {
+    let delay = SimDuration::from_secs_f64(think.sample(rng));
+    (delay, (sizes.sample(rng).ceil() as u64).max(1))
 }
 
 impl Agent for SessionSource {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.schedule_next(ctx);
+        self.source.on_start(ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if let PacketKind::TcpAck(hdr) = pkt.kind {
-            let ack = self.ack_unwrap.unwrap(hdr.ack);
-            if let Some(sender) = &mut self.sender {
-                let actions = sender.on_ack(ctx.now(), &AckInfo::plain(ack, hdr.ts));
-                self.apply(actions, ctx);
-            }
+        self.source.on_packet(pkt, ctx);
+        // Only an ACK completes a transfer; the next one is armed in the
+        // same call, so `completed_at` is set here exactly once per transfer.
+        if self.source.completed_at().is_some() {
+            self.transfers_completed += 1;
+            let (delay, size) = draw(&self.think, &self.sizes, &mut self.rng);
+            let finished = self.source.sender();
+            let sender =
+                TcpSender::in_table(finished.table(), *finished.cfg(), Box::new(Reno), Some(size));
+            self.source.next_transfer(sender, delay, ctx);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        if token == TOKEN_NEXT_TRANSFER {
-            // Fresh ACK unwrapper: the new transfer's wire sequence space
-            // restarts at 0.
-            self.ack_unwrap = SeqUnwrapper::new();
-            let size = (self.sizes.sample(&mut self.rng).ceil() as u64).max(1);
-            let mut sender = TcpSender::new(self.cfg, Box::new(Reno), Some(size));
-            let actions = sender.start(ctx.now());
-            self.sender = Some(sender);
-            self.apply(actions, ctx);
-        } else if token == TOKEN_RTO && self.rto.fired(token, ctx) {
-            if let Some(sender) = &mut self.sender {
-                let actions = sender.on_rto(ctx.now(), self.rto_gen);
-                self.apply(actions, ctx);
-            }
-        }
+        self.source.on_timer(token, ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -188,24 +106,22 @@ impl Agent for SessionSource {
     }
 }
 
-/// Receiver side of one session: resets between transfers and accumulates
-/// per-transfer [`FlowRecord`]s.
+/// Receiver side of one session: a [`TcpSink`] per transfer, replaced by a
+/// fresh one once it has completed, and the per-transfer [`FlowRecord`]s.
 pub struct SessionSink {
-    flow: FlowId,
-    delayed_ack: bool,
-    receiver: TcpReceiver,
-    seq_unwrap: SeqUnwrapper,
+    sink: TcpSink,
+    table: SharedFlowTable,
+    cfg: TcpConfig,
     records: Vec<FlowRecord>,
 }
 
 impl SessionSink {
-    /// Creates the sink.
-    pub fn new(flow: FlowId, cfg: &TcpConfig) -> Self {
+    /// Creates the sink; its transfers pool their live state in `table`.
+    pub fn new(table: &SharedFlowTable, flow: FlowId, cfg: &TcpConfig) -> Self {
         SessionSink {
-            flow,
-            delayed_ack: cfg.delayed_ack,
-            receiver: TcpReceiver::new(cfg.delayed_ack),
-            seq_unwrap: SeqUnwrapper::new(),
+            sink: TcpSink::in_table(table, flow, cfg),
+            table: table.clone(),
+            cfg: *cfg,
             records: Vec::new(),
         }
     }
@@ -214,52 +130,20 @@ impl SessionSink {
     pub fn records(&self) -> &[FlowRecord] {
         &self.records
     }
-
-    /// Total segments delivered across all completed transfers.
-    pub fn total_segments(&self) -> u64 {
-        self.records.iter().map(|r| r.segments).sum()
-    }
 }
 
 impl Agent for SessionSink {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        if let PacketKind::TcpData(hdr) = pkt.kind {
-            let seq = self.seq_unwrap.unwrap(hdr.seq);
-            let res = self
-                .receiver
-                .on_data(ctx.now(), seq, hdr.flags.fin, hdr.ts, pkt.created);
-            if let Some(ack) = res.ack {
-                let out = TcpHeader {
-                    seq: 0,
-                    ack: to_wire(ack.ack),
-                    flags: TcpFlags::default(),
-                    ts: ack.ts_echo,
-                    sack: netsim::SackBlocks::EMPTY,
-                };
-                let p = ctx.make_packet(
-                    self.flow,
-                    pkt.src,
-                    Packet::ACK_SIZE,
-                    PacketKind::TcpAck(out),
-                );
-                ctx.send(p);
-            }
-            if res.completed {
-                if let (Some(end), Some(start)) =
-                    (self.receiver.completed_at(), self.receiver.first_created())
-                {
-                    self.records.push(FlowRecord {
-                        flow: self.flow,
-                        segments: self.receiver.delivered(),
-                        start,
-                        end,
-                    });
-                }
-                // Reset for the next transfer of this session.
-                self.receiver = TcpReceiver::new(self.delayed_ack);
-                self.seq_unwrap = SeqUnwrapper::new();
-            }
+        self.sink.on_packet(pkt, ctx);
+        // Only a data segment completes a transfer.
+        if let Some(record) = self.sink.record() {
+            self.records.push(record);
+            self.sink = TcpSink::in_table(&self.table, record.flow, &self.cfg);
         }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        self.sink.on_timer(token, ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -286,9 +170,10 @@ pub struct SessionWorkload {
 }
 
 impl SessionWorkload {
-    /// Installs the sessions round-robin over the dumbbell's host pairs.
-    /// Accepts a whole `&Dumbbell` or a borrowed [`DumbbellView`] of some
-    /// of its pairs.
+    /// Installs the sessions round-robin over the dumbbell's host pairs,
+    /// all pooling their live state in one fresh flow table. Accepts a
+    /// whole `&Dumbbell` or a borrowed [`DumbbellView`] of some of its
+    /// pairs.
     pub fn install<'a>(
         &self,
         sim: &mut Sim,
@@ -299,6 +184,7 @@ impl SessionWorkload {
         let dumbbell = dumbbell.into();
         assert!(self.n_sessions > 0);
         let sizes = Pareto::with_mean(self.size_mean_segments, self.size_shape);
+        let table = SharedFlowTable::new();
         let mut handles = Vec::with_capacity(self.n_sessions);
         for i in 0..self.n_sessions {
             let pair = i % dumbbell.n_flows();
@@ -306,6 +192,7 @@ impl SessionWorkload {
             let src_node = dumbbell.sources[pair];
             let sink_node = dumbbell.sinks[pair];
             let source = SessionSource::new(
+                &table,
                 flow,
                 sink_node,
                 self.cfg,
@@ -313,17 +200,8 @@ impl SessionWorkload {
                 sizes,
                 rng.fork(),
             );
-            let source_id = sim.add_agent(src_node, Box::new(source));
-            let sink_id = sim.add_agent(sink_node, Box::new(SessionSink::new(flow, &self.cfg)));
-            sim.bind_flow(flow, sink_node, sink_id);
-            sim.bind_flow(flow, src_node, source_id);
-            handles.push(FlowHandle {
-                flow,
-                source: source_id,
-                sink: sink_id,
-                source_node: src_node,
-                sink_node,
-            });
+            let sink = Box::new(SessionSink::new(&table, flow, &self.cfg));
+            handles.push(install_pair(sim, flow, (src_node, Box::new(source)), (sink_node, sink)));
         }
         handles
     }

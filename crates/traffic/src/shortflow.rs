@@ -14,7 +14,7 @@
 //! follows the number of flows in progress (hundreds), not the number of
 //! arrivals (a hundred thousand and more at Figure 8 scale).
 
-use crate::workload::FlowHandle;
+use crate::workload::{install_pair, FlowHandle};
 use netsim::{DumbbellView, FlowId, Sim};
 use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
@@ -156,18 +156,8 @@ impl ShortFlowWorkload {
             let sender = TcpSender::in_table(table, self.cfg, Box::new(Reno), Some(len));
             let source = TcpSource::with_sender(flow, sink_node, sender)
                 .with_start_delay(SimDuration::from_secs_f64(t));
-            let source_id = sim.add_agent(src_node, Box::new(source));
-            let sink = TcpSink::in_table(table, flow, &self.cfg);
-            let sink_id = sim.add_agent(sink_node, Box::new(sink));
-            sim.bind_flow(flow, sink_node, sink_id);
-            sim.bind_flow(flow, src_node, source_id);
-            handles.push(FlowHandle {
-                flow,
-                source: source_id,
-                sink: sink_id,
-                source_node: src_node,
-                sink_node,
-            });
+            let sink = Box::new(TcpSink::in_table(table, flow, &self.cfg));
+            handles.push(install_pair(sim, flow, (src_node, Box::new(source)), (sink_node, sink)));
         }
         handles
     }

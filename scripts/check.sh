@@ -69,6 +69,23 @@ sites="$(core_sites 'sim.start()') $(core_sites '.monitor.mark(') $(core_sites '
 }
 echo "one run path: sim.start() / .monitor.mark( / min_buffer_for_par( call sites are $sites"
 
+echo "==> one-TCP-agent-pair gate (no TCP glue outside crates/tcpsim and crates/netsim)"
+# Every TCP flow runs on tcpsim's TcpSource / TcpSink; a closed-loop
+# session wraps one pair and re-arms it per transfer
+# (TcpSource::next_transfer). A second hand-rolled agent pair needs its own
+# headers, sequence unwrapping and sender / receiver calls: count those in
+# crates/*/src outside tcpsim and netsim, src/ and examples/, outside
+# comments and each file's trailing #[cfg(test)] module.
+tcp_glue=$(for f in $(git ls-files 'crates/*/src/*.rs' 'src/*.rs' 'examples/*.rs' \
+        | grep -v '^crates/\(tcpsim\|netsim\)/'); do
+    sed -e '/^#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f"
+done | grep -cE 'TcpHeader|TcpFlags|SeqUnwrapper|TcpReceiver::new\(|TcpSender::new\(|\.on_ack\(|\.on_rto\(|\.on_data\(' || true)
+[ "$tcp_glue" = "0" ] || {
+    echo "a second TCP agent pair: $tcp_glue lines of TCP header / sequence / sender / receiver glue outside crates/tcpsim and crates/netsim, want 0" >&2
+    exit 1
+}
+echo "one TCP agent pair: $tcp_glue lines of TCP glue outside crates/tcpsim and crates/netsim"
+
 echo "==> doc drift gate (DESIGN.md sections referenced from other docs exist)"
 # README/EXPERIMENTS/RESULTS point readers at DESIGN.md sections by number
 # ("see DESIGN.md §13", "DESIGN.md §12.2"). Renumbering or deleting a

@@ -1,9 +1,10 @@
 //! Integration: the scheduler's timer population follows the flows, not the
-//! simulated time. Every RTO protocol in the tree keeps its moving deadline
-//! on the wheel with a `netsim::DeadlineTimer` — at most one live entry per
-//! flow — so the event-queue high-water mark of a run three times as long
-//! is the same, and the timer events it dispatches are bounded by the RTO
-//! windows that fit into it. A re-arming timer chain that is never retired
+//! simulated time. `tcpsim::TcpSource`, the one TCP source in the tree,
+//! keeps its moving RTO deadline on the wheel with a `netsim::DeadlineTimer`
+//! — at most one live entry per flow, however many transfers a closed-loop
+//! session runs on it — so the event-queue high-water mark of a run three
+//! times as long is the same, and the timer events it dispatches are bounded
+//! by the RTO windows that fit into it. A re-arming timer chain that is never retired
 //! (one more per RTO that moved *earlier*, each firing once per RTO for
 //! ever) fails both: it shows as depth and timer share that grow with the
 //! horizon, which is why every check here is run at `H` and at `3H`.
@@ -68,7 +69,8 @@ fn long_flow_timers_do_not_accumulate_with_simulated_time() {
 const SESSIONS: usize = 10;
 const SESSION_BUFFER: usize = 40;
 
-/// Closed-loop sessions (the other RTO protocol) on a small dumbbell.
+/// Closed-loop sessions (one `TcpSource` per session, its RTO timer kept
+/// across transfers) on a small dumbbell.
 fn session_depth(horizon_s: u64) -> u64 {
     let mut sim = Sim::new(21);
     sim.enable_profiler();
