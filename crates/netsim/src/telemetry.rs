@@ -192,11 +192,6 @@ impl Telemetry {
         }
     }
 
-    /// The configuration this store was created with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
-    }
-
     /// Records one sample into the named series, creating it if needed.
     pub fn record(&mut self, name: &str, time: SimTime, value: f64) {
         self.store.record(name, TracePoint { time, value });

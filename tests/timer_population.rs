@@ -4,10 +4,11 @@
 //! — at most one live entry per flow, however many transfers a closed-loop
 //! session runs on it — so the event-queue high-water mark of a run three
 //! times as long is the same, and the timer events it dispatches are bounded
-//! by the RTO windows that fit into it. A re-arming timer chain that is never retired
-//! (one more per RTO that moved *earlier*, each firing once per RTO for
-//! ever) fails both: it shows as depth and timer share that grow with the
-//! horizon, which is why every check here is run at `H` and at `3H`.
+//! by the RTO windows that fit into it. A re-arming timer chain that is
+//! never retired (one more per RTO that moved *earlier*, each firing once
+//! per RTO for ever) fails both: it shows as depth and timer share that grow
+//! with the horizon, which is why every check here is run at `H` and at
+//! `3H`.
 
 use netsim::{DumbbellBuilder, Sim};
 use simcore::{Profile, Rng};
