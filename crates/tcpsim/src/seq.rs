@@ -22,6 +22,22 @@ pub fn seq_le(a: u32, b: u32) -> bool {
     a == b || seq_lt(a, b)
 }
 
+/// `a > b` in wrap-safe serial order.
+pub fn seq_gt(a: u32, b: u32) -> bool {
+    seq_lt(b, a)
+}
+
+/// `a >= b` in wrap-safe serial order.
+pub fn seq_ge(a: u32, b: u32) -> bool {
+    a == b || seq_gt(a, b)
+}
+
+/// Wrap-safe distance from `a` forward to `b` (only meaningful when
+/// `seq_le(a, b)`).
+pub fn seq_distance(a: u32, b: u32) -> u32 {
+    b.wrapping_sub(a)
+}
+
 /// Recovers unwrapped `u64` sequence indexes from wrapping `u32` wire values.
 ///
 /// The unwrapper tracks the last unwrapped value and maps each new wire value
@@ -75,13 +91,16 @@ mod tests {
         assert!(!seq_lt(2, 1));
         assert!(!seq_lt(5, 5));
         assert!(seq_le(5, 5));
+        assert!(seq_gt(7, 3));
+        assert!(seq_ge(7, 7));
     }
 
     #[test]
     fn comparisons_across_wrap() {
         let near_max = u32::MAX - 2;
         assert!(seq_lt(near_max, 1)); // wraps forward
-        assert!(!seq_lt(1, near_max));
+        assert!(seq_gt(1, near_max));
+        assert_eq!(seq_distance(near_max, 1), 4);
     }
 
     #[test]

@@ -108,6 +108,9 @@ impl Agent for SessionSource {
 
 /// Receiver side of one session: a [`TcpSink`] per transfer, replaced by a
 /// fresh one once it has completed, and the per-transfer [`FlowRecord`]s.
+///
+/// With `cfg.delayed_ack` (no caller sets it), a delayed-ACK timer the
+/// replaced sink armed can reach the fresh one and send its ACK early.
 pub struct SessionSink {
     sink: TcpSink,
     table: SharedFlowTable,
