@@ -89,7 +89,7 @@ pub trait Agent {
 /// A kernel event. Packet-carrying variants hold a 4-byte [`PacketRef`]
 /// into the kernel arena, keeping scheduler entries ~16 bytes instead of
 /// the ~100 bytes an inline [`Packet`] would cost per copy.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Event {
     /// Serialization of the in-flight packet on `link` completed.
     TxEnd { link: LinkId },
@@ -857,8 +857,9 @@ impl Sim {
     ///
     /// A pure performance hint: scenario drivers call this with an estimate
     /// derived from the topology (≈ flows × in-flight window) so the event
-    /// heap reaches steady-state size without mid-run reallocation. Has no
-    /// effect on event ordering or results.
+    /// queue — the wheel's node arena, in whole chunks, or the heap — is
+    /// allocated at build time, not mid-run. Has no effect on event
+    /// ordering or results.
     pub fn reserve_events(&mut self, additional: usize) {
         self.kernel.events.reserve(additional);
     }

@@ -46,7 +46,7 @@ pub enum Scheduler<E> {
     Heap(EventQueue<E>),
 }
 
-impl<E> Scheduler<E> {
+impl<E: Copy> Scheduler<E> {
     /// Creates an empty scheduler of `kind` with a capacity hint.
     pub fn with_capacity(kind: SchedulerKind, cap: usize) -> Self {
         match kind {

@@ -4,16 +4,16 @@
 //! The wheel is the O(1)-amortized scheduler behind
 //! [`Scheduler`](crate::sched::Scheduler). It trades the binary heap's
 //! O(log n) sift (which copies whole entries at every level) for bucketed
-//! insertion: an event is written into a slot vector once on `schedule`,
-//! cascaded at most `LEVELS - 1` times, and sorted once inside a tiny
-//! window when its slot is drained.
+//! insertion: an event is linked into a slot list once on `schedule`,
+//! relinked at most `LEVELS - 1` times by cascades, and sorted once inside
+//! a tiny window when its slot is drained.
 //!
 //! ## Structure
 //!
 //! The wheel's unit is a **window** of `2^GRAIN_BITS` nanoseconds (16.4 µs).
 //! Packet inter-event gaps in the simulated workloads concentrate around
 //! 2^11–2^18 ns, so with this grain the overwhelming majority of schedules
-//! land directly in a level-0 slot — one vector push, no cascades — where a
+//! land directly in a level-0 slot — one list link, no cascades — where a
 //! nanosecond-granular wheel would cascade almost every event twice. (The
 //! grain was tuned empirically: 14 beats 12 by a few percent because more
 //! near-future schedules land in the sorted stage window, trading a binary
@@ -29,15 +29,37 @@
 //! O(1), not O(elapsed windows).
 //!
 //! Within the cursor's current window, events live in a **stage** vector
-//! sorted ascending by `(time, seq)`: a drained level-0 slot is sorted
-//! wholesale (windows hold only a handful of events), and schedules into
-//! the live window binary-search their insertion point. Events scheduled
-//! before the current window (rare: only "past" schedules relative to the
-//! last pop) sit in a small **due** min-heap keyed `(time, seq)`.
+//! sorted ascending by `(time, seq)`: a drained level-0 slot is moved into
+//! it and sorted wholesale (windows hold only a handful of events), and
+//! schedules into the live window binary-search their insertion point.
+//! Events scheduled before the current window (rare: only "past" schedules
+//! relative to the last pop) sit in a small **due** min-heap keyed
+//! `(time, seq)`.
 //!
 //! An event at window `w` is placed by the highest differing bit between
 //! `w` and the cursor window: `level = msb(w XOR cursor) / 8`, slot
 //! `(w >> 8·level) & 255`.
+//!
+//! ## Memory: one node arena
+//!
+//! A wheel slot is the `u32` head of an intrusive singly linked list of
+//! `{tick, seq, next, event}` nodes. Every node of every slot lives in one
+//! **arena** of fixed-size chunks (`CHUNK` nodes each, so growing it never
+//! moves a node) with a LIFO free list threaded through the free nodes'
+//! `next`: a drained slot's nodes are the next ones handed out, so the
+//! steady state reuses a few warm chunks. A cascade relinks a slot's nodes
+//! into their lower slots without copying them, and moves out only the
+//! entries bound for the stage or the due heap. Entries inside a list are
+//! unordered — a level-0 slot is sorted when it is drained, and the due
+//! heap orders by `(time, seq)` — so list order never reaches a pop.
+//!
+//! The arena's size therefore follows the pending events, not the slot
+//! count times each slot's history. One fixed rule gives memory back: once
+//! more than three quarters of an arena larger than one chunk is free, it
+//! is rebuilt around the linked nodes (copied into as few fresh chunks as
+//! hold them), so the burst of a workload's parked flow starts leaves no
+//! trace once it has drained. [`TimerWheel::reserve`] pre-sizes the arena
+//! in whole chunks, and a rebuild never shrinks it below what was reserved.
 //!
 //! ## Ordering contract (identical to `EventQueue`)
 //!
@@ -77,14 +99,15 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 4;
 /// Words in a per-level occupancy bitmap (`SLOTS / 64`).
 const BITMAP_WORDS: usize = SLOTS / 64;
-/// A cascaded slot gives its buffer back when its capacity exceeds this
-/// many times what the slot held on its previous rotation…
-const RELEASE_FACTOR: usize = 4;
-/// …counting a previous rotation as at least this many entries, so the
-/// small buffers of ordinary slots are never churned.
-const RELEASE_FLOOR: usize = 16;
+/// log2 of the nodes per arena chunk.
+const CHUNK_BITS: u32 = 10;
+/// Nodes per arena chunk (40 KiB of kernel events).
+const CHUNK: usize = 1 << CHUNK_BITS;
+/// The end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A pending event: absolute nanosecond tick, global sequence, payload.
+#[derive(Clone, Copy)]
 struct Pending<E> {
     tick: u64,
     seq: u64,
@@ -113,20 +136,48 @@ impl<E> Ord for Pending<E> {
     }
 }
 
+/// An arena node: a wheel entry linked into its slot's list, or a free
+/// node linked into the free list (its entry stale).
+#[derive(Clone, Copy)]
+struct Node<E> {
+    entry: Pending<E>,
+    next: u32,
+}
+
+/// Where an entry belongs relative to the cursor window.
+enum Home {
+    /// The cursor's window or before it: the stage or the due heap.
+    Near,
+    /// A wheel slot: the index into `heads`.
+    Slot(usize),
+    /// Beyond the wheel horizon.
+    Overflow,
+}
+
 /// A hierarchical timer-wheel event scheduler.
 ///
 /// Drop-in ordering-compatible with [`EventQueue`](crate::EventQueue); see
 /// the [module docs](self) for the structure and invariants. Because
 /// finding the next event may relocate entries (cascades, window sorts),
 /// `peek_time` requires `&mut self` here — use the heap variant where an
-/// immutable peek is needed.
+/// immutable peek is needed. Payloads are `Copy` (the kernel's events are
+/// plain ids), so an entry leaves its arena node by a copy.
 pub struct TimerWheel<E> {
-    /// `slots[level * SLOTS + slot]`; entries in insertion order.
-    slots: Box<[Vec<Pending<E>>]>,
-    /// How many entries each slot held the last time a cascade drained it
-    /// (same indexing as `slots`): the reference for giving back a buffer
-    /// that one burst of far timers blew up.
-    held: Box<[u32]>,
+    /// `heads[level * SLOTS + slot]`: the first node of the slot's list,
+    /// `NIL` when the slot is empty.
+    heads: Box<[u32]>,
+    /// The node arena: node `i` is `chunks[i >> CHUNK_BITS][i % CHUNK]`.
+    /// Each chunk is allocated with room for `CHUNK` nodes and filled in
+    /// order, so every chunk before the one holding node `made` is full.
+    chunks: Vec<Vec<Node<E>>>,
+    /// Nodes handed out of the chunks so far (the next never-used node).
+    made: u32,
+    /// Head of the LIFO free list of nodes below `made`.
+    free: u32,
+    /// Nodes linked into slot lists.
+    linked: usize,
+    /// Chunks a rebuild keeps however few nodes are linked (the reserve).
+    floor_chunks: usize,
     /// Per-level slot-occupancy bitmaps.
     occupied: [[u64; BITMAP_WORDS]; LEVELS],
     /// Events inside the cursor's window, sorted ascending by `(tick, seq)`.
@@ -148,16 +199,17 @@ pub struct TimerWheel<E> {
     reserved_slots: u64,
 }
 
-impl<E> TimerWheel<E> {
-    /// Creates an empty wheel.
+impl<E: Copy> TimerWheel<E> {
+    /// Creates an empty wheel; the arena's first chunk is allocated by the
+    /// first event that lands in a wheel slot.
     pub fn new() -> Self {
-        let slots = (0..LEVELS * SLOTS)
-            .map(|_| Vec::new())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         TimerWheel {
-            slots,
-            held: vec![0; LEVELS * SLOTS].into_boxed_slice(),
+            heads: vec![NIL; LEVELS * SLOTS].into_boxed_slice(),
+            chunks: Vec::new(),
+            made: 0,
+            free: NIL,
+            linked: 0,
+            floor_chunks: 0,
             occupied: [[0; BITMAP_WORDS]; LEVELS],
             stage: Vec::new(),
             due: BinaryHeap::new(),
@@ -174,24 +226,28 @@ impl<E> TimerWheel<E> {
 
     /// Creates an empty wheel; `cap` is accepted for interface parity with
     /// [`EventQueue::with_capacity`](crate::EventQueue::with_capacity) but
-    /// only pre-sizes the stage — wheel slots grow on demand and keep their
-    /// buffers from one rotation to the next, except that a cascaded slot
-    /// left with far more capacity than it held a rotation earlier gives
-    /// the excess back (see `cascade`).
+    /// only pre-sizes the stage — the node arena grows a chunk at a time
+    /// on demand (see [`TimerWheel::reserve`] to pre-size it).
     pub fn with_capacity(cap: usize) -> Self {
         let mut w = Self::new();
         w.stage.reserve(cap.min(SLOTS));
         w
     }
 
-    /// Counts a capacity hint (interface parity with
-    /// [`EventQueue::reserve`](crate::EventQueue::reserve); the wheel's
-    /// slot vectors grow organically and are reused across rotations, so
-    /// there is nothing useful to pre-size). Has no effect on scheduling
+    /// Reserves room for at least `additional` more pending events
+    /// (interface parity with
+    /// [`EventQueue::reserve`](crate::EventQueue::reserve)): allocates the
+    /// node arena up to the whole chunks that hold them, and keeps a
+    /// rebuild from shrinking it below that. Has no effect on scheduling
     /// order.
     pub fn reserve(&mut self, additional: usize) {
         self.reserve_calls += 1;
         self.reserved_slots += additional as u64;
+        let chunks = (self.len + additional).div_ceil(CHUNK);
+        self.floor_chunks = self.floor_chunks.max(chunks);
+        while self.chunks.len() < self.floor_chunks {
+            self.add_chunk();
+        }
     }
 
     /// Schedules `event` at `time`. Events at the same time pop in
@@ -212,36 +268,140 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Inserts a pending entry into due / stage / wheel / overflow relative
-    /// to the cursor window. Does not touch counters (cascades reuse it).
-    // simlint: hot-path — one call per scheduled or cascaded event
-    fn place(&mut self, p: Pending<E>) {
-        let window = p.tick >> GRAIN_BITS;
+    /// Where an entry at `tick` belongs relative to the cursor window.
+    fn home(&self, tick: u64) -> Home {
+        let window = tick >> GRAIN_BITS;
         if window <= self.cursor {
-            if window < self.cursor {
-                self.due.push(p);
-                return;
-            }
-            // The live window: keep the stage sorted. A schedule for the
-            // instant currently being served has the highest seq among its
-            // time-mates, so it lands after the drained group — the FIFO
-            // contract for mid-batch same-time schedules.
-            let at = self
-                .stage
-                .partition_point(|q| (q.tick, q.seq) < (p.tick, p.seq));
-            self.stage.insert(at, p);
-            return;
+            return Home::Near;
         }
         let diff = window ^ self.cursor;
         let msb = 63 - diff.leading_zeros(); // diff != 0 since window > cursor
         let level = (msb / SLOT_BITS) as usize;
         if level >= LEVELS {
-            self.overflow.push(p);
-            return;
+            return Home::Overflow;
         }
         let slot = ((window >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(p);
+        Home::Slot(level * SLOTS + slot)
+    }
+
+    /// Inserts a pending entry into due / stage / wheel / overflow relative
+    /// to the cursor window. Does not touch counters (cascades reuse it).
+    // simlint: hot-path — one call per scheduled or cascaded event
+    fn place(&mut self, p: Pending<E>) {
+        match self.home(p.tick) {
+            Home::Near if p.tick >> GRAIN_BITS < self.cursor => self.due.push(p),
+            Home::Near => {
+                // The live window: keep the stage sorted. A schedule for the
+                // instant currently being served has the highest seq among
+                // its time-mates, so it lands after the drained group — the
+                // FIFO contract for mid-batch same-time schedules.
+                let at = self
+                    .stage
+                    .partition_point(|q| (q.tick, q.seq) < (p.tick, p.seq));
+                self.stage.insert(at, p);
+            }
+            Home::Slot(at) => {
+                let i = self.take_node(p);
+                self.link(at, i);
+            }
+            Home::Overflow => self.overflow.push(p),
+        }
+    }
+
+    /// The arena node `i`.
+    fn node(&self, i: u32) -> &Node<E> {
+        &self.chunks[(i >> CHUNK_BITS) as usize][i as usize & (CHUNK - 1)]
+    }
+
+    /// The arena node `i`, mutably.
+    fn node_mut(&mut self, i: u32) -> &mut Node<E> {
+        &mut self.chunks[(i >> CHUNK_BITS) as usize][i as usize & (CHUNK - 1)]
+    }
+
+    /// Stores `p` in a node — the free list's head, else the next unused
+    /// one — and returns its index, not yet linked into any slot.
+    fn take_node(&mut self, p: Pending<E>) -> u32 {
+        let node = Node { entry: p, next: NIL };
+        self.linked += 1;
+        let i = self.free;
+        if i != NIL {
+            let slot = self.node_mut(i);
+            let next_free = slot.next;
+            *slot = node;
+            self.free = next_free;
+            return i;
+        }
+        let i = self.made;
+        let chunk = (i >> CHUNK_BITS) as usize;
+        if chunk == self.chunks.len() {
+            self.add_chunk();
+        }
+        self.chunks[chunk].push(node);
+        self.made += 1;
+        i
+    }
+
+    /// Returns node `i` to the free list and its entry to the caller.
+    fn give_node(&mut self, i: u32) -> Pending<E> {
+        let free = self.free;
+        let node = self.node_mut(i);
+        node.next = free;
+        let p = node.entry;
+        self.free = i;
+        self.linked -= 1;
+        p
+    }
+
+    /// Links node `i` at the head of slot list `at` and marks the slot.
+    fn link(&mut self, at: usize, i: u32) {
+        let head = self.heads[at];
+        self.node_mut(i).next = head;
+        self.heads[at] = i;
+        let (level, slot) = (at / SLOTS, at % SLOTS);
         self.occupied[level][slot >> 6] |= 1u64 << (slot & 63);
+    }
+
+    /// Adds one empty chunk of `CHUNK` nodes' room to the arena. Cold: the
+    /// arena grows only while the pending set reaches a new size.
+    #[cold]
+    #[inline(never)]
+    fn add_chunk(&mut self) {
+        self.chunks.push(Vec::with_capacity(CHUNK));
+    }
+
+    /// Applies the rebuild rule after nodes went back to the free list:
+    /// once more than three quarters of an arena larger than one chunk (and
+    /// than the reserve) is free, rebuild it around the linked nodes.
+    fn shrink_if_sparse(&mut self) {
+        let chunks = self.chunks.len();
+        if chunks > self.floor_chunks.max(1) && self.linked * 4 < chunks * CHUNK {
+            self.rebuild_arena();
+        }
+    }
+
+    /// Copies every linked node into a fresh arena of the reserved chunks
+    /// plus as many more as the nodes fill, relinking each slot's list, and
+    /// drops the old chunks. List order is not kept (it never reaches a
+    /// pop: see the module docs).
+    #[cold]
+    #[inline(never)]
+    fn rebuild_arena(&mut self) {
+        let old = std::mem::take(&mut self.chunks);
+        self.made = 0;
+        self.free = NIL;
+        self.linked = 0;
+        while self.chunks.len() < self.floor_chunks {
+            self.add_chunk();
+        }
+        for at in 0..LEVELS * SLOTS {
+            let mut i = std::mem::replace(&mut self.heads[at], NIL);
+            while i != NIL {
+                let n = old[(i >> CHUNK_BITS) as usize][i as usize & (CHUNK - 1)];
+                let j = self.take_node(n.entry);
+                self.link(at, j);
+                i = n.next;
+            }
+        }
     }
 
     /// First occupied slot at `level` with index `>= from`, if any.
@@ -275,22 +435,22 @@ impl<E> TimerWheel<E> {
         // clear everything below: the start of the slot's window.
         self.cursor = (self.cursor >> window << window) | ((slot as u64) << shift);
         self.occupied[level][slot >> 6] &= !(1u64 << (slot & 63));
-        let at = level * SLOTS + slot;
-        let mut entries = std::mem::take(&mut self.slots[at]);
-        let held_now = entries.len();
-        for p in entries.drain(..) {
-            self.place(p);
+        let mut i = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
+        while i != NIL {
+            let node = self.node(i);
+            let (tick, next) = (node.entry.tick, node.next);
+            // A node bound for a lower slot is relinked where it is; only
+            // entries that reached the cursor's window leave the arena.
+            match self.home(tick) {
+                Home::Slot(at) => self.link(at, i),
+                _ => {
+                    let p = self.give_node(i);
+                    self.place(p);
+                }
+            }
+            i = next;
         }
-        // Hand the empty vector back for reuse. A slot that refills to about
-        // the same size every rotation keeps its buffer; one that a burst of
-        // parked far timers (a workload's pre-scheduled flow starts) blew up
-        // far beyond what it held a rotation ago shrinks back to that, or
-        // the burst's memory would stay with the wheel for its lifetime.
-        let held_before = std::mem::replace(&mut self.held[at], held_now as u32) as usize;
-        if entries.capacity() > RELEASE_FACTOR * held_before.max(RELEASE_FLOOR) {
-            entries.shrink_to(held_before);
-        }
-        self.slots[at] = entries;
+        self.shrink_if_sparse();
     }
 
     /// Ensures the earliest pending events (if any exist) are in `due` or
@@ -309,14 +469,19 @@ impl<E> TimerWheel<E> {
             if let Some(s) = self.next_occupied(0, pos0) {
                 self.cursor = (self.cursor >> SLOT_BITS << SLOT_BITS) | s as u64;
                 self.occupied[0][s >> 6] &= !(1u64 << (s & 63));
-                let mut entries = std::mem::take(&mut self.slots[s]);
-                // Windows hold only a handful of events, so one small sort
-                // here replaces a heap sift (or a cascade chain) per event.
-                entries.sort_unstable_by_key(|p| (p.tick, p.seq));
-                // Swap the sorted window in as the stage and hand the old
-                // (empty, capacity-retaining) stage vector back to the slot.
-                std::mem::swap(&mut self.stage, &mut entries);
-                self.slots[s] = entries;
+                // Move the slot's list into the (empty) stage, freeing its
+                // nodes for the next schedules. Windows hold only a handful
+                // of events, so one small sort here replaces a heap sift
+                // (or a cascade chain) per event.
+                let mut i = std::mem::replace(&mut self.heads[s], NIL);
+                while i != NIL {
+                    let next = self.node(i).next;
+                    let p = self.give_node(i);
+                    self.stage.push(p);
+                    i = next;
+                }
+                self.stage.sort_unstable_by_key(|p| (p.tick, p.seq));
+                self.shrink_if_sparse();
                 return true;
             }
             // Level-0 rotation exhausted: cascade the next occupied slot of
@@ -460,11 +625,17 @@ impl<E> TimerWheel<E> {
         (self.reserve_calls, self.reserved_slots)
     }
 
-    /// Drops all pending events (the cursor and lifetime counters remain).
+    /// Drops all pending events (the cursor and lifetime counters remain)
+    /// and cuts the arena back to its reserved chunks.
     pub fn clear(&mut self) {
-        for v in self.slots.iter_mut() {
-            v.clear();
+        self.heads.fill(NIL);
+        self.chunks.truncate(self.floor_chunks);
+        for chunk in &mut self.chunks {
+            chunk.clear();
         }
+        self.made = 0;
+        self.free = NIL;
+        self.linked = 0;
         self.occupied = [[0; BITMAP_WORDS]; LEVELS];
         self.stage.clear();
         self.due.clear();
@@ -473,7 +644,7 @@ impl<E> TimerWheel<E> {
     }
 }
 
-impl<E> Default for TimerWheel<E> {
+impl<E: Copy> Default for TimerWheel<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -600,37 +771,70 @@ mod tests {
         assert_eq!(w.total_scheduled(), 4);
     }
 
-    /// A slot that one burst of far timers blew up gives the buffer back
-    /// when a cascade drains it; a slot that refills to the same size every
-    /// rotation keeps it.
+    /// A burst of 5,000 far timers (one level-2 slot) fills five chunks.
+    /// As it drains, the arena is rebuilt whenever less than a quarter of
+    /// it is linked, and it ends at one chunk.
     #[test]
-    fn burst_slot_releases_its_buffer_and_steady_slot_keeps_it() {
+    fn burst_gives_its_nodes_back_once_it_drains_below_a_quarter() {
         let second = |n: u64| SimTime::from_nanos(n << 30); // level-2 slot n
-        let level2 = |w: &TimerWheel<u64>, n: usize| w.slots[2 * SLOTS + n].capacity();
         let mut w = TimerWheel::new();
         for i in 0..5_000 {
             w.schedule(second(3) + SimDuration::from_micros(i), i);
         }
-        assert!(level2(&w, 3) >= 5_000);
+        assert_eq!((w.linked, w.chunks.len()), (5_000, 5));
+        let mut sizes = vec![w.chunks.len()];
         for i in 0..5_000 {
             assert_eq!(w.pop().map(|(_, e)| e), Some(i));
+            let chunks = w.chunks.len();
+            assert!(
+                chunks == 1 || w.linked * 4 >= chunks * CHUNK,
+                "{} nodes linked in {chunks} chunks after pop {i}",
+                w.linked
+            );
+            if sizes.last() != Some(&chunks) {
+                sizes.push(chunks);
+            }
         }
-        assert_eq!(level2(&w, 3), 0, "the burst's memory went back");
+        assert_eq!(sizes, [5, 2, 1], "the burst's memory went back");
+        assert_eq!((w.linked, w.chunks.len()), (0, 1));
+    }
 
-        // Level-1 slot 7 refills to 300 entries on every rotation.
+    /// A slot that refills with 300 entries on every rotation takes its
+    /// nodes off the free list each time: the arena never grows past the
+    /// first rotation's nodes.
+    #[test]
+    fn refilled_slot_reuses_nodes_without_growing_the_arena() {
         let mut w = TimerWheel::new();
         let at = |rotation: u64| SimTime::from_nanos((rotation << 30) | (7 << 22));
-        let mut held = Vec::new();
         for rotation in 0..4u64 {
             for i in 0..300 {
                 w.schedule(at(rotation) + SimDuration::from_nanos(i), i);
             }
-            while w.pop().is_some() {}
-            held.push(w.slots[SLOTS + 7].capacity());
+            assert_eq!(w.linked, 300);
+            for i in 0..300 {
+                assert_eq!(w.pop().map(|(_, e)| e), Some(i));
+            }
+            assert_eq!((w.made, w.chunks.len()), (300, 1), "rotation {rotation}");
         }
-        assert_eq!(held[0], 0, "first rotation: nothing to compare with yet");
-        assert!(held[1] >= 300, "{held:?}");
-        assert!(held[1] == held[2] && held[2] == held[3], "{held:?}");
+    }
+
+    /// `reserve` allocates whole chunks up front, and neither a rebuild
+    /// nor `clear` cuts the arena below them.
+    #[test]
+    fn reserve_pre_sizes_the_arena_and_rebuilds_keep_it() {
+        let mut w = TimerWheel::new();
+        w.reserve(3_000);
+        assert_eq!(w.chunks.len(), 3);
+        for i in 0..10_000u64 {
+            w.schedule(SimTime::from_nanos((1 << 30) + i * 1_000), i);
+        }
+        assert_eq!(w.chunks.len(), 10);
+        while w.pop().is_some() {}
+        assert_eq!(w.chunks.len(), 3, "rebuilt down to the reserve, not below");
+        w.schedule(SimTime::from_secs(9), 0);
+        w.clear();
+        assert_eq!((w.chunks.len(), w.linked, w.made), (3, 0, 0));
+        assert_eq!(w.reserve_stats(), (1, 3_000));
     }
 
     /// The core differential property at unit scale: a random adversarial

@@ -20,7 +20,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 echo "==> parallel determinism (--jobs 1 vs --jobs 4 sweeps)"
 cargo test -q --release --test parallel_determinism
 
-echo "==> flow-state byte budget on the optimized build (counting allocator)"
+echo "==> flow-state byte budget and event-queue memory gate on the optimized build (counting allocator)"
 cargo test -q --release --test flow_memory
 
 echo "==> packet-log bytes per record on the optimized build (counting allocator)"

@@ -6,7 +6,9 @@
 //! `ShortFlowScenario::run` (`build()`, then the `Run`'s stage calls) on a
 //! 29 k-flow cell and gates live heap bytes per flow, growth while running,
 //! and the transient peak; a second test pins the size of the two boxes
-//! every flow keeps. Byte counts of a deterministic simulation repeat
+//! every flow keeps, and a third gates the event queue's growth on a
+//! long-flow cell against its depth high-water mark (memory follows the
+//! events pending, too). Byte counts of a deterministic simulation repeat
 //! exactly, so the gate needs no RSS and no tolerance for noise. This file
 //! is its own test binary: its `#[global_allocator]` touches nothing else.
 
@@ -15,6 +17,7 @@ use sizing_router_buffers::tcpsim::{TcpSink, TcpSource};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 /// Live and peak heap bytes of the process (statistics only: `Relaxed`).
 struct Counting;
@@ -60,6 +63,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// The tests that read the heap counters take turns: one test's
+/// allocations would land in another's readings.
+static HEAP_READERS: Mutex<()> = Mutex::new(());
+
+fn read_heap_alone() -> MutexGuard<'static, ()> {
+    HEAP_READERS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// The two boxes every installed flow keeps for the whole run: the
 /// source, with its sender inline, and the sink. glibc hands out 64-bit
 /// heap chunks in 16-byte size classes of the request plus an 8-byte
@@ -84,10 +97,12 @@ fn per_flow_boxes_stay_in_their_size_classes() {
 /// The stages of `ShortFlowScenario::run`, with the heap read between them.
 #[test]
 fn short_flow_state_is_proportional_to_flows_in_progress() {
+    let _alone = read_heap_alone();
     // A Figure 8 cell (ρ = 0.8, 50 host pairs, 14-segment flows):
     // 15 Mb/s for 270 s is ≈ 29 k flows, ≈ 60 of them in progress at once.
-    // What the simulator keeps per *event in flight* (steady-state wheel
-    // slots, packet arena: ≈ 0.65 MB here) grows with the line rate, not
+    // What the simulator keeps per *event in flight* (the event queue's
+    // node arena, one 40 KiB chunk here once the parked flow starts have
+    // drained, and the packet arena) grows with the line rate, not
     // with the flow count; the rate is kept low so that the per-flow state
     // this gate is about dominates it.
     let mut sc = ShortFlowScenario::paper_default(15_000_000, 0.8);
@@ -165,5 +180,41 @@ fn short_flow_state_is_proportional_to_flows_in_progress() {
     assert!(
         peak <= after_install + (2 << 20),
         "peak {peak} bytes against {after_install} after install"
+    );
+}
+
+/// The event queue keeps memory for the events pending at once, not for
+/// its slots times what each slot once held: on a long-flow cell (100
+/// Reno flows at 40 Mb/s, `B = BDP/√n`) the heap grows from after
+/// `build()` to the run's peak by at most 1 KiB per event of the queue's
+/// depth high-water mark.
+#[test]
+fn event_queue_memory_follows_pending_events() {
+    let _alone = read_heap_alone();
+    let n = 100;
+    let mut sc = LongFlowScenario::quick(n, 40_000_000);
+    sc.buffer_pkts = (sc.bdp_packets() / (n as f64).sqrt()).round() as usize;
+    sc.profiler = true;
+    sc.warmup = SimDuration::from_secs(4);
+    sc.measure = SimDuration::from_secs(8);
+
+    let mut run = sc.build();
+    let after_build = LIVE.load(Relaxed);
+    PEAK.store(after_build, Relaxed);
+    run.warm_up(sc.warmup);
+    run.measure(sc.measure);
+    let grew = PEAK.load(Relaxed) - after_build;
+    let depth = run.sim.profile().expect("profiler on").depth_high_water() as usize;
+
+    println!(
+        "event_queue_memory: B = {} packets, depth high-water {depth} events, \
+         heap grew {grew} bytes after build() ({:.0} B per pending event)",
+        sc.buffer_pkts,
+        grew as f64 / depth as f64
+    );
+    assert!(depth > 0, "the profiler saw the queue");
+    assert!(
+        grew <= 1024 * depth,
+        "running grew the heap by {grew} bytes for a depth high-water of {depth} events"
     );
 }

@@ -127,9 +127,10 @@ fn schedulers_and_jobs_levels_compose() {
 /// (plus a second wave past the third level's 275 s rotation) sit in the
 /// wheel's upper levels while near events — each fired "start" spawns a
 /// short chain of packet-scale hops and one RTO-scale timer — churn the
-/// lower ones. Every cascade that drains such a slot may hand its buffer
-/// back to the allocator; the pop stream must stay exactly the heap's, at
-/// every level boundary and across rotations.
+/// lower ones. As the parked starts drain, the wheel's node arena falls
+/// below a quarter linked and is rebuilt around the nodes still parked,
+/// several times; the pop stream must stay exactly the heap's, at every
+/// level boundary, across rotations and across every rebuild.
 #[test]
 fn parked_timer_heavy_schedule_identical_across_schedulers() {
     use simcore::{Rng, Scheduler};
@@ -203,4 +204,126 @@ fn parked_timer_heavy_schedule_identical_across_schedulers() {
     }
     assert_eq!((wheel_depth, wheel_total), (heap_depth, heap_total));
     assert!(wheel_depth > 60_000, "the starts were parked at once");
+}
+
+/// What the parked-timer test never schedules, in one stream through
+/// `Scheduler::with_capacity`: schedules into the past (the wheel's due
+/// heap), events beyond its 2^46-ns horizon (the overflow heap, then a
+/// rebase onto it), a rebuild of its node arena while events are linked at
+/// all four levels and wait in overflow, and `clear()` followed by reuse of
+/// the same scheduler. Batches and the depth high-water mark must be the
+/// heap's throughout.
+#[test]
+fn due_overflow_rebuild_and_clear_identical_across_schedulers() {
+    use simcore::{Rng, Scheduler};
+
+    /// Classes of event id (`class << 32 | n`); only the first five spawn.
+    const BURST: u64 = 0;
+    const LEVEL1: u64 = 1;
+    const LEVEL2: u64 = 2;
+    const LEVEL3: u64 = 3;
+    const BEYOND: u64 = 4;
+    const NEAR: u64 = 5;
+    const PAST: u64 = 6;
+    const FAR: u64 = 7;
+    const REUSE: u64 = 8;
+    const HORIZON: u64 = 1 << 46;
+
+    /// Drains every batch at or before `until`, recording it and scheduling
+    /// what each popped event spawns: a near follow-up, every few pops an
+    /// event in the past, and from past the horizon a farther event still.
+    fn serve(s: &mut Scheduler<u64>, rng: &mut Rng, until: u64, stream: &mut Vec<(u64, Vec<u64>)>) {
+        let mut batch = Vec::new();
+        while let Some(t) = s.drain_next_batch(SimTime::from_nanos(until), &mut batch) {
+            let now = t.as_nanos();
+            for &id in &batch {
+                let (class, n) = (id >> 32, id & 0xFFFF_FFFF);
+                if class > BEYOND {
+                    continue;
+                }
+                let near = now + rng.u64_below(if class == BURST { 50_000 } else { 2_000_000 });
+                s.schedule(SimTime::from_nanos(near), NEAR << 32 | n);
+                if n % 8 == 0 {
+                    let past = now.saturating_sub(1 + rng.u64_below(200_000));
+                    s.schedule(SimTime::from_nanos(past), PAST << 32 | n);
+                }
+                if class == BEYOND && n % 4 == 0 {
+                    let far = now + HORIZON + rng.u64_below(HORIZON);
+                    s.schedule(SimTime::from_nanos(far), FAR << 32 | n);
+                }
+            }
+            stream.push((now, std::mem::take(&mut batch)));
+        }
+    }
+
+    /// The batch stream, the depth high-water mark, the events scheduled.
+    fn drive(kind: SchedulerKind) -> (Vec<(u64, Vec<u64>)>, usize, u64) {
+        let mut rng = Rng::new(0x0A7E_4A5E);
+        let mut s: Scheduler<u64> = Scheduler::with_capacity(kind, 1024);
+        let mut park = |s: &mut Scheduler<u64>, class: u64, n: u64, lo: u64, hi: u64| {
+            s.schedule(
+                SimTime::from_nanos(lo + rng.u64_below(hi - lo)),
+                class << 32 | n,
+            );
+        };
+        // From a cursor at 0: 200 events at each of levels 1 (4.2 ms–1 s),
+        // 2 (2–250 s) and 3 (300 s–17 h), 200 beyond the horizon (19.5 h),
+        // then a burst of 8,000 in level 0 (< 4.2 ms). The wheel's arena
+        // holds 8,600 nodes in 9 chunks; draining the burst takes it below
+        // a quarter linked, and it is rebuilt while the other levels and
+        // the overflow heap still hold theirs.
+        for n in 0..200 {
+            park(&mut s, LEVEL1, n, 5_000_000, 1_000_000_000);
+            park(&mut s, LEVEL2, n, 2_000_000_000, 250_000_000_000);
+            park(&mut s, LEVEL3, n, 300_000_000_000, 60_000_000_000_000);
+            park(&mut s, BEYOND, n, HORIZON + 1, 4 * HORIZON);
+        }
+        for n in 0..8_000 {
+            park(&mut s, BURST, n, 100_000, 4_000_000);
+        }
+        let mut stream = Vec::new();
+        serve(&mut s, &mut rng, 4_000_000, &mut stream);
+        // Through the levels, the rebase onto the overflow heap and part
+        // of what lies past it.
+        serve(&mut s, &mut rng, 3 * HORIZON, &mut stream);
+        assert!(!s.is_empty(), "events left to clear");
+        s.clear();
+        assert!(s.is_empty());
+        // Reuse: a second burst around the cursor, into the past, across
+        // the levels and beyond the horizon again.
+        let now = stream.last().map_or(0, |b| b.0);
+        for n in 0..5_000 {
+            let t = match n % 5 {
+                0 => now.saturating_sub(rng.u64_below(1_000_000)),
+                1 | 2 => now + rng.u64_below(4_000_000),
+                3 => now + rng.u64_below(HORIZON),
+                _ => now + HORIZON + rng.u64_below(HORIZON),
+            };
+            s.schedule(SimTime::from_nanos(t), REUSE << 32 | n);
+        }
+        serve(&mut s, &mut rng, u64::MAX, &mut stream);
+        (stream, s.depth_high_water(), s.total_scheduled())
+    }
+
+    let (wheel, wheel_depth, wheel_total) = drive(SchedulerKind::Wheel);
+    let (heap, heap_depth, heap_total) = drive(SchedulerKind::Heap);
+    assert_eq!(wheel.len(), heap.len());
+    if let Some(i) = (0..wheel.len()).find(|&i| wheel[i] != heap[i]) {
+        panic!("batch {i}: wheel {:?}, heap {:?}", wheel[i], heap[i]);
+    }
+    assert_eq!((wheel_depth, wheel_total), (heap_depth, heap_total));
+    let popped = |class: u64| {
+        wheel
+            .iter()
+            .flat_map(|(_, b)| b)
+            .filter(|&&id| id >> 32 == class)
+            .count()
+    };
+    assert_eq!(popped(BURST), 8_000);
+    assert_eq!(popped(REUSE), 5_000);
+    assert!(popped(PAST) > 1_000, "{} past schedules", popped(PAST));
+    assert!(
+        popped(BEYOND) > 0 && popped(FAR) > 0,
+        "the overflow heap was served"
+    );
 }
