@@ -117,7 +117,7 @@ impl SingleFlowConfig {
             Some(tel) => {
                 let series = tel
                     .iter()
-                    .map(|(name, ring)| (name.to_string(), ring.iter().copied().collect()))
+                    .map(|(name, series)| (name.to_string(), series.iter().collect()))
                     .collect();
                 (series, Some(tel.digest()), tel.to_jsonl())
             }

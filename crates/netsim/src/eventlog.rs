@@ -7,22 +7,40 @@
 //! truncated — check [`PacketLog::overflowed`]).
 //!
 //! A traced run stores millions of records, so the log keeps them encoded,
-//! in [`PacketBlock`]s of up to [`BLOCK_RECORDS`] consecutive records. A
+//! in [`PacketBlock`]s of up to [`BLOCK_RECORDS`] consecutive records. Each
+//! record is coded against the context of its block, and stores only what
+//! that context does not predict. The context is the previous record (its
+//! time, uid, flow and place) and a table of [`LINK_SLOTS`] entries, one per
+//! place (a link, or delivery to an agent) mapped to slot `place mod
+//! LINK_SLOTS` and tagged with the place: that place's last flow, and its
+//! last same-packet gap (the time since its predecessor of the last record
+//! there that continued its predecessor's packet at the same place). A
 //! record is a run of LEB128 varints:
 //!
-//! 1. `kind | (link id + 1) << 3`: kind 1 queued, 2 dropped, 3 transmitted,
-//!    4 delivered, 5 marked; a link id + 1 of 0 is delivery to an agent;
-//! 2. time − the previous record's time (ns);
-//! 3. zigzag(uid − the previous record's uid);
-//! 4. the flow id;
-//! 5. drops and marks only: the reason code (one byte), then the queue
+//! 1. the head, `kind | flags << 3 | place << 6`, where kind is 1 queued,
+//!    2 dropped, 3 transmitted, 4 delivered, 5 marked, and the place is
+//!    link id + 1, or 0 for delivery to an agent. Flag bit 0 is *same
+//!    packet*: the uid and the flow equal the previous record's. With it,
+//!    bit 1 is *same place* (the previous record's, and the place is
+//!    omitted from the head) and, with both, bit 2 is *same gap*: the time
+//!    is the previous record's plus the place's last same-packet gap.
+//!    Without same packet, bit 1 is *predicted flow*: the flow is the
+//!    place's last one, and bit 2 is 0;
+//! 2. unless same gap: time − the previous record's time (ns);
+//! 3. unless same packet: zigzag(uid − the previous record's uid), then,
+//!    unless predicted flow, the flow id;
+//! 4. drops and marks only: the reason code (one byte), then the queue
 //!    depth.
 //!
-//! The previous time and uid are 0 at a block's start, so every block
-//! decodes on its own ([`PacketBlock::iter`], [`decode`]). Differences wrap,
-//! so every `u64` round-trips in any order: the codec has no limits. Records
-//! arrive in time order and neighbours differ by little, so a traced run's
-//! record averages about 6 bytes. The digest folds the fields as they
+//! A record that continues its packet at the same place (a packet that
+//! found the transmitter idle and was transmitted, or one marked as it
+//! queued) takes one byte when its gap repeats the place's last one, as
+//! serialization on an idle transmitter does. The context (time, uid, flow
+//! and place 0, an empty table) is reset at every block's start, so every
+//! block decodes on its own ([`PacketBlock::iter`], [`decode`]) in O(1)
+//! per record with no allocation. Differences wrap, so every `u64`
+//! round-trips in any order: the codec has no limits. A traced run's
+//! record averages about 4.7 bytes. The digest folds the fields as they
 //! arrive, before they are encoded, so the encoding changes no digest.
 
 use crate::forensics::{DropReason, MarkReason};
@@ -71,16 +89,28 @@ const DROPPED: u64 = 2;
 const TRANSMITTED: u64 = 3;
 const DELIVERED: u64 = 4;
 const MARKED: u64 = 5;
-/// Bits of a record's first varint that hold the kind code.
+/// Bits of a record's head that hold the kind code.
 const KIND_BITS: u32 = 3;
+/// Head flags (module docs), above the kind code.
+const SAME_PACKET: u64 = 1 << KIND_BITS;
+/// With [`SAME_PACKET`]: same place. Without: predicted flow.
+const SAME_PLACE: u64 = 2 << KIND_BITS;
+const PREDICTED_FLOW: u64 = SAME_PLACE;
+const SAME_GAP: u64 = 4 << KIND_BITS;
+/// Bits of a record's head below the place.
+const PLACE_SHIFT: u32 = KIND_BITS + 3;
 
 /// Records per [`PacketBlock`]; the last block of a log may hold fewer.
 pub const BLOCK_RECORDS: usize = 4096;
 
-/// Bytes of the longest record: the kind and link (≤ 5), the time and uid
+/// Entries of a block's per-place context table (module docs). A power of
+/// two no larger than 256: a place's slot is its low byte modulo this.
+pub const LINK_SLOTS: usize = 64;
+
+/// Bytes of the longest record: the head (≤ 6), the time and uid
 /// differences (≤ 10 each), the flow (≤ 5), the reason (1) and the depth
 /// (≤ 5).
-const MAX_RECORD_BYTES: usize = 36;
+const MAX_RECORD_BYTES: usize = 37;
 
 /// One logged packet milestone, decoded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,36 +216,15 @@ impl PacketRecord {
     }
 }
 
-/// A small stack buffer one record is encoded into before it is appended
-/// to its block in one copy.
-struct RecordBytes {
-    buf: [u8; MAX_RECORD_BYTES],
-    len: usize,
-}
-
-impl RecordBytes {
-    /// Appends `v` as a LEB128 varint: seven bits per byte, low bits first,
-    /// the high bit set on every byte but the last.
-    #[inline]
-    fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf[self.len] = v.to_le_bytes()[0] | 0x80;
-            self.len += 1;
-            v >>= 7;
-        }
-        self.buf[self.len] = v.to_le_bytes()[0];
-        self.len += 1;
+/// Appends `v` to `out` as a LEB128 varint: seven bits per byte, low bits
+/// first, the high bit set on every byte but the last.
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v.to_le_bytes()[0] | 0x80);
+        v >>= 7;
     }
-
-    #[inline]
-    fn byte(&mut self, b: u8) {
-        self.buf[self.len] = b;
-        self.len += 1;
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        &self.buf[..self.len]
-    }
+    out.push(v.to_le_bytes()[0]);
 }
 
 /// Maps a signed difference to an unsigned one small in magnitude either
@@ -229,6 +238,86 @@ fn zigzag(d: u64) -> u64 {
 #[inline]
 fn unzigzag(z: u64) -> u64 {
     (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// What one place predicts for the next record there: its last flow and
+/// its last same-packet gap.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// The place the slot holds; [`Slot::EMPTY`]'s is no place at all
+    /// (places are at most `u32::MAX + 1`).
+    place: u64,
+    flow: u32,
+    gap: u64,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        place: u64::MAX,
+        flow: 0,
+        gap: 0,
+    };
+}
+
+/// What a record is coded against (module docs): the block's previous
+/// record and its per-place table. The encoder and the decoder move it past
+/// each record in the same way.
+#[derive(Clone, Debug)]
+struct Context {
+    time: u64,
+    uid: u64,
+    flow: u32,
+    place: u64,
+    slots: [Slot; LINK_SLOTS],
+}
+
+impl Context {
+    /// The context of a block's first record.
+    const START: Context = Context {
+        time: 0,
+        uid: 0,
+        flow: 0,
+        place: 0,
+        slots: [Slot::EMPTY; LINK_SLOTS],
+    };
+
+    /// The table index of `place`.
+    #[inline]
+    fn index(place: u64) -> usize {
+        usize::from(place.to_le_bytes()[0]) % LINK_SLOTS
+    }
+
+    /// What `place` predicts: its slot, or flow 0 and gap 0 when the slot
+    /// holds another place or none.
+    #[inline]
+    fn slot(&self, place: u64) -> Slot {
+        let slot = self.slots[Self::index(place)];
+        if slot.place == place {
+            slot
+        } else {
+            Slot {
+                place,
+                flow: 0,
+                gap: 0,
+            }
+        }
+    }
+
+    /// Moves past a record at `place`, whose slot was `slot`; `same_place`
+    /// says it is the previous record's packet at the previous record's
+    /// place, so its gap is the place's new same-packet gap.
+    #[inline]
+    fn advance(&mut self, time: u64, uid: u64, flow: u32, mut slot: Slot, same_place: bool) {
+        slot.flow = flow;
+        if same_place {
+            slot.gap = time.wrapping_sub(self.time);
+        }
+        self.slots[Self::index(slot.place)] = slot;
+        self.time = time;
+        self.uid = uid;
+        self.flow = flow;
+        self.place = slot.place;
+    }
 }
 
 /// Up to [`BLOCK_RECORDS`] consecutive records, encoded (format in the
@@ -262,8 +351,7 @@ impl PacketBlock {
             bytes: &self.bytes,
             at: 0,
             left: self.len,
-            time: 0,
-            uid: 0,
+            ctx: Context::START,
         }
     }
 }
@@ -278,9 +366,7 @@ struct Decoder<'a> {
     bytes: &'a [u8],
     at: usize,
     left: usize,
-    /// The previous record's time (ns) and uid.
-    time: u64,
-    uid: u64,
+    ctx: Context,
 }
 
 impl Decoder<'_> {
@@ -321,13 +407,29 @@ impl Iterator for Decoder<'_> {
         }
         self.left -= 1;
         let head = self.varint();
-        self.time = self.time.wrapping_add(self.varint());
-        self.uid = self.uid.wrapping_add(unzigzag(self.varint()));
-        let flow = FlowId(self.varint32());
-        let link = match head >> KIND_BITS {
-            0 => None,
-            // The encoder wrote a u32 link id + 1.
-            p => Some(LinkId(u32::try_from(p - 1).unwrap_or(u32::MAX))),
+        let same_packet = head & SAME_PACKET != 0;
+        let same_place = same_packet && head & SAME_PLACE != 0;
+        let place = if same_place {
+            self.ctx.place
+        } else {
+            head >> PLACE_SHIFT
+        };
+        let slot = self.ctx.slot(place);
+        let time = if same_place && head & SAME_GAP != 0 {
+            self.ctx.time.wrapping_add(slot.gap)
+        } else {
+            self.ctx.time.wrapping_add(self.varint())
+        };
+        let (uid, flow) = if same_packet {
+            (self.ctx.uid, self.ctx.flow)
+        } else {
+            let uid = self.ctx.uid.wrapping_add(unzigzag(self.varint()));
+            let flow = if head & PREDICTED_FLOW != 0 {
+                slot.flow
+            } else {
+                self.varint32()
+            };
+            (uid, flow)
         };
         let event = match head & ((1 << KIND_BITS) - 1) {
             QUEUED => PacketEvent::Queued,
@@ -344,10 +446,16 @@ impl Iterator for Decoder<'_> {
             // The encoder writes no code but the five above.
             _ => PacketEvent::Delivered,
         };
+        self.ctx.advance(time, uid, flow, slot, same_place);
+        let link = match place {
+            0 => None,
+            // The encoder wrote a u32 link id + 1.
+            p => Some(LinkId(u32::try_from(p - 1).unwrap_or(u32::MAX))),
+        };
         Some(PacketRecord {
-            time: SimTime::from_nanos(self.time),
-            uid: self.uid,
-            flow,
+            time: SimTime::from_nanos(time),
+            uid,
+            flow: FlowId(flow),
             link,
             event,
         })
@@ -368,10 +476,8 @@ pub struct PacketLog {
     /// Records stored.
     len: usize,
     capacity: usize,
-    /// The last stored record's time (ns) and uid: what the next record of
-    /// the open block is encoded against.
-    prev_time: u64,
-    prev_uid: u64,
+    /// What the next record of the open block is coded against.
+    ctx: Box<Context>,
     /// Running FNV-1a over the stored records.
     hash: Fnv1a,
     /// Events that arrived after the log filled.
@@ -385,8 +491,7 @@ impl PacketLog {
             blocks: Vec::new(),
             len: 0,
             capacity,
-            prev_time: 0,
-            prev_uid: 0,
+            ctx: Box::new(Context::START),
             hash: Fnv1a::new(),
             overflowed: 0,
         }
@@ -403,12 +508,13 @@ impl PacketLog {
             return;
         }
         let time = rec.time.as_nanos();
+        let flow = rec.flow.0;
         let place = rec.place_code();
         let (kind, meta) = rec.codes();
         let mut h = self.hash;
         h.u64(time);
         h.u64(rec.uid);
-        h.u64(u64::from(rec.flow.0));
+        h.u64(u64::from(flow));
         h.u64(place);
         // Drop and mark metadata is excluded from the digest; the mark
         // code 5 only appears in ECN-on runs.
@@ -418,35 +524,57 @@ impl PacketLog {
         if self.len.is_multiple_of(BLOCK_RECORDS) {
             self.start_block();
         }
-        let mut out = RecordBytes {
-            buf: [0; MAX_RECORD_BYTES],
-            len: 0,
-        };
-        out.varint(kind | place << KIND_BITS);
-        out.varint(time.wrapping_sub(self.prev_time));
-        out.varint(zigzag(rec.uid.wrapping_sub(self.prev_uid)));
-        out.varint(u64::from(rec.flow.0));
-        if let Some((reason, depth)) = meta {
-            out.byte(reason);
-            out.varint(u64::from(depth));
-        }
-        self.prev_time = time;
-        self.prev_uid = rec.uid;
         self.len += 1;
-        if let Some(block) = self.blocks.last_mut() {
-            block.bytes.extend_from_slice(out.as_slice());
-            block.len += 1;
-            block.drops += usize::from(kind == DROPPED);
+        let Some(block) = self.blocks.last_mut() else {
+            return;
+        };
+        let ctx = &mut *self.ctx;
+        let slot = ctx.slot(place);
+        let gap = time.wrapping_sub(ctx.time);
+        let same_packet = rec.uid == ctx.uid && flow == ctx.flow;
+        let same_place = same_packet && place == ctx.place;
+        let same_gap = same_place && gap == slot.gap;
+        let predicted_flow = !same_packet && flow == slot.flow;
+        let mut head = kind;
+        if same_packet {
+            head |= SAME_PACKET;
         }
+        if same_place || predicted_flow {
+            head |= SAME_PLACE;
+        }
+        if same_gap {
+            head |= SAME_GAP;
+        }
+        if !same_place {
+            head |= place << PLACE_SHIFT;
+        }
+        let out = &mut block.bytes;
+        out.reserve(MAX_RECORD_BYTES);
+        put_varint(out, head);
+        if !same_gap {
+            put_varint(out, gap);
+        }
+        if !same_packet {
+            put_varint(out, zigzag(rec.uid.wrapping_sub(ctx.uid)));
+            if !predicted_flow {
+                put_varint(out, u64::from(flow));
+            }
+        }
+        if let Some((reason, depth)) = meta {
+            out.push(reason);
+            put_varint(out, u64::from(depth));
+        }
+        ctx.advance(time, rec.uid, flow, slot, same_place);
+        block.len += 1;
+        block.drops += usize::from(kind == DROPPED);
     }
 
-    /// Shrinks the finished block to fit and opens an empty one, encoded
-    /// against time and uid 0.
+    /// Shrinks the finished block to fit and opens an empty one, coded
+    /// against a fresh context.
     fn start_block(&mut self) {
         self.shrink_last();
         self.blocks.push(PacketBlock::default());
-        self.prev_time = 0;
-        self.prev_uid = 0;
+        *self.ctx = Context::START;
     }
 
     fn shrink_last(&mut self) {

@@ -57,5 +57,5 @@ pub use queue::{DropTail, EcnMode, Queue, QueueCapacity, QueuedPacket};
 pub use red::Red;
 pub use sim::{Agent, AgentId, Ctx, LinkId, NodeId, Sim};
 pub use simcore::SchedulerKind;
-pub use telemetry::{Telemetry, TelemetryConfig};
+pub use telemetry::{Series, Telemetry, TelemetryConfig};
 pub use timer::DeadlineTimer;

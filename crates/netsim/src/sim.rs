@@ -409,11 +409,10 @@ impl Kernel {
     fn telemetry_tick(&mut self, agents: &[AgentSlot], period: SimDuration) {
         let now = self.now;
         if let Some(tel) = &mut self.telemetry {
-            tel.begin_tick();
-            tel.sample_links(now, &self.links);
+            tel.begin_tick(now);
+            tel.sample_links(&self.links);
             for slot in agents {
-                slot.agent
-                    .on_telemetry(&mut |name, v| tel.sample(name, now, v));
+                slot.agent.on_telemetry(&mut |name, v| tel.sample(name, v));
             }
         }
         self.events

@@ -23,7 +23,7 @@ cargo test -q --release --test parallel_determinism
 echo "==> flow-state byte budget and event-queue memory gate on the optimized build (counting allocator)"
 cargo test -q --release --test flow_memory
 
-echo "==> packet-log bytes per record on the optimized build (counting allocator)"
+echo "==> packet-log bytes per record and telemetry bytes per sample on the optimized build (counting allocator)"
 cargo test -q --release --test packet_log_memory
 
 echo "==> timer population on the optimized build (queue depth and timer events at H and 3H)"

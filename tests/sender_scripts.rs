@@ -3,12 +3,16 @@
 //!
 //! The bottleneck's queue is a drop-tail FIFO that also drops the packets
 //! offered to it at listed arrival indices — two holes in one window, then a
-//! run long enough to leave nothing in flight, so the sender must time out —
-//! and, in ECN cells, CE-marks listed ECT arrivals. Each cell checks that it
-//! exercised fast retransmit, the retransmission timeout and (with ECN on) a
-//! mark, then pins the packet-log and span-log digests, the sender's
-//! counters and the bits of its final window pair. Any change to a sender's
-//! loss recovery, window rules or ECN response moves a pin.
+//! run of forty — and, in ECN cells, CE-marks listed ECT arrivals. The
+//! indices count only the packets the queue sees: a packet that finds the
+//! transmitter idle starts serializing at once and never reaches
+//! `Queue::enqueue` (`Kernel::enqueue_on_link` in
+//! `crates/netsim/src/sim.rs`), so an index is the n-th packet that queued
+//! behind a busy transmitter, not the n-th segment sent. Each cell checks
+//! that it exercised fast retransmit, the retransmission timeout and (with
+//! ECN on) a mark, then pins the packet-log and span-log digests, the
+//! sender's counters and the bits of its final window pair. Any change to
+//! a sender's loss recovery, window rules or ECN response moves a pin.
 
 use netsim::{
     DropTail, DumbbellBuilder, FlowId, MarkReason, Queue, QueueCapacity, QueuedPacket, Sim,
@@ -22,15 +26,22 @@ use traffic::bulk::CcKind;
 const SEGMENTS: u64 = 400;
 /// The receiver window, which bounds every window the flow reaches.
 const MAX_WINDOW: u32 = 20;
-/// Arrival indices the bottleneck drops: two holes in one slow-start
-/// window, then a run of twice the largest window, which takes everything
-/// in flight and everything its ACKs release.
+/// Arrival indices the bottleneck drops, counted over the packets that
+/// queue behind a busy transmitter only (module docs): two holes in one
+/// slow-start window.
 const DROPS: &[u64] = &[40, 43];
+/// Forty more queued arrivals the bottleneck drops. Twice the largest
+/// window, but it does not take everything in flight: once the window
+/// collapses, a flight queues about one packet, so the run drops about one
+/// packet per retransmission timeout, cycle after cycle.
 const RTO_RUN: std::ops::Range<u64> = 150..190;
-/// Arrival indices the bottleneck CE-marks in ECN cells (if ECT).
+/// Arrival indices the bottleneck CE-marks in ECN cells (if ECT), counted
+/// over the queued arrivals only, as [`DROPS`] are.
 const MARKS: &[u64] = &[20, 100, 101, 300, 301, 302, 350];
 
-/// Drop-tail with scripted drops and marks, counted by arrival.
+/// Drop-tail with scripted drops and marks, counted by arrival at the
+/// queue: a packet that finds the transmitter idle bypasses the queue and
+/// is neither counted, dropped nor marked.
 struct Scripted {
     fifo: DropTail,
     arrivals: u64,

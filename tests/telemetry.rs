@@ -8,8 +8,9 @@
 
 use sizing_router_buffers::netsim::{DumbbellBuilder, Sim, Telemetry, TelemetryConfig};
 use sizing_router_buffers::prelude::*;
-use sizing_router_buffers::simcore::Rng;
+use sizing_router_buffers::simcore::{Fnv1a, Ring, Rng, TracePoint};
 use sizing_router_buffers::traffic::BulkWorkload;
+use std::collections::BTreeMap;
 
 fn scenario(buffer_pkts: usize, telemetry: bool) -> LongFlowScenario {
     let mut sc = LongFlowScenario::quick(8, 20_000_000);
@@ -102,15 +103,164 @@ fn flow_without_rtt_sample_contributes_no_rtt_series() {
     }
 }
 
+/// A reference telemetry store that keeps every sample as a `(time,
+/// value)` point in a bounded ring per series, and digests and exports them
+/// in the format `Telemetry` documents. `Telemetry` stores only the values
+/// and rebuilds the times from its tick grid; it must be indistinguishable
+/// from this.
+struct Points {
+    capacity: usize,
+    series: BTreeMap<String, Ring<TracePoint>>,
+}
+
+impl Points {
+    fn new(capacity: usize) -> Self {
+        Points {
+            capacity,
+            series: BTreeMap::new(),
+        }
+    }
+
+    fn record(&mut self, name: &str, time: SimTime, value: f64) {
+        self.series
+            .entry(name.to_owned())
+            .or_insert_with(|| Ring::new(self.capacity))
+            .push(TracePoint { time, value });
+    }
+
+    fn names(&self) -> Vec<&str> {
+        self.series.keys().map(String::as_str).collect()
+    }
+
+    fn points(&self, name: &str) -> Vec<(SimTime, u64)> {
+        self.series[name].iter().map(bits).collect()
+    }
+
+    fn retained_samples(&self) -> usize {
+        self.series.values().map(Ring::len).sum()
+    }
+
+    fn total_samples(&self) -> u64 {
+        self.series.values().map(Ring::total_pushed).sum()
+    }
+
+    fn digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        for (name, ring) in &self.series {
+            h.bytes(name.as_bytes());
+            h.bytes(&[0xFF]);
+            h.u64(ring.total_pushed());
+            for p in ring.iter() {
+                h.u64(p.time.as_nanos());
+                h.u64(p.value.to_bits());
+            }
+        }
+        h.finish()
+    }
+
+    fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (name, ring) in &self.series {
+            for p in ring.iter() {
+                let v = if p.value.is_finite() {
+                    p.value.to_string()
+                } else {
+                    "null".to_owned()
+                };
+                out += &format!(
+                    "{{\"series\":\"{name}\",\"t_ns\":{},\"v\":{v}}}\n",
+                    p.time.as_nanos()
+                );
+            }
+        }
+        out
+    }
+}
+
+/// A sample as compared: its time and its value's bits (NaN equals NaN).
+fn bits(p: &TracePoint) -> (SimTime, u64) {
+    (p.time, p.value.to_bits())
+}
+
+/// Asserts that the grid store and the reference hold the same series.
+fn assert_same_store(grid: &Telemetry, points: &Points) {
+    assert_eq!(grid.names(), points.names());
+    for name in points.names() {
+        let series = grid.series(name).expect("series");
+        let series: Vec<(SimTime, u64)> = series.iter().map(|p| bits(&p)).collect();
+        assert_eq!(series, points.points(name), "series {name}");
+        assert_eq!(
+            grid.series(name).expect("series").len(),
+            points.series[name].len()
+        );
+    }
+    assert_eq!(grid.digest(), points.digest());
+    assert_eq!(grid.to_jsonl(), points.to_jsonl());
+    assert_eq!(grid.retained_samples(), points.retained_samples());
+    assert_eq!(grid.total_samples(), points.total_samples());
+}
+
+/// The tick grid loses nothing: seeded tick sequences in which series
+/// start late, pause and resume, change order, repeat within a tick and
+/// overflow rings of 8 give the same names, samples, digest, JSONL and
+/// counts as storing every point.
+#[test]
+fn tick_grid_equals_stored_points() {
+    for seed in 1..=20u64 {
+        let mut rng = Rng::new(seed);
+        let capacity = if seed % 2 == 0 { 8 } else { 64 };
+        let interval = SimDuration::from_nanos(rng.u64_range(1, 50_000_000));
+        let t0 = SimTime::from_nanos(rng.u64_below(1 << 40));
+        let cfg = TelemetryConfig::new(interval).with_ring_capacity(capacity);
+        let mut grid = Telemetry::new(cfg);
+        let mut points = Points::new(capacity);
+        // Per series: the tick it starts on and how likely a later tick
+        // skips it.
+        let series: Vec<(String, u64, f64)> = (0..12)
+            .map(|i| {
+                let start = if i < 3 { 0 } else { rng.u64_below(40) };
+                let skip = [0.0, 0.1, 0.5][i % 3];
+                (format!("s.{i}"), start, skip)
+            })
+            .collect();
+        for k in 0..100u64 {
+            let now = t0 + interval * k;
+            grid.begin_tick(now);
+            let mut order: Vec<usize> = (0..series.len()).collect();
+            if k % 17 == 0 {
+                rng.shuffle(&mut order);
+            }
+            for i in order {
+                let (name, start, skip) = &series[i];
+                if k < *start || rng.chance(*skip) {
+                    continue;
+                }
+                let repeats = if rng.chance(0.02) { 2 } else { 1 };
+                for _ in 0..repeats {
+                    let value = match rng.u64_below(20) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        _ => rng.f64_range(-1e6, 1e6),
+                    };
+                    grid.sample(name, value);
+                    points.record(name, now, value);
+                }
+            }
+        }
+        assert!(points.total_samples() > points.retained_samples() as u64 || capacity > 8);
+        assert_same_store(&grid, &points);
+        assert_same_store(&grid.clone(), &points);
+    }
+}
+
 /// The tick path (`begin_tick` + `sample`, matched by position against the
-/// previous tick) and the by-name `record` it falls back to build the same
-/// store: equal names, digest and JSONL — including when a new series
-/// appears mid-sequence and shifts every later position, and when the
-/// rings wrap.
+/// previous tick) builds the same store as recording every sample by name:
+/// equal names, digest and JSONL — including when a new series appears
+/// mid-sequence and shifts every later position, and when the rings wrap.
 #[test]
 fn positional_fast_path_equals_record_by_name() {
     let cfg = || TelemetryConfig::new(SimDuration::from_millis(10)).with_ring_capacity(16);
-    let mut by_name = Telemetry::new(cfg());
+    let mut by_name = Points::new(16);
     let mut by_tick = Telemetry::new(cfg());
     for tick in 0..40u64 {
         let now = SimTime::from_millis(10 * (tick + 1));
@@ -127,10 +277,10 @@ fn positional_fast_path_equals_record_by_name() {
                 samples.push((format!("rtt.{f}"), 0.05 + tick as f64 * 1e-3));
             }
         }
-        by_tick.begin_tick();
+        by_tick.begin_tick(now);
         for (name, value) in &samples {
             by_name.record(name, now, *value);
-            by_tick.sample(name, now, *value);
+            by_tick.sample(name, *value);
         }
     }
     assert_eq!(by_tick.names(), by_name.names());
