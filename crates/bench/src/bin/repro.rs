@@ -14,6 +14,11 @@
 use bench::{artifacts, results, Args};
 use buffersizing::Executor;
 
+#[expect(
+    clippy::print_stderr,
+    clippy::print_stdout,
+    reason = "repro's usage errors go to the terminal; repro's progress and results go to the terminal"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&args).unwrap_or_else(|e| {

@@ -281,6 +281,10 @@ fn util_rho(sc: &LongFlowScenario) -> (f64, f64) {
 /// they are homogeneous. Per flow count, ρ̄ for identical RTTs with no
 /// jitter and near-simultaneous starts (the conditions under which flows
 /// couple) and for the paper's realistic RTT spread with jitter.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating cast of a rounded, positive buffer size in packets"
+)]
 fn ext_sync(_: &Executor, quick: bool) -> Artifact {
     let counts: &[usize] = if quick { &[2, 8, 32] } else { &[2, 5, 10, 25, 50, 100, 200, 400] };
     let mut t = Table::new(&["n", "rho (homogeneous)", "rho (heterogeneous)", "util (heterogeneous)"]);
@@ -311,6 +315,10 @@ fn ext_sync(_: &Executor, quick: bool) -> Artifact {
 
 /// §5.1.1: loss rate vs buffer against ℓ = 0.76/W². Smaller buffers →
 /// smaller average windows → more loss, while utilization stays high.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating cast of a rounded, positive buffer size in packets"
+)]
 fn ext_loss(_: &Executor, quick: bool) -> Artifact {
     let n = if quick { 20 } else { 300 };
     let mut base = long_flows(n, quick);
@@ -352,6 +360,10 @@ fn ext_loss(_: &Executor, quick: bool) -> Artifact {
 /// ("backbone links at loads of 10%-30%", §5.1) with buffers from the rule
 /// of thumb down to 0.5 % of it, reporting the QoS a tiny buffer could
 /// hurt — throughput vs offered load, drop rate, short-flow AFCT.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating cast of a rounded, positive buffer size in packets"
+)]
 fn ext_highrate(_: &Executor, quick: bool) -> Artifact {
     let rate: u64 = if quick { 200_000_000 } else { 1_000_000_000 };
     let load = 0.25;
@@ -386,6 +398,10 @@ fn ext_highrate(_: &Executor, quick: bool) -> Artifact {
 /// Follow-up literature (Enachescu et al., "Routers with Very Small
 /// Buffers"): senders pacing at cwnd/RTT let buffers shrink by another
 /// order of magnitude. Ack-clocked vs paced, at fractions of BDP/√n.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating cast of a rounded, positive buffer size in packets"
+)]
 fn ext_pacing(_: &Executor, quick: bool) -> Artifact {
     let n = if quick { 16 } else { 100 };
     let mut base = long_flows(n, quick);
@@ -467,6 +483,10 @@ fn parking_lot(n_each: usize, buffer: usize, rate: u64, seconds: u64) -> (f64, f
 
 /// §5.1 assumes a single point of congestion; this ablation asks what a
 /// through flow sees when it crosses two √n-buffered hops.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating cast of a rounded, positive buffer size in packets"
+)]
 fn ext_multihop(_: &Executor, quick: bool) -> Artifact {
     let (n_each, rate, seconds): (usize, u64, u64) =
         if quick { (8, 20_000_000, 10) } else { (32, 50_000_000, 30) };
@@ -496,6 +516,10 @@ fn ext_multihop(_: &Executor, quick: bool) -> Artifact {
 /// Which ingredients produce the desynchronization the √n result depends
 /// on? Each row removes one from the reference setup (n flows, buffer =
 /// BDP/√n) or swaps the sender or queue.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating cast of a rounded, positive buffer size in packets"
+)]
 fn ext_ablation(_: &Executor, quick: bool) -> Artifact {
     let n = if quick { 24 } else { 100 };
     let mut reference = long_flows(n, quick);

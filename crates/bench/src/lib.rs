@@ -96,6 +96,10 @@ fn preamble(title: &str, quick: bool) -> String {
 /// Runs one entry: prints its preamble and report, then writes
 /// `artifacts/<name>.json` (see [`artifacts::document`]) and the extra
 /// files.
+#[expect(
+    clippy::print_stdout,
+    reason = "an experiment's report goes to stdout beside its artifacts"
+)]
 pub fn run(e: &Experiment, exec: &Executor, quick: bool) {
     println!("{}", preamble(e.title, quick));
     let a = (e.run)(exec, quick);

@@ -10,14 +10,14 @@
 //!
 //! ## Determinism contract
 //!
-//! simlint's `wall-clock` rule bans `std::thread` inside the four
-//! simulation crates (`simcore`, `netsim`, `tcpsim`, `traffic`), where a
-//! thread could reorder *events within one run*. This module lives in the
-//! driver layer: threads only decide *which worker computes which whole
-//! run*, never anything observable inside a run, so the pool is
-//! contract-legal. The file-scoped waiver below is the sanctioned
-//! exception and `tests/static_analysis.rs` asserts it stays confined to
-//! this one module.
+//! The workspace lints ban `std::thread` and `Instant::now`
+//! (`clippy::disallowed_methods`, listed in `clippy.toml`): in a
+//! simulation crate a thread could reorder *events within one run*. This
+//! module runs whole simulations: threads only decide *which worker
+//! computes which whole run*, never anything observable inside a run, so
+//! the pool is contract-legal. The file-level `#![expect]` below is the
+//! sanctioned exception, and `tests/static_analysis.rs` pins it with the
+//! repository's other file-level expectations.
 //!
 //! ## Scheduling
 //!
@@ -28,7 +28,10 @@
 //! undone cell, so a sweep of unequal cells (bisection points at different
 //! buffer sizes, say) stays load-balanced without any cell-cost model.
 
-// simlint: allow-file(wall-clock) — driver-layer worker pool: threads never run inside a simulation, they only distribute whole runs across cores
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the sweep worker pool: threads never run inside a simulation, they only distribute whole runs across cores"
+)]
 
 use std::any::Any;
 use std::fmt;
@@ -187,6 +190,10 @@ impl Executor {
     /// the repo benchmark (`benchmark/`: `core.exec.*` metrics and the
     /// `minbuf_sweep` wall-time trace tracks), which is machine-dependent
     /// and never committed.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "wall-clock nanoseconds of a sweep fit u64 (584 years); cell counts are small"
+    )]
     pub fn run_cells_observed<R, F>(&self, n: usize, f: F) -> (Vec<R>, ExecReport)
     where
         R: Send,
@@ -331,6 +338,10 @@ impl WorkerStats {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "wall-clock nanoseconds of a sweep fit u64 (584 years); cell counts are small"
+    )]
     fn record(&mut self, cell: usize, epoch: Instant, t0: Instant, share: usize) {
         let dur = t0.elapsed().as_nanos() as u64;
         let start = t0.duration_since(epoch).as_nanos() as u64;
@@ -351,6 +362,10 @@ impl Default for Executor {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 mod tests {
     use super::*;
 

@@ -79,6 +79,10 @@ impl AfctComparisonConfig {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a rounded, positive buffer size in packets"
+    )]
     fn run_side(&self, rule: BufferRule) -> AfctSide {
         let bdp = self.long.bdp_packets();
         let buffer = match rule {

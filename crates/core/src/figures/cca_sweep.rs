@@ -124,6 +124,10 @@ impl CcaSweepConfig {
     /// single-target curve per `(variant, n)`, probing through the probe
     /// cache. Results are identical to [`CcaSweepConfig::run`] in content
     /// and order for any executor.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a rounded, positive buffer size in packets"
+    )]
     pub fn run_with(&self, exec: &Executor) -> Vec<CcaSweepPoint> {
         let mut labels = Vec::new();
         let mut curves = Vec::new();
@@ -213,6 +217,10 @@ pub fn render(points: &[CcaSweepPoint]) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 mod tests {
     use super::*;
 

@@ -79,6 +79,10 @@ impl GsrTableConfig {
     /// results to [`GsrTableConfig::run`] for any executor. A run that
     /// panics is re-raised naming its arm, n, the multiple, the buffer and
     /// the arm's seed.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a rounded, positive buffer size in packets"
+    )]
     pub fn run_with(&self, exec: &Executor) -> Vec<GsrRow> {
         let mut cells: Vec<(usize, f64)> = Vec::new();
         for &n in &self.flow_counts {

@@ -125,6 +125,10 @@ impl MinBufferConfig {
 
     /// The curves of the sweep, one per n with every target, each searched
     /// up to one BDP.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a rounded, positive buffer size in packets"
+    )]
     pub fn curves(&self) -> Vec<SweepCurve> {
         (self.flow_counts.iter())
             .map(|&n| {

@@ -60,6 +60,10 @@ impl SingleFlowConfig {
     }
 
     /// Buffer in packets (`buffer_factor × BDP`, at least 1).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a rounded, positive buffer size in packets"
+    )]
     pub fn buffer_pkts(&self) -> usize {
         (self.bdp_packets() * self.buffer_factor).round().max(1.0) as usize
     }

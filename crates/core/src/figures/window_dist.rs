@@ -17,6 +17,10 @@ pub struct WindowDistConfig {
 
 impl WindowDistConfig {
     /// Paper scale: OC3 with a few hundred flows.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a rounded, positive buffer size in packets"
+    )]
     pub fn full(n_flows: usize) -> Self {
         let mut scenario = LongFlowScenario::oc3(n_flows);
         scenario.buffer_pkts =
@@ -28,6 +32,10 @@ impl WindowDistConfig {
     }
 
     /// Smoke scale.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a rounded, positive buffer size in packets"
+    )]
     pub fn quick(n_flows: usize) -> Self {
         let mut scenario = LongFlowScenario::quick(n_flows, 50_000_000);
         scenario.buffer_pkts =

@@ -191,6 +191,10 @@ fn pad(out: &mut String, indent: usize) {
 }
 
 /// Deterministic JSON number formatting (see module docs).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "only integral values below 9e15 take this path, exact in i64"
+)]
 fn fmt_num(x: f64) -> String {
     if !x.is_finite() {
         return "null".to_string();

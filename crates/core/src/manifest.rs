@@ -160,6 +160,10 @@ impl RunManifest {
     }
 
     /// Reads a manifest back from its JSON form.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "seeds are written as integers by the manifest writer"
+    )]
     pub fn from_json(json: &Json) -> Option<Self> {
         let digest = |key: &str| -> Option<u64> {
             json.str(key)

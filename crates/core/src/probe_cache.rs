@@ -32,6 +32,11 @@
 //! result cache — a disk layer keyed the same way would extend the reuse
 //! across processes.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a cache shared by sweep workers; held only for lookup / insert, never during a simulation"
+)]
+
 use crate::runner::{LongFlowResult, LongFlowScenario};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

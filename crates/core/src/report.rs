@@ -85,6 +85,10 @@ impl Table {
 
 /// Renders an ASCII scatter/line plot of `(x, y)` points, `width`×`height`
 /// characters. Good enough to eyeball the shapes the paper plots.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "plot coordinates are scaled into [0, width) and [0, levels)"
+)]
 pub fn ascii_plot(points: &[(f64, f64)], width: usize, height: usize, title: &str) -> String {
     assert!(width >= 10 && height >= 4);
     if points.is_empty() {
@@ -143,6 +147,10 @@ const SPARK_RAMP: &[u8] = b" .:-=+*#%@";
 /// enough to show the sawtooth/plateau shapes RESULTS.md embeds next to
 /// each figure without a full plot. Returns `"(no data)"` for an empty
 /// series; a constant series renders at mid-intensity.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "plot coordinates are scaled into [0, width) and [0, levels)"
+)]
 pub fn sparkline(values: &[f64], width: usize) -> String {
     assert!(width > 0);
     if values.is_empty() {

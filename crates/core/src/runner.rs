@@ -329,7 +329,6 @@ impl LongFlowScenario {
             pacing: self.pacing,
             start_window: self.start_window,
             span_capacity: self.span_capacity,
-            ..Default::default()
         };
         // One shared flow table for every flow: hot per-ACK state lives in
         // dense arrays (see `tcpsim::table`), and its registered-flow count
@@ -359,6 +358,10 @@ impl LongFlowScenario {
     /// `period` during the measurement phase (needed for Figure 6 and the
     /// synchronization metric): the measured window advances in slices of
     /// `period` with a sample after each, or in one piece without.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sample counts and flow counts are far below the target range"
+    )]
     pub fn run_sampled(&self, sample_period: Option<SimDuration>) -> LongFlowResult {
         assert!(sample_period.is_none_or(|p| !p.is_zero()));
         let mut run = self.build();
@@ -765,6 +768,10 @@ impl MixScenario {
     /// and observers apply): one dumbbell hosting the long-flow pairs, then
     /// the short-flow pairs; one flow table for both; long flows installed
     /// first.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sample counts and flow counts are far below the target range"
+    )]
     pub fn build(&self) -> Run {
         let (long, n) = (&self.long, self.long.n_flows);
         let (mut run, mut rng) =
@@ -836,6 +843,11 @@ pub struct MixResult {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::float_cmp,
+    reason = "test-sized values, far inside the target type; exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
     use netsim::eventlog::decode;

@@ -145,6 +145,10 @@ pub struct TraceCheck {
 ///   (what viewers assume when nesting slices);
 /// * `B`/`E` pairs balance per track: no `E` without an open `B`, nothing
 ///   left open at the end.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "pid / tid are small integers written by the trace exporter"
+)]
 pub fn check_trace(text: &str) -> Result<TraceCheck, String> {
     let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let events = doc

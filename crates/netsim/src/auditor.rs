@@ -1,5 +1,5 @@
 //! Runtime invariant auditing — the dynamic half of the determinism
-//! contract (the static half is the `simlint` crate).
+//! contract (the static half is the workspace lint table, DESIGN.md §7).
 //!
 //! When enabled with [`Sim::enable_auditor`](crate::sim::Sim::enable_auditor)
 //! the kernel cross-checks, after **every** event it processes:

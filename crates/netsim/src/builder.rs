@@ -110,6 +110,10 @@ impl Dumbbell {
             .iter()
             .map(|d| (d.as_nanos() + self.bottleneck_delay.as_nanos()) as u128 * 2)
             .sum();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a mean of u64 nanosecond delays is no larger than the largest of them"
+        )]
         SimDuration::from_nanos((sum_ns / self.access_delays.len().max(1) as u128) as u64)
     }
 
@@ -180,7 +184,7 @@ impl DumbbellBuilder {
     /// Adds `n` flows all with the same one-way access delay.
     pub fn flows(mut self, n: usize, access_delay: SimDuration) -> Self {
         self.access_delays
-            .extend(std::iter::repeat(access_delay).take(n));
+            .extend(std::iter::repeat_n(access_delay, n));
         self
     }
 

@@ -97,7 +97,10 @@ impl Queue for Drr {
             return Ok(());
         }
         // Shared buffer full: longest-queue drop.
-        // simlint: allow(panic-in-kernel): total_pkts == capacity > 0 here, so at least one flow queue is non-empty
+        #[expect(
+            clippy::expect_used,
+            reason = "total_pkts == capacity > 0 here, so at least one flow queue is non-empty"
+        )]
         let longest = self.longest_flow().expect("full buffer has flows");
         if longest == pkt.flow.0 {
             self.drops += 1;
@@ -105,7 +108,10 @@ impl Queue for Drr {
         }
         // Evict from the longest queue to admit the newcomer (approximate
         // buffer stealing). The evicted packet is the drop.
-        // simlint: allow(panic-in-kernel): longest_flow just returned this flow, so its queue has a head to evict
+        #[expect(
+            clippy::expect_used,
+            reason = "longest_flow just returned this flow, so its queue has a head to evict"
+        )]
         let victim = self.evict_from(longest).expect("longest non-empty");
         self.push_flow(pkt);
         self.drops += 1;
@@ -118,7 +124,10 @@ impl Queue for Drr {
         // one extra visit.
         for _ in 0..(self.round.len().max(1) * 2) {
             let f = *self.round.front()?;
-            // simlint: allow(panic-in-kernel): round membership implies a queues entry (invariant kept by push_flow/deactivate)
+            #[expect(
+                clippy::expect_used,
+                reason = "round membership implies a queues entry (invariant kept by push_flow/deactivate)"
+            )]
             let q = self.queues.get_mut(&f).expect("round member has queue");
             let Some(head_size) = q.front().map(|p| p.size as i64) else {
                 // Empty queue: deactivate.
@@ -129,7 +138,10 @@ impl Queue for Drr {
             let d = self.deficit.entry(f).or_insert(0);
             if *d >= head_size {
                 *d -= head_size;
-                // simlint: allow(panic-in-kernel): head_size was just read from this queue's head
+                #[expect(
+                    clippy::expect_used,
+                    reason = "head_size was just read from this queue's head"
+                )]
                 let pkt = q.pop_front().expect("head exists");
                 self.total_pkts -= 1;
                 self.total_bytes -= pkt.size as u64;
@@ -271,7 +283,7 @@ mod tests {
         let mut q = Drr::new(50, 1500);
         let mut rng = Rng::new(5);
         for i in 0..30 {
-            q.enqueue(pkt((i % 3) as u32, i, 700), SimTime::ZERO, &mut rng)
+            q.enqueue(pkt(i % 3, i, 700), SimTime::ZERO, &mut rng)
                 .unwrap();
         }
         assert_eq!(q.len_packets(), 30);

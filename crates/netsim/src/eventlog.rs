@@ -124,7 +124,7 @@ pub struct PacketRecord {
 
 impl PacketRecord {
     /// One milestone. `link` is `None` for delivery to an agent.
-    // simlint: hot-path — once per logged packet milestone
+    // Hot path — once per logged packet milestone
     #[inline]
     pub fn new(
         time: SimTime,
@@ -500,7 +500,7 @@ impl PacketLog {
     /// Appends a record: folds it into the digest and encodes it into the
     /// open block, or starts a new block when that one is full. Once the
     /// log is full it counts the event and encodes nothing.
-    // simlint: hot-path — once per logged packet milestone
+    // Hot path — once per logged packet milestone
     #[inline]
     pub fn push(&mut self, rec: PacketRecord) {
         if self.len == self.capacity {
@@ -795,7 +795,7 @@ mod tests {
         /// The record as it was before the log encoded it: the same name
         /// and fields, with a derived `Debug`.
         #[derive(Debug)]
-        #[allow(dead_code)] // read by `Debug` only
+        #[expect(dead_code, reason = "the fields are read by `Debug` only")]
         struct PacketRecord {
             time: SimTime,
             uid: u64,

@@ -290,7 +290,7 @@ impl DropLedger {
     }
 
     /// Accounts one CE mark. Called by the kernel when a mark-mode queue
-    /// marks instead of dropping. `// simlint: hot-path`
+    /// marks instead of dropping; runs once per mark.
     pub(crate) fn on_mark(&mut self, link: LinkId, flow: FlowId, reason: MarkReason) {
         self.marks_total += 1;
         *self

@@ -85,7 +85,7 @@ impl SackBlocks {
         let mut out = SackBlocks::EMPTY;
         for (i, &b) in blocks.iter().take(3).enumerate() {
             out.blocks[i] = b;
-            out.len = i as u8 + 1;
+            out.len += 1;
         }
         out
     }
@@ -224,6 +224,10 @@ impl PacketArena {
                 PacketRef(i)
             }
             None => {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the arena holds the packets in flight, far below u32::MAX"
+                )]
                 let i = self.slots.len() as u32;
                 self.slots.push(pkt);
                 PacketRef(i)

@@ -231,6 +231,10 @@ impl ParkingLotBuilder {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 mod tests {
     use super::*;
     use crate::packet::{FlowId, Packet, PacketKind};

@@ -29,6 +29,10 @@ impl QueueCapacity {
     pub fn as_packets(&self, pkt_size: u32) -> usize {
         match *self {
             QueueCapacity::Packets(p) => p,
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a configured buffer in packets fits usize on every host"
+            )]
             QueueCapacity::Bytes(b) => ((b / pkt_size as u64) as usize).max(1),
         }
     }
@@ -335,7 +339,7 @@ impl Queue for DropTail {
         if self.would_overflow(&pkt) {
             return Err(pkt);
         }
-        // simlint: hot-path — `EcnMode::Drop` is the common case and must
+        // Hot path — `EcnMode::Drop` is the common case and must
         // stay a single predictable branch.
         match self.ecn {
             EcnMode::Drop => {}

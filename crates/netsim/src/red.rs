@@ -249,6 +249,10 @@ impl Queue for Red {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
     use crate::packet::{FlowId, PacketRef};

@@ -404,7 +404,7 @@ impl Kernel {
     /// One telemetry sampling tick: link series, then per-agent gauges,
     /// then the next tick's event. Out of line so the per-event dispatch
     /// function stays small.
-    // simlint: hot-path — once per telemetry tick, every sampled series
+    // Hot path — once per telemetry tick, every sampled series
     #[inline(never)]
     fn telemetry_tick(&mut self, agents: &[AgentSlot], period: SimDuration) {
         let now = self.now;
@@ -508,7 +508,7 @@ impl Kernel {
         reason: DropReason,
         depth: u32,
     ) {
-        self.metrics.inc(self.mx.drops); // simlint: hot-path
+        self.metrics.inc(self.mx.drops);
         let p = self.arena.get(pref);
         let (uid, flow, is_data) = (p.uid, p.flow, p.kind.is_tcp_data());
         let fs = self.flow_stats_mut(flow);
@@ -531,11 +531,11 @@ impl Kernel {
 
     /// Injects the arena packet `pref` at `node`: route lookup, then queue
     /// or transmit.
-    // simlint: hot-path — once per Inject/forwarded Arrival event
+    // Hot path — once per Inject/forwarded Arrival event
     fn inject<const OBS: bool>(&mut self, node: NodeId, pref: PacketRef) {
         let dst = self.arena.get(pref).dst;
         let Some(lid) = self.nodes[node.idx()].routes.lookup(dst) else {
-            self.metrics.inc(self.mx.unroutable); // simlint: hot-path
+            self.metrics.inc(self.mx.unroutable);
             if OBS {
                 if let Some(a) = &mut self.auditor {
                     a.on_unroutable();
@@ -547,7 +547,7 @@ impl Kernel {
         self.enqueue_on_link::<OBS>(lid, pref);
     }
 
-    // simlint: hot-path — once per packet offered to a link
+    // Hot path — once per packet offered to a link
     fn enqueue_on_link<const OBS: bool>(&mut self, lid: LinkId, pref: PacketRef) {
         let now = self.now;
         // Fault injection: random link loss, independent of the queue.
@@ -557,6 +557,10 @@ impl Kernel {
             let depth = link.queue.len_packets();
             link.monitor.on_offered(depth);
             link.monitor.on_drop();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a queue depth in packets is far below u32::MAX"
+            )]
             self.account_drop::<OBS>(lid, pref, DropReason::RandomLoss, depth as u32);
             return;
         }
@@ -593,8 +597,12 @@ impl Kernel {
                     // digests untouched) on ECN-off runs.
                     if let Some(mreason) = link.queue.take_mark() {
                         self.arena.get_mut(pref).ecn = Ecn::Ce;
-                        self.metrics.inc(self.mx.marks); // simlint: hot-path
+                        self.metrics.inc(self.mx.marks);
                         if OBS {
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "a queue depth in packets is far below u32::MAX"
+                            )]
                             self.log_packet::<OBS>(
                                 uid,
                                 flow,
@@ -619,13 +627,17 @@ impl Kernel {
                     link.monitor.on_drop();
                     // `dropped` is usually the offered packet, but buffer-
                     // stealing disciplines (DRR) may evict a different one.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "a queue depth in packets is far below u32::MAX"
+                    )]
                     self.account_drop::<OBS>(lid, dropped.pref, reason, qlen as u32);
                 }
             }
         }
     }
 
-    // simlint: hot-path — once per packet serialization start
+    // Hot path — once per packet serialization start
     fn start_tx(&mut self, lid: LinkId, qp: QueuedPacket) {
         let link = &mut self.links[lid.idx()];
         debug_assert!(!link.busy);
@@ -635,11 +647,14 @@ impl Kernel {
         self.events.schedule(self.now + tx, Event::TxEnd { link: lid });
     }
 
-    // simlint: hot-path — once per TxEnd event
+    // Hot path — once per TxEnd event
     fn on_tx_end<const OBS: bool>(&mut self, lid: LinkId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a TxEnd event is only ever scheduled together with an in_flight entry"
+        )]
         let (pref, tx) = self.in_flight[lid.idx()]
             .take()
-            // simlint: allow(panic-in-kernel): a TxEnd event is only ever scheduled together with an in_flight entry
             .expect("TxEnd with no packet in flight");
         let p = self.arena.get(pref);
         let (uid, flow, size) = (p.uid, p.flow, p.size);
@@ -667,7 +682,7 @@ impl Kernel {
 
     /// One queue-sampling tick: the occupancy of every flagged link into
     /// the trace sink, then the next tick's event.
-    // simlint: hot-path — once per queue-sampling tick, every flagged link
+    // Hot path — once per queue-sampling tick, every flagged link
     #[inline(never)]
     fn queue_sample_tick(&mut self, period: SimDuration) {
         let now = self.now;
@@ -900,6 +915,10 @@ impl Sim {
 
     /// Adds a node.
     pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "node, link and agent ids are u32 by design; a topology has far fewer"
+        )]
         let id = NodeId(self.kernel.nodes.len() as u32);
         self.kernel.nodes.push(Node::new(name, kind));
         self.kernel.last_inject.push(SimTime::ZERO);
@@ -910,6 +929,10 @@ impl Sim {
     pub fn add_link(&mut self, link: Link) -> LinkId {
         assert!(link.from.idx() < self.kernel.nodes.len(), "bad from node");
         assert!(link.to.idx() < self.kernel.nodes.len(), "bad to node");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "node, link and agent ids are u32 by design; a topology has far fewer"
+        )]
         let id = LinkId(self.kernel.links.len() as u32);
         self.kernel
             .queue_series
@@ -926,6 +949,10 @@ impl Sim {
             NodeKind::Host,
             "agents live on hosts"
         );
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "node, link and agent ids are u32 by design; a topology has far fewer"
+        )]
         let id = AgentId(self.agents.len() as u32);
         self.agents.push(AgentSlot { agent, node });
         id
@@ -958,6 +985,10 @@ impl Sim {
         assert!(!self.started, "start() called twice");
         self.started = true;
         for i in 0..self.agents.len() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "node, link and agent ids are u32 by design; a topology has far fewer"
+            )]
             self.dispatch_start(AgentId(i as u32));
         }
     }
@@ -972,7 +1003,7 @@ impl Sim {
         slot.agent.on_start(&mut ctx);
     }
 
-    // simlint: hot-path — once per delivered packet
+    // Hot path — once per delivered packet
     fn dispatch_packet(&mut self, aid: AgentId, pkt: Packet) {
         let slot = &mut self.agents[aid.idx()];
         let mut ctx = Ctx {
@@ -983,7 +1014,7 @@ impl Sim {
         slot.agent.on_packet(pkt, &mut ctx);
     }
 
-    // simlint: hot-path — once per Timer event
+    // Hot path — once per Timer event
     fn dispatch_timer(&mut self, aid: AgentId, token: u64) {
         let slot = &mut self.agents[aid.idx()];
         let mut ctx = Ctx {
@@ -1004,7 +1035,7 @@ impl Sim {
     /// only counter increments on the uninstrumented sweep path. Both
     /// instantiations execute the identical simulation logic, so results
     /// and digests cannot differ.
-    // simlint: hot-path — the event loop itself
+    // Hot path — the event loop itself
     pub fn run_until(&mut self, until: SimTime) {
         assert!(self.started, "call start() before running");
         if self.kernel.observers_active() {
@@ -1014,7 +1045,7 @@ impl Sim {
         }
     }
 
-    // simlint: hot-path — the event loop itself
+    // Hot path — the event loop itself
     fn run_loop<const OBS: bool>(&mut self, until: SimTime) {
         // Batched dispatch: drain every event sharing the earliest timestamp
         // in one scheduler call (one wheel-slot walk instead of per-event
@@ -1032,7 +1063,7 @@ impl Sim {
             }
             self.kernel.now = t;
             for ev in batch.drain(..) {
-                self.kernel.metrics.inc(self.kernel.mx.events); // simlint: hot-path
+                self.kernel.metrics.inc(self.kernel.mx.events);
                 if OBS {
                     if let Some(p) = &mut self.kernel.prof {
                         p.on_dispatch(ev.class(), t.as_nanos());
@@ -1051,7 +1082,7 @@ impl Sim {
     }
 
     /// Dispatches one event at the current clock.
-    // simlint: hot-path — once per event, every event class
+    // Hot path — once per event, every event class
     #[inline]
     fn dispatch_event<const OBS: bool>(&mut self, ev: Event) {
         match ev {
@@ -1061,7 +1092,7 @@ impl Sim {
                 let node = self.kernel.links[link.idx()].to;
                 match self.kernel.nodes[node.idx()].kind {
                     NodeKind::Router => {
-                        self.kernel.metrics.inc(self.kernel.mx.forwarded); // simlint: hot-path
+                        self.kernel.metrics.inc(self.kernel.mx.forwarded);
                         self.kernel.inject::<OBS>(node, packet);
                     }
                     NodeKind::Host => {
@@ -1073,7 +1104,7 @@ impl Sim {
                             .and_then(|b| b.agent_at(node));
                         match bound {
                             Some(aid) => {
-                                self.kernel.metrics.inc(self.kernel.mx.delivered); // simlint: hot-path
+                                self.kernel.metrics.inc(self.kernel.mx.delivered);
                                 self.kernel.flow_stats_mut(flow).delivered += 1;
                                 if OBS {
                                     let uid = self.kernel.arena.get(packet).uid;
@@ -1087,7 +1118,7 @@ impl Sim {
                                 self.dispatch_packet(aid, pkt);
                             }
                             None => {
-                                self.kernel.metrics.inc(self.kernel.mx.unroutable); // simlint: hot-path
+                                self.kernel.metrics.inc(self.kernel.mx.unroutable);
                                 if OBS {
                                     if let Some(a) = &mut self.kernel.auditor {
                                         a.on_unroutable();

@@ -117,7 +117,7 @@ impl Grid {
         }
     }
 
-    // simlint: hot-path — once per telemetry sample
+    // Hot path — once per telemetry sample
     fn push(&mut self, tick: u64, value: f64) {
         if self.values.len() == self.values.capacity() {
             // The ring is about to evict its oldest value, and with it the
@@ -214,7 +214,7 @@ impl SeriesStore {
         slot
     }
 
-    // simlint: hot-path — once per telemetry sample
+    // Hot path — once per telemetry sample
     fn record_next(&mut self, name: &str, value: f64) {
         let pos = self.tick_pos;
         self.tick_pos += 1;
@@ -300,7 +300,7 @@ impl Telemetry {
 
     /// Samples the link-level series (occupancy, utilization, drops) for
     /// the current tick. `links` is the kernel's link table in id order.
-    // simlint: hot-path — once per sampled link per telemetry tick
+    // Hot path — once per sampled link per telemetry tick
     pub(crate) fn sample_links(&mut self, links: &[Link]) {
         let interval_s = self.config.interval.as_secs_f64();
         if self.links.len() < links.len() {
@@ -423,6 +423,10 @@ fn fmt_f64(v: f64) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 

@@ -22,7 +22,7 @@ pub struct DeadlineTimer {
 impl DeadlineTimer {
     /// Moves the deadline to `deadline` (not before `ctx.now()`), scheduling
     /// an entry under `token` only if none fires at or before it.
-    // simlint: hot-path — once per ACK that re-arms the RTO
+    // Hot path — once per ACK that re-arms the RTO
     pub fn set(&mut self, deadline: SimTime, token: u64, ctx: &mut Ctx<'_>) {
         self.deadline = deadline;
         if self.entry_at.is_none_or(|t| t > deadline) {
@@ -34,7 +34,7 @@ impl DeadlineTimer {
     /// For every firing of `token` in `on_timer`: true exactly at the
     /// deadline. A superseded firing returns false and touches nothing; the
     /// live entry firing early (deadline moved later) sleeps the remainder.
-    // simlint: hot-path — once per firing of the deadline's token
+    // Hot path — once per firing of the deadline's token
     pub fn fired(&mut self, token: u64, ctx: &mut Ctx<'_>) -> bool {
         if self.entry_at != Some(ctx.now()) {
             return false;
@@ -48,6 +48,10 @@ impl DeadlineTimer {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 mod tests {
     use super::*;
     use crate::node::NodeKind;

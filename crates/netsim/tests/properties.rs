@@ -20,6 +20,10 @@ fn pkt(uid: u32, size: u32) -> QueuedPacket {
 /// A drop-tail queue never exceeds its packet capacity, preserves FIFO
 /// order, and conserves packets (accepted = dequeued at drain).
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn droptail_capacity_fifo_conservation() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0xA1_0000 + seed);
@@ -53,6 +57,10 @@ fn droptail_capacity_fifo_conservation() {
 
 /// Byte-capacity queues respect the byte bound for mixed packet sizes.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn droptail_byte_bound() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0xA2_0000 + seed);
@@ -70,6 +78,10 @@ fn droptail_byte_bound() {
 
 /// RED never exceeds physical capacity either.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn red_respects_capacity() {
     use netsim::red::RedConfig;
     use netsim::Red;

@@ -126,7 +126,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at `time`. Events at the same time fire in
     /// scheduling order.
-    // simlint: hot-path — one call per scheduled event
+    // Hot path — one call per scheduled event
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -138,7 +138,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
-    // simlint: hot-path — one call per dispatched event
+    // Hot path — one call per dispatched event
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
@@ -155,7 +155,7 @@ impl<E> EventQueue<E> {
     /// timestamp is `<= until`) into `out` in FIFO order, returning the
     /// shared timestamp. Interface parity with
     /// [`TimerWheel::drain_next_batch`](crate::wheel::TimerWheel::drain_next_batch).
-    // simlint: hot-path — one call per dispatched batch
+    // Hot path — one call per dispatched batch
     pub fn drain_next_batch(&mut self, until: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         let first = self.heap.peek()?;
         if first.time > until {
@@ -166,7 +166,10 @@ impl<E> EventQueue<E> {
             if e.time != t {
                 break;
             }
-            // simlint: allow(panic-in-kernel): pop directly follows a successful peek of the same heap
+            #[expect(
+                clippy::expect_used,
+                reason = "pop directly follows a successful peek of the same heap"
+            )]
             out.push(self.heap.pop().expect("peeked").event);
         }
         Some(t)

@@ -22,6 +22,19 @@
 
 
 #![deny(missing_docs)]
+// The kernel half of the determinism contract (DESIGN.md §7): no `unsafe`
+// (so no `static mut`), and no panics in library code — a panic tears down
+// the sweep cell and its packet log. Tests may assert with them (clippy.toml).
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod digest;
 pub mod dist;
 pub mod event;

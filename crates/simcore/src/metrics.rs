@@ -124,14 +124,14 @@ impl Registry {
     }
 
     /// Increments a counter by one. Allocation-free; hot-path safe.
-    // simlint: hot-path — one array increment per call site
+    // Hot path — one array increment per call site
     #[inline]
     pub fn inc(&mut self, id: CounterId) {
         self.counters[id.0] += 1;
     }
 
     /// Adds `n` to a counter. Allocation-free; hot-path safe.
-    // simlint: hot-path — one array add per call site
+    // Hot path — one array add per call site
     #[inline]
     pub fn add(&mut self, id: CounterId, n: u64) {
         self.counters[id.0] += n;
@@ -144,7 +144,7 @@ impl Registry {
     }
 
     /// Sets a gauge, updating its high-water mark. Allocation-free.
-    // simlint: hot-path — one store and one max per call site
+    // Hot path — one store and one max per call site
     #[inline]
     pub fn set(&mut self, id: GaugeId, value: u64) {
         let g = &mut self.gauges[id.0];
@@ -162,7 +162,7 @@ impl Registry {
     /// Records one observation into a histogram: value `v` lands in its
     /// log2 bucket (0 → bucket 0, matching [`crate::prof::Profile`]'s gap
     /// histogram layout). Allocation-free.
-    // simlint: hot-path — one leading-zeros and one array increment
+    // Hot path — one leading-zeros and one array increment
     #[inline]
     pub fn observe(&mut self, id: HistId, v: u64) {
         let bucket = if v == 0 {

@@ -88,6 +88,10 @@ impl Rng {
 
     /// A uniform integer in `[0, bound)` using Lemire's unbiased method.
     /// Panics if `bound == 0`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Lemire's method splits the 128-bit product into its low and high 64-bit halves"
+    )]
     pub fn u64_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "u64_below(0)");
         let mut x = self.next_u64();
@@ -127,6 +131,7 @@ impl Rng {
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
+            #[expect(clippy::cast_possible_truncation, reason = "j <= i, itself a usize")]
             let j = self.u64_below(i as u64 + 1) as usize;
             xs.swap(i, j);
         }
@@ -134,6 +139,10 @@ impl Rng {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 mod tests {
     use super::*;
 

@@ -40,8 +40,9 @@ impl SchedulerKind {
 /// identical across variants, so profiles and digests are scheduler
 /// independent.
 pub enum Scheduler<E> {
-    /// Timer-wheel scheduler.
-    Wheel(TimerWheel<E>),
+    /// Timer-wheel scheduler (boxed: the wheel is over 300 bytes inline,
+    /// the heap a few words, and a simulation holds one scheduler).
+    Wheel(Box<TimerWheel<E>>),
     /// Binary-heap oracle.
     Heap(EventQueue<E>),
 }
@@ -50,7 +51,7 @@ impl<E: Copy> Scheduler<E> {
     /// Creates an empty scheduler of `kind` with a capacity hint.
     pub fn with_capacity(kind: SchedulerKind, cap: usize) -> Self {
         match kind {
-            SchedulerKind::Wheel => Scheduler::Wheel(TimerWheel::with_capacity(cap)),
+            SchedulerKind::Wheel => Scheduler::Wheel(Box::new(TimerWheel::with_capacity(cap))),
             SchedulerKind::Heap => Scheduler::Heap(EventQueue::with_capacity(cap)),
         }
     }

@@ -6,7 +6,6 @@
 //! computed along different code paths either collide on the same nanosecond
 //! (and are then ordered FIFO by the event queue) or do not — there is no
 //! epsilon ambiguity.
-// simlint: allow-file(panic-in-kernel): checked SimTime/SimDuration arithmetic panics loudly on overflow — the structured alternative to silent wraparound corrupting digests
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -50,6 +49,10 @@ impl SimTime {
 
     /// Creates a time from fractional seconds, rounding to the nearest
     /// nanosecond. Panics on negative or non-finite input.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating float-to-int cast of a finite, non-negative value (asserted above)"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time: {s}");
         SimTime((s * NANOS_PER_SEC as f64).round() as u64)
@@ -67,6 +70,10 @@ impl SimTime {
 
     /// Duration elapsed since `earlier`. Panics if `earlier` is later than
     /// `self` (simulation logic never runs time backwards).
+    #[expect(
+        clippy::expect_used,
+        reason = "checked time arithmetic panics loudly on overflow, the alternative to a silent wraparound corrupting digests"
+    )]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -115,6 +122,10 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond. Panics on negative or non-finite input.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating float-to-int cast of a finite, non-negative value (asserted above)"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
         SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
@@ -142,6 +153,10 @@ impl SimDuration {
 
     /// Scales the duration by a non-negative factor, rounding to the nearest
     /// nanosecond.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating float-to-int cast of a finite, non-negative value (asserted above)"
+    )]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "invalid scale: {k}");
         SimDuration((self.0 as f64 * k).round() as u64)
@@ -165,12 +180,20 @@ impl SimDuration {
             return SimDuration(bits / rate_bps);
         }
         let bits = (bytes as u128) * 8 * NANOS_PER_SEC as u128;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a serialization time past u64 nanoseconds (584 years) is no simulated link"
+        )]
         SimDuration((bits / rate_bps as u128) as u64)
     }
 }
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked time arithmetic panics loudly on overflow, the alternative to a silent wraparound corrupting digests"
+    )]
     fn add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(d.0).expect("SimTime overflow"))
     }
@@ -184,6 +207,10 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked time arithmetic panics loudly on overflow, the alternative to a silent wraparound corrupting digests"
+    )]
     fn sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(d.0).expect("SimTime underflow"))
     }
@@ -198,6 +225,10 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked time arithmetic panics loudly on overflow, the alternative to a silent wraparound corrupting digests"
+    )]
     fn add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(other.0).expect("SimDuration overflow"))
     }
@@ -211,6 +242,10 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked time arithmetic panics loudly on overflow, the alternative to a silent wraparound corrupting digests"
+    )]
     fn sub(self, other: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -228,6 +263,10 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "checked time arithmetic panics loudly on overflow, the alternative to a silent wraparound corrupting digests"
+    )]
     fn mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(k).expect("SimDuration overflow"))
     }
@@ -277,6 +316,10 @@ impl fmt::Display for SimDuration {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 

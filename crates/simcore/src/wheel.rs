@@ -252,7 +252,7 @@ impl<E: Copy> TimerWheel<E> {
 
     /// Schedules `event` at `time`. Events at the same time pop in
     /// scheduling order (the FIFO tie-break contract).
-    // simlint: hot-path — one call per scheduled event
+    // Hot path — one call per scheduled event
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -269,6 +269,10 @@ impl<E: Copy> TimerWheel<E> {
     }
 
     /// Where an entry at `tick` belongs relative to the cursor window.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "level < LEVELS and masked slot indexes < SLOTS: small by construction"
+    )]
     fn home(&self, tick: u64) -> Home {
         let window = tick >> GRAIN_BITS;
         if window <= self.cursor {
@@ -286,7 +290,7 @@ impl<E: Copy> TimerWheel<E> {
 
     /// Inserts a pending entry into due / stage / wheel / overflow relative
     /// to the cursor window. Does not touch counters (cascades reuse it).
-    // simlint: hot-path — one call per scheduled or cascaded event
+    // Hot path — one call per scheduled or cascaded event
     fn place(&mut self, p: Pending<E>) {
         match self.home(p.tick) {
             Home::Near if p.tick >> GRAIN_BITS < self.cursor => self.due.push(p),
@@ -427,7 +431,11 @@ impl<E: Copy> TimerWheel<E> {
     /// Moves every entry of `slot` at `level` down toward level 0 (or into
     /// the stage), advancing `cursor` to the start of that slot's window
     /// first.
-    // simlint: hot-path — amortized over every popped event
+    // Hot path — amortized over every popped event
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "level < LEVELS and masked slot indexes < SLOTS: small by construction"
+    )]
     fn cascade(&mut self, level: usize, slot: usize) {
         let shift = SLOT_BITS * level as u32;
         let window = SLOT_BITS * (level as u32 + 1);
@@ -456,7 +464,11 @@ impl<E: Copy> TimerWheel<E> {
     /// Ensures the earliest pending events (if any exist) are in `due` or
     /// `stage`, advancing the cursor window / cascading / rebasing from
     /// overflow as needed. Returns `false` iff nothing is pending.
-    // simlint: hot-path — runs before every pop/peek
+    // Hot path — runs before every pop/peek
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "level < LEVELS and masked slot indexes < SLOTS: small by construction"
+    )]
     fn ready(&mut self) -> bool {
         loop {
             if !self.due.is_empty() || !self.stage.is_empty() {
@@ -480,6 +492,10 @@ impl<E: Copy> TimerWheel<E> {
                     self.stage.push(p);
                     i = next;
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "total tie-break: seq is unique per scheduled event"
+                )]
                 self.stage.sort_unstable_by_key(|p| (p.tick, p.seq));
                 self.shrink_if_sparse();
                 return true;
@@ -514,7 +530,10 @@ impl<E: Copy> TimerWheel<E> {
                 if ((p.tick >> GRAIN_BITS) ^ self.cursor) >> (SLOT_BITS * LEVELS as u32) != 0 {
                     break;
                 }
-                // simlint: allow(panic-in-kernel): pop directly follows a successful peek of the same heap
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pop directly follows a successful peek of the same heap"
+                )]
                 let p = self.overflow.pop().expect("peeked");
                 self.place(p);
             }
@@ -523,7 +542,7 @@ impl<E: Copy> TimerWheel<E> {
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
-    // simlint: hot-path — one call per dispatched event
+    // Hot path — one call per dispatched event
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if !self.ready() {
             return None;
@@ -548,7 +567,7 @@ impl<E: Copy> TimerWheel<E> {
     /// timestamp is `<= until`) into `out` in sequence order, returning the
     /// shared timestamp. Used for batched dispatch: one scheduler advance
     /// serves a whole same-instant burst.
-    // simlint: hot-path — one call per dispatched batch
+    // Hot path — one call per dispatched batch
     pub fn drain_next_batch(&mut self, until: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         if !self.ready() {
             return None;
@@ -564,7 +583,10 @@ impl<E: Copy> TimerWheel<E> {
                 if p.tick != tick {
                     break;
                 }
-                // simlint: allow(panic-in-kernel): pop directly follows a successful peek of the same heap
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pop directly follows a successful peek of the same heap"
+                )]
                 let p = self.due.pop().expect("peeked");
                 self.len -= 1;
                 out.push(p.event);

@@ -11,6 +11,10 @@ const CASES: u64 = 64;
 /// Events always come out in non-decreasing time order, with FIFO order
 /// among equal timestamps.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn event_queue_total_order() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0xE0_0000 + seed);

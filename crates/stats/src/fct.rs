@@ -88,6 +88,10 @@ impl FctCollector {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 

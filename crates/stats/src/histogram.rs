@@ -40,6 +40,10 @@ impl Histogram {
     }
 
     /// Adds one sample.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "x lies in [lo, hi), so the index is in [0, bins]"
+    )]
     pub fn add(&mut self, x: f64) {
         self.total += 1;
         if x < self.lo {
@@ -134,6 +138,10 @@ impl Histogram {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 

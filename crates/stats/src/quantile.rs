@@ -3,6 +3,10 @@
 /// The `q`-quantile (`0 ≤ q ≤ 1`) of the samples using linear interpolation
 /// between order statistics (type-7, the numpy/R default). Returns `None`
 /// for an empty slice; NaNs are rejected by assertion.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "q in [0, 1] scales an index of the sorted samples"
+)]
 pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q), "q must be in [0,1]");
     if samples.is_empty() {

@@ -6,6 +6,10 @@ use stats::{quantile, Histogram, Welford};
 
 const CASES: u64 = 48;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn vec_f64(gen: &mut Rng, lo: f64, hi: f64, min_len: usize, max_len: usize) -> Vec<f64> {
     let n = min_len + gen.u64_below((max_len - min_len) as u64) as usize;
     (0..n).map(|_| gen.f64_range(lo, hi)).collect()
@@ -92,6 +96,10 @@ fn ccdf_monotone() {
 
 /// Quantiles are monotone in q and bounded by min/max.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 fn quantiles_monotone_and_bounded() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x55_0000 + seed);

@@ -235,7 +235,7 @@ impl TcpSource {
         ctx.set_timer(delay, TOKEN_START);
     }
 
-    // simlint: hot-path — every outgoing data segment
+    // Hot path — every outgoing data segment
     fn transmit(&mut self, seq: u64, retransmit: bool, fin: bool, ctx: &mut Ctx<'_>) {
         let (ecn, data_size) = {
             let cfg = self.sender.cfg();
@@ -273,6 +273,10 @@ impl TcpSource {
             .srtt()
             .unwrap_or(SimDuration::from_millis(50));
         let cwnd = self.sender.cwnd().max(1.0);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a saturating cast of RTT / cwnd, finite and at most the RTT"
+        )]
         SimDuration::from_nanos((rtt.as_nanos() as f64 / cwnd) as u64)
     }
 
@@ -305,7 +309,7 @@ impl TcpSource {
 
     /// Hands one input to the sender and executes what it asks for, with
     /// the simulation's shared action buffer.
-    // simlint: hot-path — once per start/ACK/RTO delivered to the sender
+    // Hot path — once per start/ACK/RTO delivered to the sender
     fn drive(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -321,7 +325,7 @@ impl TcpSource {
 
     /// Executes sender actions, draining `actions` (the shared scratch
     /// buffer, returned empty for reuse).
-    // simlint: hot-path — once per ACK/RTO delivered to the sender
+    // Hot path — once per ACK/RTO delivered to the sender
     fn apply(&mut self, actions: &mut Vec<TcpAction>, ctx: &mut Ctx<'_>) {
         for a in actions.drain(..) {
             match a {
@@ -387,7 +391,7 @@ impl Agent for TcpSource {
         ctx.set_timer(self.start.since(SimTime::ZERO), TOKEN_START);
     }
 
-    // simlint: hot-path — once per ACK delivered to the source
+    // Hot path — once per ACK delivered to the source
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if let PacketKind::TcpAck(hdr) = pkt.kind {
             // A source without a live slot has finished (or not started):
@@ -419,7 +423,7 @@ impl Agent for TcpSource {
         }
     }
 
-    // simlint: hot-path — pace/RTO timer deliveries
+    // Hot path — pace/RTO timer deliveries
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         if token == TOKEN_START {
@@ -525,7 +529,7 @@ impl TcpSink {
         })
     }
 
-    // simlint: hot-path — every outgoing ACK
+    // Hot path — every outgoing ACK
     fn send_ack(&self, ack: AckToSend, to: NodeId, ctx: &mut Ctx<'_>) {
         let mut wire_sack = netsim::SackBlocks::EMPTY;
         for (lo, hi) in ack.sack.iter() {
@@ -548,7 +552,7 @@ impl TcpSink {
 }
 
 impl Agent for TcpSink {
-    // simlint: hot-path — once per data segment at the sink
+    // Hot path — once per data segment at the sink
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         if let PacketKind::TcpData(hdr) = pkt.kind {
             // ECN first: a CE mark on this segment must be reflected in the
@@ -601,7 +605,7 @@ impl Agent for TcpSink {
         }
     }
 
-    // simlint: hot-path — delayed-ACK timer deliveries
+    // Hot path — delayed-ACK timer deliveries
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         // A timer that finds no slot was armed before the flow completed;
         // completion flushed the ACK it was for.
@@ -633,6 +637,10 @@ impl Agent for TcpSink {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
     use crate::cc::Reno;

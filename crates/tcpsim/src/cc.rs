@@ -252,6 +252,10 @@ impl CongestionControl for Sack {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 
@@ -466,6 +470,10 @@ impl CongestionControl for Cubic {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod cubic_tests {
     use super::*;
 
@@ -598,7 +606,7 @@ impl CongestionControl for Dctcp {
         s.ssthresh = (flight / 2.0).max(2.0);
         s.cwnd = 1.0;
     }
-    // simlint: hot-path — once per CWR-gated window on marked ACKs
+    // Hot path — once per CWR-gated window on marked ACKs
     fn on_ecn_mark(&mut self, s: &mut CcState, _flight: f64, alpha: f64) {
         // RFC 8257 §3.3: cwnd ← cwnd · (1 − α/2), with the usual floor.
         s.ssthresh = (s.cwnd * (1.0 - alpha / 2.0)).max(2.0);
@@ -607,6 +615,10 @@ impl CongestionControl for Dctcp {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod dctcp_tests {
     use super::*;
 

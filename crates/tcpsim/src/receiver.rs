@@ -182,7 +182,7 @@ impl TcpReceiver {
     /// this before [`TcpReceiver::on_data`]. A CE mark latches `ece` for
     /// the next emitted ACK (the latch survives ACK withholding and clears
     /// only when an ACK actually goes out).
-    // simlint: hot-path — once per data segment on ECN-enabled flows
+    // Hot path — once per data segment on ECN-enabled flows
     pub fn on_ecn(&mut self, ce: bool, cwr: bool) {
         if ce {
             self.core.ce_pending = true;
@@ -252,7 +252,7 @@ impl TcpReceiver {
 
 impl RxCore {
     /// Consumes the CE latch into an outgoing ACK's `ece` bit.
-    // simlint: hot-path — once per emitted ACK
+    // Hot path — once per emitted ACK
     #[inline]
     fn take_ece(&mut self) -> bool {
         std::mem::take(&mut self.ce_pending)
@@ -382,7 +382,7 @@ impl RxCore {
 /// The first block is the run containing `trigger` (the most recently
 /// received segment, per RFC 2018); the remaining slots report the lowest
 /// other runs.
-// simlint: hot-path — built for every dup/partial ACK while holes exist
+// Hot path — built for every dup/partial ACK while holes exist
 fn sack_ranges(ooo: &BTreeSet<u64>, trigger: u64) -> SackRanges {
     let mut out = SackRanges::default();
     if ooo.is_empty() {
@@ -404,7 +404,10 @@ fn sack_ranges(ooo: &BTreeSet<u64>, trigger: u64) -> SackRanges {
         }
     };
     let mut iter = ooo.iter().copied();
-    // simlint: allow(panic-in-kernel): guarded by the is_empty early return just above
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the is_empty early return just above"
+    )]
     let first = iter.next().expect("non-empty");
     let mut cur = (first, first + 1);
     for s in iter {

@@ -305,7 +305,7 @@ impl TcpSender {
     /// A flow that has not started or has already completed holds no slot
     /// and ignores the ACK. The ACK that completes the flow gives the slot
     /// back before this returns.
-    // simlint: hot-path — once per ACK
+    // Hot path — once per ACK
     pub fn on_ack_into(&mut self, now: SimTime, info: &AckInfo, out: &mut Vec<TcpAction>) {
         let Some(slot) = self.lease.slot() else {
             return;
@@ -360,7 +360,7 @@ impl TcpSender {
     /// Processes a retransmission-timeout expiry for timer generation `gen`.
     /// Stale generations are ignored, as is any expiry for a flow that
     /// holds no slot. Actions are appended to `out`.
-    // simlint: hot-path — once per retransmission timeout
+    // Hot path — once per retransmission timeout
     pub fn on_rto_into(&mut self, _now: SimTime, gen: u64, out: &mut Vec<TcpAction>) {
         let Some(slot) = self.lease.slot() else {
             return;
@@ -405,6 +405,10 @@ impl SackSender {
 }
 
 impl Machine {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a window already clamped to [1, max_window]"
+    )]
     fn window_of(&self, cwnd: f64, inflation: f64) -> u64 {
         let w = (cwnd + inflation).min(self.cfg.max_window as f64);
         w.floor().max(1.0) as u64
@@ -518,7 +522,7 @@ impl Machine {
 
     /// The ACK path over slot `i`. Returns true when this ACK completed
     /// the flow (the caller retires the slot).
-    // simlint: hot-path — once per ACK
+    // Hot path — once per ACK
     fn on_ack(
         &mut self,
         t: &mut FlowTable,
@@ -552,7 +556,7 @@ impl Machine {
             // segments, fold the fraction into the EWMA once per window of
             // data. Runs for every algorithm on ECN flows (cheap, and the
             // estimate is simply unused unless on_ecn_mark consumes it).
-            // simlint: hot-path — once per ACK on ECN-enabled flows
+            // Hot path — once per ACK on ECN-enabled flows
             let newly = ack.saturating_sub(t.snd_una[i]);
             if newly > 0 {
                 t.ecn_acked[i] += newly;
@@ -659,7 +663,7 @@ impl Machine {
     }
 
     /// The SACK style's ACK path over slot `i` (see [`Machine::on_ack`]).
-    // simlint: hot-path — once per ACK of a SACK flow
+    // Hot path — once per ACK of a SACK flow
     fn on_sack_ack(
         &mut self,
         t: &mut FlowTable,
@@ -756,7 +760,7 @@ impl Machine {
     }
 
     /// The RTO path over slot `i`.
-    // simlint: hot-path — once per retransmission timeout
+    // Hot path — once per retransmission timeout
     fn on_rto(&mut self, t: &mut FlowTable, i: usize, gen: u64, out: &mut Vec<TcpAction>) {
         if gen != t.rto_gen[i] || flight_in(t, i) == 0 {
             return;
@@ -832,6 +836,11 @@ fn flight_in(t: &FlowTable, i: usize) -> u64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::float_cmp,
+    reason = "test-sized values, far inside the target type; exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
     use crate::cc::{NewReno, Reno, Sack};

@@ -8,8 +8,11 @@
 //!
 //! This module is the one sanctioned home for narrowing sequence casts —
 //! wrapping to 32 bits *is* the wire format here, so the determinism
-//! contract's lossy-cast rule is waived for the whole file.
-// simlint: allow-file(lossy-cast): wrapping to 32 bits is the wire format; this module is the sanctioned home for narrowing sequence casts
+//! contract's `cast_possible_truncation` lint is expected for the whole file.
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "wrapping to 32 bits is the wire format; this module is the sanctioned home for narrowing sequence casts"
+)]
 
 /// Serial-number comparison (RFC 1982 style) for 32-bit sequence numbers:
 /// `a` is *before* `b` iff the signed distance `b - a` is positive.

@@ -138,7 +138,12 @@ impl<T: Default> Pool<T> {
     pub(crate) fn acquire(&mut self) -> u32 {
         self.free.pop().unwrap_or_else(|| {
             self.items.push(T::default());
-            (self.items.len() - 1) as u32
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "flow slots are u32 by design; a table holds far fewer flows in progress"
+            )]
+            let slot = (self.items.len() - 1) as u32;
+            slot
         })
     }
 
@@ -254,6 +259,10 @@ impl FlowTable {
     /// Appends one slot to every parallel array ([`FlowTable::alloc`]
     /// initialises it).
     fn grow(&mut self) -> FlowSlot {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "flow slots are u32 by design; a table holds far fewer flows in progress"
+        )]
         let slot = FlowSlot(self.ccs.len() as u32);
         self.ccs.push(CcState::new(0.0));
         self.next_seq.push(0);
@@ -578,6 +587,10 @@ impl FlowLease {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 

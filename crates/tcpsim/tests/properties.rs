@@ -31,6 +31,10 @@ fn gen_input(gen: &mut Rng) -> Input {
 /// the configured receiver window, and the sender never emits a segment
 /// beyond the flow length.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn sender_invariants_under_adversarial_input() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x7C_0000 + seed);
@@ -42,7 +46,7 @@ fn sender_invariants_under_adversarial_input() {
         let mut all_actions = s.start(now);
         let mut last_una = 0;
         for _ in 0..n_inputs {
-            now = now + simcore::SimDuration::from_millis(10);
+            now += simcore::SimDuration::from_millis(10);
             let actions = match gen_input(&mut gen) {
                 Input::Ack(a) => s.on_ack(now, &AckInfo::plain(a, SimTime::ZERO)),
                 Input::Rto(g) => s.on_rto(now, g),
@@ -66,6 +70,10 @@ fn sender_invariants_under_adversarial_input() {
 /// exactly once, ends with rcv_nxt == len, and completes iff the FIN
 /// has arrived in order.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn receiver_handles_any_arrival_order() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x7D_0000 + seed);
@@ -98,6 +106,10 @@ fn receiver_handles_any_arrival_order() {
 /// Wrap-safe comparisons are a strict total order on any window of
 /// ±2^31 around a base.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the low 32 bits of a random u64 are the intended draw; the rest are test-sized values"
+)]
 fn seq_comparisons_consistent() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x7E_0000 + seed);
@@ -114,6 +126,10 @@ fn seq_comparisons_consistent() {
 /// The unwrapper recovers any monotone sequence with bounded steps,
 /// across wraps.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "wrapping to 32 bits is the wire format under test"
+)]
 fn unwrapper_recovers_monotone_streams() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x7F_0000 + seed);

@@ -16,6 +16,10 @@ enum Input {
     Rto(u64),
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn gen_input(gen: &mut Rng) -> Input {
     if gen.chance(0.5) {
         let ack = gen.u64_below(150);
@@ -34,6 +38,10 @@ fn gen_input(gen: &mut Rng) -> Input {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn sack_sender_invariants() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x5A_0000 + seed);
@@ -45,7 +53,7 @@ fn sack_sender_invariants() {
         let mut actions = s.start(now);
         let mut last_una = 0;
         for _ in 0..n_inputs {
-            now = now + simcore::SimDuration::from_millis(7);
+            now += simcore::SimDuration::from_millis(7);
             let out = match gen_input(&mut gen) {
                 Input::Ack { ack, blocks } => {
                     let mut sack = SackRanges::default();

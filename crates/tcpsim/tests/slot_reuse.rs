@@ -35,6 +35,10 @@ struct Outcome {
 
 /// Runs the mix drawn from `seed`. With `shared`, every flow leases from
 /// that table; without, every sender and sink gets a table of its own.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn run_mix(seed: u64, shared: Option<&SharedFlowTable>) -> Vec<Outcome> {
     let mut gen = Rng::new(0x51_0000 + seed);
     let pairs = 1 + gen.u64_below(4) as usize;

@@ -34,6 +34,10 @@ pub fn predicted_loss(bdp_packets: f64, b: f64, n: usize) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 

@@ -81,6 +81,10 @@ pub fn single_flow_buffer_for_utilization(bdp: f64, target: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
 

@@ -249,6 +249,6 @@ mod tests {
     #[test]
     fn alpha_constants() {
         assert!((ALPHA_UNIFORM_SAWTOOTH - (2.0 / 3.0) / 12f64.sqrt()).abs() < 1e-12);
-        assert!(ALPHA_CALIBRATED > ALPHA_UNIFORM_SAWTOOTH);
+        const { assert!(ALPHA_CALIBRATED > ALPHA_UNIFORM_SAWTOOTH) };
     }
 }

@@ -10,6 +10,10 @@ const CASES: u64 = 48;
 /// Single-flow utilization is in [0.5, 1], monotone in the buffer, and
 /// exactly 1 from b = bdp onward.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 fn single_flow_model_shape() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x71_0000 + seed);
@@ -93,6 +97,10 @@ fn min_buffer_inverts() {
 /// The Gaussian model's required buffer decreases with n and its
 /// predicted utilization increases with the buffer.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn gaussian_model_monotonicity() {
     for seed in 0..CASES {
         let mut gen = Rng::new(0x75_0000 + seed);

@@ -102,6 +102,10 @@ impl BulkWorkload {
         let dumbbell = dumbbell.into();
         let mut handles = Vec::with_capacity(dumbbell.n_flows());
         for i in 0..dumbbell.n_flows() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "flow ids are u32 by design; a run installs far fewer flows"
+            )]
             let flow = FlowId(first_flow + i as u32);
             let src_node = dumbbell.sources[i];
             let sink_node = dumbbell.sinks[i];

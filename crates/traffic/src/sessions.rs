@@ -70,6 +70,10 @@ impl SessionSource {
 
 /// Draws a think time, then a transfer size in segments (at least one):
 /// the order every session draws in, which is part of every digest.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a saturating cast of a finite, positive Pareto draw"
+)]
 fn draw(think: &Exponential, sizes: &Pareto, rng: &mut Rng) -> (SimDuration, u64) {
     let delay = SimDuration::from_secs_f64(think.sample(rng));
     (delay, (sizes.sample(rng).ceil() as u64).max(1))
@@ -191,6 +195,10 @@ impl SessionWorkload {
         let mut handles = Vec::with_capacity(self.n_sessions);
         for i in 0..self.n_sessions {
             let pair = i % dumbbell.n_flows();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "flow ids are u32 by design; a run installs far fewer flows"
+            )]
             let flow = FlowId(first_flow + i as u32);
             let src_node = dumbbell.sources[pair];
             let sink_node = dumbbell.sinks[pair];

@@ -40,6 +40,10 @@ pub enum FlowLengthDist {
 
 impl FlowLengthDist {
     /// Draws one flow length (≥ 1 segment).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a saturating cast of a finite, positive Pareto draw"
+    )]
     pub fn sample(&self, rng: &mut Rng) -> u64 {
         match self {
             FlowLengthDist::Fixed(l) => (*l).max(1),
@@ -52,8 +56,12 @@ impl FlowLengthDist {
                     }
                     x -= p;
                 }
-                // simlint: allow(panic-in-kernel): Choice distributions are constructed with non-empty literal lists at scenario setup
-                choices.last().expect("non-empty choices").0.max(1)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Choice distributions are constructed with non-empty literal lists at scenario setup"
+                )]
+                let &(len, _) = choices.last().expect("non-empty choices");
+                len.max(1)
             }
             FlowLengthDist::Pareto { mean, shape } => {
                 let d = Pareto::with_mean(*mean, *shape);
@@ -68,11 +76,7 @@ impl FlowLengthDist {
             FlowLengthDist::Fixed(l) => *l as f64,
             FlowLengthDist::Choice(choices) => {
                 let total: f64 = choices.iter().map(|&(_, p)| p).sum();
-                choices
-                    .iter()
-                    .map(|&(len, p)| len as f64 * p)
-                    .sum::<f64>() // simlint: allow(float-reduction): setup-time scalar over the fixed config list, never on the event path
-                    / total
+                choices.iter().map(|&(len, p)| len as f64 * p).sum::<f64>() / total
             }
             FlowLengthDist::Pareto { mean, .. } => *mean,
         }
@@ -150,6 +154,10 @@ impl ShortFlowWorkload {
         let mut handles = Vec::with_capacity(arrivals.len());
         for (i, &(t, len)) in arrivals.iter().enumerate() {
             let pair = i % dumbbell.n_flows();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "flow ids are u32 by design; a run installs far fewer flows"
+            )]
             let flow = FlowId(first_flow + i as u32);
             let src_node = dumbbell.sources[pair];
             let sink_node = dumbbell.sinks[pair];

@@ -201,6 +201,10 @@ impl Agent for UdpSink {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 mod tests {
     use super::*;
     use netsim::{DumbbellBuilder, Sim};

@@ -10,6 +10,7 @@
 
 use sizing_router_buffers::prelude::*;
 
+#[expect(clippy::print_stdout, reason = "an example prints its results")]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let rate_gbps: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(10.0);

@@ -19,6 +19,11 @@
 use sizing_router_buffers::prelude::*;
 use traffic::bulk::CcKind;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "a saturating cast of a rounded, positive buffer size in packets; an example prints its results"
+)]
 fn main() {
     let n = 32;
     let mut sc = LongFlowScenario::quick(n, 50_000_000);

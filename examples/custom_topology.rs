@@ -14,6 +14,7 @@ use tcpsim::cc::Reno;
 use tcpsim::{TcpConfig, TcpSink, TcpSource};
 use traffic::{CbrSource, UdpSink};
 
+#[expect(clippy::print_stdout, reason = "an example prints its results")]
 fn run(use_red: bool) {
     let rate = 10_000_000u64;
     let buffer = 50usize;
@@ -76,6 +77,7 @@ fn run(use_red: bool) {
     );
 }
 
+#[expect(clippy::print_stdout, reason = "an example prints its results")]
 fn main() {
     println!("TCP + 4 Mb/s unresponsive UDP sharing a 10 Mb/s bottleneck, 50-pkt buffer\n");
     run(false);

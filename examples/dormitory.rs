@@ -9,6 +9,7 @@
 use buffersizing::figures::production::{render, ProductionConfig};
 use buffersizing::prelude::*;
 
+#[expect(clippy::print_stdout, reason = "an example prints its results")]
 fn main() {
     let mut cfg = ProductionConfig::quick();
     cfg.buffers = vec![500, 85, 65, 46]; // the paper's table

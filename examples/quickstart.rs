@@ -12,6 +12,11 @@
 
 use sizing_router_buffers::prelude::*;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "a saturating cast of a rounded, positive buffer size in packets; an example prints its results"
+)]
 fn main() {
     let n = 64;
     let rate = 50_000_000; // 50 Mb/s

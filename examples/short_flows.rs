@@ -7,6 +7,11 @@
 
 use sizing_router_buffers::prelude::*;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "a saturating cast of a rounded, positive buffer size in packets; an example prints its results"
+)]
 fn main() {
     let load = 0.7;
     let flow_len = 14u64;

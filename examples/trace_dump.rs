@@ -13,6 +13,7 @@ use netsim::{DumbbellBuilder, FlowId, QueueCapacity, Sim};
 use simcore::{SimDuration, SimTime};
 use tcpsim::{Reno, TcpConfig, TcpSink, TcpSource};
 
+#[expect(clippy::print_stdout, reason = "an example prints its results")]
 fn main() {
     let mut sim = Sim::new(1);
     sim.enable_packet_log(5000);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full local gate: release build, every test, and the determinism
-# contract lint. Run from anywhere inside the repo; fully offline, and
+# contract's lints. Run from anywhere inside the repo; fully offline, and
 # bash + cargo + git only (plus grep / sed for the text gates; no python3).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,7 +20,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 echo "==> parallel determinism (--jobs 1 vs --jobs 4 sweeps)"
 cargo test -q --release --test parallel_determinism
 
-echo "==> flow-state byte budget and event-queue memory gate on the optimized build (counting allocator)"
+echo "==> flow-state byte budget, event-queue memory and steady-state allocation gates on the optimized build (counting allocator)"
 cargo test -q --release --test flow_memory
 
 echo "==> packet-log bytes per record and telemetry bytes per sample on the optimized build (counting allocator)"
@@ -31,8 +31,11 @@ echo "==> timer population on the optimized build (queue depth and timer events 
 # simulated time.
 cargo test -q --release --test timer_population
 
-echo "==> simlint (determinism contract: zero findings)"
-cargo run -q --release -p simlint
+echo "==> cargo clippy (determinism contract: zero findings, warnings denied)"
+# The determinism contract (DESIGN.md §7) is the workspace lint table in
+# Cargo.toml plus the banned paths in clippy.toml; every target of every
+# crate is linted, and an exception is an #[expect(lint, reason = "…")].
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "==> regeneration gate (every registry entry reproduces artifacts/ and RESULTS.md)"
 # `repro` runs the named experiments in one process (sharing the

@@ -25,6 +25,7 @@ use traffic::FlowLengthDist;
 
 /// The number after `name`, `None` when the flag is absent. A flag with
 /// no value or an unparsable one prints usage and exits 2.
+#[expect(clippy::print_stderr, reason = "the CLI's usage errors go to stderr")]
 fn parse_flag(args: &[String], name: &str) -> Option<f64> {
     let v = parse_str(args, name)?;
     Some(v.parse().unwrap_or_else(|_| {
@@ -35,6 +36,7 @@ fn parse_flag(args: &[String], name: &str) -> Option<f64> {
 
 /// The value after `name`, `None` when the flag is absent. A flag given
 /// last, with no value, prints usage and exits 2.
+#[expect(clippy::print_stderr, reason = "the CLI's usage errors go to stderr")]
 fn parse_str<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     let i = args.iter().position(|a| a == name)?;
     match args.get(i + 1) {
@@ -46,6 +48,7 @@ fn parse_str<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     }
 }
 
+#[expect(clippy::print_stdout, reason = "the CLI's output is its product")]
 fn write_trace(path: &str, trace: simcore::TraceBuilder) {
     std::fs::write(path, trace.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!(
@@ -55,6 +58,7 @@ fn write_trace(path: &str, trace: simcore::TraceBuilder) {
     );
 }
 
+#[expect(clippy::print_stderr, reason = "the CLI's usage errors go to stderr")]
 fn usage() -> ! {
     eprintln!(
         "usage:\n  srb size      --rate-gbps <g> --rtt-ms <ms> --flows <n>\n  \
@@ -65,6 +69,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "a saturating cast of a positive, finite size or count from the command line; the CLI's output is its product"
+)]
 fn cmd_size(args: &[String]) {
     let rate = parse_flag(args, "--rate-gbps").unwrap_or(10.0) * 1e9;
     let rtt_ms = parse_flag(args, "--rtt-ms").unwrap_or(250.0);
@@ -87,6 +96,12 @@ fn cmd_size(args: &[String]) {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stderr,
+    clippy::print_stdout,
+    reason = "a saturating cast of a positive, finite size or count from the command line; the CLI's usage errors go to stderr; the CLI's output is its product"
+)]
 fn cmd_longflow(args: &[String]) {
     let rate = parse_flag(args, "--rate-mbps").unwrap_or(155.0) * 1e6;
     let n = parse_flag(args, "--flows").unwrap_or(100.0) as usize;
@@ -153,6 +168,11 @@ fn cmd_longflow(args: &[String]) {
     println!();
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "a saturating cast of a positive, finite size or count from the command line; the CLI's output is its product"
+)]
 fn cmd_shortflow(args: &[String]) {
     let rate = parse_flag(args, "--rate-mbps").unwrap_or(80.0) * 1e6;
     let load = parse_flag(args, "--load").unwrap_or(0.8);
@@ -181,6 +201,11 @@ fn cmd_shortflow(args: &[String]) {
     );
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "a saturating cast of a positive, finite size or count from the command line; the CLI's output is its product"
+)]
 fn cmd_single(args: &[String]) {
     let rate = parse_flag(args, "--rate-mbps").unwrap_or(5.0) * 1e6;
     let rtt = parse_flag(args, "--rtt-ms").unwrap_or(100.0);

@@ -7,6 +7,10 @@ use tcpsim::cc::Reno;
 use tcpsim::{TcpSink, TcpSource};
 
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 fn whole_experiment_is_bit_deterministic() {
     let run = || {
         let mut sc = LongFlowScenario::quick(12, 20_000_000);

@@ -115,6 +115,10 @@ fn throughput_degrades_gracefully_with_loss() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn pacing_smooths_bursts_and_helps_tiny_buffers() {
     use buffersizing::prelude::*;
     let n = 16;

@@ -8,24 +8,35 @@
 //! and the transient peak; a second test pins the size of the two boxes
 //! every flow keeps, and a third gates the event queue's growth on a
 //! long-flow cell against its depth high-water mark (memory follows the
-//! events pending, too). Byte counts of a deterministic simulation repeat
-//! exactly, so the gate needs no RSS and no tolerance for noise. This file
-//! is its own test binary: its `#[global_allocator]` touches nothing else.
+//! events pending, too). A fourth counts allocator calls per dispatched
+//! event in steady state: the dynamic check that the per-event path does
+//! not allocate, whatever it calls. Byte and call counts of a deterministic
+//! simulation repeat exactly, so the gates need no RSS and no tolerance for
+//! noise. This file is its own test binary: its `#[global_allocator]`
+//! touches nothing else.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the tests take turns on the process-wide heap counters; a Mutex serializes them"
+)]
 
 use sizing_router_buffers::prelude::*;
 use sizing_router_buffers::tcpsim::{TcpSink, TcpSource};
+use sizing_router_buffers::traffic::bulk::CcKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
-/// Live and peak heap bytes of the process (statistics only: `Relaxed`).
+/// Live and peak heap bytes of the process, and its `alloc` + `realloc`
+/// calls (statistics only: `Relaxed`).
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(by: usize) {
+    CALLS.fetch_add(1, Relaxed);
     let live = LIVE.fetch_add(by, Relaxed) + by;
     PEAK.fetch_max(live, Relaxed);
 }
@@ -96,6 +107,10 @@ fn per_flow_boxes_stay_in_their_size_classes() {
 
 /// The stages of `ShortFlowScenario::run`, with the heap read between them.
 #[test]
+#[expect(
+    clippy::print_stdout,
+    reason = "reports measured numbers under --nocapture"
+)]
 fn short_flow_state_is_proportional_to_flows_in_progress() {
     let _alone = read_heap_alone();
     // A Figure 8 cell (ρ = 0.8, 50 host pairs, 14-segment flows):
@@ -189,6 +204,11 @@ fn short_flow_state_is_proportional_to_flows_in_progress() {
 /// `build()` to the run's peak by at most 1 KiB per event of the queue's
 /// depth high-water mark.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "test-sized values, far inside the target type; reports measured numbers under --nocapture"
+)]
 fn event_queue_memory_follows_pending_events() {
     let _alone = read_heap_alone();
     let n = 100;
@@ -217,4 +237,60 @@ fn event_queue_memory_follows_pending_events() {
         grew <= 1024 * depth,
         "running grew the heap by {grew} bytes for a depth high-water of {depth} events"
     );
+}
+
+/// Allocator calls (`alloc` + `realloc`) per 1,000 dispatched events, over
+/// three 4 s steady-state windows after a 4 s warm-up and a first 4 s
+/// window, on 100-flow long-flow cells (40 Mb/s, `B = BDP/√n`). The
+/// per-event path allocates nothing of its own: one allocation per sender
+/// ACK reads ≈ 70 (a `Vec` seeded into `TcpSender::on_ack_into` fails the
+/// gate at 69.7). What each ceiling leaves room for is B-tree node churn
+/// (64–127 and 128–255 B size classes) that comes with losses.
+#[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::print_stdout,
+    reason = "test-sized values, far inside the target type; reports measured numbers under --nocapture"
+)]
+fn steady_state_allocations_per_event_stay_under_their_ceilings() {
+    let _alone = read_heap_alone();
+    let window = SimDuration::from_secs(4);
+    for (label, cc, ceiling) in [
+        // Reads 0.19–0.22: most likely the receiver's out-of-order set,
+        // filled and emptied once per loss episode.
+        ("reno", CcKind::Reno, 0.5),
+        // Reads 19.7–20.3: the scoreboard's sets as well, whose `split_off`
+        // rebuilds `sacked` on every ACK in recovery (≈ 11 with `retain`).
+        ("sack", CcKind::Sack, 25.0),
+        // Reads 0.22–0.27: the same per-loss churn as Reno.
+        ("dctcp", CcKind::Dctcp, 0.5),
+    ] {
+        let n = 100;
+        let mut sc = LongFlowScenario::quick(n, 40_000_000);
+        sc.buffer_pkts = (sc.bdp_packets() / (n as f64).sqrt()).round() as usize;
+        sc.cc = cc;
+        if cc == CcKind::Dctcp {
+            sc.ecn_marking = Some((sc.bdp_packets() / 7.0).round() as usize);
+        }
+        sc.profiler = true;
+        let mut run = sc.build();
+        run.warm_up(window);
+        run.measure(window);
+        let mut per_k = Vec::new();
+        for _ in 0..3 {
+            let events = run.sim.profile().expect("profiler on").dispatches();
+            let calls = CALLS.load(Relaxed);
+            run.measure(window);
+            let calls = CALLS.load(Relaxed) - calls;
+            let events = run.sim.profile().expect("profiler on").dispatches() - events;
+            per_k.push((calls, events, calls as f64 * 1000.0 / events as f64));
+        }
+        println!("alloc_calls: {label}: (calls, events, per 1,000 events) per window {per_k:?}");
+        for (calls, events, rate) in per_k {
+            assert!(
+                rate <= ceiling,
+                "{label}: {calls} allocator calls in {events} events, {rate:.2} per 1,000 (ceiling {ceiling})"
+            );
+        }
+    }
 }

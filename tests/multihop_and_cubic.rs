@@ -119,6 +119,10 @@ fn through_flows_get_less_than_single_hop_flows() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn cubic_long_flows_sustain_utilization() {
     let n = 24;
     let mut sc = LongFlowScenario::quick(n, 30_000_000);
@@ -171,6 +175,10 @@ fn cubic_single_flow_fills_pipe_with_smaller_buffer_than_reno() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn sack_outperforms_reno_at_small_buffers() {
     // The key mechanism behind the paper's testbed numbers: SACK repairs
     // multi-loss congestion events without RTO stalls, so the same small

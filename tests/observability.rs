@@ -277,6 +277,10 @@ fn join_reference(run: &TracedRun) -> Vec<CausalEvent> {
 /// with and without a causal drop. The indexed join must reproduce the
 /// quadratic one byte for byte on every seed.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn indexed_join_equals_quadratic_reference_on_dctcp_at_sqrt_n_buffer() {
     for seed in 1..=3 {
         let mut sc = LongFlowScenario::quick(64, 60_000_000);
@@ -317,6 +321,10 @@ fn indexed_join_equals_quadratic_reference_on_dctcp_at_sqrt_n_buffer() {
 /// the count) gives `packet_digest`, and Σ `drops()` equals the ledger's
 /// total.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn decoded_records_refold_to_the_packet_digest() {
     let mut sc = LongFlowScenario::quick(64, 60_000_000);
     sc.cc = CcKind::Dctcp;
@@ -360,6 +368,11 @@ fn decoded_records_refold_to_the_packet_digest() {
 /// the scenario from the manifest's own parameters, run it traced, and
 /// require every digest and the dispatch count the file records.
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::float_cmp,
+    reason = "test-sized values, far inside the target type; exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 fn committed_explain_artifact_reproduces_from_its_manifest() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts/explain.json");
     let doc = Json::parse(&std::fs::read_to_string(&path).expect("reading explain.json"))

@@ -54,6 +54,10 @@ fn fast_path_and_instrumented_results_are_identical() {
 /// A sweep served from the probe cache replays byte-identical search
 /// traces and figure points.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 fn cached_and_fresh_sweeps_are_identical() {
     probe_cache::reset();
 

@@ -18,6 +18,10 @@
 //! `cargo test -q --release --test packet_log_memory -- --nocapture` to see
 //! the counts. This file is its own test binary: its `#[global_allocator]`
 //! touches nothing else.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the tests take turns on the process-wide heap counters; a Mutex serializes them"
+)]
 
 use buffersizing::explain;
 use buffersizing::prelude::*;
@@ -92,6 +96,10 @@ const LOG_CAPACITY: usize = 100_000;
 const ALLOWANCE: usize = 1 << 20;
 
 #[test]
+#[expect(
+    clippy::print_stdout,
+    reason = "reports measured numbers under --nocapture"
+)]
 fn traced_run_costs_at_most_5_bytes_per_record() {
     let mut sc = LongFlowScenario::quick(8, 10_000_000);
     sc.warmup = SimDuration::from_secs(2);
@@ -135,6 +143,10 @@ fn traced_run_costs_at_most_5_bytes_per_record() {
 }
 
 #[test]
+#[expect(
+    clippy::print_stdout,
+    reason = "reports measured numbers under --nocapture"
+)]
 fn telemetry_costs_at_most_10_bytes_per_sample() {
     let mut sc = LongFlowScenario::quick(20, 10_000_000);
     sc.warmup = SimDuration::from_secs(2);

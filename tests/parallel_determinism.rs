@@ -112,6 +112,10 @@ fn parallel_search_matches_sequential_on_real_scenario() {
 /// A whole figure sweep (cells x inner bisection, the two-level fan-out)
 /// returns identical points from `run()` and `run_with(--jobs 4)`.
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 fn figure_sweep_run_with_matches_run() {
     let mut base = LongFlowScenario::quick(0, 15_000_000);
     base.warmup = SimDuration::from_secs(1);

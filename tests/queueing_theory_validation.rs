@@ -10,6 +10,10 @@ use traffic::{PoissonUdpSource, UdpSink};
 
 /// Runs Poisson arrivals at `rho` into a 1000-byte/packet link and returns
 /// (time-averaged queue incl. in-service, fraction of samples >= k).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn md1_sim(rho: f64, seed: u64, k: f64) -> (f64, f64) {
     let rate: u64 = 10_000_000; // 1.25 kpkt/s service rate
     let mut sim = Sim::new(seed);
@@ -90,6 +94,10 @@ fn md1_tail_tracks_effective_bandwidth_approximation() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn utilization_equals_offered_load_when_stable() {
     // Little's-law style sanity: at rho < 1 with infinite buffer, carried
     // load equals offered load.

@@ -7,6 +7,10 @@ use sizing_router_buffers::prelude::*;
 use traffic::FlowLengthDist;
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn sqrt_n_result_holds_under_red() {
     // RED keeps its average queue between min_th and max_th, so the
     // paper's "reservoir" maps to RED's min_th, not to the physical
@@ -33,6 +37,10 @@ fn sqrt_n_result_holds_under_red() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn mix_buffer_requirement_driven_by_long_flows() {
     // §5.1.3: with a long+short mix, the sqrt(n)-sized buffer still gives
     // high utilization even though short flows add bursts.
@@ -67,6 +75,10 @@ fn small_buffers_improve_short_flow_afct_in_mixes() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn pareto_mixes_behave_like_fixed_length_mixes() {
     // §5.1.3: "We ran similar experiments with Pareto distributed flow
     // lengths with essentially identical results."

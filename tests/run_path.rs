@@ -91,6 +91,10 @@ fn smoke_long(n: usize) -> LongFlowScenario {
 }
 
 #[test]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
+)]
 fn every_run_shape_hands_back_the_simulation() {
     // Bulk.
     let sc = smoke_long(6);

@@ -32,7 +32,7 @@ fn sawtooth_period_matches_aimd_theory() {
             idx += 1;
         }
         grid.push(t, pts[idx].value);
-        t = t + step;
+        t += step;
     }
     let period_samples = grid
         .dominant_period(grid.len() / 2)
@@ -45,6 +45,10 @@ fn sawtooth_period_matches_aimd_theory() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn sqrt_n_result_holds_under_drr() {
     // Replace the bottleneck FIFO with per-flow DRR of the same total
     // capacity: utilization at B = 1.5*BDP/sqrt(n) should stay high.

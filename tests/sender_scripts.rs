@@ -13,11 +13,17 @@
 //! ECN on) a mark, then pins the packet-log and span-log digests, the
 //! sender's counters and the bits of its final window pair. Any change to
 //! a sender's loss recovery, window rules or ECN response moves a pin.
+//!
+//! The last two cells script loss at the receiving end instead: a wrapper
+//! around `TcpSink` loses listed `(seq, transmission)` data segments, so it
+//! sees every segment, and the cells assert RFC behaviour derived by hand.
 
 use netsim::{
-    DropTail, DumbbellBuilder, FlowId, MarkReason, Queue, QueueCapacity, QueuedPacket, Sim,
+    Agent, Ctx, DropTail, DumbbellBuilder, FlowId, MarkReason, Packet, PacketKind, Queue,
+    QueueCapacity, QueuedPacket, Sim,
 };
 use simcore::{Rng, SimDuration, SimTime};
+use std::collections::BTreeMap;
 use tcpsim::sender::SenderStats;
 use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
@@ -218,3 +224,94 @@ fn sack_ignores_ece() {
     );
 }
 
+/// A `TcpSink` that loses the listed `(seq, transmission)` data segments
+/// (transmission 1 is the first copy of a segment to arrive) before they
+/// reach it.
+struct LossySink {
+    sink: TcpSink,
+    losses: &'static [(u32, u32)],
+    arrivals: BTreeMap<u32, u32>,
+}
+
+impl Agent for LossySink {
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        if let PacketKind::TcpData(h) = pkt.kind {
+            let n = self.arrivals.entry(h.seq).or_insert(0);
+            *n += 1;
+            if self.losses.contains(&(h.seq, *n)) {
+                return;
+            }
+        }
+        self.sink.on_packet(pkt, ctx);
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        self.sink.on_timer(token, ctx);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// One 400-segment flow through a loss-free dumbbell (the receiver window
+/// is 20, delayed ACKs are off, the initial window is 2), losing `losses`
+/// at the sink. Returns the sender's counters and its final ssthresh.
+fn run_sink_script(kind: CcKind, losses: &'static [(u32, u32)]) -> (SenderStats, f64) {
+    let mut sim = Sim::new(5);
+    let d = DumbbellBuilder::new(10_000_000, SimDuration::from_millis(5))
+        .flows(1, SimDuration::from_millis(10))
+        .build(&mut sim);
+    let cfg = TcpConfig::default().with_max_window(MAX_WINDOW);
+    let table = SharedFlowTable::new();
+    let flow = FlowId(0);
+    let sender = TcpSender::in_table(&table, cfg, kind.build(), Some(SEGMENTS));
+    let src = TcpSource::with_sender(flow, d.sinks[0], sender);
+    let src_id = sim.add_agent(d.sources[0], Box::new(src));
+    let sink = LossySink {
+        sink: TcpSink::in_table(&table, flow, &cfg),
+        losses,
+        arrivals: BTreeMap::new(),
+    };
+    let sink_id = sim.add_agent(d.sinks[0], Box::new(sink));
+    sim.bind_flow(flow, d.sinks[0], sink_id);
+    sim.bind_flow(flow, d.sources[0], src_id);
+    sim.start();
+    sim.run_until(SimTime::from_secs(60));
+    let s = sim.agent_as::<TcpSource>(src_id).unwrap().sender();
+    assert!(s.is_completed(), "{kind:?}: flow did not complete");
+    (s.stats(), s.ssthresh())
+}
+
+/// Reno, one loss in a window (RFC 5681 §3.2). In slow start from a
+/// window of 2, the ACK for segment 9 leaves cwnd = 12 with segments
+/// 10–21 in flight; segment 10 is lost, 11–13 raise three duplicate ACKs,
+/// and the sender retransmits 10 once, without a timeout, setting
+/// ssthresh = FlightSize / 2 = 12 / 2 = 6, which no later loss moves.
+#[test]
+fn reno_one_loss_is_one_fast_retransmit() {
+    let (st, ssthresh) = run_sink_script(CcKind::Reno, &[(10, 1)]);
+    assert_eq!(
+        (st.fast_retransmits, st.retransmits, st.timeouts),
+        (1, 1, 0),
+        "{st:?}"
+    );
+    assert_eq!(ssthresh.to_bits(), 6.0f64.to_bits());
+}
+
+/// NewReno, three holes in one window (RFC 6582 §3.2). Segments 10, 12
+/// and 14 of the same 12-segment flight are lost: three duplicate ACKs
+/// trigger the fast retransmit of 10 (ssthresh = 12 / 2 = 6), each partial
+/// ACK (for 12, then 14) retransmits the next hole, and the ACK that covers
+/// the whole flight ends recovery: three retransmits, no timeout.
+#[test]
+fn newreno_three_holes_are_retransmitted_on_partial_acks() {
+    let (st, ssthresh) = run_sink_script(CcKind::NewReno, &[(10, 1), (12, 1), (14, 1)]);
+    assert_eq!(
+        (st.fast_retransmits, st.retransmits, st.timeouts),
+        (1, 3, 0),
+        "{st:?}"
+    );
+    assert_eq!(ssthresh.to_bits(), 6.0f64.to_bits());
+}

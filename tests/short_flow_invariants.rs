@@ -14,6 +14,10 @@ fn scenario(rate: u64, load: f64, buffer: usize) -> ShortFlowScenario {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn afct_independent_of_line_rate_at_model_buffer() {
     let model = BurstModel::fixed(14, 2, 43);
     let buffer = model.min_buffer(0.7, 0.025).ceil() as usize;
@@ -27,6 +31,10 @@ fn afct_independent_of_line_rate_at_model_buffer() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn model_tail_bound_holds_in_simulation() {
     // P(Q >= b) from the M/G/1 model upper-bounds the drop probability of a
     // router with buffer b (§4).

@@ -11,6 +11,10 @@ fn scenario(n: usize) -> LongFlowScenario {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn sqrt_n_buffer_achieves_high_utilization() {
     let n = 48;
     let mut sc = scenario(n);
@@ -47,6 +51,10 @@ fn more_flows_need_less_buffer() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn aggregate_window_cv_shrinks_like_sqrt_n() {
     // CLT: std/mean of the window sum should shrink roughly as 1/sqrt(n).
     let cv = |n: usize| {
@@ -68,6 +76,10 @@ fn aggregate_window_cv_shrinks_like_sqrt_n() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn loss_rises_as_buffers_shrink_but_utilization_holds() {
     // §5.1.1: decreasing the buffer increases loss (l ~ 0.76/W^2) while
     // utilization stays high at the sqrt(n) point.
@@ -86,6 +98,10 @@ fn loss_rises_as_buffers_shrink_but_utilization_holds() {
 }
 
 #[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
 fn synchronization_declines_with_flow_count() {
     // §3: flows synchronize at small n, decorrelate at larger n.
     let rho = |n: usize| {

@@ -1,271 +1,98 @@
-//! Tier-1 gate: the determinism contract holds across the simulation
-//! crates. Runs the `simlint` scanner as a library over the workspace and
-//! fails on any violation — the same check `cargo run -p simlint` performs
-//! from the command line — and pins the inventories (scan roots, rules,
-//! hot-path markers, waivers) that the zero-findings gate depends on.
+//! Pins the determinism contract's lint configuration (DESIGN.md §7), which
+//! `cargo clippy --workspace --all-targets -- -D warnings` enforces: no change
+//! drops a lint, a banned path or a crate, or widens an exception, unnoticed.
 
-use simlint::check_workspace;
-use std::path::Path;
+use std::path::PathBuf;
 
-#[test]
-fn determinism_contract_has_zero_violations() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let violations = check_workspace(root).expect("scan succeeds");
-    assert!(
-        violations.is_empty(),
-        "determinism contract violated ({} finding(s)):\n{}",
-        violations.len(),
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+/// Reads a file by its path from the repository root (a test's working dir).
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// The scan scope is part of the contract: all four simulation crates are
-/// kernel roots, the driver layer is scanned too, and every kernel root is
-/// scanned — a PR that quietly shrinks coverage should fail loudly.
-#[test]
-fn contract_coverage_is_complete() {
-    assert_eq!(
-        simlint::ROOTS,
-        [
-            "crates/simcore",
-            "crates/netsim",
-            "crates/tcpsim",
-            "crates/traffic",
-            "crates/core",
-        ]
-    );
-    assert_eq!(simlint::KERNEL_ROOTS, simlint::ROOTS[..4]);
+/// Asserts that `text` holds `pattern` with `{}` replaced by each word.
+fn has_each(text: &str, pattern: &str, words: &str) {
+    for word in words.split_whitespace() {
+        let needle = pattern.replace("{}", word);
+        assert!(text.contains(&needle), "{needle:?} is missing");
+    }
 }
 
-/// The rule inventory itself is part of the contract: a PR cannot remove a
-/// rule, quietly demote a deny rule to warn, or exempt `#[cfg(test)]` code
-/// from a rule (only `float-reduction` and `panic-in-kernel` skip tests)
-/// without this pin failing.
+/// Every replacement lint stands at `deny` in the workspace lint table, and
+/// every banned type and method is listed in `clippy.toml`.
 #[test]
 fn rule_inventory_is_pinned() {
-    use simlint::Severity::{Deny, Warn};
-    let expected = [
-        ("hash-container", Deny, false),
-        ("wall-clock", Deny, false),
-        ("lossy-cast", Deny, false),
-        ("float-time-eq", Deny, false),
-        ("print-macro", Deny, false),
-        ("hot-path-alloc", Deny, false),
-        ("unordered-iter", Deny, false),
-        ("float-reduction", Warn, true),
-        ("unstable-sort-tiebreak", Deny, false),
-        ("shared-mut-state", Deny, false),
-        ("panic-in-kernel", Warn, true),
-        ("waiver-justification", Deny, false),
-        ("stale-waiver", Deny, false),
-    ];
-    let got = simlint::RuleId::ALL.map(|r| (r.name(), r.severity(), r.skip_tests()));
-    assert_eq!(got, expected, "the determinism-contract rule set changed");
+    let lints = "unused_must_use unreachable_pub unfulfilled_lint_expectations disallowed_types \
+        disallowed_methods cast_possible_truncation float_cmp print_stdout print_stderr \
+        dbg_macro allow_attributes allow_attributes_without_reason";
+    has_each(&read("Cargo.toml"), "\n{} = \"deny\"\n", lints);
+    let paths = "std::collections::HashMap std::collections::HashSet std::hash::RandomState \
+        std::collections::hash_map::RandomState std::sync::Mutex std::sync::RwLock \
+        std::sync::Condvar std::time::Instant::now std::time::SystemTime::now \
+        std::thread::spawn std::thread::scope std::thread::sleep slice::sort_unstable_by \
+        slice::sort_unstable_by_key";
+    has_each(&read("clippy.toml"), "{ path = \"{}\", reason = \"", paths);
 }
 
-/// The `hot-path-alloc` rule is region-scoped: it only applies inside
-/// functions marked `// simlint: hot-path`. That makes the marker inventory
-/// part of the contract — if the markers disappeared, the rule would pass
-/// vacuously. Pin the files that must carry markers (the event loop, both
-/// scheduler implementations, link dispatch, the telemetry tick and its
-/// steady-state record path, the per-ACK sender machinery, and the metrics
-/// registry's increment paths) and a floor on the total count.
+/// Every crate inherits the lint table, and the four kernel crates add
+/// `unsafe_code` and the panic lints to their library code.
 #[test]
-fn hot_path_marker_inventory_is_pinned() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let must_mark = [
-        "crates/simcore/src/event.rs",
-        "crates/simcore/src/wheel.rs",
-        "crates/simcore/src/metrics.rs",
-        "crates/netsim/src/sim.rs",
-        "crates/netsim/src/telemetry.rs",
-        "crates/tcpsim/src/agent.rs",
-        "crates/tcpsim/src/sender.rs",
-    ];
-    let mut total = 0;
-    for rel in must_mark {
-        let text = std::fs::read_to_string(root.join(rel)).expect("kernel source readable");
-        let n = text.matches("simlint: hot-path").count();
-        assert!(n > 0, "{rel} lost its `simlint: hot-path` markers");
-        total += n;
+fn contract_coverage_is_complete() {
+    let dirs = "crates/simcore crates/netsim crates/tcpsim crates/traffic crates/core \
+        crates/stats crates/theory crates/bench .";
+    let dirs: Vec<&str> = dirs.split_whitespace().collect();
+    for dir in &dirs {
+        let manifest = read(&format!("{dir}/Cargo.toml"));
+        assert!(manifest.contains("[lints]\nworkspace = true\n"), "{dir}");
     }
-    assert!(
-        total >= 24,
-        "hot-path marker inventory shrank to {total} (expected >= 24); \
-         per-event dispatch coverage must not quietly erode"
-    );
-}
-
-/// End-to-end: a heap allocation seeded inside a marked region is caught by
-/// the same library entry point the workspace gate uses, and the per-line
-/// waiver releases it.
-#[test]
-fn hot_path_alloc_rule_catches_seeded_violation() {
-    let bad = "
-        // simlint: hot-path
-        fn dispatch(&mut self) {
-            let v: Vec<Action> = Vec::new();
-            self.apply(v);
-        }
-    ";
-    let v = simlint::check_source("seeded.rs", bad);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::RuleId::HotPathAlloc);
-
-    let waived = "
-        // simlint: hot-path
-        fn dispatch(&mut self) {
-            let v: Vec<Action> = Vec::new(); // simlint: allow(hot-path-alloc): seeded test waiver
-            self.apply(v);
-        }
-    ";
-    assert!(simlint::check_source("seeded.rs", waived).is_empty());
-
-    // String building is an allocation too: a series name formatted per
-    // sample is what the telemetry tick used to do 575 k times a run.
-    let formatted = "
-        // simlint: hot-path
-        fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-            emit(&format!(\"cwnd.{}\", self.flow), self.cwnd);
-        }
-    ";
-    let v = simlint::check_source("seeded.rs", formatted);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, simlint::RuleId::HotPathAlloc);
-}
-
-fn rust_sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("readable dir") {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            rust_sources(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
+    let panics = "expect_used unwrap_used panic unreachable todo unimplemented";
+    for dir in &dirs[..4] {
+        let lib = read(&format!("{dir}/src/lib.rs"));
+        has_each(&lib, "\n#![forbid({})]\n#![deny(\n", "unsafe_code");
+        has_each(&lib, "\n    clippy::{}", panics);
     }
 }
 
-/// The driver crate carries exactly one file-level waiver: the
-/// `allow-file(wall-clock)` in `exec.rs` that sanctions the sweep worker
-/// pool. It must stay module-scoped — any new `allow-file` anywhere else in
-/// `crates/core`, or a second rule waived in `exec.rs`, fails here so the
-/// waiver cannot quietly widen into a crate-wide exemption.
+/// The files whose lint expectation covers the whole file, by their first
+/// expected lint. Any other exception is an `#[expect]` on the smallest
+/// item, and no lint is `#[allow]`ed anywhere.
 #[test]
-fn executor_waiver_is_module_scoped() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_sources(&root.join("crates/core"), &mut files);
-    assert!(!files.is_empty(), "crates/core sources not found");
-
-    let mut waivers: Vec<(String, String)> = Vec::new();
-    for path in &files {
-        let text = std::fs::read_to_string(path).expect("readable source");
-        for line in text.lines() {
-            if let Some(rest) = line.split("simlint: allow-file(").nth(1) {
-                let rule = rest.split(')').next().unwrap_or("").to_string();
-                let rel = path.strip_prefix(root).expect("under repo root");
-                waivers.push((rel.display().to_string(), rule));
+fn sanctioned_waiver_inventory_is_pinned() {
+    let mut dirs: Vec<PathBuf> = ["crates", "src", "tests", "examples"]
+        .map(Into::into)
+        .into();
+    let mut got = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).expect("a directory") {
+            let path = entry.expect("an entry").path();
+            let rel = path.display().to_string();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if rel.ends_with(".rs") && rel != "tests/static_analysis.rs" {
+                let text = read(&rel);
+                assert!(!text.contains("allow("), "{rel} allows a lint");
+                if let Some(at) = text.find("#![expect(") {
+                    let lint = text[at + 10..].split(',').next().unwrap_or("").trim();
+                    got.push(format!("{rel} {lint}"));
+                }
             }
         }
     }
-    assert_eq!(
-        waivers,
-        vec![(
-            "crates/core/src/exec.rs".to_string(),
-            "wall-clock".to_string()
-        )],
-        "file-level waivers in crates/core changed; the executor waiver \
-         must remain the only one, scoped to exec.rs and wall-clock"
-    );
-
-    // The waiver must precede all code in exec.rs (file waivers only apply
-    // to later lines, so a buried waiver would silently not cover the pool).
-    let exec_src =
-        std::fs::read_to_string(root.join("crates/core/src/exec.rs")).expect("exec.rs readable");
-    let waiver_line = exec_src
-        .lines()
-        .position(|l| l.contains("simlint: allow-file(wall-clock)"))
-        .expect("waiver present");
-    let first_code_line = exec_src
-        .lines()
-        .position(|l| {
-            let t = l.trim();
-            !t.is_empty() && !t.starts_with("//")
-        })
-        .expect("exec.rs has code");
-    assert!(
-        waiver_line < first_code_line,
-        "the wall-clock waiver (line {}) must come before the first code \
-         line ({}) so it covers the whole module",
-        waiver_line + 1,
-        first_code_line + 1
-    );
+    got.sort();
+    let want = [
+        "crates/core/src/exec.rs clippy::disallowed_methods",
+        "crates/core/src/probe_cache.rs clippy::disallowed_types",
+        "crates/tcpsim/src/seq.rs clippy::cast_possible_truncation",
+        "tests/flow_memory.rs clippy::disallowed_types",
+        "tests/packet_log_memory.rs clippy::disallowed_types",
+        "tests/sweep_curves.rs clippy::disallowed_types",
+    ];
+    assert_eq!(got, want, "the file-level #![expect] inventory changed");
 }
 
-/// Every waiver in the workspace is sanctioned: pinned here by
-/// (file, scope, rule) — immune to line shifts. Adding a waiver anywhere
-/// requires updating this list, reviewed together with the justification
-/// text the waiver must carry.
+/// The sweep pool's exception precedes the first item: it covers the module.
 #[test]
-fn sanctioned_waiver_inventory_is_pinned() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let analysis = simlint::analyze_workspace(root).expect("scan succeeds");
-
-    let mut got: Vec<(String, String, String)> = analysis
-        .waivers
-        .iter()
-        .map(|w| {
-            (
-                w.file.clone(),
-                w.kind.name().to_string(),
-                w.rule_name.clone(),
-            )
-        })
-        .collect();
-    got.sort();
-    let expected: Vec<(String, String, String)> = [
-        ("crates/core/src/exec.rs", "file", "wall-clock"),
-        ("crates/netsim/src/drr.rs", "line", "panic-in-kernel"),
-        ("crates/netsim/src/drr.rs", "line", "panic-in-kernel"),
-        ("crates/netsim/src/drr.rs", "line", "panic-in-kernel"),
-        ("crates/netsim/src/drr.rs", "line", "panic-in-kernel"),
-        ("crates/netsim/src/sim.rs", "line", "panic-in-kernel"),
-        ("crates/simcore/src/event.rs", "line", "panic-in-kernel"),
-        ("crates/simcore/src/time.rs", "file", "panic-in-kernel"),
-        ("crates/simcore/src/wheel.rs", "line", "panic-in-kernel"),
-        ("crates/simcore/src/wheel.rs", "line", "panic-in-kernel"),
-        ("crates/tcpsim/src/receiver.rs", "line", "panic-in-kernel"),
-        ("crates/tcpsim/src/seq.rs", "file", "lossy-cast"),
-        ("crates/traffic/src/shortflow.rs", "line", "float-reduction"),
-        ("crates/traffic/src/shortflow.rs", "line", "panic-in-kernel"),
-    ]
-    .iter()
-    .map(|(f, k, r)| (f.to_string(), k.to_string(), r.to_string()))
-    .collect();
-    assert_eq!(
-        got, expected,
-        "the waiver inventory changed; a new or moved waiver needs a \
-         deliberate update of this pin, reviewed with its justification"
-    );
-
-    for w in &analysis.waivers {
-        assert!(
-            w.justification.is_some(),
-            "{} waiver at {}:{} lacks a justification",
-            w.rule_name,
-            w.file,
-            w.line
-        );
-        assert!(
-            w.used > 0,
-            "{} waiver at {}:{} is stale (suppresses nothing)",
-            w.rule_name,
-            w.file,
-            w.line
-        );
-    }
+fn executor_waiver_is_module_scoped() {
+    let exec = read("crates/core/src/exec.rs");
+    let expect = exec.find("#![expect(\n    clippy::disallowed_methods,\n");
+    assert!(expect.expect("exec.rs") < exec.find("\nuse ").expect("exec.rs has items"));
 }

@@ -2,6 +2,10 @@
 //! runs through. A test binary of its own, so the process-global cache and
 //! its counters belong to these tests alone; each test holds `serial()`
 //! so they do not share them with each other either.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the tests take turns on the process-global probe cache; a Mutex serializes them"
+)]
 
 use buffersizing::figures::min_buffer::{sweep, MinBufferConfig, SweepCurve};
 use buffersizing::{probe_cache, Executor, LongFlowScenario};

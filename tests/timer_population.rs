@@ -34,6 +34,10 @@ fn long_flows(horizon_s: u64) -> (LongFlowScenario, Profile, u64) {
 }
 
 #[test]
+#[expect(
+    clippy::print_stdout,
+    reason = "reports measured numbers under --nocapture"
+)]
 fn long_flow_timers_do_not_accumulate_with_simulated_time() {
     const H: u64 = 20;
     let (sc, short, _) = long_flows(H);
