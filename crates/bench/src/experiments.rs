@@ -27,6 +27,7 @@ use traffic::FlowLengthDist;
 
 /// Every experiment, in `repro` order. The index of record: RESULTS.md
 /// renders one section per entry, `repro` with no NAME runs them all.
+#[rustfmt::skip]
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig03", title: "Figure 3 (single flow, B = RTT x C)", run: fig03 },
     Experiment { name: "fig04", title: "Figure 4 (underbuffered single flow)", run: fig04 },
@@ -58,7 +59,11 @@ fn single_flow(
     caption: &str,
     empty_note: &str,
 ) -> (Artifact, SingleFlowConfig, SingleFlowTrace) {
-    let cfg = if quick { SingleFlowConfig::quick(factor) } else { SingleFlowConfig::full(factor) };
+    let cfg = if quick {
+        SingleFlowConfig::quick(factor)
+    } else {
+        SingleFlowConfig::full(factor)
+    };
     let tr = cfg.run();
     let manifest = RunManifest::new(name, quick, cfg.seed)
         .param("buffer_factor", cfg.buffer_factor)
@@ -80,8 +85,10 @@ fn single_flow(
         tr.render(caption),
         tr.queue_empty_fraction()
     );
-    let a = Artifact::new(manifest, data, stdout)
-        .with_file(&format!("{name}.telemetry.jsonl"), tr.telemetry_jsonl.clone());
+    let a = Artifact::new(manifest, data, stdout).with_file(
+        &format!("{name}.telemetry.jsonl"),
+        tr.telemetry_jsonl.clone(),
+    );
     (a, cfg, tr)
 }
 
@@ -102,7 +109,10 @@ fn fig03(_: &Executor, quick: bool) -> Artifact {
         .telemetry(tr.telemetry_digest)
         .metrics(Some(tr.metrics_digest));
     let rows = tr.metrics.rows().into_iter();
-    let rows = Json::Arr(rows.map(|(k, v)| Json::Arr(vec![Json::Str(k), Json::Num(v as f64)])).collect());
+    let rows = Json::Arr(
+        rows.map(|(k, v)| Json::Arr(vec![Json::Str(k), Json::Num(v as f64)]))
+            .collect(),
+    );
     let metrics = crate::artifacts::document(&manifest, Json::obj().with("rows", rows));
     a.with_file("fig03.trace.json", single_flow_trace(&tr).render())
         .with_file("metrics.json", metrics.render())
@@ -110,16 +120,34 @@ fn fig03(_: &Executor, quick: bool) -> Artifact {
 
 fn fig04(_: &Executor, quick: bool) -> Artifact {
     let note = "link goes idle; throughput lost";
-    single_flow("fig04", quick, 0.4, "Figure 4: underbuffered single TCP flow", note).0
+    single_flow(
+        "fig04",
+        quick,
+        0.4,
+        "Figure 4: underbuffered single TCP flow",
+        note,
+    )
+    .0
 }
 
 fn fig05(_: &Executor, quick: bool) -> Artifact {
     let note = "buffer never empties; queueing delay permanently higher";
-    single_flow("fig05", quick, 1.75, "Figure 5: overbuffered single TCP flow", note).0
+    single_flow(
+        "fig05",
+        quick,
+        1.75,
+        "Figure 5: overbuffered single TCP flow",
+        note,
+    )
+    .0
 }
 
 fn fig06(_: &Executor, quick: bool) -> Artifact {
-    let cfg = if quick { WindowDistConfig::quick(40) } else { WindowDistConfig::full(200) };
+    let cfg = if quick {
+        WindowDistConfig::quick(40)
+    } else {
+        WindowDistConfig::full(200)
+    };
     let r = cfg.run();
     let manifest = RunManifest::new("fig06", quick, cfg.scenario.seed)
         .param("n_flows", r.n_flows)
@@ -146,7 +174,11 @@ fn rows(items: Vec<Json>) -> Json {
 }
 
 fn fig07(exec: &Executor, quick: bool) -> Artifact {
-    let cfg = if quick { MinBufferConfig::quick() } else { MinBufferConfig::full() };
+    let cfg = if quick {
+        MinBufferConfig::quick()
+    } else {
+        MinBufferConfig::full()
+    };
     let pts = cfg.run_with(exec);
     let manifest = RunManifest::new("fig07", quick, cfg.base.seed)
         .param("flow_counts", format!("{:?}", cfg.flow_counts))
@@ -159,11 +191,19 @@ fn fig07(exec: &Executor, quick: bool) -> Artifact {
             .with("rule_pkts", Json::Num(p.sqrt_n_rule_pkts))
             .with("model_pkts", Json::Num(p.model_pkts))
     });
-    Artifact::new(manifest, rows(data.collect()), format!("{}\n", min_buffer::render(&pts)))
+    Artifact::new(
+        manifest,
+        rows(data.collect()),
+        format!("{}\n", min_buffer::render(&pts)),
+    )
 }
 
 fn fig08(exec: &Executor, quick: bool) -> Artifact {
-    let cfg = if quick { ShortBufferConfig::quick() } else { ShortBufferConfig::full() };
+    let cfg = if quick {
+        ShortBufferConfig::quick()
+    } else {
+        ShortBufferConfig::full()
+    };
     let pts = cfg.run_with(exec);
     let manifest = RunManifest::new("fig08", quick, cfg.base.seed)
         .param("rates", format!("{:?}", cfg.rates))
@@ -185,7 +225,11 @@ fn fig08(exec: &Executor, quick: bool) -> Artifact {
 /// One side of the Figure 9 comparison as artifact JSON.
 fn side_json(s: &AfctSide) -> Json {
     let by_length = s.by_length.iter().map(|&(len, afct, count)| {
-        Json::Arr(vec![Json::Num(len as f64), Json::Num(afct), Json::Num(count as f64)])
+        Json::Arr(vec![
+            Json::Num(len as f64),
+            Json::Num(afct),
+            Json::Num(count as f64),
+        ])
     });
     Json::obj()
         .with("buffer_pkts", Json::Num(s.buffer_pkts as f64))
@@ -195,7 +239,11 @@ fn side_json(s: &AfctSide) -> Json {
 }
 
 fn fig09(exec: &Executor, quick: bool) -> Artifact {
-    let cfg = if quick { AfctComparisonConfig::quick() } else { AfctComparisonConfig::full() };
+    let cfg = if quick {
+        AfctComparisonConfig::quick()
+    } else {
+        AfctComparisonConfig::full()
+    };
     let (sqrt_n, rot) = cfg.run_with(exec);
     let manifest = RunManifest::new("fig09", quick, cfg.long.seed)
         .param("n_long_flows", cfg.long.n_flows)
@@ -204,11 +252,19 @@ fn fig09(exec: &Executor, quick: bool) -> Artifact {
     let data = Json::obj()
         .with("sqrt_n", side_json(&sqrt_n))
         .with("rule_of_thumb", side_json(&rot));
-    Artifact::new(manifest, data, format!("{}\n", afct_comparison::render(&sqrt_n, &rot)))
+    Artifact::new(
+        manifest,
+        data,
+        format!("{}\n", afct_comparison::render(&sqrt_n, &rot)),
+    )
 }
 
 fn table10(exec: &Executor, quick: bool) -> Artifact {
-    let cfg = if quick { GsrTableConfig::quick() } else { GsrTableConfig::full() };
+    let cfg = if quick {
+        GsrTableConfig::quick()
+    } else {
+        GsrTableConfig::full()
+    };
     let bdp = {
         let mut s = cfg.base.clone();
         s.n_flows = 1;
@@ -230,11 +286,19 @@ fn table10(exec: &Executor, quick: bool) -> Artifact {
     let data = Json::obj()
         .with("bdp_packets", Json::Num(bdp))
         .with("rows", Json::Arr(data.collect()));
-    Artifact::new(manifest, data, format!("{}\n", gsr_table::render(&table, bdp)))
+    Artifact::new(
+        manifest,
+        data,
+        format!("{}\n", gsr_table::render(&table, bdp)),
+    )
 }
 
 fn table11(exec: &Executor, quick: bool) -> Artifact {
-    let cfg = if quick { ProductionConfig::quick() } else { ProductionConfig::full() };
+    let cfg = if quick {
+        ProductionConfig::quick()
+    } else {
+        ProductionConfig::full()
+    };
     let table = cfg.run_with(exec);
     let manifest = RunManifest::new("table11", quick, cfg.seed)
         .param("rate_bps", cfg.rate_bps)
@@ -274,7 +338,10 @@ fn table_artifact(manifest: RunManifest, t: &Table, note: &str) -> Artifact {
 /// Utilization and average pairwise window correlation ρ̄ of one run.
 fn util_rho(sc: &LongFlowScenario) -> (f64, f64) {
     let r = sc.run_sampled(Some(SimDuration::from_millis(20)));
-    (r.utilization, pairwise_correlation(&r.per_flow_window_samples).rho)
+    (
+        r.utilization,
+        pairwise_correlation(&r.per_flow_window_samples).rho,
+    )
 }
 
 /// §3: flows synchronize for small n and stop as n grows — and only when
@@ -286,8 +353,17 @@ fn util_rho(sc: &LongFlowScenario) -> (f64, f64) {
     reason = "a saturating cast of a rounded, positive buffer size in packets"
 )]
 fn ext_sync(_: &Executor, quick: bool) -> Artifact {
-    let counts: &[usize] = if quick { &[2, 8, 32] } else { &[2, 5, 10, 25, 50, 100, 200, 400] };
-    let mut t = Table::new(&["n", "rho (homogeneous)", "rho (heterogeneous)", "util (heterogeneous)"]);
+    let counts: &[usize] = if quick {
+        &[2, 8, 32]
+    } else {
+        &[2, 5, 10, 25, 50, 100, 200, 400]
+    };
+    let mut t = Table::new(&[
+        "n",
+        "rho (homogeneous)",
+        "rho (heterogeneous)",
+        "util (heterogeneous)",
+    ]);
     for &n in counts {
         let mut base = long_flows(n, quick);
         base.buffer_pkts = (base.bdp_packets() / (n as f64).sqrt()).round().max(4.0) as usize;
@@ -368,11 +444,20 @@ fn ext_highrate(_: &Executor, quick: bool) -> Artifact {
     let rate: u64 = if quick { 200_000_000 } else { 1_000_000_000 };
     let load = 0.25;
     let mut base = ShortFlowScenario::paper_default(rate, load);
-    base.lengths = FlowLengthDist::Pareto { mean: 40.0, shape: 1.5 };
+    base.lengths = FlowLengthDist::Pareto {
+        mean: 40.0,
+        shape: 1.5,
+    };
     base.host_pairs = 40;
     base.horizon = SimDuration::from_secs(if quick { 5 } else { 20 });
     let bdp = theory::bdp_packets(rate as f64, 0.08, 1000);
-    let mut t = Table::new(&["buffer", "% of RTTxC", "throughput/offered", "drop rate", "AFCT"]);
+    let mut t = Table::new(&[
+        "buffer",
+        "% of RTTxC",
+        "throughput/offered",
+        "drop rate",
+        "AFCT",
+    ]);
     let offered = load * rate as f64;
     for frac in [1.0, 0.1, 0.02, 0.005] {
         let mut sc = base.clone();
@@ -406,7 +491,12 @@ fn ext_pacing(_: &Executor, quick: bool) -> Artifact {
     let n = if quick { 16 } else { 100 };
     let mut base = long_flows(n, quick);
     let unit = base.bdp_packets() / (n as f64).sqrt();
-    let mut t = Table::new(&["buffer", "x BDP/sqrt(n)", "util (ack-clocked)", "util (paced)"]);
+    let mut t = Table::new(&[
+        "buffer",
+        "x BDP/sqrt(n)",
+        "util (ack-clocked)",
+        "util (paced)",
+    ]);
     for m in [0.1, 0.25, 0.5, 1.0] {
         base.buffer_pkts = (m * unit).round().max(2.0) as usize;
         base.pacing = false;
@@ -457,7 +547,12 @@ fn parking_lot(n_each: usize, buffer: usize, rate: u64, seconds: u64) -> (f64, f
     let mut through_sinks = Vec::new();
     for i in 0..n_each {
         let start = rng.u64_below(3000);
-        through_sinks.push(add(&mut sim, pl.through_sources[i], pl.through_sinks[i], start));
+        through_sinks.push(add(
+            &mut sim,
+            pl.through_sources[i],
+            pl.through_sinks[i],
+            start,
+        ));
         let start = rng.u64_below(3000);
         add(&mut sim, pl.left_sources[i], pl.left_sinks[i], start);
         let start = rng.u64_below(3000);
@@ -476,7 +571,11 @@ fn parking_lot(n_each: usize, buffer: usize, rate: u64, seconds: u64) -> (f64, f
     sim.kernel_mut().link_mut(pl.bottleneck2).monitor.mark(warm);
     let before = through(&sim);
     sim.run_until(warm + SimDuration::from_secs(seconds));
-    let util1 = sim.kernel().link(pl.bottleneck1).monitor.utilization(sim.now(), rate);
+    let util1 = sim
+        .kernel()
+        .link(pl.bottleneck1)
+        .monitor
+        .utilization(sim.now(), rate);
     let share = (through(&sim) - before) as f64 * 8000.0 / (seconds as f64) / rate as f64;
     (util1, share)
 }
@@ -488,12 +587,19 @@ fn parking_lot(n_each: usize, buffer: usize, rate: u64, seconds: u64) -> (f64, f
     reason = "a saturating cast of a rounded, positive buffer size in packets"
 )]
 fn ext_multihop(_: &Executor, quick: bool) -> Artifact {
-    let (n_each, rate, seconds): (usize, u64, u64) =
-        if quick { (8, 20_000_000, 10) } else { (32, 50_000_000, 30) };
+    let (n_each, rate, seconds): (usize, u64, u64) = if quick {
+        (8, 20_000_000, 10)
+    } else {
+        (32, 50_000_000, 30)
+    };
     // Buffer each hop at BDP/sqrt(local n): local n per hop = 2*n_each.
     let bdp = theory::bdp_packets(rate as f64, 0.08, 1000);
     let unit = bdp / ((2 * n_each) as f64).sqrt();
-    let mut t = Table::new(&["hop buffer", "hop-1 utilization", "through-flow capacity share"]);
+    let mut t = Table::new(&[
+        "hop buffer",
+        "hop-1 utilization",
+        "through-flow capacity share",
+    ]);
     for m in [1.0, 2.0] {
         let b = (m * unit).round().max(2.0) as usize;
         let (u1, share) = parking_lot(n_each, b, rate, seconds);
@@ -523,7 +629,9 @@ fn ext_multihop(_: &Executor, quick: bool) -> Artifact {
 fn ext_ablation(_: &Executor, quick: bool) -> Artifact {
     let n = if quick { 24 } else { 100 };
     let mut reference = long_flows(n, quick);
-    reference.buffer_pkts = (reference.bdp_packets() / (n as f64).sqrt()).round().max(4.0) as usize;
+    reference.buffer_pkts = (reference.bdp_packets() / (n as f64).sqrt())
+        .round()
+        .max(4.0) as usize;
     let mid = (reference.rtt_range.0 + reference.rtt_range.1) / 2;
     let variant = |edit: &dyn Fn(&mut LongFlowScenario)| {
         let mut v = reference.clone();
@@ -533,7 +641,10 @@ fn ext_ablation(_: &Executor, quick: bool) -> Artifact {
     let variants = [
         ("reference (all ingredients)", reference.clone()),
         ("- RTT diversity", variant(&|v| v.rtt_range = (mid, mid))),
-        ("- staggered starts", variant(&|v| v.start_window = SimDuration::from_millis(1))),
+        (
+            "- staggered starts",
+            variant(&|v| v.start_window = SimDuration::from_millis(1)),
+        ),
         ("- send jitter", variant(&|v| v.jitter = None)),
         (
             "- all three (worst case)",
@@ -551,7 +662,11 @@ fn ext_ablation(_: &Executor, quick: bool) -> Artifact {
     let mut t = Table::new(&["variant", "utilization", "sync rho"]);
     for (label, sc) in &variants {
         let (u, rho) = util_rho(sc);
-        t.row(&[label.to_string(), format!("{:.1}%", u * 100.0), format!("{rho:.3}")]);
+        t.row(&[
+            label.to_string(),
+            format!("{:.1}%", u * 100.0),
+            format!("{rho:.3}"),
+        ]);
     }
     let manifest = RunManifest::new("ext_ablation", quick, reference.seed)
         .param("n_flows", n)
@@ -564,7 +679,11 @@ fn ext_ablation(_: &Executor, quick: bool) -> Artifact {
 /// The Figure 7 bisection once per congestion-control variant — Reno,
 /// NewReno, CUBIC, paced Reno, and DCTCP over a CE-marking bottleneck.
 fn ext_cca(exec: &Executor, quick: bool) -> Artifact {
-    let cfg = if quick { CcaSweepConfig::quick() } else { CcaSweepConfig::full() };
+    let cfg = if quick {
+        CcaSweepConfig::quick()
+    } else {
+        CcaSweepConfig::full()
+    };
     let pts = cfg.run_with(exec);
     let labels: Vec<&str> = cfg.variants.iter().map(|v| v.label).collect();
     let manifest = RunManifest::new("ext_cca", quick, cfg.base.seed)
@@ -612,11 +731,18 @@ fn explain(_: &Executor, quick: bool) -> Artifact {
         (sc, 2_000_000)
     };
     let tr = sc.run_traced(log_capacity);
-    assert_eq!(tr.overflowed, 0, "packet log overflowed; raise the capacity");
+    assert_eq!(
+        tr.overflowed, 0,
+        "packet log overflowed; raise the capacity"
+    );
     // Exact reconciliation before narrating: every logged drop is in the
     // ledger and vice versa.
     let drop_records = tr.records.iter().map(|b| b.drops()).sum::<usize>() as u64;
-    assert_eq!(drop_records, tr.ledger.total(), "packet log and drop ledger disagree");
+    assert_eq!(
+        drop_records,
+        tr.ledger.total(),
+        "packet log and drop ledger disagree"
+    );
 
     // One join feeds the narrative, the attribution counts and the JSONL.
     let events = explain::join(&tr);
@@ -632,30 +758,45 @@ fn explain(_: &Executor, quick: bool) -> Artifact {
         .param("measure_s", sc.measure.as_secs_f64())
         .packet_log(Some(tr.packet_digest))
         .profile(Some(tr.profile.digest()));
-    let reasons = DropReason::ALL.iter().filter(|&&r| tr.ledger.by_reason(r) > 0).map(|&r| {
-        Json::obj()
-            .with("reason", Json::Str(r.name().to_string()))
-            .with("drops", Json::Num(tr.ledger.by_reason(r) as f64))
-    });
+    let reasons = DropReason::ALL
+        .iter()
+        .filter(|&&r| tr.ledger.by_reason(r) > 0)
+        .map(|&r| {
+            Json::obj()
+                .with("reason", Json::Str(r.name().to_string()))
+                .with("drops", Json::Num(tr.ledger.by_reason(r) as f64))
+        });
     let kinds = SpanKind::ALL.iter().map(|&kind| {
         Json::obj()
             .with("kind", Json::Str(kind.name().to_string()))
-            .with("count", Json::Num(tr.spans.iter().filter(|r| r.kind == kind).count() as f64))
+            .with(
+                "count",
+                Json::Num(tr.spans.iter().filter(|r| r.kind == kind).count() as f64),
+            )
     });
     let (attributed, unattributed) = explain::loss_spans_attributed(&events);
     let hex = |d: u64| Json::Str(format!("{d:016x}"));
     let data = Json::obj()
         .with("drops_total", Json::Num(tr.ledger.total() as f64))
         .with("drops_by_reason", Json::Arr(reasons.collect()))
-        .with("sync_episodes", Json::Num(tr.ledger.episodes().len() as f64))
+        .with(
+            "sync_episodes",
+            Json::Num(tr.ledger.episodes().len() as f64),
+        )
         .with("spans_total", Json::Num(tr.spans.len() as f64))
         .with("spans_by_kind", Json::Arr(kinds.collect()))
         .with("loss_spans_attributed", Json::Num(attributed as f64))
         .with("loss_spans_unattributed", Json::Num(unattributed as f64))
         .with("forensics_digest", hex(tr.ledger.digest()))
         .with("span_digest", hex(tr.spans.digest()))
-        .with("events_dispatched", Json::Num(tr.profile.dispatches() as f64))
-        .with("event_queue_high_water", Json::Num(tr.profile.depth_high_water() as f64));
+        .with(
+            "events_dispatched",
+            Json::Num(tr.profile.dispatches() as f64),
+        )
+        .with(
+            "event_queue_high_water",
+            Json::Num(tr.profile.depth_high_water() as f64),
+        );
     Artifact::new(manifest, data, text.clone())
         .with_file("explain.txt", text)
         .with_file("explain_causal.jsonl", explain::to_jsonl_from(&events))

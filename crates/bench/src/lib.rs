@@ -75,7 +75,12 @@ pub struct Artifact {
 impl Artifact {
     /// An artifact with no extra files.
     pub(crate) fn new(manifest: RunManifest, data: Json, stdout: String) -> Self {
-        Artifact { manifest, data, stdout, files: Vec::new() }
+        Artifact {
+            manifest,
+            data,
+            stdout,
+            files: Vec::new(),
+        }
     }
 
     /// Adds one extra file under `artifacts/` (builder style).
@@ -89,7 +94,11 @@ impl Artifact {
 fn preamble(title: &str, quick: bool) -> String {
     format!(
         "== Sizing Router Buffers (SIGCOMM 2004) reproduction — {title} ({}) ==\n",
-        if quick { "quick smoke scale" } else { "full scale" }
+        if quick {
+            "quick smoke scale"
+        } else {
+            "full scale"
+        }
     )
 }
 
@@ -107,7 +116,10 @@ pub fn run(e: &Experiment, exec: &Executor, quick: bool) {
     print!("{}", a.stdout);
     let dir = artifacts::dir();
     std::fs::create_dir_all(&dir).unwrap_or_else(|err| panic!("creating {}: {err}", dir.display()));
-    let json = (format!("{}.json", e.name), artifacts::document(&a.manifest, a.data).render());
+    let json = (
+        format!("{}.json", e.name),
+        artifacts::document(&a.manifest, a.data).render(),
+    );
     for (file, contents) in std::iter::once(json).chain(a.files) {
         let path = dir.join(file);
         std::fs::write(&path, contents)
@@ -135,7 +147,12 @@ impl Args {
     /// argument, a `--jobs` without a non-negative integer after it, or a
     /// NAME next to `--check` is an error.
     pub fn parse(args: &[String]) -> Result<Args, String> {
-        let mut out = Args { quick: false, jobs: None, check: false, experiments: Vec::new() };
+        let mut out = Args {
+            quick: false,
+            jobs: None,
+            check: false,
+            experiments: Vec::new(),
+        };
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
@@ -149,10 +166,10 @@ impl Args {
                     out.jobs = Some(n.max(1));
                 }
                 name => out.experiments.push(
-                    EXPERIMENTS.iter().find(|e| e.name == name).ok_or(format!(
-                        "unknown experiment {name:?} (one of: {})",
-                        names()
-                    ))?,
+                    EXPERIMENTS
+                        .iter()
+                        .find(|e| e.name == name)
+                        .ok_or(format!("unknown experiment {name:?} (one of: {})", names()))?,
                 ),
             }
         }
@@ -167,7 +184,11 @@ impl Args {
 }
 
 fn names() -> String {
-    EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>().join(" ")
+    EXPERIMENTS
+        .iter()
+        .map(|e| e.name)
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// `repro`'s usage text, listing every registry name.
@@ -219,7 +240,10 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_rejected() {
-        assert_eq!(parse(&["fig07", "--jobs"]).unwrap_err(), "--jobs expects a value");
+        assert_eq!(
+            parse(&["fig07", "--jobs"]).unwrap_err(),
+            "--jobs expects a value"
+        );
         assert_eq!(parse(&["-j"]).unwrap_err(), "-j expects a value");
         assert_eq!(
             parse(&["--jobs", "x"]).unwrap_err(),
@@ -227,9 +251,15 @@ mod tests {
         );
         assert!(parse(&["-j", "-1"]).is_err());
         let unknown = parse(&["fig07", "fig7"]).unwrap_err();
-        assert!(unknown.starts_with("unknown experiment \"fig7\""), "{unknown}");
+        assert!(
+            unknown.starts_with("unknown experiment \"fig7\""),
+            "{unknown}"
+        );
         for e in EXPERIMENTS {
-            assert!(unknown.contains(e.name), "the error lists the registry: {unknown}");
+            assert!(
+                unknown.contains(e.name),
+                "the error lists the registry: {unknown}"
+            );
         }
         // Flags that went with the per-figure binaries are unknown now.
         for gone in ["--csv", "--trace", "--out"] {
@@ -246,7 +276,9 @@ mod tests {
         let mut checked = 0;
         for e in EXPERIMENTS {
             let capture = artifacts::dir().join(format!("{}.txt", e.name));
-            let Ok(text) = std::fs::read_to_string(capture) else { continue };
+            let Ok(text) = std::fs::read_to_string(capture) else {
+                continue;
+            };
             if !text.starts_with("== Sizing Router Buffers") {
                 continue; // explain.txt is an extra file, not a stdout capture
             }
@@ -258,6 +290,9 @@ mod tests {
             );
             checked += 1;
         }
-        assert_eq!(checked, 15, "fig03..table11 and the six ext_* have captures");
+        assert_eq!(
+            checked, 15,
+            "fig03..table11 and the six ext_* have captures"
+        );
     }
 }

@@ -308,7 +308,11 @@ fn single_flow(name: &str, doc: &Json) -> String {
     let util = num(doc, "utilization");
     let (paper_util, util_ok, paper_empty) = match name {
         "fig04" => ("< 100% (link goes idle)", util < 0.985, "> 0 (idle gaps)"),
-        "fig05" => ("100% (queue never empties)", util >= 0.985, "≈ 0 (never empties)"),
+        "fig05" => (
+            "100% (queue never empties)",
+            util >= 0.985,
+            "≈ 0 (never empties)",
+        ),
         _ => ("100%", util >= 0.985, "small (just touches zero)"),
     };
     let mut out = String::from("| quantity | paper | measured | agrees |\n|---|---|---|---|\n");
@@ -524,12 +528,20 @@ fn table11(_: &str, doc: &Json) -> String {
 /// (`report::Table::to_json`: `columns`, `rows` of cells) as markdown.
 fn table(name: &str, doc: &Json) -> String {
     let line = |cells: &Json| {
-        let cells: Vec<&str> = cells.as_arr().unwrap_or(&[]).iter().filter_map(Json::as_str).collect();
+        let cells: Vec<&str> = cells
+            .as_arr()
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
         format!("| {} |\n", cells.join(" | "))
     };
     let columns = doc.get("columns").cloned().unwrap_or(Json::Null);
     let mut out = line(&columns);
-    out.push_str(&format!("|{}\n", "---|".repeat(columns.as_arr().map_or(0, <[Json]>::len))));
+    out.push_str(&format!(
+        "|{}\n",
+        "---|".repeat(columns.as_arr().map_or(0, <[Json]>::len))
+    ));
     for r in rows(doc) {
         out.push_str(&line(&r));
     }
@@ -567,7 +579,11 @@ fn explain(_: &str, doc: &Json) -> String {
     );
     let arr = |key: &str| doc.get(key).and_then(Json::as_arr).unwrap_or(&[]).to_vec();
     for r in arr("drops_by_reason") {
-        out.push_str(&format!("| — {} | {:.0} |\n", r.str("reason").unwrap_or("?"), num(&r, "drops")));
+        out.push_str(&format!(
+            "| — {} | {:.0} |\n",
+            r.str("reason").unwrap_or("?"),
+            num(&r, "drops")
+        ));
     }
     out.push_str(&format!(
         "| synchronized-loss episodes | {:.0} |\n| sender lifecycle transitions | {:.0} |\n",
@@ -575,7 +591,11 @@ fn explain(_: &str, doc: &Json) -> String {
         num(doc, "spans_total"),
     ));
     for r in arr("spans_by_kind") {
-        out.push_str(&format!("| — {} | {:.0} |\n", r.str("kind").unwrap_or("?"), num(&r, "count")));
+        out.push_str(&format!(
+            "| — {} | {:.0} |\n",
+            r.str("kind").unwrap_or("?"),
+            num(&r, "count")
+        ));
     }
     let attributed = num(doc, "loss_spans_attributed");
     out.push_str(&format!(
@@ -646,10 +666,7 @@ mod tests {
             .with("rule_pkts", Json::Num(100.0))
             .with("model_pkts", Json::Num(90.0));
         let doc = Json::obj()
-            .with(
-                "manifest",
-                RunManifest::new("fig07", true, 1).to_json(),
-            )
+            .with("manifest", RunManifest::new("fig07", true, 1).to_json())
             .with("rows", Json::Arr(vec![row]));
         let s = section("fig07", Some(doc));
         assert!(s.contains("| 100 | 99.5% | 120 pkts | 100 pkts | 90 pkts | +20% |"));
@@ -667,10 +684,7 @@ mod tests {
             .with("utilization", Json::Num(0.9972))
             .with("marks", Json::Num(12345.0));
         let doc = Json::obj()
-            .with(
-                "manifest",
-                RunManifest::new("ext_cca", true, 1).to_json(),
-            )
+            .with("manifest", RunManifest::new("ext_cca", true, 1).to_json())
             .with("rows", Json::Arr(vec![row]));
         let s = section("ext_cca", Some(doc));
         assert!(
@@ -703,8 +717,15 @@ mod tests {
         let b = generate();
         assert_eq!(a, b, "RESULTS.md generation is not byte-stable");
         for title in [
-            "Figure 3", "Figure 4", "Figure 5", "Figure 6", "Figure 7",
-            "Figure 8", "Figure 9", "Figure 10", "Figure 11",
+            "Figure 3",
+            "Figure 4",
+            "Figure 5",
+            "Figure 6",
+            "Figure 7",
+            "Figure 8",
+            "Figure 9",
+            "Figure 10",
+            "Figure 11",
             "Extension — §3: synchronization",
             "Extension — §5.1.1: loss rate",
             "Extension — §5.3: a high-rate link",
@@ -717,6 +738,9 @@ mod tests {
         ] {
             assert!(a.contains(title), "missing section {title}");
         }
-        assert!(!a.to_lowercase().contains("jobs"), "report must be jobs-agnostic");
+        assert!(
+            !a.to_lowercase().contains("jobs"),
+            "report must be jobs-agnostic"
+        );
     }
 }

@@ -11,7 +11,11 @@ fn repro(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn unknown_name_or_missing_value_exits_2_with_usage() {
-    for args in [&["fig03", "bogus"][..], &["--quick", "--jobs"], &["fig07", "--csv", "x.csv"]] {
+    for args in [
+        &["fig03", "bogus"][..],
+        &["--quick", "--jobs"],
+        &["fig07", "--csv", "x.csv"],
+    ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} ran something");

@@ -355,7 +355,10 @@ mod tests {
             drop_uids(&events),
             vec![vec![], vec![2, 5], vec![], vec![], vec![6], vec![7]]
         );
-        assert_eq!(drop_uids(&events), drop_uids(&join_reference(&records, &spans)));
+        assert_eq!(
+            drop_uids(&events),
+            drop_uids(&join_reference(&records, &spans))
+        );
         assert!(join_streams(&[], &spans).iter().all(|e| e.drops.is_empty()));
         assert!(join_streams(&blocks(&records), &span_log(&[])).is_empty());
     }

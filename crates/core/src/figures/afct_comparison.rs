@@ -6,7 +6,7 @@
 
 use crate::exec::{run_named, Executor};
 use crate::report::Table;
-use crate::runner::{MixScenario, LongFlowScenario};
+use crate::runner::{LongFlowScenario, MixScenario};
 use tcpsim::TcpConfig;
 use traffic::FlowLengthDist;
 

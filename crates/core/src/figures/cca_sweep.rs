@@ -42,6 +42,7 @@ pub struct CcaVariant {
 }
 
 /// The five variants the extension compares.
+#[rustfmt::skip]
 pub fn zoo() -> Vec<CcaVariant> {
     vec![
         CcaVariant { label: "reno", cc: CcKind::Reno, pacing: false, ecn: false },
@@ -200,7 +201,10 @@ pub fn to_table(points: &[CcaSweepPoint]) -> Table {
             format!("{:.1}%", p.target * 100.0),
             format!("{} pkts", p.measured_pkts),
             format!("{:.0} pkts", p.sqrt_n_rule_pkts),
-            format!("{:.2}x", p.measured_pkts as f64 / p.sqrt_n_rule_pkts.max(1e-9)),
+            format!(
+                "{:.2}x",
+                p.measured_pkts as f64 / p.sqrt_n_rule_pkts.max(1e-9)
+            ),
             format!("{:.1}%", p.utilization * 100.0),
             p.marks.to_string(),
         ]);
@@ -234,8 +238,18 @@ mod tests {
         cfg.base.warmup = simcore::SimDuration::from_secs(3);
         cfg.base.measure = simcore::SimDuration::from_secs(8);
         cfg.variants = vec![
-            CcaVariant { label: "reno", cc: CcKind::Reno, pacing: false, ecn: false },
-            CcaVariant { label: "dctcp", cc: CcKind::Dctcp, pacing: false, ecn: true },
+            CcaVariant {
+                label: "reno",
+                cc: CcKind::Reno,
+                pacing: false,
+                ecn: false,
+            },
+            CcaVariant {
+                label: "dctcp",
+                cc: CcKind::Dctcp,
+                pacing: false,
+                ecn: true,
+            },
         ];
         cfg.flow_counts = vec![8];
         cfg.target = 0.95;
@@ -244,7 +258,12 @@ mod tests {
         let hi = (2.0 * cfg.base.bdp_packets()).ceil() as usize + 1;
         for p in &pts {
             assert!(p.measured_pkts >= 1 && p.measured_pkts <= hi);
-            assert!(p.utilization >= cfg.target, "{}: {}", p.label, p.utilization);
+            assert!(
+                p.utilization >= cfg.target,
+                "{}: {}",
+                p.label,
+                p.utilization
+            );
         }
         assert_eq!(pts[0].marks, 0, "drop-tail reno must not mark");
         assert!(pts[1].marks > 0, "dctcp probe produced no CE marks");

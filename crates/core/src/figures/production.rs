@@ -134,7 +134,10 @@ impl ProductionConfig {
         run.warm_up(self.warmup);
         run.measure(self.measure);
         let sent_bits = run.monitor().since_mark().tx_bytes as f64 * 8.0;
-        (run.utilization(), sent_bits / self.measure.as_secs_f64() / 1e6)
+        (
+            run.utilization(),
+            sent_bits / self.measure.as_secs_f64() / 1e6,
+        )
     }
 
     /// Runs all buffer settings sequentially.
@@ -208,7 +211,11 @@ mod tests {
         assert_eq!(rows.len(), 2);
         // The big buffer achieves near-full utilization; the small one is
         // close behind (the paper's point: modest buffers suffice).
-        assert!(rows[0].utilization > 0.9, "big buffer util = {}", rows[0].utilization);
+        assert!(
+            rows[0].utilization > 0.9,
+            "big buffer util = {}",
+            rows[0].utilization
+        );
         assert!(
             rows[1].utilization > 0.75,
             "small buffer util = {}",

@@ -102,8 +102,7 @@ impl SingleFlowConfig {
         // and digests RESULTS.md embeds, and the 512-slot rings never evict.
         let interval = (self.warmup + self.duration) / 384;
         sim.enable_telemetry(
-            TelemetryConfig::new(interval.max(SimDuration::from_micros(1)))
-                .with_ring_capacity(512),
+            TelemetryConfig::new(interval.max(SimDuration::from_micros(1))).with_ring_capacity(512),
         );
 
         let mut run = Run::new(sim, d);

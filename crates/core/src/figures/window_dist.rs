@@ -23,8 +23,7 @@ impl WindowDistConfig {
     )]
     pub fn full(n_flows: usize) -> Self {
         let mut scenario = LongFlowScenario::oc3(n_flows);
-        scenario.buffer_pkts =
-            (scenario.bdp_packets() / (n_flows as f64).sqrt()).round() as usize;
+        scenario.buffer_pkts = (scenario.bdp_packets() / (n_flows as f64).sqrt()).round() as usize;
         WindowDistConfig {
             scenario,
             sample_period: SimDuration::from_millis(10),
@@ -38,8 +37,9 @@ impl WindowDistConfig {
     )]
     pub fn quick(n_flows: usize) -> Self {
         let mut scenario = LongFlowScenario::quick(n_flows, 50_000_000);
-        scenario.buffer_pkts =
-            (scenario.bdp_packets() / (n_flows as f64).sqrt()).round().max(10.0) as usize;
+        scenario.buffer_pkts = (scenario.bdp_packets() / (n_flows as f64).sqrt())
+            .round()
+            .max(10.0) as usize;
         WindowDistConfig {
             scenario,
             sample_period: SimDuration::from_millis(20),
@@ -103,8 +103,7 @@ impl WindowDist {
         let mut pts: Vec<(f64, f64)> = self.hist.densities().collect();
         // Overlay: sample the fitted pdf at the same centers (offset a hair
         // so both are visible).
-        let fit_pts: Vec<(f64, f64)> =
-            pts.iter().map(|&(x, _)| (x, self.fit.pdf(x))).collect();
+        let fit_pts: Vec<(f64, f64)> = pts.iter().map(|&(x, _)| (x, self.fit.pdf(x))).collect();
         pts.extend(fit_pts);
         format!(
             "Figure 6: Σ cwnd distribution, n = {}\nfit: mean = {:.1} pkts, std = {:.1} pkts, \

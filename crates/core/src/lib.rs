@@ -30,7 +30,6 @@
 //! | Fig. 10 (GSR utilization table) | [`figures::gsr_table`] |
 //! | Fig. 11 (production network) | [`figures::production`] |
 
-
 #![warn(missing_docs)]
 pub mod exec;
 pub mod explain;

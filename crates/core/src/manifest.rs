@@ -135,9 +135,7 @@ impl RunManifest {
         let pairs = |kv: &[(String, String)]| {
             Json::Arr(
                 kv.iter()
-                    .map(|(k, v)| {
-                        Json::Arr(vec![Json::Str(k.clone()), Json::Str(v.clone())])
-                    })
+                    .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), Json::Str(v.clone())]))
                     .collect(),
             )
         };
@@ -166,8 +164,7 @@ impl RunManifest {
     )]
     pub fn from_json(json: &Json) -> Option<Self> {
         let digest = |key: &str| -> Option<u64> {
-            json.str(key)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
+            json.str(key).and_then(|s| u64::from_str_radix(s, 16).ok())
         };
         let pairs = |key: &str| -> Vec<(String, String)> {
             json.get(key)
@@ -177,7 +174,10 @@ impl RunManifest {
                         .iter()
                         .filter_map(|p| {
                             let kv = p.as_arr()?;
-                            Some((kv.first()?.as_str()?.to_string(), kv.get(1)?.as_str()?.to_string()))
+                            Some((
+                                kv.first()?.as_str()?.to_string(),
+                                kv.get(1)?.as_str()?.to_string(),
+                            ))
                         })
                         .collect()
                 })
@@ -198,11 +198,7 @@ impl RunManifest {
 
     /// One-line provenance footnote for RESULTS.md.
     pub fn footnote(&self) -> String {
-        let version = self
-            .crates
-            .first()
-            .map(|(_, v)| v.as_str())
-            .unwrap_or("?");
+        let version = self.crates.first().map(|(_, v)| v.as_str()).unwrap_or("?");
         let mut s = format!(
             "scale `{}`, seed `{}`, workspace v{}",
             self.scale, self.seed, version
@@ -271,10 +267,15 @@ mod tests {
         assert_eq!(j.get("metrics_digest"), None);
         assert!(!j.render().contains("metrics_digest"));
         let with = sample().metrics(Some(0xbeef));
-        assert_eq!(with.to_json().str("metrics_digest"), Some("000000000000beef"));
+        assert_eq!(
+            with.to_json().str("metrics_digest"),
+            Some("000000000000beef")
+        );
         let back = RunManifest::from_json(&with.to_json()).unwrap();
         assert_eq!(back, with);
-        assert!(with.footnote().contains("metrics digest `000000000000beef`"));
+        assert!(with
+            .footnote()
+            .contains("metrics digest `000000000000beef`"));
     }
 
     #[test]

@@ -37,9 +37,10 @@ impl Table {
     pub fn to_json(&self) -> crate::Json {
         use crate::Json;
         let cells = |cs: &[String]| Json::Arr(cs.iter().map(|c| Json::Str(c.clone())).collect());
-        Json::obj()
-            .with("columns", cells(&self.headers))
-            .with("rows", Json::Arr(self.rows.iter().map(|r| cells(r)).collect()))
+        Json::obj().with("columns", cells(&self.headers)).with(
+            "rows",
+            Json::Arr(self.rows.iter().map(|r| cells(r)).collect()),
+        )
     }
 
     /// Renders the table to a string.
@@ -126,9 +127,7 @@ pub fn ascii_plot(points: &[(f64, f64)], width: usize, height: usize, title: &st
     out.push_str(&format!("{ymin:>12.4} +"));
     out.push_str(&"-".repeat(width));
     out.push('\n');
-    out.push_str(&format!(
-        "              x: {xmin:.4} .. {xmax:.4}\n"
-    ));
+    out.push_str(&format!("              x: {xmin:.4} .. {xmax:.4}\n"));
     out
 }
 
@@ -205,8 +204,17 @@ mod tests {
         t.row(&["1".into(), "96.9%".into()]);
         let j = t.to_json();
         let cells = |key: &str| j.get(key).and_then(crate::Json::as_arr).unwrap().to_vec();
-        assert_eq!(cells("columns"), [crate::Json::Str("n".into()), crate::Json::Str("util".into())]);
-        assert_eq!(cells("rows")[0].as_arr().unwrap()[1].as_str(), Some("96.9%"));
+        assert_eq!(
+            cells("columns"),
+            [
+                crate::Json::Str("n".into()),
+                crate::Json::Str("util".into())
+            ]
+        );
+        assert_eq!(
+            cells("rows")[0].as_arr().unwrap()[1].as_str(),
+            Some("96.9%")
+        );
     }
 
     #[test]
@@ -249,10 +257,7 @@ mod tests {
         let s = t.render();
         let widths: Vec<usize> = s.lines().map(|l| l.chars().count()).collect();
         // Header, rule and every row line up to the same char width.
-        assert!(
-            widths.iter().all(|&w| w == widths[0]),
-            "ragged table:\n{s}"
-        );
+        assert!(widths.iter().all(|&w| w == widths[0]), "ragged table:\n{s}");
         // And the ASCII-only rule line matches that width in bytes too.
         let rule = s.lines().nth(1).unwrap();
         assert_eq!(rule.len(), widths[0]);

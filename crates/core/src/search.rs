@@ -161,7 +161,13 @@ pub fn min_buffer_for_par(
     // it (speculating that `hi` passes; if it fails the extras are wasted
     // work, not wrong answers).
     let mut first = vec![hi];
-    first.extend(spec_frontier(0, hi, exec.jobs().saturating_sub(1), &cache, &ok));
+    first.extend(spec_frontier(
+        0,
+        hi,
+        exec.jobs().saturating_sub(1),
+        &cache,
+        &ok,
+    ));
     fetch(&mut cache, first);
 
     // Replay the exact sequential bisection against the memo table,

@@ -94,9 +94,7 @@ mod tests {
     fn phase_spread_kills_correlation() {
         // Phases spread uniformly over the period: the sum is nearly
         // constant, so measured correlation is strongly negative-to-zero.
-        let flows: Vec<Vec<f64>> = (0..10)
-            .map(|i| sawtooth(20.0, 50, i * 5, 500))
-            .collect();
+        let flows: Vec<Vec<f64>> = (0..10).map(|i| sawtooth(20.0, 50, i * 5, 500)).collect();
         let rep = pairwise_correlation(&flows);
         assert!(rep.rho < 0.1, "rho = {}", rep.rho);
         // And the aggregate is much smoother than in-phase.

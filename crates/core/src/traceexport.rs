@@ -164,17 +164,26 @@ pub fn check_trace(text: &str) -> Result<TraceCheck, String> {
             .str("ph")
             .ok_or_else(|| format!("event {i}: missing \"ph\""))?
             .to_string();
-        let pid = ev.num("pid").ok_or_else(|| format!("event {i}: missing \"pid\""))? as u64;
-        let tid = ev.num("tid").ok_or_else(|| format!("event {i}: missing \"tid\""))? as u64;
+        let pid = ev
+            .num("pid")
+            .ok_or_else(|| format!("event {i}: missing \"pid\""))? as u64;
+        let tid = ev
+            .num("tid")
+            .ok_or_else(|| format!("event {i}: missing \"tid\""))? as u64;
         if ev.get("name").is_none() {
             return Err(format!("event {i}: missing \"name\""));
         }
         if ph == "M" {
             continue;
         }
-        let ts = ev.num("ts").ok_or_else(|| format!("event {i}: missing \"ts\""))?;
+        let ts = ev
+            .num("ts")
+            .ok_or_else(|| format!("event {i}: missing \"ts\""))?;
         checked += 1;
-        let slot = match tracks.iter().position(|(p, t, _, _)| (*p, *t) == (pid, tid)) {
+        let slot = match tracks
+            .iter()
+            .position(|(p, t, _, _)| (*p, *t) == (pid, tid))
+        {
             Some(s) => s,
             None => {
                 tracks.push((pid, tid, f64::NEG_INFINITY, 0));
@@ -253,8 +262,14 @@ mod tests {
         let series = vec![(
             "queue.bottleneck".to_string(),
             vec![
-                TracePoint { time: SimTime::from_millis(1), value: 3.0 },
-                TracePoint { time: SimTime::from_millis(2), value: 7.0 },
+                TracePoint {
+                    time: SimTime::from_millis(1),
+                    value: 3.0,
+                },
+                TracePoint {
+                    time: SimTime::from_millis(2),
+                    value: 7.0,
+                },
             ],
         )];
         let mut t = TraceBuilder::new();
@@ -273,7 +288,13 @@ mod tests {
         t.begin(tr, 100, "a");
         t.end(tr, 300);
         let ok = check_trace(&t.render()).unwrap();
-        assert_eq!(ok, TraceCheck { events: 2, tracks: 1 });
+        assert_eq!(
+            ok,
+            TraceCheck {
+                events: 2,
+                tracks: 1
+            }
+        );
 
         assert!(check_trace("not json").is_err());
         assert!(check_trace("{}").is_err());

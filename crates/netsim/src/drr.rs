@@ -219,7 +219,11 @@ mod tests {
         let first_six: Vec<u32> = order.iter().take(6).map(|&(f, _)| f).collect();
         assert_eq!(first_six, vec![0, 1, 0, 1, 0, 1]);
         // FIFO within each flow.
-        let flow0: Vec<u64> = order.iter().filter(|&&(f, _)| f == 0).map(|&(_, u)| u).collect();
+        let flow0: Vec<u64> = order
+            .iter()
+            .filter(|&&(f, _)| f == 0)
+            .map(|&(_, u)| u)
+            .collect();
         assert_eq!(flow0, vec![0, 1, 2, 3, 4, 5]);
     }
 

@@ -23,7 +23,6 @@
 //! The bottleneck topology of the paper (Figure 1) is built with
 //! [`builder::DumbbellBuilder`].
 
-
 #![deny(missing_docs)]
 // The kernel half of the determinism contract (DESIGN.md §7): no `unsafe`
 // (so no `static mut`), and no panics in library code — a panic tears down
@@ -62,10 +61,10 @@ pub use forensics::{DropLedger, DropReason, ForensicsConfig, MarkReason, SyncEpi
 pub use link::Link;
 pub use monitor::LinkMonitor;
 pub use node::{Node, NodeKind, RouteTable};
-pub use parking_lot::{ParkingLot, ParkingLotBuilder};
 pub use packet::{
     Ecn, FlowId, Packet, PacketArena, PacketKind, PacketRef, SackBlocks, TcpFlags, TcpHeader,
 };
+pub use parking_lot::{ParkingLot, ParkingLotBuilder};
 pub use queue::{DropTail, EcnMode, Queue, QueueCapacity, QueuedPacket};
 pub use red::Red;
 pub use sim::{Agent, AgentId, Ctx, LinkId, NodeId, Sim};

@@ -333,11 +333,19 @@ mod tests {
         sim.start();
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(
-            sim.kernel().link(pl.bottleneck1).monitor.totals().tx_packets,
+            sim.kernel()
+                .link(pl.bottleneck1)
+                .monitor
+                .totals()
+                .tx_packets,
             1
         );
         assert_eq!(
-            sim.kernel().link(pl.bottleneck2).monitor.totals().tx_packets,
+            sim.kernel()
+                .link(pl.bottleneck2)
+                .monitor
+                .totals()
+                .tx_packets,
             1
         );
     }

@@ -40,7 +40,9 @@ impl RedConfig {
     /// `min_th = capacity/4` (at least 5 packets), `max_th = 3·min_th`,
     /// `max_p = 0.1`, `w = 0.002`.
     pub fn recommended(capacity_pkts: usize, mean_pkt_time: SimDuration) -> Self {
-        let min_th = (capacity_pkts as f64 / 4.0).max(5.0).min(capacity_pkts as f64);
+        let min_th = (capacity_pkts as f64 / 4.0)
+            .max(5.0)
+            .min(capacity_pkts as f64);
         RedConfig {
             capacity_pkts,
             min_th,
@@ -193,7 +195,11 @@ impl Queue for Red {
             self.count += 1;
             // Spread drops: p_a = p_b / (1 - count * p_b).
             let denom = 1.0 - self.count as f64 * p_b;
-            let p_a = if denom <= 0.0 { 1.0 } else { (p_b / denom).min(1.0) };
+            let p_a = if denom <= 0.0 {
+                1.0
+            } else {
+                (p_b / denom).min(1.0)
+            };
             if rng.chance(p_a) {
                 self.count = 0;
                 if self.mark_mode && pkt.ect {
@@ -292,8 +298,12 @@ mod tests {
         // Keep the queue short: enqueue 3, dequeue 3, repeatedly.
         for round in 0..100u32 {
             for i in 0..3 {
-                q.enqueue(pkt(round * 3 + i), SimTime::from_millis(round as u64), &mut rng)
-                    .expect("below min_th must never drop");
+                q.enqueue(
+                    pkt(round * 3 + i),
+                    SimTime::from_millis(round as u64),
+                    &mut rng,
+                )
+                .expect("below min_th must never drop");
             }
             for _ in 0..3 {
                 q.dequeue(SimTime::from_millis(round as u64)).unwrap();

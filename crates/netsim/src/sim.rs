@@ -22,10 +22,10 @@ use crate::auditor::Auditor;
 use crate::eventlog::{PacketEvent, PacketLog, PacketRecord};
 use crate::forensics::{DropLedger, DropReason, ForensicsConfig, MarkReason};
 use crate::link::Link;
-use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::node::{Node, NodeKind};
 use crate::packet::{Ecn, FlowId, Packet, PacketArena, PacketKind, PacketRef};
 use crate::queue::{QueueCapacity, QueuedPacket};
+use crate::telemetry::{Telemetry, TelemetryConfig};
 use simcore::metrics::{CounterId, Registry};
 use simcore::trace::TraceSink;
 use simcore::{Profile, Rng, Scheduler, SchedulerKind, SimDuration, SimTime};
@@ -644,7 +644,8 @@ impl Kernel {
         link.busy = true;
         let tx = link.tx_time(qp.size);
         self.in_flight[lid.idx()] = Some((qp.pref, tx));
-        self.events.schedule(self.now + tx, Event::TxEnd { link: lid });
+        self.events
+            .schedule(self.now + tx, Event::TxEnd { link: lid });
     }
 
     // Hot path — once per TxEnd event
@@ -1108,8 +1109,12 @@ impl Sim {
                                 self.kernel.flow_stats_mut(flow).delivered += 1;
                                 if OBS {
                                     let uid = self.kernel.arena.get(packet).uid;
-                                    self.kernel
-                                        .log_packet::<OBS>(uid, flow, None, PacketEvent::Delivered);
+                                    self.kernel.log_packet::<OBS>(
+                                        uid,
+                                        flow,
+                                        None,
+                                        PacketEvent::Delivered,
+                                    );
                                     if let Some(a) = &mut self.kernel.auditor {
                                         a.on_delivered();
                                     }
@@ -1293,10 +1298,7 @@ impl Sim {
 
     /// Downcasts an agent to a concrete type, mutably.
     pub fn agent_as_mut<T: 'static>(&mut self, id: AgentId) -> Option<&mut T> {
-        self.agents[id.idx()]
-            .agent
-            .as_any_mut()
-            .downcast_mut::<T>()
+        self.agents[id.idx()].agent.as_any_mut().downcast_mut::<T>()
     }
 }
 
@@ -1536,7 +1538,10 @@ mod tests {
         sim.bind_flow(FlowId(0), h1, sink_id);
         sim.start();
         sim.run_until(SimTime::from_millis(100));
-        sim.kernel_mut().link_mut(lid).monitor.mark(SimTime::from_millis(100));
+        sim.kernel_mut()
+            .link_mut(lid)
+            .monitor
+            .mark(SimTime::from_millis(100));
         sim.run_until(SimTime::from_millis(1100));
         let util = sim
             .kernel()
@@ -1789,7 +1794,9 @@ mod tests {
         assert_eq!(sim.kernel().stats().drops, 2);
         let rows = m.rows();
         assert!(rows.iter().any(|(k, _)| k == "arena.slots"));
-        assert!(rows.iter().any(|(k, _)| k.starts_with("links.queue_peak.log2_")));
+        assert!(rows
+            .iter()
+            .any(|(k, _)| k.starts_with("links.queue_peak.log2_")));
     }
 }
 

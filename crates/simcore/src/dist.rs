@@ -433,6 +433,10 @@ mod extra_dist_tests {
             assert!(d.sample(&mut rng) > 0.0);
         }
         let (mean, _) = stats(&d, 300_000, 15);
-        assert!((mean - d.mean()).abs() < 0.05, "mean = {mean} vs {}", d.mean());
+        assert!(
+            (mean - d.mean()).abs() < 0.05,
+            "mean = {mean} vs {}",
+            d.mean()
+        );
     }
 }

@@ -20,7 +20,6 @@
 //! The actual network semantics (links, queues, TCP) live in the `netsim` and
 //! `tcpsim` crates; `simcore` knows nothing about packets.
 
-
 #![deny(missing_docs)]
 // The kernel half of the determinism contract (DESIGN.md §7): no `unsafe`
 // (so no `static mut`), and no panics in library code — a panic tears down

@@ -347,8 +347,12 @@ mod tests {
         assert_eq!(rows[0].0, "kernel.events");
         assert_eq!(rows[1].0, "kernel.drops");
         assert!(rows.iter().any(|(k, v)| k == "arena.slots" && *v == 4));
-        assert!(rows.iter().any(|(k, v)| k == "arena.slots.high_water" && *v == 10));
-        assert!(rows.iter().any(|(k, v)| k == "queue.depth.log2_11" && *v == 1));
+        assert!(rows
+            .iter()
+            .any(|(k, v)| k == "arena.slots.high_water" && *v == 10));
+        assert!(rows
+            .iter()
+            .any(|(k, v)| k == "queue.depth.log2_11" && *v == 1));
         assert_eq!(rows.last().unwrap(), &("runs".to_string(), 1));
     }
 

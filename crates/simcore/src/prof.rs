@@ -80,7 +80,12 @@ impl Profile {
 
     /// Stamps the event-queue statistics gathered by
     /// [`crate::event::EventQueue`] into this profile.
-    pub fn set_queue_stats(&mut self, depth_high_water: u64, reserve_calls: u64, reserved_slots: u64) {
+    pub fn set_queue_stats(
+        &mut self,
+        depth_high_water: u64,
+        reserve_calls: u64,
+        reserved_slots: u64,
+    ) {
         self.depth_high_water = self.depth_high_water.max(depth_high_water);
         self.reserve_calls += reserve_calls;
         self.reserved_slots += reserved_slots;
@@ -302,7 +307,12 @@ mod tests {
         assert!(rows.iter().any(|(k, v)| k == "events.arrival" && *v == 2));
         assert!(rows.iter().any(|(k, _)| k == "queue.depth_high_water"));
         // Only the two touched histogram buckets appear.
-        assert_eq!(rows.iter().filter(|(k, _)| k.starts_with("gap_ns.")).count(), 2);
+        assert_eq!(
+            rows.iter()
+                .filter(|(k, _)| k.starts_with("gap_ns."))
+                .count(),
+            2
+        );
         assert_eq!(p.row_map().len(), rows.len());
     }
 }

@@ -176,7 +176,10 @@ impl SimDuration {
         // Fast path: for every realistic packet size the product fits u64,
         // and a 64-bit division is several times cheaper than the u128
         // `__udivti3` call. Identical truncation semantics either way.
-        if let Some(bits) = bytes.checked_mul(8).and_then(|b| b.checked_mul(NANOS_PER_SEC)) {
+        if let Some(bits) = bytes
+            .checked_mul(8)
+            .and_then(|b| b.checked_mul(NANOS_PER_SEC))
+        {
             return SimDuration(bits / rate_bps);
         }
         let bits = (bytes as u128) * 8 * NANOS_PER_SEC as u128;
@@ -247,11 +250,7 @@ impl Sub for SimDuration {
         reason = "checked time arithmetic panics loudly on overflow, the alternative to a silent wraparound corrupting digests"
     )]
     fn sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(
-            self.0
-                .checked_sub(other.0)
-                .expect("SimDuration underflow"),
-        )
+        SimDuration(self.0.checked_sub(other.0).expect("SimDuration underflow"))
     }
 }
 
@@ -328,7 +327,10 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2 * NANOS_PER_SEC);
         assert_eq!(SimTime::from_millis(250).as_secs_f64(), 0.25);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), NANOS_PER_SEC / 2);
+        assert_eq!(
+            SimDuration::from_secs_f64(0.5).as_nanos(),
+            NANOS_PER_SEC / 2
+        );
     }
 
     #[test]
@@ -336,10 +338,7 @@ mod tests {
         let t = SimTime::from_secs(1) + SimDuration::from_millis(500);
         assert_eq!(t.as_secs_f64(), 1.5);
         assert_eq!((t - SimTime::from_secs(1)).as_millis_f64(), 500.0);
-        assert_eq!(
-            t - SimDuration::from_millis(1500),
-            SimTime::ZERO
-        );
+        assert_eq!(t - SimDuration::from_millis(1500), SimTime::ZERO);
     }
 
     #[test]

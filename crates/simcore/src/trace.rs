@@ -145,7 +145,9 @@ impl<T> Ring<T> {
 
     /// Iterates over the retained samples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.data[self.head..].iter().chain(self.data[..self.head].iter())
+        self.data[self.head..]
+            .iter()
+            .chain(self.data[..self.head].iter())
     }
 }
 

@@ -129,7 +129,14 @@ impl TraceBuilder {
     /// Emits a counter sample (`ph: "C"`): `value` at `ts_ns` under the
     /// series name `name`.
     pub fn counter(&mut self, track: TrackId, ts_ns: u64, name: &str, value: f64) {
-        self.push(track, Phase::Counter, ts_ns, None, name, vec![("value", ArgValue::F64(value))]);
+        self.push(
+            track,
+            Phase::Counter,
+            ts_ns,
+            None,
+            name,
+            vec![("value", ArgValue::F64(value))],
+        );
     }
 
     /// Emits an instant marker (`ph: "i"`).
@@ -328,10 +335,21 @@ mod tests {
         t.counter(q, 0, "queue.bottleneck", 0.0);
         t.counter(q, 1_500, "queue.bottleneck", 12.0);
         let f = t.track(SIM_PID, "flow 0");
-        t.instant(f, 2_000, "fast-retransmit", vec![("cwnd", ArgValue::F64(21.5))]);
+        t.instant(
+            f,
+            2_000,
+            "fast-retransmit",
+            vec![("cwnd", ArgValue::F64(21.5))],
+        );
         t.begin(f, 3_000, "recovery");
         t.end(f, 9_000);
-        t.slice(f, 10_000, 4_000, "episode", vec![("drops", ArgValue::U64(3))]);
+        t.slice(
+            f,
+            10_000,
+            4_000,
+            "episode",
+            vec![("drops", ArgValue::U64(3))],
+        );
         t
     }
 
@@ -378,7 +396,10 @@ mod tests {
     fn digest_is_stable_and_sensitive() {
         assert_eq!(sample().digest(), sample().digest());
         let mut other = sample();
-        let q = TrackId { pid: SIM_PID, tid: 1 };
+        let q = TrackId {
+            pid: SIM_PID,
+            tid: 1,
+        };
         other.counter(q, 5_000, "queue.bottleneck", 13.0);
         assert_ne!(sample().digest(), other.digest());
     }

@@ -325,7 +325,10 @@ impl<E: Copy> TimerWheel<E> {
     /// Stores `p` in a node — the free list's head, else the next unused
     /// one — and returns its index, not yet linked into any slot.
     fn take_node(&mut self, p: Pending<E>) -> u32 {
-        let node = Node { entry: p, next: NIL };
+        let node = Node {
+            entry: p,
+            next: NIL,
+        };
         self.linked += 1;
         let i = self.free;
         if i != NIL {
@@ -504,8 +507,8 @@ impl<E: Copy> TimerWheel<E> {
             // the lowest non-empty higher level.
             let mut cascaded = false;
             for level in 1..LEVELS {
-                let pos = ((self.cursor >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1))
-                    as usize;
+                let pos =
+                    ((self.cursor >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
                 // The slot at `pos` itself was already cascaded (that is
                 // how the cursor got here), so strictly-later slots only.
                 if let Some(s) = self.next_occupied(level, pos + 1) {
@@ -750,9 +753,14 @@ mod tests {
         assert_eq!(out, vec![0, 1]);
         out.clear();
         let t2 = t + SimDuration::from_nanos(1);
-        assert_eq!(w.drain_next_batch(SimTime::from_secs(1), &mut out), Some(t2));
+        assert_eq!(
+            w.drain_next_batch(SimTime::from_secs(1), &mut out),
+            Some(t2)
+        );
         assert_eq!(out, vec![99]);
-        assert!(w.drain_next_batch(SimTime::from_secs(1), &mut out).is_none());
+        assert!(w
+            .drain_next_batch(SimTime::from_secs(1), &mut out)
+            .is_none());
     }
 
     /// Mid-batch schedules for the instant just served pop in a *later*

@@ -12,8 +12,7 @@ pub fn erf(x: f64) -> f64 {
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
     let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
-            * t
+        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
             + 0.254_829_592)
             * t
             * (-x * x).exp();
@@ -230,7 +229,10 @@ mod tests {
 
     #[test]
     fn pdf_cdf_degenerate_std() {
-        let g = GaussianFit { mean: 1.0, std: 0.0 };
+        let g = GaussianFit {
+            mean: 1.0,
+            std: 0.0,
+        };
         assert_eq!(g.cdf(0.9), 0.0);
         assert_eq!(g.cdf(1.1), 1.0);
         assert_eq!(g.pdf(0.9), 0.0);
@@ -294,7 +296,10 @@ mod ks_tests {
     #[test]
     fn ks_bounded() {
         let xs = pseudo_normal(100, 5.0, 2.0);
-        let fit = GaussianFit { mean: 1000.0, std: 0.1 };
+        let fit = GaussianFit {
+            mean: 1000.0,
+            std: 0.1,
+        };
         let d = ks_statistic(&xs, &fit);
         assert!((0.0..=1.0).contains(&d));
         assert!(d > 0.9, "totally wrong fit should max out: {d}");

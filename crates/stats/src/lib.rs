@@ -14,7 +14,6 @@
 //! * [`fct`] — flow-completion-time aggregation (AFCT, per-size breakdowns)
 //!   for Figures 8 and 9.
 
-
 #![warn(missing_docs)]
 pub mod fct;
 pub mod gaussian;

@@ -305,7 +305,11 @@ mod autocorrelation_tests {
         assert!((acf[0] - 1.0).abs() < 1e-12);
         // The biased estimator shrinks by (n - lag)/n, so expect ~0.9.
         assert!(acf[period] > 0.85, "acf at period = {}", acf[period]);
-        assert!(acf[period / 2] < -0.75, "acf at half period = {}", acf[period / 2]);
+        assert!(
+            acf[period / 2] < -0.75,
+            "acf at half period = {}",
+            acf[period / 2]
+        );
     }
 
     #[test]

@@ -102,9 +102,7 @@ impl Welford {
         }
         let n = (self.n + other.n) as f64;
         let delta = other.mean - self.mean;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.n as f64) * (other.n as f64) / n;
+        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64) * (other.n as f64) / n;
         self.mean += delta * other.n as f64 / n;
         self.m2 = m2;
         self.n += other.n;

@@ -28,8 +28,14 @@ fn welford_matches_naive() {
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        assert!((w.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()), "seed {seed}");
-        assert!((w.variance() - var).abs() < 1e-5 * (1.0 + var), "seed {seed}");
+        assert!(
+            (w.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()),
+            "seed {seed}"
+        );
+        assert!(
+            (w.variance() - var).abs() < 1e-5 * (1.0 + var),
+            "seed {seed}"
+        );
         assert_eq!(w.count(), xs.len() as u64, "seed {seed}");
     }
 }
@@ -70,7 +76,11 @@ fn histogram_conserves_samples() {
             h.add(x);
         }
         let inside: u64 = (0..h.nbins()).map(|i| h.bin_count(i)).sum();
-        assert_eq!(inside + h.underflow() + h.overflow(), xs.len() as u64, "seed {seed}");
+        assert_eq!(
+            inside + h.underflow() + h.overflow(),
+            xs.len() as u64,
+            "seed {seed}"
+        );
     }
 }
 

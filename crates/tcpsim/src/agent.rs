@@ -227,7 +227,10 @@ impl TcpSource {
     /// finished transfer meets the one scheduler entry it met before.
     /// Panics unless the current transfer has completed and freed its slot.
     pub fn next_transfer(&mut self, sender: TcpSender, delay: SimDuration, ctx: &mut Ctx<'_>) {
-        assert!(self.completed_at.is_some() && self.live.is_none(), "transfer in progress");
+        assert!(
+            self.completed_at.is_some() && self.live.is_none(),
+            "transfer in progress"
+        );
         self.sender = sender;
         self.start = ctx.now() + delay;
         self.started = false;
@@ -300,7 +303,12 @@ impl TcpSource {
                 ctx.set_timer(interval, TOKEN_PACE);
             }
         }
-        self.sender.table().table_mut().sources.get_mut(slot).pace_armed = head.is_some() && more;
+        self.sender
+            .table()
+            .table_mut()
+            .sources
+            .get_mut(slot)
+            .pace_armed = head.is_some() && more;
     }
 
     fn series_names(&self) -> &SeriesNames {
@@ -655,7 +663,13 @@ mod tests {
         buffer_pkts: usize,
         flow_size: Option<u64>,
     ) -> (Sim, netsim::AgentId, netsim::AgentId, netsim::Dumbbell) {
-        one_flow_cfg(TcpConfig::default(), rate_bps, delay, buffer_pkts, flow_size)
+        one_flow_cfg(
+            TcpConfig::default(),
+            rate_bps,
+            delay,
+            buffer_pkts,
+            flow_size,
+        )
     }
 
     /// [`one_flow`] with an explicit TCP configuration.
@@ -702,11 +716,19 @@ mod tests {
 
         // Ten RTOs of steady ACK flow: the live entry fires early once per
         // RTO and re-arms; nothing else of this flow is on the wheel.
-        let rto = sim.agent_as::<TcpSource>(src_id).unwrap().sender().rtt().rto();
+        let rto = sim
+            .agent_as::<TcpSource>(src_id)
+            .unwrap()
+            .sender()
+            .rtt()
+            .rto();
         sim.run_until(SimTime::from_secs(5) + rto * 10);
         let after = stats(&sim);
         assert!(after.acks > before.acks + 1000, "{after:?}");
-        assert_eq!((after.timeouts, after.retransmits), (before.timeouts, before.retransmits));
+        assert_eq!(
+            (after.timeouts, after.retransmits),
+            (before.timeouts, before.retransmits)
+        );
         let fired = timers(&sim) - timers_before;
         assert!(fired <= 11, "{fired} timer events in ten RTOs");
     }
@@ -732,8 +754,7 @@ mod tests {
     fn long_flow_saturates_bottleneck_with_bdp_buffer() {
         // The paper's rule-of-thumb check: B = 2Tp*C keeps the link busy.
         // 2Tp = 2*(10+5) ms = 30 ms; C = 10 Mb/s; BDP = 37.5 pkts -> 38.
-        let (mut sim, _src, _sink, d) =
-            one_flow(10_000_000, SimDuration::from_millis(5), 38, None);
+        let (mut sim, _src, _sink, d) = one_flow(10_000_000, SimDuration::from_millis(5), 38, None);
         sim.start();
         // Warm up past slow start, then measure.
         sim.run_until(SimTime::from_secs(10));
@@ -751,8 +772,7 @@ mod tests {
     #[test]
     fn severely_underbuffered_single_flow_loses_throughput() {
         // B = 2 packets << BDP: utilization must drop well below 100%.
-        let (mut sim, _src, _sink, d) =
-            one_flow(10_000_000, SimDuration::from_millis(5), 2, None);
+        let (mut sim, _src, _sink, d) = one_flow(10_000_000, SimDuration::from_millis(5), 2, None);
         sim.start();
         sim.run_until(SimTime::from_secs(10));
         let now = sim.now();
@@ -858,8 +878,7 @@ mod tests {
 
         let log = t.span_log().expect("enabled");
         let st = t.sender().stats();
-        let count =
-            |k: SpanKind| log.iter().filter(|r| r.kind == k).count() as u64;
+        let count = |k: SpanKind| log.iter().filter(|r| r.kind == k).count() as u64;
         // Every counted fast retransmit / timeout appears as a span, and
         // each fast retransmit halves the window.
         assert_eq!(count(SpanKind::FastRetransmit), st.fast_retransmits);
@@ -872,10 +891,7 @@ mod tests {
             assert_eq!(r.cwnd_after, r.ssthresh_after, "{r:?}");
         }
         let exits = count(SpanKind::RecoveryExit);
-        assert!(
-            exits >= st.fast_retransmits - 1,
-            "exits = {exits}, {st:?}"
-        );
+        assert!(exits >= st.fast_retransmits - 1, "exits = {exits}, {st:?}");
         // The join key works: every record carries the flow id.
         assert_eq!(log.for_flow(FlowId(0)).count(), log.len());
         assert_eq!(log.for_flow(FlowId(9)).count(), 0);

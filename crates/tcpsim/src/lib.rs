@@ -31,7 +31,6 @@
 //! never carry ECE, and every simulation artifact is byte-identical to
 //! builds that predate ECN support.
 
-
 #![warn(missing_docs)]
 // The kernel half of the determinism contract (DESIGN.md §7): no `unsafe`
 // (so no `static mut`), and no panics in library code — a panic tears down

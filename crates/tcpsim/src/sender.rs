@@ -329,7 +329,14 @@ impl TcpSender {
         ece: bool,
         out: &mut Vec<TcpAction>,
     ) {
-        self.on_ack_into(now, &AckInfo { ece, ..AckInfo::plain(ack, ts_echo) }, out)
+        self.on_ack_into(
+            now,
+            &AckInfo {
+                ece,
+                ..AckInfo::plain(ack, ts_echo)
+            },
+            out,
+        )
     }
 
     /// Convenience wrapper over [`TcpSender::on_ack_into`] returning a fresh
@@ -385,7 +392,12 @@ pub struct SackSender(TcpSender);
 impl SackSender {
     /// [`TcpSender::in_table`] with [`cc::Sack`](crate::cc::Sack).
     pub fn in_table(table: &SharedFlowTable, cfg: TcpConfig, flow_size: Option<u64>) -> Self {
-        SackSender(TcpSender::in_table(table, cfg, Box::new(crate::cc::Sack), flow_size))
+        SackSender(TcpSender::in_table(
+            table,
+            cfg,
+            Box::new(crate::cc::Sack),
+            flow_size,
+        ))
     }
 
     /// See [`TcpSender::start_into`].
@@ -1038,9 +1050,15 @@ mod tests {
         let a = s.on_rto(t(1000), gen);
         assert_eq!(s.cwnd(), 1.0);
         assert_eq!(sends(&a), vec![0]); // go-back-N restart
-        let retx = a
-            .iter()
-            .any(|x| matches!(x, TcpAction::Send { retransmit: true, .. }));
+        let retx = a.iter().any(|x| {
+            matches!(
+                x,
+                TcpAction::Send {
+                    retransmit: true,
+                    ..
+                }
+            )
+        });
         assert!(retx);
         assert_eq!(s.stats().timeouts, 1);
         assert!(s.rtt().backoff_count() > 0);
@@ -1091,15 +1109,10 @@ mod tests {
     fn single_segment_flow() {
         let mut s = sender(Some(1));
         let a = s.start(t(0));
-        assert_eq!(
-            sends(&a),
-            vec![0],
-            "window 2 but only 1 segment available"
-        );
-        assert!(a.iter().any(|x| matches!(
-            x,
-            TcpAction::Send { fin: true, .. }
-        )));
+        assert_eq!(sends(&a), vec![0], "window 2 but only 1 segment available");
+        assert!(a
+            .iter()
+            .any(|x| matches!(x, TcpAction::Send { fin: true, .. })));
         let a = s.on_ack(t(10), &AckInfo::plain(1, t(0)));
         assert!(a.contains(&TcpAction::Completed));
     }
@@ -1208,7 +1221,11 @@ mod tests {
         let cfg = TcpConfig::default();
         let mut a = TcpSender::in_table(&table, cfg, Box::new(Reno), Some(3));
         let mut b = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
-        assert_eq!((table.len(), table.slots()), (2, 0), "registered, no slot yet");
+        assert_eq!(
+            (table.len(), table.slots()),
+            (2, 0),
+            "registered, no slot yet"
+        );
 
         // A runs to completion and gives its slot back.
         a.start(t(0));
@@ -1217,16 +1234,33 @@ mod tests {
         let done = a.on_ack(t(20), &AckInfo::plain(3, t(10)));
         assert!(done.contains(&TcpAction::Completed));
         assert_eq!((table.slots(), table.table().live()), (1, 0));
-        let a_final = (a.stats(), a.snd_una(), a.next_seq(), a.ccs(), a.rtt().srtt());
+        let a_final = (
+            a.stats(),
+            a.snd_una(),
+            a.next_seq(),
+            a.ccs(),
+            a.rtt().srtt(),
+        );
         assert_eq!(a_final.1, 3);
         assert_eq!(a_final.4, Some(SimDuration::from_millis(10)));
 
         // B starts and is handed that very slot.
         b.start(t(30));
         b.on_ack(t(40), &AckInfo::plain(2, t(30)));
-        assert_eq!((table.slots(), table.table().live()), (1, 1), "B reuses A's slot");
+        assert_eq!(
+            (table.slots(), table.table().live()),
+            (1, 1),
+            "B reuses A's slot"
+        );
         let b_state = |b: &TcpSender| {
-            (b.ccs(), b.snd_una(), b.next_seq(), b.rto_gen(), b.stats(), b.rtt().srtt())
+            (
+                b.ccs(),
+                b.snd_una(),
+                b.next_seq(),
+                b.rto_gen(),
+                b.stats(),
+                b.rtt().srtt(),
+            )
         };
         let b_before = b_state(&b);
 
@@ -1243,7 +1277,13 @@ mod tests {
         assert_eq!(b_state(&b), b_before);
         assert!(a.is_completed());
         assert_eq!(
-            (a.stats(), a.snd_una(), a.next_seq(), a.ccs(), a.rtt().srtt()),
+            (
+                a.stats(),
+                a.snd_una(),
+                a.next_seq(),
+                a.ccs(),
+                a.rtt().srtt()
+            ),
             a_final
         );
         assert_eq!(a.flight(), 0);
@@ -1438,13 +1478,25 @@ mod tests {
             s.on_ack(t(20), &AckInfo::plain(4, t(10))); // cwnd 6, flight 6 (4..10)
             let cwnd0 = s.cwnd();
             // First ECE: reduce, set CWR.
-            s.on_ack(t(30), &AckInfo { ece: true, ..AckInfo::plain(5, t(20)) });
+            s.on_ack(
+                t(30),
+                &AckInfo {
+                    ece: true,
+                    ..AckInfo::plain(5, t(20))
+                },
+            );
             let cwnd1 = s.cwnd();
             assert!(cwnd1 < cwnd0, "ECE must shrink cwnd");
             assert!(s.take_cwr(), "reduction sets the CWR flag");
             assert!(!s.take_cwr(), "flag is consumed");
             // More ECE within the same window: suppressed.
-            s.on_ack(t(31), &AckInfo { ece: true, ..AckInfo::plain(6, t(20)) });
+            s.on_ack(
+                t(31),
+                &AckInfo {
+                    ece: true,
+                    ..AckInfo::plain(6, t(20))
+                },
+            );
             assert!(s.cwnd() >= cwnd1, "no second reduction inside the window");
             assert!(!s.take_cwr(), "no second reduction inside the window");
         }
@@ -1455,7 +1507,13 @@ mod tests {
             let mut plain = TcpSender::new(TcpConfig::default(), Box::new(Reno), None);
             s.start(t(0));
             plain.start(t(0));
-            s.on_ack(t(10), &AckInfo { ece: true, ..AckInfo::plain(1, t(0)) });
+            s.on_ack(
+                t(10),
+                &AckInfo {
+                    ece: true,
+                    ..AckInfo::plain(1, t(0))
+                },
+            );
             plain.on_ack(t(10), &AckInfo::plain(1, t(0)));
             assert_eq!(s.cwnd(), plain.cwnd());
             assert!(!s.take_cwr());
@@ -1472,13 +1530,25 @@ mod tests {
             let mut ack = 0;
             for i in 0..400 {
                 ack += 1;
-                s.on_ack(t(10 * (i + 1)), &AckInfo { ece: false, ..AckInfo::plain(ack, t(10 * i)) });
+                s.on_ack(
+                    t(10 * (i + 1)),
+                    &AckInfo {
+                        ece: false,
+                        ..AckInfo::plain(ack, t(10 * i))
+                    },
+                );
             }
             assert!(s.ecn_alpha() < 0.01, "α = {}", s.ecn_alpha());
             // A fully marked stretch pulls it back up.
             for i in 400..460 {
                 ack += 1;
-                s.on_ack(t(10 * (i + 1)), &AckInfo { ece: true, ..AckInfo::plain(ack, t(10 * i)) });
+                s.on_ack(
+                    t(10 * (i + 1)),
+                    &AckInfo {
+                        ece: true,
+                        ..AckInfo::plain(ack, t(10 * i))
+                    },
+                );
             }
             assert!(s.ecn_alpha() > 0.5, "α = {}", s.ecn_alpha());
             assert!(s.ecn_alpha() <= 1.0);
@@ -1491,7 +1561,13 @@ mod tests {
             s.start(t(0));
             s.on_ack(t(10), &AckInfo::plain(2, t(0)));
             s.on_ack(t(20), &AckInfo::plain(4, t(10))); // flight 6
-            s.on_ack(t(30), &AckInfo { ece: true, ..AckInfo::plain(5, t(20)) });
+            s.on_ack(
+                t(30),
+                &AckInfo {
+                    ece: true,
+                    ..AckInfo::plain(5, t(20))
+                },
+            );
             // Default on_ecn_mark = halve_on_loss(flight): flight was 6 → 3.
             assert_eq!(s.ssthresh(), 3.0);
             assert!(s.take_cwr());
@@ -1649,7 +1725,13 @@ mod tests {
                 s.start(t(0));
                 s.on_ack(t(10), &AckInfo::plain(2, t(0)));
             }
-            marked.on_ack(t(20), &AckInfo { ece: true, ..AckInfo::plain(4, t(10)) });
+            marked.on_ack(
+                t(20),
+                &AckInfo {
+                    ece: true,
+                    ..AckInfo::plain(4, t(10))
+                },
+            );
             plain.on_ack(t(20), &AckInfo::plain(4, t(10)));
             assert_eq!((marked.ccs(), marked.stats()), (plain.ccs(), plain.stats()));
             assert!(!marked.take_cwr());

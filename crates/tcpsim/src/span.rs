@@ -149,10 +149,7 @@ impl SpanLog {
     /// (stable for equal times: `self`'s records first). Used by harnesses
     /// to combine per-flow logs into one joinable timeline.
     pub fn merge_sorted(logs: &[&SpanLog], capacity: usize) -> SpanLog {
-        let mut all: Vec<SpanRecord> = logs
-            .iter()
-            .flat_map(|l| l.iter().copied())
-            .collect();
+        let mut all: Vec<SpanRecord> = logs.iter().flat_map(|l| l.iter().copied()).collect();
         all.sort_by(|a, b| {
             (a.time, a.flow.0, a.kind.code()).cmp(&(b.time, b.flow.0, b.kind.code()))
         });
@@ -361,7 +358,11 @@ mod tests {
         let kinds: Vec<SpanKind> = merged.iter().map(|r| r.kind).collect();
         assert_eq!(
             kinds,
-            vec![SpanKind::FastRetransmit, SpanKind::Rto, SpanKind::RecoveryExit]
+            vec![
+                SpanKind::FastRetransmit,
+                SpanKind::Rto,
+                SpanKind::RecoveryExit
+            ]
         );
     }
 
@@ -397,10 +398,7 @@ mod tests {
         m.on_ack(t(200), &AckInfo::plain(big_ack, t(0)));
         det.after(t(200), b, &m);
         let kinds: Vec<SpanKind> = det.log().iter().map(|r| r.kind).collect();
-        assert!(
-            kinds.contains(&SpanKind::RecoveryExit),
-            "kinds = {kinds:?}"
-        );
+        assert!(kinds.contains(&SpanKind::RecoveryExit), "kinds = {kinds:?}");
     }
 
     #[test]

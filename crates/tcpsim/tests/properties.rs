@@ -51,9 +51,16 @@ fn sender_invariants_under_adversarial_input() {
                 Input::Ack(a) => s.on_ack(now, &AckInfo::plain(a, SimTime::ZERO)),
                 Input::Rto(g) => s.on_rto(now, g),
             };
-            assert!(s.snd_una() >= last_una, "seed {seed}: snd_una went backwards");
+            assert!(
+                s.snd_una() >= last_una,
+                "seed {seed}: snd_una went backwards"
+            );
             last_una = s.snd_una();
-            assert!(s.flight() <= 32 + 1, "seed {seed}: flight {} > rwnd", s.flight());
+            assert!(
+                s.flight() <= 32 + 1,
+                "seed {seed}: flight {} > rwnd",
+                s.flight()
+            );
             assert!(s.cwnd() >= 1.0, "seed {seed}");
             all_actions.extend(actions);
         }
@@ -87,12 +94,24 @@ fn receiver_handles_any_arrival_order() {
         for &i in &order {
             t += 1;
             let seq = i as u64;
-            r.on_data(SimTime::from_millis(t), seq, seq + 1 == len, SimTime::ZERO, SimTime::ZERO);
+            r.on_data(
+                SimTime::from_millis(t),
+                seq,
+                seq + 1 == len,
+                SimTime::ZERO,
+                SimTime::ZERO,
+            );
         }
         // Deliver everything (duplicates are fine).
         for seq in 0..len {
             t += 1;
-            let res = r.on_data(SimTime::from_millis(t), seq, seq + 1 == len, SimTime::ZERO, SimTime::ZERO);
+            let res = r.on_data(
+                SimTime::from_millis(t),
+                seq,
+                seq + 1 == len,
+                SimTime::ZERO,
+                SimTime::ZERO,
+            );
             if let Some(ack) = res.ack {
                 assert!(ack.ack <= len, "seed {seed}");
             }

@@ -61,7 +61,15 @@ fn sack_sender_invariants() {
                         sack.blocks[sack.len as usize] = *b;
                         sack.len += 1;
                     }
-                    s.on_ack(now, &AckInfo { ack, ts_echo: SimTime::ZERO, sack, ece: false })
+                    s.on_ack(
+                        now,
+                        &AckInfo {
+                            ack,
+                            ts_echo: SimTime::ZERO,
+                            sack,
+                            ece: false,
+                        },
+                    )
                 }
                 Input::Rto(g) => s.on_rto(now, g),
             };

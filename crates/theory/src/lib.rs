@@ -16,7 +16,6 @@
 //! * [`queueing`] — M/M/1 and M/D/1 reference formulas (simulator
 //!   validation + the §4 smoothed-arrivals limit).
 
-
 #![deny(missing_docs)]
 pub mod loss;
 pub mod queueing;

@@ -201,7 +201,11 @@ mod tests {
         // Paper Figure 10, n = 100 rows (Model): 0.5x -> 96.9%, 1x -> 99.9%,
         // 2x -> 100%, 3x -> 100%.
         let m = GaussianWindowModel::new(1291.0, 100);
-        assert!((m.utilization(64.0) - 0.969).abs() < 0.02, "{}", m.utilization(64.0));
+        assert!(
+            (m.utilization(64.0) - 0.969).abs() < 0.02,
+            "{}",
+            m.utilization(64.0)
+        );
         assert!(m.utilization(129.0) > 0.995);
         assert!(m.utilization(258.0) > 0.9999);
         assert!(m.utilization(387.0) > 0.9999);

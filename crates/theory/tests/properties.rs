@@ -112,7 +112,13 @@ fn gaussian_model_monotonicity() {
         let m2 = GaussianWindowModel::new(bdp, n2);
         let b1 = m1.buffer_for_utilization(0.99);
         let b2 = m2.buffer_for_utilization(0.99);
-        assert!(b2 <= b1 + 1e-9, "seed {seed}: more flows must not need more buffer");
-        assert!(m1.utilization(b1 * 2.0) >= m1.utilization(b1) - 1e-12, "seed {seed}");
+        assert!(
+            b2 <= b1 + 1e-9,
+            "seed {seed}: more flows must not need more buffer"
+        );
+        assert!(
+            m1.utilization(b1 * 2.0) >= m1.utilization(b1) - 1e-12,
+            "seed {seed}"
+        );
     }
 }

@@ -109,9 +109,7 @@ impl BulkWorkload {
             let flow = FlowId(first_flow + i as u32);
             let src_node = dumbbell.sources[i];
             let sink_node = dumbbell.sinks[i];
-            let start = SimDuration::from_nanos(
-                rng.u64_below(self.start_window.as_nanos().max(1)),
-            );
+            let start = SimDuration::from_nanos(rng.u64_below(self.start_window.as_nanos().max(1)));
             let sender = TcpSender::in_table(table, self.cfg, self.cc.build(), None);
             let mut source =
                 TcpSource::with_sender(flow, sink_node, sender).with_start_delay(start);
@@ -122,7 +120,12 @@ impl BulkWorkload {
                 source = source.with_span_log(cap);
             }
             let sink = Box::new(TcpSink::in_table(table, flow, &self.cfg));
-            handles.push(install_pair(sim, flow, (src_node, Box::new(source)), (sink_node, sink)));
+            handles.push(install_pair(
+                sim,
+                flow,
+                (src_node, Box::new(source)),
+                (sink_node, sink),
+            ));
         }
         handles
     }

@@ -15,7 +15,6 @@
 //! All generators return [`FlowHandle`]s so experiment code can read flow
 //! state back (cwnd for the window-sum figures, FCT records for AFCT).
 
-
 #![warn(missing_docs)]
 // The kernel half of the determinism contract (DESIGN.md §7): no `unsafe`
 // (so no `static mut`), and no panics in library code — a panic tears down

@@ -92,8 +92,12 @@ impl Agent for SessionSource {
             self.transfers_completed += 1;
             let (delay, size) = draw(&self.think, &self.sizes, &mut self.rng);
             let finished = self.source.sender();
-            let sender =
-                TcpSender::in_table(finished.table(), *finished.cfg(), Box::new(Reno), Some(size));
+            let sender = TcpSender::in_table(
+                finished.table(),
+                *finished.cfg(),
+                Box::new(Reno),
+                Some(size),
+            );
             self.source.next_transfer(sender, delay, ctx);
         }
     }
@@ -212,7 +216,12 @@ impl SessionWorkload {
                 rng.fork(),
             );
             let sink = Box::new(SessionSink::new(&table, flow, &self.cfg));
-            handles.push(install_pair(sim, flow, (src_node, Box::new(source)), (sink_node, sink)));
+            handles.push(install_pair(
+                sim,
+                flow,
+                (src_node, Box::new(source)),
+                (sink_node, sink),
+            ));
         }
         handles
     }
@@ -250,8 +259,7 @@ mod tests {
             // Sink records should match source completions (the sink sees
             // the FIN before the source sees the last ACK, so it can be one
             // ahead momentarily).
-            let diff =
-                sink.records().len() as i64 - src.transfers_completed() as i64;
+            let diff = sink.records().len() as i64 - src.transfers_completed() as i64;
             assert!((0..=1).contains(&diff), "records vs completions: {diff}");
             // FCTs are positive and sane.
             for r in sink.records() {

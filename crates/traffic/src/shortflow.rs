@@ -165,7 +165,12 @@ impl ShortFlowWorkload {
             let source = TcpSource::with_sender(flow, sink_node, sender)
                 .with_start_delay(SimDuration::from_secs_f64(t));
             let sink = Box::new(TcpSink::in_table(table, flow, &self.cfg));
-            handles.push(install_pair(sim, flow, (src_node, Box::new(source)), (sink_node, sink)));
+            handles.push(install_pair(
+                sim,
+                flow,
+                (src_node, Box::new(source)),
+                (sink_node, sink),
+            ));
         }
         handles
     }
@@ -239,12 +244,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(10));
         let completed = handles
             .iter()
-            .filter(|h| {
-                sim.agent_as::<TcpSink>(h.sink)
-                    .unwrap()
-                    .record()
-                    .is_some()
-            })
+            .filter(|h| sim.agent_as::<TcpSink>(h.sink).unwrap().record().is_some())
             .count();
         // Light load, big buffer: everything should finish.
         assert_eq!(completed, handles.len());

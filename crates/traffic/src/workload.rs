@@ -34,7 +34,13 @@ pub(crate) fn install_pair(
     let sink = sim.add_agent(sink_node, sink);
     sim.bind_flow(flow, sink_node, sink);
     sim.bind_flow(flow, source_node, source);
-    FlowHandle { flow, source, sink, source_node, sink_node }
+    FlowHandle {
+        flow,
+        source,
+        sink,
+        source_node,
+        sink_node,
+    }
 }
 
 #[cfg(test)]

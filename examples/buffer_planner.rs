@@ -53,7 +53,11 @@ fn main() {
     println!(
         "  rule of thumb: {:.2} Gbit  -> {}",
         rot_bits / 1e9,
-        if rot_bits > 36e6 { "off-chip DRAM (slow, wide buses)" } else { "on-chip SRAM" }
+        if rot_bits > 36e6 {
+            "off-chip DRAM (slow, wide buses)"
+        } else {
+            "on-chip SRAM"
+        }
     );
     println!(
         "  sqrt(n) rule:  {:.1} Mbit  -> {}",
@@ -64,8 +68,5 @@ fn main() {
             "still needs external memory"
         }
     );
-    println!(
-        "  buffer reduction: {:.1}%",
-        SqrtNRule::savings(n) * 100.0
-    );
+    println!("  buffer reduction: {:.1}%", SqrtNRule::savings(n) * 100.0);
 }

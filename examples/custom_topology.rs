@@ -25,9 +25,8 @@ fn run(use_red: bool) {
         .flows(2, SimDuration::from_millis(20));
     if use_red {
         let mean_pkt = SimDuration::transmission(1000, rate);
-        builder = builder.bottleneck_queue(Box::new(Red::new(RedConfig::recommended(
-            buffer, mean_pkt,
-        ))));
+        builder =
+            builder.bottleneck_queue(Box::new(Red::new(RedConfig::recommended(buffer, mean_pkt))));
     }
     let d = builder.build(&mut sim);
 

@@ -13,7 +13,7 @@ use buffersizing::prelude::*;
 fn main() {
     let mut cfg = ProductionConfig::quick();
     cfg.buffers = vec![500, 85, 65, 46]; // the paper's table
-    // Enough sessions to saturate the throttled link, like the dormitory.
+                                         // Enough sessions to saturate the throttled link, like the dormitory.
     cfg.n_sessions = 120;
     cfg.n_effective = 60;
     println!(

@@ -27,7 +27,11 @@ fn main() {
     let rot = bdp.round() as usize; // rule of thumb
     let sqrt_n = (bdp / (n as f64).sqrt()).round() as usize; // the paper
 
-    println!("link: {} Mb/s, {} long-lived TCP flows", rate / 1_000_000, n);
+    println!(
+        "link: {} Mb/s, {} long-lived TCP flows",
+        rate / 1_000_000,
+        n
+    );
     println!("mean RTT: {} ms", scenario.mean_rtt().as_millis_f64());
     println!("bandwidth-delay product: {bdp:.0} packets\n");
 

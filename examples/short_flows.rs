@@ -18,9 +18,7 @@ fn main() {
     let model = BurstModel::fixed(flow_len, 2, 43);
     let model_buffer = model.min_buffer(load, 0.025);
 
-    println!(
-        "short flows: {flow_len} segments each, load {load}, slow-start bursts 2,4,8\n"
-    );
+    println!("short flows: {flow_len} segments each, load {load}, slow-start bursts 2,4,8\n");
     println!(
         "M/G/1 effective-bandwidth model: P(Q >= {model_buffer:.0} pkts) = 2.5% — \
          the same for ANY line rate\n"

@@ -80,8 +80,14 @@ fn cmd_size(args: &[String]) {
     let n = parse_flag(args, "--flows").unwrap_or(50_000.0) as usize;
     let bdp = bdp_packets(rate, rtt_ms / 1000.0, 1000);
     let model = GaussianWindowModel::new(bdp, n.max(1));
-    println!("link {:.2} Gb/s, RTT {rtt_ms} ms, {n} long-lived flows", rate / 1e9);
-    println!("  rule of thumb (RTT x C): {bdp:.0} pkts = {:.2} Gbit", bdp * 8000.0 / 1e9);
+    println!(
+        "link {:.2} Gb/s, RTT {rtt_ms} ms, {n} long-lived flows",
+        rate / 1e9
+    );
+    println!(
+        "  rule of thumb (RTT x C): {bdp:.0} pkts = {:.2} Gbit",
+        bdp * 8000.0 / 1e9
+    );
     println!(
         "  BDP/sqrt(n):             {:.0} pkts = {:.2} Mbit",
         SqrtNRule::buffer_packets(bdp, n.max(1)),
@@ -125,8 +131,8 @@ fn cmd_longflow(args: &[String]) {
         sc.seed = seed as u64;
     }
     let bdp = sc.bdp_packets();
-    let buffer = parse_flag(args, "--buffer")
-        .unwrap_or_else(|| SqrtNRule::buffer_packets(bdp, n).round());
+    let buffer =
+        parse_flag(args, "--buffer").unwrap_or_else(|| SqrtNRule::buffer_packets(bdp, n).round());
     sc.buffer_pkts = buffer as usize;
     // CE-mark instead of dropping at the given depth; DCTCP wants this
     // (RFC 8257 suggests K of roughly BDP/7) but any CCA accepts it.
@@ -215,7 +221,10 @@ fn cmd_single(args: &[String]) {
     cfg.two_way_prop = SimDuration::from_secs_f64(rtt / 1000.0);
     let model = single_flow_utilization(cfg.bdp_packets(), cfg.buffer_pkts() as f64);
     let tr = cfg.run();
-    println!("{}", tr.render(&format!("single flow, buffer = {factor} x BDP")));
+    println!(
+        "{}",
+        tr.render(&format!("single flow, buffer = {factor} x BDP"))
+    );
     println!("model utilization for this buffer: {:.2}%", model * 100.0);
     if let Some(path) = parse_str(args, "--trace") {
         write_trace(path, buffersizing::traceexport::single_flow_trace(&tr));

@@ -31,6 +31,7 @@ fn traced(cc: CcKind, ecn_marking: Option<usize>) -> TracedRun {
 /// segments sent and utilization captured before the ECN/DCTCP machinery
 /// landed. ECN is strictly opt-in, so these must never move — a change
 /// here means the drop-path behavior of an ECN-off run changed.
+#[rustfmt::skip]
 const BASELINE: &[(CcKind, u64, u64, u64, f64)] = &[
     (CcKind::Reno, 0x1e80551c2ba19839, 0xf85e5b5d87f77019, 6730, 0.770933),
     (CcKind::NewReno, 0x61eb3caf615d25db, 0x12f19b9547bd54ec, 7612, 0.770667),
@@ -46,7 +47,11 @@ fn ecn_off_runs_match_pinned_pre_ecn_digests() {
             tr.packet_digest, packet,
             "{cc:?}: packet-log digest moved — ECN-off behavior changed"
         );
-        assert_eq!(tr.ledger.digest(), forensics, "{cc:?}: forensics digest moved");
+        assert_eq!(
+            tr.ledger.digest(),
+            forensics,
+            "{cc:?}: forensics digest moved"
+        );
         assert_eq!(tr.result.segments_sent, segs, "{cc:?}");
         assert!((tr.result.utilization - util).abs() < 5e-7, "{cc:?}");
         assert_eq!(tr.result.marks, 0, "{cc:?}: ECN-off run counted marks");
@@ -94,7 +99,9 @@ fn dctcp_marks_reconcile_with_forensics_ledger() {
         .filter(|r| matches!(r.event(), PacketEvent::Marked { .. }))
         .count() as u64;
     assert_eq!(logged, tr.result.marks);
-    let by_flow: u64 = (0..4).map(|f| tr.ledger.flow_marks(netsim::FlowId(f))).sum();
+    let by_flow: u64 = (0..4)
+        .map(|f| tr.ledger.flow_marks(netsim::FlowId(f)))
+        .sum();
     assert_eq!(by_flow, tr.result.marks);
     // Marks are a congestion signal the sender obeys: with the same
     // 20-packet buffer, the marking run drops less than the Reno baseline.

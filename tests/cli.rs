@@ -9,7 +9,15 @@ fn srb() -> Command {
 #[test]
 fn size_subcommand_prints_models() {
     let out = srb()
-        .args(["size", "--rate-gbps", "10", "--rtt-ms", "250", "--flows", "50000"])
+        .args([
+            "size",
+            "--rate-gbps",
+            "10",
+            "--rtt-ms",
+            "250",
+            "--flows",
+            "50000",
+        ])
         .output()
         .expect("run srb");
     assert!(out.status.success());
@@ -29,17 +37,29 @@ fn unknown_subcommand_exits_nonzero_with_usage() {
 
 #[test]
 fn malformed_value_exits_2_with_usage() {
-    let out = srb().args(["size", "--flows", "1O0"]).output().expect("run srb");
+    let out = srb()
+        .args(["size", "--flows", "1O0"])
+        .output()
+        .expect("run srb");
     assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "no model printed for a rejected value");
+    assert!(
+        out.stdout.is_empty(),
+        "no model printed for a rejected value"
+    );
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--flows expects a number, got \"1O0\""), "{err}");
+    assert!(
+        err.contains("--flows expects a number, got \"1O0\""),
+        "{err}"
+    );
     assert!(err.contains("usage"));
 }
 
 #[test]
 fn trailing_flag_without_value_exits_2_with_usage() {
-    let out = srb().args(["longflow", "--buffer"]).output().expect("run srb");
+    let out = srb()
+        .args(["longflow", "--buffer"])
+        .output()
+        .expect("run srb");
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--buffer expects a value"), "{err}");

@@ -55,8 +55,7 @@ fn fig03_scale_event_log_digests_are_identical() {
             let src = TcpSource::new(flow, d.sinks[i as usize], cfg, Box::new(Reno), None)
                 .with_start_delay(SimDuration::from_millis(50 * u64::from(i)));
             let src_id = sim.add_agent(d.sources[i as usize], Box::new(src));
-            let sink_id =
-                sim.add_agent(d.sinks[i as usize], Box::new(TcpSink::new(flow, &cfg)));
+            let sink_id = sim.add_agent(d.sinks[i as usize], Box::new(TcpSink::new(flow, &cfg)));
             sim.bind_flow(flow, d.sinks[i as usize], sink_id);
             sim.bind_flow(flow, d.sources[i as usize], src_id);
         }
@@ -96,13 +95,7 @@ fn packet_conservation_through_the_stack() {
     let mut pairs = Vec::new();
     for i in 0..2u32 {
         let flow = FlowId(i);
-        let src = TcpSource::new(
-            flow,
-            d.sinks[i as usize],
-            cfg,
-            Box::new(Reno),
-            Some(2000),
-        );
+        let src = TcpSource::new(flow, d.sinks[i as usize], cfg, Box::new(Reno), Some(2000));
         let src_id = sim.add_agent(d.sources[i as usize], Box::new(src));
         let sink_id = sim.add_agent(d.sinks[i as usize], Box::new(TcpSink::new(flow, &cfg)));
         sim.bind_flow(flow, d.sinks[i as usize], sink_id);

@@ -6,11 +6,7 @@ use simcore::{SimDuration, SimTime};
 use tcpsim::cc::{NewReno, Reno};
 use tcpsim::{CongestionControl, TcpConfig, TcpSink, TcpSource};
 
-fn run_lossy(
-    loss: f64,
-    flow_size: u64,
-    cc: Box<dyn CongestionControl>,
-) -> (bool, u64, u64) {
+fn run_lossy(loss: f64, flow_size: u64, cc: Box<dyn CongestionControl>) -> (bool, u64, u64) {
     let mut sim = Sim::new(17);
     let d = DumbbellBuilder::new(10_000_000, SimDuration::from_millis(5))
         .buffer_packets(1_000_000) // queue never drops: only injected loss
@@ -105,7 +101,10 @@ fn throughput_degrades_gracefully_with_loss() {
         sim.bind_flow(flow, d.sources[0], src_id);
         sim.start();
         sim.run_until(SimTime::from_secs(60));
-        sim.agent_as::<TcpSink>(sink_id).unwrap().receiver().delivered()
+        sim.agent_as::<TcpSink>(sink_id)
+            .unwrap()
+            .receiver()
+            .delivered()
     };
     let t0 = tput(0.001);
     let t1 = tput(0.01);
@@ -126,7 +125,9 @@ fn pacing_smooths_bursts_and_helps_tiny_buffers() {
     sc.warmup = SimDuration::from_secs(4);
     sc.measure = SimDuration::from_secs(10);
     // A buffer far below BDP/sqrt(n).
-    sc.buffer_pkts = ((sc.bdp_packets() / (n as f64).sqrt()) * 0.25).round().max(2.0) as usize;
+    sc.buffer_pkts = ((sc.bdp_packets() / (n as f64).sqrt()) * 0.25)
+        .round()
+        .max(2.0) as usize;
     let plain = sc.run();
     sc.pacing = true;
     let paced = sc.run();

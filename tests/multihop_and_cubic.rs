@@ -70,7 +70,11 @@ fn parking_lot_tcp_through_two_bottlenecks() {
     assert_eq!(audit.dropped(), stats.drops);
     assert_eq!(audit.unroutable(), stats.unroutable);
     assert!(audit.injected() >= audit.delivered() + audit.dropped());
-    assert!(audit.checks() > 100_000, "audited {} events", audit.checks());
+    assert!(
+        audit.checks() > 100_000,
+        "audited {} events",
+        audit.checks()
+    );
 }
 
 #[test]
@@ -226,7 +230,10 @@ fn sack_full_stack_short_flow_completes_under_loss() {
     let src = sim.agent_as::<TcpSource>(src_id).unwrap();
     assert!(src.sender().is_completed(), "SACK flow stuck under 3% loss");
     assert_eq!(
-        sim.agent_as::<TcpSink>(sink_id).unwrap().receiver().delivered(),
+        sim.agent_as::<TcpSink>(sink_id)
+            .unwrap()
+            .receiver()
+            .delivered(),
         2000
     );
 }

@@ -223,10 +223,7 @@ fn drr_drop_accounting_reconciles_with_monitor_and_auditor() {
         .downcast_ref::<Drr>()
         .expect("bottleneck queue is DRR");
     assert_eq!(drr.drops, total);
-    assert_eq!(
-        ledger.link_reason(bottleneck, DropReason::DrrPolicy),
-        total
-    );
+    assert_eq!(ledger.link_reason(bottleneck, DropReason::DrrPolicy), total);
     assert_eq!(ledger.link_reason(bottleneck, DropReason::TailOverflow), 0);
 }
 
@@ -311,7 +308,10 @@ fn indexed_join_equals_quadratic_reference_on_dctcp_at_sqrt_n_buffer() {
             explain::narrative_from(&run, &slow)
         );
         assert_eq!(explain::to_jsonl(&run), explain::to_jsonl_from(&slow));
-        assert_eq!(explain::narrative(&run), explain::narrative_from(&run, &slow));
+        assert_eq!(
+            explain::narrative(&run),
+            explain::narrative_from(&run, &slow)
+        );
     }
 }
 

@@ -42,10 +42,8 @@ fn md1_sim(rho: f64, seed: u64, k: f64) -> (f64, f64) {
     sim.start();
     sim.run_until(SimTime::from_secs(400));
 
-    let series = TimeSeries::from_points(
-        sim.kernel().trace().series("queue.bottleneck").unwrap(),
-    )
-    .after(SimTime::from_secs(5));
+    let series = TimeSeries::from_points(sim.kernel().trace().series("queue.bottleneck").unwrap())
+        .after(SimTime::from_secs(5));
     let mean = series.time_weighted_mean();
     let tail = 1.0 - series.fraction_at_or_below(k - 0.5);
     (mean, tail)

@@ -19,7 +19,11 @@ fn bdp_buffer_keeps_link_busy() {
     // multi-loss event that classic Reno resolves with an RTO; steady-state
     // congestion avoidance must not.
     assert!(tr.fast_retransmits >= 1);
-    assert!(tr.timeouts <= 1, "RTO stalls in steady state: {}", tr.timeouts);
+    assert!(
+        tr.timeouts <= 1,
+        "RTO stalls in steady state: {}",
+        tr.timeouts
+    );
 }
 
 #[test]

@@ -11,9 +11,9 @@
 //! events pop in (time, schedule-seq) order — earliest first, FIFO among
 //! equal times — regardless of scheduler implementation.
 
+use simcore::SchedulerKind;
 use sizing_router_buffers::netsim::{ForensicsConfig, TelemetryConfig};
 use sizing_router_buffers::prelude::*;
-use simcore::SchedulerKind;
 
 /// A figure-03-scale long-flow cell (8 flows, seconds of sim time) with
 /// every observability digest enabled.

@@ -133,7 +133,10 @@ fn run(kind: CcKind, ecn: bool) -> (Pin, u64) {
 
     let src = sim.agent_as::<TcpSource>(src_id).unwrap();
     let s = src.sender();
-    assert!(s.is_completed(), "{kind:?} ecn={ecn}: flow did not complete");
+    assert!(
+        s.is_completed(),
+        "{kind:?} ecn={ecn}: flow did not complete"
+    );
     let pin = Pin {
         packet_digest: sim.kernel().packet_log().unwrap().digest(),
         span_digest: src.span_log().unwrap().digest(),
@@ -148,6 +151,7 @@ fn run(kind: CcKind, ecn: bool) -> (Pin, u64) {
 /// fast_retransmits, timeouts, acks, dupacks], cwnd bits, ssthresh bits)`.
 type Cell = (CcKind, bool, u64, u64, [u64; 6], u64, u64);
 
+#[rustfmt::skip]
 const PINS: &[Cell] = &[
     (CcKind::Reno, false, 0xcef50682e5ddd862, 0x98fed9ee9c481a10, [445, 45, 2, 23, 403, 47], 0x4032568bbde83556, 0x4000000000000000),
     (CcKind::Reno, true, 0xbef2c523e6d49d71, 0x641c66e2c6f34cd2, [444, 44, 3, 29, 402, 48], 0x4010618a6e296038, 0x4004000000000000),

@@ -62,7 +62,11 @@ fn run(jitter: Option<SimDuration>) -> Pin {
     let mut records = Fnv1a::new();
     let mut transfers = Vec::new();
     for h in &handles {
-        transfers.push(sim.agent_as::<SessionSource>(h.source).unwrap().transfers_completed());
+        transfers.push(
+            sim.agent_as::<SessionSource>(h.source)
+                .unwrap()
+                .transfers_completed(),
+        );
         for r in sim.agent_as::<SessionSink>(h.sink).unwrap().records() {
             records.u64(u64::from(r.flow.0));
             records.u64(r.segments);

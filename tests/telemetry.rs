@@ -46,7 +46,10 @@ fn telemetry_digests_are_jobs_invariant() {
         "--jobs 4 telemetry digests diverged from --jobs 1"
     );
     assert_eq!(digests(&parallel_a), digests(&parallel_b));
-    assert_eq!(sequential, parallel_a, "full results diverged across jobs levels");
+    assert_eq!(
+        sequential, parallel_a,
+        "full results diverged across jobs levels"
+    );
     // Every cell collected telemetry, and different cells are genuinely
     // different experiments with different digests.
     assert!(sequential.iter().all(|r| r.telemetry_digest.is_some()));
@@ -88,7 +91,10 @@ fn flow_without_rtt_sample_contributes_no_rtt_series() {
     {
         let early = sim.telemetry().expect("enabled").names();
         for flow in 0..n {
-            assert!(early.contains(&format!("cwnd.{flow}").as_str()), "{early:?}");
+            assert!(
+                early.contains(&format!("cwnd.{flow}").as_str()),
+                "{early:?}"
+            );
         }
         assert!(!early.iter().any(|s| s.starts_with("rtt.")), "{early:?}");
     }
@@ -97,7 +103,9 @@ fn flow_without_rtt_sample_contributes_no_rtt_series() {
     let tel = sim.telemetry().expect("enabled");
     for flow in 0..n {
         let cwnd = tel.series(&format!("cwnd.{flow}")).expect("cwnd series");
-        let rtt = tel.series(&format!("rtt.{flow}")).expect("rtt series by now");
+        let rtt = tel
+            .series(&format!("rtt.{flow}"))
+            .expect("rtt series by now");
         assert!(rtt.total_pushed() > 0);
         assert!(rtt.total_pushed() < cwnd.total_pushed());
     }

@@ -73,7 +73,10 @@ fn trace_export_is_jobs_invariant_and_repeatable() {
     };
     let sequential = render(1);
     let parallel = render(4);
-    assert_eq!(sequential, parallel, "--jobs 4 traces diverged from --jobs 1");
+    assert_eq!(
+        sequential, parallel,
+        "--jobs 4 traces diverged from --jobs 1"
+    );
     assert_eq!(parallel, render(4), "repeated --jobs 4 traces diverged");
     for r in &sequential {
         check_trace(r).expect("every exported trace satisfies the schema checker");
