@@ -119,7 +119,9 @@ impl Executor {
     /// slot the sequential run would have filled. `f` must be a pure
     /// function of its index (every sweep cell here builds its own `Sim`
     /// from scenario parameters + seed), which is what makes parallel
-    /// output byte-identical to sequential.
+    /// output byte-identical to sequential. This is
+    /// [`Executor::run_cells_observed`] without the report: cells are whole
+    /// simulations, so its two clock reads per cell cost nothing.
     ///
     /// Panics if a worker panics, with the worker's panic message.
     pub fn run_cells<R, F>(&self, n: usize, f: F) -> Vec<R>
@@ -127,44 +129,7 @@ impl Executor {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if self.jobs == 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(n);
-        let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((i, f(i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| worker_panicked(&*e)))
-                .collect()
-        });
-        // Reassemble in input order: slot i gets cell i's result.
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for part in parts {
-            for (i, r) in part {
-                debug_assert!(slots[i].is_none(), "cell {i} computed twice");
-                slots[i] = Some(r);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cell claimed exactly once"))
-            .collect()
+        self.run_cells_observed(n, f).0
     }
 
     /// Maps `f` over `items`, preserving input order. See
@@ -184,9 +149,9 @@ impl Executor {
     ///
     /// Observability here is *wall-clock by definition* — that is the point
     /// of the report — so it lives behind this file's sanctioned waiver and
-    /// must never leak into results: the returned `Vec<R>` is computed by
-    /// exactly the same claim-and-reassemble scheme as `run_cells`, and
-    /// nothing from the report feeds back into any cell. The report goes to
+    /// must never leak into results: `run_cells` returns this function's
+    /// `Vec<R>` and drops the report, and nothing from the report feeds
+    /// back into any cell. The report goes to
     /// the repo benchmark (`benchmark/`: `core.exec.*` metrics and the
     /// `minbuf_sweep` wall-time trace tracks), which is machine-dependent
     /// and never committed.

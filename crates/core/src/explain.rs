@@ -18,6 +18,7 @@
 
 use crate::runner::TracedRun;
 use netsim::{DropReason, PacketBlock, PacketEvent, PacketRecord};
+use simcore::json::{JsonWriter, Layout};
 use simcore::SimTime;
 use std::collections::BTreeMap;
 use tcpsim::{SpanKind, SpanLog, SpanRecord};
@@ -186,33 +187,21 @@ pub fn to_jsonl(run: &TracedRun) -> String {
 
 /// [`to_jsonl`] over an already computed [`join`].
 pub fn to_jsonl_from(events: &[CausalEvent]) -> String {
-    let mut out = String::new();
+    let mut w = JsonWriter::new(Layout::Dense);
     for ev in events {
-        let s = &ev.span;
-        out.push_str(&format!(
-            "{{\"t\":{:.9},\"flow\":{},\"kind\":\"{}\",\"cwnd_before\":{:.3},\
-             \"cwnd_after\":{:.3},\"ssthresh\":{:.3},\"drops\":{}",
-            s.time.as_secs_f64(),
-            s.flow.0,
-            s.kind.name(),
-            s.cwnd_before,
-            s.cwnd_after,
-            s.ssthresh_after,
-            ev.drops.len()
-        ));
+        w.obj();
+        ev.span.write_json_fields(&mut w);
+        w.key("drops").u64(ev.drops.len() as u64);
         if let Some(first) = ev.first_drop() {
             if let PacketEvent::Dropped { reason, depth } = first.event() {
-                out.push_str(&format!(
-                    ",\"first_drop_t\":{:.9},\"reason\":\"{}\",\"depth\":{}",
-                    first.time().as_secs_f64(),
-                    reason.name(),
-                    depth
-                ));
+                w.key("first_drop_t").fixed(first.time().as_secs_f64(), 9);
+                w.key("reason").str(reason.name());
+                w.key("depth").u64(u64::from(depth));
             }
         }
-        out.push_str("}\n");
+        w.end().newline();
     }
-    out
+    w.finish()
 }
 
 /// Renders the self-profiler snapshot as a "cost of simulation" section:

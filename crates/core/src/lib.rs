@@ -34,7 +34,6 @@
 pub mod exec;
 pub mod explain;
 pub mod figures;
-pub mod json;
 pub mod manifest;
 pub mod probe_cache;
 pub mod report;
@@ -44,13 +43,13 @@ pub mod sync;
 pub mod traceexport;
 
 pub use exec::Executor;
-pub use json::Json;
 pub use manifest::RunManifest;
 pub use runner::{
     LongFlowResult, LongFlowScenario, MixScenario, Run, ShortFlowResult, ShortFlowScenario,
     TracedRun,
 };
 pub use search::{min_buffer_for, min_buffer_for_par, SearchResult};
+pub use simcore::json::Json;
 pub use sync::{pairwise_correlation, SyncReport};
 
 /// Convenience re-exports for examples and downstream users.

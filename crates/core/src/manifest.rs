@@ -28,7 +28,7 @@
 //! artifacts are byte-identical. Digests are hex strings, not JSON numbers:
 //! a `u64` does not survive a round-trip through a double past 2^53.
 
-use crate::json::Json;
+use crate::Json;
 
 /// Provenance record for one artifact file.
 #[derive(Clone, Debug, PartialEq)]
@@ -245,7 +245,7 @@ mod tests {
         let back = RunManifest::from_json(&j).unwrap();
         assert_eq!(m, back);
         // Through text, too.
-        let reparsed = crate::json::Json::parse(&j.render()).unwrap();
+        let reparsed = Json::parse(&j.render()).unwrap();
         assert_eq!(RunManifest::from_json(&reparsed).unwrap(), m);
     }
 

@@ -20,8 +20,8 @@
 //! (`benchmark/`) from [`crate::exec::ExecReport`], never from here.
 
 use crate::figures::single_flow::SingleFlowTrace;
-use crate::json::Json;
 use crate::runner::TracedRun;
+use crate::Json;
 use netsim::forensics::DropLedger;
 use simcore::traceviz::{ArgValue, TraceBuilder, SIM_PID};
 use simcore::{Profile, TracePoint};

@@ -18,6 +18,7 @@
 
 use crate::packet::FlowId;
 use crate::sim::LinkId;
+use simcore::json::{JsonWriter, Layout};
 use simcore::{Fnv1a, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -148,20 +149,6 @@ impl ForensicsConfig {
             sync_window,
             sync_k: 2,
         }
-    }
-
-    /// Sets the per-interval bucket width.
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "interval must be positive");
-        self.interval = interval;
-        self
-    }
-
-    /// Sets the distinct-flow threshold for episode detection.
-    pub fn with_sync_k(mut self, k: usize) -> Self {
-        assert!(k >= 2, "an episode needs at least two flows");
-        self.sync_k = k;
-        self
     }
 }
 
@@ -433,57 +420,46 @@ impl DropLedger {
     ///
     /// All maps iterate in key order, so the export is byte-stable.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut w = JsonWriter::new(Layout::Dense);
         for ((link, reason), n) in &self.by_link_reason {
-            out.push_str(&format!(
-                "{{\"kind\":\"reason\",\"link\":{},\"reason\":\"{}\",\"drops\":{}}}\n",
-                link,
-                reason.name(),
-                n
-            ));
+            w.obj().key("kind").str("reason");
+            w.key("link").u64(u64::from(*link));
+            w.key("reason").str(reason.name());
+            w.key("drops").u64(*n).end().newline();
         }
         for ((flow, reason), n) in &self.by_flow_reason {
-            out.push_str(&format!(
-                "{{\"kind\":\"flow\",\"flow\":{},\"reason\":\"{}\",\"drops\":{}}}\n",
-                flow,
-                reason.name(),
-                n
-            ));
+            w.obj().key("kind").str("flow");
+            w.key("flow").u64(u64::from(*flow));
+            w.key("reason").str(reason.name());
+            w.key("drops").u64(*n).end().newline();
         }
         for (t, n) in self.intervals() {
-            out.push_str(&format!(
-                "{{\"kind\":\"interval\",\"t_ns\":{},\"drops\":{}}}\n",
-                t.as_nanos(),
-                n
-            ));
+            w.obj().key("kind").str("interval");
+            w.key("t_ns").u64(t.as_nanos());
+            w.key("drops").u64(n).end().newline();
         }
         for ep in &self.episodes {
-            out.push_str(&format!(
-                "{{\"kind\":\"episode\",\"link\":{},\"start_ns\":{},\"end_ns\":{},\"flows\":{},\"drops\":{}}}\n",
-                ep.link.0,
-                ep.start.as_nanos(),
-                ep.end.as_nanos(),
-                ep.flows,
-                ep.drops
-            ));
+            w.obj().key("kind").str("episode");
+            w.key("link").u64(u64::from(ep.link.0));
+            w.key("start_ns").u64(ep.start.as_nanos());
+            w.key("end_ns").u64(ep.end.as_nanos());
+            w.key("flows").u64(ep.flows as u64);
+            w.key("drops").u64(ep.drops).end().newline();
         }
         // Mark lines only appear when marking happened, keeping ECN-off
         // exports byte-identical to pre-ECN output.
         for ((link, reason), n) in &self.marks_by_link_reason {
-            out.push_str(&format!(
-                "{{\"kind\":\"mark\",\"link\":{},\"reason\":\"{}\",\"marks\":{}}}\n",
-                link,
-                reason.name(),
-                n
-            ));
+            w.obj().key("kind").str("mark");
+            w.key("link").u64(u64::from(*link));
+            w.key("reason").str(reason.name());
+            w.key("marks").u64(*n).end().newline();
         }
         for (flow, n) in &self.marks_by_flow {
-            out.push_str(&format!(
-                "{{\"kind\":\"mark-flow\",\"flow\":{},\"marks\":{}}}\n",
-                flow, n
-            ));
+            w.obj().key("kind").str("mark-flow");
+            w.key("flow").u64(u64::from(*flow));
+            w.key("marks").u64(*n).end().newline();
         }
-        out
+        w.finish()
     }
 }
 

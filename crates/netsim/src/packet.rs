@@ -80,16 +80,6 @@ impl SackBlocks {
         len: 0,
     };
 
-    /// Builds from a slice of `[start, end)` pairs (at most 3 used).
-    pub fn from_slice(blocks: &[(u32, u32)]) -> Self {
-        let mut out = SackBlocks::EMPTY;
-        for (i, &b) in blocks.iter().take(3).enumerate() {
-            out.blocks[i] = b;
-            out.len += 1;
-        }
-        out
-    }
-
     /// The valid blocks.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.blocks[..self.len as usize].iter().copied()

@@ -305,19 +305,9 @@ impl Kernel {
         self.now
     }
 
-    /// Kernel RNG (the master stream; fork it for per-component streams).
-    pub fn rng_mut(&mut self) -> &mut Rng {
-        &mut self.rng
-    }
-
     /// The trace sink.
     pub fn trace(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// The trace sink, mutably.
-    pub fn trace_mut(&mut self) -> &mut TraceSink {
-        &mut self.trace
     }
 
     /// Immutable access to a link.
@@ -862,11 +852,6 @@ impl Sim {
         }
     }
 
-    /// Which event scheduler this simulation runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.kernel.events.kind()
-    }
-
     /// Reserves event-queue capacity for at least `additional` more
     /// pending events beyond the default.
     ///
@@ -1295,11 +1280,6 @@ impl Sim {
     pub fn agent_as<T: 'static>(&self, id: AgentId) -> Option<&T> {
         self.agents[id.idx()].agent.as_any().downcast_ref::<T>()
     }
-
-    /// Downcasts an agent to a concrete type, mutably.
-    pub fn agent_as_mut<T: 'static>(&mut self, id: AgentId) -> Option<&mut T> {
-        self.agents[id.idx()].agent.as_any_mut().downcast_mut::<T>()
-    }
 }
 
 #[cfg(test)]
@@ -1615,6 +1595,37 @@ mod tests {
         let util = tel.series("util.l01").unwrap();
         assert!(util.iter().any(|p| p.value > 0.99));
         assert!(util.iter().all(|p| p.value <= 1.0));
+    }
+
+    #[test]
+    fn telemetry_jsonl_escapes_link_names() {
+        use crate::telemetry::TelemetryConfig;
+        use simcore::json::Json;
+        let (mut sim, h0, h1, lid) = two_host_sim(100);
+        let link = sim.kernel_mut().link_mut(lid);
+        link.sample_queue = true;
+        link.name = "a\"b".to_string();
+        sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_millis(10)));
+        let src = UdpSource {
+            flow: FlowId(0),
+            dst: h1,
+            count: 10,
+            size: 1000,
+            gap: SimDuration::ZERO,
+            sent: 0,
+        };
+        sim.add_agent(h0, Box::new(src));
+        let sink_id = sim.add_agent(h1, Box::new(UdpSink::default()));
+        sim.bind_flow(FlowId(0), h1, sink_id);
+        sim.start();
+        sim.run_until(SimTime::from_millis(50));
+        let jsonl = sim.telemetry().expect("enabled").to_jsonl();
+        let names: Vec<String> = jsonl
+            .lines()
+            .map(|l| Json::parse(l).unwrap().str("series").unwrap().to_string())
+            .collect();
+        assert_eq!(names.len(), 15);
+        assert!(names.iter().any(|n| n == "queue.a\"b"));
     }
 
     #[test]

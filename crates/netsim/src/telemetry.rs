@@ -42,6 +42,7 @@
 //! does not perturb the simulation outcome.
 
 use crate::link::Link;
+use simcore::json::{JsonWriter, Layout};
 use simcore::trace::{Ring, TracePoint};
 use simcore::{Fnv1a, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -397,28 +398,15 @@ impl Telemetry {
     /// round-trip float formatting, so the export is byte-stable for a
     /// fixed seed.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut w = JsonWriter::new(Layout::Dense);
         for (name, series) in self.iter() {
             for p in series.iter() {
-                out.push_str(&format!(
-                    "{{\"series\":\"{}\",\"t_ns\":{},\"v\":{}}}\n",
-                    name,
-                    p.time.as_nanos(),
-                    fmt_f64(p.value)
-                ));
+                w.obj().key("series").str(name);
+                w.key("t_ns").u64(p.time.as_nanos()).key("v").f64(p.value);
+                w.end().newline();
             }
         }
-        out
-    }
-}
-
-/// Formats an f64 as a JSON number: shortest round-trip representation,
-/// with non-finite values mapped to `null`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        w.finish()
     }
 }
 
@@ -535,8 +523,15 @@ mod tests {
 
     #[test]
     fn non_finite_values_export_as_null() {
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
-        assert_eq!(fmt_f64(0.25), "0.25");
+        let mut t = Telemetry::new(cfg());
+        tick(
+            &mut t,
+            SimTime::from_millis(5),
+            &[("a", f64::NAN), ("b", f64::INFINITY), ("c", 0.25)],
+        );
+        let j = t.to_jsonl();
+        assert!(j.contains("{\"series\":\"a\",\"t_ns\":5000000,\"v\":null}\n"));
+        assert!(j.contains("{\"series\":\"b\",\"t_ns\":5000000,\"v\":null}\n"));
+        assert!(j.contains("{\"series\":\"c\",\"t_ns\":5000000,\"v\":0.25}\n"));
     }
 }

@@ -37,6 +37,7 @@
 pub mod digest;
 pub mod dist;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod prof;
 pub mod rng;

@@ -21,7 +21,8 @@
 //! converts telemetry rings, span logs, drop episodes and profiler data
 //! into tracks; the executor converts worker timings.
 //!
-//! Rendering is deterministic hand-rolled JSON (no serde, no map
+//! Rendering goes through the workspace's one JSON writer
+//! ([`crate::json::JsonWriter`], [`Layout::Spaced`]; no serde, no map
 //! iteration): events appear in insertion order after the metadata
 //! prologue, timestamps are integer nanoseconds rendered as fractional
 //! microseconds (`ts` is in µs by the format's definition), and float
@@ -30,6 +31,7 @@
 //! sane viewers) require per-track monotone `ts`.
 
 use crate::digest::Fnv1a;
+use crate::json::{JsonWriter, Layout};
 
 /// Process id of the deterministic sim-time timeline family.
 pub const SIM_PID: u64 = 1;
@@ -207,72 +209,48 @@ impl TraceBuilder {
     /// event in insertion order. Byte-deterministic for identical builder
     /// contents.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n\"traceEvents\": [\n");
-        let mut first = true;
-        let mut line = |out: &mut String, s: String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&s);
-        };
+        let mut w = JsonWriter::new(Layout::Spaced);
+        w.obj_lines().key("traceEvents").arr_lines();
         for (pid, name) in &self.processes {
-            line(
-                &mut out,
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"process_name\", \"args\": {{\"name\": {}}}}}",
-                    json_str(name)
-                ),
-            );
+            metadata(&mut w, *pid, 0, "process_name");
+            w.key("name").str(name).end().end();
             // Keep the deterministic family above the wall-time family in
             // the viewer regardless of event order.
-            line(
-                &mut out,
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"process_sort_index\", \"args\": {{\"sort_index\": {pid}}}}}"
-                ),
-            );
+            metadata(&mut w, *pid, 0, "process_sort_index");
+            w.key("sort_index").u64(*pid).end().end();
         }
         for (pid, tid, name) in &self.tracks {
-            line(
-                &mut out,
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \"args\": {{\"name\": {}}}}}",
-                    json_str(name)
-                ),
-            );
+            metadata(&mut w, *pid, *tid, "thread_name");
+            w.key("name").str(name).end().end();
         }
         for ev in &self.events {
-            let mut e = format!(
-                "{{\"ph\": \"{}\", \"pid\": {}, \"tid\": {}, \"ts\": {}",
-                ev.phase.code(),
-                ev.pid,
-                ev.tid,
-                ts_us(ev.ts_ns)
-            );
+            w.obj().key("ph").str(ev.phase.code());
+            w.key("pid").u64(ev.pid).key("tid").u64(ev.tid);
+            w.key("ts").fixed(micros(ev.ts_ns), 3);
             if let Some(d) = ev.dur_ns {
-                e.push_str(&format!(", \"dur\": {}", ts_us(d)));
+                w.key("dur").fixed(micros(d), 3);
             }
             if ev.phase == Phase::Instant {
                 // Instants need a scope; thread scope keeps them on-track.
-                e.push_str(", \"s\": \"t\"");
+                w.key("s").str("t");
             }
-            e.push_str(&format!(", \"name\": {}", json_str(&ev.name)));
+            w.key("name").str(&ev.name);
             if !ev.args.is_empty() {
-                e.push_str(", \"args\": {");
-                for (i, (k, v)) in ev.args.iter().enumerate() {
-                    if i > 0 {
-                        e.push_str(", ");
-                    }
-                    e.push_str(&format!("{}: {}", json_str(k), render_arg(v)));
+                w.key("args").obj();
+                for (k, v) in &ev.args {
+                    w.key(k);
+                    match v {
+                        ArgValue::U64(n) => w.u64(*n),
+                        ArgValue::F64(x) => w.f64(*x),
+                        ArgValue::Str(s) => w.str(s),
+                    };
                 }
-                e.push('}');
+                w.end();
             }
-            e.push('}');
-            line(&mut out, e);
+            w.end();
         }
-        out.push_str("\n]\n}\n");
-        out
+        w.end().end().newline();
+        w.finish()
     }
 
     /// FNV-1a digest of the rendered JSON. For a sim-time-only trace this
@@ -286,42 +264,20 @@ impl TraceBuilder {
     }
 }
 
-/// Renders nanoseconds as the format's microsecond `ts`/`dur` value,
-/// keeping full nanosecond precision as a fixed three-digit fraction
-/// (`1234567 ns` → `"1234.567"`). Fixed-width fractions avoid any float
-/// formatting in the timestamp path.
-fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Opens a metadata event (`ph: "M"`) and its `args` object; the caller
+/// writes the one argument and closes both.
+fn metadata(w: &mut JsonWriter, pid: u64, tid: u64, name: &str) {
+    w.obj().key("ph").str("M");
+    w.key("pid").u64(pid).key("tid").u64(tid);
+    w.key("name").str(name).key("args").obj();
 }
 
-/// Renders one argument value; floats use shortest-round-trip formatting
-/// and non-finite values become `null` (JSON has no NaN).
-fn render_arg(v: &ArgValue) -> String {
-    match v {
-        ArgValue::U64(n) => format!("{n}"),
-        ArgValue::F64(x) if x.is_finite() => format!("{x}"),
-        ArgValue::F64(_) => "null".to_string(),
-        ArgValue::Str(s) => json_str(s),
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// Nanoseconds as the format's microsecond `ts` / `dur`, written with a
+/// fixed three-digit fraction (`1234567 ns` → `1234.567`): full nanosecond
+/// precision below 1000 · 2^43 ns (102 days), past which the quotient's
+/// `f64` can no longer tell neighbouring nanoseconds apart.
+fn micros(ns: u64) -> f64 {
+    ns as f64 / 1e3
 }
 
 #[cfg(test)]
@@ -406,20 +362,35 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         let mut t = TraceBuilder::new();
         let tr = t.track(SIM_PID, "weird \"name\"");
-        t.instant(tr, 0, "x", vec![("s", ArgValue::Str("a\tb".into()))]);
+        t.instant(tr, 0, "x\\y", vec![("s", ArgValue::Str("a\tb".into()))]);
         let r = t.render();
         assert!(r.contains("\"weird \\\"name\\\"\""));
+        assert!(r.contains("\"x\\\\y\""));
         assert!(r.contains("\"a\\tb\""));
     }
 
     #[test]
     fn non_finite_args_become_null() {
-        assert_eq!(render_arg(&ArgValue::F64(f64::NAN)), "null");
-        assert_eq!(render_arg(&ArgValue::F64(1.5)), "1.5");
-        assert_eq!(render_arg(&ArgValue::U64(7)), "7");
+        let mut t = TraceBuilder::new();
+        let tr = t.track(SIM_PID, "a");
+        let args = vec![
+            ("nan", ArgValue::F64(f64::NAN)),
+            ("x", ArgValue::F64(1.5)),
+            ("n", ArgValue::U64(7)),
+        ];
+        t.instant(tr, 1_234_567, "i", args);
+        let r = t.render();
+        assert!(r.contains(
+            "{\"ph\": \"i\", \"pid\": 1, \"tid\": 1, \"ts\": 1234.567, \"s\": \"t\", \
+             \"name\": \"i\", \"args\": {\"nan\": null, \"x\": 1.5, \"n\": 7}}\n]\n}\n"
+        ));
+    }
+
+    #[test]
+    fn empty_trace_is_an_empty_event_list() {
+        assert_eq!(TraceBuilder::new().render(), "{\n\"traceEvents\": []\n}\n");
     }
 
     #[test]

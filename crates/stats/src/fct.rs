@@ -62,11 +62,6 @@ impl FctCollector {
         }
     }
 
-    /// All raw FCTs in seconds.
-    pub fn fcts(&self) -> Vec<f64> {
-        self.obs.iter().map(|o| o.fct.as_secs_f64()).collect()
-    }
-
     /// `(flow length in segments, AFCT seconds, count)` per distinct length,
     /// sorted by length — the x/y series of Figure 9.
     pub fn afct_by_length(&self) -> Vec<(u64, f64, usize)> {

@@ -19,6 +19,7 @@
 
 use crate::sender::{SenderState, TcpSender};
 use netsim::FlowId;
+use simcore::json::{JsonWriter, Layout};
 use simcore::trace::Ring;
 use simcore::{Fnv1a, SimTime};
 
@@ -99,6 +100,20 @@ impl SpanRecord {
             ("snd_una", ArgValue::U64(self.snd_una)),
         ]
     }
+
+    /// Writes the members every span line of the JSON Lines exports starts
+    /// with — `t` (seconds, 9 decimals), `flow`, `kind`, `cwnd_before`,
+    /// `cwnd_after`, `ssthresh` (segments, 3 decimals) — into the open
+    /// object. Shared by [`SpanLog::to_jsonl`] and the causal join's export
+    /// (`buffersizing::explain`), so both files spell a span the same way.
+    pub fn write_json_fields(&self, w: &mut JsonWriter) {
+        w.key("t").fixed(self.time.as_secs_f64(), 9);
+        w.key("flow").u64(u64::from(self.flow.0));
+        w.key("kind").str(self.kind.name());
+        w.key("cwnd_before").fixed(self.cwnd_before, 3);
+        w.key("cwnd_after").fixed(self.cwnd_after, 3);
+        w.key("ssthresh").fixed(self.ssthresh_after, 3);
+    }
 }
 
 /// A bounded, ring-buffered log of [`SpanRecord`]s.
@@ -178,23 +193,16 @@ impl SpanLog {
     }
 
     /// Renders the retained records as JSON Lines, one span per line, in
-    /// log order. Floats use `{:.3}` so the output is byte-stable.
+    /// log order: [`SpanRecord::write_json_fields`] plus `snd_una`. Floats
+    /// use fixed decimals, so the output is byte-stable.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut w = JsonWriter::new(Layout::Dense);
         for r in self.iter() {
-            out.push_str(&format!(
-                "{{\"t\":{:.9},\"flow\":{},\"kind\":\"{}\",\"cwnd_before\":{:.3},\
-                 \"cwnd_after\":{:.3},\"ssthresh\":{:.3},\"snd_una\":{}}}\n",
-                r.time.as_secs_f64(),
-                r.flow.0,
-                r.kind.name(),
-                r.cwnd_before,
-                r.cwnd_after,
-                r.ssthresh_after,
-                r.snd_una,
-            ));
+            w.obj();
+            r.write_json_fields(&mut w);
+            w.key("snd_una").u64(r.snd_una).end().newline();
         }
-        out
+        w.finish()
     }
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate: release build, every test, and the determinism
+# The full local gate: release build, every test, rustfmt and the determinism
 # contract's lints. Run from anywhere inside the repo; fully offline, and
 # bash + cargo + git only (plus grep / sed for the text gates; no python3).
 set -euo pipefail
@@ -30,6 +30,10 @@ echo "==> timer population on the optimized build (queue depth and timer events 
 # The 3H run is the one that catches a timer leak that only shows with
 # simulated time.
 cargo test -q --release --test timer_population
+
+echo "==> cargo fmt --check (the root workspace is rustfmt-clean)"
+# An aligned table whose layout carries meaning takes #[rustfmt::skip].
+cargo fmt --all --check
 
 echo "==> cargo clippy (determinism contract: zero findings, warnings denied)"
 # The determinism contract (DESIGN.md §7) is the workspace lint table in
@@ -88,6 +92,23 @@ done | grep -cE 'TcpHeader|TcpFlags|SeqUnwrapper|TcpReceiver::new\(|TcpSender::n
     exit 1
 }
 echo "one TCP agent pair: $tcp_glue lines of TCP glue outside crates/tcpsim and crates/netsim"
+
+echo "==> one-JSON-writer gate (no hand-written JSON outside crates/simcore/src/json.rs)"
+# Every JSON byte — the artifacts, the JSON Lines sidecars and the Chrome
+# trace — goes through simcore::json::JsonWriter, which owns escaping,
+# number forms and punctuation. A second emitter needs its own quoted keys
+# in a format string ("{\"t_ns\":{}"): count those lines in crates/*/src
+# and src/ outside the json module, comments and each file's trailing
+# #[cfg(test)] module (21 before the emitters wrote through the writer).
+hand_json=$(for f in $(git ls-files 'crates/*/src/*.rs' 'src/*.rs' \
+        | grep -v '^crates/simcore/src/json\.rs$'); do
+    sed -e '/^#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f"
+done | grep -cE '\\"[A-Za-z_]+\\": ?' || true)
+[ "$hand_json" = "0" ] || {
+    echo "a second JSON writer: $hand_json lines of hand-written JSON keys outside crates/simcore/src/json.rs, want 0" >&2
+    exit 1
+}
+echo "one JSON writer: $hand_json lines of hand-written JSON outside crates/simcore/src/json.rs"
 
 echo "==> doc drift gate (DESIGN.md sections referenced from other docs exist)"
 # README/EXPERIMENTS/RESULTS point readers at DESIGN.md sections by number
