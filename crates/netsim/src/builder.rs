@@ -329,9 +329,6 @@ mod tests {
         fn as_any(&self) -> &dyn Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[derive(Default)]
@@ -343,9 +340,6 @@ mod tests {
             self.got.push((p.uid, c.now()));
         }
         fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
     }

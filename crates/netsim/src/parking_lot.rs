@@ -255,9 +255,6 @@ mod tests {
         fn as_any(&self) -> &dyn Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[derive(Default)]
@@ -269,9 +266,6 @@ mod tests {
             self.got += 1;
         }
         fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
     }

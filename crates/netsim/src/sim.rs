@@ -63,8 +63,8 @@ impl AgentId {
 
 /// A protocol endpoint living on a host node.
 ///
-/// Implementations must provide `as_any`/`as_any_mut` so experiment code can
-/// downcast (e.g. to read a TCP agent's congestion window when sampling the
+/// Implementations must provide `as_any` so experiment code can downcast
+/// (e.g. to read a TCP agent's congestion window when sampling the
 /// aggregate window process of Figure 6).
 pub trait Agent {
     /// Called once when the simulation starts.
@@ -82,8 +82,6 @@ pub trait Agent {
     fn on_telemetry(&self, _emit: &mut dyn FnMut(&str, f64)) {}
     /// Upcast for downcasting.
     fn as_any(&self) -> &dyn Any;
-    /// Upcast for downcasting (mutable).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A kernel event. Packet-carrying variants hold a 4-byte [`PacketRef`]
@@ -1313,9 +1311,6 @@ mod tests {
         fn as_any(&self) -> &dyn Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     impl UdpSource {
@@ -1342,9 +1337,6 @@ mod tests {
             self.arrivals.push(ctx.now());
         }
         fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
     }
@@ -1837,9 +1829,6 @@ mod packet_log_tests {
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[derive(Default)]
@@ -1847,9 +1836,6 @@ mod packet_log_tests {
     impl Agent for Sink {
         fn on_packet(&mut self, _p: Packet, _c: &mut Ctx<'_>) {}
         fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self
         }
     }

@@ -100,9 +100,6 @@ mod tests {
         fn as_any(&self) -> &dyn Any {
             self
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn ms(t: u64) -> SimTime {

@@ -466,9 +466,6 @@ impl Agent for TcpSource {
     fn as_any(&self) -> &dyn Any {
         self
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// What a sink needs only while its flow is in progress, pooled in the
@@ -637,9 +634,6 @@ impl Agent for TcpSink {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }

@@ -109,9 +109,6 @@ impl Agent for SessionSource {
     fn as_any(&self) -> &dyn Any {
         self
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Receiver side of one session: a [`TcpSink`] per transfer, replaced by a
@@ -158,9 +155,6 @@ impl Agent for SessionSink {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }

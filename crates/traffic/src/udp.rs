@@ -70,9 +70,6 @@ impl Agent for CbrSource {
     fn as_any(&self) -> &dyn Any {
         self
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Poisson UDP source: exponential inter-packet gaps with the given mean
@@ -129,9 +126,6 @@ impl Agent for PoissonUdpSource {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -193,9 +187,6 @@ impl Agent for UdpSink {
     }
 
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }

@@ -254,9 +254,6 @@ impl Agent for LossySink {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// One 400-segment flow through a loss-free dumbbell (the receiver window
