@@ -151,10 +151,9 @@ impl Executor {
     /// of the report — so it lives behind this file's sanctioned waiver and
     /// must never leak into results: `run_cells` returns this function's
     /// `Vec<R>` and drops the report, and nothing from the report feeds
-    /// back into any cell. The report goes to
-    /// the repo benchmark (`benchmark/`: `core.exec.*` metrics and the
-    /// `minbuf_sweep` wall-time trace tracks), which is machine-dependent
-    /// and never committed.
+    /// back into any cell. The report goes to the repo benchmark
+    /// (`benchmark/`: `core.exec.*` metrics and the `minbuf_sweep` wall-time
+    /// trace tracks), which is machine-dependent and never committed.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "wall-clock nanoseconds of a sweep fit u64 (584 years); cell counts are small"
