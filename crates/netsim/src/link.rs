@@ -70,13 +70,6 @@ impl Link {
         self
     }
 
-    /// Sets the fault-injection loss probability.
-    pub fn with_random_loss(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-        self.random_loss = p;
-        self
-    }
-
     /// Serialization time for a packet of `bytes` on this link.
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
         SimDuration::transmission(bytes as u64, self.rate_bps)

@@ -18,18 +18,19 @@
 //!    arrives at the downstream node: routers forward it (step 2), hosts
 //!    deliver it to the agent bound to `(node, flow)`.
 
-use crate::auditor::Auditor;
-use crate::eventlog::{PacketEvent, PacketLog, PacketRecord};
-use crate::forensics::{DropLedger, DropReason, ForensicsConfig, MarkReason};
+use crate::forensics::{DropReason, MarkReason};
 use crate::link::Link;
 use crate::node::{Node, NodeKind};
 use crate::packet::{Ecn, FlowId, Packet, PacketArena, PacketKind, PacketRef};
 use crate::queue::{QueueCapacity, QueuedPacket};
 use crate::telemetry::{Telemetry, TelemetryConfig};
+use observe::Observers;
 use simcore::metrics::{CounterId, Registry};
 use simcore::trace::TraceSink;
-use simcore::{Profile, Rng, Scheduler, SchedulerKind, SimDuration, SimTime};
+use simcore::{Rng, Scheduler, SchedulerKind, SimDuration, SimTime};
 use std::any::Any;
+
+mod observe;
 
 /// Index of a node in the simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -278,11 +279,9 @@ pub struct Kernel {
     mx: KernelMetricIds,
     flow_stats: Vec<FlowNetStats>,
     send_jitter: Option<SimDuration>,
-    packet_log: Option<PacketLog>,
-    auditor: Option<Auditor>,
+    /// The per-event stores: packet log, auditor, forensics, profiler.
+    obs: Observers,
     telemetry: Option<Telemetry>,
-    forensics: Option<DropLedger>,
-    prof: Option<Profile>,
     /// Packets currently propagating (scheduled `Arrival` events). Kept
     /// unconditionally — it is one add/sub per packet — so the auditor can
     /// reconcile counters against structural state when enabled.
@@ -363,30 +362,15 @@ impl Kernel {
         &mut self.flow_stats[i]
     }
 
-    /// The packet log, if tracing is enabled.
-    pub fn packet_log(&self) -> Option<&PacketLog> {
-        self.packet_log.as_ref()
-    }
-
     /// Total packet-arena slots ever allocated — the high-water mark of
     /// simultaneously live packets over the run (slots are never shrunk).
     pub fn arena_high_water(&self) -> usize {
         self.arena.capacity()
     }
 
-    /// The runtime auditor, if enabled.
-    pub fn auditor(&self) -> Option<&Auditor> {
-        self.auditor.as_ref()
-    }
-
     /// The telemetry store, if enabled.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_ref()
-    }
-
-    /// The drop-forensics ledger, if enabled.
-    pub fn forensics(&self) -> Option<&DropLedger> {
-        self.forensics.as_ref()
     }
 
     /// One telemetry sampling tick: link series, then per-agent gauges,
@@ -435,8 +419,10 @@ impl Kernel {
     }
 
     /// Runs the post-event audit (conservation + queue bounds), if enabled.
+    // Hot path — once per event
+    #[inline]
     fn audit_check(&mut self) {
-        if self.auditor.is_some() {
+        if self.auditor().is_some() {
             let structural = self.structural_in_network();
             // The arena's live count must agree with the structural census:
             // every allocated slot is a packet waiting, serializing,
@@ -447,36 +433,7 @@ impl Kernel {
                 structural,
                 "packet arena live count diverged from structural census"
             );
-            let now = self.now;
-            if let Some(a) = &mut self.auditor {
-                a.verify(now, structural);
-            }
-        }
-    }
-
-    /// Whether any per-event observer is attached. The run loop branches on
-    /// this once and instantiates the statically specialized fast path
-    /// (`OBS = false`) when it can: every observer hook below compiles away
-    /// entirely, leaving only counter increments on the sweep path.
-    fn observers_active(&self) -> bool {
-        self.packet_log.is_some()
-            || self.auditor.is_some()
-            || self.forensics.is_some()
-            || self.prof.is_some()
-    }
-
-    fn log_packet<const OBS: bool>(
-        &mut self,
-        uid: u64,
-        flow: FlowId,
-        link: Option<LinkId>,
-        event: PacketEvent,
-    ) {
-        if !OBS {
-            return;
-        }
-        if let Some(log) = &mut self.packet_log {
-            log.push(PacketRecord::new(self.now, uid, flow, link, event));
+            self.obs.audited(self.now, structural);
         }
     }
 
@@ -487,32 +444,17 @@ impl Kernel {
         uid
     }
 
-    /// Accounts and logs a drop of the arena packet `pref`, then recycles
-    /// its slot. `depth` is the queue depth snapshot for forensics.
-    fn account_drop<const OBS: bool>(
-        &mut self,
-        lid: LinkId,
-        pref: PacketRef,
-        reason: DropReason,
-        depth: u32,
-    ) {
+    /// Accounts and reports a drop of the arena packet `pref`, then
+    /// recycles its slot. `depth` is the queue depth snapshot for forensics.
+    fn account_drop(&mut self, lid: LinkId, pref: PacketRef, reason: DropReason, depth: usize) {
         self.metrics.inc(self.mx.drops);
         let p = self.arena.get(pref);
-        let (uid, flow, is_data) = (p.uid, p.flow, p.kind.is_tcp_data());
+        self.obs.dropped(self.now, lid, p, reason, depth);
+        let (flow, is_data) = (p.flow, p.kind.is_tcp_data());
         let fs = self.flow_stats_mut(flow);
         fs.drops += 1;
         if is_data {
             fs.data_drops += 1;
-        }
-        if OBS {
-            self.log_packet::<OBS>(uid, flow, Some(lid), PacketEvent::Dropped { reason, depth });
-            if let Some(led) = &mut self.forensics {
-                let now = self.now;
-                led.on_drop(now, lid, flow, reason, depth);
-            }
-            if let Some(a) = &mut self.auditor {
-                a.on_dropped();
-            }
         }
         self.arena.release(pref);
     }
@@ -520,23 +462,19 @@ impl Kernel {
     /// Injects the arena packet `pref` at `node`: route lookup, then queue
     /// or transmit.
     // Hot path — once per Inject/forwarded Arrival event
-    fn inject<const OBS: bool>(&mut self, node: NodeId, pref: PacketRef) {
+    fn inject(&mut self, node: NodeId, pref: PacketRef) {
         let dst = self.arena.get(pref).dst;
         let Some(lid) = self.nodes[node.idx()].routes.lookup(dst) else {
             self.metrics.inc(self.mx.unroutable);
-            if OBS {
-                if let Some(a) = &mut self.auditor {
-                    a.on_unroutable();
-                }
-            }
+            self.obs.unroutable();
             self.arena.release(pref);
             return;
         };
-        self.enqueue_on_link::<OBS>(lid, pref);
+        self.enqueue_on_link(lid, pref);
     }
 
     // Hot path — once per packet offered to a link
-    fn enqueue_on_link<const OBS: bool>(&mut self, lid: LinkId, pref: PacketRef) {
+    fn enqueue_on_link(&mut self, lid: LinkId, pref: PacketRef) {
         let now = self.now;
         // Fault injection: random link loss, independent of the queue.
         let loss = self.links[lid.idx()].random_loss;
@@ -545,11 +483,7 @@ impl Kernel {
             let depth = link.queue.len_packets();
             link.monitor.on_offered(depth);
             link.monitor.on_drop();
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "a queue depth in packets is far below u32::MAX"
-            )]
-            self.account_drop::<OBS>(lid, pref, DropReason::RandomLoss, depth as u32);
+            self.account_drop(lid, pref, DropReason::RandomLoss, depth);
             return;
         }
         let p = self.arena.get(pref);
@@ -559,7 +493,7 @@ impl Kernel {
             size: p.size,
             ect: p.ecn.is_ect(),
         };
-        let (uid, flow) = (p.uid, p.flow);
+        self.obs.queued(now, lid, p);
         let link = &mut self.links[lid.idx()];
         if !link.busy {
             // Transmitter idle ⇒ queue is empty (kernel invariant); the
@@ -569,11 +503,8 @@ impl Kernel {
             debug_assert!(link.queue.is_empty());
             let qlen = link.queue.len_packets();
             link.monitor.on_offered(qlen);
-            self.log_packet::<OBS>(uid, flow, Some(lid), PacketEvent::Queued);
             self.start_tx(lid, qp);
         } else {
-            self.log_packet::<OBS>(uid, flow, Some(lid), PacketEvent::Queued);
-            let link = &mut self.links[lid.idx()];
             match link.queue.enqueue(qp, now, &mut self.rng) {
                 Ok(()) => {
                     let qlen = link.queue.len_packets();
@@ -583,27 +514,11 @@ impl Kernel {
                     // happens here. `take_mark` is `None` for every
                     // drop-mode queue, keeping this a dead branch (and the
                     // digests untouched) on ECN-off runs.
-                    if let Some(mreason) = link.queue.take_mark() {
-                        self.arena.get_mut(pref).ecn = Ecn::Ce;
+                    if let Some(reason) = link.queue.take_mark() {
+                        let p = self.arena.get_mut(pref);
+                        p.ecn = Ecn::Ce;
                         self.metrics.inc(self.mx.marks);
-                        if OBS {
-                            #[expect(
-                                clippy::cast_possible_truncation,
-                                reason = "a queue depth in packets is far below u32::MAX"
-                            )]
-                            self.log_packet::<OBS>(
-                                uid,
-                                flow,
-                                Some(lid),
-                                PacketEvent::Marked {
-                                    reason: mreason,
-                                    depth: qlen as u32,
-                                },
-                            );
-                            if let Some(led) = &mut self.forensics {
-                                led.on_mark(lid, flow, mreason);
-                            }
-                        }
+                        self.obs.marked(now, lid, p, reason, qlen);
                     }
                 }
                 Err(dropped) => {
@@ -615,11 +530,7 @@ impl Kernel {
                     link.monitor.on_drop();
                     // `dropped` is usually the offered packet, but buffer-
                     // stealing disciplines (DRR) may evict a different one.
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "a queue depth in packets is far below u32::MAX"
-                    )]
-                    self.account_drop::<OBS>(lid, dropped.pref, reason, qlen as u32);
+                    self.account_drop(lid, dropped.pref, reason, qlen);
                 }
             }
         }
@@ -637,7 +548,7 @@ impl Kernel {
     }
 
     // Hot path — once per TxEnd event
-    fn on_tx_end<const OBS: bool>(&mut self, lid: LinkId) {
+    fn on_tx_end(&mut self, lid: LinkId) {
         #[expect(
             clippy::expect_used,
             reason = "a TxEnd event is only ever scheduled together with an in_flight entry"
@@ -646,11 +557,10 @@ impl Kernel {
             .take()
             .expect("TxEnd with no packet in flight");
         let p = self.arena.get(pref);
-        let (uid, flow, size) = (p.uid, p.flow, p.size);
+        self.obs.transmitted(self.now, lid, p);
         let link = &mut self.links[lid.idx()];
-        link.monitor.on_tx(size, tx);
+        link.monitor.on_tx(p.size, tx);
         let delay = link.delay;
-        self.log_packet::<OBS>(uid, flow, Some(lid), PacketEvent::Transmitted);
         self.pending_arrivals += 1;
         self.events.schedule(
             self.now + delay,
@@ -732,9 +642,7 @@ impl<'a> Ctx<'a> {
     /// Sends a packet from this agent's node. Applies the configured send
     /// jitter, if any.
     pub fn send(&mut self, packet: Packet) {
-        if let Some(a) = &mut self.kernel.auditor {
-            a.on_injected();
-        }
+        self.kernel.obs.injected();
         match self.kernel.send_jitter {
             Some(j) if !j.is_zero() => {
                 let jitter =
@@ -756,11 +664,7 @@ impl<'a> Ctx<'a> {
             }
             _ => {
                 let pref = self.kernel.arena.alloc(packet);
-                // Agent callbacks are dispatched through `dyn Agent`, so the
-                // observer flag cannot be threaded here; the dynamic variant
-                // (`OBS = true` keeps every observer check) is always
-                // behavior-identical.
-                self.kernel.inject::<true>(self.node, pref);
+                self.kernel.inject(self.node, pref);
             }
         }
     }
@@ -834,11 +738,8 @@ impl Sim {
                 mx,
                 flow_stats: Vec::new(),
                 send_jitter: None,
-                packet_log: None,
-                auditor: None,
+                obs: Observers::default(),
                 telemetry: None,
-                forensics: None,
-                prof: None,
                 pending_arrivals: 0,
                 pending_injects: 0,
                 last_inject: Vec::new(),
@@ -865,29 +766,6 @@ impl Sim {
     /// Enables trace recording (off by default).
     pub fn enable_tracing(&mut self) {
         self.kernel.trace = TraceSink::new(true);
-    }
-
-    /// Enables per-packet event logging with a bounded capacity (off by
-    /// default; see [`crate::eventlog::PacketLog`]).
-    pub fn enable_packet_log(&mut self, capacity: usize) {
-        self.kernel.packet_log = Some(PacketLog::new(capacity));
-    }
-
-    /// Detaches the packet log from a finished simulation so its encoded
-    /// blocks can be moved out ([`PacketLog::into_records`]) instead of
-    /// copied. Logging is off afterwards.
-    pub fn take_packet_log(&mut self) -> Option<PacketLog> {
-        self.kernel.packet_log.take()
-    }
-
-    /// Enables runtime invariant auditing: packet conservation, queue
-    /// bounds, and event-time monotonicity are checked after every event
-    /// (see [`Auditor`]). Must be called before [`Sim::start`]; auditing
-    /// walks every link per event, so reserve it for tests and validation
-    /// runs.
-    pub fn enable_auditor(&mut self) {
-        assert!(!self.started, "enable_auditor() after start()");
-        self.kernel.auditor = Some(Auditor::default());
     }
 
     /// Applies a uniform random delay in `[0, jitter)` to every agent send.
@@ -973,64 +851,31 @@ impl Sim {
                 clippy::cast_possible_truncation,
                 reason = "node, link and agent ids are u32 by design; a topology has far fewer"
             )]
-            self.dispatch_start(AgentId(i as u32));
+            self.dispatch_to(AgentId(i as u32), |a, ctx| a.on_start(ctx));
         }
     }
 
-    fn dispatch_start(&mut self, aid: AgentId) {
+    /// Runs one callback `f` of agent `aid` with the agent's [`Ctx`].
+    // Hot path — once per delivered packet and per Timer event
+    #[inline]
+    fn dispatch_to(&mut self, aid: AgentId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
         let slot = &mut self.agents[aid.idx()];
         let mut ctx = Ctx {
             kernel: &mut self.kernel,
             agent: aid,
             node: slot.node,
         };
-        slot.agent.on_start(&mut ctx);
-    }
-
-    // Hot path — once per delivered packet
-    fn dispatch_packet(&mut self, aid: AgentId, pkt: Packet) {
-        let slot = &mut self.agents[aid.idx()];
-        let mut ctx = Ctx {
-            kernel: &mut self.kernel,
-            agent: aid,
-            node: slot.node,
-        };
-        slot.agent.on_packet(pkt, &mut ctx);
-    }
-
-    // Hot path — once per Timer event
-    fn dispatch_timer(&mut self, aid: AgentId, token: u64) {
-        let slot = &mut self.agents[aid.idx()];
-        let mut ctx = Ctx {
-            kernel: &mut self.kernel,
-            agent: aid,
-            node: slot.node,
-        };
-        slot.agent.on_timer(token, &mut ctx);
+        f(slot.agent.as_mut(), &mut ctx);
     }
 
     /// Processes all events with `time <= until`, then sets the clock to
     /// `until`. Calling with a time in the past is a no-op.
     ///
-    /// Dispatch is specialized on the observer configuration: when no
-    /// per-event observer (packet log, auditor, forensics, profiler) is
-    /// attached, the `OBS = false` instantiation of the loop runs — every
-    /// observer hook is compiled out of the kernel's hot functions, leaving
-    /// only counter increments on the uninstrumented sweep path. Both
-    /// instantiations execute the identical simulation logic, so results
-    /// and digests cannot differ.
+    /// Each event is reported to the observer set before it is dispatched,
+    /// and audited after it when an auditor is attached (DESIGN.md §11).
     // Hot path — the event loop itself
     pub fn run_until(&mut self, until: SimTime) {
         assert!(self.started, "call start() before running");
-        if self.kernel.observers_active() {
-            self.run_loop::<true>(until);
-        } else {
-            self.run_loop::<false>(until);
-        }
-    }
-
-    // Hot path — the event loop itself
-    fn run_loop<const OBS: bool>(&mut self, until: SimTime) {
         // Batched dispatch: drain every event sharing the earliest timestamp
         // in one scheduler call (one wheel-slot walk instead of per-event
         // pops). Events an agent schedules *for the current instant* while
@@ -1040,23 +885,12 @@ impl Sim {
         // allocate.
         let mut batch = std::mem::take(&mut self.batch);
         while let Some(t) = self.kernel.events.drain_next_batch(until, &mut batch) {
-            if OBS {
-                if let Some(a) = &self.kernel.auditor {
-                    a.check_monotonic(self.kernel.now, t);
-                }
-            }
-            self.kernel.now = t;
+            let from = std::mem::replace(&mut self.kernel.now, t);
             for ev in batch.drain(..) {
                 self.kernel.metrics.inc(self.kernel.mx.events);
-                if OBS {
-                    if let Some(p) = &mut self.kernel.prof {
-                        p.on_dispatch(ev.class(), t.as_nanos());
-                    }
-                }
-                self.dispatch_event::<OBS>(ev);
-                if OBS {
-                    self.kernel.audit_check();
-                }
+                self.kernel.obs.dispatched(ev.class(), from, t);
+                self.dispatch_event(ev);
+                self.kernel.audit_check();
             }
         }
         self.batch = batch;
@@ -1068,16 +902,16 @@ impl Sim {
     /// Dispatches one event at the current clock.
     // Hot path — once per event, every event class
     #[inline]
-    fn dispatch_event<const OBS: bool>(&mut self, ev: Event) {
+    fn dispatch_event(&mut self, ev: Event) {
         match ev {
-            Event::TxEnd { link } => self.kernel.on_tx_end::<OBS>(link),
+            Event::TxEnd { link } => self.kernel.on_tx_end(link),
             Event::Arrival { link, packet } => {
                 self.kernel.pending_arrivals -= 1;
                 let node = self.kernel.links[link.idx()].to;
                 match self.kernel.nodes[node.idx()].kind {
                     NodeKind::Router => {
                         self.kernel.metrics.inc(self.kernel.mx.forwarded);
-                        self.kernel.inject::<OBS>(node, packet);
+                        self.kernel.inject(node, packet);
                     }
                     NodeKind::Host => {
                         let flow = self.kernel.arena.get(packet).flow;
@@ -1090,38 +924,25 @@ impl Sim {
                             Some(aid) => {
                                 self.kernel.metrics.inc(self.kernel.mx.delivered);
                                 self.kernel.flow_stats_mut(flow).delivered += 1;
-                                if OBS {
-                                    let uid = self.kernel.arena.get(packet).uid;
-                                    self.kernel.log_packet::<OBS>(
-                                        uid,
-                                        flow,
-                                        None,
-                                        PacketEvent::Delivered,
-                                    );
-                                    if let Some(a) = &mut self.kernel.auditor {
-                                        a.on_delivered();
-                                    }
-                                }
                                 let pkt = self.kernel.arena.take(packet);
-                                self.dispatch_packet(aid, pkt);
+                                self.kernel.obs.delivered(self.kernel.now, &pkt);
+                                self.dispatch_to(aid, |a, ctx| a.on_packet(pkt, ctx));
                             }
                             None => {
                                 self.kernel.metrics.inc(self.kernel.mx.unroutable);
-                                if OBS {
-                                    if let Some(a) = &mut self.kernel.auditor {
-                                        a.on_unroutable();
-                                    }
-                                }
+                                self.kernel.obs.unroutable();
                                 self.kernel.arena.release(packet);
                             }
                         }
                     }
                 }
             }
-            Event::Timer { agent, token } => self.dispatch_timer(agent, token),
+            Event::Timer { agent, token } => {
+                self.dispatch_to(agent, |a, ctx| a.on_timer(token, ctx));
+            }
             Event::Inject { node, packet } => {
                 self.kernel.pending_injects -= 1;
-                self.kernel.inject::<OBS>(node, packet);
+                self.kernel.inject(node, packet);
             }
             Event::QueueSample { period } => self.kernel.queue_sample_tick(period),
             Event::TelemetrySample { period } => self.kernel.telemetry_tick(&self.agents, period),
@@ -1161,52 +982,6 @@ impl Sim {
         self.kernel.telemetry()
     }
 
-    /// Enables causal drop forensics (off by default): every kernel drop is
-    /// attributed to the discipline mechanism that caused it
-    /// ([`DropReason`]) and aggregated by reason, flow, link, and time
-    /// interval in a [`DropLedger`]; drops from ≥ `sync_k` distinct flows
-    /// inside one `sync_window` are grouped into synchronized-loss episodes.
-    ///
-    /// The ledger is a pure observer of the kernel's existing drop sites: it
-    /// consumes no randomness and never mutates simulation state, so
-    /// enabling it cannot change the outcome of a run (DESIGN.md §9, §10).
-    pub fn enable_drop_forensics(&mut self, config: ForensicsConfig) {
-        assert!(
-            self.kernel.forensics.is_none(),
-            "enable_drop_forensics() called twice"
-        );
-        self.kernel.forensics = Some(DropLedger::new(config));
-    }
-
-    /// The drop-forensics ledger, if [`Sim::enable_drop_forensics`] was
-    /// called.
-    pub fn forensics(&self) -> Option<&DropLedger> {
-        self.kernel.forensics()
-    }
-
-    /// Enables the self-profiler (off by default): per-event-class dispatch
-    /// counts, inter-event sim-time gap histograms, event-queue high-water
-    /// marks, and reservation counters are collected into a
-    /// [`Profile`]. Everything counted is a deterministic function of the
-    /// event stream — no wall clock is read — so profiles are bit-identical
-    /// across runs of the same seed and enabling the profiler cannot change
-    /// a run's outcome.
-    pub fn enable_profiler(&mut self) {
-        assert!(self.kernel.prof.is_none(), "enable_profiler() called twice");
-        self.kernel.prof = Some(Profile::new(&EVENT_CLASS_LABELS));
-    }
-
-    /// A snapshot of the self-profiler's state, if [`Sim::enable_profiler`]
-    /// was called: the dispatch-level counters plus the event queue's
-    /// high-water mark and reservation statistics as of now.
-    pub fn profile(&self) -> Option<Profile> {
-        let mut p = self.kernel.prof.clone()?;
-        let (calls, slots) = self.kernel.events.reserve_stats();
-        p.set_queue_stats(self.kernel.events.depth_high_water() as u64, calls, slots);
-        p.set_state_high_water(self.kernel.arena_high_water() as u64, 0);
-        Some(p)
-    }
-
     /// A whole-simulation [`Registry`] snapshot (DESIGN.md §14): the
     /// kernel's live counters plus derived link totals, the packet-arena
     /// high-water gauge, a log2 histogram of per-link peak queue depths,
@@ -1234,7 +1009,7 @@ impl Sim {
             r.observe(queue_peak, link.monitor.max_queue() as u64);
         }
         r.set(arena, self.kernel.arena_high_water() as u64);
-        if let Some(led) = &self.kernel.forensics {
+        if let Some(led) = self.kernel.forensics() {
             for (i, reason) in DropReason::ALL.iter().enumerate() {
                 let id = r.counter(DROP_REASON_METRIC_NAMES[i]);
                 r.add(id, led.by_reason(*reason));
@@ -1283,6 +1058,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forensics::ForensicsConfig;
     use crate::queue::QueueCapacity;
 
     /// A source that sends `count` UDP packets of `size` bytes, `gap` apart.

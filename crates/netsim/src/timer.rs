@@ -7,7 +7,7 @@ use simcore::SimTime;
 /// now and then pulled in) on at most one live scheduler entry. The entry
 /// sleeps again when it fires early; [`Ctx::set_timer`] cannot cancel, so an
 /// entry that a pulled-in deadline superseded is dropped when it fires —
-/// re-armed instead, it would fire once per RTO for ever (DESIGN.md §11.4).
+/// re-armed instead, it would fire once per RTO for ever (DESIGN.md §11.5).
 ///
 /// Invariant: while `entry_at` is `Some(t)`, an entry under the owner's
 /// token fires at `t <= deadline`, so it is the one that delivers at the

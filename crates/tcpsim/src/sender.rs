@@ -34,7 +34,12 @@
 //! Simplifications relative to RFC 3517 (documented, none affect the
 //! buffer-sizing experiments): segment granularity (no partial SACK
 //! blocks), no rescue retransmission rule, and the scoreboard is cleared
-//! on RTO (as ns-2's `Sack1` does). The SACK style ignores ECE: it has no
+//! on RTO (as ns-2's `Sack1` does). The sender sends whenever pipe < cwnd,
+//! on the duplicate ACKs before recovery too, which amounts to limited
+//! transmit (RFC 3042), and the segments so sent count
+//! in the FlightSize that halves the window on entering recovery (RFC 5681
+//! §3.2 leaves them out): `tests/sender_scripts.rs` pins ssthresh 7 where
+//! the RFCs give 6. The SACK style ignores ECE: it has no
 //! ECN response path and relies on its scoreboard for loss signals, so
 //! ECN-enabled scenarios pair ECN with the Reno-family styles.
 //!
@@ -710,8 +715,9 @@ impl Machine {
             }
             // Prune the scoreboard below the cumulative ACK.
             let sb = &mut t.cold[i].scoreboard;
-            sb.sacked = sb.sacked.split_off(&t.snd_una[i]);
-            sb.retx = sb.retx.split_off(&t.snd_una[i]);
+            let una = t.snd_una[i];
+            sb.sacked.retain(|&seq| seq >= una);
+            sb.retx.retain(|&seq| seq >= una);
             t.dupacks[i] = 0;
 
             if !t.recovery[i] {

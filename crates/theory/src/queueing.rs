@@ -44,13 +44,6 @@ pub fn md1_mean_in_system(rho: f64) -> f64 {
     md1_mean_waiting(rho) + rho
 }
 
-/// Mean waiting time (in service-time units) in an M/D/1 queue:
-/// `Wq = ρ/(2(1−ρ))` (by Little's law from [`md1_mean_waiting`]).
-pub fn md1_mean_wait_services(rho: f64) -> f64 {
-    assert!((0.0..1.0).contains(&rho));
-    rho / (2.0 * (1.0 - rho))
-}
-
 /// Approximate `P(Q ≥ b)` for an M/D/1 queue via the effective-bandwidth
 /// exponent the paper uses with `Xᵢ = 1` (§4): `exp(−b·2(1−ρ)/ρ)`.
 pub fn md1_tail_approx(rho: f64, b: f64) -> f64 {

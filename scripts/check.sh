@@ -110,6 +110,31 @@ done | grep -cE '\\"[A-Za-z_]+\\": ?' || true)
 }
 echo "one JSON writer: $hand_json lines of hand-written JSON outside crates/simcore/src/json.rs"
 
+echo "==> one-event-loop gate (one loop in crates/netsim/src; sim.rs reaches the observer stores through their hooks only)"
+# The kernel runs one event loop and reports each site once to one
+# observer set (crates/netsim/src/sim/observe.rs: packet log, auditor,
+# drop forensics, profiler). A second, specialized copy of the loop needs
+# a `const OBS` parameter or a `::<true>` / `::<false>` instantiation;
+# an observer chain written out at a kernel site needs a store's field
+# (.packet_log, .auditor, .forensics, .prof; a method call such as
+# .packet_log() is an accessor) in sim.rs. Both counted outside comments
+# and each file's trailing #[cfg(test)] module (10 and 28 while the loop
+# was forked on a const bool).
+netsim_code() {
+    for f in "$@"; do
+        sed -e '/^#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f"
+    done
+}
+forks=$(netsim_code $(git ls-files 'crates/netsim/src/*.rs') \
+    | grep -cE 'const OBS|::<true>|::<false>' || true)
+store_fields=$(netsim_code crates/netsim/src/sim.rs \
+    | grep -cE '\.(packet_log|auditor|forensics|prof)([^A-Za-z0-9_(]|$)' || true)
+[ "$forks $store_fields" = "0 0" ] || {
+    echo "a second event loop: $forks lines forking the loop on a const bool in crates/netsim/src, $store_fields lines touching an observer store's field in sim.rs, want 0 0" >&2
+    exit 1
+}
+echo "one event loop: $forks lines forking the loop, $store_fields observer-store field touches in sim.rs"
+
 echo "==> doc drift gate (DESIGN.md sections referenced from other docs exist)"
 # README/EXPERIMENTS/RESULTS point readers at DESIGN.md sections by number
 # ("see DESIGN.md §13", "DESIGN.md §12.2"). Renumbering or deleting a

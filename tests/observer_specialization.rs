@@ -1,10 +1,12 @@
-//! Tier-1 contract tests for the observer-specialized event loop and the
-//! cross-cell probe cache.
+//! Tier-1 contract tests: observers never steer, and the cross-cell probe
+//! cache is invisible.
 //!
-//! The kernel dispatches through a const-generic fast path when no observer
-//! (packet log, auditor, forensics, profiler) is attached; these tests pin
-//! the contract that specialization and probe caching are both invisible
-//! in every observable result.
+//! The kernel reports every event to one observer set — packet log,
+//! auditor, drop forensics, self-profiler — and the run path adds telemetry
+//! and span logs. Observers record; they draw no randomness and write no
+//! simulation state, so a run with every one of them attached must equal
+//! the bare run in every result field but the observers' own. A probe
+//! served from the probe cache must equal a fresh one the same way.
 
 use buffersizing::figures::min_buffer::MinBufferConfig;
 use buffersizing::prelude::*;
@@ -20,9 +22,9 @@ fn masked(r: &LongFlowResult) -> LongFlowResult {
     m
 }
 
-/// The uninstrumented fast path and the fully instrumented path must agree
-/// on every result field, at both single-flow (Figure 3) and sweep-cell
-/// (Figure 7) scale.
+/// A bare run and a run with every observer attached must agree on every
+/// result field, at both single-flow (Figure 3) and sweep-cell (Figure 7)
+/// scale.
 #[test]
 fn fast_path_and_instrumented_results_are_identical() {
     for (n, rate) in [(1usize, 10_000_000u64), (10, 30_000_000)] {
@@ -30,14 +32,27 @@ fn fast_path_and_instrumented_results_are_identical() {
         sc.warmup = SimDuration::from_secs(4);
         sc.measure = SimDuration::from_secs(10);
         sc.buffer_pkts = 40;
-        let fast = sc.run(); // no observers: specialized loop
+        let fast = sc.run(); // no observers
 
         let mut full = sc.clone();
         full.telemetry = Some(TelemetryConfig::new(SimDuration::from_millis(50)));
         full.forensics = Some(ForensicsConfig::new(full.mean_rtt()));
         full.span_capacity = Some(4096);
         full.profiler = true;
-        let instrumented = full.run();
+        let mut run = full.build();
+        run.sim.enable_packet_log(1 << 16);
+        run.sim.enable_auditor();
+        run.warm_up(full.warmup);
+        run.measure(full.measure);
+        let instrumented = full.collect(&run);
+        let log = run.sim.kernel().packet_log().expect("packet log enabled");
+        assert!(!log.records().is_empty(), "the packet log recorded nothing");
+        let audits = run.sim.kernel().auditor().expect("auditor enabled");
+        assert_eq!(
+            audits.checks(),
+            run.sim.kernel().stats().events,
+            "the auditor checked every event"
+        );
 
         assert!(instrumented.telemetry_digest.is_some());
         assert!(instrumented.forensics_digest.is_some());

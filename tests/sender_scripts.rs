@@ -14,7 +14,7 @@
 //! sender's counters and the bits of its final window pair. Any change to
 //! a sender's loss recovery, window rules or ECN response moves a pin.
 //!
-//! The last two cells script loss at the receiving end instead: a wrapper
+//! The last three cells script loss at the receiving end instead: a wrapper
 //! around `TcpSink` loses listed `(seq, transmission)` data segments, so it
 //! sees every segment, and the cells assert RFC behaviour derived by hand.
 
@@ -315,4 +315,36 @@ fn newreno_three_holes_are_retransmitted_on_partial_acks() {
         "{st:?}"
     );
     assert_eq!(ssthresh.to_bits(), 6.0f64.to_bits());
+}
+
+/// SACK, the same three holes (RFC 6675 §5; `sender.rs` follows its
+/// predecessor, RFC 3517). Segments 10, 12 and 14 of the 12-segment flight
+/// 10–21 are lost. The ACKs for 11, 13 and 15 are three duplicates whose
+/// SACK blocks put 11, 13 and 15 on the scoreboard: IsLost(10) holds and
+/// the sender enters recovery once and retransmits 10. The duplicate ACK
+/// for 16 makes 12 lost (13, 15, 16 SACKed above it) and the one for 17
+/// makes 14 lost; as pipe falls below cwnd, 12 and then 14 are
+/// retransmitted. All three holes are repaired inside the one recovery,
+/// within the round trip that began with the retransmit of 10, rather than
+/// one per round trip as NewReno does; the ACK for the repaired 14 covers
+/// the flight and ends recovery. Three retransmits, one recovery, no
+/// timeout.
+///
+/// RFC 5681 §3.2 (2) and RFC 6675 (4.2) give ssthresh = FlightSize / 2 =
+/// 12 / 2 = 6, with segments sent by limited transmit (RFC 3042) left out
+/// of FlightSize. The sender diverges here, a documented simplification
+/// (`sender.rs`, "SACK recovery"): its SACK style sends whenever pipe <
+/// cwnd, on duplicate ACKs too, so the first two duplicates (SACKing 11,
+/// then 13) each free one segment of pipe and send new segments 22 and 23,
+/// and those count in FlightSize: 24 − 10 = 14 at the third duplicate, so
+/// ssthresh = cwnd = 14 / 2 = 7.
+#[test]
+fn sack_three_holes_are_repaired_in_one_recovery() {
+    let (st, ssthresh) = run_sink_script(CcKind::Sack, &[(10, 1), (12, 1), (14, 1)]);
+    assert_eq!(
+        (st.fast_retransmits, st.retransmits, st.timeouts),
+        (1, 3, 0),
+        "{st:?}"
+    );
+    assert_eq!(ssthresh.to_bits(), 7.0f64.to_bits());
 }
