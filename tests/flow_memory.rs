@@ -260,8 +260,7 @@ fn steady_state_allocations_per_event_stay_under_their_ceilings() {
         // filled and emptied once per loss episode.
         ("reno", CcKind::Reno, 0.5),
         // Reads 6.04–6.30: the scoreboard's sets as well, whose nodes come
-        // and go with the holes (19.7–20.3 while `split_off` rebuilt both
-        // sets on every ACK in recovery).
+        // and go with the holes.
         ("sack", CcKind::Sack, 7.9),
         // Reads 0.22–0.27: the same per-loss churn as Reno.
         ("dctcp", CcKind::Dctcp, 0.5),
