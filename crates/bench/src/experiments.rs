@@ -544,19 +544,15 @@ fn parking_lot(n_each: usize, buffer: usize, rate: u64, seconds: u64) -> (f64, f
         sim.bind_flow(f, src, sid);
         kid
     };
+    let (thr, left, right) = (pl.through(), pl.left(), pl.right());
     let mut through_sinks = Vec::new();
     for i in 0..n_each {
         let start = rng.u64_below(3000);
-        through_sinks.push(add(
-            &mut sim,
-            pl.through_sources[i],
-            pl.through_sinks[i],
-            start,
-        ));
+        through_sinks.push(add(&mut sim, thr.sources[i], thr.sinks[i], start));
         let start = rng.u64_below(3000);
-        add(&mut sim, pl.left_sources[i], pl.left_sinks[i], start);
+        add(&mut sim, left.sources[i], left.sinks[i], start);
         let start = rng.u64_below(3000);
-        add(&mut sim, pl.right_sources[i], pl.right_sinks[i], start);
+        add(&mut sim, right.sources[i], right.sinks[i], start);
     }
     let through = |sim: &Sim| -> u64 {
         through_sinks

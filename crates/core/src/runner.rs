@@ -787,7 +787,7 @@ impl MixScenario {
             cfg: self.short_cfg,
             horizon: long.warmup + long.measure,
         };
-        let short_pairs = run.dumbbell.slice(n..run.dumbbell.n_flows());
+        let short_pairs = run.dumbbell.slice(n..run.dumbbell.sources.len());
         run.handles.extend(short.install_in(
             &mut run.sim,
             short_pairs,

@@ -9,8 +9,9 @@
 //! ## Model
 //!
 //! * A **node** is a host or router. Routers forward packets by destination
-//!   node id using a static [`RouteTable`]; hosts deliver
-//!   packets to the agent registered for the packet's flow.
+//!   node id using a static [`RouteTable`]; hosts send everything out of
+//!   their one link and deliver packets to the agent registered for the
+//!   packet's flow.
 //! * A **link** is unidirectional with a fixed `rate` (bits/s) and
 //!   propagation `delay`. Its output queue holds packets waiting for
 //!   serialization; the packet currently on the wire is *not* counted against
@@ -21,7 +22,8 @@
 //!   ties are broken FIFO and all randomness derives from one seed.
 //!
 //! The bottleneck topology of the paper (Figure 1) is built with
-//! [`builder::DumbbellBuilder`].
+//! [`DumbbellBuilder`], and every route table by [`Sim::compute_routes`]
+//! from the link list (the [`topology`] module).
 
 #![deny(missing_docs)]
 // The kernel half of the determinism contract (DESIGN.md §7): no `unsafe`
@@ -38,7 +40,6 @@
 )]
 
 pub mod auditor;
-pub mod builder;
 pub mod drr;
 pub mod eventlog;
 pub mod forensics;
@@ -46,15 +47,14 @@ pub mod link;
 pub mod monitor;
 pub mod node;
 pub mod packet;
-pub mod parking_lot;
 pub mod queue;
 pub mod red;
 pub mod sim;
 pub mod telemetry;
 pub mod timer;
+pub mod topology;
 
 pub use auditor::Auditor;
-pub use builder::{Dumbbell, DumbbellBuilder, DumbbellView};
 pub use drr::Drr;
 pub use eventlog::{PacketBlock, PacketEvent, PacketLog, PacketRecord};
 pub use forensics::{DropLedger, DropReason, ForensicsConfig, MarkReason, SyncEpisode};
@@ -64,10 +64,10 @@ pub use node::{Node, NodeKind, RouteTable};
 pub use packet::{
     Ecn, FlowId, Packet, PacketArena, PacketKind, PacketRef, SackBlocks, TcpFlags, TcpHeader,
 };
-pub use parking_lot::{ParkingLot, ParkingLotBuilder};
 pub use queue::{DropTail, EcnMode, Queue, QueueCapacity, QueuedPacket};
 pub use red::Red;
 pub use sim::{Agent, AgentId, Ctx, LinkId, NodeId, Sim};
 pub use simcore::SchedulerKind;
 pub use telemetry::{Series, Telemetry, TelemetryConfig};
 pub use timer::DeadlineTimer;
+pub use topology::{Dumbbell, DumbbellBuilder, HostPairs, ParkingLot, ParkingLotBuilder};

@@ -6,7 +6,6 @@
 //! buffer the paper sizes is exactly this queue.
 
 use crate::monitor::LinkMonitor;
-use crate::packet::Packet;
 use crate::queue::{DropTail, LinkQueue, Queue, QueueCapacity};
 use crate::sim::NodeId;
 use simcore::SimDuration;
@@ -94,14 +93,6 @@ impl std::fmt::Debug for Link {
             .field("queue_len", &self.queue.len_packets())
             .finish()
     }
-}
-
-/// A packet in flight: used by `Sim` to carry the serialized packet between
-/// `PhyTxEnd` and `Arrival`.
-#[derive(Debug)]
-pub struct InFlight {
-    /// The packet being serialized.
-    pub packet: Packet,
 }
 
 #[cfg(test)]

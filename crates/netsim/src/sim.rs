@@ -253,8 +253,8 @@ impl Bindings {
 pub struct Kernel {
     now: SimTime,
     events: Scheduler<Event>,
-    nodes: Vec<Node>,
-    links: Vec<Link>,
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) links: Vec<Link>,
     /// Packet bodies for everything alive in the network; hot-path state
     /// (events, queues, `in_flight`) carries [`PacketRef`]s into it.
     arena: PacketArena,
@@ -1130,7 +1130,7 @@ mod tests {
             SimDuration::from_millis(10),
             QueueCapacity::Packets(buffer_pkts),
         ));
-        sim.kernel_mut().node_mut(h0).routes.add(h1, lid);
+        sim.compute_routes();
         (sim, h0, h1, lid)
     }
 
@@ -1212,7 +1212,7 @@ mod tests {
         let h0 = sim.add_node("h0", NodeKind::Host);
         let r = sim.add_node("r", NodeKind::Router);
         let h1 = sim.add_node("h1", NodeKind::Host);
-        let l0 = sim.add_link(Link::new(
+        sim.add_link(Link::new(
             "h0-r",
             h0,
             r,
@@ -1220,7 +1220,7 @@ mod tests {
             SimDuration::from_millis(1),
             QueueCapacity::Packets(10),
         ));
-        let l1 = sim.add_link(Link::new(
+        sim.add_link(Link::new(
             "r-h1",
             r,
             h1,
@@ -1228,8 +1228,7 @@ mod tests {
             SimDuration::from_millis(1),
             QueueCapacity::Packets(10),
         ));
-        sim.kernel_mut().node_mut(h0).routes.set_default(l0);
-        sim.kernel_mut().node_mut(r).routes.add(h1, l1);
+        sim.compute_routes();
         let src = UdpSource {
             flow: FlowId(7),
             dst: h1,
@@ -1305,7 +1304,7 @@ mod tests {
             let mut sim = Sim::new(seed);
             let h0 = sim.add_node("h0", NodeKind::Host);
             let h1 = sim.add_node("h1", NodeKind::Host);
-            let lid = sim.add_link(Link::new(
+            sim.add_link(Link::new(
                 "l01",
                 h0,
                 h1,
@@ -1313,7 +1312,7 @@ mod tests {
                 SimDuration::from_millis(10),
                 QueueCapacity::Packets(5),
             ));
-            sim.kernel_mut().node_mut(h0).routes.add(h1, lid);
+            sim.compute_routes();
             sim.set_send_jitter(SimDuration::from_micros(100));
             let src = UdpSource {
                 flow: FlowId(0),
@@ -1622,7 +1621,7 @@ mod packet_log_tests {
         sim.enable_packet_log(1000);
         let h0 = sim.add_node("h0", NodeKind::Host);
         let h1 = sim.add_node("h1", NodeKind::Host);
-        let lid = sim.add_link(Link::new(
+        sim.add_link(Link::new(
             "l",
             h0,
             h1,
@@ -1630,7 +1629,7 @@ mod packet_log_tests {
             SimDuration::from_millis(5),
             QueueCapacity::Packets(2),
         ));
-        sim.kernel_mut().node_mut(h0).routes.add(h1, lid);
+        sim.compute_routes();
         sim.add_agent(
             h0,
             Box::new(Burst {
@@ -1687,7 +1686,7 @@ mod packet_log_tests {
             ));
             sim.kernel_mut().link_mut(lid).queue =
                 LinkQueue::from(DropTail::with_packets(8).with_ecn(EcnMode::Step(2)));
-            sim.kernel_mut().node_mut(h0).routes.add(h1, lid);
+            sim.compute_routes();
             sim.add_agent(
                 h0,
                 Box::new(Burst {

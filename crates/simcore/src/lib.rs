@@ -13,7 +13,7 @@
 //! * [`Rng`] and the [`dist`] module — a self-contained pseudo-random number
 //!   generator (xoshiro256++ seeded through SplitMix64) plus the
 //!   distributions used by the paper's workloads (uniform, exponential,
-//!   Pareto, normal). We deliberately do **not** depend on the `rand` crate in
+//!   Pareto). We deliberately do **not** depend on the `rand` crate in
 //!   library code so that results cannot silently change underneath us when
 //!   `rand` revs its algorithms.
 //!
@@ -48,7 +48,7 @@ pub mod traceviz;
 pub mod wheel;
 
 pub use digest::Fnv1a;
-pub use dist::{Exponential, LogNormal, Normal, Pareto, Uniform, Weibull};
+pub use dist::{Exponential, Pareto, Uniform};
 pub use event::EventQueue;
 pub use metrics::Registry;
 pub use prof::Profile;

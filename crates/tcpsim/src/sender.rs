@@ -14,7 +14,11 @@
 //!   retransmission, or SACK scoreboard recovery (below), depending on the
 //!   algorithm's [`RecoveryStyle`];
 //! * go-back-N retransmission after a timeout (ns-2 semantics: `t_seqno_`
-//!   falls back to the highest ACK), with exponential RTO backoff;
+//!   falls back to the highest ACK), with exponential RTO backoff. Every
+//!   timeout sets ssthresh from the flight at that moment, a repeat
+//!   timeout of the same segment too, where RFC 5681 §3.1 holds ssthresh
+//!   constant: after the rewind that flight is one segment, so ssthresh
+//!   falls to 2 (`tests/sender_scripts.rs` pins 2 where the RFC gives 10);
 //! * RTT sampling from timestamp echoes, so Karn ambiguity never arises;
 //! * an opt-in ECN path (`cfg.ecn`): ECE-carrying ACKs run the DCTCP α
 //!   estimator and trigger the algorithm's

@@ -7,7 +7,7 @@
 //! relies on.
 
 use crate::workload::{install_pair, FlowHandle};
-use netsim::{DumbbellView, FlowId, Sim};
+use netsim::{FlowId, HostPairs, Sim};
 use simcore::{Rng, SimDuration};
 use tcpsim::cc::{CongestionControl, Cubic, Dctcp, NewReno, Reno, Sack};
 use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
@@ -45,7 +45,7 @@ impl CcKind {
     }
 }
 
-/// Generator for `n` long-lived flows over a dumbbell.
+/// Generator for `n` long-lived flows, one per host pair.
 #[derive(Clone, Debug)]
 pub struct BulkWorkload {
     /// TCP configuration for every flow.
@@ -74,18 +74,19 @@ impl Default for BulkWorkload {
 }
 
 impl BulkWorkload {
-    /// Installs one long-lived flow per dumbbell host pair. Flow ids are
-    /// `first_flow .. first_flow + n`. Accepts a whole `&Dumbbell` or a
-    /// borrowed [`DumbbellView`] of some of its pairs. All flows share one
-    /// fresh flow table; use [`BulkWorkload::install_in`] to provide it.
+    /// Installs one long-lived flow per host pair. Flow ids are
+    /// `first_flow .. first_flow + n`. Accepts any [`HostPairs`]: a whole
+    /// `&Dumbbell`, a slice of one, or a parking lot's role. All flows
+    /// share one fresh flow table; use [`BulkWorkload::install_in`] to
+    /// provide it.
     pub fn install<'a>(
         &self,
         sim: &mut Sim,
-        dumbbell: impl Into<DumbbellView<'a>>,
+        pairs: impl Into<HostPairs<'a>>,
         first_flow: u32,
         rng: &mut Rng,
     ) -> Vec<FlowHandle> {
-        self.install_in(sim, dumbbell, first_flow, rng, &SharedFlowTable::new())
+        self.install_in(sim, pairs, first_flow, rng, &SharedFlowTable::new())
     }
 
     /// Like [`BulkWorkload::install`], but the flows pool their live state
@@ -94,21 +95,21 @@ impl BulkWorkload {
     pub fn install_in<'a>(
         &self,
         sim: &mut Sim,
-        dumbbell: impl Into<DumbbellView<'a>>,
+        pairs: impl Into<HostPairs<'a>>,
         first_flow: u32,
         rng: &mut Rng,
         table: &SharedFlowTable,
     ) -> Vec<FlowHandle> {
-        let dumbbell = dumbbell.into();
-        let mut handles = Vec::with_capacity(dumbbell.n_flows());
-        for i in 0..dumbbell.n_flows() {
+        let pairs = pairs.into();
+        let mut handles = Vec::with_capacity(pairs.n_flows());
+        for i in 0..pairs.n_flows() {
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "flow ids are u32 by design; a run installs far fewer flows"
             )]
             let flow = FlowId(first_flow + i as u32);
-            let src_node = dumbbell.sources[i];
-            let sink_node = dumbbell.sinks[i];
+            let src_node = pairs.sources[i];
+            let sink_node = pairs.sinks[i];
             let start = SimDuration::from_nanos(rng.u64_below(self.start_window.as_nanos().max(1)));
             let sender = TcpSender::in_table(table, self.cfg, self.cc.build(), None);
             let mut source =

@@ -19,7 +19,7 @@
 //! the next transfer.
 
 use crate::workload::{install_pair, FlowHandle};
-use netsim::{Agent, Ctx, DumbbellView, FlowId, NodeId, Packet, Sim};
+use netsim::{Agent, Ctx, FlowId, HostPairs, NodeId, Packet, Sim};
 use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
 use std::any::Any;
@@ -159,7 +159,7 @@ impl Agent for SessionSink {
     }
 }
 
-/// Generator for a population of sessions over a dumbbell.
+/// Generator for a population of sessions over host pairs.
 #[derive(Clone, Debug)]
 pub struct SessionWorkload {
     /// Number of concurrent sessions ("users").
@@ -175,31 +175,31 @@ pub struct SessionWorkload {
 }
 
 impl SessionWorkload {
-    /// Installs the sessions round-robin over the dumbbell's host pairs,
-    /// all pooling their live state in one fresh flow table. Accepts a
-    /// whole `&Dumbbell` or a borrowed [`DumbbellView`] of some of its
-    /// pairs.
+    /// Installs the sessions round-robin over the host pairs, all pooling
+    /// their live state in one fresh flow table. Accepts any
+    /// [`HostPairs`]: a whole `&Dumbbell`, a slice of one, or a parking
+    /// lot's role.
     pub fn install<'a>(
         &self,
         sim: &mut Sim,
-        dumbbell: impl Into<DumbbellView<'a>>,
+        pairs: impl Into<HostPairs<'a>>,
         first_flow: u32,
         rng: &mut Rng,
     ) -> Vec<FlowHandle> {
-        let dumbbell = dumbbell.into();
+        let pairs = pairs.into();
         assert!(self.n_sessions > 0);
         let sizes = Pareto::with_mean(self.size_mean_segments, self.size_shape);
         let table = SharedFlowTable::new();
         let mut handles = Vec::with_capacity(self.n_sessions);
         for i in 0..self.n_sessions {
-            let pair = i % dumbbell.n_flows();
+            let pair = i % pairs.n_flows();
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "flow ids are u32 by design; a run installs far fewer flows"
             )]
             let flow = FlowId(first_flow + i as u32);
-            let src_node = dumbbell.sources[pair];
-            let sink_node = dumbbell.sinks[pair];
+            let src_node = pairs.sources[pair];
+            let sink_node = pairs.sinks[pair];
             let source = SessionSource::new(
                 &table,
                 flow,

@@ -15,7 +15,7 @@
 //! arrivals (a hundred thousand and more at Figure 8 scale).
 
 use crate::workload::{install_pair, FlowHandle};
-use netsim::{DumbbellView, FlowId, Sim};
+use netsim::{FlowId, HostPairs, Sim};
 use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
 use tcpsim::cc::Reno;
@@ -109,18 +109,18 @@ pub struct ShortFlowWorkload {
 }
 
 impl ShortFlowWorkload {
-    /// Installs the pre-sampled arrivals over the dumbbell's host pairs.
+    /// Installs the pre-sampled arrivals round-robin over the host pairs.
     /// Flow ids are allocated from `first_flow` upward; the return value
-    /// preserves arrival order. Accepts a whole `&Dumbbell` or a borrowed
-    /// [`DumbbellView`] of some of its pairs.
+    /// preserves arrival order. Accepts any [`HostPairs`]: a whole
+    /// `&Dumbbell`, a slice of one, or a parking lot's role.
     pub fn install<'a>(
         &self,
         sim: &mut Sim,
-        dumbbell: impl Into<DumbbellView<'a>>,
+        pairs: impl Into<HostPairs<'a>>,
         first_flow: u32,
         rng: &mut Rng,
     ) -> Vec<FlowHandle> {
-        self.install_in(sim, dumbbell, first_flow, rng, &SharedFlowTable::new())
+        self.install_in(sim, pairs, first_flow, rng, &SharedFlowTable::new())
     }
 
     /// Like [`ShortFlowWorkload::install`], but the flows pool their live
@@ -129,12 +129,12 @@ impl ShortFlowWorkload {
     pub fn install_in<'a>(
         &self,
         sim: &mut Sim,
-        dumbbell: impl Into<DumbbellView<'a>>,
+        pairs: impl Into<HostPairs<'a>>,
         first_flow: u32,
         rng: &mut Rng,
         table: &SharedFlowTable,
     ) -> Vec<FlowHandle> {
-        let dumbbell = dumbbell.into();
+        let pairs = pairs.into();
         assert!(self.arrival_rate > 0.0);
         // Sample the whole arrival list first (gap, length, gap, length, …:
         // the draw order is part of every digest), so everything that is
@@ -153,14 +153,14 @@ impl ShortFlowWorkload {
         sim.reserve_flows(arrivals.len());
         let mut handles = Vec::with_capacity(arrivals.len());
         for (i, &(t, len)) in arrivals.iter().enumerate() {
-            let pair = i % dumbbell.n_flows();
+            let pair = i % pairs.n_flows();
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "flow ids are u32 by design; a run installs far fewer flows"
             )]
             let flow = FlowId(first_flow + i as u32);
-            let src_node = dumbbell.sources[pair];
-            let sink_node = dumbbell.sinks[pair];
+            let src_node = pairs.sources[pair];
+            let sink_node = pairs.sinks[pair];
             let sender = TcpSender::in_table(table, self.cfg, Box::new(Reno), Some(len));
             let source = TcpSource::with_sender(flow, sink_node, sender)
                 .with_start_delay(SimDuration::from_secs_f64(t));

@@ -135,6 +135,25 @@ store_fields=$(netsim_code crates/netsim/src/sim.rs \
 }
 echo "one event loop: $forks lines forking the loop, $store_fields observer-store field touches in sim.rs"
 
+echo "==> one-routing-path gate (every route table is computed from the link list)"
+# A topology is a node / link list and Sim::compute_routes
+# (crates/netsim/src/topology.rs) derives every route table from it: a
+# host's one outgoing link is its default route, and a router routes to
+# each host along a fewest-hop path through routers. A hand-wired table
+# needs its own routes.add( or routes.set_default( call: count those in
+# every .rs file, tests included, outside node.rs, which defines them, and
+# topology.rs (20 while the dumbbell, the parking lot and the kernel's
+# tests wired their own).
+hand_routes=$(for f in $(git ls-files '*.rs' \
+        | grep -v '^crates/netsim/src/\(node\|topology\)\.rs$'); do
+    cat "$f"
+done | grep -cE 'routes\.(add|set_default)\(' || true)
+[ "$hand_routes" = "0" ] || {
+    echo "a second routing path: $hand_routes lines wiring a route table by hand outside crates/netsim/src/{node,topology}.rs, want 0" >&2
+    exit 1
+}
+echo "one routing path: $hand_routes lines wiring a route table by hand"
+
 echo "==> doc drift gate (DESIGN.md sections referenced from other docs exist)"
 # README/EXPERIMENTS/RESULTS point readers at DESIGN.md sections by number
 # ("see DESIGN.md §13", "DESIGN.md §12.2"). Renumbering or deleting a

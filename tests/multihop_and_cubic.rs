@@ -3,8 +3,11 @@
 
 use buffersizing::prelude::*;
 use netsim::{FlowId, ParkingLotBuilder, Sim};
+use simcore::Rng;
 use tcpsim::{Cubic, Reno, Sack, TcpConfig, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
+use traffic::sessions::SessionSource;
+use traffic::{BulkWorkload, FlowLengthDist, SessionWorkload, ShortFlowWorkload};
 
 #[test]
 fn parking_lot_tcp_through_two_bottlenecks() {
@@ -30,9 +33,9 @@ fn parking_lot_tcp_through_two_bottlenecks() {
     };
     let mut sinks = Vec::new();
     for i in 0..4 {
-        sinks.push(add(&mut sim, pl.through_sources[i], pl.through_sinks[i]));
-        sinks.push(add(&mut sim, pl.left_sources[i], pl.left_sinks[i]));
-        sinks.push(add(&mut sim, pl.right_sources[i], pl.right_sinks[i]));
+        for p in [pl.through(), pl.left(), pl.right()] {
+            sinks.push(add(&mut sim, p.sources[i], p.sinks[i]));
+        }
     }
     // Runtime invariant auditing: packet conservation, queue bounds, and
     // clock monotonicity are re-verified after every event of this run.
@@ -103,9 +106,10 @@ fn through_flows_get_less_than_single_hop_flows() {
     let mut through = Vec::new();
     let mut single = Vec::new();
     for i in 0..3 {
-        through.push(add(&mut sim, pl.through_sources[i], pl.through_sinks[i]));
-        single.push(add(&mut sim, pl.left_sources[i], pl.left_sinks[i]));
-        single.push(add(&mut sim, pl.right_sources[i], pl.right_sinks[i]));
+        let (t, l, r) = (pl.through(), pl.left(), pl.right());
+        through.push(add(&mut sim, t.sources[i], t.sinks[i]));
+        single.push(add(&mut sim, l.sources[i], l.sinks[i]));
+        single.push(add(&mut sim, r.sources[i], r.sinks[i]));
     }
     sim.start();
     sim.run_until(SimTime::from_secs(30));
@@ -236,4 +240,114 @@ fn sack_full_stack_short_flow_completes_under_loss() {
             .delivered(),
         2000
     );
+}
+
+/// Every workload installs on a parking lot through its `HostPairs` roles:
+/// bulk flows on `through()`, Poisson short flows on `left()` and
+/// closed-loop sessions on `right()`, audited after every event. Routing
+/// comes from `Sim::compute_routes`, so nothing is unroutable.
+#[test]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test-sized values, far inside the target type"
+)]
+fn every_workload_installs_on_a_parking_lot() {
+    let mut sim = Sim::new(9);
+    let pl = ParkingLotBuilder::new(20_000_000, SimDuration::from_millis(5))
+        .buffers(60, 60)
+        .through(2)
+        .left(2)
+        .right(2)
+        .build(&mut sim);
+    let cfg = TcpConfig::default();
+    let mut rng = Rng::new(3);
+    let bulk = BulkWorkload {
+        start_window: SimDuration::from_secs(1),
+        ..BulkWorkload::default()
+    }
+    .install(&mut sim, pl.through(), 0, &mut rng);
+    let short = ShortFlowWorkload {
+        arrival_rate: 10.0,
+        lengths: FlowLengthDist::Fixed(20),
+        cfg,
+        horizon: SimDuration::from_secs(4),
+    }
+    .install(&mut sim, pl.left(), bulk.len() as u32, &mut rng);
+    let sessions = SessionWorkload {
+        n_sessions: 4,
+        think_mean: SimDuration::from_millis(200),
+        size_mean_segments: 20.0,
+        size_shape: 1.5,
+        cfg,
+    }
+    .install(
+        &mut sim,
+        pl.right(),
+        (bulk.len() + short.len()) as u32,
+        &mut rng,
+    );
+    sim.enable_auditor();
+    sim.start();
+    sim.run_until(SimTime::from_secs(10));
+
+    let audit = sim.kernel().auditor().expect("auditor enabled");
+    let stats = sim.kernel().stats();
+    assert_eq!(stats.unroutable, 0);
+    assert_eq!(audit.unroutable(), 0);
+    assert_eq!(audit.delivered(), stats.delivered);
+    assert_eq!(audit.dropped(), stats.drops);
+    assert!(audit.checks() > 10_000, "audited {} events", audit.checks());
+
+    for h in &bulk {
+        let delivered = sim
+            .agent_as::<TcpSink>(h.sink)
+            .unwrap()
+            .receiver()
+            .delivered();
+        assert!(
+            delivered > 500,
+            "bulk flow {:?}: {delivered} segments",
+            h.flow
+        );
+    }
+    assert!(short.len() > 20, "{} short flows", short.len());
+    for h in &short {
+        let src = sim.agent_as::<TcpSource>(h.source).unwrap();
+        assert!(
+            src.sender().is_completed(),
+            "short flow {:?} unfinished",
+            h.flow
+        );
+    }
+    for h in &sessions {
+        let s = sim.agent_as::<SessionSource>(h.source).unwrap();
+        assert!(s.transfers_completed() > 0, "session {:?} idle", h.flow);
+    }
+}
+
+/// Routes come from the link list: a left flow (R1's hosts to R2's) never
+/// touches bottleneck 2, and a right flow (R2's to R3's) never touches
+/// bottleneck 1, in either direction.
+#[test]
+fn one_hop_classes_stay_on_their_own_bottleneck() {
+    let run = |left: usize, right: usize| {
+        let mut sim = Sim::new(10);
+        let pl = ParkingLotBuilder::new(20_000_000, SimDuration::from_millis(5))
+            .left(left)
+            .right(right)
+            .build(&mut sim);
+        let pairs = if left > 0 { pl.left() } else { pl.right() };
+        BulkWorkload::default().install(&mut sim, pairs, 0, &mut Rng::new(1));
+        sim.start();
+        sim.run_until(SimTime::from_secs(6));
+        assert_eq!(sim.kernel().stats().unroutable, 0);
+        let tx = |l| sim.kernel().link(l).monitor.totals().tx_packets;
+        (tx(pl.bottleneck1), tx(pl.bottleneck2))
+    };
+    let (b1, b2) = run(2, 0);
+    assert!(b1 > 1000, "left flows sent {b1} packets over bottleneck 1");
+    assert_eq!(b2, 0, "left flows crossed bottleneck 2");
+    let (b1, b2) = run(0, 2);
+    assert!(b2 > 1000, "right flows sent {b2} packets over bottleneck 2");
+    assert_eq!(b1, 0, "right flows crossed bottleneck 1");
 }

@@ -14,7 +14,7 @@
 //! sender's counters and the bits of its final window pair. Any change to
 //! a sender's loss recovery, window rules or ECN response moves a pin.
 //!
-//! The last three cells script loss at the receiving end instead: a wrapper
+//! The last four cells script loss at the receiving end instead: a wrapper
 //! around `TcpSink` loses listed `(seq, transmission)` data segments, so it
 //! sees every segment, and the cells assert RFC behaviour derived by hand.
 
@@ -25,6 +25,7 @@ use netsim::{
 use simcore::{Rng, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use tcpsim::sender::SenderStats;
+use tcpsim::span::{SpanKind, SpanRecord};
 use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
 
@@ -258,8 +259,12 @@ impl Agent for LossySink {
 
 /// One 400-segment flow through a loss-free dumbbell (the receiver window
 /// is 20, delayed ACKs are off, the initial window is 2), losing `losses`
-/// at the sink. Returns the sender's counters and its final ssthresh.
-fn run_sink_script(kind: CcKind, losses: &'static [(u32, u32)]) -> (SenderStats, f64) {
+/// at the sink. Returns the sender's counters, its final ssthresh and its
+/// span log.
+fn run_sink_script(
+    kind: CcKind,
+    losses: &'static [(u32, u32)],
+) -> (SenderStats, f64, Vec<SpanRecord>) {
     let mut sim = Sim::new(5);
     let d = DumbbellBuilder::new(10_000_000, SimDuration::from_millis(5))
         .flows(1, SimDuration::from_millis(10))
@@ -268,7 +273,7 @@ fn run_sink_script(kind: CcKind, losses: &'static [(u32, u32)]) -> (SenderStats,
     let table = SharedFlowTable::new();
     let flow = FlowId(0);
     let sender = TcpSender::in_table(&table, cfg, kind.build(), Some(SEGMENTS));
-    let src = TcpSource::with_sender(flow, d.sinks[0], sender);
+    let src = TcpSource::with_sender(flow, d.sinks[0], sender).with_span_log(64);
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink = LossySink {
         sink: TcpSink::in_table(&table, flow, &cfg),
@@ -280,9 +285,11 @@ fn run_sink_script(kind: CcKind, losses: &'static [(u32, u32)]) -> (SenderStats,
     sim.bind_flow(flow, d.sources[0], src_id);
     sim.start();
     sim.run_until(SimTime::from_secs(60));
-    let s = sim.agent_as::<TcpSource>(src_id).unwrap().sender();
+    let src = sim.agent_as::<TcpSource>(src_id).unwrap();
+    let s = src.sender();
     assert!(s.is_completed(), "{kind:?}: flow did not complete");
-    (s.stats(), s.ssthresh())
+    let spans = src.span_log().unwrap().iter().copied().collect();
+    (s.stats(), s.ssthresh(), spans)
 }
 
 /// Reno, one loss in a window (RFC 5681 §3.2). In slow start from a
@@ -292,7 +299,7 @@ fn run_sink_script(kind: CcKind, losses: &'static [(u32, u32)]) -> (SenderStats,
 /// ssthresh = FlightSize / 2 = 12 / 2 = 6, which no later loss moves.
 #[test]
 fn reno_one_loss_is_one_fast_retransmit() {
-    let (st, ssthresh) = run_sink_script(CcKind::Reno, &[(10, 1)]);
+    let (st, ssthresh, _) = run_sink_script(CcKind::Reno, &[(10, 1)]);
     assert_eq!(
         (st.fast_retransmits, st.retransmits, st.timeouts),
         (1, 1, 0),
@@ -308,7 +315,7 @@ fn reno_one_loss_is_one_fast_retransmit() {
 /// the whole flight ends recovery: three retransmits, no timeout.
 #[test]
 fn newreno_three_holes_are_retransmitted_on_partial_acks() {
-    let (st, ssthresh) = run_sink_script(CcKind::NewReno, &[(10, 1), (12, 1), (14, 1)]);
+    let (st, ssthresh, _) = run_sink_script(CcKind::NewReno, &[(10, 1), (12, 1), (14, 1)]);
     assert_eq!(
         (st.fast_retransmits, st.retransmits, st.timeouts),
         (1, 3, 0),
@@ -340,11 +347,64 @@ fn newreno_three_holes_are_retransmitted_on_partial_acks() {
 /// ssthresh = cwnd = 14 / 2 = 7.
 #[test]
 fn sack_three_holes_are_repaired_in_one_recovery() {
-    let (st, ssthresh) = run_sink_script(CcKind::Sack, &[(10, 1), (12, 1), (14, 1)]);
+    let (st, ssthresh, _) = run_sink_script(CcKind::Sack, &[(10, 1), (12, 1), (14, 1)]);
     assert_eq!(
         (st.fast_retransmits, st.retransmits, st.timeouts),
         (1, 3, 0),
         "{st:?}"
     );
     assert_eq!(ssthresh.to_bits(), 7.0f64.to_bits());
+}
+
+/// RFC 6298 under Reno: segment 10 is lost on its first three
+/// transmissions, so the fast retransmit and the first timeout's
+/// retransmission are lost too.
+///
+/// - As in the one-loss cell, the ACK for 9 leaves cwnd = 12 with 10–21 in
+///   flight; the duplicate ACKs for 11–13 trigger the fast retransmit of 10
+///   (transmission 2) at `t_fr`, which arms the timer. Every RTT sample so
+///   far is the 30 ms two-way propagation plus a few milliseconds of
+///   serialization and queueing, so SRTT + 4·RTTVAR is at most about
+///   3·40 ms = 120 ms and the RTO is the configured minimum,
+///   `TcpConfig::default().min_rto` = 200 ms (§2.4).
+/// - Duplicate ACKs do not restart the timer (§5.3 restarts it only when
+///   new data is acknowledged), so the first timeout fires at
+///   `t_fr + 200 ms`. It doubles the RTO to 400 ms (§5.5), sets
+///   ssthresh = FlightSize / 2 = (30 − 10) / 2 = 10 (fast recovery sent up
+///   to 29, the receiver window of 20 past 10), cwnd = 1, and retransmits
+///   10 (transmission 3), which is lost.
+/// - Nothing else is outstanding, so no ACK arrives and the second timeout
+///   fires 400 ms after the first, twice the first RTO. It retransmits 10
+///   (transmission 4), which arrives; the cumulative ACK for 30 carries a
+///   timestamp sample (Karn's rule allows it) and the flow completes.
+///   One fast retransmit, three retransmits, two timeouts.
+///
+/// RFC 5681 §3.1 holds ssthresh constant when a segment the timer already
+/// retransmitted times out again, so it should stay 10. The sender
+/// diverges, a documented simplification (`sender.rs`, the RTO path): each
+/// timeout recomputes ssthresh from the flight after the go-back-N rewind,
+/// here the one segment 10, so ssthresh = max(1 / 2, 2) = 2, which no
+/// later loss moves.
+#[test]
+fn reno_lost_retransmissions_back_off_the_rto() {
+    let (st, ssthresh, spans) = run_sink_script(CcKind::Reno, &[(10, 1), (10, 2), (10, 3)]);
+    assert_eq!(
+        (st.fast_retransmits, st.retransmits, st.timeouts),
+        (1, 3, 2),
+        "{st:?}"
+    );
+    let at = |kind| -> Vec<SimTime> {
+        spans
+            .iter()
+            .filter(|s| s.kind == kind)
+            .map(|s| s.time)
+            .collect()
+    };
+    let (fr, rto) = (at(SpanKind::FastRetransmit), at(SpanKind::Rto));
+    assert_eq!((fr.len(), rto.len()), (1, 2), "{spans:?}");
+    let first_rto = rto[0] - fr[0];
+    assert!(first_rto >= TcpConfig::default().min_rto, "{first_rto:?}");
+    assert_eq!(first_rto, SimDuration::from_millis(200));
+    assert_eq!(rto[1] - rto[0], first_rto * 2);
+    assert_eq!(ssthresh.to_bits(), 2.0f64.to_bits());
 }
