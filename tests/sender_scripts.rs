@@ -14,17 +14,18 @@
 //! sender's counters and the bits of its final window pair. Any change to
 //! a sender's loss recovery, window rules or ECN response moves a pin.
 //!
-//! The last four cells script loss at the receiving end instead: a wrapper
-//! around `TcpSink` loses listed `(seq, transmission)` data segments, so it
-//! sees every segment, and the cells assert RFC behaviour derived by hand.
+//! The last six cells script loss and marks at the receiving end instead: a
+//! wrapper around `TcpSink` loses or CE-marks listed `(seq, transmission)`
+//! data segments, so it sees every segment, and the cells assert RFC
+//! behaviour derived by hand.
 
 use netsim::{
-    Agent, Ctx, DropTail, DumbbellBuilder, FlowId, MarkReason, Packet, PacketKind, Queue,
+    Agent, Ctx, DropTail, DumbbellBuilder, Ecn, FlowId, MarkReason, Packet, PacketKind, Queue,
     QueueCapacity, QueuedPacket, Sim,
 };
 use simcore::{Rng, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use tcpsim::sender::SenderStats;
+use tcpsim::sender::{SenderState, SenderStats};
 use tcpsim::span::{SpanKind, SpanRecord};
 use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
@@ -231,20 +232,30 @@ fn sack_ignores_ece() {
 
 /// A `TcpSink` that loses the listed `(seq, transmission)` data segments
 /// (transmission 1 is the first copy of a segment to arrive) before they
-/// reach it.
+/// reach it, sets CE on the listed ones that arrive ECN-capable, and notes
+/// every segment that arrives with CWR set.
 struct LossySink {
     sink: TcpSink,
     losses: &'static [(u32, u32)],
+    marks: &'static [(u32, u32)],
     arrivals: BTreeMap<u32, u32>,
+    cwr: Vec<u64>,
 }
 
 impl Agent for LossySink {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+    fn on_packet(&mut self, mut pkt: Packet, ctx: &mut Ctx<'_>) {
         if let PacketKind::TcpData(h) = pkt.kind {
             let n = self.arrivals.entry(h.seq).or_insert(0);
             *n += 1;
-            if self.losses.contains(&(h.seq, *n)) {
+            let copy = (h.seq, *n);
+            if self.losses.contains(&copy) {
                 return;
+            }
+            if self.marks.contains(&copy) && pkt.ecn.is_ect() {
+                pkt.ecn = Ecn::Ce;
+            }
+            if h.flags.cwr {
+                self.cwr.push(u64::from(h.seq));
             }
         }
         self.sink.on_packet(pkt, ctx);
@@ -257,39 +268,123 @@ impl Agent for LossySink {
     }
 }
 
-/// One 400-segment flow through a loss-free dumbbell (the receiver window
-/// is 20, delayed ACKs are off, the initial window is 2), losing `losses`
-/// at the sink. Returns the sender's counters, its final ssthresh and its
-/// span log.
-fn run_sink_script(
+/// The sender as it stands after processing one ACK.
+#[derive(Clone, Copy, Debug)]
+struct AfterAck {
+    /// The ACK's cumulative acknowledgement and ECN-Echo bit.
+    ack: u64,
+    ece: bool,
+    cwnd: f64,
+    ssthresh: f64,
+    /// The DCTCP estimate α.
+    alpha: f64,
+    recovery: bool,
+    snd_una: u64,
+    next_seq: u64,
+}
+
+/// A `TcpSource` that records its sender after every ACK.
+struct SenderProbe {
+    src: TcpSource,
+    rows: Vec<AfterAck>,
+}
+
+impl Agent for SenderProbe {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.src.on_start(ctx);
+    }
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        let ack = match pkt.kind {
+            PacketKind::TcpAck(h) => Some((u64::from(h.ack), h.flags.ece)),
+            _ => None,
+        };
+        self.src.on_packet(pkt, ctx);
+        if let Some((ack, ece)) = ack {
+            let s = self.src.sender();
+            self.rows.push(AfterAck {
+                ack,
+                ece,
+                cwnd: s.cwnd(),
+                ssthresh: s.ssthresh(),
+                alpha: s.ecn_alpha(),
+                recovery: s.state() == SenderState::FastRecovery,
+                snd_una: s.snd_una(),
+                next_seq: s.next_seq(),
+            });
+        }
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        self.src.on_timer(token, ctx);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// What one sink-scripted run leaves behind.
+struct Script {
+    stats: SenderStats,
+    ssthresh: f64,
+    spans: Vec<SpanRecord>,
+    /// The sender after every ACK, in arrival order.
+    rows: Vec<AfterAck>,
+    /// Data segments that arrived with CWR set, in arrival order.
+    cwr: Vec<u64>,
+}
+
+/// One 400-segment flow through a loss-free dumbbell (delayed ACKs off,
+/// initial window 2), losing `losses` and CE-marking `marks` at the sink.
+fn run_script(
     kind: CcKind,
+    cfg: TcpConfig,
     losses: &'static [(u32, u32)],
-) -> (SenderStats, f64, Vec<SpanRecord>) {
+    marks: &'static [(u32, u32)],
+) -> Script {
     let mut sim = Sim::new(5);
     let d = DumbbellBuilder::new(10_000_000, SimDuration::from_millis(5))
         .flows(1, SimDuration::from_millis(10))
         .build(&mut sim);
-    let cfg = TcpConfig::default().with_max_window(MAX_WINDOW);
     let table = SharedFlowTable::new();
     let flow = FlowId(0);
     let sender = TcpSender::in_table(&table, cfg, kind.build(), Some(SEGMENTS));
-    let src = TcpSource::with_sender(flow, d.sinks[0], sender).with_span_log(64);
+    let src = SenderProbe {
+        src: TcpSource::with_sender(flow, d.sinks[0], sender).with_span_log(64),
+        rows: Vec::new(),
+    };
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink = LossySink {
         sink: TcpSink::in_table(&table, flow, &cfg),
         losses,
+        marks,
         arrivals: BTreeMap::new(),
+        cwr: Vec::new(),
     };
     let sink_id = sim.add_agent(d.sinks[0], Box::new(sink));
     sim.bind_flow(flow, d.sinks[0], sink_id);
     sim.bind_flow(flow, d.sources[0], src_id);
     sim.start();
     sim.run_until(SimTime::from_secs(60));
-    let src = sim.agent_as::<TcpSource>(src_id).unwrap();
-    let s = src.sender();
+    let probe = sim.agent_as::<SenderProbe>(src_id).unwrap();
+    let s = probe.src.sender();
     assert!(s.is_completed(), "{kind:?}: flow did not complete");
-    let spans = src.span_log().unwrap().iter().copied().collect();
-    (s.stats(), s.ssthresh(), spans)
+    Script {
+        stats: s.stats(),
+        ssthresh: s.ssthresh(),
+        spans: probe.src.span_log().unwrap().iter().copied().collect(),
+        rows: probe.rows.clone(),
+        cwr: sim.agent_as::<LossySink>(sink_id).unwrap().cwr.clone(),
+    }
+}
+
+/// [`run_script`] with the receiver window of 20, no ECN and no marks.
+/// Returns the sender's counters, its final ssthresh and its span log.
+fn run_sink_script(
+    kind: CcKind,
+    losses: &'static [(u32, u32)],
+) -> (SenderStats, f64, Vec<SpanRecord>) {
+    let cfg = TcpConfig::default().with_max_window(MAX_WINDOW);
+    let s = run_script(kind, cfg, losses, &[]);
+    (s.stats, s.ssthresh, s.spans)
 }
 
 /// Reno, one loss in a window (RFC 5681 §3.2). In slow start from a
@@ -407,4 +502,190 @@ fn reno_lost_retransmissions_back_off_the_rto() {
     assert_eq!(first_rto, SimDuration::from_millis(200));
     assert_eq!(rto[1] - rto[0], first_rto * 2);
     assert_eq!(ssthresh.to_bits(), 2.0f64.to_bits());
+}
+
+/// DCTCP (RFC 8257 §3.3), ECN on, no loss; the sink CE-marks segments 75,
+/// 80 and 150. With delayed ACKs off each mark comes back as ECE on exactly
+/// the ACK for the marked segment.
+///
+/// - α starts at 1 and each observation window ends on the ACK that
+///   reaches the SND.NXT recorded when the window began. In slow start from
+///   a window of 2, the ACK for segment k leaves next_seq = 2k + 4 until
+///   the receiver window of 20 caps it at k + 21, so the windows end on
+///   ACKs 1, 2, 4, 8, 16, 32, 51, 70 and 89. The first eight see no mark,
+///   so after ACK 70 α = (15/16)^8 (g = 1/16).
+/// - ACK 76 carries ECE while cwnd = 20: cwnd and ssthresh become
+///   20·(1 − α/2) with that α, and the window of data it must clear ends at
+///   next_seq = 95. The ECE on ACK 81 falls inside it and changes nothing.
+/// - The window ending on ACK 89 acked 19 segments, two of them marked:
+///   α = (15/16)·α + (1/16)·(2/19).
+/// - The ECE on ACK 151 comes after 95 is acknowledged, so it cuts again,
+///   cwnd·(1 − α/2) with the α of that moment.
+/// - CWR rides on the first segment sent after each cut: 95, then the
+///   next_seq the second cut left.
+///
+/// An RFC 8257 estimator run over the recorded ACK stream reproduces α
+/// after every ACK.
+#[test]
+fn dctcp_updates_alpha_and_cuts_once_per_window() {
+    const G: f64 = 1.0 / 16.0;
+    let cfg = TcpConfig::default().with_max_window(MAX_WINDOW).with_ecn();
+    let s = run_script(CcKind::Dctcp, cfg, &[], &[(75, 1), (80, 1), (150, 1)]);
+    assert_eq!(
+        (s.stats.retransmits, s.stats.timeouts),
+        (0, 0),
+        "{:?}",
+        s.stats
+    );
+    let rows = &s.rows;
+    let row = |ack: u64| *rows.iter().find(|r| r.ack == ack).unwrap();
+
+    let mut moves = Vec::new();
+    let mut last = 1.0f64;
+    for r in rows {
+        if r.alpha.to_bits() != last.to_bits() {
+            moves.push(r.ack);
+            last = r.alpha;
+        }
+    }
+    assert_eq!(moves[..9], [1, 2, 4, 8, 16, 32, 51, 70, 89]);
+    let mut alpha8 = 1.0;
+    for _ in 0..8 {
+        alpha8 *= 1.0 - G;
+    }
+    assert_eq!(row(88).alpha.to_bits(), alpha8.to_bits());
+    let alpha9 = (1.0 - G) * alpha8 + G * (2.0 / 19.0);
+    assert_eq!(row(89).alpha.to_bits(), alpha9.to_bits());
+
+    let (mut alpha, mut window_end, mut acked, mut marked) = (1.0, 0, 0, 0);
+    let (mut una, mut nxt) = (0, 2);
+    // The completing ACK gives the slot back, and a finished flow answers 1.
+    for r in &rows[..rows.len() - 1] {
+        let newly = r.ack.saturating_sub(una);
+        if newly > 0 {
+            acked += newly;
+            if r.ece {
+                marked += newly;
+            }
+            if r.ack >= window_end {
+                alpha = (1.0 - G) * alpha + G * (marked as f64 / acked as f64);
+                (window_end, acked, marked) = (nxt, 0, 0);
+            }
+            una = r.ack;
+        }
+        assert_eq!(r.alpha.to_bits(), alpha.to_bits(), "ACK {}", r.ack);
+        nxt = r.next_seq;
+    }
+
+    let cuts: Vec<u64> = rows
+        .windows(2)
+        .filter(|w| w[1].ssthresh.to_bits() != w[0].ssthresh.to_bits())
+        .map(|w| w[1].ack)
+        .collect();
+    assert_eq!(cuts, [76, 151]);
+    let first = row(76);
+    assert!(first.ece && row(81).ece && row(151).ece);
+    assert_eq!(row(75).cwnd.to_bits(), 20.0f64.to_bits());
+    assert_eq!(
+        first.ssthresh.to_bits(),
+        (20.0 * (1.0 - alpha8 / 2.0)).to_bits()
+    );
+    let (before, second) = (row(150), row(151));
+    assert_eq!(
+        second.ssthresh.to_bits(),
+        (before.cwnd * (1.0 - second.alpha / 2.0))
+            .max(2.0)
+            .to_bits()
+    );
+    assert_eq!(s.cwr, [95, before.next_seq]);
+}
+
+/// CUBIC (RFC 8312), receiver window 64 so the window can outgrow the
+/// TCP-friendly region, segments 38 and 250 lost once each.
+///
+/// - Slow start from 2 leaves cwnd = 40 and next_seq = 78 on the ACK for
+///   37; the duplicates for 39–41 trigger the fast retransmit of 38 with a
+///   flight of 40. β = 0.7: ssthresh = cwnd = max(0.7·40, 2) = 28, and
+///   W_max = max(flight, cwnd) = 40. The ACK that covers the flight ends
+///   NewReno recovery at cwnd = 28.
+/// - Every later ACK grows cwnd toward max(W_cubic(t), W_est) by
+///   (target − cwnd)/cwnd (RFC 8312 §4.1–4.3), with
+///   W_cubic(t) = C·(t − K)³ + W_max, C = 0.4, K = ∛(W_max·(1 − β)/C),
+///   and W_est climbing 3(1 − β)/(1 + β) per window of ACKs from β·W_max.
+///   t never reaches K = ∛30 s before the next loss, so cwnd climbs the
+///   concave side of the cubic and stays below W_max.
+/// - The second loss comes in congestion avoidance, where cwnd is
+///   fractional and the flight is its floor: ssthresh = max(0.7·flight, 2),
+///   W_max = max(flight, cwnd) = cwnd, and the regrowth follows the cubic
+///   of that W_max to the end of the flow.
+///
+/// The sender diverges from RFC 8312 in three documented simplifications
+/// (`sender.rs`, the CUBIC clock), which the model below pins: t advances
+/// 5 ms per ACK in congestion avoidance rather than with elapsed time; β
+/// scales the flight, where RFC 8312 §4.5 scales cwnd; and there is no
+/// fast convergence (§4.6), so the second W_max is not lowered although it
+/// is below the first.
+#[test]
+fn cubic_backs_off_by_beta_and_regrows_along_the_cubic() {
+    const C: f64 = 0.4;
+    const BETA: f64 = 0.7;
+    const TICK_S: f64 = 0.005;
+    let cfg = TcpConfig::default().with_max_window(64);
+    let s = run_script(CcKind::Cubic, cfg, &[(38, 1), (250, 1)], &[]);
+    let st = s.stats;
+    assert_eq!(
+        (st.fast_retransmits, st.retransmits, st.timeouts),
+        (2, 2, 0),
+        "{st:?}"
+    );
+    let rows = &s.rows;
+    let cuts: Vec<usize> = (1..rows.len())
+        .filter(|&j| rows[j].ssthresh.to_bits() != rows[j - 1].ssthresh.to_bits())
+        .collect();
+    assert_eq!(cuts.len(), 2);
+    let first = rows[cuts[0] - 1];
+    assert_eq!((first.ack, first.snd_una, first.next_seq), (38, 38, 78));
+    assert_eq!(first.cwnd.to_bits(), 40.0f64.to_bits());
+    assert_eq!(rows[cuts[0]].ssthresh.to_bits(), (40.0 * BETA).to_bits());
+    let second = rows[cuts[1] - 1];
+    assert_eq!(second.ack, 250);
+    assert!(second.cwnd.fract() > 0.0, "{second:?}");
+
+    for &j in &cuts {
+        let before = rows[j - 1];
+        let flight = (before.next_seq - before.snd_una) as f64;
+        let cut = rows[j];
+        assert_eq!(cut.ssthresh.to_bits(), (flight * BETA).max(2.0).to_bits());
+        assert_eq!(cut.cwnd.to_bits(), cut.ssthresh.to_bits());
+        let w_max = flight.max(before.cwnd);
+        let k = (w_max * (1.0 - BETA) / C).cbrt();
+
+        let mut rest = rows[j + 1..].iter().skip_while(|r| r.recovery);
+        let exit = rest.next().unwrap();
+        assert_eq!(exit.cwnd.to_bits(), cut.ssthresh.to_bits());
+        let (mut cwnd, mut t, mut w_est) = (cut.cwnd, 0.0, w_max * BETA);
+        let mut una = exit.ack;
+        let mut grown = 0;
+        for r in rest {
+            if r.ack <= una {
+                break;
+            }
+            for _ in una..r.ack {
+                t += TICK_S;
+                w_est += 3.0 * (1.0 - BETA) / (1.0 + BETA) / cwnd;
+                let target = (C * (t - k).powi(3) + w_max).max(w_est);
+                cwnd += ((target - cwnd) / cwnd).clamp(0.0, 1.0);
+            }
+            assert!(
+                (r.cwnd - cwnd).abs() <= 1e-9 * cwnd,
+                "ACK {}: cwnd {} where the cubic gives {cwnd}",
+                r.ack,
+                r.cwnd
+            );
+            assert!(r.cwnd < w_max, "ACK {}: cwnd {} ≥ W_max", r.ack, r.cwnd);
+            una = r.ack;
+            grown += 1;
+        }
+        assert!(t < k && grown > 100, "t = {t}, K = {k}, {grown} ACKs");
+    }
 }
