@@ -536,7 +536,7 @@ fn parking_lot(n_each: usize, buffer: usize, rate: u64, seconds: u64) -> (f64, f
     let mut add = |sim: &mut Sim, src, dst, start_ms: u64| {
         let f = netsim::FlowId(flow);
         flow += 1;
-        let s = TcpSource::new(f, dst, cfg, Box::new(tcpsim::Reno), None)
+        let s = TcpSource::new(f, dst, cfg, CcKind::Reno, None)
             .with_start_delay(SimDuration::from_millis(start_ms));
         let sid = sim.add_agent(src, Box::new(s));
         let kid = sim.add_agent(dst, Box::new(TcpSink::new(f, &cfg)));

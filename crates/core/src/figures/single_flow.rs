@@ -7,7 +7,7 @@ use crate::runner::Run;
 use netsim::{DropLedger, DumbbellBuilder, ForensicsConfig, QueueCapacity, Sim, TelemetryConfig};
 use simcore::{Profile, Registry, SimDuration, TracePoint};
 use stats::TimeSeries;
-use tcpsim::cc::Reno;
+use tcpsim::cc::CcKind;
 use tcpsim::{SpanLog, TcpConfig, TcpSink, TcpSource};
 
 /// Configuration for the single-flow dynamics experiment.
@@ -87,7 +87,7 @@ impl SingleFlowConfig {
             .build(&mut sim);
         let flow = netsim::FlowId(0);
         let cfg = TcpConfig::default();
-        let source = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), None)
+        let source = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, None)
             .with_cwnd_trace()
             .with_span_log(1024);
         let src_id = sim.add_agent(d.sources[0], Box::new(source));

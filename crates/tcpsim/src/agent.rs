@@ -19,7 +19,7 @@
 //! [`TcpSender`] inline, is 248 B and a `TcpSink` 104 B, each filling a
 //! 16-byte heap size class exactly (`tests/flow_memory.rs` pins them).
 
-use crate::cc::CongestionControl;
+use crate::cc::CcKind;
 use crate::config::TcpConfig;
 use crate::receiver::{AckToSend, RxLive, SackRanges, TcpReceiver};
 use crate::sender::{AckInfo, TcpAction, TcpSender};
@@ -124,7 +124,7 @@ impl TcpSource {
         flow: FlowId,
         dst: NodeId,
         cfg: TcpConfig,
-        cc: Box<dyn CongestionControl>,
+        cc: CcKind,
         flow_size: Option<u64>,
     ) -> Self {
         Self::with_sender(flow, dst, TcpSender::new(cfg, cc, flow_size))
@@ -645,7 +645,7 @@ impl Agent for TcpSink {
 )]
 mod tests {
     use super::*;
-    use crate::cc::Reno;
+    use crate::cc::CcKind;
     use netsim::{DumbbellBuilder, Sim};
     use simcore::SimTime;
 
@@ -680,7 +680,7 @@ mod tests {
             .flows(1, SimDuration::from_millis(10))
             .build(&mut sim);
         let flow = FlowId(0);
-        let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), flow_size);
+        let src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, flow_size);
         let src_id = sim.add_agent(d.sources[0], Box::new(src));
         let sink = TcpSink::new(flow, &cfg);
         let sink_id = sim.add_agent(d.sinks[0], Box::new(sink));
@@ -824,7 +824,7 @@ mod tests {
             .build(&mut sim);
         let flow = FlowId(0);
         let cfg = TcpConfig::default().with_delayed_ack();
-        let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), Some(50));
+        let src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, Some(50));
         let src_id = sim.add_agent(d.sources[0], Box::new(src));
         let sink = TcpSink::new(flow, &cfg);
         let sink_id = sim.add_agent(d.sinks[0], Box::new(sink));
@@ -849,7 +849,7 @@ mod tests {
                 .build(&mut sim);
             let flow = FlowId(0);
             let cfg = TcpConfig::default();
-            let mut src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), None);
+            let mut src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, None);
             if spans {
                 src = src.with_span_log(4096);
             }
@@ -903,7 +903,7 @@ mod tests {
             .build(&mut sim);
         let flow = FlowId(0);
         let cfg = TcpConfig::default();
-        let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), Some(5))
+        let src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, Some(5))
             .with_start_delay(SimDuration::from_secs(2));
         let src_id = sim.add_agent(d.sources[0], Box::new(src));
         let sink = TcpSink::new(flow, &cfg);

@@ -1,29 +1,30 @@
-//! Congestion-control algorithms: the window-adjustment zoo.
+//! Congestion control: the window rules of the five algorithms.
 //!
 //! The window-adjustment rules are factored out of the sender so every
 //! algorithm shares one sender state machine, [`TcpSender`]: the sender
 //! owns sequence-space bookkeeping (what is outstanding, what was
 //! retransmitted) and runs the loss recovery the algorithm's
-//! [`RecoveryStyle`] names, calling into a [`CongestionControl`] at each
+//! [`RecoveryStyle`] names, calling the flow's [`CcKind`] at each
 //! window-relevant event. All windows are in
 //! segments and fractional (`f64`) so congestion avoidance can add
 //! `1/cwnd` per ACK exactly, matching ns-2.
 //!
 //! ## The zoo at a glance
 //!
-//! Five algorithms are implemented. They differ in three dimensions:
+//! Five algorithms are implemented, the five variants of one closed enum.
+//! They differ in three dimensions:
 //! *growth* (how `cwnd` climbs between losses), *decrease* (the
 //! multiplicative back-off applied on congestion), and *signal* (what
 //! counts as congestion — a lost segment, or an ECN mark) — and in the
 //! loss recovery the sender runs for them:
 //!
-//! | Algorithm   | Growth per RTT (avoidance) | Decrease on loss  | ECN response            | Recovery style |
-//! |-------------|----------------------------|-------------------|-------------------------|----------------|
-//! | [`Reno`]    | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | Reno           |
-//! | [`NewReno`] | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | NewReno        |
-//! | [`Cubic`]   | cubic in time since loss   | `0.7·cwnd`        | `cwnd/2` (default hook) | NewReno        |
-//! | [`Dctcp`]   | `+1` (Reno growth)         | `cwnd/2`          | `cwnd·(1 − α/2)`        | NewReno        |
-//! | [`Sack`]    | `+1`                       | `cwnd/2`          | none (ECE ignored)      | SACK           |
+//! | Algorithm            | Growth per RTT (avoidance) | Decrease on loss  | ECN response            | Recovery style |
+//! |----------------------|----------------------------|-------------------|-------------------------|----------------|
+//! | [`CcKind::Reno`]     | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | Reno           |
+//! | [`CcKind::NewReno`]  | `+1`                       | `cwnd/2`          | `cwnd/2` (RFC 3168)     | NewReno        |
+//! | [`CcKind::Cubic`]    | cubic in time since loss   | `0.7·cwnd`        | `cwnd/2` (RFC 3168)     | NewReno        |
+//! | [`CcKind::Dctcp`]    | `+1` (Reno growth)         | `cwnd/2`          | `cwnd·(1 − α/2)`        | NewReno        |
+//! | [`CcKind::Sack`]     | `+1`                       | `cwnd/2`          | none (ECE ignored)      | SACK           |
 //!
 //! The sawtooth shape is what the buffer-sizing rule of the paper feeds
 //! on: a Reno flow oscillates between `W/2` and `W`, which is why a
@@ -36,14 +37,13 @@
 //! ## The ECN contract
 //!
 //! Congestion signalled by a mark (not a drop) reaches the algorithm via
-//! [`CongestionControl::on_ecn_mark`]. The default implementation is the
-//! classic RFC 3168 response — treat a marked ACK like a loss, without
-//! the retransmission — so Reno/NewReno/Cubic need no override. DCTCP
-//! overrides it to scale the decrease by the fraction `α` of marked
-//! segments, which the *sender* estimates (the EWMA lives in the
-//! `FlowTable`, not here — hot per-flow state stays in the
-//! struct-of-arrays layout; the algorithm object stays stateless across
-//! flows). The sender guarantees at most one `on_ecn_mark` per window of
+//! [`CcKind::on_ecn_mark`]: the classic RFC 3168 response — treat a marked
+//! ACK like a loss, without the retransmission — except for DCTCP, which
+//! scales the decrease by the fraction `α` of marked segments. The
+//! *sender* estimates α (the EWMA lives in the `FlowTable`, not here — hot
+//! per-flow state stays in the struct-of-arrays layout), as it keeps
+//! CUBIC's [`CubicState`] in the table's cold side: a `CcKind` holds no
+//! state. The sender guarantees at most one `on_ecn_mark` per window of
 //! data, mirroring the once-per-RTT loss reaction.
 //!
 //! [`TcpSender`]: crate::sender::TcpSender
@@ -88,166 +88,188 @@ pub enum RecoveryStyle {
     Sack,
 }
 
-/// A congestion-control algorithm.
-pub trait CongestionControl: std::fmt::Debug + Send {
-    /// Algorithm name for reports.
-    fn name(&self) -> &'static str;
+/// RFC 8312 multiplicative-decrease factor of CUBIC.
+pub const CUBIC_BETA: f64 = 0.7;
+/// RFC 8312 cubic scaling constant `C`.
+pub const CUBIC_C: f64 = 0.4;
+/// Seconds CUBIC's clock advances per segment acknowledged in congestion
+/// avoidance, whatever the RTT: the sender has no other clock for it.
+pub const CUBIC_TICK_S: f64 = 0.005;
+/// RFC 8257 EWMA gain `g` of the DCTCP α estimator (the sender applies
+/// `α ← (1 − g)·α + g·F` once per observation window, `F` = fraction of
+/// segments marked in that window).
+pub const DCTCP_G: f64 = 1.0 / 16.0;
+
+/// CUBIC's per-flow state (RFC 8312). The sender keeps it in the flow
+/// table's cold side and resets it when a flow takes its slot; the other
+/// algorithms leave it untouched.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CubicState {
+    /// Window before the last reduction.
+    pub w_max: f64,
+    /// Time since the last reduction on CUBIC's clock, in seconds
+    /// ([`CUBIC_TICK_S`] per segment acknowledged in congestion avoidance).
+    pub t: f64,
+    /// TCP-friendly Reno-equivalent window estimate.
+    pub w_est: f64,
+}
+
+impl CubicState {
+    /// `K = ∛(W_max·(1 − β)/C)`: when the cubic returns to `W_max`.
+    fn k(&self) -> f64 {
+        (self.w_max * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt()
+    }
+}
+
+/// Which congestion-control algorithm a flow runs. Each variant names the
+/// loss recovery the sender runs for it ([`CcKind::recovery`]).
+///
+/// ```
+/// use tcpsim::cc::{CcKind, CcState, CubicState, RecoveryStyle};
+///
+/// let (cc, mut cubic) = (CcKind::Reno, CubicState::default());
+/// let mut s = CcState::new(2.0);
+/// // Slow start: +1 per ACK doubles the window each RTT.
+/// for _ in 0..2 {
+///     cc.on_ack_segment(&mut s, &mut cubic);
+/// }
+/// assert_eq!(s.cwnd, 4.0);
+/// // Loss halves the window.
+/// let flight = s.cwnd;
+/// cc.on_fast_retransmit(&mut s, &mut cubic, flight);
+/// assert_eq!(s.cwnd, 2.0);
+/// assert_eq!(CcKind::Sack.recovery(), RecoveryStyle::Sack);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CcKind {
+    /// TCP Reno, the paper's setting: additive increase of one segment per
+    /// RTT, multiplicative decrease to half on any loss signal. Its
+    /// `W/2 ↔ W` sawtooth is the geometry behind the `RTT·C/√n` rule.
+    Reno,
+    /// Reno windows with partial-ACK recovery (RFC 6582): a multi-loss
+    /// window costs one fast retransmit rather than a timeout.
+    NewReno,
+    /// CUBIC (RFC 8312) — extension beyond the paper: growth
+    /// `W(t) = C·(t − K)³ + W_max` plus the TCP-friendly region of §4.2,
+    /// and β = 0.7, so sawtooth excursions are shallower. `t` runs on
+    /// [`CUBIC_TICK_S`] per ACK, not on elapsed time — adequate for the
+    /// buffer-sizing experiments, which care about the *shape* of the
+    /// decrease, not microsecond growth timing.
+    Cubic,
+    /// DCTCP (SIGCOMM 2010 / RFC 8257) — extension beyond the paper: a
+    /// step-marking queue CE-marks every packet at or above its threshold,
+    /// and the sender cuts `cwnd` by `α/2`, α being its estimate of the
+    /// fraction of segments marked. Pair with an ECN-enabled `TcpConfig`
+    /// and a step-marking bottleneck queue; otherwise it is Reno growth
+    /// with NewReno recovery.
+    Dctcp,
+    /// Reno windows with SACK scoreboard recovery (RFC 2018/3517) — what
+    /// the paper's Linux testbed hosts ran. Ignores ECE.
+    Sack,
+}
+
+impl CcKind {
+    /// Every algorithm, in declaration order.
+    pub const ALL: [CcKind; 5] = [
+        CcKind::Reno,
+        CcKind::NewReno,
+        CcKind::Cubic,
+        CcKind::Dctcp,
+        CcKind::Sack,
+    ];
+
+    /// Algorithm name for reports and the command line.
+    pub fn name(self) -> &'static str {
+        match self {
+            CcKind::Reno => "reno",
+            CcKind::NewReno => "newreno",
+            CcKind::Cubic => "cubic",
+            CcKind::Dctcp => "dctcp",
+            CcKind::Sack => "sack",
+        }
+    }
+
+    /// The algorithm called `name` ([`CcKind::name`]), if any.
+    pub fn from_name(name: &str) -> Option<CcKind> {
+        CcKind::ALL.into_iter().find(|k| k.name() == name)
+    }
 
     /// The loss recovery the sender runs for this algorithm.
-    fn style(&self) -> RecoveryStyle;
+    pub fn recovery(self) -> RecoveryStyle {
+        match self {
+            CcKind::Reno => RecoveryStyle::Reno,
+            CcKind::NewReno | CcKind::Cubic | CcKind::Dctcp => RecoveryStyle::NewReno,
+            CcKind::Sack => RecoveryStyle::Sack,
+        }
+    }
+
+    /// Returns `self`. Kept only because the benchmark's sender arm names
+    /// it, until that arm passes the `CcKind` itself.
+    pub fn build(self) -> CcKind {
+        self
+    }
 
     /// Called once per newly acknowledged segment outside recovery.
-    fn on_ack_segment(&mut self, s: &mut CcState);
+    // Hot path — once per acknowledged segment
+    pub fn on_ack_segment(self, s: &mut CcState, cubic: &mut CubicState) {
+        if s.in_slow_start() {
+            s.cwnd += 1.0;
+        } else if self == CcKind::Cubic {
+            cubic.t += CUBIC_TICK_S;
+            // TCP-friendly region estimate (Reno with beta 0.7 AIMD).
+            cubic.w_est += (3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)) / s.cwnd.max(1.0);
+            let target = CUBIC_C * (cubic.t - cubic.k()).powi(3) + cubic.w_max;
+            let next = target.max(cubic.w_est).max(s.cwnd);
+            // RFC 8312 grows by (target - cwnd)/cwnd per ACK; at most one
+            // segment per ACK here.
+            s.cwnd += ((next - s.cwnd) / s.cwnd.max(1.0)).clamp(0.0, 1.0);
+        } else {
+            s.cwnd += 1.0 / s.cwnd;
+        }
+    }
 
     /// Called when loss is detected by triple duplicate ACK. `flight` is
     /// the amount of outstanding data in segments.
-    fn on_fast_retransmit(&mut self, s: &mut CcState, flight: f64);
+    pub fn on_fast_retransmit(self, s: &mut CcState, cubic: &mut CubicState, flight: f64) {
+        s.ssthresh = self.loss_threshold(s, cubic, flight);
+        s.cwnd = s.ssthresh;
+    }
 
     /// Called on a retransmission timeout.
-    fn on_timeout(&mut self, s: &mut CcState, flight: f64);
+    pub fn on_timeout(self, s: &mut CcState, cubic: &mut CubicState, flight: f64) {
+        s.ssthresh = self.loss_threshold(s, cubic, flight);
+        s.cwnd = 1.0;
+    }
+
+    /// The slow-start threshold after a loss with `flight` outstanding:
+    /// half the flight, or β of it for CUBIC, which also starts a new
+    /// cubic epoch at `W_max = max(flight, cwnd)`. At least 2.
+    fn loss_threshold(self, s: &CcState, cubic: &mut CubicState, flight: f64) -> f64 {
+        if self == CcKind::Cubic {
+            cubic.w_max = flight.max(s.cwnd);
+            cubic.t = 0.0;
+            cubic.w_est = flight * CUBIC_BETA;
+            (flight * CUBIC_BETA).max(2.0)
+        } else {
+            (flight / 2.0).max(2.0)
+        }
+    }
 
     /// Called at most once per window of data when the sender receives an
     /// ECN-Echo (a CE mark reflected by the receiver). `alpha` is the
     /// sender's running estimate of the fraction of segments marked in the
     /// last observation window (1.0 when no estimator runs).
     ///
-    /// The default is the conservative RFC 3168 response: react exactly as
-    /// to a fast-retransmit loss, minus the retransmission. Algorithms
-    /// with a gentler mark response (DCTCP) override this.
-    fn on_ecn_mark(&mut self, s: &mut CcState, flight: f64, alpha: f64) {
-        let _ = alpha;
-        halve_on_loss(s, flight);
-    }
-}
-
-/// TCP Reno: AIMD with slow start.
-///
-/// The paper's reference algorithm: additive increase of one segment per
-/// RTT, multiplicative decrease to half on any loss signal. Its `W/2 ↔ W`
-/// sawtooth is the geometry behind the `RTT·C/√n` rule.
-///
-/// ```
-/// use tcpsim::cc::{CcState, CongestionControl, Reno};
-///
-/// let mut cc = Reno;
-/// let mut s = CcState::new(2.0);
-/// // Slow start: +1 per ACK doubles the window each RTT.
-/// for _ in 0..2 {
-///     cc.on_ack_segment(&mut s);
-/// }
-/// assert_eq!(s.cwnd, 4.0);
-/// // Loss halves the window.
-/// let flight = s.cwnd;
-/// cc.on_fast_retransmit(&mut s, flight);
-/// assert_eq!(s.cwnd, 2.0);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Reno;
-
-/// Shared Reno-family window rules.
-fn reno_ack_segment(s: &mut CcState) {
-    if s.in_slow_start() {
-        s.cwnd += 1.0;
-    } else {
-        s.cwnd += 1.0 / s.cwnd;
-    }
-}
-
-fn halve_on_loss(s: &mut CcState, flight: f64) {
-    s.ssthresh = (flight / 2.0).max(2.0);
-    s.cwnd = s.ssthresh;
-}
-
-impl CongestionControl for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-    fn style(&self) -> RecoveryStyle {
-        RecoveryStyle::Reno
-    }
-    fn on_ack_segment(&mut self, s: &mut CcState) {
-        reno_ack_segment(s);
-    }
-    fn on_fast_retransmit(&mut self, s: &mut CcState, flight: f64) {
-        halve_on_loss(s, flight);
-    }
-    fn on_timeout(&mut self, s: &mut CcState, flight: f64) {
-        s.ssthresh = (flight / 2.0).max(2.0);
-        s.cwnd = 1.0;
-    }
-}
-
-/// TCP NewReno: Reno windows + partial-ACK recovery (RFC 6582).
-///
-/// Identical window arithmetic to [`Reno`]; the difference is entirely in
-/// [`RecoveryStyle::NewReno`] — partial ACKs during recovery retransmit
-/// the next hole instead of terminating recovery, so a multi-loss window
-/// costs one fast retransmit rather than a timeout.
-///
-/// ```
-/// use tcpsim::cc::{CcState, CongestionControl, NewReno, RecoveryStyle};
-///
-/// let mut cc = NewReno;
-/// let mut s = CcState::new(2.0);
-/// cc.on_ack_segment(&mut s);
-/// assert_eq!(s.cwnd, 3.0); // same growth as Reno…
-/// assert_eq!(cc.style(), RecoveryStyle::NewReno); // …different recovery
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NewReno;
-
-impl CongestionControl for NewReno {
-    fn name(&self) -> &'static str {
-        "newreno"
-    }
-    fn style(&self) -> RecoveryStyle {
-        RecoveryStyle::NewReno
-    }
-    fn on_ack_segment(&mut self, s: &mut CcState) {
-        reno_ack_segment(s);
-    }
-    fn on_fast_retransmit(&mut self, s: &mut CcState, flight: f64) {
-        halve_on_loss(s, flight);
-    }
-    fn on_timeout(&mut self, s: &mut CcState, flight: f64) {
-        s.ssthresh = (flight / 2.0).max(2.0);
-        s.cwnd = 1.0;
-    }
-}
-
-/// TCP with SACK recovery: Reno's window rules, with loss detected and
-/// repaired through the SACK scoreboard ([`RecoveryStyle::Sack`]) — what
-/// the paper's Linux testbed hosts ran. It has no ECN response: the sender
-/// ignores ECE for this style.
-///
-/// ```
-/// use tcpsim::cc::{CcState, CongestionControl, RecoveryStyle, Sack};
-///
-/// let mut cc = Sack;
-/// let mut s = CcState::new(2.0);
-/// cc.on_ack_segment(&mut s);
-/// assert_eq!(s.cwnd, 3.0); // Reno growth…
-/// assert_eq!(cc.style(), RecoveryStyle::Sack); // …scoreboard recovery
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Sack;
-
-impl CongestionControl for Sack {
-    fn name(&self) -> &'static str {
-        "sack"
-    }
-    fn style(&self) -> RecoveryStyle {
-        RecoveryStyle::Sack
-    }
-    fn on_ack_segment(&mut self, s: &mut CcState) {
-        reno_ack_segment(s);
-    }
-    fn on_fast_retransmit(&mut self, s: &mut CcState, flight: f64) {
-        halve_on_loss(s, flight);
-    }
-    fn on_timeout(&mut self, s: &mut CcState, flight: f64) {
-        s.ssthresh = (flight / 2.0).max(2.0);
-        s.cwnd = 1.0;
+    /// DCTCP cuts to `cwnd·(1 − α/2)` (RFC 8257 §3.3); every other
+    /// algorithm reacts as to a fast-retransmit loss, minus the
+    /// retransmission (RFC 3168).
+    // Hot path — once per CWR-gated window on marked ACKs
+    pub fn on_ecn_mark(self, s: &mut CcState, flight: f64, alpha: f64) {
+        s.ssthresh = match self {
+            CcKind::Dctcp => (s.cwnd * (1.0 - alpha / 2.0)).max(2.0),
+            _ => (flight / 2.0).max(2.0),
+        };
+        s.cwnd = s.ssthresh;
     }
 }
 
@@ -259,31 +281,40 @@ impl CongestionControl for Sack {
 mod tests {
     use super::*;
 
+    /// A fresh window pair and CUBIC state.
+    fn state(cwnd: f64, ssthresh: f64) -> (CcState, CubicState) {
+        (CcState { cwnd, ssthresh }, CubicState::default())
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for k in CcKind::ALL {
+            assert_eq!(CcKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(CcKind::from_name("vegas"), None);
+        assert_eq!(CcKind::from_name("Reno"), None);
+    }
+
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut cc = Reno;
-        let mut s = CcState::new(2.0);
+        let (mut s, mut c) = state(2.0, f64::INFINITY);
         // One RTT: every in-flight segment is acked once.
         for _ in 0..2 {
-            cc.on_ack_segment(&mut s);
+            CcKind::Reno.on_ack_segment(&mut s, &mut c);
         }
         assert_eq!(s.cwnd, 4.0);
         for _ in 0..4 {
-            cc.on_ack_segment(&mut s);
+            CcKind::Reno.on_ack_segment(&mut s, &mut c);
         }
         assert_eq!(s.cwnd, 8.0);
     }
 
     #[test]
     fn congestion_avoidance_adds_one_per_rtt() {
-        let mut cc = Reno;
-        let mut s = CcState {
-            cwnd: 10.0,
-            ssthresh: 5.0,
-        };
+        let (mut s, mut c) = state(10.0, 5.0);
         assert!(!s.in_slow_start());
         for _ in 0..10 {
-            cc.on_ack_segment(&mut s);
+            CcKind::Reno.on_ack_segment(&mut s, &mut c);
         }
         // 10 ACKs at cwnd≈10 ⇒ roughly +1 segment.
         assert!((s.cwnd - 11.0).abs() < 0.06, "cwnd = {}", s.cwnd);
@@ -291,24 +322,16 @@ mod tests {
 
     #[test]
     fn fast_retransmit_halves() {
-        let mut cc = Reno;
-        let mut s = CcState {
-            cwnd: 20.0,
-            ssthresh: f64::INFINITY,
-        };
-        cc.on_fast_retransmit(&mut s, 20.0);
+        let (mut s, mut c) = state(20.0, f64::INFINITY);
+        CcKind::Reno.on_fast_retransmit(&mut s, &mut c, 20.0);
         assert_eq!(s.cwnd, 10.0);
         assert_eq!(s.ssthresh, 10.0);
     }
 
     #[test]
     fn timeout_resets_to_one() {
-        let mut cc = Reno;
-        let mut s = CcState {
-            cwnd: 20.0,
-            ssthresh: f64::INFINITY,
-        };
-        cc.on_timeout(&mut s, 20.0);
+        let (mut s, mut c) = state(20.0, f64::INFINITY);
+        CcKind::Reno.on_timeout(&mut s, &mut c, 20.0);
         assert_eq!(s.cwnd, 1.0);
         assert_eq!(s.ssthresh, 10.0);
         assert!(s.in_slow_start());
@@ -316,204 +339,69 @@ mod tests {
 
     #[test]
     fn loss_floor_at_two() {
-        let mut cc = Reno;
-        let mut s = CcState {
-            cwnd: 2.0,
-            ssthresh: 4.0,
-        };
-        cc.on_fast_retransmit(&mut s, 2.0);
+        let (mut s, mut c) = state(2.0, 4.0);
+        CcKind::Reno.on_fast_retransmit(&mut s, &mut c, 2.0);
         assert_eq!(s.ssthresh, 2.0);
         assert_eq!(s.cwnd, 2.0);
     }
 
+    /// NewReno, DCTCP and SACK share Reno's growth, loss and timeout rules;
+    /// only the recovery style tells NewReno and SACK apart.
     #[test]
-    fn newreno_same_windows_different_style() {
-        let mut a = Reno;
-        let mut b = NewReno;
-        let mut sa = CcState::new(2.0);
-        let mut sb = CcState::new(2.0);
-        for _ in 0..100 {
-            a.on_ack_segment(&mut sa);
-            b.on_ack_segment(&mut sb);
+    fn reno_family_shares_windows() {
+        for k in [CcKind::NewReno, CcKind::Dctcp, CcKind::Sack] {
+            let (mut sr, mut cr) = state(2.0, f64::INFINITY);
+            let (mut sk, mut ck) = (sr, cr);
+            for _ in 0..100 {
+                CcKind::Reno.on_ack_segment(&mut sr, &mut cr);
+                k.on_ack_segment(&mut sk, &mut ck);
+            }
+            assert_eq!(sr, sk, "{k:?}");
+            CcKind::Reno.on_fast_retransmit(&mut sr, &mut cr, 37.0);
+            k.on_fast_retransmit(&mut sk, &mut ck, 37.0);
+            assert_eq!(sr, sk, "{k:?}");
+            CcKind::Reno.on_timeout(&mut sr, &mut cr, 11.0);
+            k.on_timeout(&mut sk, &mut ck, 11.0);
+            assert_eq!(sr, sk, "{k:?}");
+            assert_eq!(ck, CubicState::default(), "{k:?}");
         }
-        assert_eq!(sa, sb);
-        assert_eq!(a.style(), RecoveryStyle::Reno);
-        assert_eq!(b.style(), RecoveryStyle::NewReno);
+        assert_eq!(CcKind::Reno.recovery(), RecoveryStyle::Reno);
+        assert_eq!(CcKind::NewReno.recovery(), RecoveryStyle::NewReno);
+        assert_eq!(
+            (CcKind::Sack.name(), CcKind::Sack.recovery()),
+            ("sack", RecoveryStyle::Sack)
+        );
     }
-
-    #[test]
-    fn sack_has_reno_windows() {
-        let (mut r, mut k) = (Reno, Sack);
-        let mut sr = CcState::new(2.0);
-        let mut sk = CcState::new(2.0);
-        for _ in 0..100 {
-            r.on_ack_segment(&mut sr);
-            k.on_ack_segment(&mut sk);
-        }
-        r.on_fast_retransmit(&mut sr, 37.0);
-        k.on_fast_retransmit(&mut sk, 37.0);
-        assert_eq!(sr, sk);
-        r.on_timeout(&mut sr, 11.0);
-        k.on_timeout(&mut sk, 11.0);
-        assert_eq!(sr, sk);
-        assert_eq!((k.name(), k.style()), ("sack", RecoveryStyle::Sack));
-    }
-}
-
-/// TCP CUBIC (RFC 8312) window growth — an *extension* beyond the paper:
-/// the dominant congestion control of the 2010s. Including it lets the
-/// ablation benches ask whether the `BDP/√n` sizing survives a different
-/// window-growth law (its multiplicative-decrease factor is 0.7 rather
-/// than Reno's 0.5, so sawtooth excursions are shallower).
-///
-/// This implementation uses the standard cubic window function
-/// `W(t) = C·(t − K)³ + W_max` with `C = 0.4`, `β = 0.7`, plus the
-/// TCP-friendly region of RFC 8312 §4.2. Time is supplied by the sender
-/// via `on_tick`-style calls folded into
-/// `on_ack_segment`; since the sender calls us once per ACK, we
-/// approximate elapsed time by accumulating the connection's smoothed
-/// per-ACK interval — adequate for the buffer-sizing experiments, which
-/// care about the *shape* of the decrease, not microsecond growth timing.
-///
-/// ```
-/// use tcpsim::cc::{CcState, CongestionControl, Cubic};
-///
-/// let mut cc = Cubic::new(0.01);
-/// let mut s = CcState { cwnd: 100.0, ssthresh: f64::INFINITY };
-/// cc.on_fast_retransmit(&mut s, 100.0);
-/// assert_eq!(s.cwnd, 70.0); // β = 0.7: shallower than Reno's half
-/// // The concave region then climbs back toward w_max = 100.
-/// let after_drop = s.cwnd;
-/// for _ in 0..500 {
-///     cc.on_ack_segment(&mut s);
-/// }
-/// assert!(s.cwnd > after_drop);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct Cubic {
-    /// Window before the last reduction.
-    w_max: f64,
-    /// Scaled time since the last reduction, in "ACK ticks" converted to
-    /// seconds via `tick`.
-    t: f64,
-    /// Seconds represented by one ACK arrival at the current window
-    /// (≈ RTT / cwnd); updated by the sender through `set_tick`.
-    tick: f64,
-    /// TCP-friendly Reno-equivalent window estimate.
-    w_est: f64,
-}
-
-impl Cubic {
-    /// RFC 8312 multiplicative-decrease factor.
-    pub const BETA: f64 = 0.7;
-    /// RFC 8312 cubic scaling constant.
-    pub const C: f64 = 0.4;
-
-    /// Creates CUBIC state. `tick_seconds` is the initial estimate of the
-    /// time between ACKs (RTT / cwnd); the sender refreshes it via
-    /// [`Cubic::set_tick`].
-    pub fn new(tick_seconds: f64) -> Self {
-        Cubic {
-            w_max: 0.0,
-            t: 0.0,
-            tick: tick_seconds.max(1e-6),
-            w_est: 0.0,
-        }
-    }
-
-    /// Updates the per-ACK time estimate (RTT / cwnd).
-    pub fn set_tick(&mut self, tick_seconds: f64) {
-        self.tick = tick_seconds.max(1e-6);
-    }
-
-    fn k(&self) -> f64 {
-        // K = cbrt(W_max * (1 - beta) / C)
-        (self.w_max * (1.0 - Self::BETA) / Self::C).cbrt()
-    }
-}
-
-impl CongestionControl for Cubic {
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-    fn style(&self) -> RecoveryStyle {
-        RecoveryStyle::NewReno
-    }
-    fn on_ack_segment(&mut self, s: &mut CcState) {
-        if s.in_slow_start() {
-            s.cwnd += 1.0;
-            return;
-        }
-        self.t += self.tick;
-        // TCP-friendly region estimate (Reno with beta 0.7 AIMD).
-        self.w_est += (3.0 * (1.0 - Self::BETA) / (1.0 + Self::BETA)) / s.cwnd.max(1.0);
-        let target = Self::C * (self.t - self.k()).powi(3) + self.w_max;
-        let next = target.max(self.w_est).max(s.cwnd);
-        // Grow at most ~1.5x per ACK worth of cubic target approach
-        // (RFC 8312 grows by (target - cwnd)/cwnd per ACK).
-        s.cwnd += ((next - s.cwnd) / s.cwnd.max(1.0)).clamp(0.0, 1.0);
-    }
-    fn on_fast_retransmit(&mut self, s: &mut CcState, flight: f64) {
-        self.w_max = flight.max(s.cwnd);
-        self.t = 0.0;
-        self.w_est = flight * Self::BETA;
-        s.ssthresh = (flight * Self::BETA).max(2.0);
-        s.cwnd = s.ssthresh;
-    }
-    fn on_timeout(&mut self, s: &mut CcState, flight: f64) {
-        self.w_max = flight.max(s.cwnd);
-        self.t = 0.0;
-        self.w_est = flight * Self::BETA;
-        s.ssthresh = (flight * Self::BETA).max(2.0);
-        s.cwnd = 1.0;
-    }
-}
-
-#[cfg(test)]
-#[expect(
-    clippy::float_cmp,
-    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
-)]
-mod cubic_tests {
-    use super::*;
 
     #[test]
     fn cubic_decrease_is_gentler_than_reno() {
-        let mut cubic = Cubic::new(0.01);
-        let mut reno = Reno;
-        let mut sc = CcState {
-            cwnd: 100.0,
-            ssthresh: f64::INFINITY,
-        };
-        let mut sr = sc;
-        cubic.on_fast_retransmit(&mut sc, 100.0);
-        reno.on_fast_retransmit(&mut sr, 100.0);
+        let (mut sc, mut cc) = state(100.0, f64::INFINITY);
+        let (mut sr, mut cr) = (sc, cc);
+        CcKind::Cubic.on_fast_retransmit(&mut sc, &mut cc, 100.0);
+        CcKind::Reno.on_fast_retransmit(&mut sr, &mut cr, 100.0);
         assert!((sc.cwnd - 70.0).abs() < 1e-9);
         assert!((sr.cwnd - 50.0).abs() < 1e-9);
+        assert_eq!(cc.w_max, 100.0);
     }
 
     #[test]
     fn cubic_slow_start_matches_reno() {
-        let mut cubic = Cubic::new(0.01);
-        let mut s = CcState::new(2.0);
+        let (mut s, mut c) = state(2.0, f64::INFINITY);
         for _ in 0..4 {
-            cubic.on_ack_segment(&mut s);
+            CcKind::Cubic.on_ack_segment(&mut s, &mut c);
         }
         assert_eq!(s.cwnd, 6.0);
+        assert_eq!(c, CubicState::default());
     }
 
     #[test]
     fn cubic_recovers_toward_w_max() {
-        let mut cubic = Cubic::new(0.005);
-        let mut s = CcState {
-            cwnd: 100.0,
-            ssthresh: f64::INFINITY,
-        };
-        cubic.on_fast_retransmit(&mut s, 100.0);
+        let (mut s, mut c) = state(100.0, f64::INFINITY);
+        CcKind::Cubic.on_fast_retransmit(&mut s, &mut c, 100.0);
         let after_drop = s.cwnd;
         // Feed ACKs; window should climb back toward 100 (concave region).
         for _ in 0..2000 {
-            cubic.on_ack_segment(&mut s);
+            CcKind::Cubic.on_ack_segment(&mut s, &mut c);
         }
         assert!(s.cwnd > after_drop + 10.0, "cwnd = {}", s.cwnd);
         assert!(s.cwnd < 400.0, "runaway growth: {}", s.cwnd);
@@ -521,15 +409,11 @@ mod cubic_tests {
 
     #[test]
     fn cubic_growth_monotone_nonnegative() {
-        let mut cubic = Cubic::new(0.002);
-        let mut s = CcState {
-            cwnd: 50.0,
-            ssthresh: 10.0,
-        };
-        cubic.on_fast_retransmit(&mut s, 50.0);
+        let (mut s, mut c) = state(50.0, 10.0);
+        CcKind::Cubic.on_fast_retransmit(&mut s, &mut c, 50.0);
         let mut prev = s.cwnd;
         for _ in 0..500 {
-            cubic.on_ack_segment(&mut s);
+            CcKind::Cubic.on_ack_segment(&mut s, &mut c);
             assert!(s.cwnd >= prev - 1e-12);
             prev = s.cwnd;
         }
@@ -537,159 +421,38 @@ mod cubic_tests {
 
     #[test]
     fn cubic_timeout_resets_to_one() {
-        let mut cubic = Cubic::new(0.01);
-        let mut s = CcState {
-            cwnd: 40.0,
-            ssthresh: f64::INFINITY,
-        };
-        cubic.on_timeout(&mut s, 40.0);
+        let (mut s, mut c) = state(40.0, f64::INFINITY);
+        CcKind::Cubic.on_timeout(&mut s, &mut c, 40.0);
         assert_eq!(s.cwnd, 1.0);
         assert!((s.ssthresh - 28.0).abs() < 1e-9);
     }
-}
-
-/// DCTCP (Data Center TCP, SIGCOMM 2010 / RFC 8257) — an *extension*
-/// beyond the paper: congestion control that reacts to the *extent* of
-/// congestion, not just its presence. A DCTCP switch marks (CE) every
-/// packet that arrives to a queue at or above a step threshold `K`; the
-/// sender keeps an EWMA `α` of the fraction of its segments marked per
-/// window and cuts `cwnd` by `α/2` — a full halving under persistent
-/// congestion, a trim of a few percent when only the tail of a burst
-/// crossed `K`. The result is a near-constant queue at `K`, which makes
-/// it the interesting stress case for `RTT·C/√n`: the sawtooth the rule
-/// is derived from mostly disappears.
-///
-/// The α estimator itself lives in the sender's `FlowTable` arrays
-/// (per-flow hot state, updated once per observation window); this object
-/// only encodes the *response*. Outside of marks DCTCP grows exactly like
-/// Reno, and on actual loss it falls back to the standard halving, so its
-/// loss behaviour is NewReno-style.
-///
-/// ```
-/// use tcpsim::cc::{CcState, CongestionControl, Dctcp};
-///
-/// let mut cc = Dctcp;
-/// let mut s = CcState { cwnd: 100.0, ssthresh: f64::INFINITY };
-/// // Mild congestion: 10% of the window was marked.
-/// cc.on_ecn_mark(&mut s, 100.0, 0.1);
-/// assert_eq!(s.cwnd, 95.0); // cwnd · (1 − α/2)
-/// // Persistent congestion (α = 1) degenerates to Reno's halving.
-/// cc.on_ecn_mark(&mut s, 95.0, 1.0);
-/// assert_eq!(s.cwnd, 47.5);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Dctcp;
-
-impl Dctcp {
-    /// RFC 8257 EWMA gain `g` for the α estimator (the sender applies
-    /// `α ← (1 − g)·α + g·F` once per observation window, `F` = fraction
-    /// of segments marked in that window).
-    pub const G: f64 = 1.0 / 16.0;
-}
-
-impl CongestionControl for Dctcp {
-    fn name(&self) -> &'static str {
-        "dctcp"
-    }
-    fn style(&self) -> RecoveryStyle {
-        RecoveryStyle::NewReno
-    }
-    fn on_ack_segment(&mut self, s: &mut CcState) {
-        reno_ack_segment(s);
-    }
-    fn on_fast_retransmit(&mut self, s: &mut CcState, flight: f64) {
-        // Actual loss means the signal chain failed (queue overflowed past
-        // the marking step): fall back to the standard halving.
-        halve_on_loss(s, flight);
-    }
-    fn on_timeout(&mut self, s: &mut CcState, flight: f64) {
-        s.ssthresh = (flight / 2.0).max(2.0);
-        s.cwnd = 1.0;
-    }
-    // Hot path — once per CWR-gated window on marked ACKs
-    fn on_ecn_mark(&mut self, s: &mut CcState, _flight: f64, alpha: f64) {
-        // RFC 8257 §3.3: cwnd ← cwnd · (1 − α/2), with the usual floor.
-        s.ssthresh = (s.cwnd * (1.0 - alpha / 2.0)).max(2.0);
-        s.cwnd = s.ssthresh;
-    }
-}
-
-#[cfg(test)]
-#[expect(
-    clippy::float_cmp,
-    reason = "exact expected values: each is exactly representable or computed by the same operations as the result"
-)]
-mod dctcp_tests {
-    use super::*;
 
     #[test]
     fn mark_response_scales_with_alpha() {
-        let mut cc = Dctcp;
-        let mut s = CcState {
-            cwnd: 80.0,
-            ssthresh: f64::INFINITY,
-        };
-        cc.on_ecn_mark(&mut s, 80.0, 0.25);
+        let (mut s, _) = state(80.0, f64::INFINITY);
+        CcKind::Dctcp.on_ecn_mark(&mut s, 80.0, 0.25);
         assert_eq!(s.cwnd, 70.0); // 80 · (1 − 0.125)
         assert_eq!(s.ssthresh, 70.0);
-        cc.on_ecn_mark(&mut s, 70.0, 1.0);
+        CcKind::Dctcp.on_ecn_mark(&mut s, 70.0, 1.0);
         assert_eq!(s.cwnd, 35.0); // α = 1 halves, like Reno
     }
 
     #[test]
     fn mark_response_floors_at_two() {
-        let mut cc = Dctcp;
-        let mut s = CcState {
-            cwnd: 2.5,
-            ssthresh: 4.0,
-        };
-        cc.on_ecn_mark(&mut s, 2.5, 1.0);
+        let (mut s, _) = state(2.5, 4.0);
+        CcKind::Dctcp.on_ecn_mark(&mut s, 2.5, 1.0);
         assert_eq!(s.cwnd, 2.0);
     }
 
     #[test]
-    fn loss_still_halves() {
-        let mut cc = Dctcp;
-        let mut s = CcState {
-            cwnd: 40.0,
-            ssthresh: f64::INFINITY,
-        };
-        cc.on_fast_retransmit(&mut s, 40.0);
-        assert_eq!(s.cwnd, 20.0);
-        cc.on_timeout(&mut s, 20.0);
-        assert_eq!(s.cwnd, 1.0);
-    }
-
-    #[test]
-    fn growth_matches_reno() {
-        let mut d = Dctcp;
-        let mut r = Reno;
-        let mut sd = CcState::new(2.0);
-        let mut sr = CcState::new(2.0);
-        for _ in 0..50 {
-            d.on_ack_segment(&mut sd);
-            r.on_ack_segment(&mut sr);
+    fn classic_ecn_response_halves_the_flight() {
+        // Every algorithm but DCTCP treats a mark like a loss and ignores α.
+        for k in [CcKind::Reno, CcKind::NewReno, CcKind::Cubic] {
+            for alpha in [1.0, 0.01] {
+                let (mut s, _) = state(30.0, f64::INFINITY);
+                k.on_ecn_mark(&mut s, 30.0, alpha);
+                assert_eq!((s.cwnd, s.ssthresh), (15.0, 15.0), "{k:?}");
+            }
         }
-        assert_eq!(sd, sr);
-    }
-
-    #[test]
-    fn default_ecn_response_is_classic_halving() {
-        // Reno does not override on_ecn_mark: a mark acts like a loss.
-        let mut cc = Reno;
-        let mut s = CcState {
-            cwnd: 30.0,
-            ssthresh: f64::INFINITY,
-        };
-        cc.on_ecn_mark(&mut s, 30.0, 1.0);
-        assert_eq!(s.cwnd, 15.0);
-        // α is ignored by the classic response.
-        let mut s2 = CcState {
-            cwnd: 30.0,
-            ssthresh: f64::INFINITY,
-        };
-        let mut cc2 = Reno;
-        cc2.on_ecn_mark(&mut s2, 30.0, 0.01);
-        assert_eq!(s2.cwnd, 15.0);
     }
 }

@@ -9,11 +9,11 @@
 //!   simplicity of presentation*" — §2). Each data segment is one wire
 //!   packet of `data_size` bytes; ACKs are 40 bytes.
 //! * **Congestion control**: slow start, congestion avoidance, fast
-//!   retransmit and fast recovery, with a pluggable algorithm zoo —
-//!   [`cc::Reno`], [`cc::NewReno`], [`cc::Cubic`], [`cc::Dctcp`] and
-//!   [`cc::Sack`] (see [`cc`] for the comparison table). Each names the
-//!   loss recovery the one sender runs for it: Reno, NewReno or SACK
-//!   scoreboard recovery ([`sender`]). Timeout recovery with exponential
+//!   retransmit and fast recovery, with five algorithms, the variants of
+//!   one enum [`cc::CcKind`]: Reno, NewReno, CUBIC, DCTCP and SACK (see
+//!   [`cc`] for the comparison table). Each names the loss recovery the
+//!   one sender runs for it: Reno, NewReno or SACK scoreboard recovery
+//!   ([`sender`]). Timeout recovery with exponential
 //!   RTO backoff (Jacobson/Karn, [`rtt`]), and an opt-in ECN path
 //!   (`TcpConfig::with_ecn`): ECT-capable data, receiver CE→ECE echo,
 //!   sender CWR, and the DCTCP mark-fraction estimator.
@@ -56,7 +56,7 @@ pub mod span;
 pub mod table;
 
 pub use agent::{FlowRecord, TcpSink, TcpSource};
-pub use cc::{CcState, CongestionControl, Cubic, Dctcp, NewReno, Reno, Sack};
+pub use cc::{CcKind, CcState};
 pub use config::TcpConfig;
 pub use receiver::TcpReceiver;
 pub use rtt::RttEstimator;

@@ -6,8 +6,7 @@
 //! ns-2's Reno TCP, which is the sender the paper's simulations use, or the
 //! SACK recovery of the paper's testbed hosts:
 //!
-//! * slow start / congestion avoidance driven by a pluggable
-//!   [`CongestionControl`];
+//! * slow start / congestion avoidance driven by the flow's [`CcKind`];
 //! * fast retransmit on the third duplicate ACK, with window inflation
 //!   during fast recovery;
 //! * classic-Reno recovery exit on any new ACK, NewReno partial-ACK
@@ -21,9 +20,20 @@
 //!   falls to 2 (`tests/sender_scripts.rs` pins 2 where the RFC gives 10);
 //! * RTT sampling from timestamp echoes, so Karn ambiguity never arises;
 //! * an opt-in ECN path (`cfg.ecn`): ECE-carrying ACKs run the DCTCP α
-//!   estimator and trigger the algorithm's
-//!   [`CongestionControl::on_ecn_mark`] at most once per window of data,
-//!   setting CWR on the next outgoing segment.
+//!   estimator and trigger the algorithm's [`CcKind::on_ecn_mark`] at most
+//!   once per window of data, setting CWR on the next outgoing segment.
+//!   The estimator is RFC 8257's: α starts at 1, and each observation
+//!   window ends on the ACK that reaches the SND.NXT recorded when it
+//!   began (`tests/sender_scripts.rs` derives the window ends and the cuts
+//!   by hand);
+//! * CUBIC's clock: RFC 8312's `t` is the time since the last reduction,
+//!   but the sender has no clock to give the algorithm, so `t` advances
+//!   [`CUBIC_TICK_S`](crate::cc::CUBIC_TICK_S) (5 ms) per segment acknowledged in
+//!   congestion avoidance, whatever the RTT. β = 0.7 scales the flight, as
+//!   RFC 5681 halves it for Reno (RFC 8312 §4.5 scales cwnd), and there is
+//!   no fast convergence (§4.6): `W_max` is the larger of flight and cwnd
+//!   at each loss. `tests/sender_scripts.rs` pins all three against a
+//!   hand-written RFC 8312 model.
 //!
 //! ## SACK recovery
 //!
@@ -54,7 +64,7 @@
 //! dense parallel arrays, and the SACK scoreboard in the cold side table
 //! (see [`crate::table`]).
 
-use crate::cc::{CcState, CongestionControl, RecoveryStyle};
+use crate::cc::{CcKind, CcState, RecoveryStyle};
 use crate::config::TcpConfig;
 use crate::receiver::SackRanges;
 use crate::rtt::RttEstimator;
@@ -153,7 +163,7 @@ impl AckInfo {
 struct Machine {
     /// The table's copy of the flow's configuration.
     cfg: Rc<TcpConfig>,
-    cc: Box<dyn CongestionControl>,
+    cc: CcKind,
     /// Total flow length in segments; `None` = infinite (long-lived) flow.
     flow_size: Option<NonZeroU64>,
 }
@@ -179,7 +189,7 @@ impl TcpSender {
     /// infinite) using the given congestion control. The sender gets a
     /// private [`FlowTable`]; multi-flow workloads should share one table
     /// via [`TcpSender::in_table`].
-    pub fn new(cfg: TcpConfig, cc: Box<dyn CongestionControl>, flow_size: Option<u64>) -> Self {
+    pub fn new(cfg: TcpConfig, cc: CcKind, flow_size: Option<u64>) -> Self {
         Self::in_table(&SharedFlowTable::new(), cfg, cc, flow_size)
     }
 
@@ -190,7 +200,7 @@ impl TcpSender {
     pub fn in_table(
         table: &SharedFlowTable,
         cfg: TcpConfig,
-        cc: Box<dyn CongestionControl>,
+        cc: CcKind,
         flow_size: Option<u64>,
     ) -> Self {
         let flow_size = flow_len(flow_size);
@@ -208,7 +218,6 @@ impl TcpSender {
     pub fn start_into(&mut self, _now: SimTime, out: &mut Vec<TcpAction>) {
         let i = self.lease.start(&self.machine.cfg).index();
         let t = &mut *self.lease.table.table_mut();
-        t.cold[i].style = self.machine.cc.style();
         self.machine.send(t, i, out);
         arm_rto(t, i, out);
     }
@@ -307,7 +316,7 @@ impl TcpSender {
     /// Processes an acknowledgement; actions are appended to `out`. With
     /// ECN on (`cfg.ecn`), the Reno-family styles run the DCTCP α
     /// bookkeeping and, gated to once per window of data, the algorithm's
-    /// [`CongestionControl::on_ecn_mark`] response; with ECN off `ece` is
+    /// [`CcKind::on_ecn_mark`] response; with ECN off `ece` is
     /// ignored entirely. Only the SACK style reads the SACK blocks, and it
     /// ignores `ece`.
     ///
@@ -392,21 +401,16 @@ impl TcpSender {
     }
 }
 
-/// A [`TcpSender`] running [`cc::Sack`](crate::cc::Sack). It exists only
-/// for the benchmark's `tcpsim.sack` replay arm, which names it, until that
-/// arm builds a `TcpSender` with `cc::Sack` itself; nothing else uses it.
+/// A [`TcpSender`] running [`CcKind::Sack`]. It exists only for the
+/// benchmark's `tcpsim.sack` replay arm, which names it, until that arm
+/// builds a `TcpSender` with `CcKind::Sack` itself; nothing else uses it.
 #[derive(Debug)]
 pub struct SackSender(TcpSender);
 
 impl SackSender {
-    /// [`TcpSender::in_table`] with [`cc::Sack`](crate::cc::Sack).
+    /// [`TcpSender::in_table`] with [`CcKind::Sack`].
     pub fn in_table(table: &SharedFlowTable, cfg: TcpConfig, flow_size: Option<u64>) -> Self {
-        SackSender(TcpSender::in_table(
-            table,
-            cfg,
-            Box::new(crate::cc::Sack),
-            flow_size,
-        ))
+        SackSender(TcpSender::in_table(table, cfg, CcKind::Sack, flow_size))
     }
 
     /// See [`TcpSender::start_into`].
@@ -444,8 +448,8 @@ impl Machine {
     }
 
     /// Sends what the window permits: the style's send loop.
-    fn send(&mut self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
-        if t.cold[i].style == RecoveryStyle::Sack {
+    fn send(&self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
+        if self.cc.recovery() == RecoveryStyle::Sack {
             self.send_allowed(t, i, out);
         } else {
             self.fill_window(t, i, out);
@@ -453,7 +457,7 @@ impl Machine {
     }
 
     /// Sends as much new data as the window permits (Reno and NewReno).
-    fn fill_window(&mut self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
+    fn fill_window(&self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
         let limit = self.flow_size.map_or(u64::MAX, NonZeroU64::get);
         while flight_in(t, i) < self.window_in(t, i) && t.next_seq[i] < limit {
             let seq = t.next_seq[i];
@@ -519,10 +523,11 @@ impl Machine {
     }
 
     /// SACK loss detected: halve the window, retransmit the first hole.
-    fn enter_recovery(&mut self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
+    fn enter_recovery(&self, t: &mut FlowTable, i: usize, out: &mut Vec<TcpAction>) {
         t.cold[i].stats.fast_retransmits += 1;
         let flight = flight_in(t, i) as f64;
-        self.cc.on_fast_retransmit(&mut t.ccs[i], flight);
+        self.cc
+            .on_fast_retransmit(&mut t.ccs[i], &mut t.cold[i].cubic, flight);
         t.high_water[i] = t.high_water[i].max(t.next_seq[i]);
         t.cold[i].scoreboard.retx.clear();
         t.recovery[i] = true;
@@ -545,14 +550,14 @@ impl Machine {
     /// the flow (the caller retires the slot).
     // Hot path — once per ACK
     fn on_ack(
-        &mut self,
+        &self,
         t: &mut FlowTable,
         i: usize,
         now: SimTime,
         info: &AckInfo,
         out: &mut Vec<TcpAction>,
     ) -> bool {
-        let style = t.cold[i].style;
+        let style = self.cc.recovery();
         if style == RecoveryStyle::Sack {
             return self.on_sack_ack(t, i, now, info, out);
         }
@@ -586,7 +591,7 @@ impl Machine {
                 }
                 if ack >= t.ecn_obs_end[i] {
                     let frac = t.ecn_marked[i] as f64 / t.ecn_acked[i] as f64;
-                    let g = crate::cc::Dctcp::G;
+                    let g = crate::cc::DCTCP_G;
                     t.ecn_alpha[i] = (1.0 - g) * t.ecn_alpha[i] + g * frac;
                     t.ecn_acked[i] = 0;
                     t.ecn_marked[i] = 0;
@@ -661,7 +666,8 @@ impl Machine {
                     t.cold[i].stats.fast_retransmits += 1;
                     t.high_water[i] = t.high_water[i].max(t.next_seq[i]);
                     let flight = flight_in(t, i) as f64;
-                    self.cc.on_fast_retransmit(&mut t.ccs[i], flight);
+                    self.cc
+                        .on_fast_retransmit(&mut t.ccs[i], &mut t.cold[i].cubic, flight);
                     t.inflation[i] = self.cfg.dupack_threshold as f64;
                     t.recovery[i] = true;
                     out.push(TcpAction::Send {
@@ -686,7 +692,7 @@ impl Machine {
     /// The SACK style's ACK path over slot `i` (see [`Machine::on_ack`]).
     // Hot path — once per ACK of a SACK flow
     fn on_sack_ack(
-        &mut self,
+        &self,
         t: &mut FlowTable,
         i: usize,
         now: SimTime,
@@ -762,9 +768,10 @@ impl Machine {
     /// Window growth for `newly` acknowledged segments outside recovery,
     /// clamped to the receiver window (ns-2 does the same: there is no
     /// point growing cwnd beyond what the receiver window allows).
-    fn grow(&mut self, t: &mut FlowTable, i: usize, newly: u64) {
+    fn grow(&self, t: &mut FlowTable, i: usize, newly: u64) {
+        let (s, cubic) = (&mut t.ccs[i], &mut t.cold[i].cubic);
         for _ in 0..newly {
-            self.cc.on_ack_segment(&mut t.ccs[i]);
+            self.cc.on_ack_segment(s, cubic);
         }
         let cap = self.cfg.max_window as f64;
         if t.ccs[i].cwnd > cap {
@@ -783,14 +790,15 @@ impl Machine {
 
     /// The RTO path over slot `i`.
     // Hot path — once per retransmission timeout
-    fn on_rto(&mut self, t: &mut FlowTable, i: usize, gen: u64, out: &mut Vec<TcpAction>) {
+    fn on_rto(&self, t: &mut FlowTable, i: usize, gen: u64, out: &mut Vec<TcpAction>) {
         if gen != t.rto_gen[i] || flight_in(t, i) == 0 {
             return;
         }
         t.cold[i].stats.timeouts += 1;
         t.rtt[i].backoff();
         let flight = flight_in(t, i) as f64;
-        self.cc.on_timeout(&mut t.ccs[i], flight);
+        self.cc
+            .on_timeout(&mut t.ccs[i], &mut t.cold[i].cubic, flight);
         t.recovery[i] = false;
         t.dupacks[i] = 0;
         t.inflation[i] = 0.0;
@@ -865,7 +873,6 @@ fn flight_in(t: &FlowTable, i: usize) -> u64 {
 )]
 mod tests {
     use super::*;
-    use crate::cc::{NewReno, Reno, Sack};
 
     /// What a sender's accessors answer: counters, window pair, cursors and
     /// the RTT estimator's readings.
@@ -915,12 +922,12 @@ mod tests {
     }
 
     /// A Reno sender and a SACK sender, for tests both must pass.
-    fn both() -> [Box<dyn CongestionControl>; 2] {
-        [Box::new(Reno), Box::new(Sack)]
+    fn both() -> [CcKind; 2] {
+        [CcKind::Reno, CcKind::Sack]
     }
 
     fn sender(flow: Option<u64>) -> TcpSender {
-        TcpSender::new(TcpConfig::default(), Box::new(Reno), flow)
+        TcpSender::new(TcpConfig::default(), CcKind::Reno, flow)
     }
 
     fn sends(actions: &[TcpAction]) -> Vec<u64> {
@@ -1025,7 +1032,7 @@ mod tests {
 
     #[test]
     fn newreno_partial_ack_retransmits_next_hole() {
-        let mut s = TcpSender::new(TcpConfig::default(), Box::new(NewReno), None);
+        let mut s = TcpSender::new(TcpConfig::default(), CcKind::NewReno, None);
         s.start(t(0));
         s.on_ack(t(10), &AckInfo::plain(2, t(0)));
         s.on_ack(t(20), &AckInfo::plain(4, t(10))); // flight = 6 (4..10), cwnd 6
@@ -1130,7 +1137,7 @@ mod tests {
     #[test]
     fn receiver_window_caps_flight() {
         let cfg = TcpConfig::default().with_max_window(4);
-        let mut s = TcpSender::new(cfg, Box::new(Reno), None);
+        let mut s = TcpSender::new(cfg, CcKind::Reno, None);
         s.start(t(0));
         let mut acked = 0u64;
         for i in 0..20 {
@@ -1206,9 +1213,9 @@ mod tests {
         // produce identical trajectories regardless of neighbours.
         let table = SharedFlowTable::new();
         let cfg = TcpConfig::default();
-        let mut a = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
-        let mut b = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
-        let mut solo = TcpSender::new(cfg, Box::new(Reno), None);
+        let mut a = TcpSender::in_table(&table, cfg, CcKind::Reno, None);
+        let mut b = TcpSender::in_table(&table, cfg, CcKind::Reno, None);
+        let mut solo = TcpSender::new(cfg, CcKind::Reno, None);
         for s in [&mut a, &mut b, &mut solo] {
             s.start(t(0));
             s.on_ack(t(10), &AckInfo::plain(2, t(0)));
@@ -1229,8 +1236,8 @@ mod tests {
     fn finished_flow_cannot_touch_the_slot_it_gave_back() {
         let table = SharedFlowTable::new();
         let cfg = TcpConfig::default();
-        let mut a = TcpSender::in_table(&table, cfg, Box::new(Reno), Some(3));
-        let mut b = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
+        let mut a = TcpSender::in_table(&table, cfg, CcKind::Reno, Some(3));
+        let mut b = TcpSender::in_table(&table, cfg, CcKind::Reno, None);
         assert_eq!(
             (table.len(), table.slots()),
             (2, 0),
@@ -1353,16 +1360,16 @@ mod tests {
     fn equal_configs_share_one_copy_per_table() {
         let table = SharedFlowTable::new();
         let cfg = TcpConfig::default().with_max_window(43);
-        let a = TcpSender::in_table(&table, cfg, Box::new(Reno), Some(3));
-        let b = TcpSender::in_table(&table, cfg, Box::new(NewReno), None);
-        let c = TcpSender::in_table(&table, cfg.with_ecn(), Box::new(Reno), None);
-        let sack = TcpSender::in_table(&table, cfg, Box::new(Sack), None);
+        let a = TcpSender::in_table(&table, cfg, CcKind::Reno, Some(3));
+        let b = TcpSender::in_table(&table, cfg, CcKind::NewReno, None);
+        let c = TcpSender::in_table(&table, cfg.with_ecn(), CcKind::Reno, None);
+        let sack = TcpSender::in_table(&table, cfg, CcKind::Sack, None);
         assert!(std::ptr::eq(a.cfg(), b.cfg()));
         assert!(std::ptr::eq(a.cfg(), sack.cfg()));
         assert!(!std::ptr::eq(a.cfg(), c.cfg()));
         assert_eq!((*a.cfg(), *c.cfg()), (cfg, cfg.with_ecn()));
         assert_eq!(table.configs(), 2);
-        let other = TcpSender::in_table(&SharedFlowTable::new(), cfg, Box::new(Reno), None);
+        let other = TcpSender::in_table(&SharedFlowTable::new(), cfg, CcKind::Reno, None);
         assert!(!std::ptr::eq(a.cfg(), other.cfg()), "one copy per table");
     }
 
@@ -1371,7 +1378,7 @@ mod tests {
 
         /// Grow a sender to a known state: cwnd 6, segments 0..10 in flight
         /// acked through 4.
-        fn grown(cc: Box<dyn CongestionControl>) -> TcpSender {
+        fn grown(cc: CcKind) -> TcpSender {
             let mut s = TcpSender::new(TcpConfig::default(), cc, None);
             s.start(t(0));
             s.on_ack(t(10), &AckInfo::plain(2, t(0)));
@@ -1381,7 +1388,7 @@ mod tests {
 
         #[test]
         fn cwnd_never_below_one() {
-            let mut s = grown(Box::new(Reno));
+            let mut s = grown(CcKind::Reno);
             // Repeated timeouts with backoff.
             for i in 0..10 {
                 let gen = s.rto_gen();
@@ -1395,7 +1402,7 @@ mod tests {
         fn newreno_multi_loss_recovers_without_timeout() {
             // Segments 4 and 6 lost out of 4..10 in flight. NewReno should
             // retransmit both via partial ACKs within one recovery episode.
-            let mut s = grown(Box::new(NewReno));
+            let mut s = grown(CcKind::NewReno);
             assert_eq!(s.next_seq(), 10);
             // Dupacks for 4 (caused by 5, 7, 8, 9 arriving; 6 also lost).
             s.on_ack(t(30), &AckInfo::plain(4, t(20)));
@@ -1418,7 +1425,7 @@ mod tests {
         fn reno_multi_loss_needs_second_fast_retransmit_or_timeout() {
             // Same double loss under classic Reno: the first new ACK ends
             // recovery; the second hole needs its own dupacks or an RTO.
-            let mut s = grown(Box::new(Reno));
+            let mut s = grown(CcKind::Reno);
             s.on_ack(t(30), &AckInfo::plain(4, t(20)));
             s.on_ack(t(31), &AckInfo::plain(4, t(20)));
             s.on_ack(t(32), &AckInfo::plain(4, t(20)));
@@ -1435,7 +1442,7 @@ mod tests {
             let cfg = TcpConfig::default()
                 .with_max_window(1)
                 .with_initial_cwnd(1.0);
-            let mut s = TcpSender::new(cfg, Box::new(Reno), Some(5));
+            let mut s = TcpSender::new(cfg, CcKind::Reno, Some(5));
             let a = s.start(t(0));
             assert_eq!(sends(&a), vec![0]);
             for i in 0..5 {
@@ -1450,7 +1457,7 @@ mod tests {
 
         #[test]
         fn duplicate_completed_never_emitted() {
-            let mut s = TcpSender::new(TcpConfig::default(), Box::new(Reno), Some(2));
+            let mut s = TcpSender::new(TcpConfig::default(), CcKind::Reno, Some(2));
             s.start(t(0));
             let a = s.on_ack(t(10), &AckInfo::plain(2, t(0)));
             assert_eq!(
@@ -1465,7 +1472,7 @@ mod tests {
 
         #[test]
         fn fast_retransmit_does_not_refire_on_more_dupacks() {
-            let mut s = grown(Box::new(Reno));
+            let mut s = grown(CcKind::Reno);
             for i in 0..3 {
                 s.on_ack(t(30 + i), &AckInfo::plain(4, t(20)));
             }
@@ -1480,9 +1487,8 @@ mod tests {
 
         #[test]
         fn ece_reduces_once_per_window() {
-            use crate::cc::Dctcp;
             let cfg = TcpConfig::default().with_ecn();
-            let mut s = TcpSender::new(cfg, Box::new(Dctcp), None);
+            let mut s = TcpSender::new(cfg, CcKind::Dctcp, None);
             s.start(t(0));
             s.on_ack(t(10), &AckInfo::plain(2, t(0)));
             s.on_ack(t(20), &AckInfo::plain(4, t(10))); // cwnd 6, flight 6 (4..10)
@@ -1513,8 +1519,8 @@ mod tests {
 
         #[test]
         fn ece_ignored_when_ecn_disabled() {
-            let mut s = TcpSender::new(TcpConfig::default(), Box::new(Reno), None);
-            let mut plain = TcpSender::new(TcpConfig::default(), Box::new(Reno), None);
+            let mut s = TcpSender::new(TcpConfig::default(), CcKind::Reno, None);
+            let mut plain = TcpSender::new(TcpConfig::default(), CcKind::Reno, None);
             s.start(t(0));
             plain.start(t(0));
             s.on_ack(
@@ -1532,9 +1538,8 @@ mod tests {
 
         #[test]
         fn alpha_tracks_mark_fraction() {
-            use crate::cc::Dctcp;
             let cfg = TcpConfig::default().with_ecn().with_max_window(4);
-            let mut s = TcpSender::new(cfg, Box::new(Dctcp), None);
+            let mut s = TcpSender::new(cfg, CcKind::Dctcp, None);
             s.start(t(0));
             // Long run of unmarked windows: α decays toward 0.
             let mut ack = 0;
@@ -1567,7 +1572,7 @@ mod tests {
         #[test]
         fn classic_ecn_halves_like_loss() {
             let cfg = TcpConfig::default().with_ecn();
-            let mut s = TcpSender::new(cfg, Box::new(Reno), None);
+            let mut s = TcpSender::new(cfg, CcKind::Reno, None);
             s.start(t(0));
             s.on_ack(t(10), &AckInfo::plain(2, t(0)));
             s.on_ack(t(20), &AckInfo::plain(4, t(10))); // flight 6
@@ -1585,7 +1590,7 @@ mod tests {
 
         #[test]
         fn rto_backoff_visible_in_armed_delay() {
-            let mut s = TcpSender::new(TcpConfig::default(), Box::new(Reno), None);
+            let mut s = TcpSender::new(TcpConfig::default(), CcKind::Reno, None);
             let a0 = s.start(t(0));
             let d0 = a0
                 .iter()
@@ -1610,7 +1615,7 @@ mod tests {
         use super::*;
 
         fn sack_sender(cfg: TcpConfig, flow_size: Option<u64>) -> TcpSender {
-            TcpSender::new(cfg, Box::new(Sack), flow_size)
+            TcpSender::new(cfg, CcKind::Sack, flow_size)
         }
 
         fn ack_with_sack(ack: u64, blocks: &[(u64, u64)]) -> AckInfo {
@@ -1806,8 +1811,8 @@ mod tests {
         fn shared_table_sack_and_reno_coexist() {
             let table = SharedFlowTable::new();
             let cfg = TcpConfig::default();
-            let mut reno = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
-            let mut sack = TcpSender::in_table(&table, cfg, Box::new(Sack), None);
+            let mut reno = TcpSender::in_table(&table, cfg, CcKind::Reno, None);
+            let mut sack = TcpSender::in_table(&table, cfg, CcKind::Sack, None);
             reno.start(t(0));
             sack.start(t(0));
             sack.on_ack(t(10), &AckInfo::plain(2, t(0)));
@@ -1820,9 +1825,9 @@ mod tests {
         fn finished_sack_flow_leaves_a_clean_slot_and_cannot_touch_it_again() {
             let table = SharedFlowTable::new();
             let cfg = TcpConfig::default();
-            let mut a = TcpSender::in_table(&table, cfg, Box::new(Sack), Some(10));
-            let mut b = TcpSender::in_table(&table, cfg, Box::new(Sack), None);
-            let mut c = TcpSender::in_table(&table, cfg, Box::new(Reno), None);
+            let mut a = TcpSender::in_table(&table, cfg, CcKind::Sack, Some(10));
+            let mut b = TcpSender::in_table(&table, cfg, CcKind::Sack, None);
+            let mut c = TcpSender::in_table(&table, cfg, CcKind::Reno, None);
 
             // A loses segment 4, recovers it through the scoreboard, completes.
             a.start(t(0));

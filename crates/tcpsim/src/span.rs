@@ -292,7 +292,7 @@ impl SpanDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::Reno;
+    use crate::cc::CcKind;
     use crate::sender::AckInfo;
     use crate::TcpConfig;
 
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn detector_sees_fast_retransmit_and_recovery_exit() {
         let cfg = TcpConfig::default();
-        let mut m = TcpSender::new(cfg, Box::new(Reno), None);
+        let mut m = TcpSender::new(cfg, CcKind::Reno, None);
         let mut det = SpanDetector::new(FlowId(3), 64);
         let t = |ms: u64| SimTime::from_millis(ms);
         m.start(t(0));
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn detector_sees_rto() {
         let cfg = TcpConfig::default();
-        let mut m = TcpSender::new(cfg, Box::new(Reno), None);
+        let mut m = TcpSender::new(cfg, CcKind::Reno, None);
         let mut det = SpanDetector::new(FlowId(0), 64);
         let actions = m.start(SimTime::ZERO);
         // Find the armed RTO generation from the start actions.

@@ -40,7 +40,7 @@
 //! so simulation results and artifact digests do not depend on it.
 
 use crate::agent::{SinkLive, SourceLive};
-use crate::cc::{CcState, RecoveryStyle};
+use crate::cc::{CcState, CubicState};
 use crate::config::TcpConfig;
 use crate::rtt::{RttEstimator, RttState};
 use crate::sender::{SenderStats, TcpAction};
@@ -78,10 +78,8 @@ pub struct ColdFlow {
     pub stats: SenderStats,
     /// SACK scoreboard (empty for the Reno and NewReno styles).
     pub scoreboard: Scoreboard,
-    /// The sender's recovery style, read from its algorithm when the flow
-    /// starts, so that the per-ACK path branches on a byte in a line it
-    /// touches anyway instead of calling into the algorithm.
-    pub(crate) style: RecoveryStyle,
+    /// CUBIC's epoch (untouched by the other algorithms).
+    pub cubic: CubicState,
 }
 
 /// What a sender's accessors answer while it holds no slot: the initial
@@ -174,7 +172,7 @@ impl<T: Default> Pool<T> {
 #[derive(Debug, Default)]
 pub struct FlowTable {
     /// Congestion window / slow-start threshold pair (the unit every
-    /// [`CongestionControl`](crate::cc::CongestionControl) mutates).
+    /// [`CcKind`](crate::cc::CcKind) window rule mutates).
     pub(crate) ccs: Vec<CcState>,
     /// Next never-before-sent segment.
     pub(crate) next_seq: Vec<u64>,
@@ -253,6 +251,7 @@ impl FlowTable {
         self.ecn_cwr_end[i] = 0;
         self.cwr_pending[i] = false;
         self.cold[i].stats = fresh.stats;
+        self.cold[i].cubic = CubicState::default();
         slot
     }
 

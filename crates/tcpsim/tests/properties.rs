@@ -4,7 +4,7 @@
 //! reproduces from the printed seed.
 
 use simcore::{Rng, SimTime};
-use tcpsim::cc::Reno;
+use tcpsim::cc::CcKind;
 use tcpsim::receiver::TcpReceiver;
 use tcpsim::sender::{AckInfo, TcpAction, TcpSender};
 use tcpsim::seq::{seq_le, seq_lt, SeqUnwrapper};
@@ -41,7 +41,7 @@ fn sender_invariants_under_adversarial_input() {
         let n_inputs = gen.u64_below(300) as usize;
         let flow_size = 1 + gen.u64_below(149);
         let cfg = TcpConfig::default().with_max_window(32);
-        let mut s = TcpSender::new(cfg, Box::new(Reno), Some(flow_size));
+        let mut s = TcpSender::new(cfg, CcKind::Reno, Some(flow_size));
         let mut now = SimTime::ZERO;
         let mut all_actions = s.start(now);
         let mut last_una = 0;

@@ -3,7 +3,7 @@
 //! generators (`simcore::Rng`).
 
 use simcore::{Rng, SimTime};
-use tcpsim::cc::Sack;
+use tcpsim::cc::CcKind;
 use tcpsim::receiver::SackRanges;
 use tcpsim::sender::{AckInfo, TcpAction, TcpSender};
 use tcpsim::TcpConfig;
@@ -48,7 +48,7 @@ fn sack_sender_invariants() {
         let n_inputs = gen.u64_below(250) as usize;
         let flow_size = 1 + gen.u64_below(119);
         let cfg = TcpConfig::default().with_max_window(24);
-        let mut s = TcpSender::new(cfg, Box::new(Sack), Some(flow_size));
+        let mut s = TcpSender::new(cfg, CcKind::Sack, Some(flow_size));
         let mut now = SimTime::ZERO;
         let mut actions = s.start(now);
         let mut last_una = 0;

@@ -11,7 +11,7 @@
 
 use netsim::{AgentId, DumbbellBuilder, FlowId, Sim};
 use simcore::{Rng, SimDuration, SimTime};
-use tcpsim::cc::{CongestionControl, Reno, Sack};
+use tcpsim::cc::CcKind;
 use tcpsim::sender::SenderStats;
 use tcpsim::{FlowRecord, SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 
@@ -69,11 +69,7 @@ fn run_mix(seed: u64, shared: Option<&SharedFlowTable>) -> Vec<Outcome> {
         let (src_node, sink_node) = (d.sources[i % pairs], d.sinks[i % pairs]);
         let private = SharedFlowTable::new();
         let table = shared.unwrap_or(&private);
-        let cc: Box<dyn CongestionControl> = if f.sack {
-            Box::new(Sack)
-        } else {
-            Box::new(Reno)
-        };
+        let cc = if f.sack { CcKind::Sack } else { CcKind::Reno };
         let sender = TcpSender::in_table(table, cfg, cc, Some(f.len));
         let source = TcpSource::with_sender(flow, sink_node, sender).with_start_delay(f.start);
         let sink = match shared {

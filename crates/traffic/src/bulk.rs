@@ -9,41 +9,11 @@
 use crate::workload::{install_pair, FlowHandle};
 use netsim::{FlowId, HostPairs, Sim};
 use simcore::{Rng, SimDuration};
-use tcpsim::cc::{CongestionControl, Cubic, Dctcp, NewReno, Reno, Sack};
 use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 
-/// Which congestion control the generated flows use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CcKind {
-    /// Classic Reno (the paper's setting).
-    Reno,
-    /// NewReno.
-    NewReno,
-    /// CUBIC (RFC 8312) — extension beyond the paper.
-    Cubic,
-    /// DCTCP (RFC 8257) — extension beyond the paper; pair with an
-    /// ECN-enabled `TcpConfig` and a step-marking bottleneck queue,
-    /// otherwise it behaves exactly like Reno growth with NewReno
-    /// recovery.
-    Dctcp,
-    /// Reno windows with SACK scoreboard recovery (RFC 2018/3517) — what
-    /// the paper's Linux testbed hosts ran. Ignores ECE.
-    Sack,
-}
-
-impl CcKind {
-    /// Builds a fresh congestion-control instance of this kind; it names
-    /// the loss recovery [`TcpSender`] runs for it (see [`tcpsim::cc`]).
-    pub fn build(self) -> Box<dyn CongestionControl> {
-        match self {
-            CcKind::Reno => Box::new(Reno),
-            CcKind::NewReno => Box::new(NewReno),
-            CcKind::Cubic => Box::new(Cubic::new(0.005)),
-            CcKind::Dctcp => Box::new(Dctcp),
-            CcKind::Sack => Box::new(Sack),
-        }
-    }
-}
+/// Which congestion control the generated flows use: tcpsim's one
+/// congestion-control type, re-exported where the scenarios name it.
+pub use tcpsim::cc::CcKind;
 
 /// Generator for `n` long-lived flows, one per host pair.
 #[derive(Clone, Debug)]
@@ -111,7 +81,7 @@ impl BulkWorkload {
             let src_node = pairs.sources[i];
             let sink_node = pairs.sinks[i];
             let start = SimDuration::from_nanos(rng.u64_below(self.start_window.as_nanos().max(1)));
-            let sender = TcpSender::in_table(table, self.cfg, self.cc.build(), None);
+            let sender = TcpSender::in_table(table, self.cfg, self.cc, None);
             let mut source =
                 TcpSource::with_sender(flow, sink_node, sender).with_start_delay(start);
             if self.pacing {

@@ -23,7 +23,7 @@ use netsim::{Agent, Ctx, FlowId, HostPairs, NodeId, Packet, Sim};
 use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
 use std::any::Any;
-use tcpsim::cc::Reno;
+use tcpsim::cc::CcKind;
 use tcpsim::{FlowRecord, SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 
 /// Sender side of one session: a [`TcpSource`] running one Reno transfer
@@ -52,7 +52,7 @@ impl SessionSource {
     ) -> Self {
         let think = Exponential::with_mean(think_mean.as_secs_f64().max(1e-9));
         let (delay, size) = draw(&think, &sizes, &mut rng);
-        let sender = TcpSender::in_table(table, cfg, Box::new(Reno), Some(size));
+        let sender = TcpSender::in_table(table, cfg, CcKind::Reno, Some(size));
         SessionSource {
             source: TcpSource::with_sender(flow, dst, sender).with_start_delay(delay),
             think,
@@ -92,12 +92,8 @@ impl Agent for SessionSource {
             self.transfers_completed += 1;
             let (delay, size) = draw(&self.think, &self.sizes, &mut self.rng);
             let finished = self.source.sender();
-            let sender = TcpSender::in_table(
-                finished.table(),
-                *finished.cfg(),
-                Box::new(Reno),
-                Some(size),
-            );
+            let sender =
+                TcpSender::in_table(finished.table(), *finished.cfg(), CcKind::Reno, Some(size));
             self.source.next_transfer(sender, delay, ctx);
         }
     }

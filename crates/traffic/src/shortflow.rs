@@ -18,7 +18,7 @@ use crate::workload::{install_pair, FlowHandle};
 use netsim::{FlowId, HostPairs, Sim};
 use simcore::dist::Sample;
 use simcore::{Exponential, Pareto, Rng, SimDuration};
-use tcpsim::cc::Reno;
+use tcpsim::cc::CcKind;
 use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
 
 /// Flow-length distribution, in segments.
@@ -161,7 +161,7 @@ impl ShortFlowWorkload {
             let flow = FlowId(first_flow + i as u32);
             let src_node = pairs.sources[pair];
             let sink_node = pairs.sinks[pair];
-            let sender = TcpSender::in_table(table, self.cfg, Box::new(Reno), Some(len));
+            let sender = TcpSender::in_table(table, self.cfg, CcKind::Reno, Some(len));
             let source = TcpSource::with_sender(flow, sink_node, sender)
                 .with_start_delay(SimDuration::from_secs_f64(t));
             let sink = Box::new(TcpSink::in_table(table, flow, &self.cfg));

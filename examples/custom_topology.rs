@@ -10,7 +10,7 @@
 use netsim::red::RedConfig;
 use netsim::{DumbbellBuilder, FlowId, QueueCapacity, Red, Sim};
 use simcore::{SimDuration, SimTime};
-use tcpsim::cc::Reno;
+use tcpsim::cc::CcKind;
 use tcpsim::{TcpConfig, TcpSink, TcpSource};
 use traffic::{CbrSource, UdpSink};
 
@@ -33,7 +33,7 @@ fn run(use_red: bool) {
     // Pair 0: a long-lived TCP flow.
     let tcp_flow = FlowId(0);
     let cfg = TcpConfig::default();
-    let src = TcpSource::new(tcp_flow, d.sinks[0], cfg, Box::new(Reno), None);
+    let src = TcpSource::new(tcp_flow, d.sinks[0], cfg, CcKind::Reno, None);
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::new(tcp_flow, &cfg)));
     sim.bind_flow(tcp_flow, d.sinks[0], sink_id);

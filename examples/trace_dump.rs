@@ -11,7 +11,7 @@
 
 use netsim::{DumbbellBuilder, FlowId, QueueCapacity, Sim};
 use simcore::{SimDuration, SimTime};
-use tcpsim::{Reno, TcpConfig, TcpSink, TcpSource};
+use tcpsim::{CcKind, TcpConfig, TcpSink, TcpSource};
 
 #[expect(clippy::print_stdout, reason = "an example prints its results")]
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         .build(&mut sim);
     let cfg = TcpConfig::default();
     let flow = FlowId(0);
-    let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), Some(64));
+    let src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, Some(64));
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::new(flow, &cfg)));
     sim.bind_flow(flow, d.sinks[0], sink_id);

@@ -154,6 +154,21 @@ done | grep -cE 'routes\.(add|set_default)\(' || true)
 }
 echo "one routing path: $hand_routes lines wiring a route table by hand"
 
+echo "==> one-congestion-control gate (the algorithm is a CcKind, not a boxed trait object)"
+# tcpsim::cc::CcKind is the one congestion-control type: a Copy enum whose
+# window rules dispatch by match, with CUBIC's epoch in the flow table. A
+# second mechanism needs a trait object or a boxed algorithm struct again:
+# count those lines in every tracked .rs file outside benchmark/ (82 while
+# the CongestionControl trait and its five structs were the algorithms).
+boxed_cc=$(for f in $(git ls-files '*.rs' | grep -v '^benchmark/'); do
+    cat "$f"
+done | grep -cE 'dyn CongestionControl|impl CongestionControl|Box::new\((tcpsim::)?(cc::)?(Reno|NewReno|Cubic|Dctcp|Sack)\b' || true)
+[ "$boxed_cc" = "0" ] || {
+    echo "a second congestion-control mechanism: $boxed_cc lines of a CongestionControl trait object or boxed algorithm struct outside benchmark/, want 0" >&2
+    exit 1
+}
+echo "one congestion control: $boxed_cc lines of trait-object or boxed-algorithm congestion control"
+
 echo "==> doc drift gate (DESIGN.md sections referenced from other docs exist)"
 # README/EXPERIMENTS/RESULTS point readers at DESIGN.md sections by number
 # ("see DESIGN.md §13", "DESIGN.md §12.2"). Renumbering or deleting a

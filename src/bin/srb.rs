@@ -62,9 +62,10 @@ fn write_trace(path: &str, trace: simcore::TraceBuilder) {
 fn usage() -> ! {
     eprintln!(
         "usage:\n  srb size      --rate-gbps <g> --rtt-ms <ms> --flows <n>\n  \
-         srb longflow  --rate-mbps <m> --flows <n> --buffer <pkts> [--cc reno|newreno|cubic|sack|dctcp] [--ecn-mark <pkts>] [--seconds <s>] [--seed <k>] [--trace <path>]\n  \
+         srb longflow  --rate-mbps <m> --flows <n> --buffer <pkts> [--cc {}] [--ecn-mark <pkts>] [--seconds <s>] [--seed <k>] [--trace <path>]\n  \
          srb shortflow --rate-mbps <m> --load <0..1> --len <segments> --buffer <pkts> [--seconds <s>]\n  \
-         srb single    --rate-mbps <m> --rtt-ms <ms> --factor <xBDP> [--trace <path>]"
+         srb single    --rate-mbps <m> --rtt-ms <ms> --factor <xBDP> [--trace <path>]",
+        CcKind::ALL.map(CcKind::name).join("|")
     );
     std::process::exit(2);
 }
@@ -112,16 +113,10 @@ fn cmd_longflow(args: &[String]) {
     let rate = parse_flag(args, "--rate-mbps").unwrap_or(155.0) * 1e6;
     let n = parse_flag(args, "--flows").unwrap_or(100.0) as usize;
     let seconds = parse_flag(args, "--seconds").unwrap_or(30.0);
-    let cc = match parse_str(args, "--cc").unwrap_or("reno") {
-        "reno" => CcKind::Reno,
-        "newreno" => CcKind::NewReno,
-        "cubic" => CcKind::Cubic,
-        "dctcp" => CcKind::Dctcp,
-        "sack" => CcKind::Sack,
-        other => {
-            eprintln!("unknown --cc {other}");
-            usage()
-        }
+    let name = parse_str(args, "--cc").unwrap_or("reno");
+    let Some(cc) = CcKind::from_name(name) else {
+        eprintln!("unknown --cc {name}");
+        usage()
     };
     let mut sc = LongFlowScenario::oc3(n);
     sc.bottleneck_rate = rate as u64;

@@ -7,7 +7,9 @@
 //! * [`simcore`] — deterministic discrete-event engine (time, events, RNG).
 //! * [`netsim`] — packet network substrate: links, drop-tail/RED queues,
 //!   routing, monitors.
-//! * [`tcpsim`] — TCP Reno/NewReno endpoint state machines.
+//! * [`tcpsim`] — TCP endpoint state machines: one sender with Reno,
+//!   NewReno and SACK recovery, and the congestion-control zoo (Reno,
+//!   NewReno, CUBIC, DCTCP, SACK) as one enum, `tcpsim::cc::CcKind`.
 //! * [`traffic`] — workload generators (long-lived flows, Poisson short
 //!   flows, Harpoon-like sessions, UDP).
 //! * [`stats`] — measurement toolkit (histograms, Gaussian fits, FCT records).

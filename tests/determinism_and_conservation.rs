@@ -3,7 +3,7 @@
 
 use netsim::{DumbbellBuilder, FlowId, Sim};
 use sizing_router_buffers::prelude::*;
-use tcpsim::cc::Reno;
+use tcpsim::cc::CcKind;
 use tcpsim::{TcpSink, TcpSource};
 
 #[test]
@@ -52,7 +52,7 @@ fn fig03_scale_event_log_digests_are_identical() {
         let cfg = TcpConfig::default();
         for i in 0..12u32 {
             let flow = FlowId(i);
-            let src = TcpSource::new(flow, d.sinks[i as usize], cfg, Box::new(Reno), None)
+            let src = TcpSource::new(flow, d.sinks[i as usize], cfg, CcKind::Reno, None)
                 .with_start_delay(SimDuration::from_millis(50 * u64::from(i)));
             let src_id = sim.add_agent(d.sources[i as usize], Box::new(src));
             let sink_id = sim.add_agent(d.sinks[i as usize], Box::new(TcpSink::new(flow, &cfg)));
@@ -95,7 +95,7 @@ fn packet_conservation_through_the_stack() {
     let mut pairs = Vec::new();
     for i in 0..2u32 {
         let flow = FlowId(i);
-        let src = TcpSource::new(flow, d.sinks[i as usize], cfg, Box::new(Reno), Some(2000));
+        let src = TcpSource::new(flow, d.sinks[i as usize], cfg, CcKind::Reno, Some(2000));
         let src_id = sim.add_agent(d.sources[i as usize], Box::new(src));
         let sink_id = sim.add_agent(d.sinks[i as usize], Box::new(TcpSink::new(flow, &cfg)));
         sim.bind_flow(flow, d.sinks[i as usize], sink_id);
@@ -138,7 +138,7 @@ fn no_drops_means_no_retransmits() {
         .build(&mut sim);
     let cfg = TcpConfig::default();
     let flow = FlowId(0);
-    let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), Some(5000));
+    let src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, Some(5000));
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::new(flow, &cfg)));
     sim.bind_flow(flow, d.sinks[0], sink_id);

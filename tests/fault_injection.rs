@@ -3,10 +3,9 @@
 
 use netsim::{DumbbellBuilder, FlowId, Sim};
 use simcore::{SimDuration, SimTime};
-use tcpsim::cc::{NewReno, Reno};
-use tcpsim::{CongestionControl, TcpConfig, TcpSink, TcpSource};
+use tcpsim::{CcKind, TcpConfig, TcpSink, TcpSource};
 
-fn run_lossy(loss: f64, flow_size: u64, cc: Box<dyn CongestionControl>) -> (bool, u64, u64) {
+fn run_lossy(loss: f64, flow_size: u64, cc: CcKind) -> (bool, u64, u64) {
     let mut sim = Sim::new(17);
     let d = DumbbellBuilder::new(10_000_000, SimDuration::from_millis(5))
         .buffer_packets(1_000_000) // queue never drops: only injected loss
@@ -33,7 +32,7 @@ fn run_lossy(loss: f64, flow_size: u64, cc: Box<dyn CongestionControl>) -> (bool
 
 #[test]
 fn reno_survives_one_percent_loss() {
-    let (done, delivered, retx) = run_lossy(0.01, 3000, Box::new(Reno));
+    let (done, delivered, retx) = run_lossy(0.01, 3000, CcKind::Reno);
     assert!(done, "flow did not complete under 1% loss");
     assert_eq!(delivered, 3000);
     assert!(retx > 0, "1% loss must cause retransmissions");
@@ -41,14 +40,14 @@ fn reno_survives_one_percent_loss() {
 
 #[test]
 fn newreno_survives_five_percent_loss() {
-    let (done, delivered, _) = run_lossy(0.05, 1000, Box::new(NewReno));
+    let (done, delivered, _) = run_lossy(0.05, 1000, CcKind::NewReno);
     assert!(done, "flow did not complete under 5% loss");
     assert_eq!(delivered, 1000);
 }
 
 #[test]
 fn loss_free_baseline_has_no_retransmits() {
-    let (done, delivered, retx) = run_lossy(0.0, 3000, Box::new(Reno));
+    let (done, delivered, retx) = run_lossy(0.0, 3000, CcKind::Reno);
     assert!(done);
     assert_eq!(delivered, 3000);
     assert_eq!(retx, 0);
@@ -94,7 +93,7 @@ fn throughput_degrades_gracefully_with_loss() {
         sim.kernel_mut().link_mut(d.bottleneck).random_loss = loss;
         let cfg = TcpConfig::default();
         let flow = FlowId(0);
-        let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Reno), None);
+        let src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Reno, None);
         let src_id = sim.add_agent(d.sources[0], Box::new(src));
         let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::new(flow, &cfg)));
         sim.bind_flow(flow, d.sinks[0], sink_id);

@@ -4,7 +4,7 @@
 use buffersizing::prelude::*;
 use netsim::{FlowId, ParkingLotBuilder, Sim};
 use simcore::Rng;
-use tcpsim::{Cubic, Reno, Sack, TcpConfig, TcpSink, TcpSource};
+use tcpsim::{TcpConfig, TcpSink, TcpSource};
 use traffic::bulk::CcKind;
 use traffic::sessions::SessionSource;
 use traffic::{BulkWorkload, FlowLengthDist, SessionWorkload, ShortFlowWorkload};
@@ -23,7 +23,7 @@ fn parking_lot_tcp_through_two_bottlenecks() {
     let mut add = |sim: &mut Sim, src, dst| {
         let f = FlowId(flow);
         flow += 1;
-        let s = TcpSource::new(f, dst, cfg, Box::new(Reno), None)
+        let s = TcpSource::new(f, dst, cfg, CcKind::Reno, None)
             .with_start_delay(SimDuration::from_millis(100 * flow as u64));
         let sid = sim.add_agent(src, Box::new(s));
         let kid = sim.add_agent(dst, Box::new(TcpSink::new(f, &cfg)));
@@ -96,7 +96,7 @@ fn through_flows_get_less_than_single_hop_flows() {
     let mut add = |sim: &mut Sim, src, dst| {
         let f = FlowId(flow);
         flow += 1;
-        let s = TcpSource::new(f, dst, cfg, Box::new(Reno), None);
+        let s = TcpSource::new(f, dst, cfg, CcKind::Reno, None);
         let sid = sim.add_agent(src, Box::new(s));
         let kid = sim.add_agent(dst, Box::new(TcpSink::new(f, &cfg)));
         sim.bind_flow(f, dst, kid);
@@ -148,7 +148,7 @@ fn cubic_single_flow_fills_pipe_with_smaller_buffer_than_reno() {
     // CUBIC's beta = 0.7 decrease means the post-loss dip is shallower, so
     // a single CUBIC flow tolerates a smaller buffer than Reno's BDP rule
     // (buffer needed ~ (1-beta)/beta * BDP instead of a full BDP).
-    let run = |cc: Box<dyn tcpsim::CongestionControl>, buffer: usize| -> f64 {
+    let run = |cc: CcKind, buffer: usize| -> f64 {
         let mut sim = Sim::new(3);
         let d = netsim::DumbbellBuilder::new(10_000_000, SimDuration::from_millis(20))
             .buffer_packets(buffer)
@@ -173,8 +173,8 @@ fn cubic_single_flow_fills_pipe_with_smaller_buffer_than_reno() {
     };
     // Buffer = 45% of BDP (BDP = 75 pkts at 60 ms, 10 Mb/s).
     let buffer = 34;
-    let reno = run(Box::new(Reno), buffer);
-    let cubic = run(Box::new(Cubic::new(0.005)), buffer);
+    let reno = run(CcKind::Reno, buffer);
+    let cubic = run(CcKind::Cubic, buffer);
     assert!(
         cubic > reno + 0.01,
         "cubic {cubic} should beat reno {reno} at sub-BDP buffers"
@@ -224,7 +224,7 @@ fn sack_full_stack_short_flow_completes_under_loss() {
     sim.kernel_mut().link_mut(d.bottleneck).random_loss = 0.03;
     let cfg = TcpConfig::default();
     let flow = FlowId(0);
-    let src = TcpSource::new(flow, d.sinks[0], cfg, Box::new(Sack), Some(2000));
+    let src = TcpSource::new(flow, d.sinks[0], cfg, CcKind::Sack, Some(2000));
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::new(flow, &cfg)));
     sim.bind_flow(flow, d.sinks[0], sink_id);

@@ -8,7 +8,7 @@
 use buffersizing::figures::min_buffer::MinBufferConfig;
 use netsim::{DumbbellBuilder, FlowId, Sim};
 use sizing_router_buffers::prelude::*;
-use tcpsim::cc::Reno;
+use tcpsim::cc::CcKind;
 use tcpsim::{TcpSink, TcpSource};
 
 /// One sweep cell: a quick long-flow run at the given buffer size, with
@@ -55,7 +55,7 @@ fn digest_cell(buffer_pkts: usize) -> u64 {
     let cfg = TcpConfig::default();
     for i in 0..6u32 {
         let flow = FlowId(i);
-        let src = TcpSource::new(flow, d.sinks[i as usize], cfg, Box::new(Reno), None)
+        let src = TcpSource::new(flow, d.sinks[i as usize], cfg, CcKind::Reno, None)
             .with_start_delay(SimDuration::from_millis(30 * u64::from(i)));
         let src_id = sim.add_agent(d.sources[i as usize], Box::new(src));
         let sink_id = sim.add_agent(d.sinks[i as usize], Box::new(TcpSink::new(flow, &cfg)));

@@ -99,7 +99,7 @@ fn drr_isolates_tcp_from_udp_blast() {
     // The fairness property FIFO lacks: an unresponsive UDP blast cannot
     // starve a TCP flow behind DRR.
     use netsim::FlowId;
-    use tcpsim::{Reno, TcpConfig, TcpSink, TcpSource};
+    use tcpsim::{CcKind, TcpConfig, TcpSink, TcpSource};
     use traffic::{CbrSource, UdpSink};
 
     let rate: u64 = 10_000_000;
@@ -115,7 +115,7 @@ fn drr_isolates_tcp_from_udp_blast() {
         let d = builder.build(&mut sim);
         let cfg = TcpConfig::default();
         let tcp = FlowId(0);
-        let src = TcpSource::new(tcp, d.sinks[0], cfg, Box::new(Reno), None);
+        let src = TcpSource::new(tcp, d.sinks[0], cfg, CcKind::Reno, None);
         let sid = sim.add_agent(d.sources[0], Box::new(src));
         let kid = sim.add_agent(d.sinks[0], Box::new(TcpSink::new(tcp, &cfg)));
         sim.bind_flow(tcp, d.sinks[0], kid);
