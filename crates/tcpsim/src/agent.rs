@@ -16,8 +16,9 @@
 //! only while it is live is leased from the simulation's
 //! [`FlowTable`](crate::table::FlowTable), and its configuration is the
 //! table's one copy. On 64-bit targets a `TcpSource`, with its
-//! [`TcpSender`] inline, is 248 B and a `TcpSink` 104 B, each filling a
-//! 16-byte heap size class exactly (`tests/flow_memory.rs` pins them).
+//! [`TcpSender`] inline, is 240 B and a `TcpSink` 104 B, within the
+//! 16-byte heap size classes of 248 / 104 B that `tests/flow_memory.rs`
+//! pins them to.
 
 use crate::cc::CcKind;
 use crate::config::TcpConfig;

@@ -79,7 +79,7 @@ pub struct ColdFlow {
     /// SACK scoreboard (empty for the Reno and NewReno styles).
     pub scoreboard: Scoreboard,
     /// CUBIC's epoch (untouched by the other algorithms).
-    pub cubic: CubicState,
+    pub(crate) cubic: CubicState,
 }
 
 /// What a sender's accessors answer while it holds no slot: the initial

@@ -25,10 +25,10 @@ use netsim::{
 };
 use simcore::{Rng, SimDuration, SimTime};
 use std::collections::BTreeMap;
+use tcpsim::cc::CcKind;
 use tcpsim::sender::{SenderState, SenderStats};
 use tcpsim::span::{SpanKind, SpanRecord};
 use tcpsim::{SharedFlowTable, TcpConfig, TcpSender, TcpSink, TcpSource};
-use traffic::bulk::CcKind;
 
 /// Segments in the flow.
 const SEGMENTS: u64 = 400;
@@ -124,7 +124,7 @@ fn run(kind: CcKind, ecn: bool) -> (Pin, u64) {
     let cfg = if ecn { cfg.with_ecn() } else { cfg };
     let table = SharedFlowTable::new();
     let flow = FlowId(0);
-    let sender = TcpSender::in_table(&table, cfg, kind.build(), Some(SEGMENTS));
+    let sender = TcpSender::in_table(&table, cfg, kind, Some(SEGMENTS));
     let src = TcpSource::with_sender(flow, d.sinks[0], sender).with_span_log(1024);
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink_id = sim.add_agent(d.sinks[0], Box::new(TcpSink::in_table(&table, flow, &cfg)));
@@ -185,18 +185,10 @@ fn pin_of(c: &Cell) -> Pin {
     }
 }
 
-const KINDS: [CcKind; 5] = [
-    CcKind::Reno,
-    CcKind::NewReno,
-    CcKind::Cubic,
-    CcKind::Dctcp,
-    CcKind::Sack,
-];
-
 #[test]
 fn every_sender_matches_its_scripted_loss_pins() {
     let mut got = Vec::new();
-    for kind in KINDS {
+    for kind in CcKind::ALL {
         for ecn in [false, true] {
             let (pin, marks) = run(kind, ecn);
             let st = pin.stats;
@@ -346,7 +338,7 @@ fn run_script(
         .build(&mut sim);
     let table = SharedFlowTable::new();
     let flow = FlowId(0);
-    let sender = TcpSender::in_table(&table, cfg, kind.build(), Some(SEGMENTS));
+    let sender = TcpSender::in_table(&table, cfg, kind, Some(SEGMENTS));
     let src = SenderProbe {
         src: TcpSource::with_sender(flow, d.sinks[0], sender).with_span_log(64),
         rows: Vec::new(),
