@@ -119,6 +119,19 @@ impl CubicState {
     fn k(&self) -> f64 {
         (self.w_max * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt()
     }
+
+    /// One segment acknowledged in congestion avoidance: advance the clock
+    /// and grow `cwnd` toward `max(W_cubic(t), W_est)`.
+    fn grow(&mut self, s: &mut CcState) {
+        self.t += CUBIC_TICK_S;
+        // TCP-friendly region estimate (Reno with beta 0.7 AIMD).
+        self.w_est += (3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)) / s.cwnd.max(1.0);
+        let target = CUBIC_C * (self.t - self.k()).powi(3) + self.w_max;
+        let next = target.max(self.w_est).max(s.cwnd);
+        // RFC 8312 grows by (target - cwnd)/cwnd per ACK; at most one
+        // segment per ACK here.
+        s.cwnd += ((next - s.cwnd) / s.cwnd.max(1.0)).clamp(0.0, 1.0);
+    }
 }
 
 /// Which congestion-control algorithm a flow runs. Each variant names the
@@ -211,18 +224,12 @@ impl CcKind {
 
     /// Called once per newly acknowledged segment outside recovery.
     // Hot path — once per acknowledged segment
+    #[inline]
     pub fn on_ack_segment(self, s: &mut CcState, cubic: &mut CubicState) {
         if s.in_slow_start() {
             s.cwnd += 1.0;
         } else if self == CcKind::Cubic {
-            cubic.t += CUBIC_TICK_S;
-            // TCP-friendly region estimate (Reno with beta 0.7 AIMD).
-            cubic.w_est += (3.0 * (1.0 - CUBIC_BETA) / (1.0 + CUBIC_BETA)) / s.cwnd.max(1.0);
-            let target = CUBIC_C * (cubic.t - cubic.k()).powi(3) + cubic.w_max;
-            let next = target.max(cubic.w_est).max(s.cwnd);
-            // RFC 8312 grows by (target - cwnd)/cwnd per ACK; at most one
-            // segment per ACK here.
-            s.cwnd += ((next - s.cwnd) / s.cwnd.max(1.0)).clamp(0.0, 1.0);
+            cubic.grow(s);
         } else {
             s.cwnd += 1.0 / s.cwnd;
         }
