@@ -399,6 +399,13 @@ impl LongFlowScenario {
     /// Reduces a measured run to the result struct (window samples empty:
     /// they are the caller's slices, see [`LongFlowScenario::run_sampled`]).
     pub fn collect(&self, run: &Run) -> LongFlowResult {
+        let spans = self.span_capacity.map(|_| merged_spans(run));
+        self.reduce(run, spans.as_ref())
+    }
+
+    /// [`LongFlowScenario::collect`] with the run's merged span log, when
+    /// span tracing is on, already at hand.
+    fn reduce(&self, run: &Run, spans: Option<&SpanLog>) -> LongFlowResult {
         let mon = run.monitor();
         let mut segments_sent = 0u64;
         let mut retransmits = 0u64;
@@ -436,7 +443,7 @@ impl LongFlowScenario {
             per_flow_window_samples: vec![Vec::new(); run.handles.len()],
             telemetry_digest: run.sim.telemetry().map(|t| t.digest()),
             forensics_digest: run.sim.forensics().map(|l| l.digest()),
-            span_digest: self.span_capacity.map(|_| merged_spans(run).digest()),
+            span_digest: spans.map(SpanLog::digest),
             profile: run.sim.profile().map(|mut p| {
                 // The kernel already stamped the arena mark; add the
                 // flow-table mark only the runner knows.
@@ -479,8 +486,8 @@ impl LongFlowScenario {
     /// finished, so the encoded blocks are moved out of the log, not
     /// copied.
     pub fn collect_traced(&self, run: &mut Run) -> TracedRun {
-        let result = self.collect(run);
         let spans = merged_spans(run);
+        let result = self.reduce(run, self.span_capacity.map(|_| &spans));
         let profile = result.profile.clone().expect("profiler enabled");
         let ledger = run.sim.forensics().expect("forensics enabled").clone();
         let metrics = run.sim.metrics();

@@ -48,6 +48,8 @@ use crate::packet::FlowId;
 use crate::sim::LinkId;
 use simcore::{Fnv1a, SimTime};
 use std::fmt::{self, Write};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 /// What happened to the packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -468,52 +470,85 @@ impl Iterator for Decoder<'_> {
 
 impl ExactSizeIterator for Decoder<'_> {}
 
-/// A bounded in-memory packet log: records are encoded into blocks as they
-/// arrive, and folded into a running digest.
-#[derive(Debug)]
-pub struct PacketLog {
-    blocks: Vec<PacketBlock>,
-    /// Records stored.
-    len: usize,
-    capacity: usize,
-    /// What the next record of the open block is coded against.
-    ctx: Box<Context>,
-    /// Running FNV-1a over the stored records.
-    hash: Fnv1a,
-    /// Events that arrived after the log filled.
-    pub overflowed: u64,
+/// Entries of a staging buffer: the event loop hands the buffer to the
+/// encoder when it holds this many. A record takes one entry, or two when
+/// [`Staged::EXTENDED`].
+const STAGE_ENTRIES: usize = 4096;
+
+/// Staging buffers in flight to the encoder before [`PacketLog::push`]
+/// waits for it: with the one being filled, the one being encoded and the
+/// emptied ones on their way back, a log holds a few hundred KB of them.
+const IN_FLIGHT: usize = 2;
+
+/// Bits of a [`Staged`] tag below the place.
+const TAG_PLACE_SHIFT: u32 = 4;
+
+/// A record as the event loop stages it for the encoder: 24 bytes. A
+/// queue, transmit or delivery at a place below 2²⁸ packs the kind and the
+/// place into `tag`. Any other record is tagged [`Staged::EXTENDED`] and
+/// followed by a second entry holding its place in `time`, its kind in
+/// `uid`, its depth in `flow` and its reason code in `tag`.
+#[derive(Clone, Copy, Debug)]
+struct Staged {
+    time: u64,
+    uid: u64,
+    flow: u32,
+    tag: u32,
 }
 
-impl PacketLog {
-    /// Creates a log holding at most `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        PacketLog {
-            blocks: Vec::new(),
-            len: 0,
-            capacity,
-            ctx: Box::new(Context::START),
+impl Staged {
+    /// The tag of a record whose place, kind and metadata follow in the
+    /// next entry (no kind code is 0).
+    const EXTENDED: u32 = 0;
+}
+
+/// The encoder's state (module docs): the context of the open block, the
+/// running digest, the open block and the blocks finished since the last
+/// [`Snapshot`].
+#[derive(Debug)]
+struct Encoder {
+    ctx: Context,
+    hash: Fnv1a,
+    open: PacketBlock,
+    finished: Vec<PacketBlock>,
+}
+
+impl Encoder {
+    fn new() -> Self {
+        Encoder {
+            ctx: Context::START,
             hash: Fnv1a::new(),
-            overflowed: 0,
+            open: PacketBlock::default(),
+            finished: Vec::new(),
         }
     }
 
-    /// Appends a record: folds it into the digest and encodes it into the
-    /// open block, or starts a new block when that one is full. Once the
-    /// log is full it counts the event and encodes nothing.
-    // Hot path — once per logged packet milestone
-    #[inline]
-    pub fn push(&mut self, rec: PacketRecord) {
-        if self.len == self.capacity {
-            self.overflowed += 1;
-            return;
+    /// Folds and encodes the records of one staging buffer, in order.
+    fn encode(&mut self, batch: &[Staged]) {
+        let mut entries = batch.iter();
+        while let Some(s) = entries.next() {
+            if s.tag == Staged::EXTENDED {
+                let Some(x) = entries.next() else { break };
+                let meta =
+                    matches!(x.uid, DROPPED | MARKED).then_some((x.tag.to_le_bytes()[0], x.flow));
+                self.record(s, x.time, x.uid, meta);
+            } else {
+                let kind = u64::from(s.tag & ((1 << KIND_BITS) - 1));
+                self.record(s, u64::from(s.tag >> TAG_PLACE_SHIFT), kind, None);
+            }
         }
-        let time = rec.time.as_nanos();
-        let flow = rec.flow.0;
-        let place = rec.place_code();
-        let (kind, meta) = rec.codes();
+    }
+
+    /// Folds one record (`s`'s time, uid and flow, at `place`) into the
+    /// digest and encodes it into the open block, which is finished and
+    /// shrunk to fit once it holds [`BLOCK_RECORDS`].
+    // Hot path — once per logged packet milestone, on the encoder thread
+    #[inline]
+    fn record(&mut self, s: &Staged, place: u64, kind: u64, meta: Option<(u8, u32)>) {
+        let (time, uid, flow) = (s.time, s.uid, s.flow);
         let mut h = self.hash;
         h.u64(time);
-        h.u64(rec.uid);
+        h.u64(uid);
         h.u64(u64::from(flow));
         h.u64(place);
         // Drop and mark metadata is excluded from the digest; the mark
@@ -521,17 +556,10 @@ impl PacketLog {
         h.u64(kind);
         self.hash = h;
 
-        if self.len.is_multiple_of(BLOCK_RECORDS) {
-            self.start_block();
-        }
-        self.len += 1;
-        let Some(block) = self.blocks.last_mut() else {
-            return;
-        };
-        let ctx = &mut *self.ctx;
+        let ctx = &mut self.ctx;
         let slot = ctx.slot(place);
         let gap = time.wrapping_sub(ctx.time);
-        let same_packet = rec.uid == ctx.uid && flow == ctx.flow;
+        let same_packet = uid == ctx.uid && flow == ctx.flow;
         let same_place = same_packet && place == ctx.place;
         let same_gap = same_place && gap == slot.gap;
         let predicted_flow = !same_packet && flow == slot.flow;
@@ -548,6 +576,7 @@ impl PacketLog {
         if !same_place {
             head |= place << PLACE_SHIFT;
         }
+        let block = &mut self.open;
         let out = &mut block.bytes;
         out.reserve(MAX_RECORD_BYTES);
         put_varint(out, head);
@@ -555,7 +584,7 @@ impl PacketLog {
             put_varint(out, gap);
         }
         if !same_packet {
-            put_varint(out, zigzag(rec.uid.wrapping_sub(ctx.uid)));
+            put_varint(out, zigzag(uid.wrapping_sub(ctx.uid)));
             if !predicted_flow {
                 put_varint(out, u64::from(flow));
             }
@@ -564,57 +593,307 @@ impl PacketLog {
             out.push(reason);
             put_varint(out, u64::from(depth));
         }
-        ctx.advance(time, rec.uid, flow, slot, same_place);
+        ctx.advance(time, uid, flow, slot, same_place);
         block.len += 1;
         block.drops += usize::from(kind == DROPPED);
-    }
-
-    /// Shrinks the finished block to fit and opens an empty one, coded
-    /// against a fresh context.
-    fn start_block(&mut self) {
-        self.shrink_last();
-        self.blocks.push(PacketBlock::default());
-        *self.ctx = Context::START;
-    }
-
-    fn shrink_last(&mut self) {
-        if let Some(last) = self.blocks.last_mut() {
-            last.bytes.shrink_to_fit();
+        if block.len == BLOCK_RECORDS {
+            let mut full = std::mem::take(block);
+            full.bytes.shrink_to_fit();
+            self.finished.push(full);
+            self.ctx = Context::START;
         }
+    }
+
+    /// What the log reads at a sync point: the blocks finished since the
+    /// last one (moved out), a copy of the open block and the digest fold.
+    fn snapshot(&mut self) -> Snapshot {
+        Snapshot {
+            finished: std::mem::take(&mut self.finished),
+            open: self.open.clone(),
+            hash: self.hash,
+        }
+    }
+}
+
+/// The encoder's answer to [`ToEncoder::Sync`].
+#[derive(Debug)]
+struct Snapshot {
+    finished: Vec<PacketBlock>,
+    open: PacketBlock,
+    hash: Fnv1a,
+}
+
+/// What the log sends its encoder thread.
+#[derive(Debug)]
+enum ToEncoder {
+    /// A full (or, before a sync, partial) staging buffer, to encode and
+    /// send back empty.
+    Records(Vec<Staged>),
+    /// Answer with a [`Snapshot`] of everything sent before.
+    Sync,
+}
+
+/// The encoder thread of one log and its three channels.
+#[derive(Debug)]
+struct Worker {
+    to: SyncSender<ToEncoder>,
+    emptied: Receiver<Vec<Staged>>,
+    synced: Receiver<Snapshot>,
+    thread: JoinHandle<()>,
+}
+
+impl Worker {
+    /// Starts an encoder thread.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the packet-log encoder is a pure consumer of the ordered record stream the \
+                  event loop sends it; it runs no simulation event, and the log reads its \
+                  state only at the sync point that ends Sim::run_until (DESIGN.md §7)"
+    )]
+    fn spawn() -> Self {
+        let (to, from_log) = mpsc::sync_channel(IN_FLIGHT);
+        let (emptied_tx, emptied) = mpsc::channel();
+        let (synced_tx, synced) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let mut enc = Encoder::new();
+            // Ends when the log drops its sender; a log that hung up its
+            // receivers is being dropped, so a failed reply loses nothing.
+            while let Ok(msg) = from_log.recv() {
+                match msg {
+                    ToEncoder::Records(mut batch) => {
+                        enc.encode(&batch);
+                        batch.clear();
+                        let _ = emptied_tx.send(batch);
+                    }
+                    ToEncoder::Sync => {
+                        let _ = synced_tx.send(enc.snapshot());
+                    }
+                }
+            }
+        });
+        Worker {
+            to,
+            emptied,
+            synced,
+            thread,
+        }
+    }
+
+    /// Hangs up and waits for the thread to end.
+    fn join(self) -> std::thread::Result<()> {
+        drop(self.to);
+        self.thread.join()
+    }
+}
+
+/// A bounded in-memory packet log. The event loop stages records; one
+/// encoder thread per log folds them into the running digest and encodes
+/// them into blocks; and at each sync point the log takes back what the
+/// encoder made. Reads see the log as of the last sync point: the end of
+/// every [`Sim::run_until`](crate::sim::Sim::run_until), or
+/// [`PacketLog::sync`] for a log fed by hand.
+pub struct PacketLog {
+    /// The blocks as of the last sync: every finished one, then a copy of
+    /// the open one unless it is empty.
+    blocks: Vec<PacketBlock>,
+    /// Records accepted.
+    len: usize,
+    /// Records the encoder had folded at the last sync.
+    synced: usize,
+    capacity: usize,
+    /// The digest fold as of the last sync.
+    hash: Fnv1a,
+    /// Records not yet sent to the encoder.
+    staged: Vec<Staged>,
+    /// The encoder thread; `None` once the log is finished.
+    worker: Option<Worker>,
+    /// Events that arrived after the log filled.
+    pub overflowed: u64,
+}
+
+impl fmt::Debug for PacketLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PacketLog")
+            .field("len", &self.len)
+            .field("synced", &self.synced)
+            .field("capacity", &self.capacity)
+            .field("blocks", &self.blocks.len())
+            .field("overflowed", &self.overflowed)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PacketLog {
+    /// Creates a log holding at most `capacity` records, and starts its
+    /// encoder thread.
+    pub fn new(capacity: usize) -> Self {
+        PacketLog {
+            blocks: Vec::new(),
+            len: 0,
+            synced: 0,
+            capacity,
+            hash: Fnv1a::new(),
+            staged: Vec::with_capacity(STAGE_ENTRIES + 1),
+            worker: Some(Worker::spawn()),
+            overflowed: 0,
+        }
+    }
+
+    /// Appends a record: stages it for the encoder, which folds it into
+    /// the digest and encodes it. Once the log is full it counts the event
+    /// and stores nothing.
+    // Hot path — once per logged packet milestone
+    #[inline]
+    pub fn push(&mut self, rec: PacketRecord) {
+        if self.len == self.capacity {
+            self.overflowed += 1;
+            return;
+        }
+        self.len += 1;
+        let place = rec.place_code();
+        let (kind, meta) = rec.codes();
+        let mut s = Staged {
+            time: rec.time.as_nanos(),
+            uid: rec.uid,
+            flow: rec.flow.0,
+            tag: Staged::EXTENDED,
+        };
+        match (meta, u32::try_from(kind | place << TAG_PLACE_SHIFT)) {
+            (None, Ok(tag)) => {
+                s.tag = tag;
+                self.staged.push(s);
+            }
+            _ => {
+                let (reason, depth) = meta.unwrap_or((0, 0));
+                self.staged.push(s);
+                self.staged.push(Staged {
+                    time: place,
+                    uid: kind,
+                    flow: depth,
+                    tag: u32::from(reason),
+                });
+            }
+        }
+        if self.staged.len() >= STAGE_ENTRIES {
+            self.flush();
+        }
+    }
+
+    /// Sends the staged records to the encoder and stages into a buffer it
+    /// emptied, or a new one while none has come back.
+    #[inline(never)]
+    fn flush(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        let Some(w) = &self.worker else { return };
+        let next = w
+            .emptied
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(STAGE_ENTRIES + 1));
+        let batch = std::mem::replace(&mut self.staged, next);
+        if w.to.send(ToEncoder::Records(batch)).is_err() {
+            self.encoder_lost();
+        }
+    }
+
+    /// The sync point: sends the staged records, waits until the encoder
+    /// has folded everything sent, and takes back the blocks it finished,
+    /// a copy of its open block and the digest. A no-op when nothing was
+    /// accepted since the last sync. [`Sim::run_until`](crate::sim::Sim::run_until)
+    /// ends with one; call it on a log fed by hand before reading it.
+    pub fn sync(&mut self) {
+        if self.synced == self.len {
+            return;
+        }
+        self.flush();
+        let Some(w) = &self.worker else { return };
+        let snapshot = match w.to.send(ToEncoder::Sync) {
+            Ok(()) => w.synced.recv().ok(),
+            Err(_) => None,
+        };
+        let Some(mut snap) = snapshot else {
+            return self.encoder_lost();
+        };
+        if !self.synced.is_multiple_of(BLOCK_RECORDS) {
+            // The previous copy of the open block.
+            self.blocks.pop();
+        }
+        self.blocks.append(&mut snap.finished);
+        if !snap.open.is_empty() {
+            self.blocks.push(snap.open);
+        }
+        self.hash = snap.hash;
+        self.synced = self.len;
+    }
+
+    /// Syncs, then joins the encoder thread. The log stores nothing more:
+    /// later events count as [`PacketLog::overflowed`].
+    pub(crate) fn finish(&mut self) {
+        self.sync();
+        self.capacity = self.len;
+        if let Some(w) = self.worker.take() {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+
+    /// The encoder thread hung up, which only a panic on it can do:
+    /// re-raises that panic here.
+    #[cold]
+    fn encoder_lost(&mut self) {
+        if let Some(w) = self.worker.take() {
+            let panic = w
+                .join()
+                .err()
+                .unwrap_or_else(|| Box::new("the packet-log encoder thread ended early"));
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// Asserts (in debug builds) that a read sees every accepted record.
+    fn assert_synced(&self) {
+        debug_assert_eq!(
+            self.synced, self.len,
+            "read a packet log after Sim::run_until or PacketLog::sync"
+        );
     }
 
     /// All stored records, encoded, in log (= time) order.
     pub fn records(&self) -> &[PacketBlock] {
+        self.assert_synced();
         &self.blocks
     }
 
-    /// Consumes the log and returns its blocks without copying them, the
-    /// last one shrunk to fit. Read [`PacketLog::overflowed`] and
+    /// Syncs, joins the encoder thread and returns the blocks without
+    /// copying them. Read [`PacketLog::overflowed`] and
     /// [`PacketLog::digest`] first.
     pub fn into_records(mut self) -> Vec<PacketBlock> {
-        self.shrink_last();
-        self.blocks
+        self.finish();
+        std::mem::take(&mut self.blocks)
     }
 
     /// Decodes the stored records, in log (= time) order.
     pub fn iter(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        decode(&self.blocks)
+        decode(self.records())
     }
 
     /// A 64-bit FNV-1a digest over every stored record (time, uid, flow,
     /// link, event kind) and their count. Two runs of the same scenario
     /// with the same seed must produce identical digests — the determinism
     /// regression tests compare these instead of multi-megabyte logs.
-    /// Folding happens incrementally at [`PacketLog::push`] and stops with
-    /// the capacity.
+    /// The encoder folds each record as it encodes it, and folding stops
+    /// with the capacity.
     ///
     /// The drop *metadata* (reason, queue depth) is deliberately excluded:
     /// every `Dropped` form hashes to the same code, so the digest byte
     /// stream is identical to the pre-forensics one and enabling drop
     /// forensics can never change it.
     pub fn digest(&self) -> u64 {
+        self.assert_synced();
         let mut h = self.hash;
-        h.u64(self.len as u64);
+        h.u64(self.synced as u64);
         h.finish()
     }
 
@@ -630,6 +909,16 @@ impl PacketLog {
             let _ = r.render_line(&mut out);
         }
         out
+    }
+}
+
+impl Drop for PacketLog {
+    /// Joins the encoder thread (a panic on it was re-raised at the sync
+    /// point that met it, or is moot for a log being dropped).
+    fn drop(&mut self) {
+        if let Some(w) = self.worker.take() {
+            let _ = w.join();
+        }
     }
 }
 
@@ -655,10 +944,16 @@ mod tests {
     }
 
     fn log_of(records: &[PacketRecord]) -> PacketLog {
-        let mut log = PacketLog::new(usize::MAX);
+        log_with(usize::MAX, records)
+    }
+
+    /// A log of `capacity` fed `records` and synced.
+    fn log_with(capacity: usize, records: &[PacketRecord]) -> PacketLog {
+        let mut log = PacketLog::new(capacity);
         for &r in records {
             log.push(r);
         }
+        log.sync();
         log
     }
 
@@ -819,10 +1114,10 @@ mod tests {
 
     #[test]
     fn full_log_counts_without_encoding() {
-        let mut log = PacketLog::new(1);
-        log.push(rec(1, 1, PacketEvent::Queued));
+        let mut log = log_with(1, &[rec(1, 1, PacketEvent::Queued)]);
         let (digest, blocks) = (log.digest(), log.records().to_vec());
         log.push(rec(2, 2, PacketEvent::Queued));
+        log.sync();
         assert_eq!(log.overflowed, 1);
         assert_eq!(log.records(), blocks);
         assert_eq!(log.digest(), digest);
@@ -830,27 +1125,67 @@ mod tests {
 
     #[test]
     fn bounded_capacity() {
-        let mut log = PacketLog::new(2);
-        log.push(rec(1, 1, PacketEvent::Queued));
-        log.push(rec(2, 1, PacketEvent::Transmitted));
-        log.push(rec(3, 1, PacketEvent::Delivered));
+        let stored = [
+            rec(1, 1, PacketEvent::Queued),
+            rec(2, 1, PacketEvent::Transmitted),
+        ];
+        let log = log_with(
+            2,
+            &[stored[0], stored[1], rec(3, 1, PacketEvent::Delivered)],
+        );
         assert_eq!(log.iter().count(), 2);
         assert_eq!(log.overflowed, 1);
         // The digest stops folding at the capacity: it is the digest of a
         // roomy log fed the stored records only.
-        let mut roomy = PacketLog::new(10);
-        roomy.push(rec(1, 1, PacketEvent::Queued));
-        roomy.push(rec(2, 1, PacketEvent::Transmitted));
+        let roomy = log_with(10, &stored);
         assert_eq!(log.digest(), roomy.digest());
         assert_eq!(roomy.overflowed, 0);
     }
 
     #[test]
+    fn sync_points_leave_the_log_as_one_sync_does() {
+        // However the stream is cut by sync points — inside a block, on a
+        // block boundary, before the staging buffer fills or after — the
+        // blocks and the digest are those of one sync at the end.
+        let records: Vec<_> = (0..3 * BLOCK_RECORDS as u64 + 5)
+            .map(|i| {
+                let event = if i % 7 == 0 {
+                    dropped()
+                } else {
+                    PacketEvent::Queued
+                };
+                rec(i / 2, i / 3, event)
+            })
+            .collect();
+        let whole = log_of(&records);
+        for cut in [1, 100, BLOCK_RECORDS - 1, BLOCK_RECORDS, 5000] {
+            let mut log = PacketLog::new(usize::MAX);
+            let mut pushed = 0;
+            for chunk in records.chunks(cut) {
+                for &r in chunk {
+                    log.push(r);
+                }
+                log.sync();
+                pushed += chunk.len();
+                let stored: usize = log.records().iter().map(PacketBlock::len).sum();
+                assert_eq!(stored, pushed, "cut {cut}");
+            }
+            assert_eq!(log.records(), whole.records(), "cut {cut}");
+            assert_eq!(log.digest(), whole.digest(), "cut {cut}");
+        }
+        assert!(decode(whole.records()).eq(records.iter().copied()));
+    }
+
+    #[test]
     fn per_packet_and_per_flow_queries() {
-        let mut log = PacketLog::new(10);
-        log.push(rec(1, 1, PacketEvent::Queued));
-        log.push(rec(2, 2, PacketEvent::Queued));
-        log.push(rec(3, 1, PacketEvent::Transmitted));
+        let log = log_with(
+            10,
+            &[
+                rec(1, 1, PacketEvent::Queued),
+                rec(2, 2, PacketEvent::Queued),
+                rec(3, 1, PacketEvent::Transmitted),
+            ],
+        );
         assert_eq!(log.iter().filter(|r| r.uid() == 1).count(), 2);
         assert_eq!(log.iter().filter(|r| r.uid() == 2).count(), 1);
         assert_eq!(log.iter().filter(|r| r.flow() == FlowId(0)).count(), 3);
@@ -865,19 +1200,21 @@ mod tests {
 
     #[test]
     fn digest_distinguishes_logs() {
-        let mut a = PacketLog::new(10);
-        a.push(rec(1, 1, PacketEvent::Queued));
-        a.push(rec(2, 1, PacketEvent::Transmitted));
-        let mut b = PacketLog::new(10);
-        b.push(rec(1, 1, PacketEvent::Queued));
-        b.push(rec(2, 1, PacketEvent::Transmitted));
+        let two = [
+            rec(1, 1, PacketEvent::Queued),
+            rec(2, 1, PacketEvent::Transmitted),
+        ];
+        let a = log_with(10, &two);
+        let mut b = log_with(10, &two);
         assert_eq!(a.digest(), b.digest());
         b.push(rec(3, 1, PacketEvent::Delivered));
+        b.sync();
         assert_ne!(a.digest(), b.digest());
         // Same fields, different event kind.
-        let mut c = PacketLog::new(10);
-        c.push(rec(1, 1, dropped()));
-        c.push(rec(2, 1, PacketEvent::Transmitted));
+        let c = log_with(
+            10,
+            &[rec(1, 1, dropped()), rec(2, 1, PacketEvent::Transmitted)],
+        );
         assert_ne!(a.digest(), c.digest());
     }
 
@@ -886,33 +1223,29 @@ mod tests {
         // The reason/depth payload is observability metadata; the digest must
         // stay byte-compatible with the pre-forensics stream, so two logs
         // differing only in drop attribution hash identically.
-        let mut a = PacketLog::new(10);
-        a.push(rec(1, 1, dropped()));
-        let mut b = PacketLog::new(10);
-        b.push(rec(
-            1,
-            1,
-            PacketEvent::Dropped {
-                reason: DropReason::RedEarly,
-                depth: 7,
-            },
-        ));
+        let a = log_with(10, &[rec(1, 1, dropped())]);
+        let red = PacketEvent::Dropped {
+            reason: DropReason::RedEarly,
+            depth: 7,
+        };
+        let b = log_with(10, &[rec(1, 1, red)]);
         assert_eq!(a.digest(), b.digest());
     }
 
     #[test]
     fn render_format() {
-        let mut log = PacketLog::new(4);
-        log.push(rec(1, 7, PacketEvent::Queued));
-        log.push(rec(2, 7, dropped()));
-        log.push(rec(
-            3,
-            8,
-            PacketEvent::Marked {
-                reason: MarkReason::Step,
-                depth: 9,
-            },
-        ));
+        let mark = PacketEvent::Marked {
+            reason: MarkReason::Step,
+            depth: 9,
+        };
+        let log = log_with(
+            4,
+            &[
+                rec(1, 7, PacketEvent::Queued),
+                rec(2, 7, dropped()),
+                rec(3, 8, mark),
+            ],
+        );
         let s = log.render();
         assert!(s.contains("+ link1 f0 p7"));
         assert!(s.contains("d link1 f0 p7"));
@@ -925,16 +1258,12 @@ mod tests {
     fn marked_folds_as_its_own_kind_with_metadata_excluded() {
         // Mark metadata is observability-only, like drop metadata …
         let mark = |reason, depth| PacketEvent::Marked { reason, depth };
-        let mut a = PacketLog::new(10);
-        a.push(rec(1, 1, mark(MarkReason::Step, 5)));
-        let mut b = PacketLog::new(10);
-        b.push(rec(1, 1, mark(MarkReason::RedEarly, 9)));
+        let a = log_with(10, &[rec(1, 1, mark(MarkReason::Step, 5))]);
+        let b = log_with(10, &[rec(1, 1, mark(MarkReason::RedEarly, 9))]);
         assert_eq!(a.digest(), b.digest());
         // … but a mark is a distinct event kind from a queue or a drop.
-        let mut c = PacketLog::new(10);
-        c.push(rec(1, 1, PacketEvent::Queued));
-        let mut d = PacketLog::new(10);
-        d.push(rec(1, 1, dropped()));
+        let c = log_with(10, &[rec(1, 1, PacketEvent::Queued)]);
+        let d = log_with(10, &[rec(1, 1, dropped())]);
         assert_ne!(a.digest(), c.digest());
         assert_ne!(a.digest(), d.digest());
     }

@@ -873,6 +873,8 @@ impl Sim {
     ///
     /// Each event is reported to the observer set before it is dispatched,
     /// and audited after it when an auditor is attached (DESIGN.md §11).
+    /// The call ends with the packet log's sync point, so a read of the log
+    /// after it sees every record of the run so far.
     // Hot path — the event loop itself
     pub fn run_until(&mut self, until: SimTime) {
         assert!(self.started, "call start() before running");
@@ -897,6 +899,7 @@ impl Sim {
         if until > self.kernel.now {
             self.kernel.now = until;
         }
+        self.kernel.obs.sync();
     }
 
     /// Dispatches one event at the current clock.

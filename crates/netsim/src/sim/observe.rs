@@ -141,6 +141,15 @@ impl Observers {
         }
     }
 
+    /// The sync point at the end of [`Sim::run_until`]: the packet log
+    /// takes back what its encoder thread made, so every read after the
+    /// call sees every record logged before it.
+    pub(super) fn sync(&mut self) {
+        if let Some(log) = &mut self.packet_log {
+            log.sync();
+        }
+    }
+
     /// The kernel's post-event census found `structural` packets inside
     /// the network; the auditor reconciles it with its counters.
     pub(super) fn audited(&mut self, now: SimTime, structural: u64) {
@@ -169,7 +178,8 @@ impl Kernel {
 
 impl Sim {
     /// Enables per-packet event logging with a bounded capacity (off by
-    /// default; see [`crate::eventlog::PacketLog`]).
+    /// default; see [`crate::eventlog::PacketLog`]), and starts the log's
+    /// encoder thread.
     pub fn enable_packet_log(&mut self, capacity: usize) {
         self.kernel.obs.packet_log = Some(PacketLog::new(capacity));
         self.kernel.obs.on = true;
@@ -177,9 +187,11 @@ impl Sim {
 
     /// Detaches the packet log from a finished simulation so its encoded
     /// blocks can be moved out ([`PacketLog::into_records`]) instead of
-    /// copied. Logging is off afterwards.
+    /// copied, and joins its encoder thread. Logging is off afterwards.
     pub fn take_packet_log(&mut self) -> Option<PacketLog> {
-        self.kernel.obs.packet_log.take()
+        let mut log = self.kernel.obs.packet_log.take()?;
+        log.finish();
+        Some(log)
     }
 
     /// Enables runtime invariant auditing: packet conservation, queue

@@ -26,6 +26,9 @@ cargo test -q --release --test flow_memory
 echo "==> packet-log bytes per record and telemetry bytes per sample on the optimized build (counting allocator)"
 cargo test -q --release --test packet_log_memory
 
+echo "==> packet-log sync points on the optimized build (one run_until, 200 slices, 200 slices read by reference: the same blocks and digest)"
+cargo test -q --release --test packet_log_sync
+
 echo "==> timer population on the optimized build (queue depth and timer events at H and 3H)"
 # The 3H run is the one that catches a timer leak that only shows with
 # simulated time.

@@ -225,6 +225,7 @@ fn log_of(records: &[PacketRecord]) -> PacketLog {
     for &r in records {
         log.push(r);
     }
+    log.sync();
     log
 }
 
