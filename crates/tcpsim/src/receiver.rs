@@ -3,7 +3,22 @@
 //! Generates cumulative ACKs, reassembles out-of-order segments, and
 //! optionally delays ACKs (every second segment or a timeout, RFC 1122).
 //! Out-of-order arrivals always trigger an immediate duplicate ACK so the
-//! sender's fast retransmit works.
+//! sender's fast retransmit works, and so does a segment that fills part of
+//! a gap, or completes the flow.
+//!
+//! Two documented simplifications, pinned by `tests/sender_scripts.rs`:
+//!
+//! - With delayed ACKs on, a segment that fills the *whole* gap leaves
+//!   nothing out of order, and the receiver treats it as an ordinary
+//!   in-order segment: it withholds the ACK until the next segment or the
+//!   timer. RFC 5681 §4.2 says the ACK SHOULD go at once.
+//! - Every ACK echoes the send time of the segment that triggered it
+//!   ([`AckToSend::ts_echo`]). RFC 7323 §4.3 echoes `TS.Recent` instead:
+//!   the first withheld segment's time on a delayed ACK (here the second
+//!   segment's, so the sample leaves out the hold), and on a duplicate ACK
+//!   the last in-order segment's (here the out-of-order one's, so the
+//!   sample is that segment's round trip rather than one that spans the
+//!   hole). A segment that fills a hole is echoed, as RFC 7323 has it.
 
 use simcore::SimTime;
 use std::collections::BTreeSet;

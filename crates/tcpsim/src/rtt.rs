@@ -11,6 +11,13 @@
 //! time, so samples are always unambiguous and backoff can be cleared on any
 //! new sample.
 //!
+//! The sender samples every ACK, duplicates included, with α and β as
+//! above per sample. RFC 7323's RTTM rule samples only ACKs that advance
+//! SND.UNA, because there a duplicate ACK echoes the last in-order
+//! segment's time and its sample would span the hole; here it echoes the
+//! out-of-order segment's (`receiver.rs`), so it is that segment's round
+//! trip. A documented simplification, pinned by `tests/sender_scripts.rs`.
+//!
 //! An estimator is its changing state (srtt, rttvar, backoff and whether a
 //! sample has arrived: 24 B) plus the RTO bounds, which come from the
 //! flow's [`TcpConfig`] and are the same for every flow of a workload. A

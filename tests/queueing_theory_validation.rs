@@ -1,12 +1,14 @@
 //! End-to-end simulator validation against closed-form queueing theory:
 //! a Poisson packet source into a fixed-rate link is an M/D/1 queue, so
-//! the time-averaged simulated queue must match Pollaczek–Khinchine.
+//! the time-averaged simulated queue must match Pollaczek–Khinchine; and n
+//! constant-rate sources are (ρ, σ)-bounded injection, so a FIFO link that
+//! carries them never holds more than σ = n packets.
 
 use netsim::{DumbbellBuilder, FlowId, Sim};
 use simcore::{Rng, SimDuration, SimTime};
 use stats::TimeSeries;
 use theory::queueing::{md1_mean_in_system, md1_tail_approx};
-use traffic::{PoissonUdpSource, UdpSink};
+use traffic::{CbrSource, PoissonUdpSource, UdpSink};
 
 /// Runs Poisson arrivals at `rho` into a 1000-byte/packet link and returns
 /// (time-averaged queue incl. in-service, fraction of samples >= k).
@@ -128,4 +130,95 @@ fn utilization_equals_offered_load_when_stable() {
         .monitor
         .utilization(sim.now(), rate);
     assert!((util - rho).abs() < 0.01, "util {util} vs rho {rho}");
+}
+
+/// What [`cbr_through_droptail`] measured at the bottleneck.
+#[derive(Debug)]
+struct CbrRun {
+    max_queue: usize,
+    drops: u64,
+    sent: u64,
+    received: u64,
+}
+
+/// `delays.len()` = n [`CbrSource`]s, started together, each at
+/// `rho / n` of a 10 Mb/s bottleneck, through its drop-tail queue of n
+/// packets for 60 s. Each source reaches the bottleneck over its own
+/// access link with the given one-way delay.
+fn cbr_through_droptail(rho: f64, delays: &[SimDuration]) -> CbrRun {
+    let rate: u64 = 10_000_000;
+    let n = delays.len();
+    let mut sim = Sim::new(3);
+    let d = DumbbellBuilder::new(rate, SimDuration::from_millis(5))
+        .buffer_packets(n)
+        .flow_delays(delays.iter().copied())
+        .build(&mut sim);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "test-sized values, far inside the target type"
+    )]
+    let per_source = (rho * rate as f64 / n as f64) as u64;
+    let mut ids = Vec::new();
+    for i in 0..n {
+        let flow = FlowId(u32::try_from(i).unwrap());
+        let src = CbrSource::new(flow, d.sinks[i], per_source, 1000);
+        let src = sim.add_agent(d.sources[i], Box::new(src));
+        let sink = sim.add_agent(d.sinks[i], Box::new(UdpSink::new()));
+        sim.bind_flow(flow, d.sinks[i], sink);
+        ids.push((src, sink));
+    }
+    sim.start();
+    sim.run_until(SimTime::from_secs(60));
+    let (mut sent, mut received) = (0, 0);
+    for &(src, sink) in &ids {
+        sent += sim.agent_as::<CbrSource>(src).unwrap().sent();
+        received += sim.agent_as::<UdpSink>(sink).unwrap().received();
+    }
+    CbrRun {
+        max_queue: sim.kernel().link(d.bottleneck).monitor.max_queue(),
+        drops: sim.kernel().stats().drops,
+        sent,
+        received,
+    }
+}
+
+/// The adversarial-queueing bound (Miller / Patt-Shamir / Rosenbaum,
+/// PAPERS.md 1902.08069): injection that is (ρ, σ)-bounded — at most
+/// σ + ρ·t packets' worth of service in any window of length t — with
+/// ρ ≤ 1 never holds more than σ packets in a FIFO link besides the one in
+/// service. A constant-rate source of fixed-size packets is (r, 1)-bounded,
+/// so n of them at an aggregate ρ·C, ρ ≤ 0.9, are (ρ·C, n)-bounded, and a
+/// drop-tail buffer of n packets never overflows: the bottleneck's queue
+/// peaks at most at n with no drop, and all but the packets still in
+/// flight at the end arrive.
+///
+/// With every access delay equal the n first packets reach the bottleneck
+/// at the same instant: one starts serializing and n − 1 queue, so the
+/// peak is exactly n − 1 and the bound is one packet from tight. With
+/// spread delays the packets interleave and the peak is lower.
+#[test]
+fn cbr_sources_never_overflow_a_buffer_of_their_count() {
+    for n in [1usize, 4, 16, 50] {
+        for rho in [0.5, 0.9] {
+            let equal = vec![SimDuration::from_millis(10); n];
+            let spread: Vec<SimDuration> = (0..n)
+                .map(|i| SimDuration::from_micros(1_000 + 7_919 * (i as u64 % 13)))
+                .collect();
+            for (delays, peak) in [(&equal, Some(n - 1)), (&spread, None)] {
+                let r = cbr_through_droptail(rho, delays);
+                let cell = format!("n = {n}, rho = {rho}: {r:?}");
+                assert!(r.max_queue <= n, "{cell}");
+                assert_eq!(r.drops, 0, "{cell}");
+                if let Some(peak) = peak {
+                    assert_eq!(r.max_queue, peak, "{cell}");
+                }
+                // What has not arrived is the last few tens of ms in flight.
+                assert!(
+                    r.received <= r.sent && r.sent - r.received < r.sent / 500,
+                    "{cell}"
+                );
+                assert!(r.sent > 60 * 600, "{cell}");
+            }
+        }
+    }
 }

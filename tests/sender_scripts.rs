@@ -14,10 +14,11 @@
 //! sender's counters and the bits of its final window pair. Any change to
 //! a sender's loss recovery, window rules or ECN response moves a pin.
 //!
-//! The last six cells script loss and marks at the receiving end instead: a
+//! The last ten cells script loss and marks at the receiving end instead: a
 //! wrapper around `TcpSink` loses or CE-marks listed `(seq, transmission)`
 //! data segments, so it sees every segment, and the cells assert RFC
-//! behaviour derived by hand.
+//! behaviour derived by hand: loss recovery per sender, delayed ACKs, and
+//! the RTT estimator and its backoff over the timestamps the ACKs echo.
 
 use netsim::{
     Agent, Ctx, DropTail, DumbbellBuilder, Ecn, FlowId, MarkReason, Packet, PacketKind, Queue,
@@ -225,13 +226,25 @@ fn sack_ignores_ece() {
 /// A `TcpSink` that loses the listed `(seq, transmission)` data segments
 /// (transmission 1 is the first copy of a segment to arrive) before they
 /// reach it, sets CE on the listed ones that arrive ECN-capable, and notes
-/// every segment that arrives with CWR set.
+/// every segment that arrives, and every one that arrives with CWR set.
 struct LossySink {
     sink: TcpSink,
     losses: &'static [(u32, u32)],
     marks: &'static [(u32, u32)],
     arrivals: BTreeMap<u32, u32>,
+    seen: Vec<Seen>,
     cwr: Vec<u64>,
+}
+
+/// A data segment as it reached the sink's wrapper.
+#[derive(Clone, Copy, Debug)]
+struct Seen {
+    seq: u64,
+    /// Which copy of the segment to arrive (1 is the first).
+    copy: u32,
+    /// When it arrived, and the send time it carries.
+    at: SimTime,
+    ts: SimTime,
 }
 
 impl Agent for LossySink {
@@ -240,6 +253,12 @@ impl Agent for LossySink {
             let n = self.arrivals.entry(h.seq).or_insert(0);
             *n += 1;
             let copy = (h.seq, *n);
+            self.seen.push(Seen {
+                seq: u64::from(h.seq),
+                copy: *n,
+                at: ctx.now(),
+                ts: h.ts,
+            });
             if self.losses.contains(&copy) {
                 return;
             }
@@ -263,9 +282,13 @@ impl Agent for LossySink {
 /// The sender as it stands after processing one ACK.
 #[derive(Clone, Copy, Debug)]
 struct AfterAck {
-    /// The ACK's cumulative acknowledgement and ECN-Echo bit.
+    /// When the ACK arrived.
+    at: SimTime,
+    /// The ACK's cumulative acknowledgement, ECN-Echo bit and echoed
+    /// timestamp.
     ack: u64,
     ece: bool,
+    ts_echo: SimTime,
     cwnd: f64,
     ssthresh: f64,
     /// The DCTCP estimate α.
@@ -273,12 +296,27 @@ struct AfterAck {
     recovery: bool,
     snd_una: u64,
     next_seq: u64,
+    /// The RTT estimator: smoothed RTT, variance, RTO and backoff.
+    srtt: Option<SimDuration>,
+    rttvar: SimDuration,
+    rto: SimDuration,
+    backoff: u32,
 }
 
-/// A `TcpSource` that records its sender after every ACK.
+/// The RTT estimator as a retransmission timeout left it.
+#[derive(Clone, Copy, Debug)]
+struct AfterTimeout {
+    at: SimTime,
+    rto: SimDuration,
+    backoff: u32,
+}
+
+/// A `TcpSource` that records its sender after every ACK and every
+/// retransmission timeout.
 struct SenderProbe {
     src: TcpSource,
     rows: Vec<AfterAck>,
+    timeouts: Vec<AfterTimeout>,
 }
 
 impl Agent for SenderProbe {
@@ -287,26 +325,42 @@ impl Agent for SenderProbe {
     }
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         let ack = match pkt.kind {
-            PacketKind::TcpAck(h) => Some((u64::from(h.ack), h.flags.ece)),
+            PacketKind::TcpAck(h) => Some((u64::from(h.ack), h.flags.ece, h.ts)),
             _ => None,
         };
         self.src.on_packet(pkt, ctx);
-        if let Some((ack, ece)) = ack {
+        if let Some((ack, ece, ts_echo)) = ack {
             let s = self.src.sender();
+            let rtt = s.rtt();
             self.rows.push(AfterAck {
+                at: ctx.now(),
                 ack,
                 ece,
+                ts_echo,
                 cwnd: s.cwnd(),
                 ssthresh: s.ssthresh(),
                 alpha: s.ecn_alpha(),
                 recovery: s.state() == SenderState::FastRecovery,
                 snd_una: s.snd_una(),
                 next_seq: s.next_seq(),
+                srtt: rtt.srtt(),
+                rttvar: rtt.rttvar(),
+                rto: rtt.rto(),
+                backoff: rtt.backoff_count(),
             });
         }
     }
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        let before = self.src.sender().stats().timeouts;
         self.src.on_timer(token, ctx);
+        let s = self.src.sender();
+        if s.stats().timeouts > before {
+            self.timeouts.push(AfterTimeout {
+                at: ctx.now(),
+                rto: s.rtt().rto(),
+                backoff: s.rtt().backoff_count(),
+            });
+        }
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self
@@ -320,12 +374,16 @@ struct Script {
     spans: Vec<SpanRecord>,
     /// The sender after every ACK, in arrival order.
     rows: Vec<AfterAck>,
+    /// The sender after every retransmission timeout.
+    timeouts: Vec<AfterTimeout>,
+    /// Every data segment that reached the sink, lost ones included.
+    seen: Vec<Seen>,
     /// Data segments that arrived with CWR set, in arrival order.
     cwr: Vec<u64>,
 }
 
-/// One 400-segment flow through a loss-free dumbbell (delayed ACKs off,
-/// initial window 2), losing `losses` and CE-marking `marks` at the sink.
+/// One 400-segment flow under `cfg` through a loss-free dumbbell, losing
+/// `losses` and CE-marking `marks` at the sink.
 fn run_script(
     kind: CcKind,
     cfg: TcpConfig,
@@ -342,6 +400,7 @@ fn run_script(
     let src = SenderProbe {
         src: TcpSource::with_sender(flow, d.sinks[0], sender).with_span_log(64),
         rows: Vec::new(),
+        timeouts: Vec::new(),
     };
     let src_id = sim.add_agent(d.sources[0], Box::new(src));
     let sink = LossySink {
@@ -349,6 +408,7 @@ fn run_script(
         losses,
         marks,
         arrivals: BTreeMap::new(),
+        seen: Vec::new(),
         cwr: Vec::new(),
     };
     let sink_id = sim.add_agent(d.sinks[0], Box::new(sink));
@@ -359,12 +419,15 @@ fn run_script(
     let probe = sim.agent_as::<SenderProbe>(src_id).unwrap();
     let s = probe.src.sender();
     assert!(s.is_completed(), "{kind:?}: flow did not complete");
+    let sink = sim.agent_as::<LossySink>(sink_id).unwrap();
     Script {
         stats: s.stats(),
         ssthresh: s.ssthresh(),
         spans: probe.src.span_log().unwrap().iter().copied().collect(),
         rows: probe.rows.clone(),
-        cwr: sim.agent_as::<LossySink>(sink_id).unwrap().cwr.clone(),
+        timeouts: probe.timeouts.clone(),
+        seen: sink.seen.clone(),
+        cwr: sink.cwr.clone(),
     }
 }
 
@@ -680,4 +743,295 @@ fn cubic_backs_off_by_beta_and_regrows_along_the_cubic() {
         }
         assert!(t < k && grown > 100, "t = {t}, K = {k}, {grown} ACKs");
     }
+}
+
+/// The data segment `copy` of `seq` as it reached the sink.
+fn arrival(seen: &[Seen], seq: u64, copy: u32) -> Seen {
+    *seen
+        .iter()
+        .find(|x| (x.seq, x.copy) == (seq, copy))
+        .unwrap_or_else(|| panic!("segment {seq} copy {copy} never arrived"))
+}
+
+/// Reno with delayed ACKs (RFC 5681 §4.2), initial window 1, no loss.
+///
+/// - Segment 0 travels alone. The receiver withholds its ACK, and with
+///   nothing behind it the delayed-ACK timer releases ACK 1 at
+///   `delack_timeout` = 100 ms after the segment arrived.
+/// - Slow start then sends two segments per segment acknowledged (the
+///   window grows by one per segment, and the ACK frees as many as it
+///   covers), so every later flight is even: segments 1 and 2, then 3–6,
+///   and so on up to the receiver window of 20. The receiver withholds the
+///   ACK of each odd segment and the next, even, segment releases it: one
+///   ACK per two full segments, ACK k + 1 on the arrival of segment k.
+/// - The last segment, 399, is odd and carries the FIN. The receiver
+///   acknowledges the segment that completes the flow at once (RFC 5681
+///   permits an immediate ACK at any time): ACK 400 leaves on its arrival.
+///
+/// Every immediate ACK leaves on the arrival of the segment it
+/// acknowledges and takes the same unloaded reverse path, so each arrives
+/// one fixed trip later; ACK 1 arrives `delack_timeout` plus that trip
+/// after segment 0 reached the sink.
+///
+/// The timestamps the ACKs echo diverge from RFC 7323 §4.3, a documented
+/// simplification (`receiver.rs`, module docs): an ACK released by the
+/// second of two segments echoes that segment's send time, where RFC 7323
+/// echoes the first's, so a delayed ACK's RTT sample leaves out the time
+/// the ACK was withheld. ACK 1, released by the timer, echoes segment 0's.
+#[test]
+fn delayed_acks_cover_two_segments_and_time_out_on_a_lone_one() {
+    let cfg = TcpConfig::default()
+        .with_max_window(MAX_WINDOW)
+        .with_initial_cwnd(1.0)
+        .with_delayed_ack();
+    let s = run_script(CcKind::Reno, cfg, &[], &[]);
+    assert_eq!(
+        (s.stats.retransmits, s.stats.timeouts, s.stats.dupacks),
+        (0, 0, 0)
+    );
+    let acks: Vec<u64> = s.rows.iter().map(|r| r.ack).collect();
+    let want: Vec<u64> = std::iter::once(1)
+        .chain((3..SEGMENTS).step_by(2))
+        .chain([SEGMENTS])
+        .collect();
+    assert_eq!(acks, want);
+    assert_eq!(s.seen.len() as u64, SEGMENTS, "a segment was sent twice");
+
+    let trip = s.rows[1].at - arrival(&s.seen, 2, 1).at;
+    for r in &s.rows[1..] {
+        let released_by = arrival(&s.seen, r.ack - 1, 1);
+        assert_eq!(r.at - released_by.at, trip, "ACK {}", r.ack);
+        assert_eq!(r.ts_echo, released_by.ts, "ACK {}", r.ack);
+    }
+    let first = s.rows[0];
+    let lone = arrival(&s.seen, 0, 1);
+    assert_eq!(first.at - lone.at, cfg.delack_timeout + trip);
+    assert_eq!(first.ts_echo, lone.ts);
+}
+
+/// Reno with delayed ACKs, initial window 1, segment 10 lost once.
+///
+/// - Up to segment 9 the ACK stream is the clean flow's: ACKs 1, 3, 5, 7
+///   and 9, and the ACK of segment 9 withheld for segment 10, which is
+///   lost.
+/// - The segments behind it arrive above the hole. RFC 5681 §4.2: an
+///   out-of-order segment is acknowledged at once, so each sends ACK 10 on
+///   its arrival. The first of these also acknowledges the withheld
+///   segment 9, so it is new to the sender; the rest are its duplicates,
+///   and the third duplicate triggers the fast retransmit of 10.
+/// - The retransmission of 10 fills the whole hole, and RFC 5681 §4.2 says
+///   the receiver SHOULD acknowledge a segment that fills a gap at once.
+///   The receiver diverges, a documented simplification (`receiver.rs`,
+///   module docs): with nothing left above `rcv_nxt` it treats the segment
+///   as an ordinary in-order one and withholds the ACK, which the next
+///   segment to arrive, 22, releases as ACK 23. The cell pins that.
+#[test]
+fn delayed_acks_answer_out_of_order_segments_at_once() {
+    let cfg = TcpConfig::default()
+        .with_max_window(MAX_WINDOW)
+        .with_initial_cwnd(1.0)
+        .with_delayed_ack();
+    let s = run_script(CcKind::Reno, cfg, &[(10, 1)], &[]);
+    assert_eq!(
+        (
+            s.stats.fast_retransmits,
+            s.stats.retransmits,
+            s.stats.timeouts
+        ),
+        (1, 1, 0),
+        "{:?}",
+        s.stats
+    );
+    let trip = s.rows[1].at - arrival(&s.seen, 2, 1).at;
+    let acks: Vec<u64> = s.rows.iter().map(|r| r.ack).collect();
+    assert_eq!(acks[..5], [1, 3, 5, 7, 9]);
+    // One duplicate ACK per out-of-order arrival, each at once.
+    let dups: Vec<AfterAck> = s.rows.iter().copied().filter(|r| r.ack == 10).collect();
+    assert_eq!(acks[5..5 + dups.len()], vec![10; dups.len()][..]);
+    let above: Vec<Seen> = s
+        .seen
+        .iter()
+        .copied()
+        .filter(|x| x.seq > 10 && x.at < arrival(&s.seen, 10, 2).at)
+        .collect();
+    assert_eq!(dups.len(), above.len());
+    assert_eq!(s.stats.dupacks, dups.len() as u64 - 1);
+    assert_eq!(above[0].seq, 11);
+    assert!(above.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+    for (d, x) in dups.iter().zip(&above) {
+        assert_eq!(d.at - x.at, trip, "duplicate ACK for {}", x.seq);
+    }
+    // The retransmission fills the hole; its ACK waits for the next
+    // segment (the pinned divergence).
+    let refill = arrival(&s.seen, 10, 2);
+    let next = s.seen.iter().find(|x| x.at > refill.at).copied().unwrap();
+    let after = s.rows[5 + dups.len()];
+    assert_eq!(next.seq, above[above.len() - 1].seq + 1);
+    assert_eq!(after.ack, next.seq + 1);
+    assert_eq!(after.at - next.at, trip);
+    assert!(next.at > refill.at);
+}
+
+/// RFC 6298's estimator with G = 0, in whole nanoseconds rounded as
+/// `SimDuration::mul_f64` rounds, under `TcpConfig`'s RTO bounds.
+#[derive(Clone, Copy, Debug, Default)]
+struct Rfc6298 {
+    srtt: Option<SimDuration>,
+    rttvar: SimDuration,
+    backoff: u32,
+}
+
+impl Rfc6298 {
+    /// §2.2 for the first measurement, §2.3 after it (α = 1/8, β = 1/4,
+    /// RTTVAR updated with the SRTT before this sample). A sample ends any
+    /// backoff.
+    fn sample(&mut self, r: SimDuration) {
+        match self.srtt {
+            None => {
+                self.srtt = Some(r);
+                self.rttvar = r / 2;
+            }
+            Some(srtt) => {
+                let err = if srtt > r { srtt - r } else { r - srtt };
+                self.rttvar = self.rttvar.mul_f64(0.75) + err.mul_f64(0.25);
+                self.srtt = Some(srtt.mul_f64(0.875) + r.mul_f64(0.125));
+            }
+        }
+        self.backoff = 0;
+    }
+
+    /// §2.2–2.4: SRTT + 4·RTTVAR, at least `min_rto`, doubled per backoff
+    /// (§5.5) and at most `max_rto`.
+    fn rto(&self, cfg: &TcpConfig) -> SimDuration {
+        let base = match self.srtt {
+            None => cfg.initial_rto,
+            Some(srtt) => (srtt + self.rttvar * 4).max(cfg.min_rto),
+        };
+        (base * (1 << self.backoff)).min(cfg.max_rto)
+    }
+
+    /// Replays a script's ACKs and timeouts, in time order, and asserts
+    /// the sender's estimator after each: every ACK is a sample of its
+    /// arrival time minus the timestamp it echoes, every timeout one
+    /// backoff.
+    fn replay(cfg: &TcpConfig, s: &Script) {
+        let mut est = Rfc6298::default();
+        let mut timeouts = s.timeouts.iter().peekable();
+        for r in &s.rows {
+            while let Some(t) = timeouts.next_if(|t| t.at < r.at) {
+                est.backoff += 1;
+                assert_eq!((t.rto, t.backoff), (est.rto(cfg), est.backoff), "{t:?}");
+            }
+            est.sample(r.at - r.ts_echo);
+            assert_eq!(
+                (r.srtt, r.rttvar, r.rto, r.backoff),
+                (est.srtt, est.rttvar, est.rto(cfg), 0),
+                "ACK {} at {:?}",
+                r.ack,
+                r.at
+            );
+        }
+        assert!(timeouts.next().is_none());
+    }
+}
+
+/// RFC 6298 with RFC 7323 timestamps under Reno: segment 10 is lost once
+/// and repaired by a fast retransmit.
+///
+/// - Every data segment carries its send time and every ACK echoes one,
+///   so every ACK gives an unambiguous sample: arrival minus the echoed
+///   time. An estimator that follows RFC 6298 §2 over those samples gives
+///   the sender's SRTT, RTTVAR and RTO after every ACK.
+/// - The retransmission of 10 fills the hole, and the ACK that covers the
+///   flight echoes the retransmission's send time (RFC 7323 §4.3: the
+///   segment that fills a hole updates the echoed timestamp), not the
+///   original's: the sample is the retransmission's round trip, and the
+///   estimator does not see the time the hole was open.
+/// - The duplicate ACKs diverge from RFC 7323, a documented
+///   simplification (`receiver.rs` and `rtt.rs`, module docs): each echoes
+///   the send time of the out-of-order segment that triggered it, where
+///   RFC 7323 §4.3 echoes the last in-order segment's, and the sender takes
+///   a sample from each, where RFC 7323's RTTM rule samples only ACKs that
+///   advance SND.UNA. The two together make each duplicate ACK's sample
+///   the true round trip of the segment behind the hole. The cell pins it.
+#[test]
+fn rtt_samples_follow_the_echoed_timestamps_across_a_fast_retransmit() {
+    let cfg = TcpConfig::default().with_max_window(MAX_WINDOW);
+    let s = run_script(CcKind::Reno, cfg, &[(10, 1)], &[]);
+    assert_eq!(
+        (
+            s.stats.fast_retransmits,
+            s.stats.retransmits,
+            s.stats.timeouts
+        ),
+        (1, 1, 0)
+    );
+    Rfc6298::replay(&cfg, &s);
+
+    let (original, retransmission) = (arrival(&s.seen, 10, 1), arrival(&s.seen, 10, 2));
+    let covering = s.rows.iter().find(|r| r.ack > 10).unwrap();
+    assert_eq!(covering.ts_echo, retransmission.ts);
+    assert!(retransmission.ts > original.ts);
+    assert!(covering.at > retransmission.at);
+
+    // The duplicate ACKs (the first ACK 10 acknowledges segment 9): one
+    // per segment behind the hole, each echoing that segment's send time,
+    // each a sample.
+    let dups: Vec<&AfterAck> = s.rows.iter().filter(|r| r.ack == 10).skip(1).collect();
+    assert_eq!(dups.len() as u64, s.stats.dupacks);
+    for (d, seq) in dups.iter().zip(11..) {
+        assert_eq!(
+            d.ts_echo,
+            arrival(&s.seen, seq, 1).ts,
+            "duplicate for {seq}"
+        );
+    }
+    assert!(dups
+        .windows(2)
+        .any(|w| w[0].srtt != w[1].srtt || w[0].rttvar != w[1].rttvar));
+}
+
+/// RFC 6298 §5 under Reno: segment 10 is lost on its first two
+/// transmissions, so the fast retransmit is lost too.
+///
+/// - The fast retransmit arms the timer with the RTO of that instant, and
+///   duplicate ACKs do not restart it (§5.3 restarts it only when new data
+///   is acknowledged), so the timeout fires one RTO after the third
+///   duplicate ACK.
+/// - The timeout doubles the RTO (§5.5) and retransmits 10 at once (§5.4).
+///   Nothing else is in flight, so no ACK arrives before the
+///   retransmission's: the backed-off RTO stands until the ACK that covers
+///   the flight. That ACK echoes the third transmission's send time (RFC
+///   7323 makes it a valid sample, which Karn's rule alone would not), and
+///   the sample ends the backoff: the estimator then gives SRTT + 4·RTTVAR
+///   again, as RFC 6298 §2 over every sample does.
+#[test]
+fn a_backed_off_rto_lasts_until_the_next_sample() {
+    let cfg = TcpConfig::default().with_max_window(MAX_WINDOW);
+    let s = run_script(CcKind::Reno, cfg, &[(10, 1), (10, 2)], &[]);
+    assert_eq!(
+        (
+            s.stats.fast_retransmits,
+            s.stats.retransmits,
+            s.stats.timeouts
+        ),
+        (1, 2, 1)
+    );
+    Rfc6298::replay(&cfg, &s);
+
+    let timeout = s.timeouts[0];
+    // The first ACK 10 acknowledges segment 9; the duplicates follow it.
+    let dups: Vec<&AfterAck> = s.rows.iter().filter(|r| r.ack == 10).skip(1).collect();
+    let third = dups[2];
+    assert_eq!(timeout.at - third.at, third.rto);
+    let before = s.rows.iter().rfind(|r| r.at < timeout.at).unwrap();
+    assert_eq!((timeout.backoff, timeout.rto), (1, before.rto * 2));
+
+    let resent = arrival(&s.seen, 10, 3);
+    assert_eq!(resent.ts, timeout.at);
+    let after = s.rows.iter().find(|r| r.at > timeout.at).unwrap();
+    assert!(after.ack > 10, "{after:?}");
+    assert_eq!(after.ts_echo, resent.ts);
+    assert_eq!(after.backoff, 0);
+    assert!(after.rto < timeout.rto);
 }
