@@ -42,6 +42,15 @@
 //! round-trips in any order: the codec has no limits. A traced run's
 //! record averages about 4.7 bytes. The digest folds the fields as they
 //! arrive, before they are encoded, so the encoding changes no digest.
+//!
+//! The folding and coding run on a thread of their own. [`PacketLog::push`]
+//! only checks the capacity and stages the record; one encoder thread per
+//! log folds and encodes the staged records in order; and the log takes
+//! back the blocks and the digest at a sync point: the end of every
+//! [`Sim::run_until`](crate::sim::Sim::run_until), or [`PacketLog::sync`].
+//! Reads see the log as of the last sync point, and a sync point waits
+//! for the encoder to fold every record sent before it, so nothing read
+//! depends on the thread's timing.
 
 use crate::forensics::{DropReason, MarkReason};
 use crate::packet::FlowId;
@@ -471,9 +480,11 @@ impl Iterator for Decoder<'_> {
 impl ExactSizeIterator for Decoder<'_> {}
 
 /// Entries of a staging buffer: the event loop hands the buffer to the
-/// encoder when it holds this many. A record takes one entry, or two when
-/// [`Staged::EXTENDED`].
+/// encoder once it holds this many.
 const STAGE_ENTRIES: usize = 4096;
+
+/// Most entries one record takes ([`Staged`]).
+const RECORD_ENTRIES: usize = 3;
 
 /// Staging buffers in flight to the encoder before [`PacketLog::push`]
 /// waits for it: with the one being filled, the one being encoded and the
@@ -483,23 +494,45 @@ const IN_FLIGHT: usize = 2;
 /// Bits of a [`Staged`] tag below the place.
 const TAG_PLACE_SHIFT: u32 = 4;
 
-/// A record as the event loop stages it for the encoder: 24 bytes. A
-/// queue, transmit or delivery at a place below 2²⁸ packs the kind and the
-/// place into `tag`. Any other record is tagged [`Staged::EXTENDED`] and
-/// followed by a second entry holding its place in `time`, its kind in
-/// `uid`, its depth in `flow` and its reason code in `tag`.
+/// One entry of a staging buffer: 16 bytes. The event loop stages a
+/// record as
+///
+/// - one entry when its time and zigzagged uid are within 2³² of the
+///   previous record's and its place is below 2²⁸: the two differences in
+///   `lo` and `hi`, the flow, and `kind | place << 4` in `tag`;
+/// - otherwise two: the time's halves and the flow, tagged
+///   [`Staged::FULL`], then the uid's halves, the place's low half in
+///   `flow` and `place_high | kind << 1` in `tag`;
+///
+/// and a drop or a mark one entry more: its depth in `lo` and its reason
+/// code in `hi`.
 #[derive(Clone, Copy, Debug)]
 struct Staged {
-    time: u64,
-    uid: u64,
+    lo: u32,
+    hi: u32,
     flow: u32,
     tag: u32,
 }
 
 impl Staged {
-    /// The tag of a record whose place, kind and metadata follow in the
-    /// next entry (no kind code is 0).
-    const EXTENDED: u32 = 0;
+    /// The tag of a record staged in full (no kind code is 0).
+    const FULL: u32 = 0;
+}
+
+/// The low and high halves of `v`.
+#[inline]
+fn halves(v: u64) -> (u32, u32) {
+    let b = v.to_le_bytes();
+    (
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+        u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+    )
+}
+
+/// The inverse of [`halves`].
+#[inline]
+fn joined(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | u64::from(hi) << 32
 }
 
 /// The encoder's state (module docs): the context of the open block, the
@@ -507,6 +540,8 @@ impl Staged {
 /// [`Snapshot`].
 #[derive(Debug)]
 struct Encoder {
+    /// The time and uid of the previous staged record.
+    prev: (u64, u64),
     ctx: Context,
     hash: Fnv1a,
     open: PacketBlock,
@@ -516,6 +551,7 @@ struct Encoder {
 impl Encoder {
     fn new() -> Self {
         Encoder {
+            prev: (0, 0),
             ctx: Context::START,
             hash: Fnv1a::new(),
             open: PacketBlock::default(),
@@ -527,25 +563,48 @@ impl Encoder {
     fn encode(&mut self, batch: &[Staged]) {
         let mut entries = batch.iter();
         while let Some(s) = entries.next() {
-            if s.tag == Staged::EXTENDED {
+            let (time, uid, place, kind) = if s.tag == Staged::FULL {
                 let Some(x) = entries.next() else { break };
-                let meta =
-                    matches!(x.uid, DROPPED | MARKED).then_some((x.tag.to_le_bytes()[0], x.flow));
-                self.record(s, x.time, x.uid, meta);
+                (
+                    joined(s.lo, s.hi),
+                    joined(x.lo, x.hi),
+                    joined(x.flow, x.tag & 1),
+                    u64::from(x.tag >> 1),
+                )
             } else {
-                let kind = u64::from(s.tag & ((1 << KIND_BITS) - 1));
-                self.record(s, u64::from(s.tag >> TAG_PLACE_SHIFT), kind, None);
-            }
+                (
+                    self.prev.0.wrapping_add(u64::from(s.lo)),
+                    self.prev.1.wrapping_add(unzigzag(u64::from(s.hi))),
+                    u64::from(s.tag >> TAG_PLACE_SHIFT),
+                    u64::from(s.tag & ((1 << KIND_BITS) - 1)),
+                )
+            };
+            let meta = match kind {
+                DROPPED | MARKED => {
+                    let Some(m) = entries.next() else { break };
+                    Some((m.hi.to_le_bytes()[0], m.lo))
+                }
+                _ => None,
+            };
+            self.prev = (time, uid);
+            self.record(time, uid, s.flow, place, kind, meta);
         }
     }
 
-    /// Folds one record (`s`'s time, uid and flow, at `place`) into the
-    /// digest and encodes it into the open block, which is finished and
-    /// shrunk to fit once it holds [`BLOCK_RECORDS`].
+    /// Folds one record into the digest and encodes it into the open
+    /// block, which is finished and shrunk to fit once it holds
+    /// [`BLOCK_RECORDS`].
     // Hot path — once per logged packet milestone, on the encoder thread
     #[inline]
-    fn record(&mut self, s: &Staged, place: u64, kind: u64, meta: Option<(u8, u32)>) {
-        let (time, uid, flow) = (s.time, s.uid, s.flow);
+    fn record(
+        &mut self,
+        time: u64,
+        uid: u64,
+        flow: u32,
+        place: u64,
+        kind: u64,
+        meta: Option<(u8, u32)>,
+    ) {
         let mut h = self.hash;
         h.u64(time);
         h.u64(uid);
@@ -705,6 +764,8 @@ pub struct PacketLog {
     hash: Fnv1a,
     /// Records not yet sent to the encoder.
     staged: Vec<Staged>,
+    /// The time and uid of the last staged record.
+    prev: (u64, u64),
     /// The encoder thread; `None` once the log is finished.
     worker: Option<Worker>,
     /// Events that arrived after the log filled.
@@ -733,7 +794,8 @@ impl PacketLog {
             synced: 0,
             capacity,
             hash: Fnv1a::new(),
-            staged: Vec::with_capacity(STAGE_ENTRIES + 1),
+            staged: Vec::with_capacity(STAGE_ENTRIES + RECORD_ENTRIES),
+            prev: (0, 0),
             worker: Some(Worker::spawn()),
             overflowed: 0,
         }
@@ -750,29 +812,44 @@ impl PacketLog {
             return;
         }
         self.len += 1;
+        let (time, uid, flow) = (rec.time.as_nanos(), rec.uid, rec.flow.0);
         let place = rec.place_code();
         let (kind, meta) = rec.codes();
-        let mut s = Staged {
-            time: rec.time.as_nanos(),
-            uid: rec.uid,
-            flow: rec.flow.0,
-            tag: Staged::EXTENDED,
-        };
-        match (meta, u32::try_from(kind | place << TAG_PLACE_SHIFT)) {
-            (None, Ok(tag)) => {
-                s.tag = tag;
-                self.staged.push(s);
-            }
+        let (dt, dt_high) = halves(time.wrapping_sub(self.prev.0));
+        let (du, du_high) = halves(zigzag(uid.wrapping_sub(self.prev.1)));
+        self.prev = (time, uid);
+        match u32::try_from(kind | place << TAG_PLACE_SHIFT) {
+            Ok(tag) if dt_high == 0 && du_high == 0 => self.staged.push(Staged {
+                lo: dt,
+                hi: du,
+                flow,
+                tag,
+            }),
             _ => {
-                let (reason, depth) = meta.unwrap_or((0, 0));
-                self.staged.push(s);
+                let (time_lo, time_hi) = halves(time);
+                let (uid_lo, uid_hi) = halves(uid);
+                let (place_lo, place_hi) = halves(place);
                 self.staged.push(Staged {
-                    time: place,
-                    uid: kind,
-                    flow: depth,
-                    tag: u32::from(reason),
+                    lo: time_lo,
+                    hi: time_hi,
+                    flow,
+                    tag: Staged::FULL,
+                });
+                self.staged.push(Staged {
+                    lo: uid_lo,
+                    hi: uid_hi,
+                    flow: place_lo,
+                    tag: place_hi | halves(kind << 1).0,
                 });
             }
+        }
+        if let Some((reason, depth)) = meta {
+            self.staged.push(Staged {
+                lo: depth,
+                hi: u32::from(reason),
+                flow: 0,
+                tag: 0,
+            });
         }
         if self.staged.len() >= STAGE_ENTRIES {
             self.flush();
@@ -790,7 +867,7 @@ impl PacketLog {
         let next = w
             .emptied
             .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(STAGE_ENTRIES + 1));
+            .unwrap_or_else(|_| Vec::with_capacity(STAGE_ENTRIES + RECORD_ENTRIES));
         let batch = std::mem::replace(&mut self.staged, next);
         if w.to.send(ToEncoder::Records(batch)).is_err() {
             self.encoder_lost();
