@@ -538,7 +538,6 @@ fn joined(lo: u32, hi: u32) -> u64 {
 /// The encoder's state (module docs): the context of the open block, the
 /// running digest, the open block and the blocks finished since the last
 /// [`Snapshot`].
-#[derive(Debug)]
 struct Encoder {
     /// The time and uid of the previous staged record.
     prev: (u64, u64),
@@ -675,7 +674,6 @@ impl Encoder {
 }
 
 /// The encoder's answer to [`ToEncoder::Sync`].
-#[derive(Debug)]
 struct Snapshot {
     finished: Vec<PacketBlock>,
     open: PacketBlock,
@@ -683,7 +681,6 @@ struct Snapshot {
 }
 
 /// What the log sends its encoder thread.
-#[derive(Debug)]
 enum ToEncoder {
     /// A full (or, before a sync, partial) staging buffer, to encode and
     /// send back empty.
@@ -751,6 +748,7 @@ impl Worker {
 /// encoder made. Reads see the log as of the last sync point: the end of
 /// every [`Sim::run_until`](crate::sim::Sim::run_until), or
 /// [`PacketLog::sync`] for a log fed by hand.
+#[derive(Debug)]
 pub struct PacketLog {
     /// The blocks as of the last sync: every finished one, then a copy of
     /// the open one unless it is empty.
@@ -770,18 +768,6 @@ pub struct PacketLog {
     worker: Option<Worker>,
     /// Events that arrived after the log filled.
     pub overflowed: u64,
-}
-
-impl fmt::Debug for PacketLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PacketLog")
-            .field("len", &self.len)
-            .field("synced", &self.synced)
-            .field("capacity", &self.capacity)
-            .field("blocks", &self.blocks.len())
-            .field("overflowed", &self.overflowed)
-            .finish_non_exhaustive()
-    }
 }
 
 impl PacketLog {

@@ -43,19 +43,21 @@ impl Fnv1a {
     /// Folds `v` as its eight little-endian bytes.
     #[inline]
     pub fn u64(&mut self, v: u64) {
-        // Byte by byte up to the highest nonzero one, then the zero bytes
-        // above it in one multiply. Digested values are mostly small (flow
-        // ids, link and kind codes, counts), so this is a fraction of the
-        // eight dependent multiplies a full fold costs.
+        // Byte by byte below the highest nonzero one; then that byte and
+        // the zero bytes above it in one multiply, `(h ^ b)·PRIME^k` for
+        // the k bytes from it up (exact: folding a zero byte is a multiply
+        // by PRIME). Digested values are mostly small (flow ids, link and
+        // kind codes, counts), so this is a fraction of the eight dependent
+        // multiplies a full fold costs: one for a value below 256.
         let mut h = self.0;
         let mut rest = v;
-        let mut zeros = 8;
-        while rest != 0 {
+        let mut k = 8;
+        while rest > 0xff {
             h = (h ^ (rest & 0xff)).wrapping_mul(PRIME);
             rest >>= 8;
-            zeros -= 1;
+            k -= 1;
         }
-        self.0 = h.wrapping_mul(PRIME_POW[zeros]);
+        self.0 = (h ^ rest).wrapping_mul(PRIME_POW[k]);
     }
 
     /// The digest of everything folded so far.
